@@ -21,7 +21,6 @@ from .special import (
     GenGammaParams,
     Tolerance,
     airy_ai,
-    bessel_i,
     gen_gamma_density,
     gen_gamma_mean,
     gen_gamma_tail,
@@ -31,7 +30,6 @@ from .special import (
 from .harmonic import (
     GridDensity,
     HarmonicLaw,
-    cdf,
     fourier_coeffs,
     sample,
 )
@@ -79,7 +77,6 @@ from .pseudo import (
     positivity_time,
 )
 from .kernels import (
-    KernelParams,
     even_kernel_cdf,
     even_kernel_density,
     even_kernel_law,
@@ -95,11 +92,8 @@ from .kernels import (
     wrapped_skew_cauchy_density,
 )
 from .montecarlo import (
-    McReport,
     RngStream,
-    histogram,
     ks_statistic,
-    mc_report,
     sample_inverse_subordinator,
     sample_stable_subordinator,
     sample_wrapped_bm,

@@ -17,7 +17,7 @@ from scipy import special as sp
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, RouteDivergenceWarning
-from .harmonic import TWO_PI, HarmonicLaw
+from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .special import DEFAULT_TOL
 
 __all__ = [
@@ -70,21 +70,12 @@ def bm_law(t, tol=DEFAULT_TOL):
     """Cosine-series carrier of the wrapped Brownian law."""
     if not (t > 0.0):
         raise DomainError("t must be positive")
-    K = 0
-    while _bm_tail(K, t) > tol.abs_tol:
-        K += 1
-        if K > tol.max_terms:
-            raise ConvergenceError(
-                f"series carrier needs more than {tol.max_terms} terms at "
-                f"t={t}; evaluate through bm_density_wrapped instead"
-            )
-    k = np.arange(1.0, K + 1.0)
-    rep = HarmonicLaw(
-        a0=1.0 / TWO_PI,
-        cos_coeffs=np.exp(-k * k * (t / 2.0)) / math.pi,
-        sin_coeffs=np.zeros(K),
-        tail_bound=_bm_tail(K, t),
-        meta=f"wrapped Brownian motion, t={t!r}",
+    rep = cosine_law(
+        lambda k: np.exp(-k * k * (t / 2.0)) / math.pi,
+        lambda K: _bm_tail(K, t),
+        tol,
+        f"at t={t} evaluate through bm_density_wrapped instead",
+        f"wrapped Brownian motion, t={t!r}",
     )
     return BmLaw(t=float(t), representation=rep)
 
@@ -194,9 +185,9 @@ def bm_quadrant_prob(t, tol=DEFAULT_TOL):
         if k > tol.max_terms:
             raise ConvergenceError("quadrant series did not converge")
     val = 0.5 + (2.0 / math.pi) * acc
-    if t > _QUAD_BOUND_T0:
-        # alternating decreasing terms, so the one-term envelope holds
-        assert val <= 0.5 + (2.0 / math.pi) * math.exp(-t / 2.0) + 1e-12
+    # alternating decreasing terms, so the one-term envelope holds
+    if t > _QUAD_BOUND_T0 and val > 0.5 + (2.0 / math.pi) * math.exp(-t / 2.0) + 1e-12:
+        raise ConvergenceError(f"quadrant series broke its e^(-t/2) envelope at t={t}")
     return val
 
 

@@ -11,11 +11,11 @@ criteria, 2 invalid parameters, 3 numerical non-convergence.
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,21 +36,71 @@ from .validation import DEFAULT_SEED, GROUPS, report_json, run_suite
 
 __all__ = ["RunConfig", "main"]
 
-LAWS = (
-    "even",
-    "odd",
-    "bm",
-    "timefrac",
-    "spacefrac",
-    "spacetimefrac",
-    "wrappedstable",
-    "kernel-even",
-    "kernel-odd",
-)
 
-# which extra parameters each law selector consumes
-_NEEDS_NU = ("timefrac", "spacetimefrac")
-_NEEDS_BETA = ("spacefrac", "spacetimefrac", "wrappedstable")
+class _Curves(NamedTuple):
+    """density/cdf pair for a law without a harmonic carrier."""
+
+    density: Callable
+    cdf: Callable
+
+
+def _odd_density_grid(cfg, thetas, tol):
+    # the signed odd law is evaluated pointwise; summarize the per-point
+    # route-divergence warnings into a single stderr note
+    caught = []
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        vals = np.array([odd_circle_density(cfg.n, float(x), cfg.t, tol) for x in thetas])
+    for w in records:
+        if issubclass(w.category, RouteDivergenceWarning):
+            caught.append(w)
+        else:
+            print(f"warning: {w.message}", file=sys.stderr)
+    if caught:
+        print(
+            f"note: wrapped and Abel routes disagree at {len(caught)} of "
+            f"{thetas.size} grid points (signed law; wrapped route reported)",
+            file=sys.stderr,
+        )
+    return vals
+
+
+def _odd_cdf(thetas):
+    raise ConvergenceError(
+        "the odd-order signed law has no absolutely convergent CDF "
+        "series; only density values are available"
+    )
+
+
+# --law selector -> (flags it needs, builder(cfg, tol) of an object with
+# density and cdf); argparse choices, RunConfig.check and cmd_curve read it
+LAWS = {
+    "even": ((), lambda c, tol: even_circle_law(c.n, c.t, tol)),
+    "odd": ((), lambda c, tol: _Curves(lambda th: _odd_density_grid(c, th, tol), _odd_cdf)),
+    "bm": ((), lambda c, tol: bm_law(c.t, tol).representation),
+    "timefrac": (("nu",), lambda c, tol: time_fractional_law(c.n, c.nu, c.t, tol)),
+    "spacefrac": (("beta",), lambda c, tol: space_fractional_law(c.beta, c.t, tol)),
+    "spacetimefrac": (
+        ("nu", "beta"),
+        lambda c, tol: _Curves(
+            lambda th: space_time_fractional_density(c.nu, c.beta, th, c.t, tol),
+            lambda th: space_time_fractional_cdf(c.nu, c.beta, th, c.t, tol),
+        ),
+    ),
+    "wrappedstable": (("beta",), lambda c, tol: wrapped_stable_law(c.beta, c.t, tol)),
+    "kernel-even": (
+        (),
+        lambda c, tol: _Curves(
+            lambda th: even_kernel_density(th, c.t), lambda th: even_kernel_cdf(th, c.t)
+        ),
+    ),
+    "kernel-odd": (
+        (),
+        lambda c, tol: _Curves(
+            lambda th: odd_kernel_density(c.n, th, c.t), lambda th: odd_kernel_cdf(c.n, th, c.t)
+        ),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -77,10 +127,9 @@ class RunConfig:
                 raise DomainError("t must be positive")
             if self.grid_points < 8:
                 raise DomainError("grid_points must be >= 8")
-            if self.law in _NEEDS_NU and self.nu is None:
-                raise DomainError(f"law {self.law!r} needs --nu")
-            if self.law in _NEEDS_BETA and self.beta is None:
-                raise DomainError(f"law {self.law!r} needs --beta")
+            for flag in LAWS[self.law][0]:
+                if getattr(self, flag) is None:
+                    raise DomainError(f"law {self.law!r} needs --{flag}")
         if self.command == "positivity" and self.n < 1:
             raise DomainError("n must be an integer >= 1")
 
@@ -93,68 +142,10 @@ def _emit(text, out, summary):
         sys.stdout.write(text)
 
 
-def _odd_density_grid(cfg, thetas, tol):
-    # the signed odd law is evaluated pointwise; summarize the per-point
-    # route-divergence warnings into a single stderr note
-    caught = []
-    with warnings.catch_warnings(record=True) as records:
-        warnings.simplefilter("always")
-        vals = np.array([odd_circle_density(cfg.n, float(x), cfg.t, tol) for x in thetas])
-    for w in records:
-        if issubclass(w.category, RouteDivergenceWarning):
-            caught.append(w)
-        else:
-            print(f"warning: {w.message}", file=sys.stderr)
-    if caught:
-        print(
-            f"note: wrapped and Abel routes disagree at {len(caught)} of "
-            f"{thetas.size} grid points (signed law; wrapped route reported)",
-            file=sys.stderr,
-        )
-    return vals
-
-
-def _curve_values(cfg):
-    """Return (thetas, values) for cfg.command in {'density', 'cdf'}."""
-    tol = Tolerance(abs_tol=cfg.tol)
-    th = np.linspace(0.0, TWO_PI, cfg.grid_points)
-    law, want_cdf = cfg.law, cfg.command == "cdf"
-    if law == "even":
-        carrier = even_circle_law(cfg.n, cfg.t, tol)
-        return th, carrier.cdf(th) if want_cdf else carrier.density(th)
-    if law == "odd":
-        if want_cdf:
-            raise ConvergenceError(
-                "the odd-order signed law has no absolutely convergent CDF "
-                "series; only density values are available"
-            )
-        return th, _odd_density_grid(cfg, th, tol)
-    if law == "bm":
-        carrier = bm_law(cfg.t, tol)
-        return th, carrier.cdf(th) if want_cdf else carrier.density(th)
-    if law == "timefrac":
-        carrier = time_fractional_law(cfg.n, cfg.nu, cfg.t, tol)
-        return th, carrier.cdf(th) if want_cdf else carrier.density(th)
-    if law == "spacefrac":
-        carrier = space_fractional_law(cfg.beta, cfg.t, tol)
-        return th, carrier.cdf(th) if want_cdf else carrier.density(th)
-    if law == "spacetimefrac":
-        if want_cdf:
-            return th, space_time_fractional_cdf(cfg.nu, cfg.beta, th, cfg.t, tol)
-        return th, space_time_fractional_density(cfg.nu, cfg.beta, th, cfg.t, tol)
-    if law == "wrappedstable":
-        carrier = wrapped_stable_law(cfg.beta, cfg.t, tol)
-        return th, carrier.cdf(th) if want_cdf else carrier.density(th)
-    if law == "kernel-even":
-        return th, (even_kernel_cdf(th, cfg.t) if want_cdf else even_kernel_density(th, cfg.t))
-    # kernel-odd
-    return th, (
-        odd_kernel_cdf(cfg.n, th, cfg.t) if want_cdf else odd_kernel_density(cfg.n, th, cfg.t)
-    )
-
-
 def cmd_curve(cfg):
-    th, vals = _curve_values(cfg)
+    law = LAWS[cfg.law][1](cfg, Tolerance(abs_tol=cfg.tol))
+    th = np.linspace(0.0, TWO_PI, cfg.grid_points)
+    vals = law.cdf(th) if cfg.command == "cdf" else law.density(th)
     lines = ["theta,value"]
     lines.extend(f"{x:.17g},{v:.17g}" for x, v in zip(th.tolist(), np.asarray(vals).tolist()))
     _emit("\n".join(lines) + "\n", cfg.out, f"wrote {th.size} rows to {{path}}")
@@ -195,7 +186,7 @@ def _build_parser():
         ("cdf", "evaluate a law's CDF on a uniform grid (CSV)"),
     ):
         q = sub.add_parser(name, help=blurb)
-        q.add_argument("--law", required=True, choices=LAWS)
+        q.add_argument("--law", required=True, choices=tuple(LAWS))
         q.add_argument("--n", type=int, default=1, help="order index (order 2n even, 2n+1 odd)")
         q.add_argument("--nu", type=float, help="time-fractional exponent in (0, 1]")
         q.add_argument("--beta", type=float, help="space-fractional exponent in (0, 1]")

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError, SlowDecayWarning
-from .harmonic import TWO_PI, HarmonicLaw, _trig_sum
+from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .pseudo import even_circle_law
 from .special import DEFAULT_TOL, mittag_leffler_many
 
@@ -72,21 +72,12 @@ def time_fractional_law(n, nu, t, tol=DEFAULT_TOL):
     # sum_{k>K} E_nu(-k^{2n} t^nu) <= Gamma(1+nu) t^-nu sum k^{-2n}
     #                              <= c K^{1-2n}/(2n-1), c = Gamma(1+nu) t^-nu
     c = math.gamma(1.0 + nu) * t ** (-nu) / math.pi
-    K = int(math.ceil((c / ((2 * n - 1) * tol.abs_tol)) ** (1.0 / (2 * n - 1))))
-    K = max(K, 1)
-    if K > tol.max_terms:
-        raise ConvergenceError(
-            f"time-fractional tail needs {K} terms for tol={tol.abs_tol}; "
-            "loosen the tolerance or work at the CDF level"
-        )
-    k = np.arange(1.0, K + 1.0)
-    coef = mittag_leffler_many(nu, -(k ** (2 * n)) * t**nu, tol) / math.pi
-    return HarmonicLaw(
-        a0=1.0 / TWO_PI,
-        cos_coeffs=coef,
-        sin_coeffs=np.zeros(K),
-        tail_bound=c * K ** (1 - 2 * n) / (2 * n - 1),
-        meta=f"time-fractional circular law, n={n}, nu={nu!r}, t={t!r}",
+    return cosine_law(
+        lambda k: mittag_leffler_many(nu, -(k ** (2 * n)) * t**nu, tol) / math.pi,
+        lambda K: c * K ** (1 - 2 * n) / (2 * n - 1),
+        tol,
+        "time-fractional law: loosen the tolerance or work at the CDF level",
+        f"time-fractional circular law, n={n}, nu={nu!r}, t={t!r}",
     )
 
 
@@ -96,35 +87,22 @@ def _stretched_tail(c, p, K):
     return s * c ** (-s) * sp.gamma(s) * sp.gammaincc(s, c * K**p)
 
 
-def _stretched_cutoff(c, p, tol, what):
-    if _stretched_tail(c, p, 1) / math.pi <= tol.abs_tol:
-        return 1
-    K = 1
-    while _stretched_tail(c, p, K) / math.pi > tol.abs_tol:
-        K *= 2
-        if K > 2 * tol.max_terms:
-            raise ConvergenceError(
-                f"{what} coefficients decay too slowly for tol={tol.abs_tol} "
-                f"within {tol.max_terms} terms; loosen the tolerance"
-            )
-    lo, hi = K // 2, K
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _stretched_tail(c, p, mid) / math.pi > tol.abs_tol:
-            lo = mid
-        else:
-            hi = mid
-    if hi > tol.max_terms:
-        raise ConvergenceError(
-            f"{what} needs {hi} terms for tol={tol.abs_tol}; loosen the tolerance"
-        )
-    if hi > _SLOW_DECAY_K:
+def _stretched_law(c, p, coeffs, tol, what, meta):
+    """Cosine carrier for coefficients e^{-c k^p}/pi, p <= 2."""
+    law = cosine_law(
+        coeffs,
+        lambda K: _stretched_tail(c, p, K) / math.pi,
+        tol,
+        f"{what} coefficients decay too slowly; loosen the tolerance",
+        meta,
+    )
+    if law.n_terms > _SLOW_DECAY_K:
         warnings.warn(
-            f"{what} truncation uses {hi} terms (subexponential decay)",
+            f"{what} truncation uses {law.n_terms} terms (subexponential decay)",
             SlowDecayWarning,
             stacklevel=3,
         )
-    return hi
+    return law
 
 
 def space_fractional_law(beta, t, tol=DEFAULT_TOL):
@@ -132,15 +110,13 @@ def space_fractional_law(beta, t, tol=DEFAULT_TOL):
     _check_unit("beta", beta)
     if not (t > 0.0):
         raise DomainError("t must be positive")
-    c = t / 2.0**beta  # exponent is c k^{2 beta}
-    K = _stretched_cutoff(c, 2.0 * beta, tol, "space-fractional law")
-    k = np.arange(1.0, K + 1.0)
-    return HarmonicLaw(
-        a0=1.0 / TWO_PI,
-        cos_coeffs=np.exp(-((k * k / 2.0) ** beta) * t) / math.pi,
-        sin_coeffs=np.zeros(K),
-        tail_bound=_stretched_tail(c, 2.0 * beta, K) / math.pi,
-        meta=f"space-fractional circular law, beta={beta!r}, t={t!r}",
+    return _stretched_law(
+        t / 2.0**beta,  # exponent is c k^{2 beta}
+        2.0 * beta,
+        lambda k: np.exp(-((k * k / 2.0) ** beta) * t) / math.pi,
+        tol,
+        "space-fractional law",
+        f"space-fractional circular law, beta={beta!r}, t={t!r}",
     )
 
 
@@ -189,14 +165,13 @@ def wrapped_stable_law(beta, t, tol=DEFAULT_TOL):
     _check_unit("beta", beta)
     if not (t > 0.0):
         raise DomainError("t must be positive")
-    K = _stretched_cutoff(t, 2.0 * beta, tol, "wrapped stable law")
-    k = np.arange(1.0, K + 1.0)
-    return HarmonicLaw(
-        a0=1.0 / TWO_PI,
-        cos_coeffs=np.exp(-(k ** (2.0 * beta)) * t) / math.pi,
-        sin_coeffs=np.zeros(K),
-        tail_bound=_stretched_tail(t, 2.0 * beta, K) / math.pi,
-        meta=f"wrapped symmetric stable law, beta={beta!r}, t={t!r}",
+    return _stretched_law(
+        t,
+        2.0 * beta,
+        lambda k: np.exp(-(k ** (2.0 * beta)) * t) / math.pi,
+        tol,
+        "wrapped stable law",
+        f"wrapped symmetric stable law, beta={beta!r}, t={t!r}",
     )
 
 
@@ -208,8 +183,7 @@ def wrapped_stable_density(beta, theta, t, tol=DEFAULT_TOL):
     return wrapped_stable_law(beta, t, tol).density(theta)
 
 
-def _space_time_coeffs(nu, beta, t, K, tol):
-    k = np.arange(1.0, K + 1.0)
+def _space_time_coeffs(nu, beta, t, k, tol):
     return mittag_leffler_many(nu, -((k * k / 2.0) ** beta) * t**nu, tol) / math.pi
 
 
@@ -237,21 +211,13 @@ def space_time_fractional_density(nu, beta, theta, t, tol=DEFAULT_TOL):
             "nu < 1; use space_time_fractional_cdf"
         )
     c = math.gamma(1.0 + nu) * t ** (-nu) * 2.0**beta / math.pi
-    K = max(1, int(math.ceil((c / ((2 * beta - 1) * tol.abs_tol)) ** (1.0 / (2 * beta - 1)))))
-    if K > tol.max_terms:
-        raise ConvergenceError(
-            f"space-time density tail needs {K} terms for tol={tol.abs_tol}; "
-            "loosen the tolerance or use space_time_fractional_cdf"
-        )
-    coef = _space_time_coeffs(nu, beta, t, K, tol)
-    law = HarmonicLaw(
-        a0=1.0 / TWO_PI,
-        cos_coeffs=coef,
-        sin_coeffs=np.zeros(K),
-        tail_bound=c * K ** (1 - 2 * beta) / (2 * beta - 1),
-        meta=f"space-time fractional law, nu={nu!r}, beta={beta!r}, t={t!r}",
-    )
-    return law.density(theta)
+    return cosine_law(
+        lambda k: _space_time_coeffs(nu, beta, t, k, tol),
+        lambda K: c * K ** (1 - 2 * beta) / (2 * beta - 1),
+        tol,
+        "space-time density: loosen the tolerance or use space_time_fractional_cdf",
+        f"space-time fractional law, nu={nu!r}, beta={beta!r}, t={t!r}",
+    ).density(theta)
 
 
 def space_time_fractional_cdf(nu, beta, theta, t, tol=DEFAULT_TOL):
@@ -268,22 +234,12 @@ def space_time_fractional_cdf(nu, beta, theta, t, tol=DEFAULT_TOL):
         return space_fractional_law(beta, t, tol).cdf(theta)
     if beta == 1.0:
         return time_fractional_law(1, nu, t * 2.0 ** (-1.0 / nu), tol).cdf(theta)
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < -1e-9) or np.any(th > TWO_PI + 1e-9):
-        raise DomainError("cdf argument must lie in [0, 2 pi]")
+    # the carrier's tail_bound is c K^{-2 beta}/(2 beta), in CDF units
     c = math.gamma(1.0 + nu) * t ** (-nu) * 2.0**beta / math.pi
-    K = max(1, int(math.ceil((c / (2 * beta * tol.abs_tol)) ** (1.0 / (2 * beta)))))
-    if K > tol.max_terms:
-        raise ConvergenceError(
-            f"space-time CDF tail needs {K} terms for tol={tol.abs_tol}; "
-            "loosen the tolerance"
-        )
-    coef = _space_time_coeffs(nu, beta, t, K, tol)
-    out = _trig_sum(
-        1.0 / TWO_PI,
-        coef,
-        np.zeros(K),
-        np.clip(np.atleast_1d(th), 0.0, TWO_PI),
-        weight_inv_k=True,
-    )
-    return float(out[0]) if th.ndim == 0 else out
+    return cosine_law(
+        lambda k: _space_time_coeffs(nu, beta, t, k, tol),
+        lambda K: c * K ** (-2 * beta) / (2 * beta),
+        tol,
+        "space-time CDF: loosen the tolerance",
+        f"space-time fractional CDF series, nu={nu!r}, beta={beta!r}, t={t!r}",
+    ).cdf(theta)

@@ -3,7 +3,8 @@
 Every circular density in the package is carried as a HarmonicLaw:
 density(theta) = a0 + sum_{k=1..K} a_k cos(k theta) + b_k sin(k theta),
 with a certified bound on the dropped tail. This module owns evaluation,
-the termwise CDF, numerical Fourier projection, and rejection sampling.
+the termwise CDF, the truncation rule shared by every series law,
+numerical Fourier projection, and rejection sampling.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SignedLawError
+from .errors import ConvergenceError, DomainError, SignedLawError
+from .special import Tolerance
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,11 +90,6 @@ class HarmonicLaw:
         return float(out[0]) if np.isscalar(theta) else out
 
 
-def cdf(law: HarmonicLaw, theta):
-    """CDF of a harmonic law; cdf(law, 0) = 0 and cdf(law, 2 pi) = 2 pi a0."""
-    return law.cdf(theta)
-
-
 @dataclass(frozen=True)
 class GridDensity:
     """Uniform angular grid of density or CDF values, the CSV-facing product."""
@@ -113,6 +110,46 @@ class GridDensity:
             raise DomainError("kind must be 'density' or 'cdf'")
         object.__setattr__(self, "thetas", th)
         object.__setattr__(self, "values", vals)
+
+
+def certified_cutoff(tail, tol: Tolerance, advice: str) -> int:
+    """Smallest K >= 1 with tail(K) <= tol.abs_tol, for a nonincreasing tail.
+
+    Doubles K until the tail certifies, then bisects back. Raises
+    ConvergenceError with the caller's advice once K would pass
+    tol.max_terms.
+    """
+    lo, hi = 0, 1  # tail(lo) > tol (or lo = 0), and hi is the next probe
+    while tail(hi) > tol.abs_tol:
+        if hi >= tol.max_terms:
+            raise ConvergenceError(
+                f"series needs more than max_terms = {tol.max_terms} terms "
+                f"for tol={tol.abs_tol}; {advice}"
+            )
+        lo, hi = hi, min(2 * hi, tol.max_terms)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail(mid) > tol.abs_tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def cosine_law(coeffs, tail, tol: Tolerance, advice: str, meta: str) -> HarmonicLaw:
+    """Mass-1 cosine carrier a0 = 1/(2 pi), a_k = coeffs(k), b_k = 0.
+
+    K = certified_cutoff(tail, tol, advice); coeffs maps the mode array
+    k = 1.0..K to the cosine coefficients, and tail_bound = tail(K).
+    """
+    K = certified_cutoff(tail, tol, advice)
+    return HarmonicLaw(
+        a0=1.0 / TWO_PI,
+        cos_coeffs=coeffs(np.arange(1.0, K + 1.0)),
+        sin_coeffs=np.zeros(K),
+        tail_bound=tail(K),
+        meta=meta,
+    )
 
 
 def fourier_coeffs(density, K: int, n_nodes: int | None = None):

@@ -15,17 +15,15 @@ circle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, DomainGapError
-from .harmonic import TWO_PI, HarmonicLaw
+from .errors import DomainError, DomainGapError
+from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff
 from .line import OrderParams, skew_cauchy_density
 from .special import DEFAULT_TOL, Tolerance
 
 __all__ = [
-    "KernelParams",
     "even_kernel_density",
     "even_kernel_law",
     "even_kernel_cdf",
@@ -61,57 +59,6 @@ def _as_angles(theta):
     return np.clip(th, 0.0, TWO_PI)
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Kernel descriptor: parity, time, and the damping/rotation pair.
-
-    The even kernel has (a, b) = (1, 0); the odd one of order index n
-    has a = cos(pi/(2(2n+1))), b = sin(pi/(2(2n+1))). Always
-    a^2 + b^2 = 1 with a in (0, 1] and b in [0, 1).
-    """
-
-    parity: str
-    t: float
-    a: float
-    b: float
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise DomainError("parity must be 'even' or 'odd'")
-        _check_t(self.t)
-        if abs(self.a * self.a + self.b * self.b - 1.0) > 1e-12:
-            raise DomainError("need a^2 + b^2 = 1")
-        if not (0.0 < self.a <= 1.0 and 0.0 <= self.b < 1.0):
-            raise DomainError("need a in (0, 1] and b in [0, 1)")
-        if self.parity == "odd" and (self.n is None or self.n < 1):
-            raise DomainError("odd parity needs an order index n >= 1")
-
-    @classmethod
-    def even(cls, t: float) -> "KernelParams":
-        return cls(parity="even", t=float(t), a=1.0, b=0.0)
-
-    @classmethod
-    def odd(cls, n: int, t: float) -> "KernelParams":
-        a, b = _ab(n)
-        return cls(parity="odd", t=float(t), a=a, b=b, n=int(n))
-
-    def density(self, theta):
-        if self.parity == "even":
-            return even_kernel_density(theta, self.t)
-        return odd_kernel_density(self.n, theta, self.t)
-
-    def cdf(self, theta):
-        if self.parity == "even":
-            return even_kernel_cdf(theta, self.t)
-        return odd_kernel_cdf(self.n, theta, self.t)
-
-    def law(self, tol: Tolerance = DEFAULT_TOL) -> HarmonicLaw:
-        if self.parity == "even":
-            return even_kernel_law(self.t, tol)
-        return odd_kernel_law(self.n, self.t, tol)
-
-
 def _poisson_series_law(damp_rate: float, rotation: float, tol: Tolerance, meta: str) -> HarmonicLaw:
     """Series law 1/(2 pi) + (1/pi) sum_k e^{-k damp_rate} cos(k(theta + rotation)).
 
@@ -119,22 +66,18 @@ def _poisson_series_law(damp_rate: float, rotation: float, tol: Tolerance, meta:
     sum_{k>K} e^{-k r}/pi = e^{-(K+1) r}/(pi (1 - e^{-r})) <= tol.
     """
     denom = math.pi * (-math.expm1(-damp_rate))
-    target = tol.abs_tol * denom
-    K = 1 if target >= 1.0 else max(1, math.ceil(math.log(1.0 / target) / damp_rate) - 1)
-    while math.exp(-(K + 1) * damp_rate) / denom > tol.abs_tol:
-        K += 1
-    if K > tol.max_terms:
-        raise ConvergenceError(
-            f"kernel series needs K = {K} > max_terms = {tol.max_terms}; "
-            "the closed form has no such limit"
-        )
+
+    def tail(K):
+        return math.exp(-(K + 1) * damp_rate) / denom
+
+    K = certified_cutoff(tail, tol, "the closed form has no such limit")
     k = np.arange(1.0, K + 1)
     damp = np.exp(-k * damp_rate) / math.pi
     return HarmonicLaw(
         a0=1.0 / TWO_PI,
         cos_coeffs=damp * np.cos(k * rotation),
         sin_coeffs=-damp * np.sin(k * rotation),
-        tail_bound=math.exp(-(K + 1) * damp_rate) / denom,
+        tail_bound=tail(K),
         meta=f"{meta}, K={K}",
     )
 

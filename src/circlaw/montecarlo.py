@@ -15,18 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .harmonic import TWO_PI, GridDensity
+from .harmonic import TWO_PI
 
 __all__ = [
     "RngStream",
-    "McReport",
     "sample_stable_subordinator",
     "sample_inverse_subordinator",
     "sample_wrapped_bm",
     "simulate_planar_hit",
     "ks_statistic",
-    "histogram",
-    "mc_report",
 ]
 
 
@@ -202,58 +199,3 @@ def ks_statistic(samples, cdf) -> float:
         raise DomainError("cdf is not monotone on the sample range")
     i = np.arange(1, n + 1, dtype=float)
     return float(max(np.max(i / n - F), np.max(F - (i - 1.0) / n)))
-
-
-def histogram(samples, bins: int = 64) -> GridDensity:
-    """Angular histogram in density units: counts/(n * bin width).
-
-    The grid holds the left bin edges (starting at 0); values integrate
-    to 1 over [0, 2 pi).
-    """
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        raise DomainError("no samples")
-    if int(bins) < 2:
-        raise DomainError("bins must be >= 2")
-    if np.any(x < 0.0) or np.any(x >= TWO_PI):
-        raise DomainError("samples must be angles in [0, 2 pi)")
-    counts, edges = np.histogram(x, bins=int(bins), range=(0.0, TWO_PI))
-    width = TWO_PI / int(bins)
-    return GridDensity(
-        thetas=edges[:-1],
-        values=counts / (x.size * width),
-        kind="density",
-        law_meta=f"histogram of {x.size} samples, {int(bins)} bins",
-    )
-
-
-@dataclass(frozen=True)
-class McReport:
-    """Outcome of one sampler-vs-CDF comparison."""
-
-    n_samples: int
-    ks_statistic: float
-    ks_threshold: float
-    passed: bool
-    histogram: GridDensity
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise DomainError("n_samples must be positive")
-        if not self.ks_statistic >= 0.0:
-            raise DomainError("ks_statistic must be nonnegative")
-        if self.passed != (self.ks_statistic < self.ks_threshold):
-            raise DomainError("passed flag must equal ks_statistic < ks_threshold")
-
-
-def mc_report(samples, cdf, ks_threshold: float, bins: int = 64) -> McReport:
-    """Bundle a comparison: KS distance against cdf, verdict, histogram."""
-    x = np.asarray(samples, dtype=float).ravel()
-    ks = ks_statistic(x, cdf)
-    return McReport(
-        n_samples=x.size,
-        ks_statistic=ks,
-        ks_threshold=float(ks_threshold),
-        passed=bool(ks < float(ks_threshold)),
-        histogram=histogram(x, bins),
-    )

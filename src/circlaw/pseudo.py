@@ -28,7 +28,7 @@ from .errors import (
     MinimumLocationWarning,
     RouteDivergenceWarning,
 )
-from .harmonic import TWO_PI, HarmonicLaw
+from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .line import (
     OrderParams,
     line_density_even,
@@ -56,10 +56,10 @@ _ABEL_EPS = (0.02, 0.01, 0.005)
 # dual-route agreement threshold for the odd law
 _ROUTE_TOL = 1e-4
 
-# 300-bit fixed-point 1/(2 pi) for exact phase reduction of k^p t
-mp.mp.prec = 340
-_INV_2PI_300 = int(mp.floor(mp.mpf(2) ** 300 / (2 * mp.pi)))
-mp.mp.prec = 53
+# 300-bit fixed-point 1/(2 pi) for exact phase reduction of k^p t; the
+# working precision is local so the caller's mpmath settings survive import
+with mp.workprec(340):
+    _INV_2PI_300 = int(mp.floor(mp.mpf(2) ** 300 / (2 * mp.pi)))
 
 
 def even_circle_law(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> HarmonicLaw:
@@ -73,25 +73,12 @@ def even_circle_law(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> HarmonicL
     if t <= 0.0:
         raise DomainError("t must be positive")
     denom = math.pi * (-math.expm1(-t))
-    # e^{-(K+1) t} <= tol * denom
-    target = tol.abs_tol * denom
-    K = max(1, math.ceil(math.log(1.0 / target) / t) - 1) if target < 1.0 else 1
-    while math.exp(-(K + 1) * t) / denom > tol.abs_tol:
-        K += 1
-    if K > tol.max_terms:
-        raise ConvergenceError(
-            f"series needs K = {K} > max_terms = {tol.max_terms} at t = {t:g}; "
-            "use the wrapped route (even_circle_density_wrapped)"
-        )
-    k = np.arange(1.0, K + 1)
-    a = np.exp(-(k ** (2 * n)) * t) / math.pi
-    tail = math.exp(-(K + 1) * t) / denom
-    return HarmonicLaw(
-        a0=1.0 / TWO_PI,
-        cos_coeffs=a,
-        sin_coeffs=np.zeros(K),
-        tail_bound=tail,
-        meta=f"even-order circular law, n={n}, t={t:g}, K={K}",
+    return cosine_law(
+        lambda k: np.exp(-(k ** (2 * n)) * t) / math.pi,
+        lambda K: math.exp(-(K + 1) * t) / denom,
+        tol,
+        f"use the wrapped route (even_circle_density_wrapped) at t = {t:g}",
+        f"even-order circular law, n={n}, t={t:g}",
     )
 
 
@@ -298,12 +285,7 @@ def min_value(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
 
 def _grid_min(n: int, t: float, tol: Tolerance, grid_n: int = 4096):
     thetas = np.arange(grid_n) * (TWO_PI / grid_n)
-    try:
-        vals = even_circle_law(n, t, tol).density(thetas)
-    except ConvergenceError:
-        vals = np.array(
-            [even_circle_density_wrapped(n, float(th), t, tol) for th in thetas]
-        )
+    vals = even_circle_density(n, thetas, t, tol)
     j = int(np.argmin(vals))
     return float(vals[j]), float(thetas[j])
 

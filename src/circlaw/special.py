@@ -1,9 +1,8 @@
 """Special functions used by every law in the package.
 
 Mittag-Leffler E_nu on its completely monotone branch, the Airy function
-Ai via a damped contour integral, modified Bessel I_m by its ascending
-series, and the generalized gamma density/tail behind the probabilistic
-representations of the line solutions.
+Ai via a damped contour integral, and the generalized gamma density/tail
+behind the probabilistic representations of the line solutions.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "mittag_leffler",
     "mittag_leffler_many",
     "airy_ai",
-    "bessel_i",
     "gen_gamma_density",
     "gen_gamma_tail",
     "gen_gamma_mean",
@@ -301,33 +299,6 @@ def airy_ai(x: float, tol: Tolerance = DEFAULT_TOL) -> float:
             f"airy_ai({x:g}): error model {err:.2e} exceeds tol {tol.abs_tol:.2e}"
         )
     return val / math.pi
-
-
-# ---------------------------------------------------------------------------
-# Modified Bessel I_m
-# ---------------------------------------------------------------------------
-
-
-def bessel_i(m: int, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """I_m(x) by the ascending series sum_j (x/2)^(2j+m) / (j! (j+m)!)."""
-    if int(m) != m or m < 0:
-        raise DomainError("m must be a nonnegative integer")
-    if x < 0.0:
-        raise DomainError("x must be nonnegative")
-    if x > 700.0:
-        raise OverflowError("bessel_i overflows float64 beyond x ~ 700")
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    half = 0.5 * x
-    q = half * half
-    term = math.exp(m * math.log(half) - math.lgamma(m + 1.0))
-    total = term
-    for j in range(1, tol.max_terms + 1):
-        term *= q / (j * (j + m))
-        total += term
-        if term < tol.abs_tol * 1e-3 or term < total * 5e-17:
-            return total
-    raise ConvergenceError("bessel_i series budget exhausted")
 
 
 # ---------------------------------------------------------------------------

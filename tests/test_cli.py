@@ -3,20 +3,58 @@ codes, and byte determinism."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from circlaw import RouteDivergenceWarning, Tolerance
+from circlaw.brownian import bm_law
 from circlaw.cli import main
+from circlaw.fractional import (
+    space_fractional_law,
+    space_time_fractional_cdf,
+    space_time_fractional_density,
+    time_fractional_law,
+    wrapped_stable_law,
+)
 from circlaw.harmonic import TWO_PI
-from circlaw.kernels import even_kernel_density
-from circlaw.pseudo import even_circle_law
+from circlaw.kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
+from circlaw.pseudo import even_circle_law, odd_circle_density
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def library_curve(command, law, opts, th):
+    """Direct library evaluation of a `--law` selector at t = 1."""
+    tol = Tolerance(abs_tol=float(opts.get("--tol", 1e-10)))
+    n = int(opts.get("--n", 1))
+    nu, beta = float(opts.get("--nu", 1.0)), float(opts.get("--beta", 1.0))
+    cdf = command == "cdf"
+    series = {
+        "even": lambda: even_circle_law(n, 1.0, tol),
+        "bm": lambda: bm_law(1.0, tol),
+        "timefrac": lambda: time_fractional_law(n, nu, 1.0, tol),
+        "spacefrac": lambda: space_fractional_law(beta, 1.0, tol),
+        "wrappedstable": lambda: wrapped_stable_law(beta, 1.0, tol),
+    }
+    if law in series:
+        carrier = series[law]()
+        return carrier.cdf(th) if cdf else carrier.density(th)
+    if law == "odd":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RouteDivergenceWarning)
+            return np.array([odd_circle_density(n, float(x), 1.0, tol) for x in th])
+    if law == "spacetimefrac":
+        f = space_time_fractional_cdf if cdf else space_time_fractional_density
+        return f(nu, beta, th, 1.0, tol)
+    if law == "kernel-even":
+        return even_kernel_cdf(th, 1.0) if cdf else even_kernel_density(th, 1.0)
+    return odd_kernel_cdf(n, th, 1.0) if cdf else odd_kernel_density(n, th, 1.0)
 
 
 def parse_csv(out):
@@ -68,6 +106,18 @@ class TestCurveCommands:
             ("density", "spacetimefrac", ("--nu", "0.5", "--beta", "0.9", "--tol", "1e-3")),
             ("cdf", "spacetimefrac", ("--nu", "0.5", "--beta", "0.7", "--tol", "1e-6")),
             ("density", "kernel-odd", ("--n", "2",)),
+            ("cdf", "kernel-odd", ("--n", "2",)),
+            ("density", "even", ("--n", "2")),
+            ("cdf", "even", ("--n", "2")),
+            ("density", "odd", ("--n", "1")),
+            ("density", "bm", ()),
+            ("cdf", "bm", ()),
+            ("density", "timefrac", ("--n", "2", "--nu", "0.6", "--tol", "1e-8")),
+            ("cdf", "timefrac", ("--n", "2", "--nu", "0.6", "--tol", "1e-8")),
+            ("cdf", "spacefrac", ("--beta", "0.5")),
+            ("cdf", "wrappedstable", ("--beta", "0.5")),
+            ("density", "kernel-even", ()),
+            ("cdf", "kernel-even", ()),
         ],
     )
     def test_other_laws_emit_curves(self, capsys, command, law, extra):
@@ -75,6 +125,11 @@ class TestCurveCommands:
         assert code == 0
         rows = parse_csv(out)
         assert rows.shape == (16, 2) and np.all(np.isfinite(rows))
+        # the CSV carries exactly what the library computes on the grid
+        opts = dict(zip(extra[::2], extra[1::2]))
+        expect = library_curve(command, law, opts, np.linspace(0.0, TWO_PI, 16))
+        assert np.array_equal(rows[:, 0], np.linspace(0.0, TWO_PI, 16))
+        assert np.array_equal(rows[:, 1], expect)
 
     def test_spacetimefrac_density_tight_tol_refused(self, capsys):
         code, _, err = run(

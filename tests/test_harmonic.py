@@ -1,13 +1,39 @@
-"""HarmonicLaw carrier tests: evaluation, CDF, projection, sampling."""
+"""HarmonicLaw carrier tests: evaluation, CDF, projection, sampling, and
+the truncation rule shared by every series law."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from circlaw import DomainError, SignedLawError
-from circlaw.harmonic import TWO_PI, GridDensity, HarmonicLaw, cdf, fourier_coeffs, sample
+from circlaw import (
+    ConvergenceError,
+    DomainError,
+    SignedLawError,
+    Tolerance,
+    bm_law,
+    even_circle_law,
+    even_kernel_law,
+    odd_kernel_law,
+    space_fractional_law,
+    space_time_fractional_cdf,
+    time_fractional_law,
+    wrapped_stable_law,
+)
+from circlaw import fractional
+from circlaw.harmonic import (
+    TWO_PI,
+    GridDensity,
+    HarmonicLaw,
+    certified_cutoff,
+    cosine_law,
+    fourier_coeffs,
+    sample,
+)
 
 
 def make_law(a, b, a0=1.0 / TWO_PI, tail=0.0):
@@ -56,7 +82,6 @@ class TestCdf:
         law = make_law([0.1, 0.02], [0.03, 0.01])
         assert law.cdf(0.0) == 0.0
         assert law.cdf(TWO_PI) == pytest.approx(1.0, abs=1e-12)
-        assert cdf(law, TWO_PI) == pytest.approx(1.0, abs=1e-12)
 
     def test_midpoint_of_even_law(self):
         # pure cosine series: cdf(pi) = a0 pi = 1/2, every sin(k pi) = 0
@@ -156,3 +181,89 @@ class TestSample:
         law = make_law([], [])
         with pytest.raises(DomainError):
             sample(law, np.random.default_rng(0), size=0)
+
+
+def _tail(kind, scale, rate):
+    """A nonincreasing certified-tail model: geometric, algebraic or stretched."""
+    if kind == "geometric":
+        r = math.exp(-rate)
+        return lambda K: scale * r**K
+    if kind == "algebraic":
+        return lambda K: scale * K ** (-rate)
+    return lambda K: scale * math.exp(-rate * K**0.5)
+
+
+class TestCertifiedCutoff:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["geometric", "algebraic", "stretched"]),
+        scale=st.floats(1e-3, 1e3),
+        rate=st.floats(1e-3, 3.0),
+        tol_exp=st.floats(-13.0, -1.0),
+        max_terms=st.integers(1, 10**6),
+    )
+    def test_smallest_certified_k_or_advice(self, kind, scale, rate, tol_exp, max_terms):
+        tail = _tail(kind, scale, rate)
+        tol = Tolerance(abs_tol=10.0**tol_exp, max_terms=max_terms)
+        advice = f"{kind} advice"
+        if tail(max_terms) > tol.abs_tol:
+            with pytest.raises(ConvergenceError, match=re.escape(advice)):
+                certified_cutoff(tail, tol, advice)
+            return
+        K = certified_cutoff(tail, tol, advice)
+        assert 1 <= K <= max_terms
+        assert tail(K) <= tol.abs_tol
+        assert K == 1 or tail(K - 1) > tol.abs_tol
+
+    def test_cosine_law_carrier(self):
+        law = cosine_law(lambda k: 0.1 / k**2, lambda K: 0.1 / K, Tolerance(abs_tol=1e-3), "", "m")
+        assert law.n_terms == 100 and law.tail_bound == 0.1 / 100
+        assert law.a0 == 1.0 / TWO_PI and not law.sin_coeffs.any()
+        assert law.cos_coeffs[1] == 0.1 / 4.0 and law.meta == "m"
+
+
+
+class TestTruncationPins:
+    """n_terms and tail_bound of each series law, frozen from the
+    per-law cutoff searches this rule replaced."""
+
+    @pytest.mark.parametrize(
+        "build,n_terms,tail_bound",
+        [
+            (lambda: even_circle_law(2, 1.0), 22, 5.167460054854362e-11),
+            (lambda: even_circle_law(1, 0.05, Tolerance(abs_tol=1e-13)), 636, 9.603134207364492e-14),
+            (lambda: even_circle_law(3, 0.5, Tolerance(abs_tol=1e-6)), 27, 6.726923417796686e-07),
+            (lambda: even_kernel_law(0.7), 32, 5.871130119307868e-11),
+            (lambda: odd_kernel_law(2, 0.7), 33, 9.678319161124935e-11),
+            (lambda: odd_kernel_law(1, 0.05, Tolerance(abs_tol=1e-12)), 684, 9.861635869624955e-13),
+            (lambda: bm_law(1.5e-4).representation, 570, 9.305787761604352e-11),
+            (lambda: bm_law(1.0).representation, 6, 7.295104655457098e-12),
+            (lambda: bm_law(7.0, Tolerance(abs_tol=1e-4)).representation, 1, 2.6468403202878406e-07),
+            (lambda: time_fractional_law(1, 0.6, 1.0, Tolerance(abs_tol=1e-6)), 284415, 9.999991882820338e-07),
+            (lambda: time_fractional_law(2, 0.5, 0.5, Tolerance(abs_tol=1e-8)), 237, 9.989500502575442e-09),
+            (lambda: space_fractional_law(0.5, 1.0), 32, 6.705061771182684e-11),
+            (lambda: space_fractional_law(0.25, 1.0), 973, 9.951362987166099e-11),
+            (lambda: wrapped_stable_law(0.6, 1.0), 13, 5.85595507631431e-11),
+            (lambda: wrapped_stable_law(0.2, 1.0, Tolerance(abs_tol=1e-6)), 1376, 9.98075472925743e-07),
+        ],
+    )
+    def test_pinned(self, build, n_terms, tail_bound):
+        law = build()
+        assert (law.n_terms, law.tail_bound) == (n_terms, tail_bound)
+
+    def test_bm_keeps_one_term_at_large_t(self):
+        # a zero-term carrier would already certify here; the rule's K >= 1
+        # keeps the first harmonic, which only tightens the tail
+        law = bm_law(10.0, Tolerance(abs_tol=1e-2)).representation
+        assert law.n_terms == 1 and law.tail_bound == 6.560855763180183e-10
+
+    def test_space_time_cdf_cutoff_of_criterion_7c(self, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(cosine_law(*args))
+            return built[-1]
+
+        monkeypatch.setattr(fractional, "cosine_law", spy)
+        space_time_fractional_cdf(0.5, 0.5, 1.0, 1.0, Tolerance(abs_tol=1e-4))
+        assert built[0].n_terms == 3990

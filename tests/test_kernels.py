@@ -12,7 +12,7 @@ from circlaw import ConvergenceError, DomainError, Tolerance
 from circlaw.errors import DomainGapError
 from circlaw.harmonic import TWO_PI
 from circlaw.kernels import (
-    KernelParams,
+    _ab,
     even_kernel_cdf,
     even_kernel_density,
     even_kernel_law,
@@ -37,44 +37,19 @@ def quad_mass(density, lo=0.0, hi=TWO_PI):
     return val
 
 
-class TestKernelParams:
-    def test_even_fields(self):
-        p = KernelParams.even(1.5)
-        assert p.parity == "even" and p.a == 1.0 and p.b == 0.0 and p.n is None
+class TestDampingRotation:
+    """The odd kernel's damping/rotation pair a = cos(pi/(2(2n+1))), b = sin(...)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
-    def test_odd_unit_circle_pair(self, n):
-        p = KernelParams.odd(n, 1.0)
-        assert p.a**2 + p.b**2 == pytest.approx(1.0, abs=1e-15)
-        assert 0.0 < p.a <= 1.0 and 0.0 <= p.b < 1.0
+    def test_unit_circle_pair(self, n):
+        a, b = _ab(n)
+        assert a**2 + b**2 == pytest.approx(1.0, abs=1e-15)
+        assert 0.0 < a <= 1.0 and 0.0 <= b < 1.0
 
-    def test_odd_n1_constants(self):
-        p = KernelParams.odd(1, 1.0)
-        assert p.a == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-15)
-        assert p.b == pytest.approx(0.5, abs=1e-15)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(parity="both", t=1.0, a=1.0, b=0.0),
-            dict(parity="even", t=0.0, a=1.0, b=0.0),
-            dict(parity="even", t=1.0, a=0.9, b=0.1),  # a^2+b^2 != 1
-            dict(parity="even", t=1.0, a=0.0, b=1.0),  # a out of (0,1]
-            dict(parity="odd", t=1.0, a=math.sqrt(3) / 2, b=0.5),  # missing n
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            KernelParams(**kwargs)
-
-    def test_dispatch_matches_functions(self):
-        pe = KernelParams.even(0.7)
-        po = KernelParams.odd(2, 0.7)
-        assert pe.density(1.1) == even_kernel_density(1.1, 0.7)
-        assert pe.cdf(1.1) == even_kernel_cdf(1.1, 0.7)
-        assert po.density(1.1) == odd_kernel_density(2, 1.1, 0.7)
-        assert po.cdf(1.1) == odd_kernel_cdf(2, 1.1, 0.7)
-        assert po.law().meta == odd_kernel_law(2, 0.7).meta
+    def test_n1_constants(self):
+        a, b = _ab(1)
+        assert a == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-15)
+        assert b == pytest.approx(0.5, abs=1e-15)
 
 
 class TestEvenKernelDensity:
@@ -223,10 +198,10 @@ class TestOddKernelDensity:
 
     @pytest.mark.parametrize("n,t", [(1, 1.0), (2, 0.5)])
     def test_mode_at_minus_bt(self, n, t):
-        p = KernelParams.odd(n, t)
+        _, b = _ab(n)
         grid = np.arange(8192) * TWO_PI / 8192
         vals = odd_kernel_density(n, grid, t)
-        expected = (-p.b * t) % TWO_PI
+        expected = (-b * t) % TWO_PI
         assert abs(grid[vals.argmax()] - expected) < TWO_PI / 8192 + 1e-12
         assert odd_kernel_density(n, expected, t) >= vals.max() - 1e-12
 

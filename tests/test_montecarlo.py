@@ -11,14 +11,11 @@ from scipy import special, stats
 from circlaw import ConvergenceError, DomainError, Tolerance
 from circlaw.brownian import bm_law
 from circlaw.fractional import space_fractional_law, space_time_fractional_cdf
-from circlaw.harmonic import TWO_PI, GridDensity
+from circlaw.harmonic import TWO_PI
 from circlaw.kernels import even_kernel_cdf
 from circlaw.montecarlo import (
-    McReport,
     RngStream,
-    histogram,
     ks_statistic,
-    mc_report,
     sample_inverse_subordinator,
     sample_stable_subordinator,
     sample_wrapped_bm,
@@ -221,47 +218,6 @@ class TestKsStatistic:
         u = RngStream(1).generator.uniform(0.0, TWO_PI, 500)
         with pytest.raises(DomainError, match="monotone"):
             ks_statistic(u, np.sin)
-
-
-class TestHistogram:
-    def test_uniform_bins_within_poisson(self):
-        n, bins = 100_000, 64
-        u = RngStream(SEED, 19).generator.uniform(0.0, TWO_PI, n)
-        g = histogram(u, bins)
-        width = TWO_PI / bins
-        sigma = math.sqrt((1.0 / TWO_PI) / (n * width))
-        assert np.max(np.abs(g.values - 1.0 / TWO_PI)) < 5.0 * sigma
-
-    def test_density_normalization_and_grid(self):
-        u = RngStream(SEED, 20).generator.uniform(0.0, TWO_PI, 5000)
-        g = histogram(u, 32)
-        assert isinstance(g, GridDensity) and g.kind == "density"
-        assert g.thetas[0] == 0.0 and g.thetas.size == 32
-        assert np.sum(g.values) * (TWO_PI / 32) == pytest.approx(1.0, abs=1e-12)
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            histogram(np.array([]))
-        with pytest.raises(DomainError):
-            histogram(np.array([0.1, 7.0]))
-        with pytest.raises(DomainError):
-            histogram(np.array([0.1, 0.2]), bins=1)
-
-
-class TestMcReport:
-    def test_roundtrip(self):
-        u = RngStream(SEED, 21).generator.uniform(0.0, TWO_PI, 10_000)
-        rep = mc_report(u, uniform_cdf, ks_threshold=0.02, bins=16)
-        assert rep.passed and rep.ks_statistic < 0.02
-        assert rep.n_samples == 10_000
-        assert rep.histogram.thetas.size == 16
-
-    def test_flag_consistency_enforced(self):
-        g = GridDensity(thetas=np.array([0.0, 1.0]), values=np.array([0.1, 0.1]), kind="density")
-        with pytest.raises(DomainError):
-            McReport(n_samples=100, ks_statistic=0.5, ks_threshold=0.1, passed=True, histogram=g)
-        with pytest.raises(DomainError):
-            McReport(n_samples=100, ks_statistic=-0.1, ks_threshold=0.1, passed=True, histogram=g)
 
 
 class TestSubordinationComposition:

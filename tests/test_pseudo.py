@@ -1,13 +1,18 @@
 """Circular pseudoprocess law tests: series/wrapped duality, odd routes, positivity."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import circlaw
 from circlaw import ConvergenceError, DomainError, RouteDivergenceWarning, SignedLawError
 from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
 from circlaw.pseudo import (
@@ -291,3 +296,15 @@ class TestSamplingOfEvenLaws:
         law = even_circle_law(2, 0.8)
         th = np.linspace(0.0, TWO_PI, 2048)
         assert np.all(np.diff(law.cdf(th)) > -1e-12)
+
+
+class TestImportSideEffects:
+    def test_import_keeps_mpmath_precision(self):
+        # the phase-reduction constant is built at import; a fresh
+        # interpreter shows whether that touched the caller's precision
+        src = str(Path(circlaw.__file__).resolve().parents[1])
+        code = "import mpmath; mpmath.mp.dps = 30; import circlaw; print(mpmath.mp.dps)"
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "30"

@@ -17,7 +17,6 @@ from circlaw import (
     GenGammaParams,
     Tolerance,
     airy_ai,
-    bessel_i,
     gen_gamma_density,
     gen_gamma_mean,
     gen_gamma_tail,
@@ -172,38 +171,6 @@ class TestAiryAi:
     def test_loose_tolerance_extends_range(self):
         val = airy_ai(-20.0, Tolerance(abs_tol=1e-4))
         assert val == pytest.approx(float(mp.airyai(-20.0)), abs=1e-6)
-
-
-class TestBesselI:
-    def test_trivial_values(self):
-        assert bessel_i(0, 0.0) == 1.0
-        assert bessel_i(1, 0.0) == 0.0
-
-    def test_i0_at_one(self):
-        assert bessel_i(0, 1.0) == pytest.approx(1.2660658777520084, abs=1e-12)
-        assert bessel_i(0, 1.0) == pytest.approx(1.26606588, abs=1e-8)
-
-    @pytest.mark.parametrize("m", [0, 1, 2, 5, 10])
-    @pytest.mark.parametrize("x", [0.2, 1.0, 3.7, 12.0])
-    def test_against_mpmath(self, m, x):
-        assert bessel_i(m, x) == pytest.approx(float(mp.besseli(m, x)), rel=1e-12)
-
-    @pytest.mark.parametrize("m", [1, 2, 4])
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
-    def test_recurrence(self, m, x):
-        lhs = bessel_i(m - 1, x) - bessel_i(m + 1, x)
-        rhs = 2.0 * m / x * bessel_i(m, x)
-        assert lhs == pytest.approx(rhs, abs=1e-8)
-
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            bessel_i(0, 800.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bessel_i(-1, 1.0)
-        with pytest.raises(DomainError):
-            bessel_i(0, -1.0)
 
 
 class TestGenGamma:
