@@ -28,7 +28,6 @@ from .special import (
     mittag_leffler_many,
 )
 from .harmonic import (
-    GridDensity,
     HarmonicLaw,
     fourier_coeffs,
     sample,
@@ -55,7 +54,6 @@ from .brownian import (
     von_mises_matched_kappa,
 )
 from .fractional import (
-    FracParams,
     frac_laplacian_apply,
     space_fractional_density,
     space_fractional_half_closed,

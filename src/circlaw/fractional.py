@@ -12,7 +12,6 @@ truncating.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -23,7 +22,6 @@ from .pseudo import even_circle_law
 from .special import DEFAULT_TOL, mittag_leffler_many
 
 __all__ = [
-    "FracParams",
     "time_fractional_law",
     "space_fractional_law",
     "space_fractional_density",
@@ -41,18 +39,6 @@ _SLOW_DECAY_K = 100_000
 def _check_unit(name, x):
     if not (0.0 < x <= 1.0):
         raise DomainError(f"{name} must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class FracParams:
-    """Validated pair of fractional orders."""
-
-    nu: float  # Caputo time order
-    beta: float  # spatial stability / Laplacian order
-
-    def __post_init__(self):
-        _check_unit("nu", self.nu)
-        _check_unit("beta", self.beta)
 
 
 def time_fractional_law(n, nu, t, tol=DEFAULT_TOL):

@@ -19,32 +19,76 @@ from .special import Tolerance
 
 TWO_PI = 2.0 * math.pi
 
-# k*theta blocks are chunked to keep peak memory bounded for long laws
-_CHUNK_FLOPS = 1 << 23
+# largest z^m table (points x baby steps) the scattered path builds; past
+# it the Python loop of plain Horner is spread over enough points
+_POWER_TABLE = 1 << 16
 
 
-def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas, weight_inv_k=False):
-    """a0*w0 + sum_k (a_k cos k th + b_k sin k th), chunked over k.
+def _grid_period(th) -> int:
+    """Number M of periodic nodes when th is a uniform grid, else 0.
 
-    With weight_inv_k the terms become [a_k sin k th + b_k (1 - cos k th)]/k
-    and the constant term a0*thetas, i.e. the termwise antiderivative.
+    The grids are arange(M) * (2 pi / M) and linspace(0, 2 pi, M + 1)
+    (M nodes plus the 2 pi endpoint), matched bit for bit.
+    """
+    N = th.size
+    if th.ndim != 1 or N == 0 or th[0] != 0.0:
+        return 0
+    if np.array_equal(th, np.arange(N) * (TWO_PI / N)):
+        return N
+    if N > 1 and np.array_equal(th, np.linspace(0.0, TWO_PI, N)):
+        return N - 1
+    return 0
+
+
+def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas):
+    """a0 + sum_k (a_k cos k th + b_k sin k th) at the angles thetas.
+
+    The sum is Re sum_k c_k z^k with c_0 = a0, c_k = a_k - i b_k and
+    z = e^{i th}. On a uniform grid of M nodes the modes are folded by
+    k mod M (exact aliasing for a trigonometric polynomial) and summed
+    by one length-M FFT; anywhere else by complex Horner in z. Neither
+    path evaluates a transcendental per term. Returns an array of th's
+    shape, at least 1-d.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    K = cos_coeffs.size
-    out = (a0 * th) if weight_inv_k else np.full_like(th, a0)
-    if K == 0:
-        return out
-    step = max(1, _CHUNK_FLOPS // max(1, th.size))
-    for lo in range(0, K, step):
-        hi = min(K, lo + step)
-        k = np.arange(lo + 1, hi + 1, dtype=float)
-        ang = np.multiply.outer(th, k)
-        if weight_inv_k:
-            out += (np.sin(ang) @ (cos_coeffs[lo:hi] / k)
-                    + (1.0 - np.cos(ang)) @ (sin_coeffs[lo:hi] / k))
-        else:
-            out += np.cos(ang) @ cos_coeffs[lo:hi] + np.sin(ang) @ sin_coeffs[lo:hi]
-    return out
+    c = np.empty(cos_coeffs.size + 1, dtype=complex)
+    c[0] = a0
+    c[1:].real = cos_coeffs
+    c[1:].imag = -sin_coeffs
+    M = _grid_period(th)
+    if M:
+        folded = np.zeros(-(-c.size // M) * M, dtype=complex)
+        folded[: c.size] = c
+        vals = np.fft.ifft(folded.reshape(-1, M).sum(axis=0), norm="forward").real
+        return np.concatenate([vals, vals[: th.size - M]])
+    return _horner(c, np.exp(1j * th.ravel())).real.reshape(th.shape)
+
+
+def _horner(c, z):
+    """sum_k c_k z^k at the points of the 1-d array z, by Horner's rule.
+
+    With L = floor(sqrt(K)) + 1 baby steps, one matrix product of the
+    coefficient blocks with z^0..z^{L-1} gives the block polynomials and
+    Horner runs in z^L over them, so the loop takes about sqrt(K) steps.
+    Plain Horner (a loop of K + 1 steps) takes over once the power table
+    would pass _POWER_TABLE entries.
+    """
+    L = math.isqrt(c.size - 1) + 1
+    if z.size * L > _POWER_TABLE:
+        polys, w = c[:, None], z
+    else:
+        powers = np.ones((z.size, L), dtype=complex)
+        powers[:, 1:] = z[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        blocks = np.zeros(-(-c.size // L) * L, dtype=complex)
+        blocks[: c.size] = c
+        polys = blocks.reshape(-1, L) @ powers.T
+        w = powers[:, -1] * z
+    s = np.zeros_like(z)
+    for p in polys[::-1]:
+        s *= w
+        s += p
+    return s
 
 
 @dataclass(frozen=True)
@@ -53,6 +97,17 @@ class HarmonicLaw:
 
     tail_bound certifies the dropped remainder in density units; meta
     describes the generating formula. Mass-1 laws have a0 = 1/(2 pi).
+
+    Evaluation at N points (fold-and-FFT on uniform grids, Horner in
+    e^{i theta} elsewhere; see _trig_sum) adds roundoff that is certified
+    apart from the tail:
+
+        |computed - exact| <= 4 (K + ceil(log2 N)) eps sum_{k=0..K} (|a_k| + |b_k|),
+
+    with eps the double machine epsilon and b_0 = 0. For cdf the sum
+    runs over the series it evaluates, whose constant term is
+    sum_k b_k/k and whose coefficients are -b_k/k and a_k/k, and the
+    added a0 theta rounds by at most eps |a0 theta|.
     """
 
     a0: float
@@ -86,30 +141,12 @@ class HarmonicLaw:
         if np.any(th < -1e-9) or np.any(th > TWO_PI + 1e-9):
             raise DomainError("cdf argument must lie in [0, 2 pi]")
         th = np.clip(th, 0.0, TWO_PI)
-        out = _trig_sum(self.a0, self.cos_coeffs, self.sin_coeffs, th, weight_inv_k=True)
+        k = np.arange(1.0, self.n_terms + 1.0)
+        a, b = self.cos_coeffs / k, self.sin_coeffs / k
+        out = self.a0 * th + _trig_sum(b.sum(), -b, a, th)
+        # the constant sum b_k/k cancels at th = 0 only up to roundoff
+        out[th == 0.0] = 0.0
         return float(out[0]) if np.isscalar(theta) else out
-
-
-@dataclass(frozen=True)
-class GridDensity:
-    """Uniform angular grid of density or CDF values, the CSV-facing product."""
-
-    thetas: np.ndarray
-    values: np.ndarray
-    kind: str
-    law_meta: str = ""
-
-    def __post_init__(self):
-        th = np.asarray(self.thetas, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if th.size < 2 or th.size != vals.size:
-            raise DomainError("grid needs >= 2 points and matching values")
-        if th[0] != 0.0 or np.any(np.diff(th) <= 0.0):
-            raise DomainError("grid must start at 0 and increase strictly")
-        if self.kind not in ("density", "cdf"):
-            raise DomainError("kind must be 'density' or 'cdf'")
-        object.__setattr__(self, "thetas", th)
-        object.__setattr__(self, "values", vals)
 
 
 def certified_cutoff(tail, tol: Tolerance, advice: str) -> int:

@@ -82,12 +82,25 @@ def _poisson_series_law(damp_rate: float, rotation: float, tol: Tolerance, meta:
     )
 
 
+def _poisson_kernel(rate: float, phi):
+    """(1/2pi)(1 - q^2)/(1 + q^2 - 2 q cos phi), q = e^{-rate}.
+
+    The denominator is taken as (1 - q)^2 + 4 q sin^2(phi/2) with
+    1 - q = -expm1(-rate), so it keeps full relative accuracy as
+    rate -> 0, where 1 + q^2 - 2 q cos phi cancels to 0 at phi = 0.
+    Dividing through by 1 - q keeps the peak (1 + q)/(2 pi (1 - q)) and
+    every other value finite down to rate ~ 1e-307.
+    """
+    q = math.exp(-rate)
+    one_minus_q = -math.expm1(-rate)
+    s = np.sin(np.asarray(phi, dtype=float) / 2.0)
+    return (1.0 + q) / (TWO_PI * (one_minus_q + 4.0 * q * s * s / one_minus_q))
+
+
 def even_kernel_density(theta, t: float):
     """Poisson kernel (1/2pi)(1 - q^2)/(1 + q^2 - 2 q cos theta), q = e^{-t}."""
     _check_t(t)
-    q = math.exp(-t)
-    th = np.asarray(theta, dtype=float)
-    out = (1.0 - q * q) / (TWO_PI * (1.0 + q * q - 2.0 * q * np.cos(th)))
+    out = _poisson_kernel(t, theta)
     return float(out) if np.ndim(theta) == 0 else out
 
 
@@ -126,9 +139,7 @@ def odd_kernel_density(n: int, theta, t: float):
     """Rotated damped Poisson kernel: radius e^{-a t}, angle theta + b t."""
     a, b = _ab(n)
     _check_t(t)
-    q = math.exp(-a * t)
-    th = np.asarray(theta, dtype=float)
-    out = (1.0 - q * q) / (TWO_PI * (1.0 + q * q - 2.0 * q * np.cos(th + b * t)))
+    out = _poisson_kernel(a * t, np.asarray(theta, dtype=float) + b * t)
     return float(out) if np.ndim(theta) == 0 else out
 
 

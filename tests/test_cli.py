@@ -73,8 +73,10 @@ class TestCurveCommands:
         assert rows[0, 0] == 0.0 and rows[-1, 0] == pytest.approx(TWO_PI, abs=0)
         assert np.all(np.diff(rows[:, 0]) > 0)
         law = even_circle_law(2, 1.0)
+        assert np.array_equal(rows[:, 1], law.density(rows[:, 0]))
+        # pointwise evaluation sums in another order: equal within roundoff
         assert rows[0, 1] == float(law.density(0.0))
-        assert rows[17, 1] == float(law.density(rows[17, 0]))
+        assert rows[17, 1] == pytest.approx(float(law.density(rows[17, 0])), rel=0, abs=1e-15)
 
     def test_density_kernel_even_semantics(self, capsys):
         # value at theta=0 equals the library kernel at the parsed t;
@@ -85,6 +87,12 @@ class TestCurveCommands:
         assert rows[0, 1] == float(even_kernel_density(0.0, 0.6931))
         assert abs(even_kernel_density(0.0, math.log(2.0)) - 3.0 / TWO_PI) < 1e-15
         assert abs(rows[0, 1] - 3.0 / TWO_PI) > 1e-5
+
+    def test_density_kernel_even_small_t_is_finite(self, capsys):
+        code, out, _ = run(capsys, "density", "--law", "kernel-even", "--t", "1e-9", "--grid", "8")
+        assert code == 0
+        rows = parse_csv(out)
+        assert rows.shape == (8, 2) and np.all(np.isfinite(rows[:, 1]))
 
     def test_cdf_bm_endpoints(self, capsys):
         code, out, _ = run(capsys, "cdf", "--law", "bm", "--t", "1")

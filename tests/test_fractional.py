@@ -10,7 +10,6 @@ import pytest
 from circlaw import ConvergenceError, DomainError, SlowDecayWarning, Tolerance
 from circlaw.brownian import bm_density
 from circlaw.fractional import (
-    FracParams,
     frac_laplacian_apply,
     space_fractional_density,
     space_fractional_half_closed,
@@ -26,17 +25,6 @@ from circlaw.pseudo import even_circle_law
 
 TOL6 = Tolerance(abs_tol=1e-6)
 TOL3 = Tolerance(abs_tol=1e-3)
-
-
-class TestFracParams:
-    def test_valid(self):
-        p = FracParams(nu=0.5, beta=1.0)
-        assert p.nu == 0.5 and p.beta == 1.0
-
-    @pytest.mark.parametrize("nu,beta", [(0.0, 0.5), (1.1, 0.5), (0.5, 0.0), (0.5, 2.0)])
-    def test_invalid(self, nu, beta):
-        with pytest.raises(DomainError):
-            FracParams(nu=nu, beta=beta)
 
 
 class TestTimeFractionalLaw:

@@ -1,5 +1,6 @@
-"""HarmonicLaw carrier tests: evaluation, CDF, projection, sampling, and
-the truncation rule shared by every series law."""
+"""HarmonicLaw carrier tests: evaluation and its roundoff certificate,
+CDF, projection, sampling, and the truncation rule shared by every
+series law."""
 
 import math
 import re
@@ -27,18 +28,47 @@ from circlaw import (
 from circlaw import fractional
 from circlaw.harmonic import (
     TWO_PI,
-    GridDensity,
     HarmonicLaw,
+    _POWER_TABLE,
+    _grid_period,
+    _trig_sum,
     certified_cutoff,
     cosine_law,
     fourier_coeffs,
     sample,
 )
 
+EPS = np.finfo(float).eps
+
 
 def make_law(a, b, a0=1.0 / TWO_PI, tail=0.0):
     return HarmonicLaw(a0=a0, cos_coeffs=np.asarray(a, float),
                        sin_coeffs=np.asarray(b, float), tail_bound=tail)
+
+
+def certificate(a0, a, b, n_points):
+    """Evaluation roundoff bound of the HarmonicLaw docstring."""
+    log_n = math.ceil(math.log2(n_points)) if n_points > 1 else 0
+    return 4 * (np.size(a) + log_n) * EPS * (abs(a0) + np.abs(a).sum() + np.abs(b).sum())
+
+
+def direct_sum(a0, a, b, thetas):
+    """a0 + sum_k (a_k cos k th + b_k sin k th), term by term in long double."""
+    th = np.asarray(thetas, dtype=np.longdouble)
+    k = np.arange(1, np.size(a) + 1, dtype=np.longdouble)
+    a, b = np.asarray(a, np.longdouble), np.asarray(b, np.longdouble)
+    out = np.empty(th.shape, dtype=np.longdouble)
+    for idx in np.ndindex(th.shape):
+        ang = k * th[idx]
+        out[idx] = a0 + np.dot(np.cos(ang), a) + np.dot(np.sin(ang), b)
+    return out
+
+
+def random_coeffs(seed, K, power):
+    """Signed coefficients of magnitude ~ k^power, modes 1..K."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(1.0, K + 1.0)
+    return (rng.uniform(-1, 1, K) * k**power, rng.uniform(-1, 1, K) * k**power)
 
 
 def ks_against(sorted_samples, cdf_vals):
@@ -102,6 +132,91 @@ class TestCdf:
             law.cdf(TWO_PI + 0.5)
 
 
+# angle sets: (builder from (n, rng), whether _trig_sum takes the grid path)
+ANGLE_SETS = {
+    "linspace": (lambda n, rng: np.linspace(0.0, TWO_PI, n + 1), True),
+    "arange": (lambda n, rng: np.arange(n) * (TWO_PI / n), True),
+    "scattered": (lambda n, rng: rng.uniform(-10.0, 10.0, n), False),
+    "scalar": (lambda n, rng: float(rng.uniform(-10.0, 10.0)), False),
+    "2-d": (lambda n, rng: rng.uniform(0.0, TWO_PI, (3, n)), False),
+    "linspace + 1e-12": (lambda n, rng: np.linspace(0.0, TWO_PI, n + 1) + 1e-12, False),
+    "reversed linspace": (lambda n, rng: np.linspace(0.0, TWO_PI, n + 1)[::-1], False),
+    # past the baby-step table: plain Horner
+    "many scattered": (lambda n, rng: rng.uniform(0.0, TWO_PI, _POWER_TABLE + n), False),
+}
+
+
+class TestTrigSum:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(ANGLE_SETS)),
+        n=st.integers(1, 130),
+        K=st.integers(0, 700),
+        power=st.floats(-2.0, 2.0),
+        a0=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_long_double_sum_within_certificate(self, kind, n, K, power, a0, seed):
+        build, on_grid = ANGLE_SETS[kind]
+        rng = np.random.default_rng(seed)
+        th = build(n, rng)
+        a, b = random_coeffs(seed, K, power)
+        assert (_grid_period(np.atleast_1d(th)) > 0) == on_grid
+        got = _trig_sum(a0, a, b, th)
+        assert got.shape == np.atleast_1d(th).shape
+        checked = (slice(64),) if kind == "many scattered" else ...
+        ref = direct_sum(a0, a, b, np.atleast_1d(th)[checked])
+        err = np.max(np.abs(got[checked] - ref), initial=0.0)
+        assert err <= certificate(a0, a, b, np.size(th))
+
+    @pytest.mark.parametrize(
+        "grid", [np.linspace(0.0, TWO_PI, 65), np.arange(64) * (TWO_PI / 64)]
+    )
+    def test_folds_long_series_onto_64_nodes(self, grid):
+        a, b = random_coeffs(7, 300_000, -1.0)
+        assert _grid_period(grid) == 64
+        got = _trig_sum(0.3, a, b, grid)
+        nodes = np.r_[0:grid.size:8, grid.size - 1]
+        err = np.max(np.abs(got[nodes] - direct_sum(0.3, a, b, grid[nodes])))
+        assert err <= certificate(0.3, a, b, grid.size)
+
+    def test_no_terms(self):
+        empty = np.zeros(0)
+        for th in (np.linspace(0.0, TWO_PI, 9), np.array([0.5, 7.0]), 2.0):
+            assert np.all(_trig_sum(0.25, empty, empty, th) == 0.25)
+
+
+class TestCdfCertificate:
+    @settings(max_examples=100, deadline=None)
+    @given(K=st.integers(0, 2000), power=st.floats(-2.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_endpoints_of_random_mass_one_series(self, K, power, seed):
+        self._check_endpoints(make_law(*random_coeffs(seed, K, power)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: even_circle_law(2, 1.0),
+            lambda: bm_law(1.5e-4).representation,
+            lambda: odd_kernel_law(2, 0.7),
+            lambda: space_fractional_law(0.25, 1.0),
+            lambda: wrapped_stable_law(0.2, 1.0, Tolerance(abs_tol=1e-6)),
+            lambda: time_fractional_law(2, 0.5, 0.5, Tolerance(abs_tol=1e-8)),
+        ],
+        ids=["even", "bm", "kernel-odd", "spacefrac", "wrappedstable", "timefrac"],
+    )
+    def test_endpoints_of_library_laws(self, build):
+        self._check_endpoints(build())
+
+    @staticmethod
+    def _check_endpoints(law):
+        k = np.arange(1.0, law.n_terms + 1.0)
+        a, b = law.cos_coeffs / k, law.sin_coeffs / k
+        bound = certificate(b.sum(), -b, a, 1) + 2 * EPS  # + a0 theta and the final sum
+        assert law.cdf(0.0) == 0.0
+        assert law.cdf(np.linspace(0.0, TWO_PI, 9))[0] == 0.0
+        assert abs(law.cdf(TWO_PI) - 1.0) <= bound
+
+
 class TestFourierCoeffs:
     def test_exact_recovery(self):
         law = make_law([0.1, 0.0, 0.02], [0.05, -0.01, 0.0])
@@ -123,24 +238,6 @@ class TestFourierCoeffs:
             fourier_coeffs(lambda th: th, 0)
         with pytest.raises(DomainError):
             fourier_coeffs(lambda th: th, 4, n_nodes=8)
-
-
-class TestGridDensity:
-    def test_roundtrip(self):
-        th = np.linspace(0.0, 6.0, 7)
-        g = GridDensity(thetas=th, values=np.ones(7), kind="density")
-        assert g.thetas[0] == 0.0
-
-    def test_validation(self):
-        th = np.linspace(0.0, 6.0, 7)
-        with pytest.raises(DomainError):
-            GridDensity(thetas=th + 0.1, values=np.ones(7), kind="density")
-        with pytest.raises(DomainError):
-            GridDensity(thetas=th[::-1], values=np.ones(7), kind="cdf")
-        with pytest.raises(DomainError):
-            GridDensity(thetas=np.array([0.0]), values=np.array([1.0]), kind="cdf")
-        with pytest.raises(DomainError):
-            GridDensity(thetas=th, values=np.ones(7), kind="histogram")
 
 
 class TestSample:

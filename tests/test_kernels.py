@@ -3,7 +3,9 @@ interval probabilities, the restricted published-style arctan branches,
 the wrapped skewed-Cauchy route, and the large-n collapse."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -220,6 +222,39 @@ class TestOddKernelDensity:
             odd_kernel_density(0, 0.0, 1.0)
         with pytest.raises(DomainError):
             odd_kernel_density(1, 0.0, -1.0)
+
+
+class TestSmallTime:
+    """At small t the closed forms keep their peak: 1 + q^2 - 2 q cos theta
+    would cancel to 0 at the mode."""
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-20])
+    def test_even_peak_is_finite_and_exact(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = even_kernel_density(GRID64, t)
+            peak = even_kernel_density(0.0, t)
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+        q, one_minus_q = math.exp(-t), -math.expm1(-t)
+        assert peak == pytest.approx((1.0 + q) / (TWO_PI * one_minus_q), rel=1e-15)
+        assert vals[0] == peak
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("t", [1e-9, 1e-20])
+    def test_odd_matches_high_precision(self, n, t):
+        a, b = _ab(n)
+        th = GRID64[:8]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = odd_kernel_density(n, th, t)
+        with mp.workdps(60):
+            q = mp.exp(-mp.mpf(a) * t)
+            oracle = [
+                (1 - q * q) / (2 * mp.pi * (1 + q * q - 2 * q * mp.cos(mp.mpf(x) + mp.mpf(b) * t)))
+                for x in th
+            ]
+        assert np.all(np.isfinite(vals))
+        assert np.allclose(vals, np.array(oracle, dtype=float), rtol=1e-13, atol=0.0)
 
 
 class TestOddKernelCdf:
