@@ -6,13 +6,17 @@ uniform grid and emit CSV (17 significant digits, locale independent);
 law; ``circlaw validate`` runs the numbered self-check suite and emits
 JSON. Identical configurations (including the seed) produce
 byte-identical output. Exit codes: 0 success, 1 failed validation
-criteria, 2 invalid parameters, 3 numerical non-convergence.
+criteria, 2 invalid parameters, 3 numerical non-convergence. Warnings
+raised while a command runs are summarized on stderr afterwards, one
+line per category: ``warning: <Category> x<count>: <first message>``.
 """
 
 import argparse
 import json
+import math
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -20,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .brownian import bm_law
-from .errors import ConvergenceError, DomainError, RouteDivergenceWarning
+from .errors import ConvergenceError, DomainError
 from .fractional import (
     space_fractional_law,
     space_time_fractional_cdf,
@@ -30,7 +34,7 @@ from .fractional import (
 )
 from .harmonic import TWO_PI
 from .kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
-from .pseudo import _grid_min, even_circle_law, odd_circle_density, positivity_time
+from .pseudo import _grid_min, even_circle_law, odd_circle_density_wrapped, positivity_time
 from .special import Tolerance
 from .validation import DEFAULT_SEED, GROUPS, report_json, run_suite
 
@@ -44,27 +48,6 @@ class _Curves(NamedTuple):
     cdf: Callable
 
 
-def _odd_density_grid(cfg, thetas, tol):
-    # the signed odd law is evaluated pointwise; summarize the per-point
-    # route-divergence warnings into a single stderr note
-    caught = []
-    with warnings.catch_warnings(record=True) as records:
-        warnings.simplefilter("always")
-        vals = np.array([odd_circle_density(cfg.n, float(x), cfg.t, tol) for x in thetas])
-    for w in records:
-        if issubclass(w.category, RouteDivergenceWarning):
-            caught.append(w)
-        else:
-            print(f"warning: {w.message}", file=sys.stderr)
-    if caught:
-        print(
-            f"note: wrapped and Abel routes disagree at {len(caught)} of "
-            f"{thetas.size} grid points (signed law; wrapped route reported)",
-            file=sys.stderr,
-        )
-    return vals
-
-
 def _odd_cdf(thetas):
     raise ConvergenceError(
         "the odd-order signed law has no absolutely convergent CDF "
@@ -76,7 +59,7 @@ def _odd_cdf(thetas):
 # density and cdf); argparse choices, RunConfig.check and cmd_curve read it
 LAWS = {
     "even": ((), lambda c, tol: even_circle_law(c.n, c.t, tol)),
-    "odd": ((), lambda c, tol: _Curves(lambda th: _odd_density_grid(c, th, tol), _odd_cdf)),
+    "odd": ((), lambda c, tol: _Curves(lambda th: odd_circle_density_wrapped(c.n, th, c.t, tol), _odd_cdf)),
     "bm": ((), lambda c, tol: bm_law(c.t, tol).representation),
     "timefrac": (("nu",), lambda c, tol: time_fractional_law(c.n, c.nu, c.t, tol)),
     "spacefrac": (("beta",), lambda c, tol: space_fractional_law(c.beta, c.t, tol)),
@@ -118,13 +101,13 @@ class RunConfig:
     only: str | None = None
 
     def check(self):
-        if not self.tol > 0.0:
-            raise DomainError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError("tol must be positive and finite")
         if self.command in ("density", "cdf"):
             if self.law not in LAWS:
                 raise DomainError(f"unknown law {self.law!r}")
-            if self.t is None or not self.t > 0.0:
-                raise DomainError("t must be positive")
+            if self.t is None or not 0.0 < self.t < math.inf:
+                raise DomainError("t must be positive and finite")
             if self.grid_points < 8:
                 raise DomainError("grid_points must be >= 8")
             for flag in LAWS[self.law][0]:
@@ -206,34 +189,35 @@ def _build_parser():
     return p
 
 
+def _summarize(caught):
+    """One stderr line per warning category: its count and first message."""
+    first = {}
+    for w in caught:
+        first.setdefault(w.category.__name__, str(w.message).split("\n", 1)[0].strip())
+    counts = Counter(w.category.__name__ for w in caught)
+    for name, message in first.items():
+        print(f"warning: {name} x{counts[name]}: {message}", file=sys.stderr)
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        law=getattr(args, "law", None),
-        n=getattr(args, "n", 1),
-        nu=getattr(args, "nu", None),
-        beta=getattr(args, "beta", None),
-        t=getattr(args, "t", None),
-        grid_points=getattr(args, "grid_points", 512),
-        tol=args.tol,
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        out=getattr(args, "out", None),
-        only=getattr(args, "only", None),
-    )
-    try:
-        cfg.check()
-        if cfg.command in ("density", "cdf"):
-            return cmd_curve(cfg)
-        if cfg.command == "positivity":
-            return cmd_positivity(cfg)
-        return cmd_validate(cfg)
-    except (DomainError, ValueError) as exc:
-        print(f"invalid-parameters: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return 3
+    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cfg.check()
+            if cfg.command in ("density", "cdf"):
+                return cmd_curve(cfg)
+            if cfg.command == "positivity":
+                return cmd_positivity(cfg)
+            return cmd_validate(cfg)
+        except (DomainError, ValueError) as exc:
+            print(f"invalid-parameters: {exc}", file=sys.stderr)
+            return 2
+        except ConvergenceError as exc:
+            print(f"non-convergence: {exc}", file=sys.stderr)
+            return 3
+        finally:
+            _summarize(caught)
 
 
 if __name__ == "__main__":

@@ -48,8 +48,8 @@ def _ab(n) -> tuple[float, float]:
 
 
 def _check_t(t: float) -> None:
-    if not t > 0.0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
 
 
 def _as_angles(theta):

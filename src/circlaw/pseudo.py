@@ -7,9 +7,10 @@ density. The odd-order object has coefficients cos(k^{2n+1}t)/pi,
 -sin(k^{2n+1}t)/pi that never decay: it is a distribution, not a
 function. Its pointwise values depend on the summation scheme; only
 projections (mass, Fourier coefficients) are scheme-independent. The
-wrapped probabilistic route with a smooth shell taper is authoritative
-here, the Abel-regularized series is a cross-check, and disagreement is
-reported through RouteDivergenceWarning rather than silently absorbed.
+wrapped probabilistic route with a smooth shell taper,
+odd_circle_density_wrapped, is the evaluator; the Abel-regularized
+series is a diagnostic only, paired with it by odd_circle_density_routes
+(validation criterion D1 reports their gap).
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ import mpmath as mp
 import numpy as np
 from scipy import special as sps
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    MinimumLocationWarning,
-    RouteDivergenceWarning,
-)
+from .errors import ConvergenceError, DomainError, MinimumLocationWarning
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .line import (
     OrderParams,
@@ -41,7 +37,6 @@ __all__ = [
     "even_circle_law",
     "even_circle_density",
     "even_circle_density_wrapped",
-    "odd_circle_density",
     "odd_circle_density_wrapped",
     "odd_circle_density_routes",
     "min_value",
@@ -53,8 +48,6 @@ __all__ = [
 _ODD_SHELLS = 6144
 # Abel regularization ladder, extrapolated quadratically to eps = 0
 _ABEL_EPS = (0.02, 0.01, 0.005)
-# dual-route agreement threshold for the odd law
-_ROUTE_TOL = 1e-4
 
 # 300-bit fixed-point 1/(2 pi) for exact phase reduction of k^p t; the
 # working precision is local so the caller's mpmath settings survive import
@@ -196,21 +189,34 @@ def odd_circle_density_wrapped(
     raw shell sum random-walks. A smooth (flat + Hann) taper suppresses
     the window boundary to second order; projections of the tapered sum
     converge, pointwise values remain scheme-dependent. Scalar theta in,
-    scalar out; arrays are evaluated in one vectorized sweep for n = 1.
+    scalar out; for n = 1 an array goes through vectorized Airy sweeps.
+
+    For n = 1 the mode-1 projection comes from the stationary point
+    x = -3t of the Airy tail, so t must keep 3t inside the taper's flat
+    core |x| <= pi M with a 10% margin (t <= 0.3 pi M); past that bound
+    ConvergenceError is raised. At M = 6144 the 128-node projection error
+    is ~4e-8 at the bound, 4e-5 at the core edge and 0.18 at t = 1e4.
     """
-    if t <= 0.0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
     scalar = np.ndim(theta) == 0
     th = np.atleast_1d(np.asarray(theta, float))
     if n == 1:
         M = _ODD_SHELLS if shells is None else int(shells)
+        if t > 0.3 * math.pi * M:
+            raise ConvergenceError(
+                f"t = {t:g} moves the mode-1 stationary point 3t out of the flat "
+                f"core of {M} shells; pass shells >= {math.ceil(t / (0.3 * math.pi))}"
+            )
         s = (3.0 * t) ** (-1.0 / 3.0)
         w = _taper_weights(M)
         ms = np.arange(-M, M + 1)
         wm = w[np.abs(ms)]
-        # chunk over theta to bound the (2M+1) x len(th) work array
+        # chunk over theta so each work array keeps to 2^14 entries (128 KiB,
+        # one angle at the default M); the Airy calls set the cost, so
+        # larger blocks only add memory
         out = np.empty(th.shape)
-        step = max(1, int(2e6 // (2 * M + 1)))
+        step = max(1, 2**14 // (2 * M + 1))
         for i in range(0, th.size, step):
             xs = th[i : i + step, None] + TWO_PI * ms[None, :]
             vals = s * sps.airy(s * xs)[0]
@@ -241,27 +247,6 @@ def odd_circle_density_routes(
         float(odd_circle_density_wrapped(n, float(theta), t, tol)),
         _abel_value(n, float(theta), t),
     )
-
-
-def odd_circle_density(n: int, theta: float, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Odd-order circular law value: wrapped route, Abel cross-checked.
-
-    Returns the wrapped value. When the two regularizations differ by
-    more than 1e-4 a RouteDivergenceWarning reports it; for this object
-    that is the norm rather than the exception at generic angles, since
-    pointwise values of a distribution are summation-scheme dependent.
-    """
-    wrapped, abel = odd_circle_density_routes(n, theta, t, tol)
-    if abs(wrapped - abel) > _ROUTE_TOL:
-        warnings.warn(
-            f"odd circular law routes disagree at (n={n}, theta={theta:g}, t={t:g}): "
-            f"wrapped={wrapped:.6g}, abel={abel:.6g}; returning the wrapped value. "
-            "Pointwise values of this law are regularization sensitive; only "
-            "projections (mass, Fourier coefficients) are scheme independent.",
-            RouteDivergenceWarning,
-            stacklevel=2,
-        )
-    return wrapped
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,14 @@ _ML_ASYMP_MIN_Y = 50.0
 _ML_ASYMP_FLOOR = 2.5e-12
 
 
+def _scaled_arg(nu: float, y: float) -> float:
+    """y**(1/nu), or inf where that overflows a float."""
+    try:
+        return y ** (1.0 / nu)
+    except OverflowError:
+        return math.inf
+
+
 def _ml_series(nu: float, y: float, tol: Tolerance):
     """Power series sum_j (-y)^j / Gamma(1 + nu j) with a roundoff certificate."""
     if y == 0.0:
@@ -142,14 +150,16 @@ def _ml_spectral(nu: float, y: float, tol: Tolerance):
     The rational factor peaks at s = -cos(nu pi) when nu > 1/2, so the
     finite panel is split there.
     """
-    t = y ** (1.0 / nu)
+    t, c = _scaled_arg(nu, y), 1.0
+    if t == math.inf:  # form t s^(1/nu) as (y s)^(1/nu)
+        t, c = 1.0, y
     cn = math.cos(nu * math.pi)
     inv_nu = 1.0 / nu
 
     def f(s):
         if s <= 0.0:
             return 1.0
-        u = inv_nu * math.log(s)
+        u = inv_nu * math.log(c * s)
         if u > 690.0:
             return 0.0
         return math.exp(-t * math.exp(u)) / (s * (s + 2.0 * cn) + 1.0)
@@ -169,8 +179,12 @@ def _ml_mpmath(nu: float, y: float, tol: Tolerance) -> float:
     """High-precision series fallback; the series is entire, so extra digits always win."""
     import mpmath as mp
 
-    guard = int(0.45 * y ** (1.0 / nu)) + 30
-    jpeak = y ** (1.0 / nu) / nu
+    z = _scaled_arg(nu, y)
+    jpeak = z / nu
+    # the loop below can stop only past jpeak, so the budget bounds the digits
+    if jpeak >= tol.max_terms:
+        raise ConvergenceError("Mittag-Leffler series budget exhausted")
+    guard = int(0.45 * z) + 30
     with mp.workdps(guard):
         ymp = mp.mpf(y)
         total = mp.mpf(0)
@@ -205,7 +219,7 @@ def mittag_leffler(nu: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
     if nu == 1.0:
         return math.exp(x)
     y = -x
-    if y ** (1.0 / nu) <= _ML_SERIES_CAP:
+    if _scaled_arg(nu, y) <= _ML_SERIES_CAP:
         val, _, ok = _ml_series(nu, y, tol)
         if ok:
             return val

@@ -10,7 +10,6 @@ byte-compares the serialized values.
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,12 +309,9 @@ def _c13(seed, first_pass):
 
 
 def _odd_route_diagnostic():
-    from .errors import RouteDivergenceWarning
     from .pseudo import odd_circle_density_routes
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RouteDivergenceWarning)
-        wrapped, abel = odd_circle_density_routes(1, 0.5, 1.0)
+    wrapped, abel = odd_circle_density_routes(1, 0.5, 1.0)
     return abs(wrapped - abel)
 
 

@@ -3,12 +3,12 @@ codes, and byte determinism."""
 
 import json
 import math
-import warnings
+import re
 
 import numpy as np
 import pytest
 
-from circlaw import RouteDivergenceWarning, Tolerance
+from circlaw import Tolerance
 from circlaw.brownian import bm_law
 from circlaw.cli import main
 from circlaw.fractional import (
@@ -20,7 +20,7 @@ from circlaw.fractional import (
 )
 from circlaw.harmonic import TWO_PI
 from circlaw.kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
-from circlaw.pseudo import even_circle_law, odd_circle_density
+from circlaw.pseudo import even_circle_law, odd_circle_density_wrapped
 
 
 def run(capsys, *argv):
@@ -46,9 +46,7 @@ def library_curve(command, law, opts, th):
         carrier = series[law]()
         return carrier.cdf(th) if cdf else carrier.density(th)
     if law == "odd":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RouteDivergenceWarning)
-            return np.array([odd_circle_density(n, float(x), 1.0, tol) for x in th])
+        return odd_circle_density_wrapped(n, th, 1.0, tol)
     if law == "spacetimefrac":
         f = space_time_fractional_cdf if cdf else space_time_fractional_density
         return f(nu, beta, th, 1.0, tol)
@@ -156,11 +154,11 @@ class TestCurveCommands:
         assert code == 0
         assert parse_csv(out).shape == (16, 2)
 
-    def test_odd_density_notes_route_divergence(self, capsys):
+    def test_odd_density_rows_are_wrapped_route(self, capsys):
         code, out, err = run(capsys, "density", "--law", "odd", "--n", "1", "--t", "1", "--grid", "8")
-        assert code == 0
-        assert parse_csv(out).shape == (8, 2)
-        assert "wrapped route reported" in err
+        assert code == 0 and err == ""
+        rows = parse_csv(out)
+        assert np.array_equal(rows[:, 1], odd_circle_density_wrapped(1, rows[:, 0], 1.0))
 
     def test_odd_cdf_refused(self, capsys):
         code, _, err = run(capsys, "cdf", "--law", "odd", "--t", "1")
@@ -186,6 +184,10 @@ class TestCurveCommands:
             ("density", "--law", "spacefrac", "--t", "1"),
             ("density", "--law", "spacetimefrac", "--beta", "0.7", "--t", "1"),
             ("cdf", "--law", "even", "--t", "1", "--tol", "0"),
+            ("density", "--law", "bm", "--t", "inf"),
+            ("density", "--law", "kernel-odd", "--t", "nan"),
+            ("cdf", "--law", "even", "--t", "1", "--tol", "inf"),
+            ("validate", "--only", "special", "--tol", "inf"),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, argv):
@@ -196,6 +198,49 @@ class TestCurveCommands:
         with pytest.raises(SystemExit) as exc:
             main(["density", "--law", "nope", "--t", "1"])
         assert exc.value.code == 2
+
+
+_SELECTOR_FLAGS = {
+    "timefrac": ("--nu", "0.5"),
+    "spacefrac": ("--beta", "0.5"),
+    "wrappedstable": ("--beta", "0.5"),
+    "spacetimefrac": ("--nu", "0.5", "--beta", "0.5"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("density", "--law", law, "--t", "inf", "--grid", "8", *_SELECTOR_FLAGS.get(law, ()))
+          for law in ("even", "odd", "bm", "timefrac", "spacefrac", "spacetimefrac",
+                      "wrappedstable", "kernel-even", "kernel-odd")),
+        ("density", "--law", "odd", "--n", "2", "--t", "inf", "--grid", "8"),
+        ("cdf", "--law", "kernel-odd", "--t", "inf", "--grid", "8"),
+        ("density", "--law", "odd", "--n", "1", "--t", "1e4", "--grid", "8"),
+        ("density", "--law", "timefrac", "--n", "1", "--nu", "1e-9", "--t", "1",
+         "--grid", "8", "--tol", "1e-2"),
+        ("density", "--law", "odd", "--n", "2", "--t", "1", "--grid", "64"),
+    ],
+    ids=" ".join,
+)
+def test_no_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        rows = parse_csv(out)
+        assert rows.shape[0] == int(argv[argv.index("--grid") + 1])
+        assert np.all(np.isfinite(rows))
+    # warnings arrive as one counted line per category, after any refusal
+    categories = []
+    for line in err.splitlines():
+        if line.startswith("warning: "):
+            m = re.fullmatch(r"warning: (\w+) x(\d+): .*", line)
+            assert m, line
+            categories.append(m.group(1))
+        else:
+            assert line.startswith(("invalid-parameters: ", "non-convergence: ")), line
+    assert len(categories) == len(set(categories))
 
 
 class TestPositivity:

@@ -222,6 +222,9 @@ class TestOddKernelDensity:
             odd_kernel_density(0, 0.0, 1.0)
         with pytest.raises(DomainError):
             odd_kernel_density(1, 0.0, -1.0)
+        # the closed form is NaN at t = inf
+        with pytest.raises(DomainError):
+            odd_kernel_density(1, 0.5, math.inf)
 
 
 class TestSmallTime:

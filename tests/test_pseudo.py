@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import brentq
 
 import circlaw
-from circlaw import ConvergenceError, DomainError, RouteDivergenceWarning, SignedLawError
+from circlaw import ConvergenceError, DomainError, SignedLawError
 from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
 from circlaw.pseudo import (
     _phase_table,
@@ -22,7 +22,6 @@ from circlaw.pseudo import (
     even_circle_density_wrapped,
     even_circle_law,
     min_value,
-    odd_circle_density,
     odd_circle_density_routes,
     odd_circle_density_wrapped,
     positivity_time,
@@ -205,8 +204,7 @@ class TestOddCircleDensity:
         assert abs(v1 - v2) > 1e-3
 
     def test_routes_and_divergence_warning(self):
-        with pytest.warns(RouteDivergenceWarning):
-            v = odd_circle_density(1, 0.5, 1.0)
+        v = odd_circle_density_wrapped(1, 0.5, 1.0)
         wrapped, abel = odd_circle_density_routes(1, 0.5, 1.0)
         assert v == wrapped
         assert math.isfinite(abel)
@@ -217,14 +215,29 @@ class TestOddCircleDensity:
         v = odd_circle_density_wrapped(2, 1.0, 1.0)
         assert math.isfinite(v)
         # projections are not pinned here: the budget caps the window and
-        # the residual is ~1e-3; the route-divergence warning is the
-        # documented signal for that regime
-        with pytest.warns(RouteDivergenceWarning):
-            odd_circle_density(2, 1.0, 1.0)
+        # the residual is ~1e-3
+
+    def test_large_t_guard(self):
+        # the mode-1 stationary point 3t must stay inside the flat core;
+        # the bound t <= 0.3 pi M scales with the shell count M
+        for M in (1024, 6144):
+            t_max = 0.3 * math.pi * M
+            a, b = fourier_coeffs(
+                lambda th: odd_circle_density_wrapped(1, th, t_max, shells=M), 1, 128
+            )
+            assert a[0] == pytest.approx(math.cos(t_max) / math.pi, abs=1e-5)
+            assert b[0] == pytest.approx(-math.sin(t_max) / math.pi, abs=1e-5)
+            with pytest.raises(ConvergenceError, match="flat core"):
+                odd_circle_density_wrapped(1, 0.5, np.nextafter(t_max, math.inf), shells=M)
+        with pytest.raises(ConvergenceError):
+            odd_circle_density_wrapped(1, 0.5, 1e4)
 
     def test_validation(self):
         with pytest.raises(DomainError):
             odd_circle_density_wrapped(1, 0.5, 0.0)
+        for n in (1, 2):
+            with pytest.raises(DomainError):
+                odd_circle_density_wrapped(n, 0.5, math.inf)
 
 
 class TestMinValueAndPositivity:

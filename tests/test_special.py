@@ -117,6 +117,31 @@ class TestMittagLeffler:
             assert vals[-1] == 1.0
             assert all(0.0 < v <= 1.0 for v in vals)
 
+    @pytest.mark.parametrize(
+        "nu, y, expect",
+        [
+            # y**(1/nu) overflows a float: asymptotic and spectral regimes;
+            # oracle: 30-digit mpmath quadrature of the spectral integral
+            # in sigma = y s, where nothing overflows
+            (0.01, 2000.0, 0.00049683422388431561558),
+            (0.005, 40.0, 0.024321197600155241244),
+            (0.001, 4.0, 0.19990758252957499205),
+            (0.003, 10.0, 0.090765580490040009828),
+        ],
+    )
+    def test_small_order_overflow(self, nu, y, expect):
+        assert mittag_leffler(nu, -y) == pytest.approx(expect, abs=1e-12)
+
+    def test_mpmath_fallback_digit_budget(self):
+        from circlaw.special import _ml_mpmath
+
+        # y**(1/nu) overflows, or puts the series peak past the term budget:
+        # refused before any working precision is requested
+        with pytest.raises(ConvergenceError):
+            _ml_mpmath(0.01, 2000.0, Tolerance())
+        with pytest.raises(ConvergenceError):
+            _ml_mpmath(0.5, 1e4, Tolerance())
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             mittag_leffler(0.0, -1.0)
