@@ -188,9 +188,6 @@ def space_time_fractional_density(nu, beta, theta, t, tol=DEFAULT_TOL):
         raise DomainError("t must be positive")
     if nu == 1.0:
         return space_fractional_density(beta, theta, t, tol)
-    if beta == 1.0:
-        # E_nu(-(k^2/2) t^nu) = E_nu(-k^2 (t 2^{-1/nu})^nu)
-        return time_fractional_law(1, nu, t * 2.0 ** (-1.0 / nu), tol).density(theta)
     if beta <= 0.5:
         raise ConvergenceError(
             "pointwise space-time series diverges for beta <= 1/2 when "
@@ -218,8 +215,6 @@ def space_time_fractional_cdf(nu, beta, theta, t, tol=DEFAULT_TOL):
         raise DomainError("t must be positive")
     if nu == 1.0:
         return space_fractional_law(beta, t, tol).cdf(theta)
-    if beta == 1.0:
-        return time_fractional_law(1, nu, t * 2.0 ** (-1.0 / nu), tol).cdf(theta)
     # the carrier's tail_bound is c K^{-2 beta}/(2 beta), in CDF units
     c = math.gamma(1.0 + nu) * t ** (-nu) * 2.0**beta / math.pi
     return cosine_law(

@@ -27,14 +27,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RngStream:
     """Reproducible named substream of randomness.
 
     (seed, stream_id) fixes the sequence exactly; distinct stream ids
     spawn independent child sequences of the same seed. The generator
     is created once and advances as it is consumed, so a stream must
-    not be shared between concurrent samplers.
+    not be shared between concurrent samplers. For the same reason a
+    stream equals, and hashes as, only itself.
     """
 
     seed: int

@@ -1,16 +1,18 @@
 """Self-check suite behind ``circlaw validate``.
 
 Thirteen numbered criteria (letters split a criterion whose parts carry
-different thresholds), each reduced to one measured number against one
-threshold. Monte Carlo criteria draw from dedicated, fixed streams so a
-report is a pure function of (seed, tol); the determinism criterion
-re-runs every seeded criterion on fresh identically-seeded streams and
-byte-compares the serialized values.
+different thresholds) and one diagnostic row, each reduced to one
+measured number against one pinned threshold. ``_CRITERIA`` is the one
+table of them, in report order. Monte Carlo criteria draw from
+dedicated, fixed streams so a report is a pure function of (seed, tol);
+the determinism criterion re-runs every seeded criterion on fresh
+identically-seeded streams and byte-compares the serialized values.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import eq, le, lt
 
 import numpy as np
 from scipy import integrate
@@ -55,6 +57,7 @@ from .pseudo import (
     even_circle_density_wrapped,
     even_circle_law,
     min_value,
+    odd_circle_density_routes,
     positivity_time,
 )
 from .special import Tolerance, mittag_leffler
@@ -69,8 +72,6 @@ T_BAR_ORDER4 = 0.6931166485360707
 
 GRID64 = np.arange(64) * (TWO_PI / 64.0)
 
-GROUPS = ("kernels", "pseudo", "special", "fractional", "montecarlo", "brownian", "determinism")
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -83,7 +84,22 @@ class CriterionResult:
     flagged: bool = False
 
 
-def _c1():
+class _Run:
+    """One run_suite call: its seed and the measurements made so far.
+    ``once`` makes a measurement (a function of the run) on first use
+    and keeps it, so each costs at most one evaluation per run."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self._kept = {}
+
+    def once(self, measure):
+        if measure not in self._kept:
+            self._kept[measure] = measure(self)
+        return self._kept[measure]
+
+
+def _c1(run):
     tol = Tolerance(abs_tol=1e-13)
     worst = 0.0
     for t in (0.25, 1.0, 4.0):
@@ -95,7 +111,7 @@ def _c1():
     return worst
 
 
-def _c2():
+def _c2(run):
     worst = 0.0
     for n in (1, 2, 3):
         for t in (0.3, 1.0, 3.0):
@@ -107,7 +123,7 @@ def _c2():
     return worst
 
 
-def _c3():
+def _c3(run):
     law = even_circle_law(2, 1.0, Tolerance(abs_tol=1e-13))
     a, b = fourier_coeffs(law.density, 5, 512)
     k = np.arange(1.0, 6.0)
@@ -115,19 +131,19 @@ def _c3():
     return float(max(np.max(np.abs(a - want)), np.max(np.abs(b))))
 
 
-def _c4a():
+def _c4a(run):
     xs = (0.1, 0.5, 1.0, 2.0, 5.0)
     return max(
         abs(mittag_leffler(0.5, -x) - math.exp(x * x) * math.erfc(x)) for x in xs
     )
 
 
-def _c4b():
+def _c4b(run):
     xs = (0.1, 0.5, 1.0, 2.0, 5.0)
     return max(abs(mittag_leffler(1.0, -x) - math.exp(-x)) for x in xs)
 
 
-def _c5a():
+def _c5a(run):
     frac = time_fractional_law(2, 1.0, 0.7)
     plain = even_circle_law(2, 0.7)
     same = (
@@ -138,21 +154,24 @@ def _c5a():
     return 0.0 if same else 1.0
 
 
-def _c5b():
+def _c5b(run):
     tol = Tolerance(abs_tol=1e-13)
     diff = space_fractional_law(1.0, 1.0, tol).density(GRID64) - bm_law(1.0, tol).density(GRID64)
     return float(np.max(np.abs(diff)))
 
 
-def _c5c():
+def _c5c(run):
     tol = Tolerance(abs_tol=1e-12)
-    diff = space_fractional_density(0.5, GRID64, 1.0, tol) - space_fractional_half_closed(
-        GRID64, 1.0
-    )
-    return float(np.max(np.abs(diff)))
+    worst = 0.0
+    for t in (0.5, 1.0):
+        diff = space_fractional_density(0.5, GRID64, t, tol) - space_fractional_half_closed(
+            GRID64, t
+        )
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
 
 
-def _c6():
+def _c6(run):
     tol = Tolerance(abs_tol=1e-12)
     worst = 0.0
     for beta in (0.3, 0.5, 0.9):
@@ -166,24 +185,24 @@ def _c6():
 # seeded criteria: fixed stream ids keep them independent of each other
 # and reproducible one at a time
 
-def _c7a(seed):
-    ang = sample_wrapped_bm(1.0, RngStream(seed, 50), size=100_000)
+def _c7a(run):
+    ang = sample_wrapped_bm(1.0, RngStream(run.seed, 50), size=100_000)
     return ks_statistic(ang, bm_law(1.0).cdf)
 
 
-def _c7b(seed):
-    s = RngStream(seed, 51)
+def _c7b(run):
+    s = RngStream(run.seed, 51)
     H = sample_stable_subordinator(0.5, 1.0, s, size=100_000)
     ang = sample_wrapped_bm(H, s)
     return ks_statistic(ang, space_fractional_law(0.5, 1.0).cdf)
 
 
-def _c7c(seed):
+def _c7c(run):
     # beta = 1/2 has no certifiable pointwise series, so the comparison
     # runs against the CDF-level series; its tail decays like c/K, so
     # the CDF is certified to 1e-4 (~4e3 terms), invisible at KS scale
-    s = RngStream(seed, 52)
-    n = 30_000
+    s = RngStream(run.seed, 52)
+    n = 100_000
     L = sample_inverse_subordinator(0.5, 1.0, s, size=n)
     H = L ** (1.0 / 0.5) * sample_stable_subordinator(0.5, 1.0, s, size=n)
     ang = sample_wrapped_bm(H, s)
@@ -191,12 +210,12 @@ def _c7c(seed):
     return ks_statistic(ang, lambda th: space_time_fractional_cdf(0.5, 0.5, th, 1.0, tol))
 
 
-def _c7d(seed):
-    ang = simulate_planar_hit(math.exp(-1.0), RngStream(seed, 53), step=1e-3, size=50_000)
+def _c7d(run):
+    ang = simulate_planar_hit(math.exp(-1.0), RngStream(run.seed, 53), step=1e-3, size=50_000)
     return ks_statistic(ang, lambda th: even_kernel_cdf(th, 1.0))
 
 
-def _c8a():
+def _c8a(run):
     worst = 0.0
     for t in (0.2, 1.0, 5.0):
         via_cdf = even_kernel_cdf(math.pi / 2.0, t) + 1.0 - even_kernel_cdf(3.0 * math.pi / 2.0, t)
@@ -204,7 +223,7 @@ def _c8a():
     return worst
 
 
-def _c8b():
+def _c8b(run):
     worst = 0.0
     for n in (1, 3):
         for t in (0.5, 1.0):
@@ -216,7 +235,7 @@ def _c8b():
     return worst
 
 
-def _c8c():
+def _c8c(run):
     worst = 0.0
     for n, t in ((1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0)):
         f1, f2, f3 = odd_quadrant_forms(n, t)
@@ -250,21 +269,21 @@ def _double_barrier_survival(theta, t, n_paths, rng, n_steps=400):
     return est, se
 
 
-def _c9a(seed):
+def _c9a(run):
     worst = 0.0
     for (theta, t), sid in (((1.0, 1.0), 54), ((2.0, 0.5), 55)):
-        est, se = _double_barrier_survival(theta, t, 100_000, RngStream(seed, sid))
+        est, se = _double_barrier_survival(theta, t, 100_000, RngStream(run.seed, sid))
         worst = max(worst, abs(bm_maxdist_cdf(theta, t) - est) / se)
     return worst
 
 
-def _c9b():
+def _c9b(run):
     h = 1e-4
     central = (bm_maxdist_cdf(1.0, 1.0 - h) - bm_maxdist_cdf(1.0, 1.0 + h)) / (2.0 * h)
     return abs(bm_first_passage_density(1.0, 1.0) - central)
 
 
-def _c9c():
+def _c9c(run):
     worst = -math.inf
     for t in np.linspace(0.21, 10.0, 196):
         bound = 0.5 + (2.0 / math.pi) * math.exp(-float(t) / 2.0)
@@ -272,18 +291,27 @@ def _c9c():
     return worst
 
 
-def _c10():
-    t1 = positivity_time(1)
-    t2 = positivity_time(2)
-    a = max(abs(t1), abs(t2 - T_BAR_ORDER4))
-    _, arg = _grid_min(2, t2, Tolerance())
-    b = min(abs(arg - math.pi), TWO_PI - abs(arg - math.pi))
+def _onset_times(run):
+    return positivity_time(1), positivity_time(2)
+
+
+def _c10a(run):
+    t1, t2 = run.once(_onset_times)
+    return max(abs(t1), abs(t2 - T_BAR_ORDER4))
+
+
+def _c10b(run):
+    _, arg = _grid_min(2, run.once(_onset_times)[1], Tolerance())
+    return min(abs(arg - math.pi), TWO_PI - abs(arg - math.pi))
+
+
+def _c10c(run):
+    t2 = run.once(_onset_times)[1]
     # both margins negative exactly when the sign flips across t2
-    c = max(min_value(2, t2 - 0.01), -min_value(2, t2 + 0.01))
-    return a, b, c
+    return max(min_value(2, t2 - 0.01), -min_value(2, t2 + 0.01))
 
 
-def _c11():
+def _c11(run):
     worst = -math.inf
     for t in (0.5, 1.0, 2.0):
         gaps = [kernel_limit_gap(n, t) for n in (1, 2, 5, 10, 50)]
@@ -291,7 +319,7 @@ def _c11():
     return worst
 
 
-def _c12():
+def _c12(run):
     worst = 0.0
     for t in (0.5, 1.0):
         diff = wrapped_skew_cauchy_density(1, GRID64, t) - odd_kernel_density(1, GRID64, t)
@@ -299,96 +327,112 @@ def _c12():
     return worst
 
 
-def _seeded_values(seed):
-    return (_c7a(seed), _c7b(seed), _c7c(seed), _c7d(seed), _c9a(seed))
+_SEEDED = (_c7a, _c7b, _c7c, _c7d, _c9a)
 
 
-def _c13(seed, first_pass):
-    rerun = _seeded_values(seed)
-    return float(sum(repr(x) != repr(y) for x, y in zip(first_pass, rerun)))
+def _c13(run):
+    # a direct call draws from fresh streams; run.once gives the first pass
+    return float(sum(repr(run.once(m)) != repr(m(run)) for m in _SEEDED))
 
 
-def _odd_route_diagnostic():
-    from .pseudo import odd_circle_density_routes
-
+def _d1(run):
     wrapped, abel = odd_circle_density_routes(1, 0.5, 1.0)
     return abs(wrapped - abel)
 
 
+def _ks(m, thr):
+    """A KS distance below its threshold, which --tol can only loosen."""
+    return m < thr
+
+
+def _onset_rule(m, thr):
+    """10a: order 2's onset is exactly 0, order 4's within thr of T_BAR."""
+    return m < thr and positivity_time(1) == 0.0
+
+
+def _diagnostic(m, thr):
+    """Reported, never failed: the row is flagged when m exceeds thr."""
+    return True
+
+
+# (id, group, description, pinned threshold, pass rule, measurement),
+# in report order; a pass rule maps (measured, threshold) to passed
+_CRITERIA = (
+    ("1", "kernels", "kernel series equals its closed form (both parities)",
+     1e-12, lt, _c1),
+    ("2", "pseudo", "even circle law: spectral route equals wrapped line route",
+     1e-6, lt, _c2),
+    ("3", "pseudo", "Fourier projection of the order-4 law recovers exp(-k^4 t)/pi",
+     1e-8, lt, _c3),
+    ("4a", "special", "Mittag-Leffler at nu=1/2 equals exp(x^2) erfc(x)",
+     1e-9, lt, _c4a),
+    ("4b", "special", "Mittag-Leffler at nu=1 equals exp(-x)",
+     1e-12, lt, _c4b),
+    ("5a", "fractional", "time-fractional law at nu=1 equals the even circle law exactly",
+     0.0, eq, _c5a),
+    ("5b", "fractional", "space-fractional law at beta=1 equals the circular BM density",
+     1e-12, lt, _c5b),
+    ("5c", "fractional", "space-fractional series at beta=1/2 equals its closed form",
+     1e-10, lt, _c5c),
+    ("6", "fractional", "wrapped stable law equals the space-fractional law at rescaled time",
+     1e-10, lt, _c6),
+    ("7a", "montecarlo", "wrapped Brownian sampler vs analytic CDF (KS)",
+     0.01, _ks, _c7a),
+    ("7b", "montecarlo", "single subordination B(H(t)) vs space-fractional CDF (KS)",
+     0.015, _ks, _c7b),
+    ("7c", "montecarlo", "double subordination B(H(L(t))) vs space-time CDF (KS)",
+     0.02, _ks, _c7c),
+    ("7d", "montecarlo", "planar exit angle from radius 1/e vs even kernel CDF (KS)",
+     0.015, _ks, _c7d),
+    ("8a", "kernels", "even quadrant probability equals the CDF difference",
+     1e-12, lt, _c8a),
+    ("8b", "kernels", "odd half-circle probability equals kernel quadrature",
+     1e-8, lt, _c8b),
+    ("8c", "kernels", "the three quadrant-probability expressions agree mutually",
+     1e-10, lt, _c8c),
+    ("9a", "brownian", "max-distance CDF vs double-barrier Monte Carlo (z-score)",
+     3.0, lt, _c9a),
+    ("9b", "brownian", "first-passage density equals -dCDF/dt (central difference)",
+     1e-6, lt, _c9b),
+    ("9c", "brownian", "quadrant probability bound 1/2 + (2/pi) e^{-t/2} holds on [0.21, 10]",
+     0.0, le, _c9c),
+    ("10a", "pseudo", "positivity onset: 0 at order 2; order-4 value matches the frozen constant",
+     1e-6, _onset_rule, _c10a),
+    ("10b", "pseudo", "order-4 minimum at the onset sits at theta = pi",
+     1e-3, lt, _c10b),
+    ("10c", "pseudo", "order-4 minimum changes sign across the onset time",
+     0.0, lt, _c10c),
+    ("11", "kernels", "odd-to-even kernel gap strictly decreases in the order",
+     0.0, lt, _c11),
+    ("12", "kernels", "wrapped skewed Cauchy equals the first odd kernel",
+     1e-8, lt, _c12),
+    ("13", "determinism", "seeded Monte Carlo criteria reproduce byte-identical values on re-run",
+     1.0, lt, _c13),
+    ("D1", "pseudo",
+     "odd signed density: wrapped vs Abel route divergence (scheme-dependent; diagnostic only)",
+     1e-4, _diagnostic, _d1),
+)
+
+GROUPS = tuple(dict.fromkeys(group for _, group, *_ in _CRITERIA))
+
+
 def run_suite(seed=DEFAULT_SEED, tol=1e-10, only=None):
     """Run the criteria (optionally one group) and return CriterionResult
-    rows. KS thresholds can only be loosened: threshold = max(pinned, tol)."""
+    rows in table order. KS thresholds can only be loosened:
+    threshold = max(pinned, tol)."""
     if only is not None and only not in GROUPS:
         raise ValueError(f"unknown group {only!r}; choose from {', '.join(GROUPS)}")
-    ks = lambda pinned: max(pinned, tol)
+    run = _Run(seed)
     results = []
-
-    def add(cid, group, description, measured, threshold, passed=None, flagged=False):
+    for cid, group, description, pinned, rule, measure in _CRITERIA:
         if only is not None and group != only:
-            return False
-        if passed is None:
-            passed = bool(measured < threshold)
-        results.append(
-            CriterionResult(cid, group, description, float(measured), float(threshold), bool(passed), flagged)
-        )
-        return True
-
-    def want(group):
-        return only is None or group == only
-
-    if want("kernels"):
-        add("1", "kernels", "kernel series equals its closed form (both parities)", _c1(), 1e-12)
-    if want("pseudo"):
-        add("2", "pseudo", "even circle law: spectral route equals wrapped line route", _c2(), 1e-6)
-        add("3", "pseudo", "Fourier projection of the order-4 law recovers exp(-k^4 t)/pi", _c3(), 1e-8)
-    if want("special"):
-        add("4a", "special", "Mittag-Leffler at nu=1/2 equals exp(x^2) erfc(x)", _c4a(), 1e-9)
-        add("4b", "special", "Mittag-Leffler at nu=1 equals exp(-x)", _c4b(), 1e-12)
-    if want("fractional"):
-        m5a = _c5a()
-        add("5a", "fractional", "time-fractional law at nu=1 equals the even circle law exactly",
-            m5a, 0.0, passed=(m5a == 0.0))
-        add("5b", "fractional", "space-fractional law at beta=1 equals the circular BM density", _c5b(), 1e-12)
-        add("5c", "fractional", "space-fractional series at beta=1/2 equals its closed form", _c5c(), 1e-10)
-        add("6", "fractional", "wrapped stable law equals the space-fractional law at rescaled time", _c6(), 1e-10)
-    seeded = None
-    if want("montecarlo"):
-        seeded = _seeded_values(seed)
-        add("7a", "montecarlo", "wrapped Brownian sampler vs analytic CDF (KS)", seeded[0], ks(0.01))
-        add("7b", "montecarlo", "single subordination B(H(t)) vs space-fractional CDF (KS)", seeded[1], ks(0.015))
-        add("7c", "montecarlo", "double subordination B(H(L(t))) vs space-time CDF (KS)", seeded[2], ks(0.02))
-        add("7d", "montecarlo", "planar exit angle from radius 1/e vs even kernel CDF (KS)", seeded[3], ks(0.015))
-    if want("kernels"):
-        add("8a", "kernels", "even quadrant probability equals the CDF difference", _c8a(), 1e-12)
-        add("8b", "kernels", "odd half-circle probability equals kernel quadrature", _c8b(), 1e-8)
-        add("8c", "kernels", "the three quadrant-probability expressions agree mutually", _c8c(), 1e-10)
-    if want("brownian"):
-        m9a = _c9a(seed) if seeded is None else seeded[4]
-        add("9a", "brownian", "max-distance CDF vs double-barrier Monte Carlo (z-score)", m9a, 3.0)
-        add("9b", "brownian", "first-passage density equals -dCDF/dt (central difference)", _c9b(), 1e-6)
-        m9c = _c9c()
-        add("9c", "brownian", "quadrant probability bound 1/2 + (2/pi) e^{-t/2} holds on [0.21, 10]",
-            m9c, 0.0, passed=(m9c <= 0.0))
-    if want("pseudo"):
-        m10a, m10b, m10c = _c10()
-        add("10a", "pseudo", "positivity onset: 0 at order 2; order-4 value matches the frozen constant", m10a, 1e-6)
-        add("10b", "pseudo", "order-4 minimum at the onset sits at theta = pi", m10b, 1e-3)
-        add("10c", "pseudo", "order-4 minimum changes sign across the onset time",
-            m10c, 0.0, passed=(m10c < 0.0))
-    if want("kernels"):
-        m11 = _c11()
-        add("11", "kernels", "odd-to-even kernel gap strictly decreases in the order", m11, 0.0, passed=(m11 < 0.0))
-        add("12", "kernels", "wrapped skewed Cauchy equals the first odd kernel", _c12(), 1e-8)
-    if want("determinism"):
-        base = seeded if seeded is not None else _seeded_values(seed)
-        m13 = _c13(seed, base)
-        add("13", "determinism", "seeded Monte Carlo criteria reproduce byte-identical values on re-run",
-            m13, 1.0)
-    if want("pseudo"):
-        d = _odd_route_diagnostic()
-        add("D1", "pseudo",
-            "odd signed density: wrapped vs Abel route divergence (scheme-dependent; diagnostic only)",
-            d, 1e-4, passed=True, flagged=bool(d > 1e-4))
+            continue
+        measured = float(run.once(measure))
+        threshold = float(max(pinned, tol) if rule is _ks else pinned)
+        flagged = rule is _diagnostic and measured > threshold
+        results.append(CriterionResult(
+            cid, group, description, measured, threshold, bool(rule(measured, threshold)), flagged
+        ))
     return results
 
 
@@ -398,17 +442,6 @@ def report_json(results, seed, tol):
         "seed": int(seed),
         "tol": float(tol),
         "all_passed": all(r.passed for r in results),
-        "criteria": [
-            {
-                "id": r.id,
-                "group": r.group,
-                "description": r.description,
-                "measured": r.measured,
-                "threshold": r.threshold,
-                "passed": r.passed,
-                "flagged": r.flagged,
-            }
-            for r in results
-        ],
+        "criteria": [asdict(r) for r in results],
     }
     return json.dumps(obj, indent=2) + "\n"

@@ -124,6 +124,9 @@ class TestCurveCommands:
             ("cdf", "wrappedstable", ("--beta", "0.5")),
             ("density", "kernel-even", ()),
             ("cdf", "kernel-even", ()),
+            # beta = 1: tiny nu (2^{-1/nu} underflows) and a CDF-level cutoff
+            ("density", "spacetimefrac", ("--nu", "1e-9", "--beta", "1", "--tol", "1e-2")),
+            ("cdf", "spacetimefrac", ("--nu", "0.5", "--beta", "1", "--tol", "1e-8")),
         ],
     )
     def test_other_laws_emit_curves(self, capsys, command, law, extra):
@@ -286,6 +289,13 @@ class TestValidate:
         obj = json.loads(out)
         assert all(c["threshold"] == 0.1 for c in obj["criteria"])
         assert obj["all_passed"] is True
+
+    def test_montecarlo_group_skips_brownian_simulation(self, capsys, monkeypatch):
+        # 9a's simulation belongs to the brownian group; calling it would fail
+        monkeypatch.setattr("circlaw.validation._double_barrier_survival", None)
+        code, out, _ = run(capsys, "validate", "--only", "montecarlo")
+        assert code == 0
+        assert [c["id"] for c in json.loads(out)["criteria"]] == ["7a", "7b", "7c", "7d"]
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "validate", "--only", "special")

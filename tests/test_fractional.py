@@ -217,9 +217,27 @@ class TestSpaceTimeFractional:
         assert a == b
 
     def test_beta_one_delegates_to_half_diffusivity(self):
+        # E_nu(-(k^2/2) t^nu) = E_nu(-k^2 (t 2^{-1/nu})^nu): the same law
         a = space_time_fractional_density(0.6, 1.0, 1.1, 0.9, TOL6)
         b = time_fractional_law(1, 0.6, 0.9 * 2.0 ** (-1.0 / 0.6), TOL6).density(1.1)
-        assert a == b
+        assert a == pytest.approx(b, abs=1e-6)
+
+    def test_beta_one_tiny_nu(self):
+        # 2^{-1/nu} underflows here; as nu -> 0, E_nu(-x) -> 1/(1+x), and
+        # sum cos(k th)/(k^2 + 2) = pi cosh(r (pi - th))/(2 r sinh(r pi)) - 1/4
+        # with r = sqrt(2); the bound is tol plus 1e-6 for nu > 0
+        th = np.linspace(0.0, TWO_PI, 8)
+        got = space_time_fractional_density(1e-9, 1.0, th, 1.0, Tolerance(abs_tol=1e-2))
+        r = math.sqrt(2.0)
+        series = math.pi * np.cosh(r * (math.pi - th)) / (2.0 * r * math.sinh(r * math.pi)) - 0.25
+        assert np.max(np.abs(got - (1.0 / TWO_PI + 2.0 * series / math.pi))) <= 1e-2 + 1e-6
+
+    def test_beta_one_cdf_truncates_at_cdf_tail(self):
+        # the CDF tail ~ K^{-2} certifies 1e-8 with a few thousand terms
+        th = np.linspace(0.0, TWO_PI, 8)
+        got = space_time_fractional_cdf(0.5, 1.0, th, 1.0, Tolerance(abs_tol=1e-8))
+        ref = time_fractional_law(1, 0.5, 0.25, TOL6).cdf(th)
+        assert np.max(np.abs(got - ref)) <= 1e-8
 
     def test_low_beta_pointwise_refused(self):
         with pytest.raises(ConvergenceError, match="space_time_fractional_cdf"):

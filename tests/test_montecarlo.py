@@ -57,6 +57,13 @@ class TestRngStream:
         b1 = t1.generator.standard_normal(32)
         assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
 
+    def test_equal_only_to_itself(self):
+        # same (seed, stream_id), yet one has drawn: the two differ
+        a, b = RngStream(9, 1), RngStream(9, 1)
+        a.generator.standard_normal(4)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
     @pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -2), (1.5, 0)])
     def test_invalid(self, seed, stream):
         with pytest.raises(DomainError):
