@@ -18,12 +18,7 @@ from .errors import (
 )
 from .special import (
     DEFAULT_TOL,
-    GenGammaParams,
     Tolerance,
-    airy_ai,
-    gen_gamma_density,
-    gen_gamma_mean,
-    gen_gamma_tail,
     mittag_leffler,
     mittag_leffler_many,
 )
@@ -33,11 +28,8 @@ from .harmonic import (
     sample,
 )
 from .line import (
-    OrderParams,
     line_density_even,
-    line_density_even_gamma,
-    line_density_odd_at_zero,
-    line_density_odd_gamma,
+    line_density_gamma,
     line_density_third,
     skew_cauchy_density,
 )

@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, RouteDivergenceWarning
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law
+from .line import _check_finite, _check_t
 from .special import DEFAULT_TOL
 
 __all__ = [
@@ -82,9 +83,9 @@ def bm_law(t, tol=DEFAULT_TOL):
 
 def bm_density_wrapped(theta, t, tol=DEFAULT_TOL):
     """Wrapped Gaussian route: sum of N(0, t) images over integer shells."""
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     th = np.asarray(theta, dtype=float)
+    _check_finite(th, "theta")
     scalar = th.ndim == 0
     x = np.mod(th, TWO_PI)
     # outermost kept image sits at distance >= 2 pi M - pi from every

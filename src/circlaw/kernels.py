@@ -3,7 +3,7 @@
 Running the even-order circular laws on a stable clock collapses them
 all onto a single Poisson kernel with radius e^{-t}, independent of the
 order. The odd-order analogue keeps an order imprint through the
-damping/rotation pair a = cos(pi/(2(2n+1))), b = sin(pi/(2(2n+1))): it
+damping/rotation pair (a, b) of the line solution of order 2n+1: it
 is the even kernel evaluated at radius e^{-a t} and angle theta + b t,
 and collapses onto the even kernel as n grows. This module carries the
 closed forms, certified series laws, branch-safe CDFs, interval
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, DomainGapError
 from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff
-from .line import OrderParams, skew_cauchy_density
+from .line import _check_n, _check_t, _rotation, skew_cauchy_density
 from .special import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -41,15 +41,8 @@ __all__ = [
 
 
 def _ab(n) -> tuple[float, float]:
-    if int(n) != n or n < 1:
-        raise DomainError("n must be a positive integer")
-    half = math.pi / (2.0 * (2 * n + 1))
-    return math.cos(half), math.sin(half)
-
-
-def _check_t(t: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise DomainError("t must be positive and finite")
+    _check_n(n)
+    return _rotation(2 * n + 1)
 
 
 def _as_angles(theta):
@@ -277,19 +270,19 @@ def wrapped_skew_cauchy_density(n: int, theta, t: float, shells: int = 200):
     integral of the line density (midpoint rule in the shell index),
     which leaves a residual ~1e-10 at shells = 200.
     """
-    params = OrderParams.odd(n)
+    a, b = _ab(n)
     _check_t(t)
     if shells < 1:
         raise DomainError("shells must be >= 1")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     m = TWO_PI * np.arange(-shells, shells + 1)
-    core = skew_cauchy_density(params, th[:, None] + m, t).sum(axis=1)
-    scale = t * params.a
+    core = skew_cauchy_density(n, th[:, None] + m, t).sum(axis=1)
+    scale = t * a
     hi = th + TWO_PI * (shells + 0.5)
     lo = th - TWO_PI * (shells + 0.5)
     tail = (
         1.0
-        - (np.arctan((hi + t * params.b) / scale) - np.arctan((lo + t * params.b) / scale))
+        - (np.arctan((hi + t * b) / scale) - np.arctan((lo + t * b) / scale))
         / math.pi
     ) / TWO_PI
     out = core + tail

@@ -21,15 +21,18 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy import special as sps
 
 from .errors import ConvergenceError, DomainError, MinimumLocationWarning
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .line import (
-    OrderParams,
+    _CANCEL_BUDGET,
+    _check_finite,
+    _check_n,
+    _check_t,
+    _rotation,
     line_density_even,
-    line_density_odd_at_zero,
-    line_density_odd_gamma,
+    line_density_gamma,
+    line_density_third,
 )
 from .special import DEFAULT_TOL, Tolerance
 
@@ -61,9 +64,8 @@ def even_circle_law(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> HarmonicL
     Truncation: smallest K with e^{-(K+1)t}/(pi (1 - e^{-t})) <= tol,
     which certifies the dropped tail through k^{2n} >= k.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError("n must be a positive integer")
-    if t <= 0.0:
+    _check_n(n)
+    if not t > 0.0:
         raise DomainError("t must be positive")
     denom = math.pi * (-math.expm1(-t))
     return cosine_law(
@@ -97,13 +99,13 @@ def even_circle_density_wrapped(
     sum stops once two consecutive shells are each below tol/8 (the
     envelope beyond the core is monotone).
     """
-    params = OrderParams.even(n)
+    _check_finite(theta, "theta")
     th = math.fmod(float(theta), TWO_PI)
-    total = line_density_even(params, th, t, tol)
+    total = line_density_even(n, th, t, tol)
     quiet = 0
     for m in range(1, 65):
-        shell = line_density_even(params, th + TWO_PI * m, t, tol) + line_density_even(
-            params, th - TWO_PI * m, t, tol
+        shell = line_density_even(n, th + TWO_PI * m, t, tol) + line_density_even(
+            n, th - TWO_PI * m, t, tol
         )
         total += shell
         if abs(shell) < tol.abs_tol / 8.0:
@@ -173,8 +175,8 @@ def _abel_value(n: int, theta: float, t: float) -> float:
 def _budget_shells(n: int, t: float) -> int:
     """Left shell count the probabilistic route can certify in float64."""
     g = 2 * n + 1
-    b = math.sin(math.pi / (2 * g))
-    bx = (35.0 * g / (g - 1)) ** ((g - 1) / g) * (g * t) ** (1.0 / g)
+    _, b = _rotation(g)
+    bx = (_CANCEL_BUDGET * g / (g - 1)) ** ((g - 1) / g) * (g * t) ** (1.0 / g)
     x_max = bx / b - 0.5
     return max(2, int((x_max - math.pi) / TWO_PI))
 
@@ -184,8 +186,9 @@ def odd_circle_density_wrapped(
 ):
     """Tapered wrapped sum sum_m w_m u_{2n+1}(theta + 2 pi m, t).
 
-    The left tail of the odd line density oscillates with envelope
-    ~|x|^{-(2n-1)/(4n+... )} and never becomes absolutely summable, so a
+    The left tail of the odd line density oscillates with the
+    stationary-phase envelope |x|^{-(2n-1)/(4n)} (at n = 1,
+    Ai(-z) ~ z^{-1/4}) and never becomes absolutely summable, so a
     raw shell sum random-walks. A smooth (flat + Hann) taper suppresses
     the window boundary to second order; projections of the tapered sum
     converge, pointwise values remain scheme-dependent. Scalar theta in,
@@ -197,8 +200,9 @@ def odd_circle_density_wrapped(
     ConvergenceError is raised. At M = 6144 the 128-node projection error
     is ~4e-8 at the bound, 4e-5 at the core edge and 0.18 at t = 1e4.
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError("t must be positive and finite")
+    _check_n(n)
+    _check_finite(theta, "theta")
+    _check_t(t)
     scalar = np.ndim(theta) == 0
     th = np.atleast_1d(np.asarray(theta, float))
     if n == 1:
@@ -208,7 +212,6 @@ def odd_circle_density_wrapped(
                 f"t = {t:g} moves the mode-1 stationary point 3t out of the flat "
                 f"core of {M} shells; pass shells >= {math.ceil(t / (0.3 * math.pi))}"
             )
-        s = (3.0 * t) ** (-1.0 / 3.0)
         w = _taper_weights(M)
         ms = np.arange(-M, M + 1)
         wm = w[np.abs(ms)]
@@ -219,22 +222,16 @@ def odd_circle_density_wrapped(
         step = max(1, 2**14 // (2 * M + 1))
         for i in range(0, th.size, step):
             xs = th[i : i + step, None] + TWO_PI * ms[None, :]
-            vals = s * sps.airy(s * xs)[0]
-            out[i : i + step] = vals @ wm
+            out[i : i + step] = line_density_third(xs, t) @ wm
     else:
-        params = OrderParams.odd(n)
+        p = 2 * n + 1
         M = _budget_shells(n, t) if shells is None else int(shells)
         w = _taper_weights(M)
         out = np.empty(th.shape)
         for j, th_j in enumerate(th):
             tot = 0.0
             for m in range(-M, M + 1):
-                x = th_j + TWO_PI * m
-                if x == 0.0:
-                    u = line_density_odd_at_zero(params, t)
-                else:
-                    u = line_density_odd_gamma(params, x, t, tol)
-                tot += w[abs(m)] * u
+                tot += w[abs(m)] * line_density_gamma(p, th_j + TWO_PI * m, t, tol)
             out[j] = tot
     return float(out[0]) if scalar else out
 
@@ -255,7 +252,8 @@ def odd_circle_density_routes(
 
 def min_value(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """v_{2n}(pi, t) = 1/(2 pi) + (1/pi) sum_k (-1)^k e^{-k^{2n} t}."""
-    if t <= 0.0:
+    _check_n(n)
+    if not t > 0.0:
         raise DomainError("t must be positive")
     total = 1.0 / TWO_PI
     sign = -1.0

@@ -1,8 +1,9 @@
-"""Special functions used by every law in the package.
+"""Special functions and the shared accuracy request.
 
-Mittag-Leffler E_nu on its completely monotone branch, the Airy function
-Ai via a damped contour integral, and the generalized gamma density/tail
-behind the probabilistic representations of the line solutions.
+Tolerance, the accuracy request every law takes, and the Mittag-Leffler
+function E_nu on its completely monotone branch behind the
+time-fractional laws. The line solutions take Ai from scipy.special and
+inline the generalized gamma density they integrate against.
 """
 
 from __future__ import annotations
@@ -19,14 +20,9 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "Tolerance",
-    "GenGammaParams",
     "DEFAULT_TOL",
     "mittag_leffler",
     "mittag_leffler_many",
-    "airy_ai",
-    "gen_gamma_density",
-    "gen_gamma_tail",
-    "gen_gamma_mean",
 ]
 
 
@@ -45,24 +41,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-
-@dataclass(frozen=True)
-class GenGammaParams:
-    """Generalized gamma parameters: shape exponent gamma, rate scale_t.
-
-    Density is gamma * x**(gamma-1) * scale_t * exp(-x**gamma * scale_t)
-    for x >= 0; the tail is exp(-k**gamma * scale_t).
-    """
-
-    gamma: float
-    scale_t: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise DomainError("gamma must be positive")
-        if not self.scale_t > 0:
-            raise DomainError("scale_t must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -260,95 +238,3 @@ def mittag_leffler_many(nu: float, xs, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     if shallow.any():
         out[shallow] = [mittag_leffler(nu, -float(v), tol) for v in y[shallow]]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Airy Ai
-# ---------------------------------------------------------------------------
-
-
-def airy_ai(x: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Ai(x) by a damped rotated-contour integral.
-
-    Rotating the raw oscillatory cosine representation onto the ray
-    arg(s) = pi/6 yields
-
-        Ai(x) = (1/pi) int_0^inf exp(-s^3/3 - s x/2)
-                                 * cos(pi/6 + (sqrt(3)/2) s x) ds,
-
-    whose integrand decays like exp(-s^3/3) for every real x. For x < 0
-    the integrand peaks at s* = sqrt(|x|/2) with height
-    exp((2/3)(|x|/2)^(3/2)); that roundoff enters the error model, and
-    the call refuses when the model exceeds tol (machine accuracy is
-    available for |x| <= 15, comfortably covering the supported range).
-    """
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
-    half = 0.5 * x
-    osc = (math.sqrt(3.0) / 2.0) * x
-    phase = math.pi / 6.0
-
-    def f(s):
-        return math.exp(-s * s * s / 3.0 - s * half) * math.cos(phase + osc * s)
-
-    if x < 0.0:
-        s_star = math.sqrt(-half)
-        peak = math.exp((2.0 / 3.0) * (-half) * s_star)
-        upper = s_star + 12.0
-        pts = [s_star]
-    else:
-        peak = 1.0
-        upper = 12.0
-        pts = None
-    with warnings.catch_warnings():
-        # roundoff detection is what the peak*eps model is for; abserr is still checked
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, quad_err = integrate.quad(
-            f, 0.0, upper, points=pts,
-            epsabs=min(1e-14, tol.abs_tol * 0.05), epsrel=1e-13, limit=500,
-        )
-    err = max(quad_err, peak * 5e-16) / math.pi
-    if err > tol.abs_tol:
-        raise ConvergenceError(
-            f"airy_ai({x:g}): error model {err:.2e} exceeds tol {tol.abs_tol:.2e}"
-        )
-    return val / math.pi
-
-
-# ---------------------------------------------------------------------------
-# Generalized gamma
-# ---------------------------------------------------------------------------
-
-
-def gen_gamma_density(p: GenGammaParams, x: float) -> float:
-    """Density gamma x^(gamma-1) t exp(-x^gamma t) at x >= 0."""
-    if x < 0.0:
-        raise DomainError("x must be nonnegative")
-    g, t = p.gamma, p.scale_t
-    if x == 0.0:
-        if g > 1.0:
-            return 0.0
-        return t if g == 1.0 else math.inf
-    try:
-        ex = (x**g) * t
-    except OverflowError:
-        return 0.0
-    if ex > 700.0:
-        return 0.0
-    return g * x ** (g - 1.0) * t * math.exp(-ex)
-
-
-def gen_gamma_tail(p: GenGammaParams, k: float) -> float:
-    """P(G > k) = exp(-k^gamma t)."""
-    if k < 0.0:
-        raise DomainError("k must be nonnegative")
-    try:
-        ex = (k**p.gamma) * p.scale_t
-    except OverflowError:
-        return 0.0
-    return math.exp(-ex) if ex <= 700.0 else 0.0
-
-
-def gen_gamma_mean(p: GenGammaParams) -> float:
-    """E G = Gamma(1 + 1/gamma) t^(-1/gamma)."""
-    return math.gamma(1.0 + 1.0 / p.gamma) * p.scale_t ** (-1.0 / p.gamma)

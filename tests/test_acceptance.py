@@ -32,6 +32,18 @@ PINNED = {
     13: {"13": 1.0, "D1": 1e-4},
 }
 
+# what the seeded Monte Carlo rows measure at SEED: a change of draw count,
+# stream or parameter in one of them shows up as a change of its pin here.
+# Deterministic rows stay unpinned, since roundoff moves their tiny
+# measurements by whole factors.
+MEASURED = {
+    "7a": 0.004242751677601575,
+    "7b": 0.0022061008364030466,
+    "7c": 0.003511242342841059,
+    "7d": 0.003495430247382275,
+    "9a": 1.1682897647087938,
+}
+
 
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
@@ -62,10 +74,13 @@ def groups(rows):
 
 
 def check(rows, test):
-    """The rows of one test passed, each at its pinned threshold."""
+    """The rows of one test passed, each at its pinned threshold, and the
+    seeded rows measured their pinned values."""
     for cid, threshold in PINNED[test].items():
         assert rows[cid]["threshold"] == threshold, cid
         assert rows[cid]["passed"] is True, cid
+        if cid in MEASURED:
+            assert rows[cid]["measured"] == pytest.approx(MEASURED[cid], rel=1e-9), cid
 
 
 def test_criterion_01_kernel_series_equals_closed_form(rows):

@@ -7,13 +7,20 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from circlaw import ConvergenceError, DomainError, Tolerance
+import circlaw.line
+from circlaw import (
+    ConvergenceError,
+    DomainError,
+    bm_density_wrapped,
+    even_circle_density_wrapped,
+    even_circle_law,
+    min_value,
+    odd_circle_density_wrapped,
+)
 from circlaw.line import (
-    OrderParams,
+    _rotation,
     line_density_even,
-    line_density_even_gamma,
-    line_density_odd_at_zero,
-    line_density_odd_gamma,
+    line_density_gamma,
     line_density_third,
     skew_cauchy_density,
 )
@@ -25,48 +32,49 @@ def gaussian_kernel(x, t):
 
 
 class TestOrderParams:
+    """The order p is the line layer's only parameter; it fixes the rotation pair."""
+
     def test_even_constants(self):
-        p = OrderParams.even(2)
-        assert p.order == 4 and p.parity == "even"
-        assert p.c == -1.0  # (-1)^(n+1), n=2
-        assert p.a is None and p.b is None
+        # even orders carry no rotation: (a, b) = (1, 0)
+        assert _rotation(4) == (1.0, 0.0)
 
     def test_odd_constants(self):
-        p = OrderParams.odd(1)
-        assert p.order == 3 and p.c == -1.0
-        assert p.a == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-15)
-        assert p.b == pytest.approx(0.5, abs=1e-15)
-        assert p.a**2 + p.b**2 == pytest.approx(1.0, abs=1e-15)
+        a, b = _rotation(3)
+        assert a == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-15)
+        assert b == pytest.approx(0.5, abs=1e-15)
+        assert a**2 + b**2 == pytest.approx(1.0, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            OrderParams.even(0)
+            line_density_even(0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            OrderParams.odd(0)
+            line_density_gamma(1, 0.5, 1.0)
+        with pytest.raises(DomainError):
+            skew_cauchy_density(0, 0.0, 1.0)
 
 
 class TestLineDensityEven:
     def test_gaussian_at_origin(self):
         # 1/(2 sqrt(pi))
-        val = line_density_even(OrderParams.even(1), 0.0, 1.0)
+        val = line_density_even(1, 0.0, 1.0)
         assert val == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-12)
         assert val == pytest.approx(0.28209479, abs=1e-8)
 
     @pytest.mark.parametrize("x", [-3.0, -0.7, 0.0, 0.4, 1.0, 2.5])
     @pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
     def test_matches_gaussian_closed_form(self, x, t):
-        val = line_density_even(OrderParams.even(1), x, t)
+        val = line_density_even(1, x, t)
         assert val == pytest.approx(gaussian_kernel(x, t), abs=1e-12)
 
     def test_fourth_order_at_origin(self):
         # (1/pi) int e^{-xi^4} dxi = Gamma(5/4)/pi = 0.288516869...
-        val = line_density_even(OrderParams.even(2), 0.0, 1.0)
+        val = line_density_even(2, 0.0, 1.0)
         assert val == pytest.approx(math.gamma(1.25) / math.pi, abs=1e-12)
         assert val == pytest.approx(0.28851687, abs=1e-8)
 
     def test_fourth_order_sign_varying(self):
         # first sign change sits near x ~ 3.4 for t = 1
-        val = line_density_even(OrderParams.even(2), 4.0, 1.0)
+        val = line_density_even(2, 4.0, 1.0)
         assert val < 0.0
         oracle, _ = integrate.quad(
             lambda xi: math.cos(4.0 * xi) * math.exp(-(xi**4)), 0.0, 10.0, limit=200
@@ -74,73 +82,84 @@ class TestLineDensityEven:
         assert val == pytest.approx(oracle / math.pi, abs=1e-10)
 
     def test_symmetry(self):
-        p = OrderParams.even(3)
         for x in (0.3, 1.1, 2.0):
-            assert line_density_even(p, x, 1.0) == pytest.approx(
-                line_density_even(p, -x, 1.0), abs=1e-14
+            assert line_density_even(3, x, 1.0) == pytest.approx(
+                line_density_even(3, -x, 1.0), abs=1e-14
             )
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_unit_mass(self, n, t):
-        p = OrderParams.even(n)
         mass, _ = integrate.quad(
-            lambda x: line_density_even(p, x, t), -40.0, 40.0, limit=400
+            lambda x: line_density_even(n, x, t), -40.0, 40.0, limit=400
         )
         # finite-window mass oscillates around 1 for the sign-varying orders
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_heat_equation_residual(self):
         # n=1: d/dt u - d^2/dx^2 u = 0 by central differences at (0.3, 1)
-        p = OrderParams.even(1)
+        n = 1
         x, t, h = 0.3, 1.0, 1e-4
-        du_dt = (line_density_even(p, x, t + h) - line_density_even(p, x, t - h)) / (2 * h)
+        du_dt = (line_density_even(n, x, t + h) - line_density_even(n, x, t - h)) / (2 * h)
         d2u_dx2 = (
-            line_density_even(p, x + h, t)
-            - 2 * line_density_even(p, x, t)
-            + line_density_even(p, x - h, t)
+            line_density_even(n, x + h, t)
+            - 2 * line_density_even(n, x, t)
+            + line_density_even(n, x - h, t)
         ) / (h * h)
         assert du_dt - d2u_dx2 == pytest.approx(0.0, abs=1e-5)
 
     def test_t_floor(self):
         with pytest.raises(ConvergenceError):
-            line_density_even(OrderParams.even(1), 0.0, 1e-8)
+            line_density_even(1, 0.0, 1e-8)
 
     def test_rejects_odd_params(self):
+        # n indexes the order 2n, so it must be a positive integer
         with pytest.raises(DomainError):
-            line_density_even(OrderParams.odd(1), 0.0, 1.0)
+            line_density_even(1.5, 0.0, 1.0)
+
+    def test_quadrature_error_enforced(self, monkeypatch):
+        class LooseQuad:
+            @staticmethod
+            def quad(f, a, b, epsabs, **kwargs):
+                return 0.25, 2.0 * epsabs
+
+        monkeypatch.setattr(circlaw.line, "integrate", LooseQuad)
+        for x in (0.0, 1.0):
+            with pytest.raises(ConvergenceError, match="quadrature error"):
+                line_density_even(2, x, 1.0)
 
 
 class TestLineDensityEvenGamma:
+    """The gamma route at even order p = 2n, against the cosine transform."""
+
     def test_route_equivalence_gaussian(self):
-        p = OrderParams.even(1)
-        assert line_density_even_gamma(p, 1.0, 1.0) == pytest.approx(
-            line_density_even(p, 1.0, 1.0), abs=1e-7
+        assert line_density_gamma(2, 1.0, 1.0) == pytest.approx(
+            line_density_even(1, 1.0, 1.0), abs=1e-7
         )
 
     def test_sign_symmetric(self):
-        p = OrderParams.even(2)
-        assert line_density_even_gamma(p, -1.3, 1.0) == pytest.approx(
-            line_density_even_gamma(p, 1.3, 1.0), abs=1e-14
+        assert line_density_gamma(4, -1.3, 1.0) == pytest.approx(
+            line_density_gamma(4, 1.3, 1.0), abs=1e-14
         )
 
     @pytest.mark.parametrize("x", [0.25, 0.5, 1.0, 2.0, 3.5])
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_route_equivalence_grid(self, x, t):
-        p = OrderParams.even(2)
-        assert line_density_even_gamma(p, x, t) == pytest.approx(
-            line_density_even(p, x, t), abs=1e-7
+        assert line_density_gamma(4, x, t) == pytest.approx(
+            line_density_even(2, x, t), abs=1e-7
         )
 
     def test_specific_point(self):
-        p = OrderParams.even(2)
-        assert line_density_even_gamma(p, 0.5, 2.0) == pytest.approx(
-            line_density_even(p, 0.5, 2.0), abs=1e-7
+        assert line_density_gamma(4, 0.5, 2.0) == pytest.approx(
+            line_density_even(2, 0.5, 2.0), abs=1e-7
         )
 
     def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            line_density_even_gamma(OrderParams.even(1), 0.0, 1.0)
+        # x = 0 is not refused as a 0/0: it is the limit Gamma(1 + 1/p) t^(-1/p) / pi
+        for n, t in ((1, 1.0), (2, 0.7)):
+            assert line_density_gamma(2 * n, 0.0, t) == pytest.approx(
+                line_density_even(n, 0.0, t), abs=1e-12
+            )
 
 
 class TestLineDensityThird:
@@ -158,10 +177,8 @@ class TestLineDensityThird:
     def test_mass_window_regression(self):
         # The [-30, 30] window misses the oscillatory left tail (envelope
         # ~ |x|^(-1/4)); the window mass is a frozen regression value, not 1.
-        # Loose tol: the contour roundoff model near x = -30 is ~1e-6.
-        loose = Tolerance(abs_tol=1e-4)
         mass, _ = integrate.quad(
-            lambda x: line_density_third(x, 1.0, loose), -30.0, 30.0, limit=800
+            lambda x: line_density_third(x, 1.0), -30.0, 30.0, limit=800
         )
         assert mass == pytest.approx(0.9784810678, abs=1e-6)
 
@@ -169,12 +186,9 @@ class TestLineDensityThird:
     def test_mass_approaches_one_in_larger_windows(self):
         # window masses oscillate around 1; the honest decay statement is
         # about the per-lobe envelope, so compare max deficits over a full
-        # oscillation near each cutoff. Wider windows need the reference
-        # evaluator (ours refuses past x ~ -32, where float64 cancellation
-        # exceeds any useful tol).
-        loose = Tolerance(abs_tol=1e-4)
+        # oscillation near each cutoff; mpmath closes the windows past -30.
         m30, _ = integrate.quad(
-            lambda x: line_density_third(x, 1.0, loose), -30.0, 30.0, limit=800
+            lambda x: line_density_third(x, 1.0), -30.0, 30.0, limit=800
         )
         s = (3.0) ** (-1.0 / 3.0)
         f = lambda x: s * mp.airyai(x * s)
@@ -199,65 +213,107 @@ class TestLineDensityOddGamma:
     @pytest.mark.parametrize("x", [-3.0, -1.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_matches_airy_route(self, x, t):
-        val = line_density_odd_gamma(OrderParams.odd(1), x, t)
+        val = line_density_gamma(3, x, t)
         assert val == pytest.approx(line_density_third(x, t), abs=1e-6)
 
     def test_asymmetric(self):
-        p = OrderParams.odd(1)
-        plus = line_density_odd_gamma(p, 1.0, 1.0)
-        minus = line_density_odd_gamma(p, -1.0, 1.0)
+        plus = line_density_gamma(3, 1.0, 1.0)
+        minus = line_density_gamma(3, -1.0, 1.0)
         assert abs(plus - minus) > 1e-3
 
     def test_asymmetry_decreases_with_order(self):
         gaps = []
         for n in (1, 2, 5, 10):
-            p = OrderParams.odd(n)
-            gaps.append(
-                abs(
-                    line_density_odd_gamma(p, 0.7, 1.0)
-                    - line_density_odd_gamma(p, -0.7, 1.0)
-                )
-            )
+            p = 2 * n + 1
+            gaps.append(abs(line_density_gamma(p, 0.7, 1.0) - line_density_gamma(p, -0.7, 1.0)))
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
 
     def test_cancellation_budget(self):
         with pytest.raises(ConvergenceError):
-            line_density_odd_gamma(OrderParams.odd(1), -75.0, 1.0)
+            line_density_gamma(3, -75.0, 1.0)
 
     def test_zero_limit_value(self):
         # x -> 0 limit equals a_n Gamma(1 + 1/(2n+1)) t^(-1/(2n+1)) / pi
-        p = OrderParams.odd(1)
-        lim = line_density_odd_at_zero(p, 1.0)
-        target = p.a * math.gamma(1.0 + 1.0 / 3.0) / math.pi
+        a, _ = _rotation(3)
+        lim = line_density_gamma(3, 0.0, 1.0)
+        target = a * math.gamma(1.0 + 1.0 / 3.0) / math.pi
         assert lim == pytest.approx(target, abs=1e-14)
-        assert line_density_odd_gamma(p, 1e-5, 1.0) == pytest.approx(lim, abs=1e-4)
+        assert line_density_gamma(3, 1e-5, 1.0) == pytest.approx(lim, abs=1e-4)
 
     def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            line_density_odd_gamma(OrderParams.odd(1), 0.0, 1.0)
+        # x = 0 is not refused as a 0/0: it is the limit, continuous from both sides
+        lim = line_density_gamma(5, 0.0, 0.7)
+        for x in (-1e-6, 1e-6):
+            assert line_density_gamma(5, x, 0.7) == pytest.approx(lim, abs=1e-5)
 
 
 class TestSkewCauchy:
     def test_mode_value(self):
-        p = OrderParams.odd(1)
+        a, b = _rotation(3)
         t = 1.3
-        assert skew_cauchy_density(p, -t * p.b, t) == pytest.approx(
-            1.0 / (math.pi * t * p.a), abs=1e-14
+        assert skew_cauchy_density(1, -t * b, t) == pytest.approx(
+            1.0 / (math.pi * t * a), abs=1e-14
         )
 
     def test_value_at_origin(self):
         # sqrt(3)/(2 pi) for n=1, t=1
-        val = skew_cauchy_density(OrderParams.odd(1), 0.0, 1.0)
+        val = skew_cauchy_density(1, 0.0, 1.0)
         assert val == pytest.approx(math.sqrt(3.0) / (2.0 * math.pi), abs=1e-14)
         assert val == pytest.approx(0.27566444, abs=1e-8)
 
     def test_unit_mass(self):
-        p = OrderParams.odd(2)
         mass, _ = integrate.quad(
-            lambda x: skew_cauchy_density(p, x, 0.7), -np.inf, np.inf
+            lambda x: skew_cauchy_density(2, x, 0.7), -np.inf, np.inf
         )
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_even(self):
+        # n indexes the odd order 2n + 1; a half-integer n would name an even one
         with pytest.raises(DomainError):
-            skew_cauchy_density(OrderParams.even(1), 0.0, 1.0)
+            skew_cauchy_density(0.5, 0.0, 1.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: line_density_even(1, NAN, 1.0),
+        lambda: line_density_even(1, INF, 1.0),
+        lambda: line_density_even(2.5, 0.3, 1.0),
+        lambda: line_density_gamma(3, INF, 1.0),
+        lambda: line_density_gamma(3, 1.0, INF),
+        lambda: line_density_gamma(3, 1.0, NAN),
+        lambda: line_density_gamma(4, 1.0, INF),
+        lambda: line_density_gamma(4, 1.0, NAN),
+        lambda: line_density_gamma(3, 0.0, NAN),
+        lambda: skew_cauchy_density(1, 0.0, INF),
+        lambda: skew_cauchy_density(1, 0.0, NAN),
+        lambda: skew_cauchy_density(1, NAN, 1.0),
+        lambda: even_circle_density_wrapped(2, NAN, 1.0),
+        lambda: even_circle_density_wrapped(2, INF, 1.0),
+        lambda: odd_circle_density_wrapped(1, NAN, 1.0),
+        lambda: odd_circle_density_wrapped(2, NAN, 1.0),
+        lambda: even_circle_law(2, NAN),
+        lambda: min_value(2, NAN),
+        lambda: bm_density_wrapped(1.0, INF),
+    ],
+    ids=[
+        "even-x-nan", "even-x-inf", "even-n-2.5",
+        "gamma-x-inf", "gamma-t-inf", "gamma-t-nan", "gamma-even-t-inf", "gamma-even-t-nan",
+        "gamma-zero-t-nan", "skew-t-inf", "skew-t-nan", "skew-x-nan",
+        "even-wrapped-theta-nan", "even-wrapped-theta-inf", "odd-wrapped-n1-theta-nan",
+        "odd-wrapped-n2-theta-nan", "even-law-t-nan", "min-value-t-nan", "bm-wrapped-t-inf",
+    ],
+)
+def test_refuses_bad_arguments(call):
+    """x and theta finite, 0 < t < inf on the line and wrapped routes, n a positive integer."""
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_series_laws_keep_the_uniform_limit():
+    # series laws refuse NaN but take t = inf as the uniform law
+    assert even_circle_law(2, INF).density(1.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
+    assert min_value(2, INF) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
