@@ -16,9 +16,9 @@ import numpy as np
 from scipy import special as sp
 from scipy.optimize import brentq
 
-from .errors import ConvergenceError, DomainError, RouteDivergenceWarning
+from .errors import ConvergenceError, DomainError, RouteDivergenceWarning, _check_finite
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law
-from .line import _check_finite, _check_t
+from .line import _check_t
 from .special import DEFAULT_TOL
 
 __all__ = [

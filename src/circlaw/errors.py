@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+finiteness check behind DomainError."""
+
+import math
+
+import numpy as np
 
 
 class CirclawError(Exception):
@@ -7,6 +12,15 @@ class CirclawError(Exception):
 
 class DomainError(CirclawError, ValueError):
     """Argument outside the mathematical domain of an operation."""
+
+
+def _check_finite(v, name: str = "x") -> None:
+    """Refuse NaN and infinite arguments (scalar or array) with DomainError."""
+    # math.isfinite for scalars: numpy's per-call overhead is several
+    # percent of one line quadrature
+    finite = math.isfinite(v) if isinstance(v, (float, int)) else np.all(np.isfinite(v))
+    if not finite:
+        raise DomainError(f"{name} must be finite")
 
 
 class ConvergenceError(CirclawError, ArithmeticError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SignedLawError
+from .errors import ConvergenceError, DomainError, SignedLawError, _check_finite
 from .special import Tolerance
 
 TWO_PI = 2.0 * math.pi
@@ -132,11 +132,13 @@ class HarmonicLaw:
 
     def density(self, theta):
         """Evaluate the truncated series at theta (scalar or array), 2pi-periodic."""
+        _check_finite(theta, "theta")
         out = _trig_sum(self.a0, self.cos_coeffs, self.sin_coeffs, theta)
         return float(out[0]) if np.isscalar(theta) else out
 
     def cdf(self, theta):
         """Termwise antiderivative on [0, 2 pi]: a0 th + sum [a_k sin k th + b_k (1-cos k th)]/k."""
+        _check_finite(theta, "theta")
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         if np.any(th < -1e-9) or np.any(th > TWO_PI + 1e-9):
             raise DomainError("cdf argument must lie in [0, 2 pi]")

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, DomainGapError
+from .errors import DomainError, DomainGapError, _check_finite
 from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff
 from .line import _check_n, _check_t, _rotation, skew_cauchy_density
 from .special import DEFAULT_TOL, Tolerance
@@ -46,6 +46,7 @@ def _ab(n) -> tuple[float, float]:
 
 
 def _as_angles(theta):
+    _check_finite(theta, "theta")
     th = np.asarray(theta, dtype=float)
     if np.any(th < -1e-9) or np.any(th > TWO_PI + 1e-9):
         raise DomainError("theta must lie in [0, 2 pi]")
@@ -84,6 +85,7 @@ def _poisson_kernel(rate: float, phi):
     Dividing through by 1 - q keeps the peak (1 + q)/(2 pi (1 - q)) and
     every other value finite down to rate ~ 1e-307.
     """
+    _check_finite(phi, "theta")
     q = math.exp(-rate)
     one_minus_q = -math.expm1(-rate)
     s = np.sin(np.asarray(phi, dtype=float) / 2.0)

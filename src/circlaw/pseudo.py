@@ -22,17 +22,15 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, MinimumLocationWarning
+from .errors import ConvergenceError, DomainError, MinimumLocationWarning, _check_finite
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .line import (
     _CANCEL_BUDGET,
-    _check_finite,
     _check_n,
     _check_t,
     _rotation,
     line_density_even,
-    line_density_gamma,
-    line_density_third,
+    line_density_odd,
 )
 from .special import DEFAULT_TOL, Tolerance
 
@@ -173,7 +171,9 @@ def _abel_value(n: int, theta: float, t: float) -> float:
 
 
 def _budget_shells(n: int, t: float) -> int:
-    """Left shell count the probabilistic route can certify in float64."""
+    """Shell count of the n >= 2 window: where the gamma route's peak exponent
+    reaches _CANCEL_BUDGET. The contour kernel is not bound by it; the
+    window is kept so that the law's values stay those of this scheme."""
     g = 2 * n + 1
     _, b = _rotation(g)
     bx = (_CANCEL_BUDGET * g / (g - 1)) ** ((g - 1) / g) * (g * t) ** (1.0 / g)
@@ -191,8 +191,12 @@ def odd_circle_density_wrapped(
     Ai(-z) ~ z^{-1/4}) and never becomes absolutely summable, so a
     raw shell sum random-walks. A smooth (flat + Hann) taper suppresses
     the window boundary to second order; projections of the tapered sum
-    converge, pointwise values remain scheme-dependent. Scalar theta in,
-    scalar out; for n = 1 an array goes through vectorized Airy sweeps.
+    converge, pointwise values remain scheme-dependent. The window has
+    M = 6144 shells at n = 1 and _budget_shells(n, t) at n >= 2. Scalar
+    theta in, scalar out; an array is evaluated in blocks of angles, each
+    angle reduced on its own, so a grid value equals the scalar call's
+    bit for bit. Every shell value comes from line_density_odd within
+    tol / sum_m w_m, so the quadrature error of the sum is at most tol.
 
     For n = 1 the mode-1 projection comes from the stationary point
     x = -3t of the Airy tail, so t must keep 3t inside the taper's flat
@@ -212,27 +216,21 @@ def odd_circle_density_wrapped(
                 f"t = {t:g} moves the mode-1 stationary point 3t out of the flat "
                 f"core of {M} shells; pass shells >= {math.ceil(t / (0.3 * math.pi))}"
             )
-        w = _taper_weights(M)
-        ms = np.arange(-M, M + 1)
-        wm = w[np.abs(ms)]
-        # chunk over theta so each work array keeps to 2^14 entries (128 KiB,
-        # one angle at the default M); the Airy calls set the cost, so
-        # larger blocks only add memory
-        out = np.empty(th.shape)
-        step = max(1, 2**14 // (2 * M + 1))
-        for i in range(0, th.size, step):
-            xs = th[i : i + step, None] + TWO_PI * ms[None, :]
-            out[i : i + step] = line_density_third(xs, t) @ wm
     else:
-        p = 2 * n + 1
         M = _budget_shells(n, t) if shells is None else int(shells)
-        w = _taper_weights(M)
-        out = np.empty(th.shape)
-        for j, th_j in enumerate(th):
-            tot = 0.0
-            for m in range(-M, M + 1):
-                tot += w[abs(m)] * line_density_gamma(p, th_j + TWO_PI * m, t, tol)
-            out[j] = tot
+    w = _taper_weights(M)
+    ms = np.arange(-M, M + 1)
+    wm = w[np.abs(ms)]
+    shell_tol = Tolerance(tol.abs_tol / float(wm.sum()), tol.max_terms)
+    # blocks of angles keep each work array to 2^14 entries (one angle at
+    # the n = 1 default); the line kernel sets the cost, so larger blocks
+    # only add memory. Each row is summed on its own (numpy's pairwise sum,
+    # not a threaded BLAS product), so a value never depends on its block
+    out = np.empty(th.shape)
+    step = max(1, 2**14 // (2 * M + 1))
+    for i in range(0, th.size, step):
+        rows = line_density_odd(n, th[i : i + step, None] + TWO_PI * ms, t, shell_tol)
+        out[i : i + step] = (rows * wm).sum(axis=1)
     return float(out[0]) if scalar else out
 
 

@@ -190,6 +190,8 @@ def mittag_leffler(nu: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
+    if math.isnan(x):
+        raise DomainError("x must not be NaN")
     if x > 0.0:
         raise DomainError("only the x <= 0 branch is supported")
     if x == 0.0:
@@ -220,6 +222,8 @@ def mittag_leffler_many(nu: float, xs, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
+    if np.any(np.isnan(xs)):
+        raise DomainError("x must not be NaN")
     if np.any(xs > 0.0):
         raise DomainError("only the x <= 0 branch is supported")
     if nu == 1.0:

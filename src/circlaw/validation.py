@@ -31,6 +31,7 @@ from .fractional import (
     time_fractional_law,
     wrapped_stable_density,
 )
+from .errors import ConvergenceError
 from .harmonic import TWO_PI, fourier_coeffs
 from .kernels import (
     even_kernel_cdf,
@@ -223,14 +224,22 @@ def _c8a(run):
     return worst
 
 
+# 8b's threshold; its reference quadrature must stay clear of it
+_C8B_THRESHOLD = 1e-8
+
+
 def _c8b(run):
     worst = 0.0
     for n in (1, 3):
         for t in (0.5, 1.0):
-            ref, _ = integrate.quad(
+            ref, err = integrate.quad(
                 lambda th: odd_kernel_density(n, th, t), 0.0, math.pi,
                 limit=200, epsabs=1e-12,
             )
+            if err >= _C8B_THRESHOLD:
+                raise ConvergenceError(
+                    f"8b reference quadrature error {err:.1e} reaches the threshold"
+                )
             worst = max(worst, abs(odd_half_circle_prob(n, t) - ref))
     return worst
 
@@ -387,7 +396,7 @@ _CRITERIA = (
     ("8a", "kernels", "even quadrant probability equals the CDF difference",
      1e-12, lt, _c8a),
     ("8b", "kernels", "odd half-circle probability equals kernel quadrature",
-     1e-8, lt, _c8b),
+     _C8B_THRESHOLD, lt, _c8b),
     ("8c", "kernels", "the three quadrant-probability expressions agree mutually",
      1e-10, lt, _c8c),
     ("9a", "brownian", "max-distance CDF vs double-barrier Monte Carlo (z-score)",

@@ -163,6 +163,14 @@ class TestCurveCommands:
         rows = parse_csv(out)
         assert np.array_equal(rows[:, 1], odd_circle_density_wrapped(1, rows[:, 0], 1.0))
 
+    def test_higher_odd_order_rows_are_certified(self, capsys):
+        # every shell value comes from the certified contour kernel: no
+        # quadrature warning, and the rows are the wrapped route's values
+        code, out, err = run(capsys, "density", "--law", "odd", "--n", "2", "--t", "1", "--grid", "64")
+        assert code == 0 and err == ""
+        rows = parse_csv(out)
+        assert np.array_equal(rows[:, 1], odd_circle_density_wrapped(2, rows[:, 0], 1.0))
+
     def test_odd_cdf_refused(self, capsys):
         code, _, err = run(capsys, "cdf", "--law", "odd", "--t", "1")
         assert code == 3 and "CDF" in err

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import circlaw
 from circlaw import (
     ConvergenceError,
     DomainError,
@@ -364,3 +365,32 @@ class TestTruncationPins:
         monkeypatch.setattr(fractional, "cosine_law", spy)
         space_time_fractional_cdf(0.5, 0.5, 1.0, 1.0, Tolerance(abs_tol=1e-4))
         assert built[0].n_terms == 3990
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: circlaw.even_kernel_density(NAN, 1.0),
+        lambda: circlaw.even_kernel_density(np.array([0.5, NAN]), 1.0),
+        lambda: circlaw.odd_kernel_density(1, NAN, 1.0),
+        lambda: circlaw.even_circle_density(2, NAN, 1.0),
+        lambda: circlaw.space_fractional_density(0.5, NAN, 1.0),
+        lambda: circlaw.wrapped_stable_density(0.5, NAN, 1.0),
+        lambda: even_circle_law(1, 1.0).cdf(NAN),
+        lambda: circlaw.even_kernel_cdf(NAN, 1.0),
+        lambda: circlaw.mittag_leffler(0.5, NAN),
+        lambda: circlaw.mittag_leffler_many(0.5, [NAN, -1.0]),
+    ],
+    ids=[
+        "kernel-even", "kernel-even-array", "kernel-odd", "even-circle", "space-fractional",
+        "wrapped-stable", "series-cdf", "kernel-even-cdf", "mittag-leffler",
+        "mittag-leffler-many",
+    ],
+)
+def test_refuses_nan_arguments(call):
+    """A NaN angle or Mittag-Leffler argument is a DomainError, never a NaN value."""
+    with pytest.raises(DomainError):
+        call()

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special as sps
 
 import circlaw.line
 from circlaw import (
@@ -21,9 +22,12 @@ from circlaw.line import (
     _rotation,
     line_density_even,
     line_density_gamma,
+    line_density_odd,
     line_density_third,
     skew_cauchy_density,
 )
+from circlaw.pseudo import _budget_shells
+from circlaw.special import DEFAULT_TOL, Tolerance
 
 
 def gaussian_kernel(x, t):
@@ -186,21 +190,64 @@ class TestLineDensityThird:
     def test_mass_approaches_one_in_larger_windows(self):
         # window masses oscillate around 1; the honest decay statement is
         # about the per-lobe envelope, so compare max deficits over a full
-        # oscillation near each cutoff; mpmath closes the windows past -30.
+        # oscillation near each cutoff. The closed-form Airy integral gives
+        # the mass of [cut, 30]; one mpmath tail patch below -30 ties it to
+        # the quadrature of line_density_third.
+        s = (3.0) ** (-1.0 / 3.0)
+
+        def window_mass(cut):
+            # int_cut^30 s Ai(s x) dx = int_0^{30 s} Ai + int_0^{-cut s} Ai(-y) dy
+            return sps.itairy(30.0 * s)[0] + sps.itairy(-cut * s)[2]
+
         m30, _ = integrate.quad(
             lambda x: line_density_third(x, 1.0), -30.0, 30.0, limit=800
         )
-        s = (3.0) ** (-1.0 / 3.0)
-        f = lambda x: s * mp.airyai(x * s)
+        patch = float(mp.quad(lambda x: s * mp.airyai(x * s), [-34.0, -30.0]))
+        assert window_mass(-34.0) == pytest.approx(m30 + patch, abs=1e-10)
 
         def deficit(cut):
-            # mass of [cut, 30] via the oracle tail patch below -30
-            return abs(m30 + float(mp.quad(f, [cut, -30.0])) - 1.0)
+            return abs(window_mass(cut) - 1.0)
 
         near = max(deficit(c) for c in np.linspace(-34.0, -30.0, 9))
         far = max(deficit(c) for c in np.linspace(-64.0, -60.0, 9))
         assert far < near
         assert far < 0.04
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_far_field_against_mpmath(self, t):
+        # past the switch point the expansion of Ai(-z) is exact to 2^-53 of
+        # the envelope s/(sqrt(pi) z^{1/4}); the float phase zeta adds at
+        # most 4 eps zeta of it. The oracle takes the same float argument.
+        s = (3.0 * t) ** (-1.0 / 3.0)
+        eps = np.finfo(float).eps
+        mp.mp.dps = 40
+        for x in -np.geomspace(1.0001 * circlaw.line._AIRY_SWITCH / s, 4e4, 17):
+            z = -(x * s)
+            zeta = 2.0 * z**1.5 / 3.0
+            envelope = s / (math.sqrt(math.pi) * z**0.25)
+            target = s * float(mp.airyai(-mp.mpf(z)))
+            err = abs(line_density_third(x, t) - target)
+            assert err <= envelope * (2.0**-53 + 4.0 * eps * (zeta + 1.0))
+
+    def test_switch_points_from_their_bounds(self):
+        z0 = circlaw.line._AIRY_SWITCH
+        assert circlaw.line._airy_remainder(z0) <= 2.0**-53
+        assert circlaw.line._airy_remainder(0.999 * z0) > 2.0**-53
+        # continuous across the switch: expansion and scipy's Airy meet there
+        for z in (np.nextafter(z0, 0.0), z0, np.nextafter(z0, 20.0)):
+            expansion = circlaw.line._airy_oscillating(np.array([z]))[0]
+            assert expansion == pytest.approx(sps.airy(-z)[0], abs=1e-15)
+        # the line density on both sides of the switch stays on the oracle
+        s = 3.0 ** (-1.0 / 3.0)
+        mp.mp.dps = 30
+        x0 = -z0 / s
+        for x in (x0 * (1.0 + 1e-9), np.nextafter(x0, -20.0), x0, np.nextafter(x0, 0.0), x0 * (1.0 - 1e-9)):
+            target = s * float(mp.airyai(mp.mpf(x * s)))
+            assert line_density_third(x, 1.0) == pytest.approx(target, abs=1e-15)
+        # past the underflow point the value is 0, as scipy's is below tiny
+        y0 = circlaw.line._AIRY_ZERO
+        assert line_density_third(y0 / s, 1.0) == 0.0
+        assert 0.0 < sps.airy(0.99 * y0)[0] and sps.airy(y0)[0] < np.finfo(float).tiny
 
     def test_signs(self):
         assert line_density_third(5.0, 1.0) > 0.0
@@ -245,6 +292,72 @@ class TestLineDensityOddGamma:
         lim = line_density_gamma(5, 0.0, 0.7)
         for x in (-1e-6, 1e-6):
             assert line_density_gamma(5, x, 0.7) == pytest.approx(lim, abs=1e-5)
+
+
+def mp_odd_line(p, x, t, digits=30):
+    """u_p(x, t) = E[e^{-bxG} sin(axG)] / (pi x) by mpmath, to `digits` digits.
+
+    The gamma representation cancels like e^{b|x|G} at x < 0, so the
+    working precision is raised by the peak of that growth.
+    """
+    x, t = mp.mpf(x), mp.mpf(t)
+    with mp.workdps(digits + 10):
+        a, b = mp.cos(mp.pi / (2 * p)), mp.sin(mp.pi / (2 * p))
+        if x == 0:
+            return float(a * mp.gamma(1 + mp.mpf(1) / p) * t ** (-mp.mpf(1) / p) / mp.pi)
+        pull = max(-b * x, 0)
+        grow = pull * (pull / (p * t)) ** (mp.mpf(1) / (p - 1))
+    with mp.workdps(digits + 10 + int(grow / 2.3)):
+        a, b = mp.cos(mp.pi / (2 * p)), mp.sin(mp.pi / (2 * p))
+
+        def f(g):
+            return mp.exp(-b * x * g - g**p * t) * mp.sin(a * x * g) * p * g ** (p - 1) * t
+
+        # past g_max the integrand is below 10^-(digits + 10) of its peak
+        g_max = mp.mpf(1)
+        while t * g_max**p + b * x * g_max < grow + 2.3 * (digits + 10) + 5:
+            g_max *= 1.1
+        pieces = int(abs(a * x) * g_max / (2 * mp.pi)) + 2
+        val = mp.quad(f, mp.linspace(0, g_max, pieces + 1), method="gauss-legendre")
+        return float(val / (mp.pi * x))
+
+
+class TestLineDensityOdd:
+    """The one odd line kernel: Airy at n = 1, certified contour quadrature at n >= 2."""
+
+    def test_n1_is_the_airy_route(self):
+        x = np.array([-4e4, -300.0, -12.0, -1.0, 0.0, 2.0, 200.0])
+        assert np.array_equal(line_density_odd(1, x, 0.7), line_density_third(x, 0.7))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_whole_window_against_mpmath(self, n, t):
+        # both signs across the n >= 2 wrapped window, x = -90 at t = 1
+        # included, where the gamma route was off by 1.4e-2
+        M = _budget_shells(n, t)
+        edge = (2 * M + 1) * math.pi
+        xs = list(np.linspace(-edge, edge, 5)) + ([-90.0] if t == 1.0 else [])
+        vals = line_density_odd(n, np.array(xs), t)
+        for x, v in zip(xs, vals):
+            assert abs(v - mp_odd_line(2 * n + 1, x, t)) <= DEFAULT_TOL.abs_tol
+
+    def test_tight_tolerance_is_met(self):
+        tol = Tolerance(abs_tol=1e-13)
+        for x in (-60.0, -3.0, 0.0, 1.5, 40.0):
+            assert line_density_odd(2, x, 1.0, tol) == pytest.approx(
+                mp_odd_line(5, x, 1.0), abs=1e-13
+            )
+
+    def test_scalar_equals_array_entry(self):
+        xs = np.array([-70.0, -0.3, 0.0, 5.0])
+        vals = line_density_odd(3, xs, 0.8)
+        for x, v in zip(xs, vals):
+            assert line_density_odd(3, float(x), 0.8) == v
+
+    def test_refuses_what_no_rule_certifies(self):
+        # the real-axis leg to the saddle carries ~|x|^{5/4} radians of phase
+        with pytest.raises(ConvergenceError, match="no Gauss rule"):
+            line_density_odd(2, -1e5, 1.0)
 
 
 class TestSkewCauchy:

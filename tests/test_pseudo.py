@@ -209,13 +209,24 @@ class TestOddCircleDensity:
         assert v == wrapped
         assert math.isfinite(abel)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_higher_order_budget_window(self):
-        # order 5: the probabilistic route runs inside its float64 budget
-        v = odd_circle_density_wrapped(2, 1.0, 1.0)
+        # order 5: the contour kernel certifies every shell of the window,
+        # so no quadrature warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = odd_circle_density_wrapped(2, 1.0, 1.0)
         assert math.isfinite(v)
         # projections are not pinned here: the budget caps the window and
         # the residual is ~1e-3
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_grid_rows_equal_scalar_calls(self, n):
+        # each angle is reduced on its own, so a grid row is the scalar call
+        th = np.arange(16) * (TWO_PI / 16)
+        for t in (0.5, 1.7):
+            grid = odd_circle_density_wrapped(n, th, t)
+            for theta, value in zip(th, grid):
+                assert odd_circle_density_wrapped(n, float(theta), t) == value
 
     def test_large_t_guard(self):
         # the mode-1 stationary point 3t must stay inside the flat core;

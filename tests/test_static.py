@@ -1,6 +1,6 @@
 """Static guards over the package source: no assert statements stand in
-for runtime checks, and every export list names only what its module
-defines."""
+for runtime checks, no quadrature error estimate is thrown away, and
+every export list names only what its module defines."""
 
 import ast
 from pathlib import Path
@@ -38,3 +38,24 @@ def test_exports_are_defined_in_their_module(path):
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             defined.add(node.target.id)
     assert [n for n in exported if n not in defined] == [], path.name
+
+
+def _is_quad(call) -> bool:
+    f = call.func
+    return (isinstance(f, ast.Attribute) and f.attr == "quad") or (
+        isinstance(f, ast.Name) and f.id == "quad"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_quad_error_estimates_are_kept(path):
+    # a (value, abserr) pair unpacked into `_` discards the estimate that
+    # certifies the value; every quad result must be named and checked
+    lines = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and _is_quad(node.value):
+            for target in node.targets:
+                names = target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
+                if any(isinstance(t, ast.Name) and t.id == "_" for t in names):
+                    lines.append(node.lineno)
+    assert lines == [], f"{path.name}: quad error estimate discarded at lines {lines}"
