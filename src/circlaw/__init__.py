@@ -30,6 +30,7 @@ from .harmonic import (
 from .line import (
     line_density_even,
     line_density_gamma,
+    line_density_odd,
     line_density_third,
     skew_cauchy_density,
 )
@@ -88,6 +89,6 @@ from .montecarlo import (
     sample_wrapped_bm,
     simulate_planar_hit,
 )
-from .validation import CriterionResult, report_json, run_suite
+from .validation import DEFAULT_SEED, GROUPS, CriterionResult, report_json, run_suite
 
 __version__ = "0.1.0"

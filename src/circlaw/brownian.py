@@ -128,6 +128,7 @@ def von_mises_density(theta, kappa):
     if kappa < 0.0:
         raise DomainError("kappa must be nonnegative")
     th = np.asarray(theta, dtype=float)
+    _check_finite(th, "theta")
     val = np.exp(kappa * (np.cos(th) - 1.0)) / (TWO_PI * sp.i0e(kappa))
     return float(val) if th.ndim == 0 else val
 

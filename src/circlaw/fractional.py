@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 from scipy import special as sp
 
-from .errors import ConvergenceError, DomainError, SlowDecayWarning
+from .errors import ConvergenceError, DomainError, SlowDecayWarning, _check_finite
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .pseudo import even_circle_law
 from .special import DEFAULT_TOL, mittag_leffler_many
@@ -119,6 +119,7 @@ def space_fractional_half_closed(theta, t):
     if not (t > 0.0):
         raise DomainError("t must be positive")
     th = np.asarray(theta, dtype=float)
+    _check_finite(th, "theta")
     q = math.exp(-t * math.sqrt(2.0))  # = r^2 with r = e^{-t/sqrt(2)}
     r = math.exp(-t / math.sqrt(2.0))
     val = (1.0 - q) / (TWO_PI * (1.0 + q - 2.0 * r * np.cos(th)))

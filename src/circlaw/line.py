@@ -12,9 +12,10 @@ and x < 0 the factor e^{b|x|G} grows against the tail and the
 quadrature cancels, so it serves as a paper formula and test oracle
 where it is well conditioned. The routes the circular laws use are
 line_density_even, the cosine transform of exp(-xi^{2n} t), and
-line_density_odd, the one vectorized kernel of the odd orders: the
-Airy closed form (with its far-field expansion) at p = 3, and a
-cancellation-free contour quadrature with a certified error at p >= 5.
+line_density_odd: the Airy closed form (with its far-field expansion)
+at p = 3. Every other order, even p >= 2 and odd p >= 5, goes through
+one vectorized, cancellation-free contour quadrature with a certified
+error (_contour_density).
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ __all__ = [
     "skew_cauchy_density",
 ]
 
-# below this the even quadrature cannot resolve the near-delta solution
+# below this the kernel's target tol t^{1/(2n)} nears its rounding floor
+# (~2.5e-14 at n = 1), so a near-delta value could miss the default tolerance
 _T_FLOOR = 1e-6
 # largest exponent budget before float64 loses the damped-oscillation
 # cancellation of the gamma route; it also sets the odd wrapped window at n >= 2
@@ -63,51 +65,6 @@ def _rotation(p: int) -> tuple[float, float]:
     return math.cos(half_angle), math.sin(half_angle)
 
 
-def _even_cutoff(n: int, t: float, target: float) -> float:
-    """Upper limit Xi with int_Xi^inf e^{-xi^{2n} t} dxi <= target (certified)."""
-    p = 2 * n
-    xi = (max(math.log(1.0 / target), 1.0) / t) ** (1.0 / p) + 1.0
-    for _ in range(40):
-        tail = math.exp(-(xi**p) * t) / (p * t * xi ** (p - 1))
-        if tail <= target:
-            return xi
-        xi *= 1.25
-    raise ConvergenceError("could not certify the quadrature cutoff")
-
-
-def line_density_even(n: int, x: float, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """u_{2n}(x, t) = (1/pi) int_0^inf cos(xi x) e^{-xi^{2n} t} dxi.
-
-    Sign-varying for n >= 2. Oscillatory weight handled by QAWO panels
-    sized to the cosine wavelength; the cutoff tail is certified by the
-    monotone envelope e^{-xi^{2n} t}, and a quadrature error estimate
-    above the requested epsabs raises ConvergenceError.
-    """
-    _check_n(n)
-    _check_finite(x)
-    _check_t(t)
-    if t < _T_FLOOR:
-        raise ConvergenceError(f"t below the documented floor {_T_FLOOR:g}")
-    p = 2 * n
-    eps = tol.abs_tol * math.pi / 4.0
-    xi_max = _even_cutoff(n, t, eps)
-
-    def f(xi):
-        return math.exp(-(xi**p) * t)
-
-    if x == 0.0:
-        val, err = integrate.quad(f, 0.0, xi_max, epsabs=eps, epsrel=1e-13, limit=200)
-    else:
-        val, err = integrate.quad(
-            f, 0.0, xi_max, weight="cos", wvar=abs(x), epsabs=eps, epsrel=1e-13, limit=400
-        )
-    if err > eps:
-        raise ConvergenceError(
-            f"u_{p}({x:g}, {t:g}): quadrature error {err:.2e} exceeds {eps:.2e}"
-        )
-    return val / math.pi
-
-
 def line_density_gamma(p: int, x: float, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """u_p(x, t) = E[e^{-b x G} sin(a x G)] / (pi x) for any order p >= 2.
 
@@ -125,9 +82,11 @@ def line_density_gamma(p: int, x: float, t: float, tol: Tolerance = DEFAULT_TOL)
     _check_finite(x)
     _check_t(t)
     a, b = _rotation(p)
-    if x == 0.0:
+    eps = tol.abs_tol * math.pi * abs(x) / 4.0
+    # x = 0, or |x| so small (~1e-313) that eps underflows: u(x) - u(0) = O(x)
+    if eps == 0.0:
         return a * (math.gamma(1.0 + 1.0 / p) * t ** (-1.0 / p)) / math.pi
-    L = math.log(1.0 / min(tol.abs_tol * math.pi * abs(x) / 4.0, 0.5)) + 3.0
+    L = math.log(1.0 / min(eps, 0.5)) + 3.0
     pts = None
     # at even p (b = 0) nothing grows, and the integrand is odd in x
     if x < 0.0 and b > 0.0:
@@ -153,7 +112,6 @@ def line_density_gamma(p: int, x: float, t: float, tol: Tolerance = DEFAULT_TOL)
             * t
         )
 
-    eps = tol.abs_tol * math.pi * abs(x) / 4.0
     with warnings.catch_warnings():
         # the error estimate is enforced below, so quad's warning adds nothing
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -260,10 +218,10 @@ def line_density_third(x, t: float):
 
 
 # ---------------------------------------------------------------------------
-# p >= 5: contour quadrature
+# even p and odd p >= 5: contour quadrature
 
 
-# Gauss-Legendre sizes of the odd contour kernel; each rule is built once
+# Gauss-Legendre sizes of the contour kernel; each rule is built once
 _GL_SIZES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
 # Bernstein-ellipse parameters over which each bound is minimized
 _RHO = 1.0 + np.geomspace(1e-3, 30.0, 40)
@@ -307,7 +265,7 @@ def _gauss_sums(sizes: np.ndarray, integrand) -> np.ndarray:
     """sum_j w_j integrand(i, v_j) on [0, 1] for each point i, with its own
     rule size (points of size <= 0 give 0)."""
     out = np.zeros(sizes.size, dtype=complex)
-    for m in np.unique(sizes[sizes > 0]):
+    for m in set(sizes[sizes > 0].tolist()):
         v, w = _gauss_legendre(int(m))
         idx = np.flatnonzero(sizes == m)
         step = max(1, _WORK // int(m))
@@ -319,40 +277,45 @@ def _gauss_sums(sizes: np.ndarray, integrand) -> np.ndarray:
 
 
 def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
-    """u_p(X, 1) at odd p >= 5, each value within target (certified).
+    """u_p(X, 1) at even p >= 2 and odd p >= 5, each value within target (certified).
 
-    u_p(X, 1) = (1/pi) Re int_0^inf e^{i f(xi)} dxi with f = X xi + xi^p.
-    The contour runs along the real axis to the saddle
-    xi0 = (max(-X, 0)/p)^{1/(p-1)} and leaves it on the ray
-    xi0 + s e^{i psi}, psi = pi/(2p). The modulus is 1 on the first piece;
-    on the ray f(xi0 + w) - f(xi0) = sum_k c_k w^k with c_1 = max(X, 0)
-    and c_k = C(p, k) xi0^{p-k} >= 0, so the modulus is e^{-g(s)},
-    g(s) = sum_k c_k sin(k psi) s^k, which never exceeds 1 either.
-    Nothing cancels, and the ray reduces to the ray from 0 at X >= 0.
-    Each piece is one Gauss-Legendre rule with its Bernstein-ellipse
-    bound; the ray stops at S with the tail e^{-g(S)}/g'(S) (g convex).
-    Each of the three errors is held below target/3.
+    u_p(X, 1) = (1/pi) Re int_0^inf e^{i f(xi)} dxi with f = X xi + a xi^p,
+    a = 1 at odd p; a = i at even p, where u_p is even in X and X >= 0 is
+    required. The contour runs along the real axis to the odd-order saddle
+    xi0 = (max(-X, 0)/p)^{1/(p-1)} (0 at X >= 0) and leaves it on the ray
+    xi0 + s e^{i psi}, psi = pi/(2p) at odd p and pi/(4p) at even p.
+    The modulus is 1 on the first piece; on the ray
+    f(xi0 + w) - f(xi0) = sum_k c_k w^k with c_1 = max(X, 0) and
+    c_k = a C(p, k) xi0^{p-k}, so the modulus is e^{-g(s)} with
+    g(s) = sum_k Im(c_k e^{ik psi}) s^k, all of whose coefficients are
+    >= 0: it never exceeds 1 on the sector of half-width psi about the ray,
+    and nothing cancels. Each piece is one Gauss-Legendre rule with its
+    Bernstein-ellipse bound; the ray stops at S with the tail
+    e^{-g(S)}/g'(S) (g convex). Each of the three errors is held below
+    target/3.
     """
-    psi = math.pi / (2 * p)
+    psi = math.pi / (2 * p) if p % 2 else math.pi / (4 * p)
+    a = 1 if p % 2 else 1j
     log_target = math.log(target / 3.0)
     xi0 = (np.maximum(-X, 0.0) / p) ** (1.0 / (p - 1))
-    c = np.empty((p + 1, X.size))
-    c[0] = 0.0
-    c[1] = np.maximum(X, 0.0)
-    for k in range(2, p + 1):
-        c[k] = math.comb(p, k) * xi0 ** (p - k)
+    c = np.array(
+        [np.zeros(X.size), np.maximum(X, 0.0)]
+        + [a * math.comb(p, k) * xi0 ** (p - k) for k in range(2, p + 1)]
+    )
     ks = np.arange(1, p + 1)[:, None]
-    sink = np.sin(ks * psi)
+    # Im(c_k e^{ik psi}), written out so that real c_k give c_k sin(k psi) exactly
+    slope = c[1:].real * np.sin(ks * psi) + c[1:].imag * np.cos(ks * psi)
 
-    # ray cutoff: any single term c_k sin(k psi) S^k >= log(3/target) + 1
-    # makes g(S) at least that; take the smallest such S
+    # ray cutoff: any single term of g(S) >= log(3/target) + 1 makes g(S)
+    # at least that; take the smallest such S
     log_tail = max(-log_target, 0.0) + 1.0
-    with np.errstate(divide="ignore"):
-        S = np.min((log_tail / (c[1:] * sink)) ** (1.0 / ks), axis=0)
-    g = np.sum(c[1:] * sink * S**ks, axis=0)
-    dg = np.sum(ks * c[1:] * sink * S ** (ks - 1), axis=0)
-    if np.any(-g - np.log(dg) > log_target):
-        raise ConvergenceError(f"u_{p}: ray tail could not be certified")
+    # an overflowing X gives a nan bound, which certifies nothing and refuses
+    with np.errstate(all="ignore"):
+        S = np.min((log_tail / slope) ** (1.0 / ks), axis=0)
+        g = np.sum(slope * S**ks, axis=0)
+        dg = np.sum(ks * slope * S ** (ks - 1), axis=0)
+        if not np.all(-g - np.log(dg) <= log_target):
+            raise ConvergenceError(f"u_{p}: ray tail could not be certified")
 
     def log_m_real(semi_minor, reach):
         # Im f = 0 on [0, xi0], and |f'| <= |X| + p((xi0 + D)^{p-1} - xi0^{p-1})
@@ -362,12 +325,15 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
         return reach * grad
 
     def log_m_ray(semi_minor, reach):
-        # in the sector |arg z| <= psi every term of Re(i f) is <= 0; the
-        # ellipse leaves it only where |z| <= B / sin(psi), and |i f| <= sum c_k |z|^k
+        # in the sector of half-width psi about the ray every term of
+        # Re(i f) is <= 0; the ellipse leaves it only where |z| <= B / sin(psi),
+        # and |i f| <= sum |c_k| |z|^k
         r = semi_minor / math.sin(psi)
-        return sum(c[k][:, None] * r**k for k in range(1, p + 1))
+        return sum(np.abs(c[k])[:, None] * r**k for k in range(1, p + 1) if c[k].any())
 
-    m_real = np.where(xi0 > 0.0, _rule_sizes(xi0, log_m_real, log_target), -1)
+    m_real = np.full(X.size, -1)
+    if xi0.any():
+        m_real = np.where(xi0 > 0.0, _rule_sizes(xi0, log_m_real, log_target), -1)
     m_ray = _rule_sizes(S, log_m_ray, log_target)
     if np.any(m_real == 0) or np.any(m_ray == 0):
         worst = float(X[(m_real == 0) | (m_ray == 0)][0])
@@ -389,34 +355,54 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
 
     real_part = xi0 * _gauss_sums(m_real, on_real)
     ray_part = S * _gauss_sums(m_ray, on_ray)
-    f0 = X * xi0 + xi0**p
+    f0 = X * xi0 + a * xi0**p
     return (real_part + np.exp(1j * (psi + f0)) * ray_part).real / math.pi
 
 
-def line_density_odd(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
-    """u_{2n+1}(x, t) for scalar or array x, each value within tol.abs_tol.
-
-    n = 1 is line_density_third. At n >= 2 the solution scales as
-    u_p(x, t) = t^{-1/p} u_p(x t^{-1/p}, 1), and _contour_density
-    certifies each value; where no rule can, ConvergenceError is raised.
-    Rounding adds about eps times the phase range of the contour on top.
-    """
-    _check_n(n)
-    if n == 1:
-        return line_density_third(x, t)
+def _line_solution(p: int, x, t: float, tol: Tolerance):
+    """u_p(x, t) = t^{-1/p} u_p(x t^{-1/p}, 1) for scalar or array x, by _contour_density."""
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_finite(x)
     _check_t(t)
-    p = 2 * n + 1
     scale = t ** (-1.0 / p)
-    flat = x.ravel() * scale
+    with np.errstate(over="ignore"):
+        flat = x.ravel() * scale
     out = np.empty(flat.size)
     step = _WORK // _RHO.size
     for i in range(0, flat.size, step):
         out[i : i + step] = _contour_density(p, flat[i : i + step], tol.abs_tol / scale)
     out = out.reshape(x.shape) * scale
     return float(out[0]) if scalar else out
+
+
+def line_density_even(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
+    """u_{2n}(x, t) = (1/pi) int_0^inf cos(xi x) e^{-xi^{2n} t} dxi for scalar
+    or array x, each value within tol.abs_tol.
+
+    Sign-varying for n >= 2. _contour_density certifies each value on the
+    ray from 0, where ConvergenceError is raised if it cannot; the value
+    depends on |x| only, so u(x) == u(-x) exactly. Rounding adds about
+    eps times the phase range of the ray on top.
+    """
+    _check_n(n)
+    _check_t(t)
+    if t < _T_FLOOR:
+        raise ConvergenceError(f"t below the documented floor {_T_FLOOR:g}")
+    return _line_solution(2 * n, np.abs(x), t, tol)
+
+
+def line_density_odd(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
+    """u_{2n+1}(x, t) for scalar or array x, each value within tol.abs_tol.
+
+    n = 1 is line_density_third. At n >= 2 _contour_density certifies
+    each value; where no rule can, ConvergenceError is raised. Rounding
+    adds about eps times the phase range of the contour on top.
+    """
+    _check_n(n)
+    if n == 1:
+        return line_density_third(x, t)
+    return _line_solution(2 * n + 1, x, t, tol)
 
 
 def skew_cauchy_density(n: int, x, t: float):

@@ -3,12 +3,12 @@
 The even-order laws have rapidly decaying Fourier coefficients
 e^{-k^{2n} t}/pi and are honest (signed, mass-1) densities with two
 independent evaluation routes: the cosine series and the wrapped line
-density. The odd-order object has coefficients cos(k^{2n+1}t)/pi,
--sin(k^{2n+1}t)/pi that never decay: it is a distribution, not a
-function. Its pointwise values depend on the summation scheme; only
-projections (mass, Fourier coefficients) are scheme-independent. The
-wrapped probabilistic route with a smooth shell taper,
-odd_circle_density_wrapped, is the evaluator; the Abel-regularized
+density (line_density_even, line's contour kernel). The odd-order object
+has coefficients cos(k^{2n+1}t)/pi, -sin(k^{2n+1}t)/pi that never decay:
+it is a distribution, not a function. Its pointwise values depend on the
+summation scheme; only projections (mass, Fourier coefficients) are
+scheme-independent. The wrapped probabilistic route with a smooth shell
+taper, odd_circle_density_wrapped, is the evaluator; the Abel-regularized
 series is a diagnostic only, paired with it by odd_circle_density_routes
 (validation criterion D1 reports their gap).
 """
@@ -80,39 +80,51 @@ def even_circle_density(n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL):
     try:
         law = even_circle_law(n, t, tol)
     except ConvergenceError:
-        if np.ndim(theta) == 0:
-            return even_circle_density_wrapped(n, float(theta), t, tol)
-        return np.array(
-            [even_circle_density_wrapped(n, float(th), t, tol) for th in np.asarray(theta)]
-        )
+        return even_circle_density_wrapped(n, theta, t, tol)
     return law.density(theta)
 
 
-def even_circle_density_wrapped(
-    n: int, theta: float, t: float, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Wrapped line density sum_m u_{2n}(theta + 2 pi m, t).
+def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL):
+    """Wrapped line density sum_m u_{2n}(theta + 2 pi m, t); scalar or array theta.
 
     The line density decays superexponentially, so shells die fast; the
-    sum stops once two consecutive shells are each below tol/8 (the
-    envelope beyond the core is monotone).
+    sum for an angle stops once two consecutive shells are each below
+    tol/8 (the envelope beyond the core is monotone), by m = 64. One
+    line_density_even call takes a block of shells for every angle still
+    summing (the centre and 1..4, then 5..12, 13..28, ...), so the
+    kernel's fixed cost is paid O(log m) times per angle, not once per
+    shell. Each angle adds its shells in order and stops where a
+    shell-by-shell sum would, so a grid value equals the scalar call's.
     """
     _check_finite(theta, "theta")
-    th = math.fmod(float(theta), TWO_PI)
-    total = line_density_even(n, th, t, tol)
-    quiet = 0
-    for m in range(1, 65):
-        shell = line_density_even(n, th + TWO_PI * m, t, tol) + line_density_even(
-            n, th - TWO_PI * m, t, tol
-        )
-        total += shell
-        if abs(shell) < tol.abs_tol / 8.0:
-            quiet += 1
-            if quiet >= 2:
-                return total
-        else:
-            quiet = 0
-    raise ConvergenceError(f"wrapped shells did not settle by m = 64 at t = {t:g}")
+    scalar = np.ndim(theta) == 0
+    th = np.fmod(np.asarray(theta, float), TWO_PI)
+    flat = th.ravel()
+    total = np.zeros(flat.size)
+    quiet = np.zeros(flat.size, dtype=int)
+    live = np.arange(flat.size)
+    first, last = 0, 4
+    while live.size:
+        if first > 64:
+            raise ConvergenceError(f"wrapped shells did not settle by m = 64 at t = {t:g}")
+        ms = np.arange(first, last + 1)
+        pos = ms[ms > 0]
+        u = line_density_even(n, flat[live, None] + TWO_PI * np.concatenate([ms, -pos]), t, tol)
+        # column j: the centre at m = 0, else u(theta + 2 pi m) + u(theta - 2 pi m)
+        shells = u[:, : ms.size]
+        shells[:, ms.size - pos.size :] += u[:, ms.size :]
+        act = np.arange(live.size)
+        for j, m in enumerate(ms):
+            idx = live[act]
+            total[idx] += shells[act, j]
+            if m > 0:
+                small = np.abs(shells[act, j]) < tol.abs_tol / 8.0
+                quiet[idx] = np.where(small, quiet[idx] + 1, 0)
+                act = act[quiet[idx] < 2]
+        live = live[act]
+        first, last = last + 1, min(2 * last + 4, 64)
+    out = total.reshape(th.shape)
+    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,7 @@ def _c2(run):
     for n in (1, 2, 3):
         for t in (0.3, 1.0, 3.0):
             spectral = even_circle_law(n, t).density(GRID64)
-            wrapped = np.array(
-                [even_circle_density_wrapped(n, float(th), t) for th in GRID64]
-            )
+            wrapped = even_circle_density_wrapped(n, GRID64, t)
             worst = max(worst, float(np.max(np.abs(spectral - wrapped))))
     return worst
 

@@ -383,11 +383,13 @@ NAN = math.nan
         lambda: circlaw.even_kernel_cdf(NAN, 1.0),
         lambda: circlaw.mittag_leffler(0.5, NAN),
         lambda: circlaw.mittag_leffler_many(0.5, [NAN, -1.0]),
+        lambda: circlaw.space_fractional_half_closed(NAN, 1.0),
+        lambda: circlaw.von_mises_density(NAN, 2.0),
     ],
     ids=[
         "kernel-even", "kernel-even-array", "kernel-odd", "even-circle", "space-fractional",
         "wrapped-stable", "series-cdf", "kernel-even-cdf", "mittag-leffler",
-        "mittag-leffler-many",
+        "mittag-leffler-many", "space-fractional-half-closed", "von-mises",
     ],
 )
 def test_refuses_nan_arguments(call):

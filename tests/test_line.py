@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special as sps
 
@@ -121,16 +123,29 @@ class TestLineDensityEven:
         with pytest.raises(DomainError):
             line_density_even(1.5, 0.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_quadrature_error_enforced(self, monkeypatch):
-        class LooseQuad:
-            @staticmethod
-            def quad(f, a, b, epsabs, **kwargs):
-                return 0.25, 2.0 * epsabs
-
-        monkeypatch.setattr(circlaw.line, "integrate", LooseQuad)
+        # the certificate refuses, with no raw warning, where it cannot hold:
+        # a scaled x that overflows leaves no certifiable ray tail
+        with pytest.raises(ConvergenceError, match="ray tail"):
+            line_density_even(1, 1e308, 1e-6)
+        # and where no Gauss rule up to the largest size meets the target
+        monkeypatch.setattr(circlaw.line, "_GL_SIZES", (8, 12))
         for x in (0.0, 1.0):
-            with pytest.raises(ConvergenceError, match="quadrature error"):
+            with pytest.raises(ConvergenceError, match="no Gauss rule up to 12 nodes"):
                 line_density_even(2, x, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), t=st.floats(1e-3, 1e2), x=st.floats(-1e3, 1e3))
+    def test_finite_symmetric_and_on_the_gamma_route(self, n, t, x):
+        try:
+            u = line_density_even(n, x, t)
+        except ConvergenceError:
+            return
+        assert math.isfinite(u)
+        assert line_density_even(n, -x, t) == u
+        if abs(x) <= 40.0 and t >= 0.3:
+            assert u == pytest.approx(line_density_gamma(2 * n, x, t), abs=1e-9)
 
 
 class TestLineDensityEvenGamma:
@@ -288,9 +303,10 @@ class TestLineDensityOddGamma:
         assert line_density_gamma(3, 1e-5, 1.0) == pytest.approx(lim, abs=1e-4)
 
     def test_zero_rejected(self):
-        # x = 0 is not refused as a 0/0: it is the limit, continuous from both sides
+        # x = 0 is not refused as a 0/0: it is the limit, continuous from both
+        # sides, also where the x-scaled tolerance underflows
         lim = line_density_gamma(5, 0.0, 0.7)
-        for x in (-1e-6, 1e-6):
+        for x in (-1e-6, 1e-6, -5e-324, 5e-324):
             assert line_density_gamma(5, x, 0.7) == pytest.approx(lim, abs=1e-5)
 
 

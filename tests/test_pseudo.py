@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 import circlaw
 from circlaw import ConvergenceError, DomainError, SignedLawError
 from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
+from circlaw.line import line_density_even
 from circlaw.pseudo import (
     _phase_table,
     _taper_weights,
@@ -26,7 +27,7 @@ from circlaw.pseudo import (
     odd_circle_density_wrapped,
     positivity_time,
 )
-from circlaw.special import Tolerance
+from circlaw.special import DEFAULT_TOL, Tolerance
 
 
 def wrapped_gaussian(theta, var, terms=30):
@@ -115,6 +116,27 @@ class TestEvenDualRoute:
             [even_circle_density_wrapped(n, float(x), t) for x in th]
         )
         assert np.max(np.abs(series - wrapped)) < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_shell_blocks_equal_the_shell_by_shell_sum(self, n):
+        # the wrapped route evaluates shells in blocks; each angle must add
+        # them and stop exactly as one shell pair at a time would
+        def by_shell(theta, t, tol=DEFAULT_TOL):
+            th = math.fmod(theta, TWO_PI)
+            total, quiet = line_density_even(n, th, t, tol), 0
+            for m in range(1, 65):
+                shell = line_density_even(n, th + TWO_PI * m, t, tol) + line_density_even(
+                    n, th - TWO_PI * m, t, tol
+                )
+                total += shell
+                quiet = quiet + 1 if abs(shell) < tol.abs_tol / 8.0 else 0
+                if quiet >= 2:
+                    return total
+            raise AssertionError("did not settle")
+
+        for t in (0.02, 0.3, 1.0, 3.0):
+            for theta in (-5.0, 0.0, 1.1, math.pi, 6.0):
+                assert even_circle_density_wrapped(n, theta, t) == by_shell(theta, t)
 
     def test_wrapped_gaussian_oracle_small_t(self):
         # n=1 at t: heat kernel has variance 2t
@@ -219,14 +241,24 @@ class TestOddCircleDensity:
         # projections are not pinned here: the budget caps the window and
         # the residual is ~1e-3
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_grid_rows_equal_scalar_calls(self, n):
+    @pytest.mark.parametrize(
+        "route, n",
+        [
+            (odd_circle_density_wrapped, 1),
+            (odd_circle_density_wrapped, 2),
+            (even_circle_density_wrapped, 1),
+            (even_circle_density_wrapped, 2),
+            (even_circle_density_wrapped, 3),
+        ],
+        ids=["1", "2", "even-1", "even-2", "even-3"],
+    )
+    def test_grid_rows_equal_scalar_calls(self, route, n):
         # each angle is reduced on its own, so a grid row is the scalar call
         th = np.arange(16) * (TWO_PI / 16)
         for t in (0.5, 1.7):
-            grid = odd_circle_density_wrapped(n, th, t)
+            grid = route(n, th, t)
             for theta, value in zip(th, grid):
-                assert odd_circle_density_wrapped(n, float(theta), t) == value
+                assert route(n, float(theta), t) == value
 
     def test_large_t_guard(self):
         # the mode-1 stationary point 3t must stay inside the flat core;

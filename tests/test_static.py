@@ -1,8 +1,10 @@
 """Static guards over the package source: no assert statements stand in
 for runtime checks, no quadrature error estimate is thrown away, and
-every export list names only what its module defines."""
+every export list names only what its module defines and the package
+re-exports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,17 @@ def test_exports_are_defined_in_their_module(path):
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             defined.add(node.target.id)
     assert [n for n in exported if n not in defined] == [], path.name
+
+
+# cli is the console entry point (circlaw.cli:main), which the package
+# does not import; every other module's exports are circlaw.<name>
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem not in ("__init__", "cli")], ids=lambda p: p.stem
+)
+def test_exports_are_package_attributes(path):
+    module = importlib.import_module(f"circlaw.{path.stem}")
+    exported = getattr(module, "__all__", [])
+    assert [n for n in exported if not hasattr(circlaw, n)] == [], path.name
 
 
 def _is_quad(call) -> bool:
