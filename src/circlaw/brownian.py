@@ -119,14 +119,19 @@ def bm_density(theta, t, tol=DEFAULT_TOL):
     return series
 
 
+def _check_kappa(kappa):
+    _check_finite(kappa, "kappa")
+    if kappa < 0.0:
+        raise DomainError("kappa must be nonnegative")
+
+
 def von_mises_density(theta, kappa):
     """Exponential form e^{kappa cos theta}/(2 pi I_0(kappa)).
 
     Evaluated as e^{kappa(cos theta - 1)}/(2 pi i0e(kappa)) so large
     kappa never overflows.
     """
-    if kappa < 0.0:
-        raise DomainError("kappa must be nonnegative")
+    _check_kappa(kappa)
     th = np.asarray(theta, dtype=float)
     _check_finite(th, "theta")
     val = np.exp(kappa * (np.cos(th) - 1.0)) / (TWO_PI * sp.i0e(kappa))
@@ -135,8 +140,7 @@ def von_mises_density(theta, kappa):
 
 def von_mises_density_series(theta, kappa, tol=DEFAULT_TOL):
     """Fourier route: (1/2pi)(1 + 2 sum_k (I_k/I_0) cos k theta)."""
-    if kappa < 0.0:
-        raise DomainError("kappa must be nonnegative")
+    _check_kappa(kappa)
     th = np.asarray(theta, dtype=float)
     scalar = th.ndim == 0
     acc = np.ones(th.shape)

@@ -227,7 +227,10 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
 
     rng is an RngStream (or any object with a .generator Generator, or a
     numpy Generator itself). With size=None a single angle is returned.
+    A law that wraps its carrier (a .representation HarmonicLaw, as
+    BmLaw does) is sampled through that carrier.
     """
+    law = getattr(law, "representation", law)
     gen = getattr(rng, "generator", rng)
     grid_n = max(4096, 4 * law.n_terms)
     grid = np.arange(grid_n) * (TWO_PI / grid_n)

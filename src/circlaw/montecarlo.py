@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_finite
 from .harmonic import TWO_PI
 
 __all__ = [
@@ -25,6 +25,11 @@ __all__ = [
     "simulate_planar_hit",
     "ks_statistic",
 ]
+
+# points (steps x live paths) one turn of the planar walk draws; a turn
+# takes at least 8 steps, so numpy's fixed cost per call is paid once
+# per block of steps rather than once per step
+_WALK_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +49,7 @@ class RngStream:
     def __post_init__(self):
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
-            if int(v) != v or not 0 <= int(v) < 2**64:
+            if not isinstance(v, (int, np.integer)) or not 0 <= v < 2**64:
                 raise DomainError(f"{name} must be a nonnegative 64-bit integer")
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         object.__setattr__(self, "_gen", np.random.Generator(np.random.PCG64(ss)))
@@ -58,13 +63,24 @@ def _generator(rng):
     return getattr(rng, "generator", rng)
 
 
-def _check_size(size):
-    if size is None:
-        return 1
-    n = int(size)
-    if n < 1:
-        raise DomainError("size must be positive")
+def _check_count(v, name):
+    """A positive integral count (integral floats pass) as an int."""
+    _check_finite(v, name)
+    n = int(v)
+    if n != v or n < 1:
+        raise DomainError(f"{name} must be a positive integer")
     return n
+
+
+def _check_size(size):
+    return 1 if size is None else _check_count(size, "size")
+
+
+def _check_time(t):
+    """Refuse a time (scalar or array) that is not finite and positive."""
+    _check_finite(t, "t")
+    if np.any(np.asarray(t) <= 0.0):
+        raise DomainError("t must be positive")
 
 
 def sample_stable_subordinator(nu: float, t: float, rng, size: int | None = None):
@@ -80,9 +96,12 @@ def sample_stable_subordinator(nu: float, t: float, rng, size: int | None = None
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
-    if not t > 0.0:
-        raise DomainError("t must be positive")
+    _check_time(t)
     n = _check_size(size)
+    try:
+        scale = t ** (1.0 / nu)
+    except OverflowError:
+        raise DomainError("t^(1/nu) overflows float64") from None
     if nu == 1.0:
         out = np.full(n, float(t))
         return float(out[0]) if size is None else out
@@ -95,7 +114,7 @@ def sample_stable_subordinator(nu: float, t: float, rng, size: int | None = None
         * np.sin(nu * math.pi * U) ** (nu / (1.0 - nu))
         / np.sin(math.pi * U) ** (1.0 / (1.0 - nu))
     )
-    out = t ** (1.0 / nu) * (A / W) ** ((1.0 - nu) / nu)
+    out = scale * (A / W) ** ((1.0 - nu) / nu)
     return float(out[0]) if size is None else out
 
 
@@ -105,6 +124,7 @@ def sample_inverse_subordinator(nu: float, t: float, rng, size: int | None = Non
     E e^{-g L(t)} is the Mittag-Leffler function E_nu(-g t^nu); nu = 1
     degenerates to L(t) = t exactly.
     """
+    _check_time(t)
     h1 = sample_stable_subordinator(nu, 1.0, rng, size=size)
     return (t / h1) ** nu
 
@@ -116,14 +136,13 @@ def sample_wrapped_bm(t, rng, size: int | None = None):
     how subordinated laws B(H(t)) are sampled.
     """
     tv = np.asarray(t, dtype=float)
-    if np.any(tv <= 0.0):
-        raise DomainError("t must be positive")
+    _check_time(tv)
     gen = _generator(rng)
     if tv.ndim == 0:
         n = _check_size(size)
         out = np.mod(math.sqrt(float(tv)) * gen.standard_normal(n), TWO_PI)
         return float(out[0]) if size is None else out
-    if size is not None and int(size) != tv.size:
+    if size is not None and _check_size(size) != tv.size:
         raise DomainError("size must match the length of the time array")
     return np.mod(np.sqrt(tv) * gen.standard_normal(tv.size), TWO_PI)
 
@@ -143,40 +162,67 @@ def simulate_planar_hit(
     returned in [0, 2 pi). Expected step count is about (1 - r^2)/(2 step);
     the walk aborts with ConvergenceError past max_steps
     (default 400/step) rather than looping on a pathological step choice.
+
+    The walk is time-blocked: each turn draws the increments of
+    T = max(8, _WALK_BLOCK // m) steps for the m live paths at once, as
+    one (T, m, 2) array, and sums them from the current positions along
+    the step axis, so every position is the same sum, in the same order,
+    as in a walk of one step per turn. Each path's first outside step is
+    cut back as above and the paths still inside go on from the block's
+    last position. The exit law is therefore the per-step Euler walk's;
+    only the assignment of normals to steps differs. max_steps decides
+    only when to give up (exits past it are ignored), so it never
+    changes the draws of a walk that finishes. step must lie in (0, 1].
     """
     r0 = float(start_radius)
     if not 0.0 < r0 < 1.0:
         raise DomainError("start_radius must lie in (0, 1)")
-    if not step > 0.0:
-        raise DomainError("step must be positive")
+    if not 0.0 < step <= 1.0:
+        raise DomainError("step must lie in (0, 1]")
     n = _check_size(size)
-    cap = int(max_steps) if max_steps is not None else int(400.0 / step) + 1
-    if cap < 1:
-        raise DomainError("max_steps must be >= 1")
+    if max_steps is None:
+        if 400.0 / step == math.inf:
+            raise DomainError("step is too small: the default max_steps, 400/step, overflows")
+        cap = int(400.0 / step) + 1
+    else:
+        cap = _check_count(max_steps, "max_steps")
     gen = _generator(rng)
     pos = np.zeros((n, 2))
     pos[:, 0] = r0
     out = np.empty(n)
     active = np.arange(n)
     sq = math.sqrt(step)
-    for _ in range(cap):
-        if not active.size:
-            break
-        d = sq * gen.standard_normal((active.size, 2))
-        cur = pos[active]
-        new = cur + d
-        hit = (new * new).sum(axis=1) >= 1.0
-        if hit.any():
-            p = cur[hit]
-            dd = d[hit]
-            pd = (p * dd).sum(axis=1)
-            d2 = (dd * dd).sum(axis=1)
-            p2 = (p * p).sum(axis=1)
-            lam = (-pd + np.sqrt(pd * pd + d2 * (1.0 - p2))) / d2
-            exit_pt = p + lam[:, None] * dd
-            out[active[hit]] = np.mod(np.arctan2(exit_pt[:, 1], exit_pt[:, 0]), TWO_PI)
-        pos[active] = new
-        active = active[~hit]
+    done = 0
+    while active.size and done < cap:
+        m = active.size
+        steps = max(8, _WALK_BLOCK // m)
+        # w[0] holds the current positions and w[1:] the block's increments,
+        # so z[k] = w[0] + w[1] + ... + w[k] is the position after k steps
+        w = np.empty((steps + 1, m, 2))
+        w[0] = pos
+        d = gen.standard_normal(out=w[1:])
+        d *= sq
+        z = np.cumsum(w, axis=0)
+        x, y = z[1:, :, 0], z[1:, :, 1]
+        hit = x * x + y * y >= 1.0
+        j = np.flatnonzero(hit.any(axis=0))
+        k = hit[:, j].argmax(axis=0)
+        # path j leaves on step done + k + 1; exits past the cap are ignored
+        keep = k < cap - done
+        j, k = j[keep], k[keep]
+        p = z[k, j]
+        dd = d[k, j]
+        pd = (p * dd).sum(axis=1)
+        d2 = (dd * dd).sum(axis=1)
+        p2 = (p * p).sum(axis=1)
+        lam = (-pd + np.sqrt(pd * pd + d2 * (1.0 - p2))) / d2
+        exit_pt = p + lam[:, None] * dd
+        out[active[j]] = np.mod(np.arctan2(exit_pt[:, 1], exit_pt[:, 0]), TWO_PI)
+        inside = np.ones(m, dtype=bool)
+        inside[j] = False
+        pos = z[-1, inside]
+        active = active[inside]
+        done += steps
     if active.size:
         raise ConvergenceError(
             f"{active.size} paths still inside the disk after {cap} steps; "
@@ -195,7 +241,9 @@ def ks_statistic(samples, cdf) -> float:
     n = x.size
     if n < 100:
         raise DomainError("need at least 100 samples")
+    _check_finite(x, "samples")
     F = np.asarray(cdf(x), dtype=float)
+    _check_finite(F, "cdf values")
     if np.any(np.diff(F) < -1e-12):
         raise DomainError("cdf is not monotone on the sample range")
     i = np.arange(1, n + 1, dtype=float)

@@ -40,7 +40,7 @@ MEASURED = {
     "7a": 0.004242751677601575,
     "7b": 0.0022061008364030466,
     "7c": 0.003511242342841059,
-    "7d": 0.003495430247382275,
+    "7d": 0.0038805535975184324,
     "9a": 1.1682897647087938,
 }
 

@@ -143,6 +143,13 @@ class TestVonMises:
         with pytest.raises(DomainError):
             von_mises_density(0.0, -1.0)
 
+    @pytest.mark.parametrize("kappa", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("density", [von_mises_density, von_mises_density_series])
+    def test_bad_kappa_refused(self, density, kappa):
+        # NaN passes a kappa < 0 guard; both routes must refuse it
+        with pytest.raises(DomainError, match="kappa"):
+            density(0.0, kappa)
+
 
 class TestVonMisesComparison:
     def test_matched_kappa_moment(self):

@@ -280,6 +280,13 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(law, np.random.default_rng(0), size=0)
 
+    def test_wrapper_law_samples_its_carrier(self):
+        # BmLaw wraps a HarmonicLaw; sample draws from that carrier
+        law = bm_law(0.7)
+        a = sample(law, np.random.default_rng(5), size=300)
+        b = sample(law.representation, np.random.default_rng(5), size=300)
+        assert np.array_equal(a, b)
+
 
 def _tail(kind, scale, rate):
     """A nonincreasing certified-tail model: geometric, algebraic or stretched."""

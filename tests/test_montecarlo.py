@@ -3,12 +3,16 @@ wrapped Brownian sampling, planar exit angles, KS utilities, and the
 subordination composition identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from circlaw import ConvergenceError, DomainError, Tolerance
+from circlaw import montecarlo
 from circlaw.brownian import bm_law
 from circlaw.fractional import space_fractional_law, space_time_fractional_cdf
 from circlaw.harmonic import TWO_PI
@@ -28,6 +32,51 @@ SEED = 314159
 
 def uniform_cdf(th):
     return np.asarray(th) / TWO_PI
+
+
+class _Recorder:
+    """Generator stand-in that keeps a copy of every normal block it hands out."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.blocks = []
+
+    def standard_normal(self, size=None, out=None):
+        z = self.gen.standard_normal(size, out=out)
+        self.blocks.append(z.copy())
+        return z
+
+
+def per_step_walk(r0, step, blocks):
+    """The Euler walk one step at a time, in scalar arithmetic, fed the
+    recorded blocks: slot i of a block belongs to the i-th live path.
+    Returns the exit angles and each path's number of steps."""
+    sq = math.sqrt(step)
+    n = blocks[0].shape[1]
+    pos = {j: (r0, 0.0) for j in range(n)}
+    exits, steps = {}, np.zeros(n, dtype=int)
+    live = list(range(n))
+    for b in blocks:
+        assert b.shape[1] == len(live)
+        still = []
+        for slot, j in enumerate(live):
+            px, py = pos[j]
+            for dx, dy in sq * b[:, slot]:
+                steps[j] += 1
+                nx, ny = px + dx, py + dy
+                if nx * nx + ny * ny >= 1.0:
+                    pd, d2, p2 = px * dx + py * dy, dx * dx + dy * dy, px * px + py * py
+                    lam = (-pd + math.sqrt(pd * pd + d2 * (1.0 - p2))) / d2
+                    exits[j] = (px + lam * dx, py + lam * dy)
+                    break
+                px, py = nx, ny
+            else:
+                pos[j] = (px, py)
+                still.append(j)
+        live = still
+    assert not live
+    pts = np.array([exits[j] for j in range(n)])
+    return np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI), steps
 
 
 class TestRngStream:
@@ -200,6 +249,116 @@ class TestPlanarHit:
     def test_domain(self, r, step):
         with pytest.raises(DomainError):
             simulate_planar_hit(r, RngStream(0), step=step)
+
+    @pytest.mark.parametrize("r,size", [(0.5, 1500), (0.05, 600), (1.0 - 1e-9, 600)])
+    def test_blocked_walk_is_the_per_step_walk(self, r, size):
+        # the same increments walked one step at a time give the same
+        # angles bit for bit, exits on a block's first step included
+        rec = _Recorder(SEED)
+        got = simulate_planar_hit(r, rec, step=1e-2, size=size)
+        assert len(rec.blocks) > 1
+        assert np.array_equal(got, per_step_walk(r, 1e-2, rec.blocks)[0])
+
+    def test_cap_counts_steps_exactly(self):
+        # the slowest path's step count is enough, one step fewer is not,
+        # with that path's exit inside a block rather than on its first step
+        rec = _Recorder(SEED)
+        got = simulate_planar_hit(0.5, rec, step=1e-2, size=200)
+        worst = int(per_step_walk(0.5, 1e-2, rec.blocks)[1].max())
+        assert worst - 1 not in np.cumsum([b.shape[0] for b in rec.blocks])
+        capped = simulate_planar_hit(0.5, _Recorder(SEED), step=1e-2, size=200, max_steps=worst)
+        assert np.array_equal(got, capped)
+        with pytest.raises(ConvergenceError, match="after"):
+            simulate_planar_hit(0.5, _Recorder(SEED), step=1e-2, size=200, max_steps=worst - 1)
+
+    def test_block_shape(self):
+        rec = _Recorder(SEED)
+        simulate_planar_hit(0.9, rec, step=1e-3, size=5000)
+        first = rec.blocks[0].shape
+        assert first == (max(8, montecarlo._WALK_BLOCK // 5000), 5000, 2)
+        assert all(b.shape[0] >= 8 for b in rec.blocks)
+
+    def test_start_on_the_rim(self):
+        # half the paths leave on the first step of the first block,
+        # cut back to the circle a hair from the start
+        step = 1e-3
+        ang = simulate_planar_hit(1.0 - 1e-9, RngStream(SEED, 19), step=step, size=2000)
+        assert np.all(np.isfinite(ang)) and np.all((0.0 <= ang) & (ang < TWO_PI))
+        dist = np.minimum(ang, TWO_PI - ang) / math.sqrt(step)
+        assert np.median(dist) < 1.0
+        assert np.quantile(dist, 0.75) < 3.0
+
+    def test_cap_never_changes_the_draws(self):
+        a = simulate_planar_hit(0.6, RngStream(SEED, 20), size=300)
+        b = simulate_planar_hit(0.6, RngStream(SEED, 20), size=300, max_steps=200_000)
+        assert np.array_equal(a, b)
+        with pytest.raises(ConvergenceError, match="max_steps"):
+            simulate_planar_hit(0.6, RngStream(SEED, 20), size=300, max_steps=3)
+
+    def test_scalar_mode(self):
+        one = simulate_planar_hit(0.3, RngStream(SEED, 21), step=1e-2)
+        assert isinstance(one, float) and 0.0 <= one < TWO_PI
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.floats(0.01, 0.99), size=st.integers(1, 300), sid=st.integers(0, 2**32 - 1))
+    def test_angles_in_range_and_repeatable(self, r, size, sid):
+        a = simulate_planar_hit(r, RngStream(SEED, sid), step=1e-2, size=size)
+        assert a.shape == (size,)
+        assert np.all(np.isfinite(a)) and np.all((0.0 <= a) & (a < TWO_PI))
+        assert np.array_equal(a, simulate_planar_hit(r, RngStream(SEED, sid), step=1e-2, size=size))
+
+    def test_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r, step in [(0.02, 1e-3), (0.5, 1.0), (1.0 - 1e-12, 1e-6), (0.99, 1e-2)]:
+                ang = simulate_planar_hit(r, RngStream(SEED, 22), step=step, size=200)
+                assert np.all((0.0 <= ang) & (ang < TWO_PI))
+
+
+class TestRefusals:
+    """Bad arguments raise DomainError, never NaN, inf or a raw error."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sample_wrapped_bm(math.nan, RngStream(0)),
+            lambda: sample_wrapped_bm(np.array([1.0, math.nan]), RngStream(0)),
+            lambda: sample_wrapped_bm(math.inf, RngStream(0)),
+            lambda: sample_wrapped_bm(1.0, RngStream(0), size=2.5),
+            lambda: sample_inverse_subordinator(0.5, math.nan, RngStream(0)),
+            lambda: sample_inverse_subordinator(0.5, -1.0, RngStream(0)),
+            lambda: sample_inverse_subordinator(0.5, math.inf, RngStream(0)),
+            lambda: sample_stable_subordinator(0.5, math.inf, RngStream(0)),
+            lambda: sample_stable_subordinator(0.5, 1e300, RngStream(0)),
+            lambda: sample_stable_subordinator(0.5, 1.0, RngStream(0), size=2.5),
+            lambda: sample_stable_subordinator(0.5, 1.0, RngStream(0), size=math.nan),
+            lambda: simulate_planar_hit(0.5, RngStream(0), step=math.inf),
+            lambda: simulate_planar_hit(0.5, RngStream(0), step=math.nan),
+            lambda: simulate_planar_hit(0.5, RngStream(0), step=2.0),
+            lambda: simulate_planar_hit(0.5, RngStream(0), step=1e308),
+            lambda: simulate_planar_hit(0.5, RngStream(0), step=1e-310),
+            lambda: simulate_planar_hit(0.5, RngStream(0), max_steps=math.nan),
+            lambda: simulate_planar_hit(0.5, RngStream(0), max_steps=2.5),
+            lambda: simulate_planar_hit(0.5, RngStream(0), max_steps=0),
+            lambda: simulate_planar_hit(0.5, RngStream(0), size=2.5),
+            lambda: ks_statistic(np.full(200, math.nan), uniform_cdf),
+            lambda: ks_statistic(np.linspace(0.1, 6.0, 200), lambda th: th * math.nan),
+            lambda: RngStream(math.nan),
+            lambda: RngStream(math.inf),
+            lambda: RngStream(3.0),
+        ],
+    )
+    def test_refused(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                call()
+
+    def test_integral_sizes_keep_the_draws(self):
+        a = sample_stable_subordinator(0.5, 1.0, RngStream(SEED, 23), size=5)
+        b = sample_stable_subordinator(0.5, 1.0, RngStream(SEED, 23), size=np.int64(5))
+        c = sample_stable_subordinator(0.5, 1.0, RngStream(SEED, 23), size=5.0)
+        assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 class TestKsStatistic:
