@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the one
-finiteness check behind DomainError."""
+"""Exception and warning types shared across the package, and the
+finiteness and count checks behind DomainError."""
 
 import math
 
@@ -21,6 +21,15 @@ def _check_finite(v, name: str = "x") -> None:
     finite = math.isfinite(v) if isinstance(v, (float, int)) else np.all(np.isfinite(v))
     if not finite:
         raise DomainError(f"{name} must be finite")
+
+
+def _check_count(v, name: str) -> int:
+    """A positive integral count (integral floats pass) as an int."""
+    _check_finite(v, name)
+    n = int(v)
+    if n != v or n < 1:
+        raise DomainError(f"{name} must be a positive integer")
+    return n
 
 
 class ConvergenceError(CirclawError, ArithmeticError):

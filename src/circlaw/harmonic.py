@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SignedLawError, _check_finite
+from .errors import ConvergenceError, DomainError, SignedLawError, _check_count, _check_finite
 from .special import Tolerance
 
 TWO_PI = 2.0 * math.pi
@@ -199,9 +199,8 @@ def fourier_coeffs(density, K: int, n_nodes: int | None = None):
     periodic integrands) through an rfft; M defaults to max(256, 64 K).
     Returns (a, b) arrays of length K, index k-1 <-> mode k.
     """
-    if K < 1:
-        raise DomainError("K must be a positive integer")
-    M = int(n_nodes) if n_nodes is not None else max(256, 64 * K)
+    K = _check_count(K, "K")
+    M = _check_count(n_nodes, "n_nodes") if n_nodes is not None else max(256, 64 * K)
     if M < 2 * K + 2:
         raise DomainError("need more than 2K nodes to resolve mode K")
     th = np.arange(M) * (TWO_PI / M)
@@ -244,9 +243,7 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
         (k * (np.abs(law.cos_coeffs) + np.abs(law.sin_coeffs))).sum()
     )
     envelope = float(vals.max()) + overshoot + law.tail_bound + 1e-12
-    want = 1 if size is None else int(size)
-    if want < 1:
-        raise DomainError("size must be positive")
+    want = 1 if size is None else _check_count(size, "size")
     out = np.empty(want)
     got = 0
     # expected acceptance rate is mass / (2 pi envelope) = 1 / (2 pi envelope)

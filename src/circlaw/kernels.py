@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, DomainGapError, _check_finite
+from .errors import DomainError, DomainGapError, _check_count, _check_finite
 from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff
 from .line import _check_n, _check_t, _rotation, skew_cauchy_density
 from .special import DEFAULT_TOL, Tolerance
@@ -274,8 +274,7 @@ def wrapped_skew_cauchy_density(n: int, theta, t: float, shells: int = 200):
     """
     a, b = _ab(n)
     _check_t(t)
-    if shells < 1:
-        raise DomainError("shells must be >= 1")
+    shells = _check_count(shells, "shells")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     m = TWO_PI * np.arange(-shells, shells + 1)
     core = skew_cauchy_density(n, th[:, None] + m, t).sum(axis=1)
@@ -297,7 +296,7 @@ def kernel_limit_gap(n: int, t: float, grid_n: int = 512) -> float:
     Decreases to 0 as n grows (a -> 1, b -> 0 collapse the odd kernel
     onto the even one) and as t grows (both flatten to uniform).
     """
-    if grid_n < 8:
+    if _check_count(grid_n, "grid_n") < 8:
         raise DomainError("grid_n must be >= 8")
     th = np.arange(grid_n) * (TWO_PI / grid_n)
     return float(np.max(np.abs(odd_kernel_density(n, th, t) - even_kernel_density(th, t))))

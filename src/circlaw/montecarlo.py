@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _check_finite
+from .errors import ConvergenceError, DomainError, _check_count, _check_finite
 from .harmonic import TWO_PI
 
 __all__ = [
@@ -61,15 +61,6 @@ class RngStream:
 
 def _generator(rng):
     return getattr(rng, "generator", rng)
-
-
-def _check_count(v, name):
-    """A positive integral count (integral floats pass) as an int."""
-    _check_finite(v, name)
-    n = int(v)
-    if n != v or n < 1:
-        raise DomainError(f"{name} must be a positive integer")
-    return n
 
 
 def _check_size(size):

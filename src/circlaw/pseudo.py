@@ -22,7 +22,13 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, MinimumLocationWarning, _check_finite
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    MinimumLocationWarning,
+    _check_count,
+    _check_finite,
+)
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .line import (
     _CANCEL_BUDGET,
@@ -84,6 +90,28 @@ def even_circle_density(n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL):
     return law.density(theta)
 
 
+def _first_shell_block(n: int, t: float, tol: Tolerance, reach: float) -> int:
+    """Last shell of the wrapped route's first block, for angles |theta| <= reach.
+
+    The saddle-point envelope of u_p(x, t), p = 2n, is
+    exp(-kappa_p X^{p/(p-1)}) with X = |x| t^{-1/p} and
+    kappa_p = (1 - 1/p) p^{-1/(p-1)} sin(pi/(2(p-1))) (exp(-x^2/4t) at
+    n = 1). The block ends at the first shell whose nearer point
+    2 pi m - reach lies where the envelope is below tol/8, plus the two
+    quiet shells the stopping rule needs, clipped to [4, 64]. The
+    estimate only sizes the block: a short one costs another kernel call,
+    a long one some points, and neither changes a value.
+    """
+    p = 2 * n
+    # log(8/tol) without the overflow of 8/tol at a subnormal tol
+    log_ratio = math.log(8.0) - math.log(tol.abs_tol)
+    if not log_ratio > 0.0:
+        return 4
+    kappa = (1.0 - 1.0 / p) * p ** (-1.0 / (p - 1)) * math.sin(math.pi / (2 * (p - 1)))
+    x = (log_ratio / kappa) ** ((p - 1) / p) * t ** (1.0 / p)
+    return min(max(math.ceil((x + reach) / TWO_PI) + 2, 4), 64)
+
+
 def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL):
     """Wrapped line density sum_m u_{2n}(theta + 2 pi m, t); scalar or array theta.
 
@@ -91,19 +119,24 @@ def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAUL
     sum for an angle stops once two consecutive shells are each below
     tol/8 (the envelope beyond the core is monotone), by m = 64. One
     line_density_even call takes a block of shells for every angle still
-    summing (the centre and 1..4, then 5..12, 13..28, ...), so the
-    kernel's fixed cost is paid O(log m) times per angle, not once per
-    shell. Each angle adds its shells in order and stops where a
-    shell-by-shell sum would, so a grid value equals the scalar call's.
+    summing: the centre up to the shell where the law's saddle-point
+    envelope says the sum stops (_first_shell_block, 4..64 shells), then
+    blocks that double, so an angle usually costs one kernel call. Each
+    angle adds its shells in order (a cumulative sum per row) and stops
+    where a shell-by-shell sum would, so a value depends on neither the
+    block sizes nor the batch: a grid value equals the scalar call's.
     """
     _check_finite(theta, "theta")
+    _check_n(n)
+    _check_t(t)
     scalar = np.ndim(theta) == 0
     th = np.fmod(np.asarray(theta, float), TWO_PI)
     flat = th.ravel()
     total = np.zeros(flat.size)
-    quiet = np.zeros(flat.size, dtype=int)
+    # whether the last shell summed for each angle was quiet
+    was_quiet = np.zeros(flat.size, dtype=bool)
     live = np.arange(flat.size)
-    first, last = 0, 4
+    first, last = 0, _first_shell_block(n, t, tol, float(np.max(np.abs(flat), initial=0.0)))
     while live.size:
         if first > 64:
             raise ConvergenceError(f"wrapped shells did not settle by m = 64 at t = {t:g}")
@@ -113,15 +146,17 @@ def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAUL
         # column j: the centre at m = 0, else u(theta + 2 pi m) + u(theta - 2 pi m)
         shells = u[:, : ms.size]
         shells[:, ms.size - pos.size :] += u[:, ms.size :]
-        act = np.arange(live.size)
-        for j, m in enumerate(ms):
-            idx = live[act]
-            total[idx] += shells[act, j]
-            if m > 0:
-                small = np.abs(shells[act, j]) < tol.abs_tol / 8.0
-                quiet[idx] = np.where(small, quiet[idx] + 1, 0)
-                act = act[quiet[idx] < 2]
-        live = live[act]
+        # an angle stops at the first quiet shell that follows a quiet one;
+        # the centre is never quiet
+        quiet = (np.abs(shells) < tol.abs_tol / 8.0) & (ms > 0)
+        stop = quiet & np.column_stack([was_quiet[live], quiet[:, :-1]])
+        done = stop.any(axis=1)
+        end = np.where(done, stop.argmax(axis=1), ms.size - 1)
+        # cumsum adds left to right, as the shell-by-shell sum does
+        sums = np.cumsum(np.column_stack([total[live], shells]), axis=1)
+        total[live] = sums[np.arange(live.size), end + 1]
+        was_quiet[live] = quiet[:, -1]
+        live = live[~done]
         first, last = last + 1, min(2 * last + 4, 64)
     out = total.reshape(th.shape)
     return float(out) if scalar else out
@@ -221,15 +256,15 @@ def odd_circle_density_wrapped(
     _check_t(t)
     scalar = np.ndim(theta) == 0
     th = np.atleast_1d(np.asarray(theta, float))
-    if n == 1:
-        M = _ODD_SHELLS if shells is None else int(shells)
-        if t > 0.3 * math.pi * M:
-            raise ConvergenceError(
-                f"t = {t:g} moves the mode-1 stationary point 3t out of the flat "
-                f"core of {M} shells; pass shells >= {math.ceil(t / (0.3 * math.pi))}"
-            )
+    if shells is not None:
+        M = _check_count(shells, "shells")
     else:
-        M = _budget_shells(n, t) if shells is None else int(shells)
+        M = _ODD_SHELLS if n == 1 else _budget_shells(n, t)
+    if n == 1 and t > 0.3 * math.pi * M:
+        raise ConvergenceError(
+            f"t = {t:g} moves the mode-1 stationary point 3t out of the flat "
+            f"core of {M} shells; pass shells >= {math.ceil(t / (0.3 * math.pi))}"
+        )
     w = _taper_weights(M)
     ms = np.arange(-M, M + 1)
     wm = w[np.abs(ms)]

@@ -239,6 +239,9 @@ class TestFourierCoeffs:
             fourier_coeffs(lambda th: th, 0)
         with pytest.raises(DomainError):
             fourier_coeffs(lambda th: th, 4, n_nodes=8)
+        for K, n_nodes in ((2.5, None), (2, 300.5)):
+            with pytest.raises(DomainError, match="positive integer"):
+                fourier_coeffs(lambda th: th, K, n_nodes=n_nodes)
 
 
 class TestSample:
@@ -277,8 +280,14 @@ class TestSample:
 
     def test_size_validation(self):
         law = make_law([], [])
-        with pytest.raises(DomainError):
-            sample(law, np.random.default_rng(0), size=0)
+        # a non-integral size is refused, not truncated to fewer draws
+        for size in (0, -3, 2.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                sample(law, np.random.default_rng(0), size=size)
+        # an integral float or numpy integer draws exactly what the int does
+        a = sample(law, np.random.default_rng(9), size=7)
+        for size in (7.0, np.int64(7)):
+            assert np.array_equal(sample(law, np.random.default_rng(9), size=size), a)
 
     def test_wrapper_law_samples_its_carrier(self):
         # BmLaw wraps a HarmonicLaw; sample draws from that carrier

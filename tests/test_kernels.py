@@ -217,6 +217,12 @@ class TestOddKernelDensity:
         bare_shells = wrapped_skew_cauchy_density(1, 0.3, 1.0, shells=50)
         assert abs(bare_shells - odd_kernel_density(1, 0.3, 1.0)) < 1e-8
 
+    def test_wrapped_route_shell_count_validation(self):
+        # np.arange(-2.5, 3.5) would sum at the wrong positions
+        for shells in (0, 2.5, math.nan):
+            with pytest.raises(DomainError, match="shells"):
+                wrapped_skew_cauchy_density(1, 0.3, 1.0, shells=shells)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             odd_kernel_density(0, 0.0, 1.0)
@@ -376,3 +382,6 @@ class TestKernelLimitGap:
     def test_domain(self):
         with pytest.raises(DomainError):
             kernel_limit_gap(1, 1.0, grid_n=4)
+        # np.arange(8.5) would make a nine-node grid that is not uniform
+        with pytest.raises(DomainError, match="positive integer"):
+            kernel_limit_gap(1, 1.0, grid_n=8.5)

@@ -10,6 +10,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import circlaw
@@ -17,6 +19,7 @@ from circlaw import ConvergenceError, DomainError, SignedLawError
 from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
 from circlaw.line import line_density_even
 from circlaw.pseudo import (
+    _first_shell_block,
     _phase_table,
     _taper_weights,
     even_circle_density,
@@ -28,6 +31,22 @@ from circlaw.pseudo import (
     positivity_time,
 )
 from circlaw.special import DEFAULT_TOL, Tolerance
+
+
+def by_shell(n, theta, t, tol=DEFAULT_TOL):
+    # the even wrapped route one shell pair at a time: the reference its
+    # blocks must reproduce bit for bit; None where it does not settle
+    th = math.fmod(theta, TWO_PI)
+    total, quiet = line_density_even(n, th, t, tol), 0
+    for m in range(1, 65):
+        shell = line_density_even(n, th + TWO_PI * m, t, tol) + line_density_even(
+            n, th - TWO_PI * m, t, tol
+        )
+        total += shell
+        quiet = quiet + 1 if abs(shell) < tol.abs_tol / 8.0 else 0
+        if quiet >= 2:
+            return total
+    return None
 
 
 def wrapped_gaussian(theta, var, terms=30):
@@ -121,22 +140,80 @@ class TestEvenDualRoute:
     def test_shell_blocks_equal_the_shell_by_shell_sum(self, n):
         # the wrapped route evaluates shells in blocks; each angle must add
         # them and stop exactly as one shell pair at a time would
-        def by_shell(theta, t, tol=DEFAULT_TOL):
-            th = math.fmod(theta, TWO_PI)
-            total, quiet = line_density_even(n, th, t, tol), 0
-            for m in range(1, 65):
-                shell = line_density_even(n, th + TWO_PI * m, t, tol) + line_density_even(
-                    n, th - TWO_PI * m, t, tol
-                )
-                total += shell
-                quiet = quiet + 1 if abs(shell) < tol.abs_tol / 8.0 else 0
-                if quiet >= 2:
-                    return total
-            raise AssertionError("did not settle")
-
         for t in (0.02, 0.3, 1.0, 3.0):
             for theta in (-5.0, 0.0, 1.1, math.pi, 6.0):
-                assert even_circle_density_wrapped(n, theta, t) == by_shell(theta, t)
+                assert even_circle_density_wrapped(n, theta, t) == by_shell(n, theta, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        t=st.floats(1e-3, 10.0),
+        thetas=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+        log_tol=st.floats(-14.0, -3.0),
+        scalar=st.booleans(),
+    )
+    def test_route_is_the_shell_by_shell_sum(self, n, t, thetas, log_tol, scalar):
+        # tol and t move the first block's size from far too short (a tight
+        # tol at small t) to past the stop; no value may depend on it
+        tol = Tolerance(10.0**log_tol)
+        theta = thetas[0] if scalar else np.array(thetas)
+        expect = [by_shell(n, x, t, tol) for x in np.atleast_1d(theta)]
+        if None in expect:
+            with pytest.raises(ConvergenceError, match="did not settle by m = 64"):
+                even_circle_density_wrapped(n, theta, t, tol)
+            return
+        got = even_circle_density_wrapped(n, theta, t, tol)
+        if scalar:
+            assert isinstance(got, float) and got == expect[0]
+        else:
+            assert got.tolist() == expect
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_values_do_not_depend_on_the_first_block(self, n, monkeypatch):
+        # every first block from 4 shells to past the stop, so some block
+        # ends between the two quiet shells and the quiet state is carried
+        thetas = np.array([0.0, 2.0, 5.0])
+        for t in (0.3, 3.0):
+            expect = [by_shell(n, theta, t) for theta in thetas]
+            for last in range(4, 15):
+                monkeypatch.setattr(circlaw.pseudo, "_first_shell_block", lambda *a, m=last: m)
+                assert even_circle_density_wrapped(n, thetas, t).tolist() == expect, last
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_kernel_call_per_scalar_angle(self, n, monkeypatch):
+        # the first block reaches the shell where the sum stops, so a scalar
+        # angle pays the contour kernel's fixed cost once
+        calls = []
+        kernel = circlaw.line._contour_density
+
+        def counted(*args):
+            calls.append(args[1].size)
+            return kernel(*args)
+
+        monkeypatch.setattr(circlaw.line, "_contour_density", counted)
+        for t in (0.3, 1.0, 3.0):
+            for theta in (0.0, 1.1, math.pi, 6.0):
+                calls.clear()
+                even_circle_density_wrapped(n, theta, t)
+                assert len(calls) == 1, (t, theta, calls)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tolerance_of_eight_or_more(self):
+        # log(8/tol) <= 0: the first block falls back to 4 shells, with no
+        # nan and no warning, and the values stay those of the shell sum
+        for tol in (Tolerance(8.0), Tolerance(1e300), Tolerance(math.inf)):
+            assert _first_shell_block(2, 1.0, tol, math.pi) == 4
+        values = {1: 0.2391326386064003, 2: 0.16985624701324756, 3: 0.2304655432489796}
+        for n, value in values.items():
+            assert even_circle_density_wrapped(n, 1.0, 1.0, Tolerance(8.0)) == value
+        assert even_circle_density_wrapped(3, 1.0, 1.0, Tolerance(1e300)) == 0.23046542437094142
+
+    def test_unsettled_sum_raises(self):
+        # variance 2e4: the Gaussian shells are far above tol/8 at m = 64
+        assert _first_shell_block(1, 1e4, DEFAULT_TOL, 1.0) == 64
+        with pytest.raises(ConvergenceError) as err:
+            even_circle_density_wrapped(1, 1.0, 1e4)
+        assert str(err.value) == "wrapped shells did not settle by m = 64 at t = 10000"
 
     def test_wrapped_gaussian_oracle_small_t(self):
         # n=1 at t: heat kernel has variance 2t
@@ -278,6 +355,11 @@ class TestOddCircleDensity:
     def test_validation(self):
         with pytest.raises(DomainError):
             odd_circle_density_wrapped(1, 0.5, 0.0)
+        # a shell count is a positive integer, never truncated
+        for n in (1, 2):
+            for shells in (0, -3, 2.5, math.nan):
+                with pytest.raises(DomainError, match="shells"):
+                    odd_circle_density_wrapped(n, 0.5, 1.0, shells=shells)
         for n in (1, 2):
             with pytest.raises(DomainError):
                 odd_circle_density_wrapped(n, 0.5, math.inf)

@@ -1,7 +1,7 @@
 """Static guards over the package source: no assert statements stand in
-for runtime checks, no quadrature error estimate is thrown away, and
-every export list names only what its module defines and the package
-re-exports."""
+for runtime checks, no quadrature error estimate is thrown away, no user
+count is truncated by a bare int(), and every export list names only what
+its module defines and the package re-exports."""
 
 import ast
 import importlib
@@ -72,3 +72,20 @@ def test_quad_error_estimates_are_kept(path):
                 if any(isinstance(t, ast.Name) and t.id == "_" for t in names):
                     lines.append(node.lineno)
     assert lines == [], f"{path.name}: quad error estimate discarded at lines {lines}"
+
+
+# user-facing counts; errors._check_count refuses 2.5 where int() makes it 2
+COUNTS = {"size", "shells", "max_steps", "n_nodes"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_counts_are_checked_not_truncated(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "int"
+        and any(isinstance(a, ast.Name) and a.id in COUNTS for a in node.args)
+    ]
+    assert lines == [], f"{path.name}: bare int() of a count at lines {lines}; use errors._check_count"
