@@ -81,20 +81,55 @@ def bm_law(t, tol=DEFAULT_TOL):
     return BmLaw(t=float(t), representation=rep)
 
 
+# largest work block of the wrapped Gaussian (angles x images), and so the
+# largest chunk of images one angle adds at a time
+_IMAGE_BLOCK = 2**14
+
+
+def _image_count(t, tol):
+    """Least M >= 0 whose bound on the dropped images |m| > M is at most tol.abs_tol.
+
+    Every dropped image of an angle in [0, 2 pi) lies beyond d = 2 pi M on
+    its side, 2 pi apart, so for the decreasing Gaussian density g each side
+    adds at most g(d) + (1/(2 pi)) int_d^inf g = g(d) + erfc(d/sqrt(2t))/(4 pi).
+    """
+
+    def proven(d):
+        g = math.exp(-d * d / (2.0 * t)) / math.sqrt(TWO_PI * t)
+        return 2.0 * (g + sp.erfc(d / math.sqrt(2.0 * t)) / (4.0 * math.pi)) <= tol.abs_tol
+
+    # few evaluations: M is small unless t is large
+    lo, hi = -1, 0
+    while not proven(TWO_PI * hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if proven(TWO_PI * mid) else (mid, hi)
+    return hi
+
+
 def bm_density_wrapped(theta, t, tol=DEFAULT_TOL):
-    """Wrapped Gaussian route: sum of N(0, t) images over integer shells."""
+    """Wrapped Gaussian route: sum of N(0, t) images over shells |m| <= M.
+
+    M comes from _image_count, so the dropped images sum to at most tol.
+    Angles and images go in blocks of at most _IMAGE_BLOCK entries, and an
+    angle adds its fixed image chunks in order, so a grid value equals the
+    scalar call bit for bit at every t.
+    """
     _check_t(t)
     th = np.asarray(theta, dtype=float)
     _check_finite(th, "theta")
     scalar = th.ndim == 0
-    x = np.mod(th, TWO_PI)
-    # outermost kept image sits at distance >= 2 pi M - pi from every
-    # folded point; one extra shell absorbs the geometric tail
-    L = -math.log(min(tol.abs_tol * math.sqrt(TWO_PI * t) / 4.0, 0.5))
-    M = int(math.ceil((math.pi + math.sqrt(2.0 * t * L)) / TWO_PI)) + 1
-    m = np.arange(-M, M + 1)
-    pts = x[..., None] + TWO_PI * m
-    vals = np.exp(-pts * pts / (2.0 * t)).sum(axis=-1) / math.sqrt(TWO_PI * t)
+    x = np.mod(th, TWO_PI).ravel()
+    M = _image_count(t, tol)
+    chunk = min(2 * M + 1, _IMAGE_BLOCK)
+    rows = _IMAGE_BLOCK // chunk
+    out = np.zeros(x.size)
+    for i in range(0, x.size, rows):
+        for first in range(-M, M + 1, chunk):
+            pts = x[i : i + rows, None] + TWO_PI * np.arange(first, min(first + chunk, M + 1))
+            out[i : i + rows] += np.exp(-pts * pts / (2.0 * t)).sum(axis=1)
+    vals = out.reshape(th.shape) / math.sqrt(TWO_PI * t)
     return float(vals) if scalar else vals
 
 

@@ -15,7 +15,8 @@ line_density_even, the cosine transform of exp(-xi^{2n} t), and
 line_density_odd: the Airy closed form (with its far-field expansion)
 at p = 3. Every other order, even p >= 2 and odd p >= 5, goes through
 one vectorized, cancellation-free contour quadrature with a certified
-error (_contour_density).
+error (_contour_density). _line_bound bounds |u_p| at even p in closed
+form; the even wrapped route proves its shell count from it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ _T_FLOOR = 1e-6
 # largest exponent budget before float64 loses the damped-oscillation
 # cancellation of the gamma route; it also sets the odd wrapped window at n >= 2
 _CANCEL_BUDGET = 35.0
+# a in (0, 1) of the even-order bound _line_bound: about 0.95 of the
+# saddle-point decay rate at p = 4, 6, 8
+_BOUND_A = 0.1
 
 
 def _check_n(n) -> None:
@@ -227,13 +231,38 @@ _GL_SIZES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 
 _RHO = 1.0 + np.geomspace(1e-3, 30.0, 40)
 # largest work array (points x nodes, or points x ellipses) of the kernel
 _WORK = 2**14
+_EPS = float(np.finfo(float).eps)
+# factor on the contour kernel's rounding term eps (1 + 2/(e sin psi)) J:
+# the worst measured rounding was 0.68 of the unit term (p = 5, X = -60),
+# at most 0.09 of it at p = 4, 6 (0 <= X <= 400; 30-digit references)
+_ROUNDING = 4.0
 
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre nodes and weights on [0, 1]."""
-    v, w = sps.roots_legendre(m)
-    v, w = (v + 1.0) / 2.0, w / 2.0
+    """m-point Gauss-Legendre nodes and weights on [0, 1], each within about eps.
+
+    scipy's nodes are right to eps, but its weights carry a systematic
+    relative error near 1e-14 from m ~ 100 on (its 192-point rule misses
+    int_{-1}^{1} e^x dx by 1.7e-14), which set the contour kernel's floor.
+    One Newton step on scipy's nodes in extended precision, with P_m,
+    P_{m-1}, P_{m-2} from the three-term recurrence, gives the nodes and
+    w = 2 (1 - x^2) / (m P_{m-1}(x))^2 (P_{m-1} moved with the step to
+    first order). The rule is symmetric, so half of it is computed.
+    """
+    half = (m + 1) // 2
+    x = sps.roots_legendre(m)[0][:half].astype(np.longdouble)
+    p2, p1, p0 = np.zeros_like(x), np.ones_like(x), x.copy()
+    for k in range(2, m + 1):
+        p2, p1, p0 = p1, p0, ((2 * k - 1) * x * p0 - (k - 1) * p1) / k
+    one = 1 - x * x
+    step = -p0 * one / (m * (p1 - x * p0))
+    p1 = p1 + (m - 1) * (p2 - x * p1) / one * step
+    x = x + step
+    w = (2 * (1 - x * x) / (m * p1) ** 2).astype(float)
+    x = x.astype(float)
+    v = (np.concatenate([x, -x[: m // 2][::-1]]) + 1.0) / 2.0
+    w = np.concatenate([w, w[: m // 2][::-1]]) / 2.0
     v.setflags(write=False)
     w.setflags(write=False)
     return v, w
@@ -291,12 +320,14 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
     >= 0: it never exceeds 1 on the sector of half-width psi about the ray,
     and nothing cancels. Each piece is one Gauss-Legendre rule with its
     Bernstein-ellipse bound; the ray stops at S with the tail
-    e^{-g(S)}/g'(S) (g convex). Each of the three errors is held below
-    target/3.
+    e^{-g(S)}/g'(S) (g convex). Rounding is charged as eps times the ray's
+    phase range weighted by the modulus (a closed form in the c_k, times
+    _ROUNDING); where that floor exceeds target/2 the call refuses, else
+    each of the three quadrature errors is held below a third of what the
+    floor leaves of the target.
     """
     psi = math.pi / (2 * p) if p % 2 else math.pi / (4 * p)
     a = 1 if p % 2 else 1j
-    log_target = math.log(target / 3.0)
     xi0 = (np.maximum(-X, 0.0) / p) ** (1.0 / (p - 1))
     c = np.array(
         [np.zeros(X.size), np.maximum(X, 0.0)]
@@ -308,13 +339,29 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
 
     # ray cutoff: any single term of g(S) >= log(3/target) + 1 makes g(S)
     # at least that; take the smallest such S
-    log_tail = max(-log_target, 0.0) + 1.0
+    log_tail = max(-math.log(target / 3.0), 0.0) + 1.0
     # an overflowing X gives a nan bound, which certifies nothing and refuses
     with np.errstate(all="ignore"):
         S = np.min((log_tail / slope) ** (1.0 / ks), axis=0)
         g = np.sum(slope * S**ks, axis=0)
         dg = np.sum(ks * slope * S ** (ks - 1), axis=0)
-        if not np.all(-g - np.log(dg) <= log_target):
+        # rounding: a node's phase i f carries ~eps |f| and counts with the
+        # modulus e^{-g}; as |c_k| <= slope_k / sin(psi), |f| <= g / sin(psi),
+        # and g e^{-g} <= (2/e) e^{-g/2}, so the ray's phase range weighted by
+        # the modulus, int e^{-g} (1 + |f|) ds, is at most (1 + 2/(e sin psi)) J
+        # with J = min_k int e^{-slope_k s^k / 2} ds; e^{i f0} adds eps |f0| J
+        J = np.min(sps.gamma(1.0 + 1.0 / ks) * (2.0 / slope) ** (1.0 / ks), axis=0)
+        f0 = X * xi0 + a * xi0**p
+        weight = _ROUNDING * (1.0 + 2.0 / (math.e * math.sin(psi))) + np.abs(f0)
+        rounding = _EPS * weight * J
+        if np.any(rounding > target / 2.0):
+            raise ConvergenceError(
+                f"u_{p}: target {target:.1e} is below twice the rounding floor "
+                f"(eps x weighted phase range {float(np.max(rounding)):.1e})"
+            )
+        # a column, so that each point's rule sizes read its own target
+        log_target = np.log((target - rounding) / 3.0)[:, None]
+        if not np.all(-g - np.log(dg) <= log_target[:, 0]):
             raise ConvergenceError(f"u_{p}: ray tail could not be certified")
 
     def log_m_real(semi_minor, reach):
@@ -355,8 +402,33 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
 
     real_part = xi0 * _gauss_sums(m_real, on_real)
     ray_part = S * _gauss_sums(m_ray, on_ray)
-    f0 = X * xi0 + a * xi0**p
     return (real_part + np.exp(1j * (psi + f0)) * ray_part).real / math.pi
+
+
+@lru_cache(maxsize=None)
+def _line_bound(p: int) -> tuple[float, float]:
+    """(C, kappa): |u_p(x, t)| <= t^{-1/p} C e^{-kappa X^{p/(p-1)}}, X = |x| t^{-1/p}, p even.
+
+    Shift 2 pi u_p(X, 1) = int e^{i X xi - xi^p} dxi (X >= 0) to
+    Im xi = h: with b = -min_s [Re (s + i)^p - a s^p] (finite for
+    0 < a < 1), Re (s + ih)^p >= a s^p - b h^p, so |u_p(X, 1)| <=
+    (Gamma(1 + 1/p)/pi) a^{-1/p} e^{b h^p - X h}, least at
+    h = (X/(p b))^{1/(p-1)}: C = Gamma(1 + 1/p) a^{-1/p} / pi and
+    kappa = (1 - 1/p)(p b)^{-1/(p-1)}. At p = 2 with a = b = 1 this is
+    the Gaussian itself; a = _BOUND_A keeps 0.95 of the saddle-point rate
+    (1 - 1/p) p^{-1/(p-1)} sin(pi/(2(p-1))) at p = 4, 6, 8 (Gil, Segura &
+    Temme, Numerical Methods for Special Functions, SIAM 2007, ch. 5).
+    """
+    # Re (s + i)^p - a s^p as a polynomial in y = s^2 >= 0; the real parts of
+    # complex critical points are feasible too, so they cannot lower the
+    # least value, and the factor 1 + 1e-9 (a larger b only loosens the
+    # bound) covers the rounding of the roots
+    coef = [math.comb(p, 2 * j) * (-1) ** j for j in range(p // 2 + 1)]
+    coef[0] -= _BOUND_A
+    ys = np.append(np.maximum(np.roots(np.polyder(coef)).real, 0.0), 0.0)
+    b = -float(np.min(np.polyval(coef, ys))) * (1.0 + 1e-9)
+    kappa = (1.0 - 1.0 / p) * (p * b) ** (-1.0 / (p - 1))
+    return math.gamma(1.0 + 1.0 / p) / math.pi * _BOUND_A ** (-1.0 / p), kappa
 
 
 def _line_solution(p: int, x, t: float, tol: Tolerance):
@@ -381,9 +453,8 @@ def line_density_even(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
     or array x, each value within tol.abs_tol.
 
     Sign-varying for n >= 2. _contour_density certifies each value on the
-    ray from 0, where ConvergenceError is raised if it cannot; the value
-    depends on |x| only, so u(x) == u(-x) exactly. Rounding adds about
-    eps times the phase range of the ray on top.
+    ray from 0, rounding included, and raises ConvergenceError where it
+    cannot; the value depends on |x| only, so u(x) == u(-x) exactly.
     """
     _check_n(n)
     _check_t(t)
@@ -396,8 +467,8 @@ def line_density_odd(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
     """u_{2n+1}(x, t) for scalar or array x, each value within tol.abs_tol.
 
     n = 1 is line_density_third. At n >= 2 _contour_density certifies
-    each value; where no rule can, ConvergenceError is raised. Rounding
-    adds about eps times the phase range of the contour on top.
+    each value, with the ray's rounding charged (the real leg's is not);
+    where it cannot, ConvergenceError is raised.
     """
     _check_n(n)
     if n == 1:

@@ -3,11 +3,11 @@
 The even-order laws have rapidly decaying Fourier coefficients
 e^{-k^{2n} t}/pi and are honest (signed, mass-1) densities with two
 independent evaluation routes: the cosine series and the wrapped line
-density (line_density_even, line's contour kernel). The odd-order object
-has coefficients cos(k^{2n+1}t)/pi, -sin(k^{2n+1}t)/pi that never decay:
-it is a distribution, not a function. Its pointwise values depend on the
-summation scheme; only projections (mass, Fourier coefficients) are
-scheme-independent. The wrapped probabilistic route with a smooth shell
+density over a proven shell count (line_density_even; n = 1: the wrapped
+Gaussian). The odd-order object has coefficients cos(k^{2n+1}t)/pi,
+-sin(k^{2n+1}t)/pi that never decay: it is a distribution, not a
+function. Its pointwise values depend on the summation scheme; only
+projections (mass, Fourier coefficients) are scheme-independent. The wrapped probabilistic route with a smooth shell
 taper, odd_circle_density_wrapped, is the evaluator; the Abel-regularized
 series is a diagnostic only, paired with it by odd_circle_density_routes
 (validation criterion D1 reports their gap).
@@ -29,12 +29,15 @@ from .errors import (
     _check_count,
     _check_finite,
 )
+from .brownian import bm_density_wrapped
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .line import (
     _CANCEL_BUDGET,
     _check_n,
     _check_t,
+    _line_bound,
     _rotation,
+    _smallest,
     line_density_even,
     line_density_odd,
 )
@@ -90,76 +93,69 @@ def even_circle_density(n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL):
     return law.density(theta)
 
 
-def _first_shell_block(n: int, t: float, tol: Tolerance, reach: float) -> int:
-    """Last shell of the wrapped route's first block, for angles |theta| <= reach.
+@lru_cache(maxsize=64)
+def _tail_reach(p: int, abs_tol: float) -> float:
+    """Least Y > 0 with (C/pi) e^{-kappa Y^q} / (kappa q Y^{q-1}) <= abs_tol/2, q = p/(p-1).
 
-    The saddle-point envelope of u_p(x, t), p = 2n, is
-    exp(-kappa_p X^{p/(p-1)}) with X = |x| t^{-1/p} and
-    kappa_p = (1 - 1/p) p^{-1/(p-1)} sin(pi/(2(p-1))) (exp(-x^2/4t) at
-    n = 1). The block ends at the first shell whose nearer point
-    2 pi m - reach lies where the envelope is below tol/8, plus the two
-    quiet shells the stopping rule needs, clipped to [4, 64]. The
-    estimate only sizes the block: a short one costs another kernel call,
-    a long one some points, and neither changes a value.
+    Shell m > M lies at |x| >= 2 pi m - |theta|, so by integral comparison
+    with _line_bound the shells past M add at most that at
+    Y = (2 pi M - |theta|) t^{-1/p} > 0.
     """
-    p = 2 * n
-    # log(8/tol) without the overflow of 8/tol at a subnormal tol
-    log_ratio = math.log(8.0) - math.log(tol.abs_tol)
-    if not log_ratio > 0.0:
-        return 4
-    kappa = (1.0 - 1.0 / p) * p ** (-1.0 / (p - 1)) * math.sin(math.pi / (2 * (p - 1)))
-    x = (log_ratio / kappa) ** ((p - 1) / p) * t ** (1.0 / p)
-    return min(max(math.ceil((x + reach) / TWO_PI) + 2, 4), 64)
+    C, kappa = _line_bound(p)
+    q = p / (p - 1.0)
+    log_lead = math.log(C / (math.pi * kappa * q))
+    # log(tol/2) without the overflow of 2/tol at a subnormal tol
+    log_half = math.log(abs_tol) - math.log(2.0)
+
+    def proven(Y):
+        return log_lead - kappa * Y**q - (q - 1.0) * math.log(Y) <= log_half
+
+    # Y >= 1 with kappa Y^q >= log_lead - log_half is proven; a Y below 1e-9 moves no count
+    hi = max(1.0, (max(log_lead - log_half, 0.0) / kappa) ** (1.0 / q))
+    return _smallest(proven, 1e-9, hi)
+
+
+def _shell_counts(p: int, reach: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
+    """Least M per |theta| = reach with sum_{|m|>M} |u_p(theta + 2 pi m, t)| <= tol/2."""
+    x = _tail_reach(p, tol.abs_tol) * t ** (1.0 / p)
+    return np.floor((x + reach) / TWO_PI).astype(int) + 1
 
 
 def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL):
     """Wrapped line density sum_m u_{2n}(theta + 2 pi m, t); scalar or array theta.
 
-    The line density decays superexponentially, so shells die fast; the
-    sum for an angle stops once two consecutive shells are each below
-    tol/8 (the envelope beyond the core is monotone), by m = 64. One
-    line_density_even call takes a block of shells for every angle still
-    summing: the centre up to the shell where the law's saddle-point
-    envelope says the sum stops (_first_shell_block, 4..64 shells), then
-    blocks that double, so an angle usually costs one kernel call. Each
-    angle adds its shells in order (a cumulative sum per row) and stops
-    where a shell-by-shell sum would, so a value depends on neither the
-    block sizes nor the batch: a grid value equals the scalar call's.
+    n = 1 is the wrapped Gaussian of variance 2t (bm_density_wrapped). At
+    n >= 2 an angle keeps the shells |m| <= M of _shell_counts (tail below
+    tol/2) and refuses past M = 64, where the series serves. Its 2M + 1
+    values come from one line_density_even call, each within tol/258; it
+    adds the centre, then the pairs u(theta + 2 pi m) + u(theta - 2 pi m)
+    in order of m, so a grid value equals the scalar call bit for bit.
     """
     _check_finite(theta, "theta")
     _check_n(n)
     _check_t(t)
-    scalar = np.ndim(theta) == 0
+    if n == 1:
+        return bm_density_wrapped(theta, 2.0 * t, tol)
     th = np.fmod(np.asarray(theta, float), TWO_PI)
     flat = th.ravel()
-    total = np.zeros(flat.size)
-    # whether the last shell summed for each angle was quiet
-    was_quiet = np.zeros(flat.size, dtype=bool)
-    live = np.arange(flat.size)
-    first, last = 0, _first_shell_block(n, t, tol, float(np.max(np.abs(flat), initial=0.0)))
-    while live.size:
-        if first > 64:
-            raise ConvergenceError(f"wrapped shells did not settle by m = 64 at t = {t:g}")
-        ms = np.arange(first, last + 1)
-        pos = ms[ms > 0]
-        u = line_density_even(n, flat[live, None] + TWO_PI * np.concatenate([ms, -pos]), t, tol)
-        # column j: the centre at m = 0, else u(theta + 2 pi m) + u(theta - 2 pi m)
-        shells = u[:, : ms.size]
-        shells[:, ms.size - pos.size :] += u[:, ms.size :]
-        # an angle stops at the first quiet shell that follows a quiet one;
-        # the centre is never quiet
-        quiet = (np.abs(shells) < tol.abs_tol / 8.0) & (ms > 0)
-        stop = quiet & np.column_stack([was_quiet[live], quiet[:, :-1]])
-        done = stop.any(axis=1)
-        end = np.where(done, stop.argmax(axis=1), ms.size - 1)
-        # cumsum adds left to right, as the shell-by-shell sum does
-        sums = np.cumsum(np.column_stack([total[live], shells]), axis=1)
-        total[live] = sums[np.arange(live.size), end + 1]
-        was_quiet[live] = quiet[:, -1]
-        live = live[~done]
-        first, last = last + 1, min(2 * last + 4, 64)
-    out = total.reshape(th.shape)
-    return float(out) if scalar else out
+    M = _shell_counts(2 * n, np.abs(flat), t, tol)
+    if M.size and M.max() > 64:
+        raise ConvergenceError(
+            f"the wrapped tail needs {M.max()} shells at t = {t:g}, past m = 64; "
+            "evaluate the series (even_circle_law)"
+        )
+    ms = np.arange(1, M.max(initial=0) + 1)
+    kept = ms <= M[:, None]
+    right, left = (flat[:, None] + TWO_PI * ms)[kept], (flat[:, None] - TWO_PI * ms)[kept]
+    each = Tolerance(tol.abs_tol / 258.0, tol.max_terms)
+    u = line_density_even(n, np.concatenate([flat, right, left]), t, each)
+    # column 0 the centre, column m the pair at +-m, zeros past the angle's M;
+    # cumsum adds left to right, so the zeros leave each sum as it was
+    shells = np.zeros((flat.size, ms.size + 1))
+    shells[:, 0] = u[: flat.size]
+    shells[:, 1:][kept] = u[flat.size : flat.size + right.size] + u[flat.size + right.size :]
+    out = np.cumsum(shells, axis=1)[:, -1].reshape(th.shape)
+    return float(out) if np.ndim(theta) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import circlaw
 from circlaw import DomainError, Tolerance
 from circlaw.brownian import (
     BmLaw,
@@ -22,6 +23,13 @@ from circlaw.brownian import (
     von_mises_matched_kappa,
 )
 from circlaw.harmonic import TWO_PI, HarmonicLaw
+
+
+def theta_series(theta, t, terms=8):
+    # (1/2pi)(1 + 2 sum_k e^{-k^2 t/2} cos k theta), directly; at t >= 100 the
+    # first dropped term is below e^{-3200}
+    k = np.arange(1, terms + 1)
+    return (1.0 + 2.0 * np.cos(np.multiply.outer(theta, k)) @ np.exp(-k * k * t / 2.0)) / TWO_PI
 
 
 def survival_eigen(theta, t):
@@ -85,6 +93,25 @@ class TestBmDensity:
         th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         gap = np.max(np.abs(np.asarray(bm_density(th, t)) - bm_density_wrapped(th, t)))
         assert gap < 1e-10
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_wrapped_tail_is_certified_at_large_t(self, tol):
+        # the image count bounds the whole dropped tail; counting only the
+        # nearest dropped image missed by 1.2e-9 (tol 1e-10) and 1.8e-5
+        # (tol 1e-6) at t = 1e6
+        th = np.array([0.0, 1.0, math.pi, 5.5])
+        for t in (1e2, 1e4, 1e6):
+            wrapped = bm_density_wrapped(th, t, Tolerance(abs_tol=tol))
+            assert np.max(np.abs(wrapped - theta_series(th, t))) <= tol
+
+    def test_images_in_blocks(self, monkeypatch):
+        # 201 images in blocks of 64: an angle adds its fixed chunks in order,
+        # so a grid value is the scalar call bit for bit
+        monkeypatch.setattr(circlaw.brownian, "_IMAGE_BLOCK", 64)
+        th = np.linspace(0.0, TWO_PI, 100)
+        grid = bm_density_wrapped(th, 1e4)
+        assert grid.tolist() == [bm_density_wrapped(float(x), 1e4) for x in th]
+        assert np.max(np.abs(grid - theta_series(th, 1e4))) <= 1e-10
 
     def test_uniform_limit(self):
         assert bm_density(1.0, 200.0) == pytest.approx(1.0 / TWO_PI, abs=1e-12)

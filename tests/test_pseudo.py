@@ -17,10 +17,10 @@ from scipy.optimize import brentq
 import circlaw
 from circlaw import ConvergenceError, DomainError, SignedLawError
 from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
-from circlaw.line import line_density_even
+from circlaw.line import _line_bound, line_density_even
 from circlaw.pseudo import (
-    _first_shell_block,
     _phase_table,
+    _shell_counts,
     _taper_weights,
     even_circle_density,
     even_circle_density_wrapped,
@@ -34,19 +34,33 @@ from circlaw.special import DEFAULT_TOL, Tolerance
 
 
 def by_shell(n, theta, t, tol=DEFAULT_TOL):
-    # the even wrapped route one shell pair at a time: the reference its
-    # blocks must reproduce bit for bit; None where it does not settle
+    # the even wrapped route one shell pair at a time over its proven shells:
+    # the reference its one kernel call must reproduce bit for bit
     th = math.fmod(theta, TWO_PI)
-    total, quiet = line_density_even(n, th, t, tol), 0
-    for m in range(1, 65):
-        shell = line_density_even(n, th + TWO_PI * m, t, tol) + line_density_even(
-            n, th - TWO_PI * m, t, tol
+    (M,) = _shell_counts(2 * n, np.array([abs(th)]), t, tol)
+    each = Tolerance(tol.abs_tol / 258.0, tol.max_terms)
+    total = line_density_even(n, th, t, each)
+    for m in range(1, M + 1):
+        total += line_density_even(n, th + TWO_PI * m, t, each) + line_density_even(
+            n, th - TWO_PI * m, t, each
         )
-        total += shell
-        quiet = quiet + 1 if abs(shell) < tol.abs_tol / 8.0 else 0
-        if quiet >= 2:
-            return total
-    return None
+    return total
+
+
+def mp_even_line(p, X):
+    """u_p(X, 1) = (1/2pi) int e^{i X xi - xi^p} dxi by mpmath (30 digits), on the
+    line Im xi = Im xi* through the saddle points xi* = (X/p)^{1/(p-1)} e^{i pi/(2(p-1))}."""
+    with mp.workdps(30):
+        X = mp.mpf(X)
+        if X == 0:
+            return mp.gamma(1 + mp.mpf(1) / p) / mp.pi
+        r = (X / p) ** (mp.mpf(1) / (p - 1))
+        h, s0 = r * mp.sin(mp.pi / (2 * (p - 1))), r * mp.cos(mp.pi / (2 * (p - 1)))
+        # conjugate-symmetric in s, so the real part doubles the half line
+        edge = 2 * s0 + 2
+        pts = [edge * k / 40 for k in range(41)] + [mp.inf]
+        v = mp.quad(lambda s: mp.exp(1j * X * (s + 1j * h) - (s + 1j * h) ** p), pts)
+        return (v / mp.pi).real
 
 
 def wrapped_gaussian(theta, var, terms=30):
@@ -138,11 +152,16 @@ class TestEvenDualRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shell_blocks_equal_the_shell_by_shell_sum(self, n):
-        # the wrapped route evaluates shells in blocks; each angle must add
-        # them and stop exactly as one shell pair at a time would
+        # one kernel call takes the whole block of proven shells; each angle
+        # must add them as one shell pair at a time would (n = 1 is the
+        # wrapped Gaussian, which the shell sum approximates within tol)
         for t in (0.02, 0.3, 1.0, 3.0):
             for theta in (-5.0, 0.0, 1.1, math.pi, 6.0):
-                assert even_circle_density_wrapped(n, theta, t) == by_shell(n, theta, t)
+                value = even_circle_density_wrapped(n, theta, t)
+                if n == 1:
+                    assert value == pytest.approx(by_shell(n, theta, t), abs=2e-10)
+                else:
+                    assert value == by_shell(n, theta, t)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -150,39 +169,32 @@ class TestEvenDualRoute:
         t=st.floats(1e-3, 10.0),
         thetas=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
         log_tol=st.floats(-14.0, -3.0),
-        scalar=st.booleans(),
     )
-    def test_route_is_the_shell_by_shell_sum(self, n, t, thetas, log_tol, scalar):
-        # tol and t move the first block's size from far too short (a tight
-        # tol at small t) to past the stop; no value may depend on it
+    def test_route_is_the_shell_by_shell_sum(self, n, t, thetas, log_tol):
+        # every value is within tol of a tight series, or the call refuses
+        # with a typed error; an array row is the scalar call bit for bit,
+        # and at n >= 2 the shell-by-shell sum of the proven shells
         tol = Tolerance(10.0**log_tol)
-        theta = thetas[0] if scalar else np.array(thetas)
-        expect = [by_shell(n, x, t, tol) for x in np.atleast_1d(theta)]
-        if None in expect:
-            with pytest.raises(ConvergenceError, match="did not settle by m = 64"):
-                even_circle_density_wrapped(n, theta, t, tol)
+        try:
+            got = even_circle_density_wrapped(n, np.array(thetas), t, tol)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                even_circle_density_wrapped(n, thetas[0], t, tol)
             return
-        got = even_circle_density_wrapped(n, theta, t, tol)
-        if scalar:
-            assert isinstance(got, float) and got == expect[0]
-        else:
-            assert got.tolist() == expect
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_values_do_not_depend_on_the_first_block(self, n, monkeypatch):
-        # every first block from 4 shells to past the stop, so some block
-        # ends between the two quiet shells and the quiet state is carried
-        thetas = np.array([0.0, 2.0, 5.0])
-        for t in (0.3, 3.0):
-            expect = [by_shell(n, theta, t) for theta in thetas]
-            for last in range(4, 15):
-                monkeypatch.setattr(circlaw.pseudo, "_first_shell_block", lambda *a, m=last: m)
-                assert even_circle_density_wrapped(n, thetas, t).tolist() == expect, last
+        law = even_circle_law(n, t, Tolerance(1e-15))
+        series = law.density(np.array(thetas))
+        # on top of tol, the series' own tail and rounding: the values reach
+        # 9 at n = 1, t = 1e-3, where the two routes differ by 8.9e-15 at tol 1e-14
+        assert np.all(np.abs(got - series) <= tol.abs_tol + law.tail_bound + 5e-14)
+        for theta, value in zip(thetas, got):
+            assert even_circle_density_wrapped(n, theta, t, tol) == value
+            if n >= 2:
+                assert by_shell(n, theta, t, tol) == value
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_kernel_call_per_scalar_angle(self, n, monkeypatch):
-        # the first block reaches the shell where the sum stops, so a scalar
-        # angle pays the contour kernel's fixed cost once
+        # n >= 2: every proven shell of a scalar angle goes in one call, so it
+        # pays the contour kernel's fixed cost once; n = 1 is the closed form
         calls = []
         kernel = circlaw.line._contour_density
 
@@ -195,25 +207,61 @@ class TestEvenDualRoute:
             for theta in (0.0, 1.1, math.pi, 6.0):
                 calls.clear()
                 even_circle_density_wrapped(n, theta, t)
-                assert len(calls) == 1, (t, theta, calls)
+                assert len(calls) == (0 if n == 1 else 1), (t, theta, calls)
 
     @pytest.mark.filterwarnings("error")
     def test_tolerance_of_eight_or_more(self):
-        # log(8/tol) <= 0: the first block falls back to 4 shells, with no
-        # nan and no warning, and the values stay those of the shell sum
+        # log(2/tol) <= 0: the shell count falls to its least value, with no
+        # nan and no warning (n = 1: the central Gaussian image alone)
         for tol in (Tolerance(8.0), Tolerance(1e300), Tolerance(math.inf)):
-            assert _first_shell_block(2, 1.0, tol, math.pi) == 4
-        values = {1: 0.2391326386064003, 2: 0.16985624701324756, 3: 0.2304655432489796}
+            assert _shell_counts(4, np.array([math.pi]), 1.0, tol).tolist() == [1]
+        values = {1: 0.21969564473386122, 2: 0.22261239122285492, 3: 0.22440088488816812}
         for n, value in values.items():
             assert even_circle_density_wrapped(n, 1.0, 1.0, Tolerance(8.0)) == value
-        assert even_circle_density_wrapped(3, 1.0, 1.0, Tolerance(1e300)) == 0.23046542437094142
+        assert even_circle_density_wrapped(3, 1.0, 1.0, Tolerance(1e300)) == 0.2125861049959994
 
     def test_unsettled_sum_raises(self):
-        # variance 2e4: the Gaussian shells are far above tol/8 at m = 64
-        assert _first_shell_block(1, 1e4, DEFAULT_TOL, 1.0) == 64
+        # n = 4 at t = 1e6: the proven tail needs more than 64 shells, and
+        # the refusal points to the series, which serves large t
+        assert _shell_counts(4, np.array([1.0]), 1e6, DEFAULT_TOL).tolist() == [156]
         with pytest.raises(ConvergenceError) as err:
-            even_circle_density_wrapped(1, 1.0, 1e4)
-        assert str(err.value) == "wrapped shells did not settle by m = 64 at t = 10000"
+            even_circle_density_wrapped(2, 1.0, 1e6)
+        assert str(err.value) == (
+            "the wrapped tail needs 156 shells at t = 1e+06, past m = 64; "
+            "evaluate the series (even_circle_law)"
+        )
+        # n = 1 is the wrapped Gaussian at every t
+        assert even_circle_density_wrapped(1, 1.0, 1e4) == pytest.approx(
+            even_circle_law(1, 1e4).density(1.0), abs=1e-10
+        )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tight_tolerance_is_met_or_refused_at_the_rounding_floor(self, n):
+        # tol = 1e-14 leaves each kept value 3.9e-17, below the kernel's
+        # rounding floor: the call names it instead of returning a value
+        # that misses tol; where the floor allows, the value meets tol
+        for t in (0.05, 0.3, 10.0):
+            with pytest.raises(ConvergenceError, match="rounding floor"):
+                even_circle_density_wrapped(n, 1.0, t, Tolerance(1e-14))
+            tol = Tolerance(1e-11)
+            value = even_circle_density_wrapped(n, 1.0, t, tol)
+            series = even_circle_law(n, t, Tolerance(1e-15)).density(1.0)
+            assert abs(value - series) <= tol.abs_tol
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_line_bound_dominates_the_density(self, n):
+        # |u_p(X, 1)| <= C e^{-kappa X^{p/(p-1)}} against the cosine transform
+        # (1/2pi) int e^{i X xi - xi^p} dxi in mpmath, on the line through
+        # the saddle points (where it cancels least), from X = 0 until the
+        # bound passes 1e-300
+        p = 2 * n
+        C, kappa = _line_bound(p)
+        X_end = (math.log(C / 1e-300) / kappa) ** ((p - 1) / p)
+        for X in [0.5, 1.0, 2.0, 3.0] + list(np.linspace(0.0, 1.01 * X_end, 8)):
+            bound = C * math.exp(-kappa * X ** (p / (p - 1)))
+            assert bound >= abs(mp_even_line(p, X)), (X, bound)
+        assert bound < 1e-300
+
 
     def test_wrapped_gaussian_oracle_small_t(self):
         # n=1 at t: heat kernel has variance 2t
