@@ -50,8 +50,9 @@ class BmLaw:
 
     def __post_init__(self):
         a = self.representation.cos_coeffs
-        if a.size and not (np.all(a > 0.0) and np.all(np.diff(a) < 0.0)):
-            raise DomainError("Brownian coefficients must be positive and decreasing")
+        # at large t the coefficients underflow to 0, which is their value
+        if a.size and not (np.all(a >= 0.0) and np.all(np.diff(a) <= 0.0)):
+            raise DomainError("Brownian coefficients must be nonnegative and nonincreasing")
 
     def density(self, theta):
         return self.representation.density(theta)

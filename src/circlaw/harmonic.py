@@ -22,6 +22,7 @@ TWO_PI = 2.0 * math.pi
 # largest z^m table (points x baby steps) the scattered path builds; past
 # it the Python loop of plain Horner is spread over enough points
 _POWER_TABLE = 1 << 16
+_EPS = float(np.finfo(float).eps)
 
 
 def _grid_period(th) -> int:
@@ -224,6 +225,12 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
     envelope is the grid maximum plus the certified tail bound plus a
     between-nodes oscillation margin.
 
+    A squeeze decides most proposals from the grid alone: the screening
+    values of a proposal's cell, widened by the oscillation margin and
+    the rounding certificates, bound the density there, so only the
+    proposals between those bounds evaluate the series. Every decision,
+    and so every draw, is the one a full evaluation of the batch makes.
+
     rng is an RngStream (or any object with a .generator Generator, or a
     numpy Generator itself). With size=None a single angle is returned.
     A law that wraps its carrier (a .representation HarmonicLaw, as
@@ -243,6 +250,16 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
         (k * (np.abs(law.cos_coeffs) + np.abs(law.sin_coeffs))).sum()
     )
     envelope = float(vals.max()) + overshoot + law.tail_bound + 1e-12
+    # squeeze: on the cell between two grid nodes the computed density lies
+    # within overshoot, the grid's and the batch's rounding certificates and
+    # 4 eps coeff_sum (the rounding of the bounds) of the nodes' values
+    coeff_sum = abs(law.a0) + float(np.abs(law.cos_coeffs).sum() + np.abs(law.sin_coeffs).sum())
+
+    def rounding(n):
+        return 4.0 * (law.n_terms + math.ceil(math.log2(n))) * _EPS * coeff_sum
+
+    nxt = np.roll(vals, -1)
+    cell_lo, cell_hi = np.minimum(vals, nxt), np.maximum(vals, nxt)
     want = 1 if size is None else _check_count(size, "size")
     out = np.empty(want)
     got = 0
@@ -251,7 +268,19 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
         batch = max(4096, int(1.3 * (want - got) * TWO_PI * envelope) + 64)
         theta = gen.uniform(0.0, TWO_PI, batch)
         height = gen.uniform(0.0, envelope, batch)
-        accept = theta[height <= law.density(theta)]
+        margin = overshoot + rounding(grid_n) + rounding(batch) + 4.0 * _EPS * coeff_sum
+        cell = np.minimum((theta * (grid_n / TWO_PI)).astype(np.intp), grid_n - 1)
+        keep = height <= cell_lo[cell] - margin
+        unsure = np.flatnonzero(~keep & (height <= cell_hi[cell] + margin))
+        if unsure.size:
+            dens = law.density(theta[unsure])
+            if np.any(np.abs(height[unsure] - dens) <= 2.0 * rounding(batch)):
+                # the subset's and the batch's roundings could call this
+                # draw differently: decide the batch as evaluated whole
+                keep = height <= law.density(theta)
+            else:
+                keep[unsure] = height[unsure] <= dens
+        accept = theta[keep]
         take = min(accept.size, want - got)
         out[got : got + take] = accept[:take]
         got += take

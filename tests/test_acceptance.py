@@ -39,7 +39,8 @@ PINNED = {
 MEASURED = {
     "7a": 0.004242751677601575,
     "7b": 0.0022061008364030466,
-    "7c": 0.003511242342841059,
+    # measured against a space-time CDF whose coefficients are exact to ~1e-15
+    "7c": 0.003511237568240566,
     "7d": 0.0038805535975184324,
     "9a": 1.1682897647087938,
 }

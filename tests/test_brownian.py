@@ -113,6 +113,12 @@ class TestBmDensity:
         assert grid.tolist() == [bm_density_wrapped(float(x), 1e4) for x in th]
         assert np.max(np.abs(grid - theta_series(th, 1e4))) <= 1e-10
 
+    @pytest.mark.parametrize("t", [1.5e3, 1e4, 1e6])
+    def test_underflowed_coefficients_accepted(self, t):
+        # e^{-t/2}/pi underflows to 0 past t ~ 1500; the law is the uniform one
+        tol = Tolerance()
+        assert abs(bm_density(1.0, t, tol) - 1.0 / TWO_PI) <= tol.abs_tol
+
     def test_uniform_limit(self):
         assert bm_density(1.0, 200.0) == pytest.approx(1.0 / TWO_PI, abs=1e-12)
 

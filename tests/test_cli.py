@@ -92,6 +92,13 @@ class TestCurveCommands:
         rows = parse_csv(out)
         assert rows.shape == (8, 2) and np.all(np.isfinite(rows[:, 1]))
 
+    def test_density_bm_large_t(self, capsys):
+        # the carrier's coefficients underflow to 0 at t = 1e4: uniform law
+        code, out, _ = run(capsys, "density", "--law", "bm", "--t", "10000", "--grid", "8")
+        assert code == 0
+        rows = parse_csv(out)
+        assert rows.shape == (8, 2) and np.all(np.abs(rows[:, 1] - 1.0 / TWO_PI) <= 1e-10)
+
     def test_cdf_bm_endpoints(self, capsys):
         code, out, _ = run(capsys, "cdf", "--law", "bm", "--t", "1")
         assert code == 0

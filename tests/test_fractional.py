@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from circlaw import ConvergenceError, DomainError, SlowDecayWarning, Tolerance
 from circlaw.brownian import bm_density
@@ -62,6 +63,17 @@ class TestTimeFractionalLaw:
         assert law.cdf(TWO_PI) == pytest.approx(1.0, abs=1e-12)
         th = np.linspace(0.1, math.pi, 7)
         assert np.allclose(law.density(th), law.density(TWO_PI - th), atol=1e-14)
+
+    def test_tol_below_the_deep_tail_floor(self):
+        # at tol 1e-12, below the deep-tail floor, every coefficient
+        # E_{1/2}(-k^4) = erfcx(k^4) comes from the Mittag-Leffler contour
+        tol = Tolerance(abs_tol=1e-12)
+        law = time_fractional_law(2, 0.5, 1.0, tol)
+        k = np.arange(1.0, 100_001.0)
+        oracle = 1.0 / TWO_PI + float(np.sum(sp.erfcx(k**4) * np.cos(k))) / math.pi
+        assert abs(law.density(1.0) - oracle) <= tol.abs_tol
+        K = law.n_terms
+        assert np.max(np.abs(law.cos_coeffs - sp.erfcx(k[:K] ** 4) / math.pi)) <= tol.abs_tol
 
     def test_tight_tolerance_is_refused(self):
         with pytest.raises(ConvergenceError, match="loosen"):

@@ -244,7 +244,85 @@ class TestFourierCoeffs:
                 fourier_coeffs(lambda th: th, K, n_nodes=n_nodes)
 
 
+def unsqueezed_sample(law, gen, size):
+    """sample() without its squeeze: every proposal evaluates the series."""
+    grid_n = max(4096, 4 * law.n_terms)
+    vals = law.density(np.arange(grid_n) * (TWO_PI / grid_n))
+    k = np.arange(1, law.n_terms + 1)
+    overshoot = (math.pi / grid_n) * float(
+        (k * (np.abs(law.cos_coeffs) + np.abs(law.sin_coeffs))).sum()
+    )
+    envelope = float(vals.max()) + overshoot + law.tail_bound + 1e-12
+    out = np.empty(size)
+    got = 0
+    while got < size:
+        batch = max(4096, int(1.3 * (size - got) * TWO_PI * envelope) + 64)
+        theta = gen.uniform(0.0, TWO_PI, batch)
+        height = gen.uniform(0.0, envelope, batch)
+        accept = theta[height <= law.density(theta)]
+        take = min(accept.size, size - got)
+        out[got : got + take] = accept[:take]
+        got += take
+    return out
+
+
+SAMPLED_LAWS = {
+    "bm": lambda: bm_law(1.2).representation,
+    "spacefrac": lambda: space_fractional_law(0.35, 0.8),
+    "wrappedstable": lambda: wrapped_stable_law(0.7, 1.0),
+    "kernel-even": lambda: even_kernel_law(1.0),
+    # peaks between the screening nodes: the grid values alone would
+    # under-bound the density there
+    "mode-1000": lambda: make_law(np.r_[np.zeros(999), 0.9 / TWO_PI], np.zeros(1000)),
+}
+
+
 class TestSample:
+    @pytest.mark.parametrize("name", sorted(SAMPLED_LAWS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_squeeze_keeps_every_draw(self, name, seed):
+        law = SAMPLED_LAWS[name]()
+        drawn = sample(law, np.random.default_rng(seed), size=20_000)
+        assert np.array_equal(drawn, unsqueezed_sample(law, np.random.default_rng(seed), 20_000))
+
+    def test_squeeze_skips_most_evaluations(self, monkeypatch):
+        law = SAMPLED_LAWS["spacefrac"]()
+        points, drawn = [], []
+
+        def counting(a0, a, b, thetas):
+            points.append(np.size(thetas))
+            return _trig_sum(a0, a, b, thetas)
+
+        class Proposals:
+            gen = np.random.default_rng(4)
+
+            def uniform(self, low, high, size):
+                drawn.append(size)
+                return self.gen.uniform(low, high, size)
+
+        monkeypatch.setattr(circlaw.harmonic, "_trig_sum", counting)
+        sample(law, Proposals(), size=20_000)
+        # the screening grid, then only the proposals the grid cannot decide
+        assert points[0] == max(4096, 4 * law.n_terms)
+        assert sum(points[1:]) < 0.05 * sum(drawn) / 2
+
+    def test_too_close_to_call_decides_the_whole_batch(self, monkeypatch):
+        # inflated rounding certificates leave every proposal between the
+        # bounds and too close to call: the batch is evaluated whole
+        monkeypatch.setattr(circlaw.harmonic, "_EPS", 1e-4)
+        law = SAMPLED_LAWS["bm"]()
+        points = []
+
+        def counting(a0, a, b, thetas):
+            points.append(np.size(thetas))
+            return _trig_sum(a0, a, b, thetas)
+
+        monkeypatch.setattr(circlaw.harmonic, "_trig_sum", counting)
+        drawn = sample(law, np.random.default_rng(8), size=5_000)
+        # after the screening grid: the undecided subset, then the whole batch
+        assert len(points) == 3 and points[2] > points[1] > 0
+        assert np.array_equal(drawn, unsqueezed_sample(law, np.random.default_rng(8), 5_000))
+
     def test_uniform_law_ks(self):
         law = make_law([], [])
         rng = np.random.default_rng(7)

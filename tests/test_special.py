@@ -5,11 +5,15 @@ computed independently of the implementation under test.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import erfcx
 
 from circlaw import (
     ConvergenceError,
@@ -50,16 +54,26 @@ def ml_reference(nu, y, dps=40):
 
 def ml_reference_spectral(nu, y):
     """Second independent oracle for the deep tail: mpmath quadrature of the
-    complete-monotonicity integral (different engine, 30 digits)."""
-    t = mp.mpf(y) ** (1 / mp.mpf(nu))
-    cn = mp.cos(nu * mp.pi)
+    complete-monotonicity integral (different engine, 30 digits),
 
-    def f(s):
-        return mp.e ** (-t * s ** (1 / mp.mpf(nu))) / (s * s + 2 * s * cn + 1)
+        E_nu(-y) = (sin nu pi/(nu pi)) int_0^inf exp(-(y v)^(1/nu)) / (v^2 + 2 v cos nu pi + 1) dv,
 
+    in v = s/y, so that nothing overflows, with breakpoints around the
+    cutoff v ~ 1/y and the peak v = -cos nu pi (nu > 1/2)."""
     with mp.workdps(30):
-        val = mp.quad(f, [0, float(-cn) if 0 < -cn < 1 else 0.5, 1, mp.inf])
-        return float(mp.sin(nu * mp.pi) / (nu * mp.pi) * val)
+        nu_, y_ = mp.mpf(nu), mp.mpf(y)
+        cn = mp.cos(nu_ * mp.pi)
+
+        def f(v):
+            log_arg = mp.log(y_ * v) / nu_ if v > 0 else -mp.inf
+            damp = mp.exp(-mp.exp(log_arg)) if log_arg < 7 else 0  # e^-1096 past it
+            return damp / (v * v + 2 * v * cn + 1)
+
+        cuts = {mp.mpf(0), 1 / (2 * y_), 1 / y_, 2 / y_, mp.mpf(1), mp.inf}
+        if 0 < -cn < 1:
+            cuts.add(-cn)
+        val = mp.quad(f, sorted(cuts))
+        return float(mp.sin(nu_ * mp.pi) / (nu_ * mp.pi) * val)
 
 
 class TestMittagLeffler:
@@ -97,8 +111,6 @@ class TestMittagLeffler:
     @pytest.mark.parametrize("y", [50.0, 80.0, 300.0, 5000.0])
     def test_deep_tail_half_order(self, y):
         # E_{1/2}(-y) = e^{y^2} erfc(y), computed stably by scipy's erfcx
-        from scipy.special import erfcx
-
         assert mittag_leffler(0.5, -y) == pytest.approx(float(erfcx(y)), abs=1e-11)
 
     @pytest.mark.parametrize("nu, y", [(0.3, 300.0), (0.8, 300.0), (0.9, 1000.0)])
@@ -134,15 +146,65 @@ class TestMittagLeffler:
     def test_small_order_overflow(self, nu, y, expect):
         assert mittag_leffler(nu, -y) == pytest.approx(expect, abs=1e-12)
 
-    def test_mpmath_fallback_digit_budget(self):
-        from circlaw.special import _ml_mpmath
+    def test_former_fallback_inputs_by_value(self):
+        # y**(1/nu) overflows at (0.01, 2000) and puts a power series' peak
+        # past any term budget at (0.5, 1e4)
+        assert mittag_leffler(0.01, -2000.0) == pytest.approx(
+            0.00049683422388431561558, abs=1e-12
+        )
+        assert mittag_leffler(0.5, -1e4) == pytest.approx(float(erfcx(1e4)), abs=1e-12)
 
-        # y**(1/nu) overflows, or puts the series peak past the term budget:
-        # refused before any working precision is requested
-        with pytest.raises(ConvergenceError):
-            _ml_mpmath(0.01, 2000.0, Tolerance())
-        with pytest.raises(ConvergenceError):
-            _ml_mpmath(0.5, 1e4, Tolerance())
+    @pytest.mark.parametrize(
+        "nu, y, oracle",
+        [(0.5, 1e4, lambda: float(erfcx(1e4))), (0.1, 2000.0, lambda: ml_reference_spectral(0.1, 2000.0))],
+    )
+    def test_below_the_deep_tail_floor(self, nu, y, oracle):
+        # tol under the asymptotic sum's 2.5e-12 floor sends deep entries to
+        # the contour; the spectral integral's integrand exp(-t s^(1/nu))
+        # peaks near s = 0 here, at t = y^(1/nu) ~ 1e33
+        tol = Tolerance(1e-13)
+        assert abs(mittag_leffler(nu, -y, tol) - oracle()) <= tol.abs_tol
+
+    def test_integer_argument(self):
+        # an int x must not reach a float-only ufunc (numpy UFuncTypeError)
+        assert mittag_leffler(0.5, -50) == mittag_leffler(0.5, -50.0)
+        assert mittag_leffler(0.5, -50) == pytest.approx(float(erfcx(50.0)), abs=1e-12)
+
+    def test_numpy_scalar_never_warns(self):
+        # y**(1/nu) as a numpy power would leak "overflow encountered in
+        # scalar power"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = mittag_leffler(0.01, np.float64(-2000.0))
+        assert value == pytest.approx(0.00049683422388431561558, abs=1e-12)
+
+    def test_unreachable_tol_refused(self):
+        # the contour's rounding floor near y -> 0 is ~3e-14: a tighter tol
+        # raises rather than returning an uncertified value, while the deep
+        # entries the floor does not touch still answer
+        with pytest.raises(ConvergenceError, match="rounding floor"):
+            mittag_leffler(0.5, -0.1, Tolerance(1e-15))
+        assert abs(mittag_leffler(0.5, -1e4, Tolerance(1e-15)) - erfcx(1e4)) <= 1e-15
+        with pytest.raises(ConvergenceError, match="nodes"):
+            mittag_leffler(0.5, -1.0, Tolerance(1e-300))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nu=st.one_of(st.just(0.5), st.floats(1e-6, 1.0 - 1e-6)),
+        log_y=st.floats(-6.0, 6.0),
+        log_tol=st.floats(-13.0, -3.0),
+    )
+    def test_contract(self, nu, log_y, log_tol):
+        # within tol of an independent oracle, or refused; a scalar call is
+        # its array entry bit for bit
+        y, tol = 10.0**log_y, Tolerance(10.0**log_tol)
+        try:
+            value = mittag_leffler(nu, -y, tol)
+        except ConvergenceError:
+            return
+        oracle = float(erfcx(y)) if nu == 0.5 else ml_reference_spectral(nu, y)
+        assert abs(value - oracle) <= tol.abs_tol
+        assert mittag_leffler_many(nu, [-2.0 * y, -y, -y - 60.0], tol)[1] == value
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
