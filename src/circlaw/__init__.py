@@ -62,7 +62,7 @@ from .pseudo import (
     even_circle_density_wrapped,
     even_circle_law,
     min_value,
-    odd_circle_density_routes,
+    odd_circle_atoms,
     odd_circle_density_wrapped,
     positivity_time,
 )

@@ -227,11 +227,14 @@ def odd_half_circle_prob(n: int, t: float) -> float:
 
     Equals arctan(sinh(a t)/sin(b t))/pi while b t < pi; atan2 keeps it
     a probability past that (the plain arctan drops by 1 once sin(b t)
-    goes negative). Exact: it is odd_kernel_cdf at theta = pi.
+    goes negative). Exact: it is odd_kernel_cdf at theta = pi. Both
+    arguments are scaled by 2 e^{-a t} > 0, which leaves the angle as it
+    is and keeps sinh from overflowing once a t > ~710.
     """
     a, b = _ab(n)
     _check_t(t)
-    return math.atan2(math.sinh(a * t), math.sin(b * t)) / math.pi
+    scale = 2.0 * math.exp(-a * t)
+    return math.atan2(-math.expm1(-2.0 * a * t), scale * math.sin(b * t)) / math.pi
 
 
 def odd_quadrant_forms(n: int, t: float) -> tuple[float, float, float]:

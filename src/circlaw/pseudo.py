@@ -7,10 +7,12 @@ density over a proven shell count (line_density_even; n = 1: the wrapped
 Gaussian). The odd-order object has coefficients cos(k^{2n+1}t)/pi,
 -sin(k^{2n+1}t)/pi that never decay: it is a distribution, not a
 function. Its pointwise values depend on the summation scheme; only
-projections (mass, Fourier coefficients) are scheme-independent. The wrapped probabilistic route with a smooth shell
-taper, odd_circle_density_wrapped, is the evaluator; the Abel-regularized
-series is a diagnostic only, paired with it by odd_circle_density_routes
-(validation criterion D1 reports their gap).
+projections (mass, Fourier coefficients) are scheme-independent. The
+wrapped probabilistic route with a smooth shell taper,
+odd_circle_density_wrapped, is the evaluator. At rational times
+t = 2 pi a/q the law is a finite signed measure, odd_circle_atoms, whose
+projections are exact (validation criterion 14 checks the evaluator's
+against them).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 import warnings
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -48,7 +49,7 @@ __all__ = [
     "even_circle_density",
     "even_circle_density_wrapped",
     "odd_circle_density_wrapped",
-    "odd_circle_density_routes",
+    "odd_circle_atoms",
     "min_value",
     "positivity_time",
 ]
@@ -56,13 +57,6 @@ __all__ = [
 # shells for the n=1 odd wrapped sum; the tapered-window residual decays
 # roughly like M^{-3/2}, and 6144 puts projections below ~1e-5
 _ODD_SHELLS = 6144
-# Abel regularization ladder, extrapolated quadratically to eps = 0
-_ABEL_EPS = (0.02, 0.01, 0.005)
-
-# 300-bit fixed-point 1/(2 pi) for exact phase reduction of k^p t; the
-# working precision is local so the caller's mpmath settings survive import
-with mp.workprec(340):
-    _INV_2PI_300 = int(mp.floor(mp.mpf(2) ** 300 / (2 * mp.pi)))
 
 
 def even_circle_law(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> HarmonicLaw:
@@ -173,46 +167,6 @@ def _taper_weights(M: int, flat: float = 0.5) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=32)
-def _phase_table(p: int, t: float, kmax: int) -> tuple:
-    """(k^p t) mod 2 pi for k = 1..kmax, exact to the last float bit.
-
-    float64 cos() loses the phase outright once k^p t > ~1e16 while the
-    Abel weights are still ~1e-4, so the reduction is done in integer
-    arithmetic: t = m 2^e exactly, and a 300-bit fixed-point 1/(2 pi)
-    turns k^p m into its fractional number of turns.
-    """
-    fr, E = math.frexp(t)
-    m = int(fr * (1 << 53))
-    e = E - 53
-    shift = 300 - e
-    if shift <= 64:
-        raise ConvergenceError("t too large for the phase reduction")
-    mask = (1 << shift) - 1
-    scale = TWO_PI / float(1 << 64)
-    out = np.empty(kmax)
-    for k in range(1, kmax + 1):
-        rem = ((k**p) * m * _INV_2PI_300) & mask
-        out[k - 1] = float(rem >> (shift - 64)) * scale
-    out.setflags(write=False)
-    return (out,)
-
-
-def _abel_value(n: int, theta: float, t: float) -> float:
-    """Abel-regularized series extrapolated to eps = 0 over the ladder."""
-    p = 2 * n + 1
-    kmax = int(math.ceil(math.log(1e15) / min(_ABEL_EPS)))
-    (ph,) = _phase_table(p, float(t), kmax)
-    k = np.arange(1.0, kmax + 1)
-    cosv = np.cos(ph + k * theta)
-    ys = []
-    for eps in _ABEL_EPS:
-        w = np.exp(-eps * k)
-        ys.append(1.0 / TWO_PI + float(w @ cosv) / math.pi)
-    coef = np.polyfit(np.asarray(_ABEL_EPS), np.asarray(ys), 2)
-    return float(np.polyval(coef, 0.0))
-
-
 def _budget_shells(n: int, t: float) -> int:
     """Shell count of the n >= 2 window: where the gamma route's peak exponent
     reaches _CANCEL_BUDGET. The contour kernel is not bound by it; the
@@ -246,6 +200,14 @@ def odd_circle_density_wrapped(
     core |x| <= pi M with a 10% margin (t <= 0.3 pi M); past that bound
     ConvergenceError is raised. At M = 6144 the 128-node projection error
     is ~4e-8 at the bound, 4e-5 at the core edge and 0.18 at t = 1e4.
+
+    At n >= 2 the window resolves only mode 1. Mode k's stationary point
+    x ~ -p k^{p-1} t (p = 2n + 1) lies past the flat core of the
+    _budget_shells window for k >= 2 (the window reaches 2 pi M = 88 at
+    n = 2, t = 1). Against the exact coefficients, the 128-node
+    projections miss by 1.3e-3 to 3.9e-3 at mode 1 and by 0.04 to 0.32,
+    about the coefficients' full size 1/pi, at modes 2-6 (n = 2,
+    t in {0.5, 1, 2 pi/5}; n = 3, t = 1).
     """
     _check_n(n)
     _check_finite(theta, "theta")
@@ -277,14 +239,20 @@ def odd_circle_density_wrapped(
     return float(out[0]) if scalar else out
 
 
-def odd_circle_density_routes(
-    n: int, theta: float, t: float, tol: Tolerance = DEFAULT_TOL
-) -> tuple[float, float]:
-    """(wrapped, abel) pair without any divergence policy applied."""
-    return (
-        float(odd_circle_density_wrapped(n, float(theta), t, tol)),
-        _abel_value(n, float(theta), t),
-    )
+def odd_circle_atoms(n: int, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The odd-order law at t = 2 pi a/q as atoms: (angles 2 pi j/q, weights w_j).
+
+    The coefficients e^{i k^p t}, p = 2n + 1, are q-periodic in k, so the
+    law is sum_j w_j delta(theta - 2 pi j/q) with w = ifft of
+    e^{2 pi i (a r^p mod q)/q}, r = 0..q-1 (dispersive quantization:
+    Olver, Amer. Math. Monthly 117 (2010)). The residues a r^p mod q are
+    exact integers. The weights are real since p is odd (the imaginary
+    parts, ~1e-16, are dropped) and sum to 1.
+    """
+    n, a, q = _check_count(n, "n"), _check_count(a, "a"), _check_count(q, "q")
+    p = 2 * n + 1
+    phase = np.array([a * pow(r, p, q) % q for r in range(q)], float) * (TWO_PI / q)
+    return np.arange(q) * (TWO_PI / q), np.fft.ifft(np.exp(1j * phase)).real
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Self-check suite behind ``circlaw validate``.
 
-Thirteen numbered criteria (letters split a criterion whose parts carry
-different thresholds) and one diagnostic row, each reduced to one
-measured number against one pinned threshold. ``_CRITERIA`` is the one
-table of them, in report order. Monte Carlo criteria draw from
-dedicated, fixed streams so a report is a pure function of (seed, tol);
-the determinism criterion re-runs every seeded criterion on fresh
-identically-seeded streams and byte-compares the serialized values.
+Fourteen numbered criteria (letters split a criterion whose parts carry
+different thresholds), each reduced to one measured number against one
+pinned threshold. ``_CRITERIA`` is the one table of them, in report
+order. Monte Carlo criteria draw from dedicated, fixed streams so a
+report is a pure function of (seed, tol); the determinism criterion
+re-runs every seeded criterion on fresh identically-seeded streams and
+byte-compares the serialized values.
 """
 
 import json
@@ -58,7 +58,8 @@ from .pseudo import (
     even_circle_density_wrapped,
     even_circle_law,
     min_value,
-    odd_circle_density_routes,
+    odd_circle_atoms,
+    odd_circle_density_wrapped,
     positivity_time,
 )
 from .special import Tolerance, mittag_leffler
@@ -82,7 +83,6 @@ class CriterionResult:
     measured: float
     threshold: float
     passed: bool
-    flagged: bool = False
 
 
 class _Run:
@@ -342,9 +342,19 @@ def _c13(run):
     return float(sum(repr(run.once(m)) != repr(m(run)) for m in _SEEDED))
 
 
-def _d1(run):
-    wrapped, abel = odd_circle_density_routes(1, 0.5, 1.0)
-    return abs(wrapped - abel)
+def _c14(run):
+    # mass and modes 1..6 of the odd law at t = 2 pi a/q: one rfft of the
+    # wrapped route on 128 nodes against the atoms' exact projections
+    k = np.arange(7)
+    grid = np.arange(128) * (TWO_PI / 128)
+    worst = 0.0
+    for a, q in ((1, 3), (1, 5), (2, 7)):
+        values = odd_circle_density_wrapped(1, grid, TWO_PI * a / q)
+        projected = np.fft.rfft(values)[:7] * (TWO_PI / 128)
+        angles, weights = odd_circle_atoms(1, a, q)
+        exact = np.exp(-1j * np.outer(k, angles)) @ weights
+        worst = max(worst, float(np.max(np.abs(projected - exact))))
+    return worst
 
 
 def _ks(m, thr):
@@ -355,11 +365,6 @@ def _ks(m, thr):
 def _onset_rule(m, thr):
     """10a: order 2's onset is exactly 0, order 4's within thr of T_BAR."""
     return m < thr and positivity_time(1) == 0.0
-
-
-def _diagnostic(m, thr):
-    """Reported, never failed: the row is flagged when m exceeds thr."""
-    return True
 
 
 # (id, group, description, pinned threshold, pass rule, measurement),
@@ -415,9 +420,8 @@ _CRITERIA = (
      1e-8, lt, _c12),
     ("13", "determinism", "seeded Monte Carlo criteria reproduce byte-identical values on re-run",
      1.0, lt, _c13),
-    ("D1", "pseudo",
-     "odd signed density: wrapped vs Abel route divergence (scheme-dependent; diagnostic only)",
-     1e-4, _diagnostic, _d1),
+    ("14", "pseudo", "odd law at t = 2 pi a/q: wrapped mass and modes 1..6 equal the exact atoms'",
+     1e-5, lt, _c14),
 )
 
 GROUPS = tuple(dict.fromkeys(group for _, group, *_ in _CRITERIA))
@@ -436,9 +440,8 @@ def run_suite(seed=DEFAULT_SEED, tol=1e-10, only=None):
             continue
         measured = float(run.once(measure))
         threshold = float(max(pinned, tol) if rule is _ks else pinned)
-        flagged = rule is _diagnostic and measured > threshold
         results.append(CriterionResult(
-            cid, group, description, measured, threshold, bool(rule(measured, threshold)), flagged
+            cid, group, description, measured, threshold, bool(rule(measured, threshold))
         ))
     return results
 

@@ -1,4 +1,4 @@
-"""Acceptance suite: thirteen numbered criteria, one test (one pass/fail
+"""Acceptance suite: fourteen numbered criteria, one test (one pass/fail
 line under -v) per criterion. The criteria are measured once, by
 `circlaw validate` (the table in circlaw.validation); each test reads its
 rows of that report and checks that they passed at the thresholds pinned
@@ -29,7 +29,8 @@ PINNED = {
     10: {"10a": 1e-6, "10b": 1e-3, "10c": 0.0},
     11: {"11": 0.0},
     12: {"12": 1e-8},
-    13: {"13": 1.0, "D1": 1e-4},
+    13: {"13": 1.0},
+    14: {"14": 1e-5},
 }
 
 # what the seeded Monte Carlo rows measure at SEED: a change of draw count,
@@ -176,19 +177,23 @@ def test_criterion_12_wrapped_skewed_cauchy_route(rows):
 
 def test_criterion_13_validate_determinism(reports, rows):
     """The validate command with a fixed seed produces byte-identical
-    JSON across two consecutive runs, and the report is all-pass. Its
-    diagnostic row D1 (odd law, wrapped vs Abel route) never fails and
-    is flagged past 1e-4."""
+    JSON across two consecutive runs, and the report is all-pass."""
     check(rows, 13)
-    assert rows["D1"]["flagged"] is (rows["D1"]["measured"] > 1e-4)
     assert reports[0] == reports[1]
     report = json.loads(reports[0])
     assert report["all_passed"] is True
     assert len(report["criteria"]) == 26
 
 
+def test_criterion_14_odd_law_atoms(rows):
+    """At t = 2 pi a/q, (a, q) in {(1, 3), (1, 5), (2, 7)}, the n = 1 odd
+    wrapped route's mass and modes 1..6 (one rfft on 128 nodes) equal
+    those of the law's exact atoms within 1e-5."""
+    check(rows, 14)
+
+
 def test_every_report_row_is_checked(rows):
-    assert list(PINNED) == list(range(1, 14))
+    assert list(PINNED) == list(range(1, 15))
     assert [cid for ids in PINNED.values() for cid in ids] == list(rows)
 
 

@@ -289,7 +289,7 @@ class TestValidate:
         assert obj["all_passed"] is True
         assert [c["id"] for c in obj["criteria"]] == ["4a", "4b"]
         for c in obj["criteria"]:
-            assert set(c) == {"id", "group", "description", "measured", "threshold", "passed", "flagged"}
+            assert set(c) == {"id", "group", "description", "measured", "threshold", "passed"}
 
     def test_kernels_subset(self, capsys):
         code, out, _ = run(capsys, "validate", "--only", "kernels")

@@ -352,6 +352,18 @@ class TestOddIntervalProbabilities:
         val = odd_half_circle_prob(1, 7.0)
         assert 0.5 < val < 1.0
 
+    def test_half_circle_at_large_t(self):
+        # sinh(a t) overflows once a t > ~710; the law tends to the uniform
+        # one, whose half circle carries 1/2
+        for n in (1, 3):
+            for t in (820.0, 1e3, 1e300):
+                assert odd_half_circle_prob(n, t) == 0.5
+        # below the overflow the scaled form is the sinh form's angle
+        a, b = math.sqrt(3.0) / 2.0, 0.5
+        for t in (0.5, 3.0, 20.0, 800.0):
+            plain = math.atan2(math.sinh(a * t), math.sin(b * t)) / math.pi
+            assert odd_half_circle_prob(1, t) == pytest.approx(plain, abs=1e-15)
+
     @pytest.mark.parametrize("n,t", [(1, 0.5), (1, 1.0), (2, 1.0), (3, 2.0)])
     def test_quadrant_forms_mutually_agree(self, n, t):
         l1, l2, l3 = odd_quadrant_forms(n, t)

@@ -1,4 +1,4 @@
-"""Circular pseudoprocess law tests: series/wrapped duality, odd routes, positivity."""
+"""Circular pseudoprocess law tests: series/wrapped duality, the odd law and its atoms, positivity."""
 
 import math
 import os
@@ -19,14 +19,13 @@ from circlaw import ConvergenceError, DomainError, SignedLawError
 from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
 from circlaw.line import _line_bound, line_density_even
 from circlaw.pseudo import (
-    _phase_table,
     _shell_counts,
     _taper_weights,
     even_circle_density,
     even_circle_density_wrapped,
     even_circle_law,
     min_value,
-    odd_circle_density_routes,
+    odd_circle_atoms,
     odd_circle_density_wrapped,
     positivity_time,
 )
@@ -305,13 +304,6 @@ class TestFourierProjection:
 
 
 class TestOddCircleDensity:
-    def test_phase_table_exact(self):
-        (ph,) = _phase_table(7, 1.7, 4444)
-        mp.mp.dps = 40
-        for k in (3, 500, 4444):
-            exact = float(mp.fmod(mp.mpf(k) ** 7 * mp.mpf(1.7), 2 * mp.pi))
-            assert ph[k - 1] == pytest.approx(exact, abs=1e-12)
-
     def test_taper_weights_shape(self):
         w = _taper_weights(100)
         assert w[0] == 1.0 and w[50] == 1.0
@@ -350,12 +342,6 @@ class TestOddCircleDensity:
         v2 = odd_circle_density_wrapped(1, TWO_PI - 1.0, 1.0)
         assert abs(v1 - v2) > 1e-3
 
-    def test_routes_and_divergence_warning(self):
-        v = odd_circle_density_wrapped(1, 0.5, 1.0)
-        wrapped, abel = odd_circle_density_routes(1, 0.5, 1.0)
-        assert v == wrapped
-        assert math.isfinite(abel)
-
     def test_higher_order_budget_window(self):
         # order 5: the contour kernel certifies every shell of the window,
         # so no quadrature warning is raised
@@ -363,8 +349,8 @@ class TestOddCircleDensity:
             warnings.simplefilter("error")
             v = odd_circle_density_wrapped(2, 1.0, 1.0)
         assert math.isfinite(v)
-        # projections are not pinned here: the budget caps the window and
-        # the residual is ~1e-3
+        # projections beyond mode 1 are not pinned: the budget window
+        # resolves mode 1 and the mass only (TestOddAtoms)
 
     @pytest.mark.parametrize(
         "route, n",
@@ -411,6 +397,61 @@ class TestOddCircleDensity:
         for n in (1, 2):
             with pytest.raises(DomainError):
                 odd_circle_density_wrapped(n, 0.5, math.inf)
+
+
+def atom_projections(n, a, q, modes):
+    """Mass and modes 1..modes of the atoms as (a_k, b_k), k = 0..modes."""
+    angles, weights = odd_circle_atoms(n, a, q)
+    k = np.arange(modes + 1)[:, None]
+    return np.cos(k * angles) @ weights / math.pi, np.sin(k * angles) @ weights / math.pi
+
+
+class TestOddAtoms:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("a, q", [(1, 1), (1, 2), (1, 3), (1, 5), (2, 7), (3, 8), (5, 12)])
+    def test_weights_real_with_unit_mass(self, n, a, q):
+        angles, weights = odd_circle_atoms(n, a, q)
+        assert weights.dtype == np.float64 and weights.shape == (q,)
+        assert np.array_equal(angles, np.arange(q) * (TWO_PI / q))
+        assert abs(weights.sum() - 1.0) <= 1e-15
+
+    def test_one_unit_atom_at_t_2pi_over_3(self):
+        # k^3 = k mod 3, so the coefficients are e^{2 pi i k/3}: a point mass at 4 pi/3
+        angles, weights = odd_circle_atoms(1, 1, 3)
+        assert weights == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
+        assert angles[2] == pytest.approx(4.0 * math.pi / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("a, q", [(1, 3), (1, 5), (2, 7), (3, 8), (5, 12)])
+    def test_modes_equal_the_series_coefficients(self, n, a, q):
+        # cos(k^p t)/pi and -sin(k^p t)/pi at t = 2 pi a/q, 30 digits in mpmath
+        p = 2 * n + 1
+        ak, bk = atom_projections(n, a, q, 12)
+        with mp.workdps(30):
+            t = 2 * mp.pi * a / q
+            want_a = [float(mp.cos(k**p * t) / mp.pi) for k in range(1, 13)]
+            want_b = [float(-mp.sin(k**p * t) / mp.pi) for k in range(1, 13)]
+        assert ak[0] * math.pi == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(ak[1:] - want_a)) <= 1e-13
+        assert np.max(np.abs(bk[1:] - want_b)) <= 1e-13
+
+    def test_second_order_window_resolves_mode_one_and_mass(self):
+        # the n = 2 budget window misses modes 2..6 by about 1/pi, but
+        # keeps the mass and mode 1 within 5e-3 (measured 2.9e-3, 1.3e-3)
+        t = TWO_PI / 5
+        a, b = fourier_coeffs(lambda th: odd_circle_density_wrapped(2, th, t), 1, 128)
+        ak, bk = atom_projections(2, 1, 5, 1)
+        th = np.arange(128) * (TWO_PI / 128)
+        mass = odd_circle_density_wrapped(2, th, t).mean() * TWO_PI
+        assert mass == pytest.approx(1.0, abs=5e-3)
+        assert a[0] == pytest.approx(ak[1], abs=5e-3)
+        assert b[0] == pytest.approx(bk[1], abs=5e-3)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, math.nan, math.inf])
+    def test_refusals(self, bad):
+        for args in ((bad, 1, 3), (1, bad, 3), (1, 1, bad)):
+            with pytest.raises(DomainError):
+                odd_circle_atoms(*args)
 
 
 class TestMinValueAndPositivity:
@@ -484,13 +525,22 @@ class TestSamplingOfEvenLaws:
         assert np.all(np.diff(law.cdf(th)) > -1e-12)
 
 
+def fresh_import(code):
+    """stdout of `code` run in a fresh interpreter that imports this circlaw."""
+    src = str(Path(circlaw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
 class TestImportSideEffects:
     def test_import_keeps_mpmath_precision(self):
-        # the phase-reduction constant is built at import; a fresh
-        # interpreter shows whether that touched the caller's precision
-        src = str(Path(circlaw.__file__).resolve().parents[1])
+        # a fresh interpreter shows whether import touched the caller's precision
         code = "import mpmath; mpmath.mp.dps = 30; import circlaw; print(mpmath.mp.dps)"
-        env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "30"
+        assert fresh_import(code) == "30"
+
+    def test_import_leaves_mpmath_unloaded(self):
+        # mpmath is a test dependency only; no module of the package loads it
+        code = "import sys, circlaw; print('mpmath' in sys.modules)"
+        assert fresh_import(code) == "False"

@@ -1,10 +1,13 @@
 """Static guards over the package source: no assert statements stand in
 for runtime checks, no quadrature error estimate is thrown away, no user
-count is truncated by a bare int(), and every export list names only what
-its module defines and the package re-exports."""
+count is truncated by a bare int(), every export list names only what
+its module defines and the package re-exports, and every import is the
+standard library, the package itself or a declared dependency."""
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,24 @@ def test_counts_are_checked_not_truncated(path):
         and any(isinstance(a, ast.Name) and a.id in COUNTS for a in node.args)
     ]
     assert lines == [], f"{path.name}: bare int() of a count at lines {lines}; use errors._check_count"
+
+
+def _declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    specs = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower().replace("-", "_") for spec in specs}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_are_declared(path):
+    # a runtime import of an undeclared package works only where the
+    # package happens to be installed
+    allowed = set(sys.stdlib_module_names) | {"circlaw"} | _declared_dependencies()
+    imported = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert sorted(imported - allowed) == [], path.name
