@@ -10,9 +10,7 @@ from .errors import (
     CirclawError,
     ConvergenceError,
     DomainError,
-    DomainGapError,
     MinimumLocationWarning,
-    RouteDivergenceWarning,
     SignedLawError,
     SlowDecayWarning,
 )
@@ -36,7 +34,6 @@ from .line import (
 )
 from .brownian import (
     BmLaw,
-    bm_density,
     bm_density_wrapped,
     bm_first_passage_density,
     bm_law,
@@ -47,7 +44,6 @@ from .brownian import (
     von_mises_matched_kappa,
 )
 from .fractional import (
-    frac_laplacian_apply,
     space_fractional_density,
     space_fractional_half_closed,
     space_fractional_law,
@@ -74,11 +70,8 @@ from .kernels import (
     kernel_limit_gap,
     odd_half_circle_prob,
     odd_kernel_cdf,
-    odd_kernel_cdf_branches,
-    odd_kernel_cdf_single_arctan,
     odd_kernel_density,
     odd_kernel_law,
-    odd_quadrant_forms,
     wrapped_skew_cauchy_density,
 )
 from .montecarlo import (

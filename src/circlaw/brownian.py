@@ -3,28 +3,28 @@ comparison, quadrant probability, maximal distance, and first passage.
 
 The law is the wrapped standard Brownian motion, with Fourier
 coefficients e^{-k^2 t/2}/pi. Unlike the higher-order circular laws,
-both computational routes (cosine series / wrapped Gaussian) converge
-fast and agree to near machine precision, so every public quantity
-keeps the cross-check alive.
+both computational routes converge fast and agree to near machine
+precision: the cosine series bm_law(t), which evaluates the density,
+and the wrapped Gaussian bm_density_wrapped, which the even wrapped
+route uses at n = 1. Validation criterion 2 checks the wrapped Gaussian
+against the n = 1 even-order series (this law at time 2t), and 5b
+checks bm_law against the space-fractional law at beta = 1.
 """
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 from scipy.optimize import brentq
 
-from .errors import ConvergenceError, DomainError, RouteDivergenceWarning, _check_finite
-from .harmonic import TWO_PI, HarmonicLaw, cosine_law
-from .line import _check_t
+from .errors import ConvergenceError, DomainError, _check_finite, _check_t
+from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff, cosine_law
 from .special import DEFAULT_TOL
 
 __all__ = [
     "BmLaw",
     "bm_law",
-    "bm_density",
     "bm_density_wrapped",
     "von_mises_density",
     "von_mises_density_series",
@@ -70,8 +70,7 @@ def _bm_tail(K, t):
 
 def bm_law(t, tol=DEFAULT_TOL):
     """Cosine-series carrier of the wrapped Brownian law."""
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     rep = cosine_law(
         lambda k: np.exp(-k * k * (t / 2.0)) / math.pi,
         lambda K: _bm_tail(K, t),
@@ -93,20 +92,16 @@ def _image_count(t, tol):
     Every dropped image of an angle in [0, 2 pi) lies beyond d = 2 pi M on
     its side, 2 pi apart, so for the decreasing Gaussian density g each side
     adds at most g(d) + (1/(2 pi)) int_d^inf g = g(d) + erfc(d/sqrt(2t))/(4 pi).
+    certified_cutoff counts from K = 1, so the tail it sees is shifted by one
+    shell: M = K - 1.
     """
 
-    def proven(d):
+    def tail(K):
+        d = TWO_PI * (K - 1)
         g = math.exp(-d * d / (2.0 * t)) / math.sqrt(TWO_PI * t)
-        return 2.0 * (g + sp.erfc(d / math.sqrt(2.0 * t)) / (4.0 * math.pi)) <= tol.abs_tol
+        return 2.0 * (g + sp.erfc(d / math.sqrt(2.0 * t)) / (4.0 * math.pi))
 
-    # few evaluations: M is small unless t is large
-    lo, hi = -1, 0
-    while not proven(TWO_PI * hi):
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if proven(TWO_PI * mid) else (mid, hi)
-    return hi
+    return certified_cutoff(tail, tol, "evaluate the series (bm_law)") - 1
 
 
 def bm_density_wrapped(theta, t, tol=DEFAULT_TOL):
@@ -134,27 +129,6 @@ def bm_density_wrapped(theta, t, tol=DEFAULT_TOL):
     return float(vals) if scalar else vals
 
 
-def bm_density(theta, t, tol=DEFAULT_TOL):
-    """Circular Brownian density; series primary, wrapped Gaussian check."""
-    # run both routes a notch tighter than asked so their mutual gap
-    # stays below the requested tolerance, not just below twice it
-    inner = replace(tol, abs_tol=tol.abs_tol / 8.0)
-    wrapped = bm_density_wrapped(theta, t, inner)
-    try:
-        law = bm_law(t, inner)
-    except ConvergenceError:
-        return wrapped  # very small t: series out of budget, wrapped exact
-    series = law.density(theta)
-    gap = float(np.max(np.abs(np.asarray(series) - np.asarray(wrapped))))
-    if gap > max(tol.abs_tol, 1e-10):
-        warnings.warn(
-            f"Brownian series and wrapped routes differ by {gap:.3e} at t={t}",
-            RouteDivergenceWarning,
-            stacklevel=2,
-        )
-    return series
-
-
 def _check_kappa(kappa):
     _check_finite(kappa, "kappa")
     if kappa < 0.0:
@@ -178,6 +152,7 @@ def von_mises_density_series(theta, kappa, tol=DEFAULT_TOL):
     """Fourier route: (1/2pi)(1 + 2 sum_k (I_k/I_0) cos k theta)."""
     _check_kappa(kappa)
     th = np.asarray(theta, dtype=float)
+    _check_finite(th, "theta")
     scalar = th.ndim == 0
     acc = np.ones(th.shape)
     i0 = sp.i0e(kappa)
@@ -197,8 +172,7 @@ def von_mises_density_series(theta, kappa, tol=DEFAULT_TOL):
 def von_mises_matched_kappa(t):
     """Concentration whose first circular moment matches the Brownian
     law at time t: solves I_1(kappa)/I_0(kappa) = e^{-t/2}."""
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     target = math.exp(-t / 2.0)
 
     def gap(k):
@@ -215,8 +189,7 @@ _QUAD_BOUND_T0 = 0.209  # threshold quoted for the e^{-t/2} envelope
 
 def bm_quadrant_prob(t, tol=DEFAULT_TOL):
     """P(-pi/2 < B(t) < pi/2) by its alternating odd-harmonic series."""
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     acc, k = 0.0, 0
     while True:
         term = math.exp(-((2 * k + 1) ** 2) * t / 2.0) / (2 * k + 1)
@@ -238,8 +211,7 @@ def bm_maxdist_cdf(theta, t):
     by the double-barrier reflection series for line Brownian motion."""
     if not (0.0 < theta <= math.pi):
         raise DomainError("theta must lie in (0, pi]")
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     u = theta / math.sqrt(t)
     if u < 0.14:
         # the survival probability is below (4/pi) e^{-pi^2/(8 u^2)} < 1e-23,
@@ -266,8 +238,7 @@ def bm_first_passage_density(theta, t):
     """
     if not (0.0 < theta <= math.pi):
         raise DomainError("theta must lie in (0, pi]")
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     u = theta / math.sqrt(t)
     if u < 0.14:
         return 0.0  # every Gaussian factor is below 1e-23 here

@@ -1,5 +1,6 @@
 """Exception and warning types shared across the package, and the
-finiteness and count checks behind DomainError."""
+argument checks behind DomainError: one per parameter kind (finite
+value, positive count, order n, time t)."""
 
 import math
 
@@ -32,24 +33,24 @@ def _check_count(v, name: str) -> int:
     return n
 
 
+def _check_n(n) -> None:
+    """An order index n >= 1; integral floats pass."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise DomainError("n must be a positive integer")
+
+
+def _check_t(t) -> None:
+    """A scalar time 0 < t < inf; NaN fails the comparison and is refused too."""
+    if not 0.0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
+
+
 class ConvergenceError(CirclawError, ArithmeticError):
     """A series or quadrature could not certify the requested accuracy."""
 
 
-class DomainGapError(DomainError):
-    """The published piecewise formula does not cover this argument.
-
-    Raised only by the published-form evaluators; the authoritative
-    routes cover the whole circle.
-    """
-
-
 class SignedLawError(CirclawError, ValueError):
     """The operation needs a nonnegative density but the law is signed."""
-
-
-class RouteDivergenceWarning(UserWarning):
-    """Two independent evaluation routes disagree beyond the diagnostic band."""
 
 
 class SlowDecayWarning(UserWarning):

@@ -16,8 +16,15 @@ import warnings
 import numpy as np
 from scipy import special as sp
 
-from .errors import ConvergenceError, DomainError, SlowDecayWarning, _check_finite
-from .harmonic import TWO_PI, HarmonicLaw, cosine_law
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    SlowDecayWarning,
+    _check_finite,
+    _check_n,
+    _check_t,
+)
+from .harmonic import TWO_PI, cosine_law
 from .pseudo import even_circle_law
 from .special import DEFAULT_TOL, mittag_leffler_many
 
@@ -26,7 +33,6 @@ __all__ = [
     "space_fractional_law",
     "space_fractional_density",
     "space_fractional_half_closed",
-    "frac_laplacian_apply",
     "wrapped_stable_law",
     "wrapped_stable_density",
     "space_time_fractional_density",
@@ -48,11 +54,9 @@ def time_fractional_law(n, nu, t, tol=DEFAULT_TOL):
     the coefficients decay like k^{-2n}, so the certified cutoff grows
     as tol^{-1/(2n-1)}; an unaffordable cutoff raises with advice.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DomainError("n must be an integer >= 1")
+    _check_n(n)
     _check_unit("nu", nu)
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     if nu == 1.0:
         return even_circle_law(n, t, tol)
     # sum_{k>K} E_nu(-k^{2n} t^nu) <= Gamma(1+nu) t^-nu sum k^{-2n}
@@ -94,8 +98,7 @@ def _stretched_law(c, p, coeffs, tol, what, meta):
 def space_fractional_law(beta, t, tol=DEFAULT_TOL):
     """Harmonic carrier with coefficients e^{-(k^2/2)^beta t}/pi."""
     _check_unit("beta", beta)
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     return _stretched_law(
         t / 2.0**beta,  # exponent is c k^{2 beta}
         2.0 * beta,
@@ -116,8 +119,7 @@ def space_fractional_half_closed(theta, t):
 
     Cross-check oracle only; the series is the production path.
     """
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     th = np.asarray(theta, dtype=float)
     _check_finite(th, "theta")
     q = math.exp(-t * math.sqrt(2.0))  # = r^2 with r = e^{-t/sqrt(2)}
@@ -126,32 +128,11 @@ def space_fractional_half_closed(theta, t):
     return float(val) if th.ndim == 0 else val
 
 
-def frac_laplacian_apply(beta, law, negate=False):
-    """Spectral fractional Laplacian on a harmonic carrier.
-
-    Maps (a_k, b_k) to ((k^2/2)^beta a_k, (k^2/2)^beta b_k) and a0 to 0,
-    i.e. the positive-semidefinite operator (-(1/2) d^2/dtheta^2)^beta.
-    negate=True applies the generator, which carries the opposite sign.
-    """
-    _check_unit("beta", beta)
-    k = np.arange(1.0, law.n_terms + 1.0)
-    eig = (k * k / 2.0) ** beta
-    sign = -1.0 if negate else 1.0
-    return HarmonicLaw(
-        a0=0.0,
-        cos_coeffs=sign * eig * law.cos_coeffs,
-        sin_coeffs=sign * eig * law.sin_coeffs,
-        tail_bound=0.0,
-        meta=f"fractional Laplacian (beta={beta!r}) of [{law.meta}]",
-    )
-
-
 def wrapped_stable_law(beta, t, tol=DEFAULT_TOL):
     """Harmonic carrier with coefficients e^{-k^{2 beta} t}/pi: the
     wrapped symmetric stable law of index 2 beta."""
     _check_unit("beta", beta)
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     return _stretched_law(
         t,
         2.0 * beta,
@@ -185,8 +166,7 @@ def space_time_fractional_density(nu, beta, theta, t, tol=DEFAULT_TOL):
     """
     _check_unit("nu", nu)
     _check_unit("beta", beta)
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     if nu == 1.0:
         return space_fractional_density(beta, theta, t, tol)
     if beta <= 0.5:
@@ -212,8 +192,7 @@ def space_time_fractional_cdf(nu, beta, theta, t, tol=DEFAULT_TOL):
     """
     _check_unit("nu", nu)
     _check_unit("beta", beta)
-    if not (t > 0.0):
-        raise DomainError("t must be positive")
+    _check_t(t)
     if nu == 1.0:
         return space_fractional_law(beta, t, tol).cdf(theta)
     # the carrier's tail_bound is c K^{-2 beta}/(2 beta), in CDF units

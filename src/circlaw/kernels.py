@@ -6,10 +6,9 @@ order. The odd-order analogue keeps an order imprint through the
 damping/rotation pair (a, b) of the line solution of order 2n+1: it
 is the even kernel evaluated at radius e^{-a t} and angle theta + b t,
 and collapses onto the even kernel as n grows. This module carries the
-closed forms, certified series laws, branch-safe CDFs, interval
-probabilities, and the classical restricted-branch arctan forms of the
-odd CDF (exposed separately because they do not cover the whole
-circle).
+closed forms, certified series laws, exact branch-free CDFs, interval
+probabilities, the wrapped skewed-Cauchy route to the odd kernel and
+the odd-to-even limit gap.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, DomainGapError, _check_count, _check_finite
+from .errors import DomainError, _check_finite, _check_n, _check_t
 from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff
-from .line import _check_n, _check_t, _rotation, skew_cauchy_density
+from .line import _rotation, skew_cauchy_density
 from .special import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -31,10 +30,7 @@ __all__ = [
     "odd_kernel_density",
     "odd_kernel_law",
     "odd_kernel_cdf",
-    "odd_kernel_cdf_branches",
-    "odd_kernel_cdf_single_arctan",
     "odd_half_circle_prob",
-    "odd_quadrant_forms",
     "wrapped_skew_cauchy_density",
     "kernel_limit_gap",
 ]
@@ -164,64 +160,6 @@ def odd_kernel_cdf(n: int, theta, t: float):
     return float(val) if np.ndim(theta) == 0 else val
 
 
-def odd_kernel_cdf_branches(n: int, theta: float, t: float) -> float:
-    """Restricted two-branch arctan form of the odd CDF.
-
-    With A = (1 + e^{-a t})/(1 - e^{-a t}) the expression
-    (1/pi)[arctan(A tan((theta + b t)/2)) - arctan(A tan(b t/2))]
-    equals the CDF only while theta + b t < pi; adding 1 extends it to
-    pi < theta < 2 pi - b t/2. Between and beyond those windows (and for
-    b t >= pi, where the subtracted reference term crosses its own
-    arctan branch and the whole form shifts by 1) DomainGapError is
-    raised; odd_kernel_cdf covers the full circle.
-    """
-    a, b = _ab(n)
-    _check_t(t)
-    th = float(theta)
-    if not 0.0 <= th < TWO_PI:
-        raise DomainError("theta must lie in [0, 2 pi)")
-    rot = b * t
-    if rot >= math.pi:
-        raise DomainGapError(
-            f"rotation b t = {rot:g} >= pi: the branch form is off by 1 everywhere; "
-            "use odd_kernel_cdf"
-        )
-    if th + rot < math.pi or math.pi < th < TWO_PI - 0.5 * rot:
-        A = (1.0 + math.exp(-a * t)) / (-math.expm1(-a * t))
-        base = (
-            math.atan(A * math.tan((th + rot) / 2.0)) - math.atan(A * math.tan(rot / 2.0))
-        ) / math.pi
-        return base if th + rot < math.pi else 1.0 + base
-    raise DomainGapError(
-        f"theta = {th:g} falls between the branch windows "
-        f"[{math.pi - rot:g}, pi] or [{TWO_PI - 0.5 * rot:g}, 2 pi); use odd_kernel_cdf"
-    )
-
-
-def odd_kernel_cdf_single_arctan(n: int, theta: float, t: float) -> float:
-    """Single-arctan half-angle expression, T = tan(theta/2), u = tan(b t/2):
-
-        (1/pi) atan2((1-q^2) T (1+u^2), (1-q)^2 + 4 T u + (1+q)^2 u^2).
-
-    The cross term 4 T u carries no q = e^{-a t} weight, so this is NOT
-    the kernel CDF (the exact antiderivative odd_kernel_cdf weighs that
-    term by q); it is the closed expression behind the quadrant identity
-    family and equals odd_quadrant_forms at theta = pi/2. Kept for those
-    identity checks.
-    """
-    a, b = _ab(n)
-    _check_t(t)
-    th = float(theta)
-    if not 0.0 <= th < TWO_PI:
-        raise DomainError("theta must lie in [0, 2 pi)")
-    q = math.exp(-a * t)
-    T = math.tan(th / 2.0)
-    u = math.tan(b * t / 2.0)
-    num = (1.0 - q * q) * T * (1.0 + u * u)
-    den = (1.0 - q) ** 2 + 4.0 * T * u + (1.0 + q) ** 2 * u * u
-    return math.atan2(num, den) / math.pi
-
-
 def odd_half_circle_prob(n: int, t: float) -> float:
     """P(0 < Theta < pi) = (1/pi) atan2(sinh(a t), sin(b t)).
 
@@ -237,53 +175,25 @@ def odd_half_circle_prob(n: int, t: float) -> float:
     return math.atan2(-math.expm1(-2.0 * a * t), scale * math.sin(b * t)) / math.pi
 
 
-def odd_quadrant_forms(n: int, t: float) -> tuple[float, float, float]:
-    """Three algebraically identical arctan expressions (quadrant identity family).
-
-    The first is odd_kernel_cdf_single_arctan at theta = pi/2; the other
-    two are its hyperbolic rewrites. They agree with one another at
-    machine accuracy but are NOT the kernel quadrant probability
-    P(0 < Theta < pi/2) = odd_kernel_cdf(n, pi/2, t): their middle
-    denominator term is e^{a t} sin(b t) where the CDF carries sin(b t)
-    unweighted.
-    """
-    a, b = _ab(n)
-    _check_t(t)
-    q = math.exp(-a * t)
-    u = math.tan(b * t / 2.0)
-    l1 = math.atan(
-        (1.0 - q * q) * (1.0 + u * u) / ((1.0 - q) ** 2 + 4.0 * u + (1.0 + q) ** 2 * u * u)
-    ) / math.pi
-    l2 = math.atan(
-        math.sinh(a * t)
-        / (
-            2.0 * math.sinh(a * t / 2.0) ** 2 * math.cos(b * t / 2.0) ** 2
-            + math.exp(a * t) * math.sin(b * t)
-            + 2.0 * math.cosh(a * t / 2.0) ** 2 * math.sin(b * t / 2.0) ** 2
-        )
-    ) / math.pi
-    l3 = math.atan(
-        math.sinh(a * t) / (math.cosh(a * t) - math.cos(b * t) + math.exp(a * t) * math.sin(b * t))
-    ) / math.pi
-    return l1, l2, l3
+# shells the wrapped skewed-Cauchy route sums before its tail closure
+_SKEW_SHELLS = 200
 
 
-def wrapped_skew_cauchy_density(n: int, theta, t: float, shells: int = 200):
+def wrapped_skew_cauchy_density(n: int, theta, t: float):
     """2 pi-wrapping of the skewed Cauchy line law; independent route to the odd kernel.
 
-    Sums shells |m| <= shells directly and closes both tails with the
+    Sums shells |m| <= 200 directly and closes both tails with the
     integral of the line density (midpoint rule in the shell index),
-    which leaves a residual ~1e-10 at shells = 200.
+    which leaves a residual ~1e-10.
     """
     a, b = _ab(n)
     _check_t(t)
-    shells = _check_count(shells, "shells")
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    m = TWO_PI * np.arange(-shells, shells + 1)
+    m = TWO_PI * np.arange(-_SKEW_SHELLS, _SKEW_SHELLS + 1)
     core = skew_cauchy_density(n, th[:, None] + m, t).sum(axis=1)
     scale = t * a
-    hi = th + TWO_PI * (shells + 0.5)
-    lo = th - TWO_PI * (shells + 0.5)
+    hi = th + TWO_PI * (_SKEW_SHELLS + 0.5)
+    lo = th - TWO_PI * (_SKEW_SHELLS + 0.5)
     tail = (
         1.0
         - (np.arctan((hi + t * b) / scale) - np.arctan((lo + t * b) / scale))
@@ -293,13 +203,15 @@ def wrapped_skew_cauchy_density(n: int, theta, t: float, shells: int = 200):
     return float(out[0]) if np.ndim(theta) == 0 else out
 
 
-def kernel_limit_gap(n: int, t: float, grid_n: int = 512) -> float:
-    """sup over a uniform angular grid of |odd kernel(n) - even kernel| at time t.
+# nodes of the uniform angular grid kernel_limit_gap takes its sup over
+_GAP_GRID = 512
+
+
+def kernel_limit_gap(n: int, t: float) -> float:
+    """sup over a 512-node uniform angular grid of |odd kernel(n) - even kernel| at time t.
 
     Decreases to 0 as n grows (a -> 1, b -> 0 collapse the odd kernel
     onto the even one) and as t grows (both flatten to uniform).
     """
-    if _check_count(grid_n, "grid_n") < 8:
-        raise DomainError("grid_n must be >= 8")
-    th = np.arange(grid_n) * (TWO_PI / grid_n)
+    th = np.arange(_GAP_GRID) * (TWO_PI / _GAP_GRID)
     return float(np.max(np.abs(odd_kernel_density(n, th, t) - even_kernel_density(th, t))))

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sps
 
-from .errors import ConvergenceError, DomainError, _check_finite
+from .errors import ConvergenceError, DomainError, _check_finite, _check_n, _check_t
 from .special import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -49,16 +49,6 @@ _CANCEL_BUDGET = 35.0
 # a in (0, 1) of the even-order bound _line_bound: about 0.95 of the
 # saddle-point decay rate at p = 4, 6, 8
 _BOUND_A = 0.1
-
-
-def _check_n(n) -> None:
-    if not (n >= 1 and float(n).is_integer()):
-        raise DomainError("n must be a positive integer")
-
-
-def _check_t(t: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise DomainError("t must be positive and finite")
 
 
 def _rotation(p: int) -> tuple[float, float]:

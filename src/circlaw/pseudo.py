@@ -25,17 +25,16 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    DomainError,
     MinimumLocationWarning,
     _check_count,
     _check_finite,
+    _check_n,
+    _check_t,
 )
 from .brownian import bm_density_wrapped
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .line import (
     _CANCEL_BUDGET,
-    _check_n,
-    _check_t,
     _line_bound,
     _rotation,
     _smallest,
@@ -66,8 +65,7 @@ def even_circle_law(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> HarmonicL
     which certifies the dropped tail through k^{2n} >= k.
     """
     _check_n(n)
-    if not t > 0.0:
-        raise DomainError("t must be positive")
+    _check_t(t)
     denom = math.pi * (-math.expm1(-t))
     return cosine_law(
         lambda k: np.exp(-(k ** (2 * n)) * t) / math.pi,
@@ -262,8 +260,7 @@ def odd_circle_atoms(n: int, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 def min_value(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """v_{2n}(pi, t) = 1/(2 pi) + (1/pi) sum_k (-1)^k e^{-k^{2n} t}."""
     _check_n(n)
-    if not t > 0.0:
-        raise DomainError("t must be positive")
+    _check_t(t)
     total = 1.0 / TWO_PI
     sign = -1.0
     for k in range(1, tol.max_terms + 1):

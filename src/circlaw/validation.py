@@ -40,9 +40,9 @@ from .kernels import (
     even_quadrant_prob,
     kernel_limit_gap,
     odd_half_circle_prob,
+    odd_kernel_cdf,
     odd_kernel_density,
     odd_kernel_law,
-    odd_quadrant_forms,
     wrapped_skew_cauchy_density,
 )
 from .montecarlo import (
@@ -243,10 +243,12 @@ def _c8b(run):
 
 
 def _c8c(run):
+    # P(0 < Theta < pi/2): the exact CDF against the termwise series CDF
+    tol = Tolerance(abs_tol=1e-13)
     worst = 0.0
     for n, t in ((1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0)):
-        f1, f2, f3 = odd_quadrant_forms(n, t)
-        worst = max(worst, abs(f1 - f2), abs(f2 - f3), abs(f1 - f3))
+        series = odd_kernel_law(n, t, tol).cdf(math.pi / 2.0)
+        worst = max(worst, abs(odd_kernel_cdf(n, math.pi / 2.0, t) - series))
     return worst
 
 
@@ -400,7 +402,7 @@ _CRITERIA = (
      1e-12, lt, _c8a),
     ("8b", "kernels", "odd half-circle probability equals kernel quadrature",
      _C8B_THRESHOLD, lt, _c8b),
-    ("8c", "kernels", "the three quadrant-probability expressions agree mutually",
+    ("8c", "kernels", "odd quadrant probability equals the series CDF at pi/2",
      1e-10, lt, _c8c),
     ("9a", "brownian", "max-distance CDF vs double-barrier Monte Carlo (z-score)",
      3.0, lt, _c9a),

@@ -139,8 +139,9 @@ def test_criterion_07_monte_carlo_vs_analytic(rows, groups):
 def test_criterion_08_probability_formulas(rows):
     """Even quadrant probability equals the CDF difference to 1e-12 at
     t in {0.2, 1, 5}; odd half-circle probability equals kernel
-    quadrature to 1e-8 for n in {1,3}, t in {0.5, 1}; the three
-    quadrant-probability expressions agree mutually to 1e-10."""
+    quadrature to 1e-8 for n in {1,3}, t in {0.5, 1}; the odd quadrant
+    probability P(0 < Theta < pi/2) from the exact CDF equals the series
+    CDF to 1e-10 for (n, t) in {1,2} x {0.5, 1}."""
     check(rows, 8)
 
 

@@ -12,7 +12,6 @@ import circlaw
 from circlaw import DomainError, Tolerance
 from circlaw.brownian import (
     BmLaw,
-    bm_density,
     bm_density_wrapped,
     bm_first_passage_density,
     bm_law,
@@ -74,7 +73,7 @@ class TestBmLaw:
 class TestBmDensity:
     def test_center_value(self):
         # wrap corrections to 1/sqrt(2 pi) are < 1e-8 at t=1
-        assert bm_density(0.0, 1.0) == pytest.approx(0.39894228, abs=1e-8)
+        assert bm_law(1.0).density(0.0) == pytest.approx(0.39894228, abs=1e-8)
 
     def test_against_mpmath_wrap(self):
         mp.mp.dps = 30
@@ -86,12 +85,12 @@ class TestBmDensity:
                 )
                 / mp.sqrt(2 * mp.pi * t)
             )
-            assert bm_density(theta, t) == pytest.approx(oracle, abs=1e-11)
+            assert bm_law(t).density(theta) == pytest.approx(oracle, abs=1e-11)
 
     @pytest.mark.parametrize("t", [0.02, 0.2, 1.0, 5.0, 50.0])
     def test_routes_agree(self, t):
         th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-        gap = np.max(np.abs(np.asarray(bm_density(th, t)) - bm_density_wrapped(th, t)))
+        gap = np.max(np.abs(bm_law(t).density(th) - bm_density_wrapped(th, t)))
         assert gap < 1e-10
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
@@ -117,28 +116,21 @@ class TestBmDensity:
     def test_underflowed_coefficients_accepted(self, t):
         # e^{-t/2}/pi underflows to 0 past t ~ 1500; the law is the uniform one
         tol = Tolerance()
-        assert abs(bm_density(1.0, t, tol) - 1.0 / TWO_PI) <= tol.abs_tol
+        assert abs(bm_law(t, tol).density(1.0) - 1.0 / TWO_PI) <= tol.abs_tol
 
     def test_uniform_limit(self):
-        assert bm_density(1.0, 200.0) == pytest.approx(1.0 / TWO_PI, abs=1e-12)
+        assert bm_law(200.0).density(1.0) == pytest.approx(1.0 / TWO_PI, abs=1e-12)
 
     def test_periodicity(self):
-        assert bm_density(-math.pi, 1.0) == pytest.approx(
-            bm_density(math.pi, 1.0), abs=1e-14
-        )
+        law = bm_law(1.0)
+        assert law.density(-math.pi) == pytest.approx(law.density(math.pi), abs=1e-14)
 
     def test_everywhere_positive_unit_mass(self):
         th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-        assert np.min(bm_density(th, 0.5)) > 0.0
-        mass, _ = integrate.quad(lambda x: bm_density(x, 0.5), 0.0, TWO_PI, limit=100)
+        law = bm_law(0.5)
+        assert np.min(law.density(th)) > 0.0
+        mass, _ = integrate.quad(law.density, 0.0, TWO_PI, limit=100)
         assert mass == pytest.approx(1.0, abs=1e-10)
-
-    def test_tiny_t_wrapped_fallback(self):
-        tol = Tolerance(abs_tol=1e-10, max_terms=100)
-        v = bm_density(0.3, 1e-4, tol)
-        assert v == pytest.approx(
-            math.exp(-0.09 / 2e-4) / math.sqrt(TWO_PI * 1e-4), rel=1e-10
-        )
 
 
 class TestVonMises:
@@ -183,6 +175,13 @@ class TestVonMises:
         with pytest.raises(DomainError, match="kappa"):
             density(0.0, kappa)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, [0.0, math.nan]])
+    @pytest.mark.parametrize("density", [von_mises_density, von_mises_density_series])
+    def test_bad_theta_refused(self, density, theta):
+        # NaN passes through cos; both routes must refuse it
+        with pytest.raises(DomainError, match="theta"):
+            density(theta, 1.0)
+
 
 class TestVonMisesComparison:
     def test_matched_kappa_moment(self):
@@ -206,13 +205,14 @@ class TestVonMisesComparison:
         th = np.linspace(0.0, TWO_PI, 2049)
         for t, want in frozen.items():
             kap = von_mises_matched_kappa(t)
-            gap = np.max(np.abs(np.asarray(bm_density(th, t)) - von_mises_density(th, kap)))
+            gap = np.max(np.abs(bm_law(t).density(th) - von_mises_density(th, kap)))
             assert gap == pytest.approx(want, abs=1e-7)
 
     def test_both_centered(self):
         # circular mean 0: both densities even around the origin
         th = np.linspace(0.1, TWO_PI / 2, 7)
-        assert np.allclose(bm_density(th, 1.0), bm_density(TWO_PI - th, 1.0), atol=1e-13)
+        law = bm_law(1.0)
+        assert np.allclose(law.density(th), law.density(TWO_PI - th), atol=1e-13)
         kap = von_mises_matched_kappa(1.0)
         assert np.allclose(
             von_mises_density(th, kap), von_mises_density(TWO_PI - th, kap), atol=1e-13
@@ -221,7 +221,7 @@ class TestVonMisesComparison:
 
 class TestQuadrantProb:
     def test_against_quadrature(self):
-        val, _ = integrate.quad(lambda x: bm_density(x, 1.0), -math.pi / 2, math.pi / 2)
+        val, _ = integrate.quad(bm_law(1.0).density, -math.pi / 2, math.pi / 2)
         assert bm_quadrant_prob(1.0) == pytest.approx(val, abs=1e-9)
 
     def test_against_cdf_route(self):

@@ -1,17 +1,16 @@
 """Fractional circular law tests: Caputo-in-time and spectral-in-space
-series, wrapped stable laws, equality in law, Laplacian spectral action."""
+series, wrapped stable laws, equality in law, the space-fractional
+evolution equation."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
 from circlaw import ConvergenceError, DomainError, SlowDecayWarning, Tolerance
-from circlaw.brownian import bm_density
+from circlaw.brownian import bm_law
 from circlaw.fractional import (
-    frac_laplacian_apply,
     space_fractional_density,
     space_fractional_half_closed,
     space_fractional_law,
@@ -79,9 +78,16 @@ class TestTimeFractionalLaw:
         with pytest.raises(ConvergenceError, match="loosen"):
             time_fractional_law(1, 0.6, 1.0)  # 1e-10 needs ~3e9 terms
 
+    def test_integral_float_order_accepted(self):
+        # one order check across the package: n = 2.0 is the order n = 2
+        as_float = time_fractional_law(2.0, 0.5, 1.0, TOL6)
+        assert np.array_equal(as_float.cos_coeffs, time_fractional_law(2, 0.5, 1.0, TOL6).cos_coeffs)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             time_fractional_law(0, 0.5, 1.0)
+        with pytest.raises(DomainError):
+            time_fractional_law(1.5, 0.5, 1.0)
         with pytest.raises(DomainError):
             time_fractional_law(1, 1.5, 1.0)
         with pytest.raises(DomainError):
@@ -97,7 +103,7 @@ class TestSpaceFractional:
         gap = np.max(
             np.abs(
                 space_fractional_density(1.0, th, 1.0, tight)
-                - np.asarray(bm_density(th, 1.0, tight))
+                - bm_law(1.0, tight).density(th)
             )
         )
         assert gap < 1e-12
@@ -140,39 +146,18 @@ class TestSpaceFractional:
 
 
 class TestFracLaplacian:
-    def test_eigenvalues(self):
-        law = space_fractional_law(0.5, 1.0, TOL6)
-        img = frac_laplacian_apply(0.5, law)
-        assert img.a0 == 0.0
-        assert img.cos_coeffs[1] / law.cos_coeffs[1] == pytest.approx(
-            math.sqrt(2.0), rel=1e-14
-        )
-        k = np.arange(1.0, law.n_terms + 1.0)
-        assert np.all(img.cos_coeffs >= 0.0)  # positive semidefinite
-        assert np.allclose(img.cos_coeffs, np.sqrt(k * k / 2.0) * law.cos_coeffs)
-
-    def test_negate_flag_gives_generator(self):
-        law = space_fractional_law(0.5, 1.0, TOL6)
-        gen = frac_laplacian_apply(1.0, law, negate=True)
-        assert gen.cos_coeffs[2] / law.cos_coeffs[2] == pytest.approx(-4.5, rel=1e-14)
-
     def test_time_derivative_residual(self):
-        # d/dt of the space-fractional coefficients is -(k^2/2)^beta times
-        # the coefficients: central differences with lam*h = 1e-3
+        # the law solves d/dt u = -(-(1/2) d^2/dtheta^2)^beta u: mode k's
+        # coefficient has time derivative -(k^2/2)^beta times itself.
+        # Central differences with lam*h = 1e-3
         beta, t = 0.6, 1.0
         law = space_fractional_law(beta, t, TOL6)
-        gen = frac_laplacian_apply(beta, law, negate=True)
         for k in (1, 2, 3, 5):
             lam = (k * k / 2.0) ** beta
             h = 1e-3 / lam
             ap = space_fractional_law(beta, t + h, TOL6).cos_coeffs[k - 1]
             am = space_fractional_law(beta, t - h, TOL6).cos_coeffs[k - 1]
-            assert (ap - am) / (2 * h) == pytest.approx(gen.cos_coeffs[k - 1], abs=1e-7)
-
-    def test_validation(self):
-        law = space_fractional_law(0.5, 1.0, TOL6)
-        with pytest.raises(DomainError):
-            frac_laplacian_apply(0.0, law)
+            assert (ap - am) / (2 * h) == pytest.approx(-lam * law.cos_coeffs[k - 1], abs=1e-7)
 
 
 class TestWrappedStable:

@@ -1,6 +1,6 @@
-"""Poisson kernel tests: closed forms vs series, branch-safe CDFs,
-interval probabilities, the restricted published-style arctan branches,
-the wrapped skewed-Cauchy route, and the large-n collapse."""
+"""Poisson kernel tests: closed forms vs series, branch-free CDFs,
+interval probabilities, the wrapped skewed-Cauchy route, and the
+large-n collapse."""
 
 import math
 import warnings
@@ -11,7 +11,6 @@ import pytest
 from scipy import integrate
 
 from circlaw import ConvergenceError, DomainError, Tolerance
-from circlaw.errors import DomainGapError
 from circlaw.harmonic import TWO_PI
 from circlaw.kernels import (
     _ab,
@@ -22,11 +21,8 @@ from circlaw.kernels import (
     kernel_limit_gap,
     odd_half_circle_prob,
     odd_kernel_cdf,
-    odd_kernel_cdf_branches,
-    odd_kernel_cdf_single_arctan,
     odd_kernel_density,
     odd_kernel_law,
-    odd_quadrant_forms,
     wrapped_skew_cauchy_density,
 )
 
@@ -212,17 +208,6 @@ class TestOddKernelDensity:
         wrapped = wrapped_skew_cauchy_density(n, GRID64, t)
         assert np.max(np.abs(wrapped - odd_kernel_density(n, GRID64, t))) < 1e-8
 
-    def test_wrapped_route_tail_closure(self):
-        # the arctan tail closure buys ~3 decades over bare truncation
-        bare_shells = wrapped_skew_cauchy_density(1, 0.3, 1.0, shells=50)
-        assert abs(bare_shells - odd_kernel_density(1, 0.3, 1.0)) < 1e-8
-
-    def test_wrapped_route_shell_count_validation(self):
-        # np.arange(-2.5, 3.5) would sum at the wrong positions
-        for shells in (0, 2.5, math.nan):
-            with pytest.raises(DomainError, match="shells"):
-                wrapped_skew_cauchy_density(1, 0.3, 1.0, shells=shells)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             odd_kernel_density(0, 0.0, 1.0)
@@ -285,44 +270,13 @@ class TestOddKernelCdf:
         th = np.linspace(0.0, TWO_PI, 65)
         assert np.max(np.abs(law.cdf(th) - odd_kernel_cdf(1, th, 0.8))) < 1e-11
 
-    def test_branches_match_inside_windows(self):
-        n, t = 1, 1.0
-        b = 0.5
-        for th in np.linspace(1e-6, math.pi - b * t - 1e-6, 20):
-            assert odd_kernel_cdf_branches(n, th, t) == pytest.approx(
-                odd_kernel_cdf(n, th, t), abs=1e-12
-            )
-        for th in np.linspace(math.pi + 1e-6, TWO_PI - b * t / 2 - 1e-6, 20):
-            assert odd_kernel_cdf_branches(n, th, t) == pytest.approx(
-                odd_kernel_cdf(n, th, t), abs=1e-12
-            )
-
-    @pytest.mark.parametrize("theta", [math.pi - 0.25, math.pi, TWO_PI - 0.1])
-    def test_branch_gaps_raise(self, theta):
-        # gaps at n=1, t=1 (b t = 0.5): [pi - 0.5, pi] and [2 pi - 0.25, 2 pi)
-        with pytest.raises(DomainGapError, match="odd_kernel_cdf"):
-            odd_kernel_cdf_branches(1, theta, 1.0)
-
-    def test_branch_refuses_large_rotation(self):
-        # b t >= pi shifts the reference arctan branch; the printed form
-        # is then wrong by exactly 1 even inside its stated windows
-        with pytest.raises(DomainGapError, match="b t"):
-            odd_kernel_cdf_branches(1, 4.0, 6.4)
-
-    def test_single_arctan_is_identity_generator_not_cdf(self):
-        n, t = 1, 1.0
-        at_quarter = odd_kernel_cdf_single_arctan(n, math.pi / 2, t)
-        assert at_quarter == pytest.approx(odd_quadrant_forms(n, t)[0], abs=1e-15)
-        # structurally different from the true CDF (unweighted cross term)
-        assert abs(at_quarter - odd_kernel_cdf(n, math.pi / 2, t)) > 0.05
-
     def test_domain(self):
         with pytest.raises(DomainError):
             odd_kernel_cdf(1, 0.5, 0.0)
         with pytest.raises(DomainError):
-            odd_kernel_cdf_branches(1, -0.1, 1.0)
+            odd_kernel_cdf(1, -0.1, 1.0)
         with pytest.raises(DomainError):
-            odd_kernel_cdf_single_arctan(1, TWO_PI, 1.0)
+            odd_kernel_cdf(1, TWO_PI + 0.1, 1.0)
 
 
 class TestOddIntervalProbabilities:
@@ -364,16 +318,11 @@ class TestOddIntervalProbabilities:
             plain = math.atan2(math.sinh(a * t), math.sin(b * t)) / math.pi
             assert odd_half_circle_prob(1, t) == pytest.approx(plain, abs=1e-15)
 
-    @pytest.mark.parametrize("n,t", [(1, 0.5), (1, 1.0), (2, 1.0), (3, 2.0)])
-    def test_quadrant_forms_mutually_agree(self, n, t):
-        l1, l2, l3 = odd_quadrant_forms(n, t)
-        assert max(l1, l2, l3) - min(l1, l2, l3) < 1e-10
-
-    def test_quadrant_forms_frozen_and_distinct_from_cdf(self):
-        l1, _, _ = odd_quadrant_forms(1, 1.0)
-        assert l1 == pytest.approx(0.16942410712922998, abs=1e-12)
-        true_quadrant = odd_kernel_cdf(1, math.pi / 2, 1.0)
-        assert true_quadrant == pytest.approx(0.24638764172954855, abs=1e-12)
+    def test_quadrant_frozen_value(self):
+        # P(0 < Theta < pi/2) at n = 1, t = 1
+        assert odd_kernel_cdf(1, math.pi / 2, 1.0) == pytest.approx(
+            0.24638764172954855, abs=1e-12
+        )
 
 
 class TestKernelLimitGap:
@@ -392,8 +341,7 @@ class TestKernelLimitGap:
         assert kernel_limit_gap(n, 60.0) < 1e-12
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            kernel_limit_gap(1, 1.0, grid_n=4)
-        # np.arange(8.5) would make a nine-node grid that is not uniform
         with pytest.raises(DomainError, match="positive integer"):
-            kernel_limit_gap(1, 1.0, grid_n=8.5)
+            kernel_limit_gap(0, 1.0)
+        with pytest.raises(DomainError, match="positive integer"):
+            kernel_limit_gap(1.5, 1.0)

@@ -443,6 +443,59 @@ def test_refuses_bad_arguments(call):
 
 
 def test_series_laws_keep_the_uniform_limit():
-    # series laws refuse NaN but take t = inf as the uniform law
-    assert even_circle_law(2, INF).density(1.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
-    assert min_value(2, INF) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
+    # at a huge finite t every coefficient underflows and the law is the uniform one
+    assert even_circle_law(2, 1e300).density(1.0) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
+    assert min_value(2, 1e300) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
+
+
+# every public function of a time t, as a function of t alone
+_TIME_BUILDERS = {
+    "bm_law": lambda t: circlaw.bm_law(t),
+    "bm_density_wrapped": lambda t: circlaw.bm_density_wrapped(1.0, t),
+    "bm_quadrant_prob": lambda t: circlaw.bm_quadrant_prob(t),
+    "bm_maxdist_cdf": lambda t: circlaw.bm_maxdist_cdf(1.0, t),
+    "bm_first_passage_density": lambda t: circlaw.bm_first_passage_density(1.0, t),
+    "von_mises_matched_kappa": lambda t: circlaw.von_mises_matched_kappa(t),
+    "time_fractional_law": lambda t: circlaw.time_fractional_law(2, 0.5, t),
+    "space_fractional_law": lambda t: circlaw.space_fractional_law(0.5, t),
+    "space_fractional_density": lambda t: circlaw.space_fractional_density(0.5, 1.0, t),
+    "space_fractional_half_closed": lambda t: circlaw.space_fractional_half_closed(1.0, t),
+    "wrapped_stable_law": lambda t: circlaw.wrapped_stable_law(0.5, t),
+    "wrapped_stable_density": lambda t: circlaw.wrapped_stable_density(0.5, 1.0, t),
+    "space_time_fractional_density":
+        lambda t: circlaw.space_time_fractional_density(0.5, 0.7, 1.0, t),
+    "space_time_fractional_cdf": lambda t: circlaw.space_time_fractional_cdf(0.5, 0.5, 1.0, t),
+    "even_circle_law": lambda t: circlaw.even_circle_law(2, t),
+    "even_circle_density": lambda t: circlaw.even_circle_density(2, 1.0, t),
+    "even_circle_density_wrapped": lambda t: circlaw.even_circle_density_wrapped(2, 1.0, t),
+    "odd_circle_density_wrapped": lambda t: circlaw.odd_circle_density_wrapped(1, 1.0, t),
+    "min_value": lambda t: circlaw.min_value(2, t),
+    "even_kernel_density": lambda t: circlaw.even_kernel_density(1.0, t),
+    "even_kernel_law": lambda t: circlaw.even_kernel_law(t),
+    "even_kernel_cdf": lambda t: circlaw.even_kernel_cdf(1.0, t),
+    "even_quadrant_prob": lambda t: circlaw.even_quadrant_prob(t),
+    "odd_kernel_density": lambda t: circlaw.odd_kernel_density(1, 1.0, t),
+    "odd_kernel_law": lambda t: circlaw.odd_kernel_law(1, t),
+    "odd_kernel_cdf": lambda t: circlaw.odd_kernel_cdf(1, 1.0, t),
+    "odd_half_circle_prob": lambda t: circlaw.odd_half_circle_prob(1, t),
+    "wrapped_skew_cauchy_density": lambda t: circlaw.wrapped_skew_cauchy_density(1, 1.0, t),
+    "kernel_limit_gap": lambda t: circlaw.kernel_limit_gap(1, t),
+    "line_density_even": lambda t: line_density_even(2, 1.0, t),
+    "line_density_odd": lambda t: line_density_odd(2, 1.0, t),
+    "line_density_third": lambda t: line_density_third(1.0, t),
+    "line_density_gamma": lambda t: line_density_gamma(3, 1.0, t),
+    "skew_cauchy_density": lambda t: skew_cauchy_density(1, 1.0, t),
+    "sample_wrapped_bm": lambda t: circlaw.sample_wrapped_bm(t, circlaw.RngStream(0)),
+    "sample_stable_subordinator":
+        lambda t: circlaw.sample_stable_subordinator(0.5, t, circlaw.RngStream(0)),
+    "sample_inverse_subordinator":
+        lambda t: circlaw.sample_inverse_subordinator(0.5, t, circlaw.RngStream(0)),
+}
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, NAN, INF])
+@pytest.mark.parametrize("builder", _TIME_BUILDERS.values(), ids=_TIME_BUILDERS.keys())
+def test_every_builder_refuses_bad_time(builder, t):
+    """One rule for t across the package: 0 < t < inf, else DomainError."""
+    with pytest.raises(DomainError, match="^t must be"):
+        builder(t)
