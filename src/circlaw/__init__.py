@@ -10,7 +10,6 @@ from .errors import (
     CirclawError,
     ConvergenceError,
     DomainError,
-    MinimumLocationWarning,
     SignedLawError,
     SlowDecayWarning,
 )

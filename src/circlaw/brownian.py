@@ -101,7 +101,8 @@ def _image_count(t, tol):
         g = math.exp(-d * d / (2.0 * t)) / math.sqrt(TWO_PI * t)
         return 2.0 * (g + sp.erfc(d / math.sqrt(2.0 * t)) / (4.0 * math.pi))
 
-    return certified_cutoff(tail, tol, "evaluate the series (bm_law)") - 1
+    advice = "it counts wrapped Gaussian images; evaluate the series (bm_law)"
+    return certified_cutoff(tail, tol, advice) - 1
 
 
 def bm_density_wrapped(theta, t, tol=DEFAULT_TOL):

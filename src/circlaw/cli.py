@@ -34,7 +34,7 @@ from .fractional import (
 )
 from .harmonic import TWO_PI
 from .kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
-from .pseudo import _grid_min, even_circle_law, odd_circle_density_wrapped, positivity_time
+from .pseudo import even_circle_law, odd_circle_density_wrapped, positivity_time
 from .special import Tolerance
 from .validation import DEFAULT_SEED, GROUPS, report_json, run_suite
 
@@ -136,11 +136,9 @@ def cmd_curve(cfg):
 
 
 def cmd_positivity(cfg):
-    tol = Tolerance(abs_tol=cfg.tol)
-    t_bar = positivity_time(cfg.n, tol)
-    # the minimizing angle of the settled law (any t > 0 works at n = 1)
-    _, arg = _grid_min(cfg.n, t_bar if t_bar > 0.0 else 1.0, tol)
-    text = json.dumps({"t_bar": t_bar, "min_theta_at_t_bar": arg}, indent=2) + "\n"
+    t_bar = positivity_time(cfg.n, Tolerance(abs_tol=cfg.tol))
+    # positivity_time proves the minimum sits at pi from t_bar on
+    text = json.dumps({"t_bar": t_bar, "min_theta_at_t_bar": math.pi}, indent=2) + "\n"
     _emit(text, cfg.out, "wrote positivity report to {path}")
     return 0
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+__all__ = ["CirclawError", "DomainError", "ConvergenceError", "SignedLawError", "SlowDecayWarning"]
+
 
 class CirclawError(Exception):
     """Base class for all errors raised by this package."""
@@ -55,7 +57,3 @@ class SignedLawError(CirclawError, ValueError):
 
 class SlowDecayWarning(UserWarning):
     """Coefficient decay is subexponential; truncation is unusually long."""
-
-
-class MinimumLocationWarning(UserWarning):
-    """The detected global minimum is not at the structurally expected angle."""

@@ -157,14 +157,15 @@ def certified_cutoff(tail, tol: Tolerance, advice: str) -> int:
 
     Doubles K until the tail certifies, then bisects back. Raises
     ConvergenceError with the caller's advice once K would pass
-    tol.max_terms.
+    tol.max_terms; the message does not say what K counts, so the
+    advice names it where it is not series terms.
     """
     lo, hi = 0, 1  # tail(lo) > tol (or lo = 0), and hi is the next probe
     while tail(hi) > tol.abs_tol:
         if hi >= tol.max_terms:
             raise ConvergenceError(
-                f"series needs more than max_terms = {tol.max_terms} terms "
-                f"for tol={tol.abs_tol}; {advice}"
+                f"the cutoff needs more than max_terms = {tol.max_terms} "
+                f"at tol={tol.abs_tol}; {advice}"
             )
         lo, hi = hi, min(2 * hi, tol.max_terms)
     while hi - lo > 1:

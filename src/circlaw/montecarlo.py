@@ -83,7 +83,10 @@ def sample_stable_subordinator(nu: float, t: float, rng, size: int | None = None
         H(1) = (A(U)/W)^{(1-nu)/nu},
 
     and time enters through stable scaling H(t) = t^{1/nu} H(1).
-    nu = 1 is the degenerate subordinator H(t) = t, drawn exactly.
+    nu = 1 is the degenerate subordinator H(t) = t, drawn exactly. A
+    draw past the float64 range (a heavy tail at small nu) comes back as
+    inf, without a numpy warning; sample_wrapped_bm refuses such a time
+    with DomainError.
     """
     if not 0.0 < nu <= 1.0:
         raise DomainError("nu must lie in (0, 1]")
@@ -105,7 +108,9 @@ def sample_stable_subordinator(nu: float, t: float, rng, size: int | None = None
         * np.sin(nu * math.pi * U) ** (nu / (1.0 - nu))
         / np.sin(math.pi * U) ** (1.0 / (1.0 - nu))
     )
-    out = scale * (A / W) ** ((1.0 - nu) / nu)
+    # small nu puts a large power on A/W; a draw past float64 comes back inf
+    with np.errstate(over="ignore"):
+        out = scale * (A / W) ** ((1.0 - nu) / nu)
     return float(out[0]) if size is None else out
 
 

@@ -18,14 +18,13 @@ against them).
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     ConvergenceError,
-    MinimumLocationWarning,
     _check_count,
     _check_finite,
     _check_n,
@@ -176,9 +175,7 @@ def _budget_shells(n: int, t: float) -> int:
     return max(2, int((x_max - math.pi) / TWO_PI))
 
 
-def odd_circle_density_wrapped(
-    n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL, shells: int | None = None
-):
+def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL):
     """Tapered wrapped sum sum_m w_m u_{2n+1}(theta + 2 pi m, t).
 
     The left tail of the odd line density oscillates with the
@@ -212,14 +209,11 @@ def odd_circle_density_wrapped(
     _check_t(t)
     scalar = np.ndim(theta) == 0
     th = np.atleast_1d(np.asarray(theta, float))
-    if shells is not None:
-        M = _check_count(shells, "shells")
-    else:
-        M = _ODD_SHELLS if n == 1 else _budget_shells(n, t)
+    M = _ODD_SHELLS if n == 1 else _budget_shells(n, t)
     if n == 1 and t > 0.3 * math.pi * M:
         raise ConvergenceError(
-            f"t = {t:g} moves the mode-1 stationary point 3t out of the flat "
-            f"core of {M} shells; pass shells >= {math.ceil(t / (0.3 * math.pi))}"
+            f"t = {t:g} moves the mode-1 stationary point 3t out of the flat core "
+            f"of the {M}-shell window, which serves t <= 0.3 pi M = {0.3 * math.pi * M:g}"
         )
     w = _taper_weights(M)
     ms = np.arange(-M, M + 1)
@@ -272,47 +266,41 @@ def min_value(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
     raise ConvergenceError("alternating series did not reach tolerance")
 
 
-def _grid_min(n: int, t: float, tol: Tolerance, grid_n: int = 4096):
-    thetas = np.arange(grid_n) * (TWO_PI / grid_n)
-    vals = even_circle_density(n, thetas, t, tol)
-    j = int(np.argmin(vals))
-    return float(vals[j]), float(thetas[j])
-
-
 def positivity_time(n: int, tol: Tolerance = DEFAULT_TOL) -> float:
-    """First time after which the even-order law stays nonnegative.
+    """First time t_bar after which the even-order law stays nonnegative.
 
-    n = 1 wraps a Gaussian, positive at every t, so the answer is 0.
-    Otherwise bisection in t on the 4096-grid global minimum, to 1e-6
-    in t. Warns if the minimum at the crossing does not sit at pi.
+    n = 1 wraps a Gaussian, positive at every t, so t_bar = 0. For n >= 2,
+    t_bar = ln 2 - delta at the brentq root on [0, ln 2 - 1/2] of
+    pi v(pi, ln 2 - delta) = -expm1(delta)/2 + sum_{k>=2} (-1)^k e^{-x_k (ln 2 - delta)},
+    x_k = k^{2n}, which has no cancellation; the k-sum keeps the terms above
+    tol.abs_tol at t = 1/2. With S_j(t) = sum_{k>=2} k^j e^{-x_k t}, two
+    closed-form inequalities are then checked at t_bar: e^{-t} > S_2(t) puts
+    the global minimum at pi (|sin ky| <= k |sin y|), and e^{-t} > S_{2n}(t)
+    makes v(pi, .) rise. Both ratios e^t S_j(t) fall in t, so they hold for
+    every t >= t_bar. The terms past the kept ones add at most
+    int_a^inf x e^{-xt} dx, a = max(2 ln(1/tol), 16) - 1, to either sum. A
+    failed check raises ConvergenceError.
     """
+    _check_n(n)
     if n == 1:
         return 0.0
-    lo, hi = None, 1.0
-    for _ in range(40):
-        if _grid_min(n, hi, tol)[0] >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("no positive-minimum bracket found")
-    lo = hi / 2.0
-    while _grid_min(n, lo, tol)[0] >= 0.0:
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-6:
-            return 0.0
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if _grid_min(n, mid, tol)[0] >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    t_bar = hi
-    _, arg = _grid_min(n, t_bar, tol)
-    if min(abs(arg - math.pi), TWO_PI - abs(arg - math.pi)) > 1e-3:
-        warnings.warn(
-            f"minimum at t_bar sits at theta = {arg:.6f}, not pi",
-            MinimumLocationWarning,
-            stacklevel=2,
-        )
+    p = 2 * n
+    cut = -2.0 * math.log(tol.abs_tol)  # e^{-x/2} > tol iff x < cut
+    k = 2
+    while k**p < cut:  # exact int powers: no overflow at large n
+        k += 1
+    ks = np.arange(2.0, k)
+    x, sign, ln2 = ks**p, (-1.0) ** ks, math.log(2.0)
+
+    def pi_v_at_pi(delta):
+        return -math.expm1(delta) / 2.0 + float(np.sum(sign * np.exp(-x * (ln2 - delta))))
+
+    # xtol far below half an ulp of t near ln 2 (5.6e-17)
+    t_bar = ln2 - brentq(pi_v_at_pi, 0.0, ln2 - 0.5, xtol=1e-20)
+    a = max(cut, 16.0) - 1.0
+    rest = math.exp(-a * t_bar) * (a / t_bar + 1.0 / t_bar**2)
+    w = np.exp(-x * t_bar)
+    for j, weights in ((2, ks**2), (p, x)):
+        if not math.exp(-t_bar) > float(weights @ w) + rest:
+            raise ConvergenceError(f"e^(-t) > S_{j}(t) fails at t_bar = {t_bar!r}, n = {n}")
     return t_bar

@@ -9,9 +9,10 @@ import pytest
 from scipy import integrate
 
 import circlaw
-from circlaw import DomainError, Tolerance
+from circlaw import ConvergenceError, DomainError, Tolerance
 from circlaw.brownian import (
     BmLaw,
+    _image_count,
     bm_density_wrapped,
     bm_first_passage_density,
     bm_law,
@@ -102,6 +103,14 @@ class TestBmDensity:
         for t in (1e2, 1e4, 1e6):
             wrapped = bm_density_wrapped(th, t, Tolerance(abs_tol=tol))
             assert np.max(np.abs(wrapped - theta_series(th, t))) <= tol
+
+    def test_image_budget_refusal_names_images(self):
+        with pytest.raises(
+            ConvergenceError,
+            match=r"^the cutoff needs more than max_terms = 1000 at tol=1e-10; "
+            r"it counts wrapped Gaussian images; evaluate the series \(bm_law\)$",
+        ):
+            _image_count(1e14, Tolerance(1e-10, max_terms=1000))
 
     def test_images_in_blocks(self, monkeypatch):
         # 201 images in blocks of 64: an angle adds its fixed chunks in order,

@@ -267,14 +267,20 @@ class TestPositivity:
         assert code == 0
         obj = json.loads(out)
         assert obj["t_bar"] == 0.0
-        assert obj["min_theta_at_t_bar"] == pytest.approx(math.pi, abs=1e-12)
+        assert obj["min_theta_at_t_bar"] == math.pi
 
     def test_order_four(self, capsys):
         code, out, _ = run(capsys, "positivity", "--n", "2")
         assert code == 0
         obj = json.loads(out)
-        assert obj["t_bar"] == pytest.approx(0.6931166485360707, abs=1e-6)
-        assert obj["min_theta_at_t_bar"] == pytest.approx(math.pi, abs=1e-3)
+        assert obj["t_bar"] == 0.6931166485360705
+        assert obj["min_theta_at_t_bar"] == math.pi
+
+    def test_order_six_is_ln2(self, capsys):
+        code, out, _ = run(capsys, "positivity", "--n", "3")
+        assert code == 0
+        assert '"t_bar": 0.6931471805599453' in out
+        assert json.loads(out)["min_theta_at_t_bar"] == math.pi
 
     def test_bad_order(self, capsys):
         code, _, err = run(capsys, "positivity", "--n", "0")

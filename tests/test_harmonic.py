@@ -407,6 +407,15 @@ class TestCertifiedCutoff:
         assert tail(K) <= tol.abs_tol
         assert K == 1 or tail(K - 1) > tol.abs_tol
 
+    def test_series_refusal_names_no_count(self):
+        # the prefix is shared with image counts, so only the advice says what K counts
+        with pytest.raises(
+            ConvergenceError,
+            match=r"^the cutoff needs more than max_terms = 1000000 at tol=1e-10; "
+            r"use the wrapped route \(even_circle_density_wrapped\) at t = 1e-09$",
+        ):
+            even_circle_law(2, 1e-9)
+
     def test_cosine_law_carrier(self):
         law = cosine_law(lambda k: 0.1 / k**2, lambda K: 0.1 / K, Tolerance(abs_tol=1e-3), "", "m")
         assert law.n_terms == 100 and law.tail_bound == 0.1 / 100

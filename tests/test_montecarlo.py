@@ -154,6 +154,16 @@ class TestStableSubordinator:
         many = sample_stable_subordinator(0.4, 1.0, s, size=1000)
         assert many.shape == (1000,) and np.all(many > 0.0)
 
+    def test_draws_past_float64_are_inf_without_warning(self):
+        # at nu = 0.01 the power 99 on A/W overflows for a few draws
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = sample_stable_subordinator(0.01, 1.0, RngStream(SEED, 14), size=10_000)
+        big = np.isinf(h)
+        assert 0 < big.sum() < 100 and np.all(h[~big] > 0.0)
+        with pytest.raises(DomainError):
+            sample_wrapped_bm(h, RngStream(SEED, 15))
+
     @pytest.mark.parametrize("nu,t", [(0.0, 1.0), (1.2, 1.0), (0.5, 0.0), (0.5, -1.0)])
     def test_domain(self, nu, t):
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.optimize import brentq
 
 import circlaw
@@ -19,6 +20,7 @@ from circlaw import ConvergenceError, DomainError, SignedLawError
 from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
 from circlaw.line import _line_bound, line_density_even
 from circlaw.pseudo import (
+    _ODD_SHELLS,
     _shell_counts,
     _taper_weights,
     even_circle_density,
@@ -310,19 +312,18 @@ class TestOddCircleDensity:
         assert w[100] == pytest.approx(0.0, abs=1e-15)
         assert np.all(np.diff(w) <= 1e-15)
 
-    def test_backend_equivalence_small_window(self):
-        # same taper, independent Airy backend
-        M = 256
-        w = _taper_weights(M)
+    def test_backend_equivalence_default_window(self):
+        # same taper and shell arguments, scipy's Airy for every shell in place
+        # of the kernel's oscillating expansion. Each backend forms zeta =
+        # (2/3) z^{3/2} in float64, so a far shell carries ~eps zeta ~ 3e-11
+        # of rounding; over the 12289 shells the two sums measured 1.4e-10 apart
+        M = _ODD_SHELLS
+        ms = np.arange(-M, M + 1)
+        w = _taper_weights(M)[np.abs(ms)]
         s = 3.0 ** (-1.0 / 3.0)
-        mp.mp.dps = 25
-        oracle = sum(
-            float(w[abs(m)]) * s * float(mp.airyai(s * (0.5 + TWO_PI * m)))
-            for m in range(-M, M + 1)
-        )
-        assert odd_circle_density_wrapped(1, 0.5, 1.0, shells=M) == pytest.approx(
-            oracle, abs=1e-11
-        )
+        for theta in (0.5, 2.0, 5.5):
+            oracle = float(np.sum(w * s * special.airy((theta + TWO_PI * ms) * s)[0]))
+            assert odd_circle_density_wrapped(1, theta, 1.0) == pytest.approx(oracle, abs=1e-9)
 
     def test_default_value_regression(self):
         # pointwise values are scheme-pinned; this freezes the default scheme
@@ -372,28 +373,20 @@ class TestOddCircleDensity:
                 assert route(n, float(theta), t) == value
 
     def test_large_t_guard(self):
-        # the mode-1 stationary point 3t must stay inside the flat core;
-        # the bound t <= 0.3 pi M scales with the shell count M
-        for M in (1024, 6144):
-            t_max = 0.3 * math.pi * M
-            a, b = fourier_coeffs(
-                lambda th: odd_circle_density_wrapped(1, th, t_max, shells=M), 1, 128
-            )
-            assert a[0] == pytest.approx(math.cos(t_max) / math.pi, abs=1e-5)
-            assert b[0] == pytest.approx(-math.sin(t_max) / math.pi, abs=1e-5)
-            with pytest.raises(ConvergenceError, match="flat core"):
-                odd_circle_density_wrapped(1, 0.5, np.nextafter(t_max, math.inf), shells=M)
+        # the mode-1 stationary point 3t must stay inside the flat core of
+        # the M = 6144 window: t <= 0.3 pi M
+        t_max = 0.3 * math.pi * _ODD_SHELLS
+        a, b = fourier_coeffs(lambda th: odd_circle_density_wrapped(1, th, t_max), 1, 128)
+        assert a[0] == pytest.approx(math.cos(t_max) / math.pi, abs=1e-5)
+        assert b[0] == pytest.approx(-math.sin(t_max) / math.pi, abs=1e-5)
+        with pytest.raises(ConvergenceError, match=r"flat core .* t <= 0\.3 pi M = 5790\.58"):
+            odd_circle_density_wrapped(1, 0.5, np.nextafter(t_max, math.inf))
         with pytest.raises(ConvergenceError):
             odd_circle_density_wrapped(1, 0.5, 1e4)
 
     def test_validation(self):
         with pytest.raises(DomainError):
             odd_circle_density_wrapped(1, 0.5, 0.0)
-        # a shell count is a positive integer, never truncated
-        for n in (1, 2):
-            for shells in (0, -3, 2.5, math.nan):
-                with pytest.raises(DomainError, match="shells"):
-                    odd_circle_density_wrapped(n, 0.5, 1.0, shells=shells)
         for n in (1, 2):
             with pytest.raises(DomainError):
                 odd_circle_density_wrapped(n, 0.5, math.inf)
@@ -470,19 +463,30 @@ class TestMinValueAndPositivity:
         assert positivity_time(1) == 0.0
 
     def test_positivity_time_n2(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no MinimumLocationWarning expected
-            t_bar = positivity_time(2)
-        # independent root of the alternating series at pi
-        root = brentq(lambda t: min_value(2, t), 0.5, 0.9, xtol=1e-12)
-        assert t_bar == pytest.approx(root, abs=2e-6)
-        assert t_bar == pytest.approx(0.6931166, abs=5e-6)
+        t_bar = positivity_time(2)
+        # the nearest double to the 40-digit root of the alternating series at pi
+        with mp.workdps(40):
+            v = lambda t: 0.5 + mp.nsum(lambda k: (-1) ** int(k) * mp.exp(-(k**4) * t), [1, mp.inf])
+            assert float(mp.findroot(v, mp.log(2))) == t_bar == 0.6931166485360705
+        # independent float root of the same series
+        root = brentq(lambda t: min_value(2, t), 0.5, 0.9, xtol=1e-15)
+        assert t_bar == pytest.approx(root, abs=1e-15)
         # not ln 2: the first wrap correction shifts the root by ~3e-5
         assert abs(t_bar - math.log(2.0)) > 2e-5
         assert root == pytest.approx(math.log(2.0) - 2.0 * math.exp(-16.0 * root), abs=1e-8)
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_positivity_time_is_ln2_from_n3(self, n):
+        # the root's shift from ln 2, about 2^{1 - 4^n}, is below half an ulp of ln 2
+        assert positivity_time(n) == math.log(2.0)
+
+    @pytest.mark.parametrize("n", [0, 2.5, math.nan])
+    def test_positivity_time_refuses_bad_order(self, n):
+        with pytest.raises(DomainError):
+            positivity_time(n)
+
     def test_sign_bracket_around_t_bar(self):
-        t_bar = 0.6931166485360707
+        t_bar = 0.6931166485360705
         assert min_value(2, t_bar - 0.01) < 0.0
         assert min_value(2, t_bar + 0.01) > 0.0
 
