@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_t
 from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff, cosine_law
+from .line import _root
 from .special import DEFAULT_TOL
 
 __all__ = [
@@ -170,19 +170,36 @@ def von_mises_density_series(theta, kappa, tol=DEFAULT_TOL):
     return float(out) if scalar else out
 
 
+# below this t the float64 moment match fixes kappa only to a relative
+# ~2 eps/t, and the large-kappa expansion is closer (to 2e-14)
+_KAPPA_SMALL_T = 5e-4
+
+
 def von_mises_matched_kappa(t):
     """Concentration whose first circular moment matches the Brownian
-    law at time t: solves I_1(kappa)/I_0(kappa) = e^{-t/2}."""
+    law at time t: solves I_1(kappa)/I_0(kappa) = e^{-t/2}.
+
+    The ratio rises from 0, and I_1/I_0 >= kappa/(1 + sqrt(kappa^2 + 1))
+    (Amos, Math. Comp. 28 (1974)) gives 1 - I_1/I_0 < 2/kappa, so
+    kappa = 2/(1 - e^{-t/2}) closes the bracket of the root; 1 - e^{-t/2}
+    is formed as -expm1(-t/2). For t < _KAPPA_SMALL_T the root comes from
+    1 - I_1/I_0 = 1/(2 kappa) + 1/(8 kappa^2) + 1/(8 kappa^3) + ... (DLMF
+    10.40.1) as kappa = 1/t + 1/2 + 5t/24 + 3t^2/16, whose remainder,
+    about 0.32 t^3 against 50-digit roots, is below 2.1e-14 of kappa there.
+    A t whose kappa would pass the largest double is refused.
+    """
     _check_t(t)
+    if t < _KAPPA_SMALL_T:
+        kappa = 1.0 / t + 0.5 + t * (5.0 / 24.0 + 3.0 * t / 16.0)
+        if kappa == math.inf:
+            raise DomainError(f"t = {t!r} puts kappa past the largest double")
+        return kappa
     target = math.exp(-t / 2.0)
 
     def gap(k):
         return sp.ive(1, k) / sp.ive(0, k) - target
 
-    hi = max(4.0, 2.0 / (1.0 - target))
-    while gap(hi) < 0.0:
-        hi *= 2.0
-    return float(brentq(gap, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
+    return _root(gap, 0.0, max(4.0, 2.0 / -math.expm1(-t / 2.0)))
 
 
 _QUAD_BOUND_T0 = 0.209  # threshold quoted for the e^{-t/2} envelope

@@ -18,6 +18,7 @@ import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -155,6 +156,9 @@ def cmd_validate(cfg):
     return 0
 
 
+# built once per process: parse_args leaves the parser as it was, while a
+# rebuild costs ~1 ms per call and leaves reference cycles for the collector
+@lru_cache(maxsize=None)
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="circlaw",

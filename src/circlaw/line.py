@@ -26,7 +26,6 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sps
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_n, _check_t
@@ -106,6 +105,9 @@ def line_density_gamma(p: int, x: float, t: float, tol: Tolerance = DEFAULT_TOL)
             * t
         )
 
+    # loaded here, not at import: no other route needs scipy.integrate
+    from scipy import integrate
+
     with warnings.catch_warnings():
         # the error estimate is enforced below, so quad's warning adds nothing
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -151,6 +153,48 @@ def _smallest(ok, lo: float, hi: float) -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if ok(mid) else (mid, hi)
     return hi
+
+
+def _root(f, lo: float, hi: float) -> float:
+    """A zero of f in [lo, hi], where f(lo) and f(hi) differ in sign or one is 0.
+
+    Illinois regula falsi: the secant of the bracket, with the value at an
+    end halved each time that end is kept a second time in a row; a
+    bisection whenever three steps have not halved the bracket. It stops at
+    an exact zero, or once the ends are adjacent doubles, returning the end
+    where |f| is smaller.
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo < 0.0) == (fhi < 0.0):
+        raise ConvergenceError(f"no sign change of f over [{lo!r}, {hi!r}]")
+    # the secant's end values (halved by the Illinois rule), the end kept
+    # by the last step (-1 lo, 1 hi), and the widths of the last three brackets
+    slo, shi, kept, widths = flo, fhi, 0, [math.inf] * 3
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo if abs(flo) < abs(fhi) else hi
+        # the secant step from the end nearer the zero, which keeps its digits
+        step = (hi - lo) / (shi - slo)
+        x = lo - slo * step if abs(slo) < abs(shi) else hi - shi * step
+        if hi - lo > 0.5 * widths[0] or not lo < x < hi:
+            x = mid
+        widths = widths[1:] + [hi - lo]
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo, slo = x, fx, fx
+            shi = 0.5 * shi if kept == 1 else shi
+            kept = 1
+        else:
+            hi, fhi, shi = x, fx, fx
+            slo = 0.5 * slo if kept == -1 else slo
+            kept = -1
 
 
 # Ai(-z) for z >= _AIRY_SWITCH comes from the expansion, whose remainder
@@ -232,23 +276,28 @@ _ROUNDING = 4.0
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """m-point Gauss-Legendre nodes and weights on [0, 1], each within about eps.
 
-    scipy's nodes are right to eps, but its weights carry a systematic
-    relative error near 1e-14 from m ~ 100 on (its 192-point rule misses
-    int_{-1}^{1} e^x dx by 1.7e-14), which set the contour kernel's floor.
-    One Newton step on scipy's nodes in extended precision, with P_m,
-    P_{m-1}, P_{m-2} from the three-term recurrence, gives the nodes and
-    w = 2 (1 - x^2) / (m P_{m-1}(x))^2 (P_{m-1} moved with the step to
-    first order). The rule is symmetric, so half of it is computed.
+    The nodes start from Tricomi's approximation
+    x_k = -(1 - (m-1)/(8m^3) - (39 - 28/sin^2 th_k)/(384m^4)) cos th_k,
+    th_k = (4k - 1) pi/(4m + 2), and take two Newton steps in float64
+    (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013)) and one in extended
+    precision, each with P_m, P_{m-1}, P_{m-2} from the three-term
+    recurrence. The last gives w = 2 (1 - x^2) / (m P_{m-1}(x))^2 (P_{m-1}
+    moved with the step to first order); scipy's weights carry a relative
+    error near 1e-14 from m ~ 100 on, once the contour kernel's floor. The
+    rule is symmetric, so half of it is computed.
     """
     half = (m + 1) // 2
-    x = sps.roots_legendre(m)[0][:half].astype(np.longdouble)
-    p2, p1, p0 = np.zeros_like(x), np.ones_like(x), x.copy()
-    for k in range(2, m + 1):
-        p2, p1, p0 = p1, p0, ((2 * k - 1) * x * p0 - (k - 1) * p1) / k
-    one = 1 - x * x
-    step = -p0 * one / (m * (p1 - x * p0))
-    p1 = p1 + (m - 1) * (p2 - x * p1) / one * step
-    x = x + step
+    th = (4 * np.arange(1, half + 1) - 1) * math.pi / (4 * m + 2)
+    x = -(1 - (m - 1) / (8 * m**3) - (39 - 28 / np.sin(th) ** 2) / (384 * m**4)) * np.cos(th)
+    for dtype in (float, float, np.longdouble):
+        x = x.astype(dtype)
+        p2, p1, p0 = np.zeros_like(x), np.ones_like(x), x.copy()
+        for k in range(2, m + 1):
+            p2, p1, p0 = p1, p0, ((2 * k - 1) * x * p0 - (k - 1) * p1) / k
+        one = 1 - x * x
+        step = -p0 * one / (m * (p1 - x * p0))
+        p1 = p1 + (m - 1) * (p2 - x * p1) / one * step
+        x = x + step
     w = (2 * (1 - x * x) / (m * p1) ** 2).astype(float)
     x = x.astype(float)
     v = (np.concatenate([x, -x[: m // 2][::-1]]) + 1.0) / 2.0

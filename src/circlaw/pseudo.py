@@ -21,7 +21,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConvergenceError,
@@ -35,6 +34,7 @@ from .harmonic import TWO_PI, HarmonicLaw, cosine_law
 from .line import (
     _CANCEL_BUDGET,
     _line_bound,
+    _root,
     _rotation,
     _smallest,
     line_density_even,
@@ -52,6 +52,9 @@ __all__ = [
     "positivity_time",
 ]
 
+# e^{-x} is 0 in float64 for every x past e^this = 746 (the smallest
+# subnormal is e^-744.4)
+_LOG_EXP_ZERO = math.log(746.0)
 # shells for the n=1 odd wrapped sum; the tapered-window residual decays
 # roughly like M^{-3/2}, and 6144 puts projections below ~1e-5
 _ODD_SHELLS = 6144
@@ -252,13 +255,25 @@ def odd_circle_atoms(n: int, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def min_value(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """v_{2n}(pi, t) = 1/(2 pi) + (1/pi) sum_k (-1)^k e^{-k^{2n} t}."""
+    """v_{2n}(pi, t) = 1/(2 pi) + (1/pi) sum_k (-1)^k e^{-k^{2n} t}.
+
+    The sum stops once a term is below tol.abs_tol/8 (from k = 2), or at
+    the first k with k^{2n} t past e^{_LOG_EXP_ZERO} (compared in logs, so
+    no power overflows), where that term and every later one are 0 in
+    float64.
+    """
     _check_n(n)
     _check_t(t)
+    p = 2 * n
     total = 1.0 / TWO_PI
     sign = -1.0
     for k in range(1, tol.max_terms + 1):
-        term = math.exp(-(float(k) ** (2 * n)) * t) / math.pi
+        log_xt = p * math.log(k) + math.log(t)
+        if log_xt > _LOG_EXP_ZERO:
+            return total
+        # k^{2n} passes the largest double (with k^{2n} t <= 746) only at t < 4e-306
+        xt = float(k) ** p * t if p * math.log2(k) < 1023.0 else math.exp(log_xt)
+        term = math.exp(-xt) / math.pi
         total += sign * term
         if term < tol.abs_tol / 8.0 and k >= 2:
             return total
@@ -270,7 +285,7 @@ def positivity_time(n: int, tol: Tolerance = DEFAULT_TOL) -> float:
     """First time t_bar after which the even-order law stays nonnegative.
 
     n = 1 wraps a Gaussian, positive at every t, so t_bar = 0. For n >= 2,
-    t_bar = ln 2 - delta at the brentq root on [0, ln 2 - 1/2] of
+    t_bar = ln 2 - delta at the root (line._root) on [0, ln 2 - 1/2] of
     pi v(pi, ln 2 - delta) = -expm1(delta)/2 + sum_{k>=2} (-1)^k e^{-x_k (ln 2 - delta)},
     x_k = k^{2n}, which has no cancellation; the k-sum keeps the terms above
     tol.abs_tol at t = 1/2. With S_j(t) = sum_{k>=2} k^j e^{-x_k t}, two
@@ -295,8 +310,9 @@ def positivity_time(n: int, tol: Tolerance = DEFAULT_TOL) -> float:
     def pi_v_at_pi(delta):
         return -math.expm1(delta) / 2.0 + float(np.sum(sign * np.exp(-x * (ln2 - delta))))
 
-    # xtol far below half an ulp of t near ln 2 (5.6e-17)
-    t_bar = ln2 - brentq(pi_v_at_pi, 0.0, ln2 - 0.5, xtol=1e-20)
+    # delta to the last bit, far below half an ulp of t near ln 2 (5.6e-17);
+    # at n >= 3 the k-sum is empty or below eps, and delta = 0 is a zero
+    t_bar = ln2 - _root(pi_v_at_pi, 0.0, ln2 - 0.5)
     a = max(cut, 16.0) - 1.0
     rest = math.exp(-a * t_bar) * (a / t_bar + 1.0 / t_bar**2)
     w = np.exp(-x * t_bar)

@@ -207,6 +207,54 @@ class TestVonMisesComparison:
             1.5427747222273704, abs=1e-10
         )
 
+    @pytest.mark.parametrize("t", np.geomspace(1e-300, 1e3, 31).tolist())
+    def test_matched_kappa_finite_at_every_time(self, t):
+        # the bracket 2/(1 - e^{-t/2}) divided by zero below t ~ 1e-16
+        kappa = von_mises_matched_kappa(t)
+        assert math.isfinite(kappa) and kappa > 0.0
+
+    def test_matched_kappa_past_the_largest_double_refused(self):
+        with pytest.raises(DomainError, match="largest double"):
+            von_mises_matched_kappa(5e-324)
+
+    @pytest.mark.parametrize("t", [1e-4, 4.9e-4, 5e-4, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3])
+    def test_matched_kappa_against_mpmath(self, t):
+        # the float64 moment match fixes kappa to a relative ~eps/t, worst at
+        # the expansion's switch t = 5e-4 (1.7e-13 measured); below it the
+        # expansion is within 2e-14, and at t >= 100 scipy's ive carries ~6e-15
+        with mp.workdps(40):
+            tt = mp.mpf(t)
+            start = 1 / tt if t < 1 else (2 * mp.exp(-tt / 2) if t > 20 else mp.mpf(1))
+            exact = mp.findroot(lambda k: mp.besseli(1, k) / mp.besseli(0, k) - mp.exp(-tt / 2), start)
+            assert float(abs(von_mises_matched_kappa(t) - exact) / exact) <= 1e-12
+
+    @pytest.mark.parametrize("t", np.geomspace(5e-4, 1e3, 25).tolist())
+    def test_matched_kappa_is_a_float_zero(self, t):
+        # the ratio moves in steps of an ulp, so the root is where the float
+        # gap is 0 or changes sign between kappa and a neighbouring double
+        from scipy.special import ive
+
+        def gap(k):
+            return ive(1, k) / ive(0, k) - math.exp(-t / 2.0)
+
+        k = von_mises_matched_kappa(t)
+        g = gap(k)
+        assert g == 0.0 or any(gap(np.nextafter(k, d)) * g <= 0.0 for d in (0.0, math.inf))
+
+    def test_matched_kappa_agrees_with_brentq(self):
+        # the float ratio wobbles by an ulp or so about its trend, so two exact
+        # bracketing methods can stop on different sign changes a few ulps
+        # apart (at most 7 measured for t in [1, 50])
+        from scipy.optimize import brentq
+        from scipy.special import ive
+
+        for t in np.geomspace(1.0, 50.0, 40).tolist():
+            target = math.exp(-t / 2.0)
+            hi = max(4.0, 2.0 / -math.expm1(-t / 2.0))
+            ref = brentq(lambda k: ive(1, k) / ive(0, k) - target, 0.0, hi,
+                         xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
+            assert abs(von_mises_matched_kappa(t) - ref) <= 8 * np.spacing(ref)
+
     def test_sup_gap_regression(self):
         # no closed target exists: the sup distance between the moment-matched
         # Von Mises curve and the Brownian law is a frozen diagnostic

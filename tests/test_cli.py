@@ -10,7 +10,7 @@ import pytest
 
 from circlaw import Tolerance
 from circlaw.brownian import bm_law
-from circlaw.cli import main
+from circlaw.cli import _build_parser, main
 from circlaw.fractional import (
     space_fractional_law,
     space_time_fractional_cdf,
@@ -216,6 +216,19 @@ class TestCurveCommands:
         with pytest.raises(SystemExit) as exc:
             main(["density", "--law", "nope", "--t", "1"])
         assert exc.value.code == 2
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process; parsing must leave it unchanged
+        argv = ("density", "--law", "kernel-odd", "--n", "2", "--t", "0.7", "--grid", "16")
+        first = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["density", "--law", "even", "--t", "1", "--bogus", "3"])
+        assert exc.value.code == 2 and "--bogus" in capsys.readouterr().err
+        # a call that leaves --n at its default, after one that set it, reads the default
+        default = run(capsys, "cdf", "--law", "kernel-odd", "--t", "0.7", "--grid", "8")
+        assert default == run(capsys, "cdf", "--law", "kernel-odd", "--n", "1", "--t", "0.7", "--grid", "8")
+        assert run(capsys, *argv) == first
+        assert _build_parser() is _build_parser()
 
 
 _SELECTOR_FLAGS = {

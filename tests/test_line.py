@@ -21,6 +21,9 @@ from circlaw import (
     odd_circle_density_wrapped,
 )
 from circlaw.line import (
+    _GL_SIZES,
+    _gauss_legendre,
+    _root,
     _rotation,
     line_density_even,
     line_density_gamma,
@@ -374,6 +377,67 @@ class TestLineDensityOdd:
         # the real-axis leg to the saddle carries ~|x|^{5/4} radians of phase
         with pytest.raises(ConvergenceError, match="no Gauss rule"):
             line_density_odd(2, -1e5, 1.0)
+
+
+class TestGaussLegendre:
+    """The contour kernel's rules, built without scipy's roots_legendre."""
+
+    @pytest.mark.parametrize("m", _GL_SIZES)
+    def test_integrates_exp_to_rounding(self, m):
+        v, w = _gauss_legendre(m)
+        assert abs(np.sum(w * np.exp(v)) - math.expm1(1.0)) <= 3e-16
+
+    # cos 40x swings through ~13 periods on [0, 1]: a 32-node rule still
+    # misses it by 3.6e-16, so the smaller sizes cannot resolve it
+    @pytest.mark.parametrize("m", [m for m in _GL_SIZES if m >= 48])
+    def test_integrates_fast_oscillation_to_rounding(self, m):
+        v, w = _gauss_legendre(m)
+        assert abs(np.sum(w * np.cos(40.0 * v)) - math.sin(40.0) / 40.0) <= 3e-16
+
+    @pytest.mark.parametrize("m", _GL_SIZES)
+    def test_nodes_match_scipy(self, m):
+        # (x + 1)/2 of scipy's nodes is itself rounded on the scale of 1, so
+        # the comparison is in ulps of 1/2
+        v, w = _gauss_legendre(m)
+        ref = (sps.roots_legendre(m)[0] + 1.0) / 2.0
+        assert np.max(np.abs(v - ref)) <= np.spacing(0.5)
+        assert np.all(np.diff(v) > 0.0) and math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestRoot:
+    def test_exact_zero_at_an_end_is_returned(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -x
+
+        assert _root(f, 0.0, 1.0) == 0.0 and calls == [0.0, 1.0]
+        assert _root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-20, 0.3, math.pi, 1e10])
+    def test_last_bit_of_a_linear_root(self, c):
+        # x - c has its zero at c exactly; the bracket closes on it
+        assert _root(lambda x: x - c, 0.0, 2.0 * c + 1.0) == c
+
+    def test_nearest_double_to_sqrt2(self):
+        root = _root(lambda x: x * x - 2.0, 1.0, 2.0)
+        assert abs(root - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
+
+    def test_flat_function_converges_with_the_bisection_safeguard(self):
+        # (x - 0.7)^9 is flat near its zero, where secant steps crawl: 193
+        # evaluations measured, 481 without the bisections
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (x - 0.7) ** 9
+
+        assert _root(f, 0.0, 10.0) == 0.7 and len(calls) <= 250
+
+    def test_same_signs_refused(self):
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            _root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestSkewCauchy:

@@ -480,6 +480,13 @@ class TestMinValueAndPositivity:
         # the root's shift from ln 2, about 2^{1 - 4^n}, is below half an ulp of ln 2
         assert positivity_time(n) == math.log(2.0)
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_positivity_time_pinned(self, n, tol):
+        # the doubles of the brentq root this finder replaced, bit for bit
+        want = 0.6931166485360705 if n == 2 else 0.6931471805599453
+        assert positivity_time(n, Tolerance(abs_tol=tol)) == want
+
     @pytest.mark.parametrize("n", [0, 2.5, math.nan])
     def test_positivity_time_refuses_bad_order(self, n):
         with pytest.raises(DomainError):
@@ -498,6 +505,26 @@ class TestMinValueAndPositivity:
     def test_min_value_validation(self):
         with pytest.raises(DomainError):
             min_value(2, -1.0)
+
+    @pytest.mark.parametrize("t", [1.0, 1e-3, 1e-310, 5e-324])
+    def test_min_value_at_large_order(self, t):
+        # k^{2n} passes the largest double from n = 512 on (2.0 ** 1200 raised
+        # OverflowError); the k >= 2 terms are 0 in float64 at n = 600, even
+        # at the smallest t, where 2^1200 t is still ~1e38
+        assert min_value(600, t) == 1.0 / TWO_PI - math.exp(-t) / math.pi
+
+    def test_min_value_at_order_512_keeps_a_live_second_term(self):
+        # 2^1024 t = 0.018 at t = 1e-310: the term is far from 0 though 2^1024 overflows
+        t = 1e-310
+        second = math.exp(-math.exp(1024 * math.log(2.0) + math.log(t))) / math.pi
+        assert second > 0.3
+        assert min_value(512, t) == pytest.approx(1.0 / TWO_PI - math.exp(-t) / math.pi + second, abs=1e-15)
+
+    def test_min_value_small_order_unchanged(self):
+        # 10a and the benchmark check read these doubles
+        assert min_value(2, 0.6931166485360705) == -1.83340282752952e-17
+        assert min_value(3, 0.6931166485360705) == -4.85939670552547e-06
+        assert min_value(2, 0.5083333333333333) == -0.03221412273326094
 
 
 class TestSamplingOfEvenLaws:
@@ -529,6 +556,9 @@ class TestSamplingOfEvenLaws:
         assert np.all(np.diff(law.cdf(th)) > -1e-12)
 
 
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+
+
 def fresh_import(code):
     """stdout of `code` run in a fresh interpreter that imports this circlaw."""
     src = str(Path(circlaw.__file__).resolve().parents[1])
@@ -548,3 +578,22 @@ class TestImportSideEffects:
         # mpmath is a test dependency only; no module of the package loads it
         code = "import sys, circlaw; print('mpmath' in sys.modules)"
         assert fresh_import(code) == "False"
+
+    def test_import_loads_no_heavy_scipy(self):
+        # the package needs numpy and scipy.special only; each of these costs
+        # tens of milliseconds to load
+        code = f"import sys, circlaw; print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"
+        assert fresh_import(code) == "[]"
+
+    def test_commands_load_no_heavy_scipy(self):
+        # a root, a Gauss-Legendre build and 8b's reference quadrature each
+        # used to load one of them on first call
+        code = (
+            "import contextlib, io, sys\n"
+            "from circlaw.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(a.split()) for a in ('positivity --n 2', 'validate --only kernels',\n"
+            "             'density --law odd --n 2 --t 1 --grid 8')]\n"
+            f"print(codes, [m for m in {HEAVY_SCIPY!r} if m in sys.modules])"
+        )
+        assert fresh_import(code) == "[0, 0, 0] []"
