@@ -18,8 +18,8 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_t
-from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff, cosine_law
-from .line import _root
+from .harmonic import TWO_PI, HarmonicLaw, cosine_law, exp_power_tail
+from .line import _centred, _root, _shell_count
 from .special import DEFAULT_TOL
 
 __all__ = [
@@ -61,19 +61,12 @@ class BmLaw:
         return self.representation.cdf(theta)
 
 
-def _bm_tail(K, t):
-    # sum_{k > K} e^{-k^2 t/2}/pi <= lead/(pi (1 - e^{-(K+1) t}))
-    # via k^2 >= (K+1)^2 + 2(K+1)(k - K - 1)
-    lead = math.exp(-((K + 1) ** 2) * t / 2.0)
-    return lead / (math.pi * -math.expm1(-(K + 1) * t))
-
-
 def bm_law(t, tol=DEFAULT_TOL):
     """Cosine-series carrier of the wrapped Brownian law."""
     _check_t(t)
     rep = cosine_law(
         lambda k: np.exp(-k * k * (t / 2.0)) / math.pi,
-        lambda K: _bm_tail(K, t),
+        lambda K: exp_power_tail(t / 2.0, 2, K),
         tol,
         f"at t={t} evaluate through bm_density_wrapped instead",
         f"wrapped Brownian motion, t={t!r}",
@@ -86,39 +79,27 @@ def bm_law(t, tol=DEFAULT_TOL):
 _IMAGE_BLOCK = 2**14
 
 
-def _image_count(t, tol):
-    """Least M >= 0 whose bound on the dropped images |m| > M is at most tol.abs_tol.
-
-    Every dropped image of an angle in [0, 2 pi) lies beyond d = 2 pi M on
-    its side, 2 pi apart, so for the decreasing Gaussian density g each side
-    adds at most g(d) + (1/(2 pi)) int_d^inf g = g(d) + erfc(d/sqrt(2t))/(4 pi).
-    certified_cutoff counts from K = 1, so the tail it sees is shifted by one
-    shell: M = K - 1.
-    """
-
-    def tail(K):
-        d = TWO_PI * (K - 1)
-        g = math.exp(-d * d / (2.0 * t)) / math.sqrt(TWO_PI * t)
-        return 2.0 * (g + sp.erfc(d / math.sqrt(2.0 * t)) / (4.0 * math.pi))
-
-    advice = "it counts wrapped Gaussian images; evaluate the series (bm_law)"
-    return certified_cutoff(tail, tol, advice) - 1
-
-
 def bm_density_wrapped(theta, t, tol=DEFAULT_TOL):
     """Wrapped Gaussian route: sum of N(0, t) images over shells |m| <= M.
 
-    M comes from _image_count, so the dropped images sum to at most tol.
-    Angles and images go in blocks of at most _IMAGE_BLOCK entries, and an
-    angle adds its fixed image chunks in order, so a grid value equals the
-    scalar call bit for bit at every t.
+    Angles are reduced to [-pi, pi], and N(0, t) is the order-2 line law at
+    time t/2, so M = line._shell_count(2, t/2, tol) puts the dropped images
+    below tol/2; a count past tol.max_terms is refused. Angles and images
+    go in blocks of at most _IMAGE_BLOCK entries, and an angle adds its
+    fixed image chunks in order, so a grid value equals the scalar call bit
+    for bit at every t.
     """
     _check_t(t)
     th = np.asarray(theta, dtype=float)
     _check_finite(th, "theta")
     scalar = th.ndim == 0
-    x = np.mod(th, TWO_PI).ravel()
-    M = _image_count(t, tol)
+    x = _centred(th).ravel()
+    M = _shell_count(2, t / 2.0, tol)
+    if M > tol.max_terms:
+        raise ConvergenceError(
+            f"the wrapped Gaussian needs {M} image shells, past max_terms = {tol.max_terms} "
+            f"at tol={tol.abs_tol}; evaluate the series (bm_law)"
+        )
     chunk = min(2 * M + 1, _IMAGE_BLOCK)
     rows = _IMAGE_BLOCK // chunk
     out = np.zeros(x.size)
@@ -150,24 +131,23 @@ def von_mises_density(theta, kappa):
 
 
 def von_mises_density_series(theta, kappa, tol=DEFAULT_TOL):
-    """Fourier route: (1/2pi)(1 + 2 sum_k (I_k/I_0) cos k theta)."""
+    """Fourier route (1/2pi)(1 + 2 sum_k r_k cos k theta), r_k = I_k/I_0, as a cosine carrier.
+
+    rho_k = kappa / (k + 1/2 + sqrt(kappa^2 + (k + 1/2)^2)) bounds I_{k+1}/I_k
+    and falls in k (Amos, Math. Comp. 28 (1974)), so the dropped tail
+    sum_{j>K} r_j/pi is at most r_K rho_K / (pi (1 - rho_K)).
+    """
     _check_kappa(kappa)
-    th = np.asarray(theta, dtype=float)
-    _check_finite(th, "theta")
-    scalar = th.ndim == 0
-    acc = np.ones(th.shape)
-    i0 = sp.i0e(kappa)
-    k = 1
-    while True:
-        r = sp.ive(k, kappa) / i0
-        if r < tol.abs_tol / 8.0:  # ratios decrease monotonically in k
-            break
-        acc = acc + 2.0 * r * np.cos(k * th)
-        k += 1
-        if k > tol.max_terms:
-            raise ConvergenceError("Von Mises Fourier series did not converge")
-    out = acc / TWO_PI
-    return float(out) if scalar else out
+    i0 = sp.ive(0, kappa)
+
+    def tail(K):
+        rho = kappa / (K + 0.5 + math.hypot(kappa, K + 0.5))
+        return sp.ive(K, kappa) / i0 * rho / (math.pi * (1.0 - rho))
+
+    advice = "loosen the tolerance or use von_mises_density"
+    meta = f"Von Mises series, kappa={kappa!r}"
+    law = cosine_law(lambda k: sp.ive(k, kappa) / i0 / math.pi, tail, tol, advice, meta)
+    return law.density(theta)
 
 
 # below this t the float64 moment match fixes kappa only to a relative

@@ -24,7 +24,7 @@ from .errors import (
     _check_n,
     _check_t,
 )
-from .harmonic import TWO_PI, cosine_law
+from .harmonic import TWO_PI, cosine_law, scaled_powers
 from .pseudo import even_circle_law
 from .special import DEFAULT_TOL, mittag_leffler_many
 
@@ -63,7 +63,8 @@ def time_fractional_law(n, nu, t, tol=DEFAULT_TOL):
     #                              <= c K^{1-2n}/(2n-1), c = Gamma(1+nu) t^-nu
     c = math.gamma(1.0 + nu) * t ** (-nu) / math.pi
     return cosine_law(
-        lambda k: mittag_leffler_many(nu, -(k ** (2 * n)) * t**nu, tol) / math.pi,
+        # k^{2n} t^nu past the largest double is inf, and E_nu(-inf) = 0
+        lambda k: mittag_leffler_many(nu, -scaled_powers(t**nu, 2 * n, k), tol) / math.pi,
         lambda K: c * K ** (1 - 2 * n) / (2 * n - 1),
         tol,
         "time-fractional law: loosen the tolerance or work at the CDF level",
@@ -74,7 +75,10 @@ def time_fractional_law(n, nu, t, tol=DEFAULT_TOL):
 def _stretched_tail(c, p, K):
     # sum_{k>K} e^{-c k^p} <= int_K^inf e^{-c x^p} dx, integrand decreasing
     s = 1.0 / p
-    return s * c ** (-s) * sp.gamma(s) * sp.gammaincc(s, c * K**p)
+    try:
+        return s * c ** (-s) * sp.gamma(s) * sp.gammaincc(s, c * K**p)
+    except OverflowError:  # c^{-s} > 1e308: at every K, c (K+1)^p < 1 and nothing certifies
+        return math.inf
 
 
 def _stretched_law(c, p, coeffs, tol, what, meta):

@@ -4,7 +4,8 @@ Every circular density in the package is carried as a HarmonicLaw:
 density(theta) = a0 + sum_{k=1..K} a_k cos(k theta) + b_k sin(k theta),
 with a certified bound on the dropped tail. This module owns evaluation,
 the termwise CDF, the truncation rule shared by every series law,
-numerical Fourier projection, and rejection sampling.
+the certified tail of the e^{-c k^p} carriers, numerical Fourier
+projection, and rejection sampling.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class HarmonicLaw:
         """Evaluate the truncated series at theta (scalar or array), 2pi-periodic."""
         _check_finite(theta, "theta")
         out = _trig_sum(self.a0, self.cos_coeffs, self.sin_coeffs, theta)
-        return float(out[0]) if np.isscalar(theta) else out
+        return float(out[0]) if np.ndim(theta) == 0 else out
 
     def cdf(self, theta):
         """Termwise antiderivative on [0, 2 pi]: a0 th + sum [a_k sin k th + b_k (1-cos k th)]/k."""
@@ -149,7 +150,7 @@ class HarmonicLaw:
         out = self.a0 * th + _trig_sum(b.sum(), -b, a, th)
         # the constant sum b_k/k cancels at th = 0 only up to roundoff
         out[th == 0.0] = 0.0
-        return float(out[0]) if np.isscalar(theta) else out
+        return float(out[0]) if np.ndim(theta) == 0 else out
 
 
 def certified_cutoff(tail, tol: Tolerance, advice: str) -> int:
@@ -191,6 +192,36 @@ def cosine_law(coeffs, tail, tol: Tolerance, advice: str, meta: str) -> Harmonic
         tail_bound=tail(K),
         meta=meta,
     )
+
+
+def scaled_power(c: float, p: int, j: int) -> float:
+    """c j^p (c > 0, ints p >= 0, j >= 1), in logs once j^p passes the largest
+    double; inf once the logarithm reaches 709."""
+    if p * math.log2(j) < 1023.0:
+        return float(j) ** p * c
+    log_x = p * math.log(j) + math.log(c)
+    return math.exp(log_x) if log_x < 709.0 else math.inf
+
+
+def scaled_powers(c: float, p: int, k: np.ndarray) -> np.ndarray:
+    """scaled_power at the float modes k (int p >= 1), as k ** p * c where k^p is a double."""
+    big = k >= 2.0 ** (1023.0 / p)
+    if not big.any():
+        return k**p * c
+    with np.errstate(over="ignore"):
+        return np.where(big, np.exp(p * np.log(k) + math.log(c)), k**p * c)
+
+
+def exp_power_tail(c: float, p: int, K: int) -> float:
+    """Bound on sum_{k>K} e^{-c k^p}/pi, c > 0 and int p >= 1 (inf where nothing certifies).
+
+    k^p is convex, so k^p >= j^p + p j^{p-1} (k - j), j = K + 1, and the
+    sum is below the geometric e^{-c j^p} / (pi (1 - e^{-c p j^{p-1}})),
+    which it equals at p = 1.
+    """
+    j = K + 1
+    gap = -math.expm1(-scaled_power(c * p, p - 1, j))
+    return math.exp(-scaled_power(c, p, j)) / (math.pi * gap) if gap > 0.0 else math.inf
 
 
 def fourier_coeffs(density, K: int, n_nodes: int | None = None):

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, _check_finite, _check_n, _check_t
-from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff
+from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff, exp_power_tail
 from .line import _rotation, skew_cauchy_density
 from .special import DEFAULT_TOL, Tolerance
 
@@ -50,24 +50,18 @@ def _as_angles(theta):
 
 
 def _poisson_series_law(damp_rate: float, rotation: float, tol: Tolerance, meta: str) -> HarmonicLaw:
-    """Series law 1/(2 pi) + (1/pi) sum_k e^{-k damp_rate} cos(k(theta + rotation)).
-
-    Geometric tail certificate:
-    sum_{k>K} e^{-k r}/pi = e^{-(K+1) r}/(pi (1 - e^{-r})) <= tol.
-    """
-    denom = math.pi * (-math.expm1(-damp_rate))
-
-    def tail(K):
-        return math.exp(-(K + 1) * damp_rate) / denom
-
-    K = certified_cutoff(tail, tol, "the closed form has no such limit")
+    """Series law 1/(2 pi) + (1/pi) sum_k e^{-k damp_rate} cos(k(theta + rotation)),
+    cut by the geometric tail exp_power_tail(damp_rate, 1, K)."""
+    K = certified_cutoff(
+        lambda K: exp_power_tail(damp_rate, 1, K), tol, "the closed form has no such limit"
+    )
     k = np.arange(1.0, K + 1)
     damp = np.exp(-k * damp_rate) / math.pi
     return HarmonicLaw(
         a0=1.0 / TWO_PI,
         cos_coeffs=damp * np.cos(k * rotation),
         sin_coeffs=-damp * np.sin(k * rotation),
-        tail_bound=tail(K),
+        tail_bound=exp_power_tail(damp_rate, 1, K),
         meta=f"{meta}, K={K}",
     )
 

@@ -16,7 +16,8 @@ line_density_odd: the Airy closed form (with its far-field expansion)
 at p = 3. Every other order, even p >= 2 and odd p >= 5, goes through
 one vectorized, cancellation-free contour quadrature with a certified
 error (_contour_density). _line_bound bounds |u_p| at even p in closed
-form; the even wrapped route proves its shell count from it.
+form, and _shell_count proves from it the shell count of both wrapped
+sums (the wrapped Gaussian and the even wrapped route).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_n, _check_t
+from .harmonic import TWO_PI
 from .special import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -270,6 +272,9 @@ _EPS = float(np.finfo(float).eps)
 # the worst measured rounding was 0.68 of the unit term (p = 5, X = -60),
 # at most 0.09 of it at p = 4, 6 (0 <= X <= 400; 30-digit references)
 _ROUNDING = 4.0
+# largest orders the contour kernel (its binomials C(p, k) pass the largest
+# double from p = 1030) and _line_bound (its polynomial overflows from p = 154) take
+_MAX_ORDER, _MAX_BOUND_ORDER = 1029, 128
 
 
 @lru_cache(maxsize=None)
@@ -458,6 +463,8 @@ def _line_bound(p: int) -> tuple[float, float]:
     (1 - 1/p) p^{-1/(p-1)} sin(pi/(2(p-1))) at p = 4, 6, 8 (Gil, Segura &
     Temme, Numerical Methods for Special Functions, SIAM 2007, ch. 5).
     """
+    if p > _MAX_BOUND_ORDER:
+        raise ConvergenceError(f"u_{p}: the line bound takes orders up to p = {_MAX_BOUND_ORDER}")
     # Re (s + i)^p - a s^p as a polynomial in y = s^2 >= 0; the real parts of
     # complex critical points are feasible too, so they cannot lower the
     # least value, and the factor 1 + 1e-9 (a larger b only loosens the
@@ -470,8 +477,42 @@ def _line_bound(p: int) -> tuple[float, float]:
     return math.gamma(1.0 + 1.0 / p) / math.pi * _BOUND_A ** (-1.0 / p), kappa
 
 
+def _centred(theta) -> np.ndarray:
+    """theta reduced to [-pi, pi] exactly: fmod by 2 pi, then at most one 2 pi shift (Sterbenz)."""
+    th = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
+    th = np.where(th > math.pi, th - TWO_PI, th)
+    return np.where(th < -math.pi, th + TWO_PI, th)
+
+
+@lru_cache(maxsize=256)
+def _shell_count(p: int, t: float, tol: Tolerance) -> int:
+    """Least M >= 1 with sum_{|m|>M} |u_p(theta + 2 pi m, t)| <= tol.abs_tol/2
+    at every theta in [-pi, pi], p even.
+
+    Shell m > M lies at |x| >= 2 pi m - pi, so by integral comparison with
+    _line_bound (C, kappa) the shells past M add at most
+    (C/pi) e^{-kappa Y^q} / (kappa q Y^{q-1}), q = p/(p-1), at
+    Y = (2 pi M - pi) t^{-1/p}; the least Y that puts it below tol/2 sets M.
+    """
+    C, kappa = _line_bound(p)
+    q = p / (p - 1.0)
+    log_lead = math.log(C / (math.pi * kappa * q))
+    # log(tol/2) without the overflow of 2/tol at a subnormal tol
+    log_half = math.log(tol.abs_tol) - math.log(2.0)
+
+    def proven(Y):
+        return log_lead - kappa * Y**q - (q - 1.0) * math.log(Y) <= log_half
+
+    # Y >= 1 with kappa Y^q >= log_lead - log_half is proven; a Y below 1e-9 moves no count
+    hi = max(1.0, (max(log_lead - log_half, 0.0) / kappa) ** (1.0 / q))
+    x = _smallest(proven, 1e-9, hi) * t ** (1.0 / p)
+    return math.floor((x + math.pi) / TWO_PI) + 1
+
+
 def _line_solution(p: int, x, t: float, tol: Tolerance):
     """u_p(x, t) = t^{-1/p} u_p(x t^{-1/p}, 1) for scalar or array x, by _contour_density."""
+    if p > _MAX_ORDER:
+        raise ConvergenceError(f"u_{p}: the contour kernel takes orders up to p = {_MAX_ORDER}")
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_finite(x)
@@ -516,9 +557,15 @@ def line_density_odd(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
 
 
 def skew_cauchy_density(n: int, x, t: float):
-    """Skewed Cauchy limit law t a / (pi [(x + t b)^2 + t^2 a^2]), (a, b) of order 2n+1."""
+    """Skewed Cauchy limit law t a / (pi [(x + t b)^2 + t^2 a^2]), (a, b) of order 2n+1;
+    where the bracket passes the largest double, 1 / (pi t a (1 + ((x + t b)/(t a))^2))."""
     _check_n(n)
     _check_finite(x)
     _check_t(t)
     a, b = _rotation(2 * n + 1)
-    return t * a / (math.pi * ((x + t * b) ** 2 + t * t * a * a))
+    y = np.asarray(x, dtype=float) + t * b
+    with np.errstate(over="ignore"):
+        den = y * y + t * t * a * a
+        scaled = 1.0 / (math.pi * t * a * (1.0 + (y / (t * a)) ** 2))
+        out = np.where(den < math.inf, t * a / (math.pi * den), scaled)
+    return float(out) if np.ndim(x) == 0 else out

@@ -82,7 +82,8 @@ def sample_stable_subordinator(nu: float, t: float, rng, size: int | None = None
         A(u) = sin((1-nu) pi u) sin(nu pi u)^{nu/(1-nu)} / sin(pi u)^{1/(1-nu)},
         H(1) = (A(U)/W)^{(1-nu)/nu},
 
-    and time enters through stable scaling H(t) = t^{1/nu} H(1).
+    formed in logs, so that no power of A over- or underflows near nu = 1
+    (where A itself is 0/0), and time enters through stable scaling H(t) = t^{1/nu} H(1).
     nu = 1 is the degenerate subordinator H(t) = t, drawn exactly. A
     draw past the float64 range (a heavy tail at small nu) comes back as
     inf, without a numpy warning; sample_wrapped_bm refuses such a time
@@ -103,14 +104,15 @@ def sample_stable_subordinator(nu: float, t: float, rng, size: int | None = None
     # U at exactly 0 or 1 would 0/0 the transform; one clipped ulp is harmless
     U = np.clip(gen.uniform(0.0, 1.0, n), 1e-16, 1.0 - 1e-16)
     W = gen.standard_exponential(n)
-    A = (
-        np.sin((1.0 - nu) * math.pi * U)
-        * np.sin(nu * math.pi * U) ** (nu / (1.0 - nu))
-        / np.sin(math.pi * U) ** (1.0 / (1.0 - nu))
+    # log H(1) = log sin(nu pi U) - log sin(pi U) / nu + ((1-nu)/nu) log(sin((1-nu) pi U) / W)
+    log_h = (
+        np.log(np.sin(nu * math.pi * U))
+        - np.log(np.sin(math.pi * U)) / nu
+        + ((1.0 - nu) / nu) * np.log(np.sin((1.0 - nu) * math.pi * U) / W)
     )
     # small nu puts a large power on A/W; a draw past float64 comes back inf
     with np.errstate(over="ignore"):
-        out = scale * (A / W) ** ((1.0 - nu) / nu)
+        out = scale * np.exp(log_h)
     return float(out[0]) if size is None else out
 
 

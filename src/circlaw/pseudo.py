@@ -18,7 +18,6 @@ against them).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,13 +29,13 @@ from .errors import (
     _check_t,
 )
 from .brownian import bm_density_wrapped
-from .harmonic import TWO_PI, HarmonicLaw, cosine_law
+from .harmonic import TWO_PI, HarmonicLaw, cosine_law, exp_power_tail, scaled_power, scaled_powers
 from .line import (
     _CANCEL_BUDGET,
-    _line_bound,
+    _centred,
     _root,
     _rotation,
-    _smallest,
+    _shell_count,
     line_density_even,
     line_density_odd,
 )
@@ -52,9 +51,8 @@ __all__ = [
     "positivity_time",
 ]
 
-# e^{-x} is 0 in float64 for every x past e^this = 746 (the smallest
-# subnormal is e^-744.4)
-_LOG_EXP_ZERO = math.log(746.0)
+# e^{-x} is 0 in float64 for every x past this (the least subnormal is e^-744.4)
+_EXP_ZERO = 746.0
 # shells for the n=1 odd wrapped sum; the tapered-window residual decays
 # roughly like M^{-3/2}, and 6144 puts projections below ~1e-5
 _ODD_SHELLS = 6144
@@ -63,15 +61,13 @@ _ODD_SHELLS = 6144
 def even_circle_law(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> HarmonicLaw:
     """Series law with a0 = 1/(2 pi), a_k = e^{-k^{2n} t}/pi, b_k = 0.
 
-    Truncation: smallest K with e^{-(K+1)t}/(pi (1 - e^{-t})) <= tol,
-    which certifies the dropped tail through k^{2n} >= k.
+    Truncation: the smallest K with exp_power_tail(t, 2n, K) <= tol.
     """
     _check_n(n)
     _check_t(t)
-    denom = math.pi * (-math.expm1(-t))
     return cosine_law(
-        lambda k: np.exp(-(k ** (2 * n)) * t) / math.pi,
-        lambda K: math.exp(-(K + 1) * t) / denom,
+        lambda k: np.exp(-scaled_powers(t, 2 * n, k)) / math.pi,
+        lambda K: exp_power_tail(t, 2 * n, K),
         tol,
         f"use the wrapped route (even_circle_density_wrapped) at t = {t:g}",
         f"even-order circular law, n={n}, t={t:g}",
@@ -87,68 +83,35 @@ def even_circle_density(n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL):
     return law.density(theta)
 
 
-@lru_cache(maxsize=64)
-def _tail_reach(p: int, abs_tol: float) -> float:
-    """Least Y > 0 with (C/pi) e^{-kappa Y^q} / (kappa q Y^{q-1}) <= abs_tol/2, q = p/(p-1).
-
-    Shell m > M lies at |x| >= 2 pi m - |theta|, so by integral comparison
-    with _line_bound the shells past M add at most that at
-    Y = (2 pi M - |theta|) t^{-1/p} > 0.
-    """
-    C, kappa = _line_bound(p)
-    q = p / (p - 1.0)
-    log_lead = math.log(C / (math.pi * kappa * q))
-    # log(tol/2) without the overflow of 2/tol at a subnormal tol
-    log_half = math.log(abs_tol) - math.log(2.0)
-
-    def proven(Y):
-        return log_lead - kappa * Y**q - (q - 1.0) * math.log(Y) <= log_half
-
-    # Y >= 1 with kappa Y^q >= log_lead - log_half is proven; a Y below 1e-9 moves no count
-    hi = max(1.0, (max(log_lead - log_half, 0.0) / kappa) ** (1.0 / q))
-    return _smallest(proven, 1e-9, hi)
-
-
-def _shell_counts(p: int, reach: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
-    """Least M per |theta| = reach with sum_{|m|>M} |u_p(theta + 2 pi m, t)| <= tol/2."""
-    x = _tail_reach(p, tol.abs_tol) * t ** (1.0 / p)
-    return np.floor((x + reach) / TWO_PI).astype(int) + 1
-
-
 def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL):
     """Wrapped line density sum_m u_{2n}(theta + 2 pi m, t); scalar or array theta.
 
     n = 1 is the wrapped Gaussian of variance 2t (bm_density_wrapped). At
-    n >= 2 an angle keeps the shells |m| <= M of _shell_counts (tail below
-    tol/2) and refuses past M = 64, where the series serves. Its 2M + 1
-    values come from one line_density_even call, each within tol/258; it
-    adds the centre, then the pairs u(theta + 2 pi m) + u(theta - 2 pi m)
-    in order of m, so a grid value equals the scalar call bit for bit.
+    n >= 2 the angles, reduced to [-pi, pi], keep the shells |m| <= M =
+    line._shell_count(2n, t, tol) (tail below tol/2), refused past M = 64,
+    where the series serves. All values come from one line_density_even
+    call, each within tol/258; an angle adds its centre, then the pairs
+    u(theta + 2 pi m) + u(theta - 2 pi m) in order of m, so a grid value
+    equals the scalar call bit for bit.
     """
     _check_finite(theta, "theta")
     _check_n(n)
     _check_t(t)
     if n == 1:
         return bm_density_wrapped(theta, 2.0 * t, tol)
-    th = np.fmod(np.asarray(theta, float), TWO_PI)
-    flat = th.ravel()
-    M = _shell_counts(2 * n, np.abs(flat), t, tol)
-    if M.size and M.max() > 64:
+    th = _centred(theta)
+    M = _shell_count(2 * n, t, tol)
+    if M > 64:
         raise ConvergenceError(
-            f"the wrapped tail needs {M.max()} shells at t = {t:g}, past m = 64; "
+            f"the wrapped tail needs {M} shells at t = {t:g}, past m = 64; "
             "evaluate the series (even_circle_law)"
         )
-    ms = np.arange(1, M.max(initial=0) + 1)
-    kept = ms <= M[:, None]
-    right, left = (flat[:, None] + TWO_PI * ms)[kept], (flat[:, None] - TWO_PI * ms)[kept]
     each = Tolerance(tol.abs_tol / 258.0, tol.max_terms)
-    u = line_density_even(n, np.concatenate([flat, right, left]), t, each)
-    # column 0 the centre, column m the pair at +-m, zeros past the angle's M;
-    # cumsum adds left to right, so the zeros leave each sum as it was
-    shells = np.zeros((flat.size, ms.size + 1))
-    shells[:, 0] = u[: flat.size]
-    shells[:, 1:][kept] = u[flat.size : flat.size + right.size] + u[flat.size + right.size :]
-    out = np.cumsum(shells, axis=1)[:, -1].reshape(th.shape)
+    u = line_density_even(n, th.reshape(-1, 1) + TWO_PI * np.arange(-M, M + 1), t, each)
+    out = u[:, M]
+    for m in range(1, M + 1):
+        out = out + (u[:, M + m] + u[:, M - m])
+    out = out.reshape(th.shape)
     return float(out) if np.ndim(theta) == 0 else out
 
 
@@ -258,9 +221,9 @@ def min_value(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """v_{2n}(pi, t) = 1/(2 pi) + (1/pi) sum_k (-1)^k e^{-k^{2n} t}.
 
     The sum stops once a term is below tol.abs_tol/8 (from k = 2), or at
-    the first k with k^{2n} t past e^{_LOG_EXP_ZERO} (compared in logs, so
-    no power overflows), where that term and every later one are 0 in
-    float64.
+    the first k with k^{2n} t past _EXP_ZERO, where that term and every
+    later one are 0 in float64; k^{2n} t is formed in logs where k^{2n}
+    passes the largest double (harmonic.scaled_power).
     """
     _check_n(n)
     _check_t(t)
@@ -268,11 +231,9 @@ def min_value(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
     total = 1.0 / TWO_PI
     sign = -1.0
     for k in range(1, tol.max_terms + 1):
-        log_xt = p * math.log(k) + math.log(t)
-        if log_xt > _LOG_EXP_ZERO:
+        xt = scaled_power(t, p, k)
+        if xt > _EXP_ZERO:
             return total
-        # k^{2n} passes the largest double (with k^{2n} t <= 746) only at t < 4e-306
-        xt = float(k) ** p * t if p * math.log2(k) < 1023.0 else math.exp(log_xt)
         term = math.exp(-xt) / math.pi
         total += sign * term
         if term < tol.abs_tol / 8.0 and k >= 2:

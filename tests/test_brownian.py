@@ -7,12 +7,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ive
 
 import circlaw
 from circlaw import ConvergenceError, DomainError, Tolerance
 from circlaw.brownian import (
     BmLaw,
-    _image_count,
     bm_density_wrapped,
     bm_first_passage_density,
     bm_law,
@@ -107,10 +107,10 @@ class TestBmDensity:
     def test_image_budget_refusal_names_images(self):
         with pytest.raises(
             ConvergenceError,
-            match=r"^the cutoff needs more than max_terms = 1000 at tol=1e-10; "
-            r"it counts wrapped Gaussian images; evaluate the series \(bm_law\)$",
+            match=r"^the wrapped Gaussian needs 10299487 image shells, past max_terms = 1000 "
+            r"at tol=1e-10; evaluate the series \(bm_law\)$",
         ):
-            _image_count(1e14, Tolerance(1e-10, max_terms=1000))
+            bm_density_wrapped(1.0, 1e14, Tolerance(1e-10, max_terms=1000))
 
     def test_images_in_blocks(self, monkeypatch):
         # 201 images in blocks of 64: an angle adds its fixed chunks in order,
@@ -164,6 +164,25 @@ class TestVonMises:
             np.abs(von_mises_density_series(th, kappa) - von_mises_density(th, kappa))
         )
         assert gap < 1e-9
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-6, 0.5, 5.0, 50.0, 1e3, 1e4])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-10])
+    def test_series_route_within_tol(self, kappa, tol):
+        # the carrier's tail r_K rho_K / (pi (1 - rho_K)) certifies the
+        # truncation; 1e-12 covers the rounding of both routes near the peak
+        th = np.linspace(-math.pi, math.pi, 41)
+        series = von_mises_density_series(th, kappa, Tolerance(abs_tol=tol))
+        assert np.max(np.abs(series - von_mises_density(th, kappa))) <= tol + 1e-12
+
+    def test_amos_ratio_bound(self):
+        # rho_k bounds I_{k+1}/I_k from above, so the tail is a geometric series
+        k = np.arange(0, 400)
+        for kappa in np.geomspace(1e-6, 1e4, 41):
+            i = ive(k, kappa)
+            kept = i[1:] > 0.0
+            ratio = i[1:][kept] / i[:-1][kept]
+            rho = kappa / (k[:-1][kept] + 0.5 + np.hypot(kappa, k[:-1][kept] + 0.5))
+            assert np.all(ratio <= rho)
 
     def test_large_concentration_no_overflow(self):
         v = von_mises_density(0.0, 1000.0)

@@ -20,7 +20,7 @@ from circlaw.fractional import (
 )
 from circlaw.harmonic import TWO_PI
 from circlaw.kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
-from circlaw.pseudo import even_circle_law, odd_circle_density_wrapped
+from circlaw.pseudo import even_circle_density_wrapped, even_circle_law, odd_circle_density_wrapped
 
 
 def run(capsys, *argv):
@@ -75,6 +75,18 @@ class TestCurveCommands:
         # pointwise evaluation sums in another order: equal within roundoff
         assert rows[0, 1] == float(law.density(0.0))
         assert rows[17, 1] == pytest.approx(float(law.density(rows[17, 0])), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_density_even_at_small_t(self, capsys, n):
+        # the convexity tail lets the series serve t = 1e-6 (5144 terms at
+        # n = 1, 68 at n = 2); it agrees with the wrapped route within
+        # tol + tail_bound
+        code, out, _ = run(capsys, "density", "--law", "even", "--n", str(n), "--t", "1e-6", "--grid", "64")
+        assert code == 0
+        rows = parse_csv(out)
+        wrapped = even_circle_density_wrapped(n, rows[:, 0], 1e-6)
+        bound = 1e-10 + even_circle_law(n, 1e-6).tail_bound
+        assert np.max(np.abs(rows[:, 1] - wrapped)) <= bound
 
     def test_density_kernel_even_semantics(self, capsys):
         # value at theta=0 equals the library kernel at the parsed t;

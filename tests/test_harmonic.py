@@ -4,6 +4,7 @@ series law."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -412,9 +413,9 @@ class TestCertifiedCutoff:
         with pytest.raises(
             ConvergenceError,
             match=r"^the cutoff needs more than max_terms = 1000000 at tol=1e-10; "
-            r"use the wrapped route \(even_circle_density_wrapped\) at t = 1e-09$",
+            r"use the wrapped route \(even_circle_density_wrapped\) at t = 1e-12$",
         ):
-            even_circle_law(2, 1e-9)
+            even_circle_law(1, 1e-12)
 
     def test_cosine_law_carrier(self):
         law = cosine_law(lambda k: 0.1 / k**2, lambda K: 0.1 / K, Tolerance(abs_tol=1e-3), "", "m")
@@ -431,9 +432,9 @@ class TestTruncationPins:
     @pytest.mark.parametrize(
         "build,n_terms,tail_bound",
         [
-            (lambda: even_circle_law(2, 1.0), 22, 5.167460054854362e-11),
-            (lambda: even_circle_law(1, 0.05, Tolerance(abs_tol=1e-13)), 636, 9.603134207364492e-14),
-            (lambda: even_circle_law(3, 0.5, Tolerance(abs_tol=1e-6)), 27, 6.726923417796686e-07),
+            (lambda: even_circle_law(2, 1.0), 2, 2.113474893695654e-36),
+            (lambda: even_circle_law(1, 0.05, Tolerance(abs_tol=1e-13)), 24, 9.297048580016236e-15),
+            (lambda: even_circle_law(3, 0.5, Tolerance(abs_tol=1e-6)), 1, 4.03112909454485e-15),
             (lambda: even_kernel_law(0.7), 32, 5.871130119307868e-11),
             (lambda: odd_kernel_law(2, 0.7), 33, 9.678319161124935e-11),
             (lambda: odd_kernel_law(1, 0.05, Tolerance(abs_tol=1e-12)), 684, 9.861635869624955e-13),
@@ -499,3 +500,62 @@ def test_refuses_nan_arguments(call):
     """A NaN angle or Mittag-Leffler argument is a DomainError, never a NaN value."""
     with pytest.raises(DomainError):
         call()
+
+
+def _finite_values(out):
+    """The numbers a call hands back: a law's coefficients and tail, or its values."""
+    out = getattr(out, "representation", out)
+    if isinstance(out, HarmonicLaw):
+        return np.concatenate([[out.a0, out.tail_bound], out.cos_coeffs, out.sin_coeffs])
+    return np.asarray(out, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: circlaw.line_density_even(600, 1.0, 1.0),
+        lambda: circlaw.line_density_odd(600, 1.0, 1.0),
+        lambda: circlaw.even_circle_density_wrapped(600, 1.0, 1.0),
+        lambda: circlaw.even_circle_density_wrapped(100, 1.0, 1.0),
+        lambda: even_circle_law(600, 1.0),
+        lambda: even_circle_law(512, 1e-310),
+        lambda: circlaw.min_value(600, 1.0),
+        lambda: time_fractional_law(600, 0.5, 1.0),
+        lambda: wrapped_stable_law(1e-3, 1e-3),
+        lambda: wrapped_stable_law(0.5, 1e-310),
+        lambda: circlaw.wrapped_skew_cauchy_density(1, 0.5, 1e300),
+        lambda: circlaw.skew_cauchy_density(1, np.array([0.0, 1e200]), 1e200),
+        lambda: circlaw.von_mises_density_series(np.array([0.0, 1.0]), 1e4),
+        lambda: circlaw.sample_stable_subordinator(0.9999, 1.0, circlaw.RngStream(1), size=1000),
+        lambda: circlaw.sample_inverse_subordinator(0.999, 1.0, circlaw.RngStream(1), size=1000),
+        lambda: bm_law(5e-324),
+        lambda: circlaw.bm_density_wrapped(1.0, 1e300),
+    ],
+    ids=[
+        "line-even-600", "line-odd-600", "even-wrapped-600", "even-wrapped-100",
+        "even-law-600", "even-law-512-subnormal-t", "min-value-600", "time-fractional-600",
+        "wrapped-stable-tiny-beta", "wrapped-stable-subnormal-t", "wrapped-skew-cauchy-huge-t",
+        "skew-cauchy-huge", "von-mises-series-large-kappa", "stable-subordinator-near-one",
+        "inverse-subordinator-near-one", "bm-law-least-t", "bm-wrapped-huge-t",
+    ],
+)
+def test_extreme_valid_calls_answer_or_refuse(call):
+    """At extreme but valid parameters a call raises a CirclawError or returns
+    finite values, and no raw warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call()
+        except circlaw.CirclawError:
+            return
+    assert np.all(np.isfinite(_finite_values(out)))
+
+
+def test_even_law_forms_large_powers_in_logs():
+    # 2^1024 passes the largest double, but 2^1024 t = 0.018 at t = 1e-310:
+    # the k = 2 coefficient is e^{-0.018}/pi, not 0 and not dropped
+    t = 1e-310
+    law = even_circle_law(512, t)
+    assert law.n_terms == 2
+    want = math.exp(-math.exp(1024 * math.log(2.0) + math.log(t))) / math.pi
+    assert law.cos_coeffs[1] == pytest.approx(want, rel=1e-14)

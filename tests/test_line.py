@@ -563,3 +563,14 @@ def test_every_builder_refuses_bad_time(builder, t):
     """One rule for t across the package: 0 < t < inf, else DomainError."""
     with pytest.raises(DomainError, match="^t must be"):
         builder(t)
+
+
+def test_orders_past_the_kernel_and_the_bound_are_refused():
+    # the kernel forms C(p, k) as doubles and _line_bound a polynomial in
+    # them; past their largest orders the calls name the limit instead of
+    # raising a raw OverflowError
+    for call in (lambda: line_density_even(600, 1.0, 1.0), lambda: line_density_odd(600, 1.0, 1.0)):
+        with pytest.raises(ConvergenceError, match="the contour kernel takes orders up to p = 1029$"):
+            call()
+    with pytest.raises(ConvergenceError, match="the line bound takes orders up to p = 128$"):
+        even_circle_density_wrapped(600, 1.0, 1.0)

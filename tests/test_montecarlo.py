@@ -164,6 +164,16 @@ class TestStableSubordinator:
         with pytest.raises(DomainError):
             sample_wrapped_bm(h, RngStream(SEED, 15))
 
+    @pytest.mark.parametrize("nu", [0.99, 0.999, 0.9999])
+    def test_finite_draws_near_nu_one(self, nu):
+        # both powers of Kanter's A underflow near nu = 1; in logs no draw is 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = sample_stable_subordinator(nu, 1.0, RngStream(1), size=10_000)
+            L = sample_inverse_subordinator(nu, 1.0, RngStream(1), size=10_000)
+        assert np.all(np.isfinite(h)) and np.all(h > 0.0)
+        assert np.all(np.isfinite(L)) and np.all(L > 0.0)
+
     @pytest.mark.parametrize("nu,t", [(0.0, 1.0), (1.2, 1.0), (0.5, 0.0), (0.5, -1.0)])
     def test_domain(self, nu, t):
         with pytest.raises(DomainError):

@@ -18,10 +18,9 @@ from scipy.optimize import brentq
 import circlaw
 from circlaw import ConvergenceError, DomainError, SignedLawError
 from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
-from circlaw.line import _line_bound, line_density_even
+from circlaw.line import _centred, _line_bound, _shell_count, line_density_even
 from circlaw.pseudo import (
     _ODD_SHELLS,
-    _shell_counts,
     _taper_weights,
     even_circle_density,
     even_circle_density_wrapped,
@@ -37,8 +36,8 @@ from circlaw.special import DEFAULT_TOL, Tolerance
 def by_shell(n, theta, t, tol=DEFAULT_TOL):
     # the even wrapped route one shell pair at a time over its proven shells:
     # the reference its one kernel call must reproduce bit for bit
-    th = math.fmod(theta, TWO_PI)
-    (M,) = _shell_counts(2 * n, np.array([abs(th)]), t, tol)
+    th = float(_centred(theta))
+    M = _shell_count(2 * n, t, tol)
     each = Tolerance(tol.abs_tol / 258.0, tol.max_terms)
     total = line_density_even(n, th, t, each)
     for m in range(1, M + 1):
@@ -83,13 +82,17 @@ class TestEvenCircleLaw:
         assert law.tail_bound < 1e-10
 
     def test_truncation_rule(self):
-        # K is the smallest index with e^{-(K+1)t}/(pi(1-e^{-t})) <= tol
+        # K is the smallest index whose convexity tail
+        # e^{-t (K+1)^2} / (pi (1 - e^{-2t(K+1)})) is <= tol
         t, tol = 0.7, Tolerance(abs_tol=1e-8)
         law = even_circle_law(1, t, tol)
         K = law.n_terms
-        denom = math.pi * (1.0 - math.exp(-t))
-        assert math.exp(-(K + 1) * t) / denom <= tol.abs_tol
-        assert math.exp(-K * t) / denom > tol.abs_tol
+
+        def tail(K):
+            return math.exp(-t * (K + 1) ** 2) / (math.pi * (1.0 - math.exp(-2.0 * t * (K + 1))))
+
+        assert tail(K) <= tol.abs_tol < tail(K - 1)
+        assert law.tail_bound == pytest.approx(tail(K), rel=1e-12)
 
     def test_large_t_uniform(self):
         law = even_circle_law(2, 80.0)
@@ -101,13 +104,15 @@ class TestEvenCircleLaw:
 
     def test_gaussian_rescale_value(self):
         # at n=1 with t halved this is the wrapped standard normal
-        law = even_circle_law(1, 0.5)
+        law = even_circle_law(1, 0.5, Tolerance(abs_tol=1e-13))
         assert law.density(0.0) == pytest.approx(wrapped_gaussian(0.0, 1.0), abs=1e-12)
         assert law.density(0.0) == pytest.approx(0.39894228, abs=2e-8)
 
     def test_small_t_overflows_to_wrapped_route(self):
+        # t = 1e-6 takes 5144 terms; t = 1e-12 would take ~5e6
+        assert even_circle_law(1, 1e-6).n_terms == 5144
         with pytest.raises(ConvergenceError, match="wrapped"):
-            even_circle_law(1, 1e-6)
+            even_circle_law(1, 1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -117,14 +122,15 @@ class TestEvenCircleLaw:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_spectral_ode(self, n):
-        # d a_k / dt = -k^{2n} a_k, central differences with lam*h = 1e-3
-        t = 1.0
+        # d a_k / dt = -k^{2n} a_k, central differences with lam*h = 1e-3;
+        # a tol below a_5 keeps the modes up to 5
+        t, tol = 1.0, Tolerance(abs_tol=1e-300)
         for k in (1, 2, 3, 4, 5):
             lam = float(k) ** (2 * n)
             h = 1e-3 / lam
-            ap = even_circle_law(n, t + h).cos_coeffs[k - 1]
-            am = even_circle_law(n, t - h).cos_coeffs[k - 1]
-            a = even_circle_law(n, t).cos_coeffs[k - 1]
+            ap = even_circle_law(n, t + h, tol).cos_coeffs[k - 1]
+            am = even_circle_law(n, t - h, tol).cos_coeffs[k - 1]
+            a = even_circle_law(n, t, tol).cos_coeffs[k - 1]
             assert (ap - am) / (2 * h) == pytest.approx(-lam * a, rel=1e-6)
 
     def test_pde_residual(self):
@@ -213,10 +219,10 @@ class TestEvenDualRoute:
     @pytest.mark.filterwarnings("error")
     def test_tolerance_of_eight_or_more(self):
         # log(2/tol) <= 0: the shell count falls to its least value, with no
-        # nan and no warning (n = 1: the central Gaussian image alone)
+        # nan and no warning (n = 1 too: the Gaussian images |m| <= 1)
         for tol in (Tolerance(8.0), Tolerance(1e300), Tolerance(math.inf)):
-            assert _shell_counts(4, np.array([math.pi]), 1.0, tol).tolist() == [1]
-        values = {1: 0.21969564473386122, 2: 0.22261239122285492, 3: 0.22440088488816812}
+            assert _shell_count(4, 1.0, tol) == 1 and _shell_count(2, 1.0, tol) == 1
+        values = {1: 0.21995909178101242, 2: 0.22261239122285492, 3: 0.22440088488816812}
         for n, value in values.items():
             assert even_circle_density_wrapped(n, 1.0, 1.0, Tolerance(8.0)) == value
         assert even_circle_density_wrapped(3, 1.0, 1.0, Tolerance(1e300)) == 0.2125861049959994
@@ -224,7 +230,7 @@ class TestEvenDualRoute:
     def test_unsettled_sum_raises(self):
         # n = 4 at t = 1e6: the proven tail needs more than 64 shells, and
         # the refusal points to the series, which serves large t
-        assert _shell_counts(4, np.array([1.0]), 1e6, DEFAULT_TOL).tolist() == [156]
+        assert _shell_count(4, 1e6, DEFAULT_TOL) == 156
         with pytest.raises(ConvergenceError) as err:
             even_circle_density_wrapped(2, 1.0, 1e6)
         assert str(err.value) == (
