@@ -142,14 +142,19 @@ def odd_kernel_cdf(n: int, theta, t: float):
 
     q = e^{-a t}. The numerator is nonnegative on the circle, so atan2
     stays in [0, pi] and the value is a CDF with no branch seams; agrees
-    with adaptive quadrature of the density at machine accuracy.
+    with adaptive quadrature of the density at machine accuracy. The
+    denominator is taken as (1-q)^2 cos(th/2) + 4 q sin(th/2 + b t/2) sin(b t/2)
+    with 1 - q = -expm1(-a t): its two terms in the form above cancel as
+    t -> 0.
     """
     a, b = _ab(n)
     _check_t(t)
     th = _as_angles(theta)
     q = math.exp(-a * t)
+    one_minus_q = -math.expm1(-a * t)
     num = -math.expm1(-2.0 * a * t) * np.sin(th / 2.0)
-    den = (1.0 + q * q) * np.cos(th / 2.0) - 2.0 * q * np.cos(th / 2.0 + b * t)
+    turn = math.sin(b * t / 2.0)
+    den = one_minus_q**2 * np.cos(th / 2.0) + 4.0 * q * turn * np.sin(th / 2.0 + b * t / 2.0)
     val = np.arctan2(num, den) / math.pi
     return float(val) if np.ndim(theta) == 0 else val
 
@@ -169,25 +174,46 @@ def odd_half_circle_prob(n: int, t: float) -> float:
     return math.atan2(-math.expm1(-2.0 * a * t), scale * math.sin(b * t)) / math.pi
 
 
-# shells the wrapped skewed-Cauchy route sums before its tail closure
-_SKEW_SHELLS = 200
+def _skew_shell_count(s: float) -> int:
+    """Least M such that each tail |m| > M of the wrapped Cauchy law of
+    scale s, shells counted from the law's centre, closes within
+    DEFAULT_TOL/2 by the midpoint rule.
+
+    On each cell of width h = 2 pi the rule is off by h^2 |f''|/24, and
+    |f''(u)| <= g(u) = 6 s/(pi (u^2 + s^2)^2), which falls in |u|. A tail
+    starts at least X = 2 pi M from the centre, so it is off by at most
+    (h/24)(h g(X) + int_X^inf g), where the integral lies below both
+    2 s/(pi X^3) and 3/(X^2 + s^2).
+    """
+
+    def both_tails(M):
+        X = TWO_PI * M
+        d = X * X + s * s
+        g = 6.0 * s / (math.pi * d * d)
+        return 2.0 * (TWO_PI / 24.0) * (TWO_PI * g + min(2.0 * s / (math.pi * X**3), 3.0 / d))
+
+    return certified_cutoff(both_tails, DEFAULT_TOL, "the wrapped skewed Cauchy sum has no such limit")
 
 
 def wrapped_skew_cauchy_density(n: int, theta, t: float):
     """2 pi-wrapping of the skewed Cauchy line law; independent route to the odd kernel.
 
-    Sums shells |m| <= 200 directly and closes both tails with the
-    integral of the line density (midpoint rule in the shell index),
-    which leaves a residual ~1e-10.
+    Sums the 2M + 1 shells nearest the law's centre -b t directly and
+    closes both tails with the integral of the line density (midpoint
+    rule in the shell index). M = _skew_shell_count(a t) certifies the
+    closure within DEFAULT_TOL.
     """
     a, b = _ab(n)
     _check_t(t)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    m = TWO_PI * np.arange(-_SKEW_SHELLS, _SKEW_SHELLS + 1)
-    core = skew_cauchy_density(n, th[:, None] + m, t).sum(axis=1)
-    scale = t * a
-    hi = th + TWO_PI * (_SKEW_SHELLS + 0.5)
-    lo = th - TWO_PI * (_SKEW_SHELLS + 0.5)
+    scale = float(t * a)
+    M = _skew_shell_count(scale)
+    # the centre -b t lies in shell -c of theta; shells -c - M..-c + M are summed
+    c = np.rint((th + b * t) / TWO_PI)
+    x = th[:, None] + TWO_PI * (np.arange(-M, M + 1) - c[:, None])
+    core = skew_cauchy_density(n, x, t).sum(axis=1)
+    hi = th + TWO_PI * (M + 0.5 - c)
+    lo = th - TWO_PI * (M + 0.5 + c)
     tail = (
         1.0
         - (np.arctan((hi + t * b) / scale) - np.arctan((lo + t * b) / scale))

@@ -26,11 +26,6 @@ __all__ = [
     "ks_statistic",
 ]
 
-# points (steps x live paths) one turn of the planar walk draws; a turn
-# takes at least 8 steps, so numpy's fixed cost per call is paid once
-# per block of steps rather than once per step
-_WALK_BLOCK = 1 << 14
-
 
 @dataclass(frozen=True, eq=False)
 class RngStream:
@@ -154,23 +149,15 @@ def simulate_planar_hit(
 ):
     """Exit angle of planar Brownian motion started at (r, 0) in the unit disk.
 
-    Euler walk with increments sqrt(step) N(0, I_2); the step that first
-    lands outside is cut back to the circle by solving |p + lam d| = 1
-    for lam in (0, 1] (first-order crossing interpolation). Angles are
-    returned in [0, 2 pi). Expected step count is about (1 - r^2)/(2 step);
-    the walk aborts with ConvergenceError past max_steps
-    (default 400/step) rather than looping on a pathological step choice.
-
-    The walk is time-blocked: each turn draws the increments of
-    T = max(8, _WALK_BLOCK // m) steps for the m live paths at once, as
-    one (T, m, 2) array, and sums them from the current positions along
-    the step axis, so every position is the same sum, in the same order,
-    as in a walk of one step per turn. Each path's first outside step is
-    cut back as above and the paths still inside go on from the block's
-    last position. The exit law is therefore the per-step Euler walk's;
-    only the assignment of normals to steps differs. max_steps decides
-    only when to give up (exits past it are ignored), so it never
-    changes the draws of a walk that finishes. step must lie in (0, 1].
+    Walk-on-spheres (Muller, Ann. Math. Statist. 27 (1956)): Brownian
+    motion from p first meets the circle of radius 1 - |p| about p at a
+    uniform point, so each round jumps every live path there. A path
+    stops at its first point within step of the unit circle, a start
+    already there before any draw, and returns that point's angle in
+    [0, 2 pi), off the exit angle by O(step). Paths take ~log(1/step)
+    rounds; past max_steps rounds (default 400/step) the walk raises
+    ConvergenceError. max_steps decides only when to give up, so it
+    never changes the draws of a walk that finishes. step lies in (0, 1].
     """
     r0 = float(start_radius)
     if not 0.0 < r0 < 1.0:
@@ -184,49 +171,21 @@ def simulate_planar_hit(
         cap = int(400.0 / step) + 1
     else:
         cap = _check_count(max_steps, "max_steps")
-    gen = _generator(rng)
-    pos = np.zeros((n, 2))
-    pos[:, 0] = r0
+    p = np.full(n, complex(r0))
     out = np.empty(n)
-    active = np.arange(n)
-    sq = math.sqrt(step)
-    done = 0
-    while active.size and done < cap:
-        m = active.size
-        steps = max(8, _WALK_BLOCK // m)
-        # w[0] holds the current positions and w[1:] the block's increments,
-        # so z[k] = w[0] + w[1] + ... + w[k] is the position after k steps
-        w = np.empty((steps + 1, m, 2))
-        w[0] = pos
-        d = gen.standard_normal(out=w[1:])
-        d *= sq
-        z = np.cumsum(w, axis=0)
-        x, y = z[1:, :, 0], z[1:, :, 1]
-        hit = x * x + y * y >= 1.0
-        j = np.flatnonzero(hit.any(axis=0))
-        k = hit[:, j].argmax(axis=0)
-        # path j leaves on step done + k + 1; exits past the cap are ignored
-        keep = k < cap - done
-        j, k = j[keep], k[keep]
-        p = z[k, j]
-        dd = d[k, j]
-        pd = (p * dd).sum(axis=1)
-        d2 = (dd * dd).sum(axis=1)
-        p2 = (p * p).sum(axis=1)
-        lam = (-pd + np.sqrt(pd * pd + d2 * (1.0 - p2))) / d2
-        exit_pt = p + lam[:, None] * dd
-        out[active[j]] = np.mod(np.arctan2(exit_pt[:, 1], exit_pt[:, 0]), TWO_PI)
-        inside = np.ones(m, dtype=bool)
-        inside[j] = False
-        pos = z[-1, inside]
-        active = active[inside]
-        done += steps
-    if active.size:
-        raise ConvergenceError(
-            f"{active.size} paths still inside the disk after {cap} steps; "
-            "increase max_steps or decrease step"
-        )
-    return float(out[0]) if size is None else out
+    live = np.arange(n)
+    for _ in range(cap + 1):
+        rho = 1.0 - np.abs(p)
+        stop = rho <= step
+        out[live[stop]] = np.mod(np.angle(p[stop]), TWO_PI)
+        live, p, rho = live[~stop], p[~stop], rho[~stop]
+        if not live.size:
+            return float(out[0]) if size is None else out
+        p = p + rho * np.exp(1j * _generator(rng).uniform(0.0, TWO_PI, live.size))
+    raise ConvergenceError(
+        f"{live.size} paths still inside the disk after {cap} rounds; "
+        "increase max_steps or step"
+    )
 
 
 def ks_statistic(samples, cdf) -> float:

@@ -256,29 +256,40 @@ def _c8c(run):
     return worst
 
 
-def _double_barrier_survival(theta, t, n_paths, rng, n_steps=400):
-    """P(sup_{s<=t} |W_s| < theta) by Euler paths with per-step
-    Brownian-bridge crossing weights (removes the discretization bias)."""
-    gen = rng.generator
-    dt = t / n_steps
-    sq = math.sqrt(dt)
-    w_all = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        m = min(50_000, n_paths - done)
-        x = np.zeros(m)
-        w = np.ones(m)
-        for _ in range(n_steps):
-            xn = x + sq * gen.standard_normal(m)
-            w[np.abs(xn) >= theta] = 0.0
-            up = np.exp(-2.0 * (theta - x) * (theta - xn) / dt)
-            dn = np.exp(-2.0 * (theta + x) * (theta + xn) / dt)
-            w *= np.where(w > 0.0, (1.0 - up) * (1.0 - dn), 0.0)
-            x = xn
-        w_all[done : done + m] = w
-        done += m
-    est = float(w_all.mean())
-    se = float(w_all.std(ddof=1) / math.sqrt(n_paths))
+# Gaussian steps per 9a path; each step's weight is exact, so no step
+# count biases the estimate
+_BRIDGE_STEPS = 20
+
+
+def _double_barrier_survival(theta, t, n_paths, rng):
+    """P(sup_{s<=t} |W_s| < theta) by Gaussian paths on _BRIDGE_STEPS steps,
+    each step weighted by the probability that the Brownian bridge across
+    it stays in (-theta, theta). With a and b the step's ends measured
+    from -theta and L = 2 theta, that is the image series (Borodin &
+    Salminen, Handbook of Brownian Motion, 2002)
+
+        sum_k e^{-2kL(kL + b - a)/dt} - e^{-2(a + kL)(b + kL)/dt},
+
+    here over |k| <= 1; the images dropped are below e^{-2L^2/dt}. A step
+    ending outside weighs 0, so the estimate is unbiased."""
+    dt = t / _BRIDGE_STEPS
+    L = 2.0 * theta
+    w = np.ones(n_paths)
+    a = np.full(n_paths, theta)
+    for _ in range(_BRIDGE_STEPS):
+        b = a + math.sqrt(dt) * rng.generator.standard_normal(n_paths)
+        out = (b <= 0.0) | (b >= L)
+        w[out] = 0.0
+        # a dead path waits at the centre, where every exponent stays <= 0
+        b[out] = theta
+        w *= sum(
+            np.exp(-2.0 * k * L * (k * L + b - a) / dt)
+            - np.exp(-2.0 * (a + k * L) * (b + k * L) / dt)
+            for k in (-1, 0, 1)
+        )
+        a = b
+    est = float(w.mean())
+    se = float(w.std(ddof=1) / math.sqrt(n_paths))
     return est, se
 
 

@@ -203,10 +203,11 @@ class TestOddKernelDensity:
         assert abs(grid[vals.argmax()] - expected) < TWO_PI / 8192 + 1e-12
         assert odd_kernel_density(n, expected, t) >= vals.max() - 1e-12
 
-    @pytest.mark.parametrize("n,t", [(1, 0.5), (1, 1.0), (2, 1.0)])
+    @pytest.mark.parametrize("n,t", [(1, 0.5), (1, 1.0), (2, 1.0), (1, 2.0), (1, 100.0)])
     def test_wrapped_skew_cauchy_route(self, n, t):
+        # the shell count certifies the tail closure within the default tol
         wrapped = wrapped_skew_cauchy_density(n, GRID64, t)
-        assert np.max(np.abs(wrapped - odd_kernel_density(n, GRID64, t))) < 1e-8
+        assert np.max(np.abs(wrapped - odd_kernel_density(n, GRID64, t))) <= 1e-10
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -264,6 +265,34 @@ class TestOddKernelCdf:
         assert odd_kernel_cdf(n, TWO_PI - 1e-10, t) == pytest.approx(1.0, abs=1e-9)
         vals = odd_kernel_cdf(n, np.linspace(0.0, TWO_PI, 257), t)
         assert np.all(np.diff(vals) > 0.0)
+
+    @staticmethod
+    def _closed_form(n, th, t):
+        """The CDF's closed form in 50-digit arithmetic at the float inputs."""
+        a, b = _ab(n)
+        with mp.workdps(50):
+            a, b, th, t = map(mp.mpf, (a, b, th, t))
+            q = mp.exp(-a * t)
+            den = (1 + q * q) * mp.cos(th / 2) - 2 * q * mp.cos(th / 2 + b * t)
+            return float(mp.atan2((1 - q * q) * mp.sin(th / 2), den) / mp.pi)
+
+    @pytest.mark.parametrize(
+        "t,th,err",
+        [(1e-3, 0.5, 1e-13), (1e-6, 0.5, 1e-13), (1e-8, 0.5, 1e-13), (1e-10, 1e-6, 1e-13),
+         # the rounding of 2 pi itself against the kernel width a t dominates
+         (1e-10, TWO_PI, 3e-9)],
+    )
+    def test_small_time_table(self, t, th, err):
+        # the form (1+q^2) cos(th/2) - 2 q cos(th/2 + b t) cancels as t -> 0:
+        # it gave 0.1666 for 0.3333 at (1e-10, 1e-6) and 0.5 for 0.9999993 at 2 pi
+        assert odd_kernel_cdf(1, th, t) == pytest.approx(self._closed_form(1, th, t), abs=err)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_high_precision_at_every_time(self, n):
+        th = np.linspace(0.0, TWO_PI, 33)[:-1]
+        for t in (1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.1, 1.0, 5.0):
+            want = [self._closed_form(n, x, t) for x in th]
+            assert np.max(np.abs(odd_kernel_cdf(n, th, t) - want)) < 1e-13, t
 
     def test_termwise_series_cdf_agrees(self):
         law = odd_kernel_law(1, 0.8, TOL13)

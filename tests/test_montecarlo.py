@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from circlaw import ConvergenceError, DomainError, Tolerance
-from circlaw import montecarlo
 from circlaw.brownian import bm_law
 from circlaw.fractional import space_fractional_law, space_time_fractional_cdf
 from circlaw.harmonic import TWO_PI
@@ -34,49 +33,17 @@ def uniform_cdf(th):
     return np.asarray(th) / TWO_PI
 
 
-class _Recorder:
-    """Generator stand-in that keeps a copy of every normal block it hands out."""
+class _Counter:
+    """Generator stand-in that counts the rounds of the planar walk, one
+    uniform draw each."""
 
     def __init__(self, seed):
         self.gen = np.random.default_rng(seed)
-        self.blocks = []
+        self.rounds = 0
 
-    def standard_normal(self, size=None, out=None):
-        z = self.gen.standard_normal(size, out=out)
-        self.blocks.append(z.copy())
-        return z
-
-
-def per_step_walk(r0, step, blocks):
-    """The Euler walk one step at a time, in scalar arithmetic, fed the
-    recorded blocks: slot i of a block belongs to the i-th live path.
-    Returns the exit angles and each path's number of steps."""
-    sq = math.sqrt(step)
-    n = blocks[0].shape[1]
-    pos = {j: (r0, 0.0) for j in range(n)}
-    exits, steps = {}, np.zeros(n, dtype=int)
-    live = list(range(n))
-    for b in blocks:
-        assert b.shape[1] == len(live)
-        still = []
-        for slot, j in enumerate(live):
-            px, py = pos[j]
-            for dx, dy in sq * b[:, slot]:
-                steps[j] += 1
-                nx, ny = px + dx, py + dy
-                if nx * nx + ny * ny >= 1.0:
-                    pd, d2, p2 = px * dx + py * dy, dx * dx + dy * dy, px * px + py * py
-                    lam = (-pd + math.sqrt(pd * pd + d2 * (1.0 - p2))) / d2
-                    exits[j] = (px + lam * dx, py + lam * dy)
-                    break
-                px, py = nx, ny
-            else:
-                pos[j] = (px, py)
-                still.append(j)
-        live = still
-    assert not live
-    pts = np.array([exits[j] for j in range(n)])
-    return np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI), steps
+    def uniform(self, *args):
+        self.rounds += 1
+        return self.gen.uniform(*args)
 
 
 class TestRngStream:
@@ -270,43 +237,21 @@ class TestPlanarHit:
         with pytest.raises(DomainError):
             simulate_planar_hit(r, RngStream(0), step=step)
 
-    @pytest.mark.parametrize("r,size", [(0.5, 1500), (0.05, 600), (1.0 - 1e-9, 600)])
-    def test_blocked_walk_is_the_per_step_walk(self, r, size):
-        # the same increments walked one step at a time give the same
-        # angles bit for bit, exits on a block's first step included
-        rec = _Recorder(SEED)
-        got = simulate_planar_hit(r, rec, step=1e-2, size=size)
-        assert len(rec.blocks) > 1
-        assert np.array_equal(got, per_step_walk(r, 1e-2, rec.blocks)[0])
-
     def test_cap_counts_steps_exactly(self):
-        # the slowest path's step count is enough, one step fewer is not,
-        # with that path's exit inside a block rather than on its first step
-        rec = _Recorder(SEED)
+        # the slowest path's round count is enough, one round fewer is not
+        rec = _Counter(SEED)
         got = simulate_planar_hit(0.5, rec, step=1e-2, size=200)
-        worst = int(per_step_walk(0.5, 1e-2, rec.blocks)[1].max())
-        assert worst - 1 not in np.cumsum([b.shape[0] for b in rec.blocks])
-        capped = simulate_planar_hit(0.5, _Recorder(SEED), step=1e-2, size=200, max_steps=worst)
+        worst = rec.rounds
+        capped = simulate_planar_hit(0.5, _Counter(SEED), step=1e-2, size=200, max_steps=worst)
         assert np.array_equal(got, capped)
         with pytest.raises(ConvergenceError, match="after"):
-            simulate_planar_hit(0.5, _Recorder(SEED), step=1e-2, size=200, max_steps=worst - 1)
-
-    def test_block_shape(self):
-        rec = _Recorder(SEED)
-        simulate_planar_hit(0.9, rec, step=1e-3, size=5000)
-        first = rec.blocks[0].shape
-        assert first == (max(8, montecarlo._WALK_BLOCK // 5000), 5000, 2)
-        assert all(b.shape[0] >= 8 for b in rec.blocks)
+            simulate_planar_hit(0.5, _Counter(SEED), step=1e-2, size=200, max_steps=worst - 1)
 
     def test_start_on_the_rim(self):
-        # half the paths leave on the first step of the first block,
-        # cut back to the circle a hair from the start
-        step = 1e-3
-        ang = simulate_planar_hit(1.0 - 1e-9, RngStream(SEED, 19), step=step, size=2000)
-        assert np.all(np.isfinite(ang)) and np.all((0.0 <= ang) & (ang < TWO_PI))
-        dist = np.minimum(ang, TWO_PI - ang) / math.sqrt(step)
-        assert np.median(dist) < 1.0
-        assert np.quantile(dist, 0.75) < 3.0
+        # a start within step of the circle stops before any draw
+        rec = _Counter(SEED)
+        ang = simulate_planar_hit(1.0 - 1e-9, rec, step=1e-3, size=2000)
+        assert rec.rounds == 0 and np.all(ang == 0.0)
 
     def test_cap_never_changes_the_draws(self):
         a = simulate_planar_hit(0.6, RngStream(SEED, 20), size=300)
