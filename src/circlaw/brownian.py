@@ -19,8 +19,8 @@ from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_t
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law, exp_power_tail
-from .line import _centred, _root, _shell_count
-from .special import DEFAULT_TOL
+from .line import _bisect, _centred, _shell_count
+from .special import DEFAULT_TOL, MAX_TERMS
 
 __all__ = [
     "BmLaw",
@@ -84,7 +84,7 @@ def bm_density_wrapped(theta, t, tol=DEFAULT_TOL):
 
     Angles are reduced to [-pi, pi], and N(0, t) is the order-2 line law at
     time t/2, so M = line._shell_count(2, t/2, tol) puts the dropped images
-    below tol/2; a count past tol.max_terms is refused. Angles and images
+    below tol/2 (refused past special.MAX_TERMS shells). Angles and images
     go in blocks of at most _IMAGE_BLOCK entries, and an angle adds its
     fixed image chunks in order, so a grid value equals the scalar call bit
     for bit at every t.
@@ -95,11 +95,6 @@ def bm_density_wrapped(theta, t, tol=DEFAULT_TOL):
     scalar = th.ndim == 0
     x = _centred(th).ravel()
     M = _shell_count(2, t / 2.0, tol)
-    if M > tol.max_terms:
-        raise ConvergenceError(
-            f"the wrapped Gaussian needs {M} image shells, past max_terms = {tol.max_terms} "
-            f"at tol={tol.abs_tol}; evaluate the series (bm_law)"
-        )
     chunk = min(2 * M + 1, _IMAGE_BLOCK)
     rows = _IMAGE_BLOCK // chunk
     out = np.zeros(x.size)
@@ -176,16 +171,17 @@ def von_mises_matched_kappa(t):
         return kappa
     target = math.exp(-t / 2.0)
 
-    def gap(k):
-        return sp.ive(1, k) / sp.ive(0, k) - target
+    def reached(k):
+        # scipy's ratio errs by ~6e-15 at tiny k, where I_1/I_0 = k/2 - k^3/16 + ... is k/2
+        return (k / 2.0 if k < 1e-8 else sp.ive(1, k) / sp.ive(0, k)) >= target
 
-    return _root(gap, 0.0, max(4.0, 2.0 / -math.expm1(-t / 2.0)))
+    return _bisect(reached, 0.0, max(4.0, 2.0 / -math.expm1(-t / 2.0)))
 
 
 _QUAD_BOUND_T0 = 0.209  # threshold quoted for the e^{-t/2} envelope
 
 
-def bm_quadrant_prob(t, tol=DEFAULT_TOL):
+def bm_quadrant_prob(t):
     """P(-pi/2 < B(t) < pi/2) by its alternating odd-harmonic series."""
     _check_t(t)
     acc, k = 0.0, 0
@@ -195,7 +191,7 @@ def bm_quadrant_prob(t, tol=DEFAULT_TOL):
         if term < 1e-17:
             break
         k += 1
-        if k > tol.max_terms:
+        if k > MAX_TERMS:
             raise ConvergenceError("quadrant series did not converge")
     val = 0.5 + (2.0 / math.pi) * acc
     # alternating decreasing terms, so the one-term envelope holds

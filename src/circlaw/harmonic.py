@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SignedLawError, _check_count, _check_finite
-from .special import Tolerance
+from .special import MAX_TERMS, Tolerance
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,17 +158,16 @@ def certified_cutoff(tail, tol: Tolerance, advice: str) -> int:
 
     Doubles K until the tail certifies, then bisects back. Raises
     ConvergenceError with the caller's advice once K would pass
-    tol.max_terms; the message does not say what K counts, so the
-    advice names it where it is not series terms.
+    MAX_TERMS; the message does not say what K counts, so the advice
+    names it where it is not series terms.
     """
     lo, hi = 0, 1  # tail(lo) > tol (or lo = 0), and hi is the next probe
     while tail(hi) > tol.abs_tol:
-        if hi >= tol.max_terms:
+        if hi >= MAX_TERMS:
             raise ConvergenceError(
-                f"the cutoff needs more than max_terms = {tol.max_terms} "
-                f"at tol={tol.abs_tol}; {advice}"
+                f"the cutoff needs more than {MAX_TERMS} at tol={tol.abs_tol}; {advice}"
             )
-        lo, hi = hi, min(2 * hi, tol.max_terms)
+        lo, hi = hi, min(2 * hi, MAX_TERMS)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if tail(mid) > tol.abs_tol:

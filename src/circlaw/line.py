@@ -30,7 +30,7 @@ import numpy as np
 from scipy import special as sps
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_n, _check_t
-from .harmonic import TWO_PI
+from .harmonic import TWO_PI, certified_cutoff
 from .special import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -149,62 +149,29 @@ def _airy_remainder(z: float) -> float:
     return _airy_u(k) / zeta**k + _airy_u(k + 1) / zeta ** (k + 1)
 
 
-def _smallest(ok, lo: float, hi: float) -> float:
-    """Smallest z in [lo, hi] with ok(z), for ok monotone and ok(hi) true (to 1e-12)."""
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
-    return hi
+def _bisect(ok, lo: float, hi: float) -> float:
+    """Least double z in [lo, hi] with ok(z), for ok monotone (false, then true).
 
-
-def _root(f, lo: float, hi: float) -> float:
-    """A zero of f in [lo, hi], where f(lo) and f(hi) differ in sign or one is 0.
-
-    Illinois regula falsi: the secant of the bracket, with the value at an
-    end halved each time that end is kept a second time in a row; a
-    bisection whenever three steps have not halved the bracket. It stops at
-    an exact zero, or once the ends are adjacent doubles, returning the end
-    where |f| is smaller.
+    Returns lo where ok(lo) holds and raises ConvergenceError where ok(hi)
+    fails; otherwise bisects until the ends are adjacent doubles.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
+    if ok(lo):
         return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise ConvergenceError(f"no sign change of f over [{lo!r}, {hi!r}]")
-    # the secant's end values (halved by the Illinois rule), the end kept
-    # by the last step (-1 lo, 1 hi), and the widths of the last three brackets
-    slo, shi, kept, widths = flo, fhi, 0, [math.inf] * 3
+    if not ok(hi):
+        raise ConvergenceError(f"the condition fails over all of [{lo!r}, {hi!r}]")
     while True:
         mid = lo + 0.5 * (hi - lo)
         if not lo < mid < hi:
-            return lo if abs(flo) < abs(fhi) else hi
-        # the secant step from the end nearer the zero, which keeps its digits
-        step = (hi - lo) / (shi - slo)
-        x = lo - slo * step if abs(slo) < abs(shi) else hi - shi * step
-        if hi - lo > 0.5 * widths[0] or not lo < x < hi:
-            x = mid
-        widths = widths[1:] + [hi - lo]
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (flo < 0.0):
-            lo, flo, slo = x, fx, fx
-            shi = 0.5 * shi if kept == 1 else shi
-            kept = 1
-        else:
-            hi, fhi, shi = x, fx, fx
-            slo = 0.5 * slo if kept == -1 else slo
-            kept = -1
+            return hi
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
 
 
 # Ai(-z) for z >= _AIRY_SWITCH comes from the expansion, whose remainder
 # there is at most 2^-53 of the envelope (z ~ 11.42 with 8 + 8 terms)
-_AIRY_SWITCH = _smallest(lambda z: _airy_remainder(z) <= 2.0**-53, 1.0, 100.0)
+_AIRY_SWITCH = _bisect(lambda z: _airy_remainder(z) <= 2.0**-53, 1.0, 100.0)
 # Ai(y) <= e^{-zeta} / (2 sqrt(pi) y^{1/4}) is below the smallest normal
 # double for y >= _AIRY_ZERO (~103.9), so the value there is 0
-_AIRY_ZERO = _smallest(
+_AIRY_ZERO = _bisect(
     lambda y: -2.0 * y**1.5 / 3.0 - math.log(2.0 * math.sqrt(math.pi) * y**0.25)
     < math.log(np.finfo(float).tiny),
     1.0,
@@ -268,6 +235,7 @@ _RHO = 1.0 + np.geomspace(1e-3, 30.0, 40)
 # largest work array (points x nodes, or points x ellipses) of the kernel
 _WORK = 2**14
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # factor on the contour kernel's rounding term eps (1 + 2/(e sin psi)) J:
 # the worst measured rounding was 0.68 of the unit term (p = 5, X = -60),
 # at most 0.09 of it at p = 4, 6 (0 <= X <= 400; 30-digit references)
@@ -492,21 +460,22 @@ def _shell_count(p: int, t: float, tol: Tolerance) -> int:
     Shell m > M lies at |x| >= 2 pi m - pi, so by integral comparison with
     _line_bound (C, kappa) the shells past M add at most
     (C/pi) e^{-kappa Y^q} / (kappa q Y^{q-1}), q = p/(p-1), at
-    Y = (2 pi M - pi) t^{-1/p}; the least Y that puts it below tol/2 sets M.
+    Y = (2 pi M - pi) t^{-1/p}; certified_cutoff finds the least M putting it below tol/2.
     """
     C, kappa = _line_bound(p)
     q = p / (p - 1.0)
     log_lead = math.log(C / (math.pi * kappa * q))
-    # log(tol/2) without the overflow of 2/tol at a subnormal tol
-    log_half = math.log(tol.abs_tol) - math.log(2.0)
+    root = t ** (1.0 / p)
 
-    def proven(Y):
-        return log_lead - kappa * Y**q - (q - 1.0) * math.log(Y) <= log_half
+    def twice_tail(M):
+        # the bound is 0 in float64 from Y = 1e150 on, where Y^q could
+        # overflow; a root that underflows to 0 puts every shell there
+        x = TWO_PI * M - math.pi
+        Y = x / root if x < 1e150 * root else 1e150
+        return 2.0 * math.exp(log_lead - kappa * Y**q - (q - 1.0) * math.log(Y))
 
-    # Y >= 1 with kappa Y^q >= log_lead - log_half is proven; a Y below 1e-9 moves no count
-    hi = max(1.0, (max(log_lead - log_half, 0.0) / kappa) ** (1.0 / q))
-    x = _smallest(proven, 1e-9, hi) * t ** (1.0 / p)
-    return math.floor((x + math.pi) / TWO_PI) + 1
+    law = "bm_law" if p == 2 else "even_circle_law"
+    return certified_cutoff(twice_tail, tol, f"these are image shells; evaluate the series ({law})")
 
 
 def _line_solution(p: int, x, t: float, tol: Tolerance):
@@ -558,14 +527,14 @@ def line_density_odd(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
 
 def skew_cauchy_density(n: int, x, t: float):
     """Skewed Cauchy limit law t a / (pi [(x + t b)^2 + t^2 a^2]), (a, b) of order 2n+1;
-    where the bracket passes the largest double, 1 / (pi t a (1 + ((x + t b)/(t a))^2))."""
+    where the bracket is not a normal double, 1 / (pi t a (1 + ((x + t b)/(t a))^2))."""
     _check_n(n)
     _check_finite(x)
     _check_t(t)
     a, b = _rotation(2 * n + 1)
     y = np.asarray(x, dtype=float) + t * b
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         den = y * y + t * t * a * a
         scaled = 1.0 / (math.pi * t * a * (1.0 + (y / (t * a)) ** 2))
-        out = np.where(den < math.inf, t * a / (math.pi * den), scaled)
+        out = np.where((den >= _TINY) & (den < math.inf), t * a / (math.pi * den), scaled)
     return float(out) if np.ndim(x) == 0 else out

@@ -32,14 +32,14 @@ from .brownian import bm_density_wrapped
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law, exp_power_tail, scaled_power, scaled_powers
 from .line import (
     _CANCEL_BUDGET,
+    _bisect,
     _centred,
-    _root,
     _rotation,
     _shell_count,
     line_density_even,
     line_density_odd,
 )
-from .special import DEFAULT_TOL, Tolerance
+from .special import DEFAULT_TOL, MAX_TERMS, Tolerance
 
 __all__ = [
     "even_circle_law",
@@ -106,7 +106,7 @@ def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAUL
             f"the wrapped tail needs {M} shells at t = {t:g}, past m = 64; "
             "evaluate the series (even_circle_law)"
         )
-    each = Tolerance(tol.abs_tol / 258.0, tol.max_terms)
+    each = Tolerance(tol.abs_tol / 258.0)
     u = line_density_even(n, th.reshape(-1, 1) + TWO_PI * np.arange(-M, M + 1), t, each)
     out = u[:, M]
     for m in range(1, M + 1):
@@ -184,7 +184,7 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
     w = _taper_weights(M)
     ms = np.arange(-M, M + 1)
     wm = w[np.abs(ms)]
-    shell_tol = Tolerance(tol.abs_tol / float(wm.sum()), tol.max_terms)
+    shell_tol = Tolerance(tol.abs_tol / float(wm.sum()))
     # blocks of angles keep each work array to 2^14 entries (one angle at
     # the n = 1 default); the line kernel sets the cost, so larger blocks
     # only add memory. Each row is summed on its own (numpy's pairwise sum,
@@ -230,7 +230,7 @@ def min_value(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
     p = 2 * n
     total = 1.0 / TWO_PI
     sign = -1.0
-    for k in range(1, tol.max_terms + 1):
+    for k in range(1, MAX_TERMS + 1):
         xt = scaled_power(t, p, k)
         if xt > _EXP_ZERO:
             return total
@@ -246,9 +246,9 @@ def positivity_time(n: int, tol: Tolerance = DEFAULT_TOL) -> float:
     """First time t_bar after which the even-order law stays nonnegative.
 
     n = 1 wraps a Gaussian, positive at every t, so t_bar = 0. For n >= 2,
-    t_bar = ln 2 - delta at the root (line._root) on [0, ln 2 - 1/2] of
-    pi v(pi, ln 2 - delta) = -expm1(delta)/2 + sum_{k>=2} (-1)^k e^{-x_k (ln 2 - delta)},
-    x_k = k^{2n}, which has no cancellation; the k-sum keeps the terms above
+    t_bar = ln 2 - delta at the least delta in [0, ln 2 - 1/2] (line._bisect) with
+    pi v(pi, ln 2 - delta) = -expm1(delta)/2 + sum_{k>=2} (-1)^k e^{-x_k (ln 2 - delta)} <= 0,
+    x_k = k^{2n}, a form without cancellation; the k-sum keeps the terms above
     tol.abs_tol at t = 1/2. With S_j(t) = sum_{k>=2} k^j e^{-x_k t}, two
     closed-form inequalities are then checked at t_bar: e^{-t} > S_2(t) puts
     the global minimum at pi (|sin ky| <= k |sin y|), and e^{-t} > S_{2n}(t)
@@ -268,12 +268,12 @@ def positivity_time(n: int, tol: Tolerance = DEFAULT_TOL) -> float:
     ks = np.arange(2.0, k)
     x, sign, ln2 = ks**p, (-1.0) ** ks, math.log(2.0)
 
-    def pi_v_at_pi(delta):
-        return -math.expm1(delta) / 2.0 + float(np.sum(sign * np.exp(-x * (ln2 - delta))))
+    def nonpositive(delta):
+        return -math.expm1(delta) / 2.0 + float(np.sum(sign * np.exp(-x * (ln2 - delta)))) <= 0.0
 
     # delta to the last bit, far below half an ulp of t near ln 2 (5.6e-17);
-    # at n >= 3 the k-sum is empty or below eps, and delta = 0 is a zero
-    t_bar = ln2 - _root(pi_v_at_pi, 0.0, ln2 - 0.5)
+    # at n >= 3 the k-sum is empty or below eps, and delta = 0 already holds
+    t_bar = ln2 - _bisect(nonpositive, 0.0, ln2 - 0.5)
     a = max(cut, 16.0) - 1.0
     rest = math.exp(-a * t_bar) * (a / t_bar + 1.0 / t_bar**2)
     w = np.exp(-x * t_bar)

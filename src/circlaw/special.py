@@ -20,6 +20,10 @@ from scipy.special import rgamma
 
 from .errors import ConvergenceError, DomainError
 
+# the one term budget: the largest count harmonic.certified_cutoff returns,
+# and the most terms an alternating-series evaluation adds
+MAX_TERMS = 10**6
+
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
@@ -30,16 +34,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy request: absolute target plus a hard term/step budget."""
+    """Accuracy request: a positive, finite absolute target."""
 
     abs_tol: float = 1e-10
-    max_terms: int = 10**6
 
     def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise DomainError("abs_tol must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()

@@ -107,10 +107,10 @@ class TestBmDensity:
     def test_image_budget_refusal_names_images(self):
         with pytest.raises(
             ConvergenceError,
-            match=r"^the wrapped Gaussian needs 10299487 image shells, past max_terms = 1000 "
-            r"at tol=1e-10; evaluate the series \(bm_law\)$",
+            match=r"^the cutoff needs more than 1000000 at tol=1e-10; these are image shells; "
+            r"evaluate the series \(bm_law\)$",
         ):
-            bm_density_wrapped(1.0, 1e14, Tolerance(1e-10, max_terms=1000))
+            bm_density_wrapped(1.0, 1e14, Tolerance(1e-10))
 
     def test_images_in_blocks(self, monkeypatch):
         # 201 images in blocks of 64: an angle adds its fixed chunks in order,
@@ -238,14 +238,26 @@ class TestVonMisesComparison:
 
     @pytest.mark.parametrize("t", [1e-4, 4.9e-4, 5e-4, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3])
     def test_matched_kappa_against_mpmath(self, t):
-        # the float64 moment match fixes kappa to a relative ~eps/t, worst at
-        # the expansion's switch t = 5e-4 (1.7e-13 measured); below it the
-        # expansion is within 2e-14, and at t >= 100 scipy's ive carries ~6e-15
+        # the float64 moment match fixes kappa to a relative ~eps/t, worst near
+        # the expansion's switch t = 5e-4 (5.6e-13 measured at t = 1e-3); below
+        # it the expansion is within 2e-14, and at t >= 100 the ratio is k/2
         with mp.workdps(40):
             tt = mp.mpf(t)
             start = 1 / tt if t < 1 else (2 * mp.exp(-tt / 2) if t > 20 else mp.mpf(1))
             exact = mp.findroot(lambda k: mp.besseli(1, k) / mp.besseli(0, k) - mp.exp(-tt / 2), start)
             assert float(abs(von_mises_matched_kappa(t) - exact) / exact) <= 1e-12
+
+    @pytest.mark.parametrize("t", [100.0, 200.0, 700.0])
+    def test_matched_kappa_at_tiny_kappa_within_four_ulps(self, t):
+        # kappa ~ 2 e^{-t/2}, where scipy's ive ratio errs by ~6e-15: the root
+        # read 3.5e-15 (t = 100) and 2.5e-14 (t = 700) off with it
+        with mp.workdps(40):
+            tt = mp.mpf(t)
+            exact = mp.findroot(
+                lambda k: mp.besseli(1, k) / mp.besseli(0, k) - mp.exp(-tt / 2), 2 * mp.exp(-tt / 2)
+            )
+            kappa = von_mises_matched_kappa(t)
+            assert abs(kappa - exact) <= 4 * np.spacing(kappa)
 
     @pytest.mark.parametrize("t", np.geomspace(5e-4, 1e3, 25).tolist())
     def test_matched_kappa_is_a_float_zero(self, t):
@@ -263,14 +275,18 @@ class TestVonMisesComparison:
     def test_matched_kappa_agrees_with_brentq(self):
         # the float ratio wobbles by an ulp or so about its trend, so two exact
         # bracketing methods can stop on different sign changes a few ulps
-        # apart (at most 7 measured for t in [1, 50])
+        # apart (at most 7 measured for t in [1, 50]); both solve with the
+        # ratio taken as k/2 below k = 1e-8 (from t ~ 37 on)
         from scipy.optimize import brentq
         from scipy.special import ive
+
+        def ratio(k):
+            return k / 2.0 if k < 1e-8 else ive(1, k) / ive(0, k)
 
         for t in np.geomspace(1.0, 50.0, 40).tolist():
             target = math.exp(-t / 2.0)
             hi = max(4.0, 2.0 / -math.expm1(-t / 2.0))
-            ref = brentq(lambda k: ive(1, k) / ive(0, k) - target, 0.0, hi,
+            ref = brentq(lambda k: ratio(k) - target, 0.0, hi,
                          xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=500)
             assert abs(von_mises_matched_kappa(t) - ref) <= 8 * np.spacing(ref)
 

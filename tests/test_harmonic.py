@@ -39,6 +39,7 @@ from circlaw.harmonic import (
     fourier_coeffs,
     sample,
 )
+from circlaw.special import MAX_TERMS
 
 EPS = np.finfo(float).eps
 
@@ -393,18 +394,17 @@ class TestCertifiedCutoff:
         scale=st.floats(1e-3, 1e3),
         rate=st.floats(1e-3, 3.0),
         tol_exp=st.floats(-13.0, -1.0),
-        max_terms=st.integers(1, 10**6),
     )
-    def test_smallest_certified_k_or_advice(self, kind, scale, rate, tol_exp, max_terms):
+    def test_smallest_certified_k_or_advice(self, kind, scale, rate, tol_exp):
         tail = _tail(kind, scale, rate)
-        tol = Tolerance(abs_tol=10.0**tol_exp, max_terms=max_terms)
+        tol = Tolerance(abs_tol=10.0**tol_exp)
         advice = f"{kind} advice"
-        if tail(max_terms) > tol.abs_tol:
+        if tail(MAX_TERMS) > tol.abs_tol:
             with pytest.raises(ConvergenceError, match=re.escape(advice)):
                 certified_cutoff(tail, tol, advice)
             return
         K = certified_cutoff(tail, tol, advice)
-        assert 1 <= K <= max_terms
+        assert 1 <= K <= MAX_TERMS
         assert tail(K) <= tol.abs_tol
         assert K == 1 or tail(K - 1) > tol.abs_tol
 
@@ -412,7 +412,7 @@ class TestCertifiedCutoff:
         # the prefix is shared with image counts, so only the advice says what K counts
         with pytest.raises(
             ConvergenceError,
-            match=r"^the cutoff needs more than max_terms = 1000000 at tol=1e-10; "
+            match=r"^the cutoff needs more than 1000000 at tol=1e-10; "
             r"use the wrapped route \(even_circle_density_wrapped\) at t = 1e-12$",
         ):
             even_circle_law(1, 1e-12)
@@ -525,6 +525,8 @@ def _finite_values(out):
         lambda: wrapped_stable_law(0.5, 1e-310),
         lambda: circlaw.wrapped_skew_cauchy_density(1, 0.5, 1e300),
         lambda: circlaw.skew_cauchy_density(1, np.array([0.0, 1e200]), 1e200),
+        lambda: circlaw.skew_cauchy_density(1, -0.5e-300, 1e-300),
+        lambda: circlaw.wrapped_skew_cauchy_density(1, 0.0, 1e-300),
         lambda: circlaw.von_mises_density_series(np.array([0.0, 1.0]), 1e4),
         lambda: circlaw.sample_stable_subordinator(0.9999, 1.0, circlaw.RngStream(1), size=1000),
         lambda: circlaw.sample_inverse_subordinator(0.999, 1.0, circlaw.RngStream(1), size=1000),
@@ -535,7 +537,8 @@ def _finite_values(out):
         "line-even-600", "line-odd-600", "even-wrapped-600", "even-wrapped-100",
         "even-law-600", "even-law-512-subnormal-t", "min-value-600", "time-fractional-600",
         "wrapped-stable-tiny-beta", "wrapped-stable-subnormal-t", "wrapped-skew-cauchy-huge-t",
-        "skew-cauchy-huge", "von-mises-series-large-kappa", "stable-subordinator-near-one",
+        "skew-cauchy-huge", "skew-cauchy-tiny", "wrapped-skew-cauchy-tiny-t",
+        "von-mises-series-large-kappa", "stable-subordinator-near-one",
         "inverse-subordinator-near-one", "bm-law-least-t", "bm-wrapped-huge-t",
     ],
 )

@@ -23,7 +23,7 @@ from circlaw import (
 from circlaw.line import (
     _GL_SIZES,
     _gauss_legendre,
-    _root,
+    _bisect,
     _rotation,
     line_density_even,
     line_density_gamma,
@@ -405,39 +405,42 @@ class TestGaussLegendre:
 
 
 class TestRoot:
+    """line._bisect: the least double of a bracket where a monotone condition holds."""
+
     def test_exact_zero_at_an_end_is_returned(self):
         calls = []
 
-        def f(x):
+        def ok(x):
             calls.append(x)
-            return -x
+            return x >= 0.0
 
-        assert _root(f, 0.0, 1.0) == 0.0 and calls == [0.0, 1.0]
-        assert _root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+        assert _bisect(ok, 0.0, 1.0) == 0.0 and calls == [0.0]
+        assert _bisect(lambda x: x - 1.0 >= 0.0, 0.0, 1.0) == 1.0
 
     @pytest.mark.parametrize("c", [1e-300, 1e-20, 0.3, math.pi, 1e10])
     def test_last_bit_of_a_linear_root(self, c):
-        # x - c has its zero at c exactly; the bracket closes on it
-        assert _root(lambda x: x - c, 0.0, 2.0 * c + 1.0) == c
+        # x - c >= 0 first holds at c exactly; the bracket closes on it
+        assert _bisect(lambda x: x - c >= 0.0, 0.0, 2.0 * c + 1.0) == c
 
     def test_nearest_double_to_sqrt2(self):
-        root = _root(lambda x: x * x - 2.0, 1.0, 2.0)
+        root = _bisect(lambda x: x * x >= 2.0, 1.0, 2.0)
         assert abs(root - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
 
     def test_flat_function_converges_with_the_bisection_safeguard(self):
-        # (x - 0.7)^9 is flat near its zero, where secant steps crawl: 193
-        # evaluations measured, 481 without the bisections
+        # (x - 0.7)^9 is flat near its zero, which slows secant steps; each
+        # bisection halves the bracket whatever the slope (59 calls measured)
         calls = []
 
-        def f(x):
+        def ok(x):
             calls.append(x)
-            return (x - 0.7) ** 9
+            return (x - 0.7) ** 9 >= 0.0
 
-        assert _root(f, 0.0, 10.0) == 0.7 and len(calls) <= 250
+        assert _bisect(ok, 0.0, 10.0) == 0.7 and len(calls) <= 250
 
     def test_same_signs_refused(self):
-        with pytest.raises(ConvergenceError, match="no sign change"):
-            _root(lambda x: x * x + 1.0, -1.0, 1.0)
+        # x^2 + 1 <= 0 fails at both ends
+        with pytest.raises(ConvergenceError, match="fails over all of"):
+            _bisect(lambda x: x * x + 1.0 <= 0.0, -1.0, 1.0)
 
 
 class TestSkewCauchy:

@@ -290,10 +290,13 @@ class TestTolerance:
     def test_defaults(self):
         tol = Tolerance()
         assert tol.abs_tol == 1e-10
-        assert tol.max_terms == 10**6
 
     def test_validation(self):
         with pytest.raises(DomainError):
             Tolerance(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            Tolerance(max_terms=0)
+
+    @pytest.mark.parametrize("abs_tol", [math.inf, math.nan])
+    def test_non_finite_refused(self, abs_tol):
+        # an infinite target put t_bar at ln 2 (positivity_time), not t_bar_4
+        with pytest.raises(DomainError, match="finite"):
+            Tolerance(abs_tol=abs_tol)
