@@ -8,7 +8,7 @@ precision: the cosine series bm_law(t), which evaluates the density,
 and the wrapped Gaussian bm_density_wrapped, which the even wrapped
 route uses at n = 1. Validation criterion 2 checks the wrapped Gaussian
 against the n = 1 even-order series (this law at time 2t), and 5b
-checks bm_law against the space-fractional law at beta = 1.
+checks it against the space-fractional law at beta = 1.
 """
 
 import math
@@ -19,7 +19,7 @@ from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_t
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law, exp_power_tail
-from .line import _bisect, _centred, _shell_count
+from .line import _bisect, _centred, _image_sum, _shell_count
 from .special import DEFAULT_TOL, MAX_TERMS
 
 __all__ = [
@@ -74,36 +74,19 @@ def bm_law(t, tol=DEFAULT_TOL):
     return BmLaw(t=float(t), representation=rep)
 
 
-# largest work block of the wrapped Gaussian (angles x images), and so the
-# largest chunk of images one angle adds at a time
-_IMAGE_BLOCK = 2**14
-
-
 def bm_density_wrapped(theta, t, tol=DEFAULT_TOL):
     """Wrapped Gaussian route: sum of N(0, t) images over shells |m| <= M.
 
     Angles are reduced to [-pi, pi], and N(0, t) is the order-2 line law at
     time t/2, so M = line._shell_count(2, t/2, tol) puts the dropped images
-    below tol/2 (refused past special.MAX_TERMS shells). Angles and images
-    go in blocks of at most _IMAGE_BLOCK entries, and an angle adds its
-    fixed image chunks in order, so a grid value equals the scalar call bit
-    for bit at every t.
+    below tol/2 (refused past special.MAX_TERMS shells). line._image_sum
+    adds the images.
     """
     _check_t(t)
-    th = np.asarray(theta, dtype=float)
-    _check_finite(th, "theta")
-    scalar = th.ndim == 0
-    x = _centred(th).ravel()
+    _check_finite(theta, "theta")
     M = _shell_count(2, t / 2.0, tol)
-    chunk = min(2 * M + 1, _IMAGE_BLOCK)
-    rows = _IMAGE_BLOCK // chunk
-    out = np.zeros(x.size)
-    for i in range(0, x.size, rows):
-        for first in range(-M, M + 1, chunk):
-            pts = x[i : i + rows, None] + TWO_PI * np.arange(first, min(first + chunk, M + 1))
-            out[i : i + rows] += np.exp(-pts * pts / (2.0 * t)).sum(axis=1)
-    vals = out.reshape(th.shape) / math.sqrt(TWO_PI * t)
-    return float(vals) if scalar else vals
+    total = _image_sum(lambda x: np.exp(-x * x / (2.0 * t)), _centred(theta), M)
+    return total / math.sqrt(TWO_PI * t)
 
 
 def _check_kappa(kappa):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, _check_finite, _check_n, _check_t
 from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff, exp_power_tail
-from .line import _rotation, skew_cauchy_density
+from .line import _image_sum, _rotation, skew_cauchy_density
 from .special import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -198,29 +198,26 @@ def _skew_shell_count(s: float) -> int:
 def wrapped_skew_cauchy_density(n: int, theta, t: float):
     """2 pi-wrapping of the skewed Cauchy line law; independent route to the odd kernel.
 
-    Sums the 2M + 1 shells nearest the law's centre -b t directly and
-    closes both tails with the integral of the line density (midpoint
-    rule in the shell index). M = _skew_shell_count(a t) certifies the
-    closure within DEFAULT_TOL.
+    Sums the 2M + 1 shells nearest the law's centre -b t directly
+    (line._image_sum) and closes both tails with the integral of the line
+    density (midpoint rule in the shell index). M = _skew_shell_count(a t)
+    certifies the closure within DEFAULT_TOL.
     """
     a, b = _ab(n)
     _check_t(t)
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    _check_finite(theta, "theta")
+    th = np.asarray(theta, dtype=float)
     scale = float(t * a)
     M = _skew_shell_count(scale)
     # the centre -b t lies in shell -c of theta; shells -c - M..-c + M are summed
     c = np.rint((th + b * t) / TWO_PI)
-    x = th[:, None] + TWO_PI * (np.arange(-M, M + 1) - c[:, None])
-    core = skew_cauchy_density(n, x, t).sum(axis=1)
+    core = _image_sum(lambda x: skew_cauchy_density(n, x, t), th - TWO_PI * c, M)
     hi = th + TWO_PI * (M + 0.5 - c)
     lo = th - TWO_PI * (M + 0.5 + c)
-    tail = (
-        1.0
-        - (np.arctan((hi + t * b) / scale) - np.arctan((lo + t * b) / scale))
-        / math.pi
-    ) / TWO_PI
+    angle = np.arctan2(hi + t * b, scale) - np.arctan2(lo + t * b, scale)
+    tail = (1.0 - angle / math.pi) / TWO_PI
     out = core + tail
-    return float(out[0]) if np.ndim(theta) == 0 else out
+    return float(out) if np.ndim(theta) == 0 else out
 
 
 # nodes of the uniform angular grid kernel_limit_gap takes its sup over

@@ -17,7 +17,12 @@ at p = 3. Every other order, even p >= 2 and odd p >= 5, goes through
 one vectorized, cancellation-free contour quadrature with a certified
 error (_contour_density). _line_bound bounds |u_p| at even p in closed
 form, and _shell_count proves from it the shell count of both wrapped
-sums (the wrapped Gaussian and the even wrapped route).
+sums (the wrapped Gaussian and the even wrapped route). _image_sum is
+the one image sum sum_{|m| <= M} w_m u(x + 2 pi m) of every wrapped
+route (the wrapped Gaussian, the even and odd wrapped routes and the
+wrapped skewed Cauchy law): it lays out the shells, blocks the work and
+sums each row on its own, so a grid value equals the scalar call bit
+for bit.
 """
 
 from __future__ import annotations
@@ -232,7 +237,8 @@ def line_density_third(x, t: float):
 _GL_SIZES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
 # Bernstein-ellipse parameters over which each bound is minimized
 _RHO = 1.0 + np.geomspace(1e-3, 30.0, 40)
-# largest work array (points x nodes, or points x ellipses) of the kernel
+# largest work array of the kernel (points x nodes, or points x ellipses)
+# and of _image_sum (angles x shells)
 _WORK = 2**14
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -452,6 +458,25 @@ def _centred(theta) -> np.ndarray:
     return np.where(th < -math.pi, th + TWO_PI, th)
 
 
+def _image_sum(u, x, M: int, weights=None):
+    """sum_{|m| <= M} w_m u(x + 2 pi m) (w_m = 1 without weights, else the
+    2M + 1 weights in shell order); a float for scalar x, else an array of x's shape.
+
+    The rows x_i + 2 pi (-M..M) go to u in blocks of at most _WORK entries
+    (at least one row each), and each row is reduced on its own by numpy's
+    pairwise sum, so a value never depends on its block: a grid value
+    equals the scalar call bit for bit.
+    """
+    flat = np.asarray(x, dtype=float).ravel()
+    shells = TWO_PI * np.arange(-M, M + 1)
+    out = np.empty(flat.size)
+    step = max(1, _WORK // shells.size)
+    for i in range(0, flat.size, step):
+        rows = u(flat[i : i + step, None] + shells)
+        out[i : i + step] = (rows if weights is None else rows * weights).sum(axis=1)
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
 @lru_cache(maxsize=256)
 def _shell_count(p: int, t: float, tol: Tolerance) -> int:
     """Least M >= 1 with sum_{|m|>M} |u_p(theta + 2 pi m, t)| <= tol.abs_tol/2
@@ -527,7 +552,8 @@ def line_density_odd(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
 
 def skew_cauchy_density(n: int, x, t: float):
     """Skewed Cauchy limit law t a / (pi [(x + t b)^2 + t^2 a^2]), (a, b) of order 2n+1;
-    where the bracket is not a normal double, 1 / (pi t a (1 + ((x + t b)/(t a))^2))."""
+    where the bracket is not a normal double, 1 / (pi t a (1 + ((x + t b)/(t a))^2)).
+    A value past the largest double (the peak 1/(pi t a) at subnormal t) raises DomainError."""
     _check_n(n)
     _check_finite(x)
     _check_t(t)
@@ -537,4 +563,6 @@ def skew_cauchy_density(n: int, x, t: float):
         den = y * y + t * t * a * a
         scaled = 1.0 / (math.pi * t * a * (1.0 + (y / (t * a)) ** 2))
         out = np.where((den >= _TINY) & (den < math.inf), t * a / (math.pi * den), scaled)
+    if np.any(out == math.inf):
+        raise DomainError(f"the skewed Cauchy density passes the largest double at t = {t!r}")
     return float(out) if np.ndim(x) == 0 else out

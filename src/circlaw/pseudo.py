@@ -34,6 +34,7 @@ from .line import (
     _CANCEL_BUDGET,
     _bisect,
     _centred,
+    _image_sum,
     _rotation,
     _shell_count,
     line_density_even,
@@ -89,17 +90,14 @@ def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAUL
     n = 1 is the wrapped Gaussian of variance 2t (bm_density_wrapped). At
     n >= 2 the angles, reduced to [-pi, pi], keep the shells |m| <= M =
     line._shell_count(2n, t, tol) (tail below tol/2), refused past M = 64,
-    where the series serves. All values come from one line_density_even
-    call, each within tol/258; an angle adds its centre, then the pairs
-    u(theta + 2 pi m) + u(theta - 2 pi m) in order of m, so a grid value
-    equals the scalar call bit for bit.
+    where the series serves. line._image_sum adds the shells, each value
+    from line_density_even within tol/258.
     """
     _check_finite(theta, "theta")
     _check_n(n)
     _check_t(t)
     if n == 1:
         return bm_density_wrapped(theta, 2.0 * t, tol)
-    th = _centred(theta)
     M = _shell_count(2 * n, t, tol)
     if M > 64:
         raise ConvergenceError(
@@ -107,27 +105,23 @@ def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAUL
             "evaluate the series (even_circle_law)"
         )
     each = Tolerance(tol.abs_tol / 258.0)
-    u = line_density_even(n, th.reshape(-1, 1) + TWO_PI * np.arange(-M, M + 1), t, each)
-    out = u[:, M]
-    for m in range(1, M + 1):
-        out = out + (u[:, M + m] + u[:, M - m])
-    out = out.reshape(th.shape)
-    return float(out) if np.ndim(theta) == 0 else out
+    return _image_sum(lambda x: line_density_even(n, x, t, each), _centred(theta), M)
 
 
 # ---------------------------------------------------------------------------
 # odd-order circular law
 
 
-def _taper_weights(M: int, flat: float = 0.5) -> np.ndarray:
-    """Hann rolloff after a flat core: w = 1 on [0, flat*M], cos^2 beyond."""
+def _taper_weights(M: int) -> np.ndarray:
+    """The 2M + 1 shell weights of the odd window in shell order m = -M..M:
+    Hann rolloff after a flat core, w = 1 on |m| <= M/2, cos^2 beyond."""
     m = np.arange(M + 1)
-    mf = int(M * flat)
+    mf = M // 2
     w = np.ones(M + 1)
     roll = m > mf
     u = (m[roll] - mf) / max(M - mf, 1)
     w[roll] = np.cos(0.5 * math.pi * u) ** 2
-    return w
+    return np.concatenate([w[:0:-1], w])
 
 
 def _budget_shells(n: int, t: float) -> int:
@@ -150,11 +144,10 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
     raw shell sum random-walks. A smooth (flat + Hann) taper suppresses
     the window boundary to second order; projections of the tapered sum
     converge, pointwise values remain scheme-dependent. The window has
-    M = 6144 shells at n = 1 and _budget_shells(n, t) at n >= 2. Scalar
-    theta in, scalar out; an array is evaluated in blocks of angles, each
-    angle reduced on its own, so a grid value equals the scalar call's
-    bit for bit. Every shell value comes from line_density_odd within
-    tol / sum_m w_m, so the quadrature error of the sum is at most tol.
+    M = 6144 shells at n = 1 and _budget_shells(n, t) at n >= 2;
+    line._image_sum adds them. Every shell value comes from
+    line_density_odd within tol / sum_m w_m, so the quadrature error of
+    the sum is at most tol.
 
     For n = 1 the mode-1 projection comes from the stationary point
     x = -3t of the Airy tail, so t must keep 3t inside the taper's flat
@@ -173,8 +166,6 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
     _check_n(n)
     _check_finite(theta, "theta")
     _check_t(t)
-    scalar = np.ndim(theta) == 0
-    th = np.atleast_1d(np.asarray(theta, float))
     M = _ODD_SHELLS if n == 1 else _budget_shells(n, t)
     if n == 1 and t > 0.3 * math.pi * M:
         raise ConvergenceError(
@@ -182,19 +173,8 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
             f"of the {M}-shell window, which serves t <= 0.3 pi M = {0.3 * math.pi * M:g}"
         )
     w = _taper_weights(M)
-    ms = np.arange(-M, M + 1)
-    wm = w[np.abs(ms)]
-    shell_tol = Tolerance(tol.abs_tol / float(wm.sum()))
-    # blocks of angles keep each work array to 2^14 entries (one angle at
-    # the n = 1 default); the line kernel sets the cost, so larger blocks
-    # only add memory. Each row is summed on its own (numpy's pairwise sum,
-    # not a threaded BLAS product), so a value never depends on its block
-    out = np.empty(th.shape)
-    step = max(1, 2**14 // (2 * M + 1))
-    for i in range(0, th.size, step):
-        rows = line_density_odd(n, th[i : i + step, None] + TWO_PI * ms, t, shell_tol)
-        out[i : i + step] = (rows * wm).sum(axis=1)
-    return float(out[0]) if scalar else out
+    shell_tol = Tolerance(tol.abs_tol / float(w.sum()))
+    return _image_sum(lambda x: line_density_odd(n, x, t, shell_tol), theta, M, w)
 
 
 def odd_circle_atoms(n: int, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:

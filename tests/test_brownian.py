@@ -9,7 +9,6 @@ import pytest
 from scipy import integrate
 from scipy.special import ive
 
-import circlaw
 from circlaw import ConvergenceError, DomainError, Tolerance
 from circlaw.brownian import (
     BmLaw,
@@ -111,15 +110,6 @@ class TestBmDensity:
             r"evaluate the series \(bm_law\)$",
         ):
             bm_density_wrapped(1.0, 1e14, Tolerance(1e-10))
-
-    def test_images_in_blocks(self, monkeypatch):
-        # 201 images in blocks of 64: an angle adds its fixed chunks in order,
-        # so a grid value is the scalar call bit for bit
-        monkeypatch.setattr(circlaw.brownian, "_IMAGE_BLOCK", 64)
-        th = np.linspace(0.0, TWO_PI, 100)
-        grid = bm_density_wrapped(th, 1e4)
-        assert grid.tolist() == [bm_density_wrapped(float(x), 1e4) for x in th]
-        assert np.max(np.abs(grid - theta_series(th, 1e4))) <= 1e-10
 
     @pytest.mark.parametrize("t", [1.5e3, 1e4, 1e6])
     def test_underflowed_coefficients_accepted(self, t):

@@ -527,6 +527,8 @@ def _finite_values(out):
         lambda: circlaw.skew_cauchy_density(1, np.array([0.0, 1e200]), 1e200),
         lambda: circlaw.skew_cauchy_density(1, -0.5e-300, 1e-300),
         lambda: circlaw.wrapped_skew_cauchy_density(1, 0.0, 1e-300),
+        lambda: circlaw.skew_cauchy_density(1, 0.0, 1e-320),
+        lambda: circlaw.wrapped_skew_cauchy_density(1, 0.0, 1e-320),
         lambda: circlaw.von_mises_density_series(np.array([0.0, 1.0]), 1e4),
         lambda: circlaw.sample_stable_subordinator(0.9999, 1.0, circlaw.RngStream(1), size=1000),
         lambda: circlaw.sample_inverse_subordinator(0.999, 1.0, circlaw.RngStream(1), size=1000),
@@ -538,6 +540,7 @@ def _finite_values(out):
         "even-law-600", "even-law-512-subnormal-t", "min-value-600", "time-fractional-600",
         "wrapped-stable-tiny-beta", "wrapped-stable-subnormal-t", "wrapped-skew-cauchy-huge-t",
         "skew-cauchy-huge", "skew-cauchy-tiny", "wrapped-skew-cauchy-tiny-t",
+        "skew-cauchy-subnormal-t", "wrapped-skew-cauchy-subnormal-t",
         "von-mises-series-large-kappa", "stable-subordinator-near-one",
         "inverse-subordinator-near-one", "bm-law-least-t", "bm-wrapped-huge-t",
     ],

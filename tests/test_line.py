@@ -19,6 +19,7 @@ from circlaw import (
     even_circle_law,
     min_value,
     odd_circle_density_wrapped,
+    wrapped_skew_cauchy_density,
 )
 from circlaw.line import (
     _GL_SIZES,
@@ -468,6 +469,15 @@ class TestSkewCauchy:
         with pytest.raises(DomainError):
             skew_cauchy_density(0.5, 0.0, 1.0)
 
+    def test_value_past_the_largest_double_refused(self):
+        # at subnormal t the peak 1/(pi t a) passes the largest double; far
+        # from the centre the values stay finite and are returned
+        with pytest.raises(DomainError, match="passes the largest double"):
+            skew_cauchy_density(1, 0.0, 1e-320)
+        with pytest.raises(DomainError, match="passes the largest double"):
+            wrapped_skew_cauchy_density(1, 0.0, 1e-320)
+        assert 0.0 < skew_cauchy_density(1, 1.0, 1e-320) < 1e-300
+
 
 NAN, INF = math.nan, math.inf
 
@@ -494,6 +504,7 @@ NAN, INF = math.nan, math.inf
         lambda: even_circle_law(2, NAN),
         lambda: min_value(2, NAN),
         lambda: bm_density_wrapped(1.0, INF),
+        lambda: wrapped_skew_cauchy_density(1, INF, 1.0),
     ],
     ids=[
         "even-x-nan", "even-x-inf", "even-n-2.5",
@@ -501,6 +512,7 @@ NAN, INF = math.nan, math.inf
         "gamma-zero-t-nan", "skew-t-inf", "skew-t-nan", "skew-x-nan",
         "even-wrapped-theta-nan", "even-wrapped-theta-inf", "odd-wrapped-n1-theta-nan",
         "odd-wrapped-n2-theta-nan", "even-law-t-nan", "min-value-t-nan", "bm-wrapped-t-inf",
+        "skew-wrapped-theta-inf",
     ],
 )
 def test_refuses_bad_arguments(call):
@@ -577,3 +589,23 @@ def test_orders_past_the_kernel_and_the_bound_are_refused():
             call()
     with pytest.raises(ConvergenceError, match="the line bound takes orders up to p = 128$"):
         even_circle_density_wrapped(600, 1.0, 1.0)
+
+
+_WRAPPED_ROUTES = {
+    # 2M + 1 = 209, 101, 29 and 479 shells
+    "bm": lambda th: bm_density_wrapped(th, 1e4),
+    "even": lambda th: even_circle_density_wrapped(2, th, 1e4),
+    "odd": lambda th: odd_circle_density_wrapped(2, th, 1.0),
+    "skew-cauchy": lambda th: wrapped_skew_cauchy_density(1, th, 1.0),
+}
+
+
+@pytest.mark.parametrize("route", _WRAPPED_ROUTES.values(), ids=_WRAPPED_ROUTES.keys())
+def test_image_sum_values_do_not_depend_on_blocks(route, monkeypatch):
+    # line._image_sum reduces each row on its own: blocks of 64 entries (one
+    # or two rows) give the default blocks' grid, and each scalar call its row
+    th = np.linspace(-1.0, 7.0, 7)
+    grid = route(th).tolist()
+    monkeypatch.setattr(circlaw.line, "_WORK", 64)
+    assert route(th).tolist() == grid
+    assert [route(float(x)) for x in th] == grid

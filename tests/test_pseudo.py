@@ -34,17 +34,13 @@ from circlaw.special import DEFAULT_TOL, Tolerance
 
 
 def by_shell(n, theta, t, tol=DEFAULT_TOL):
-    # the even wrapped route one shell pair at a time over its proven shells:
-    # the reference its one kernel call must reproduce bit for bit
+    # the even wrapped route one scalar shell value at a time over its proven
+    # shells m = -M..M, added by numpy's pairwise sum as line._image_sum adds
+    # a row: the reference its kernel calls must reproduce bit for bit
     th = float(_centred(theta))
     M = _shell_count(2 * n, t, tol)
     each = Tolerance(tol.abs_tol / 258.0)
-    total = line_density_even(n, th, t, each)
-    for m in range(1, M + 1):
-        total += line_density_even(n, th + TWO_PI * m, t, each) + line_density_even(
-            n, th - TWO_PI * m, t, each
-        )
-    return total
+    return float(np.sum([line_density_even(n, th + TWO_PI * m, t, each) for m in range(-M, M + 1)]))
 
 
 def mp_even_line(p, X):
@@ -160,7 +156,7 @@ class TestEvenDualRoute:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shell_blocks_equal_the_shell_by_shell_sum(self, n):
         # one kernel call takes the whole block of proven shells; each angle
-        # must add them as one shell pair at a time would (n = 1 is the
+        # must add them as the scalar shell values would add (n = 1 is the
         # wrapped Gaussian, which the shell sum approximates within tol)
         for t in (0.02, 0.3, 1.0, 3.0):
             for theta in (-5.0, 0.0, 1.1, math.pi, 6.0):
@@ -235,7 +231,8 @@ class TestEvenDualRoute:
         values = {1: 0.21995909178101242, 2: 0.22261239122285492, 3: 0.22440088488816812}
         for n, value in values.items():
             assert even_circle_density_wrapped(n, 1.0, 1.0, Tolerance(8.0)) == value
-        assert even_circle_density_wrapped(3, 1.0, 1.0, Tolerance(1e300)) == 0.2125861049959994
+        # the three shells -1, 0, 1 in numpy's summation order
+        assert even_circle_density_wrapped(3, 1.0, 1.0, Tolerance(1e300)) == 0.21258610499599936
 
     def test_unsettled_sum_raises(self):
         # n = 4 at t = 1e6: the proven tail needs more than 64 shells, and
@@ -324,10 +321,12 @@ class TestFourierProjection:
 
 class TestOddCircleDensity:
     def test_taper_weights_shape(self):
+        # shell order m = -100..100: flat on |m| <= 50, Hann rolloff to 0 at |m| = 100
         w = _taper_weights(100)
-        assert w[0] == 1.0 and w[50] == 1.0
-        assert w[100] == pytest.approx(0.0, abs=1e-15)
-        assert np.all(np.diff(w) <= 1e-15)
+        assert w.size == 201 and np.array_equal(w, w[::-1])
+        assert w[100] == 1.0 and w[150] == 1.0
+        assert w[200] == pytest.approx(0.0, abs=1e-15)
+        assert np.all(np.diff(w[100:]) <= 1e-15)
 
     def test_backend_equivalence_default_window(self):
         # same taper and shell arguments, scipy's Airy for every shell in place
@@ -336,7 +335,7 @@ class TestOddCircleDensity:
         # of rounding; over the 12289 shells the two sums measured 1.4e-10 apart
         M = _ODD_SHELLS
         ms = np.arange(-M, M + 1)
-        w = _taper_weights(M)[np.abs(ms)]
+        w = _taper_weights(M)
         s = 3.0 ** (-1.0 / 3.0)
         for theta in (0.5, 2.0, 5.5):
             oracle = float(np.sum(w * s * special.airy((theta + TWO_PI * ms) * s)[0]))
