@@ -20,9 +20,14 @@ from .special import MAX_TERMS, Tolerance
 
 TWO_PI = 2.0 * math.pi
 
-# largest z^m table (points x baby steps) the scattered path builds; past
-# it the Python loop of plain Horner is spread over enough points
-_POWER_TABLE = 1 << 16
+# largest z^m table (baby steps x points) one chunk of the scattered path
+# builds; with its block polynomials it stays within 1 MB, half a 2 MB L2
+_POWER_TABLE = 1 << 15
+# K0, the fewest terms the scattered path sums by baby steps. Measured on a
+# 2-core Xeon VM, one BLAS thread: baby steps beat plain Horner from K ~ 16
+# at 10^3 and 10^5 points but only from K ~ 48-64 at 10^4 points, and the
+# sampling benchmark's jobs ran fastest with K0 between 32 and 96.
+_BABY_STEP_TERMS = 32
 _EPS = float(np.finfo(float).eps)
 
 
@@ -69,24 +74,36 @@ def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas):
 def _horner(c, z):
     """sum_k c_k z^k at the points of the 1-d array z, by Horner's rule.
 
-    With L = floor(sqrt(K)) + 1 baby steps, one matrix product of the
-    coefficient blocks with z^0..z^{L-1} gives the block polynomials and
-    Horner runs in z^L over them, so the loop takes about sqrt(K) steps.
-    Plain Horner (a loop of K + 1 steps) takes over once the power table
-    would pass _POWER_TABLE entries.
+    The path follows the number of terms K alone, not the number of
+    points. Below _BABY_STEP_TERMS it is plain Horner in z, a loop of
+    K + 1 steps. From there on it takes L = floor(sqrt(K)) + 1 baby
+    steps (Paterson & Stockmeyer, SIAM J. Comput. 2 (1973)) over chunks
+    of points, each small enough that its table z^0..z^{L-1} holds at
+    most _POWER_TABLE entries: one matrix product of the coefficient
+    blocks with the table gives the block polynomials, and Horner runs
+    in z^L over them, so the loop takes about sqrt(K) steps per chunk.
     """
+    if c.size - 1 < _BABY_STEP_TERMS:
+        return _horner_steps(c, z)
     L = math.isqrt(c.size - 1) + 1
-    if z.size * L > _POWER_TABLE:
-        polys, w = c[:, None], z
-    else:
-        powers = np.ones((z.size, L), dtype=complex)
-        powers[:, 1:] = z[:, None]
-        np.cumprod(powers, axis=1, out=powers)
-        blocks = np.zeros(-(-c.size // L) * L, dtype=complex)
-        blocks[: c.size] = c
-        polys = blocks.reshape(-1, L) @ powers.T
-        w = powers[:, -1] * z
-    s = np.zeros_like(z)
+    blocks = np.zeros((-(-c.size // L), L), dtype=complex)
+    blocks.flat[: c.size] = c
+    chunk = _POWER_TABLE // L
+    out = np.empty_like(z)
+    for lo in range(0, z.size, chunk):
+        zc = z[lo : lo + chunk]
+        powers = np.empty((L, zc.size), dtype=complex)
+        powers[0] = 1.0
+        powers[1] = zc
+        for j in range(2, L):
+            np.multiply(powers[j - 1], zc, out=powers[j])
+        out[lo : lo + chunk] = _horner_steps(blocks @ powers, powers[-1] * zc)
+    return out
+
+
+def _horner_steps(polys, w):
+    """sum_j polys[j] w^j by Horner's rule, one step per row of polys."""
+    s = np.zeros_like(w)
     for p in polys[::-1]:
         s *= w
         s += p
@@ -100,9 +117,11 @@ class HarmonicLaw:
     tail_bound certifies the dropped remainder in density units; meta
     describes the generating formula. Mass-1 laws have a0 = 1/(2 pi).
 
-    Evaluation at N points (fold-and-FFT on uniform grids, Horner in
-    e^{i theta} elsewhere; see _trig_sum) adds roundoff that is certified
-    apart from the tail:
+    Evaluation at N points (fold-and-FFT on uniform grids, see _trig_sum;
+    elsewhere Horner in e^{i theta}, plain below _BABY_STEP_TERMS terms
+    and by baby steps over chunks of points from there, as K alone
+    decides, see _horner) adds roundoff that is certified apart from the
+    tail:
 
         |computed - exact| <= 4 (K + ceil(log2 N)) eps sum_{k=0..K} (|a_k| + |b_k|),
 

@@ -31,6 +31,7 @@ from circlaw import fractional
 from circlaw.harmonic import (
     TWO_PI,
     HarmonicLaw,
+    _BABY_STEP_TERMS,
     _POWER_TABLE,
     _grid_period,
     _trig_sum,
@@ -144,7 +145,8 @@ ANGLE_SETS = {
     "2-d": (lambda n, rng: rng.uniform(0.0, TWO_PI, (3, n)), False),
     "linspace + 1e-12": (lambda n, rng: np.linspace(0.0, TWO_PI, n + 1) + 1e-12, False),
     "reversed linspace": (lambda n, rng: np.linspace(0.0, TWO_PI, n + 1)[::-1], False),
-    # past the baby-step table: plain Horner
+    # more points than one chunk's power table: from _BABY_STEP_TERMS terms
+    # on, several chunks of baby steps
     "many scattered": (lambda n, rng: rng.uniform(0.0, TWO_PI, _POWER_TABLE + n), False),
 }
 
@@ -167,10 +169,26 @@ class TestTrigSum:
         assert (_grid_period(np.atleast_1d(th)) > 0) == on_grid
         got = _trig_sum(a0, a, b, th)
         assert got.shape == np.atleast_1d(th).shape
-        checked = (slice(64),) if kind == "many scattered" else ...
+        if kind == "many scattered":  # the first, an interior and the last chunk
+            mid = th.size // 2
+            checked = np.r_[0:64, mid - 32 : mid + 32, th.size - 64 : th.size]
+        else:
+            checked = ...
         ref = direct_sum(a0, a, b, np.atleast_1d(th)[checked])
         err = np.max(np.abs(got[checked] - ref), initial=0.0)
         assert err <= certificate(a0, a, b, np.size(th))
+
+    # points per chunk of the baby-step path at _BABY_STEP_TERMS terms
+    CHUNK = _POWER_TABLE // (math.isqrt(_BABY_STEP_TERMS) + 1)
+
+    @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    @pytest.mark.parametrize("K", [_BABY_STEP_TERMS - 1, _BABY_STEP_TERMS])
+    def test_either_side_of_the_baby_step_threshold(self, K, n):
+        th = np.random.default_rng(K + n).uniform(0.0, TWO_PI, n)
+        a, b = random_coeffs(n, K, 0.0)
+        got = _trig_sum(0.7, a, b, th)
+        err = np.max(np.abs(got - direct_sum(0.7, a, b, th)))
+        assert err <= certificate(0.7, a, b, n)
 
     @pytest.mark.parametrize(
         "grid", [np.linspace(0.0, TWO_PI, 65), np.arange(64) * (TWO_PI / 64)]
