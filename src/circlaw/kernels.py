@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, _check_finite, _check_n, _check_t
 from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff, exp_power_tail
-from .line import _image_sum, _rotation, skew_cauchy_density
+from .line import _image_sum, _reduced, _rotation, skew_cauchy_density
 from .special import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -121,10 +121,12 @@ def even_quadrant_prob(t: float) -> float:
 
 
 def odd_kernel_density(n: int, theta, t: float):
-    """Rotated damped Poisson kernel: radius e^{-a t}, angle theta + b t."""
+    """Rotated damped Poisson kernel: radius e^{-a t}, angle theta + b t
+    (theta past |theta| > 2 pi first reduced by line._reduced)."""
     a, b = _ab(n)
     _check_t(t)
-    out = _poisson_kernel(a * t, np.asarray(theta, dtype=float) + b * t)
+    _check_finite(theta, "theta")
+    out = _poisson_kernel(a * t, _reduced(theta) + b * t)
     return float(out) if np.ndim(theta) == 0 else out
 
 
@@ -201,12 +203,13 @@ def wrapped_skew_cauchy_density(n: int, theta, t: float):
     Sums the 2M + 1 shells nearest the law's centre -b t directly
     (line._image_sum) and closes both tails with the integral of the line
     density (midpoint rule in the shell index). M = _skew_shell_count(a t)
-    certifies the closure within DEFAULT_TOL.
+    certifies the closure within DEFAULT_TOL. theta past |theta| > 2 pi is
+    first reduced by line._reduced.
     """
     a, b = _ab(n)
     _check_t(t)
     _check_finite(theta, "theta")
-    th = np.asarray(theta, dtype=float)
+    th = _reduced(theta)
     scale = float(t * a)
     M = _skew_shell_count(scale)
     # the centre -b t lies in shell -c of theta; shells -c - M..-c + M are summed

@@ -291,17 +291,22 @@ def _rule_sizes(length, log_m, log_target) -> np.ndarray:
 
     ATAP Thm 19.3: on [0, L], |I - I_m| <= (L/2)(64/15) M rho^{-2m}/(rho^2 - 1)
     for an integrand bounded by M on the Bernstein ellipse E_rho of the
-    interval. log_m(B, D) bounds log M from the ellipse's semi-minor axis
-    B and its largest distance D from the interval. Returns 0 where no
-    size qualifies.
+    interval. log_m(A, B, D) bounds log M from the ellipse's semi-major
+    axis A, its semi-minor axis B and its largest distance D from the
+    interval. Returns 0 where no size qualifies.
     """
     rho = _RHO
     half = length[:, None] / 2.0
+    semi_major = half * (rho + 1.0 / rho) / 2.0
     semi_minor = half * (rho - 1.0 / rho) / 2.0
     reach = half * np.hypot((rho + 1.0 / rho) / 2.0 - 1.0, (rho - 1.0 / rho) / 2.0)
     # an overflowing bound (inf or nan) qualifies no size, so it refuses
     with np.errstate(all="ignore"):
-        head = np.log(half * (64.0 / 15.0)) + log_m(semi_minor, reach) - np.log(rho * rho - 1.0)
+        head = (
+            np.log(half * (64.0 / 15.0))
+            + log_m(semi_major, semi_minor, reach)
+            - np.log(rho * rho - 1.0)
+        )
         need = np.min((head - log_target) / (2.0 * np.log(rho)), axis=1)
     sizes = np.asarray(_GL_SIZES)
     pick = np.searchsorted(sizes, need)
@@ -337,7 +342,12 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
     g(s) = sum_k Im(c_k e^{ik psi}) s^k, all of whose coefficients are
     >= 0: it never exceeds 1 on the sector of half-width psi about the ray,
     and nothing cancels. Each piece is one Gauss-Legendre rule with its
-    Bernstein-ellipse bound; the ray stops at S with the tail
+    Bernstein-ellipse bound. On the ray's ellipse (semi-axes A and B) the
+    linear term adds Re(i c_1 z) = -c_1 Im z, at most c_1 times the
+    ellipse's depth below the real axis, hypot(A sin psi, B cos psi) -
+    (S/2) sin psi, which is quadratic in rho - 1 near rho = 1; the terms
+    k >= 2 take the sector bound |c_k| (B / sin psi)^k. So a far shell
+    (large c_1) takes the rule of a near one. The ray stops at S with the tail
     e^{-g(S)}/g'(S) (g convex). Rounding is charged as eps times the ray's
     phase range weighted by the modulus (a closed form in the c_k, times
     _ROUNDING); where that floor exceeds target/2 the call refuses, else
@@ -382,19 +392,26 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
         if not np.all(-g - np.log(dg) <= log_target[:, 0]):
             raise ConvergenceError(f"u_{p}: ray tail could not be certified")
 
-    def log_m_real(semi_minor, reach):
+    def log_m_real(semi_major, semi_minor, reach):
         # Im f = 0 on [0, xi0], and |f'| <= |X| + p((xi0 + D)^{p-1} - xi0^{p-1})
         # within D of it
         z0 = xi0[:, None]
         grad = -np.minimum(X, 0.0)[:, None] + p * ((z0 + reach) ** (p - 1) - z0 ** (p - 1))
         return reach * grad
 
-    def log_m_ray(semi_minor, reach):
-        # in the sector of half-width psi about the ray every term of
-        # Re(i f) is <= 0; the ellipse leaves it only where |z| <= B / sin(psi),
-        # and |i f| <= sum |c_k| |z|^k
-        r = semi_minor / math.sin(psi)
-        return sum(np.abs(c[k])[:, None] * r**k for k in range(1, p + 1) if c[k].any())
+    def log_m_ray(semi_major, semi_minor, reach):
+        # the linear term: Re(i c_1 z) = -c_1 Im z with c_1 >= 0 real, and
+        # -Im z is at most the ellipse's depth below the real axis,
+        # hypot(A sin psi, B cos psi) - (S/2) sin psi. Every other term of
+        # Re(i f) is <= 0 in the sector of half-width psi about the ray; the
+        # ellipse leaves it only where |z| <= B / sin(psi), and there
+        # |c_k z^k| <= |c_k| (B / sin psi)^k
+        sin_psi = math.sin(psi)
+        depth = np.hypot(semi_major * sin_psi, semi_minor * math.cos(psi))
+        depth -= S[:, None] / 2.0 * sin_psi
+        r = semi_minor / sin_psi
+        rest = sum(np.abs(c[k])[:, None] * r**k for k in range(2, p + 1) if c[k].any())
+        return c[1].real[:, None] * np.maximum(depth, 0.0) + rest
 
     m_real = np.full(X.size, -1)
     if xi0.any():
@@ -451,9 +468,23 @@ def _line_bound(p: int) -> tuple[float, float]:
     return math.gamma(1.0 + 1.0 / p) / math.pi * _BOUND_A ** (-1.0 / p), kappa
 
 
+def _reduced(theta) -> np.ndarray:
+    """theta where |theta| <= 2 pi, else the angle of e^{i theta} in [-pi, pi].
+
+    The double TWO_PI is 2.4e-16 short of 2 pi, so reducing by it is off by
+    that much per turn: 3.9e-5 at theta = 1e12, every digit at 1e300. The
+    sine and cosine inside e^{i theta} reduce exactly (Payne-Hanek, as glibc
+    does), so its angle is the residue to within an ulp of pi.
+    """
+    th = np.asarray(theta, dtype=float)
+    far = np.abs(th) > TWO_PI
+    return np.where(far, np.angle(np.exp(1j * th)), th) if far.any() else th
+
+
 def _centred(theta) -> np.ndarray:
-    """theta reduced to [-pi, pi] exactly: fmod by 2 pi, then at most one 2 pi shift (Sterbenz)."""
-    th = np.fmod(np.asarray(theta, dtype=float), TWO_PI)
+    """theta reduced to [-pi, pi]: |theta| <= 2 pi exactly, by fmod and at
+    most one 2 pi shift (Sterbenz); past that by _reduced."""
+    th = np.fmod(_reduced(theta), TWO_PI)
     th = np.where(th > math.pi, th - TWO_PI, th)
     return np.where(th < -math.pi, th + TWO_PI, th)
 

@@ -35,6 +35,7 @@ from .line import (
     _bisect,
     _centred,
     _image_sum,
+    _reduced,
     _rotation,
     _shell_count,
     line_density_even,
@@ -144,8 +145,9 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
     raw shell sum random-walks. A smooth (flat + Hann) taper suppresses
     the window boundary to second order; projections of the tapered sum
     converge, pointwise values remain scheme-dependent. The window has
-    M = 6144 shells at n = 1 and _budget_shells(n, t) at n >= 2;
-    line._image_sum adds them. Every shell value comes from
+    M = 6144 shells at n = 1 and _budget_shells(n, t) at n >= 2, about
+    theta as given, or about its residue in [-pi, pi] where |theta| > 2 pi
+    (line._reduced); line._image_sum adds them. Every shell value comes from
     line_density_odd within tol / sum_m w_m, so the quadrature error of
     the sum is at most tol.
 
@@ -174,7 +176,7 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
         )
     w = _taper_weights(M)
     shell_tol = Tolerance(tol.abs_tol / float(w.sum()))
-    return _image_sum(lambda x: line_density_odd(n, x, t, shell_tol), theta, M, w)
+    return _image_sum(lambda x: line_density_odd(n, x, t, shell_tol), _reduced(theta), M, w)
 
 
 def odd_circle_atoms(n: int, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,10 +15,13 @@ from circlaw import (
     ConvergenceError,
     DomainError,
     bm_density_wrapped,
+    bm_law,
     even_circle_density_wrapped,
     even_circle_law,
     min_value,
     odd_circle_density_wrapped,
+    odd_kernel_density,
+    odd_kernel_law,
     wrapped_skew_cauchy_density,
 )
 from circlaw.line import (
@@ -380,6 +383,71 @@ class TestLineDensityOdd:
             line_density_odd(2, -1e5, 1.0)
 
 
+def _ray_rule(monkeypatch, p, X, target):
+    """(S, log_m, sizes) of the ray leg of one _contour_density call at the
+    scaled points X: its length, its Bernstein-ellipse bound and its rule sizes."""
+    seen = []
+    rule_sizes = circlaw.line._rule_sizes
+
+    def spy(length, log_m, log_target):
+        sizes = rule_sizes(length, log_m, log_target)
+        seen.append((length, log_m, sizes))
+        return sizes
+
+    monkeypatch.setattr(circlaw.line, "_rule_sizes", spy)
+    circlaw.line._contour_density(p, np.asarray(X, dtype=float), target)
+    # the real leg is sized first, where it exists; the ray last
+    return seen[-1]
+
+
+# the per-shell target of even_circle_density_wrapped at t = 1, default tol
+_SHELL_TARGET = DEFAULT_TOL.abs_tol / 258.0
+
+
+class TestContourRayBound:
+    """The ray's Bernstein-ellipse bound: c_1 times the ellipse's depth below
+    the real axis for the linear term, the sector argument for the rest."""
+
+    @pytest.mark.parametrize("p", [4, 5, 6, 8])
+    def test_bound_holds_on_every_ellipse(self, p, monkeypatch):
+        far = [1.0, 10.0, 60.0, 400.0]
+        X = np.array([0.0] + far + ([-x for x in far] if p % 2 else []))
+        S, log_m, _ = _ray_rule(monkeypatch, p, X, _SHELL_TARGET)
+        rho = circlaw.line._RHO
+        half = S[:, None] / 2.0
+        A = half * (rho + 1.0 / rho) / 2.0
+        B = half * (rho - 1.0 / rho) / 2.0
+        D = half * np.hypot((rho + 1.0 / rho) / 2.0 - 1.0, (rho - 1.0 / rho) / 2.0)
+        bound = log_m(A, B, D)
+        psi = math.pi / (2 * p) if p % 2 else math.pi / (4 * p)
+        a = 1 if p % 2 else 1j
+        tau = np.linspace(0.0, 2.0 * math.pi, 4097)
+        for i, x in enumerate(X):
+            # f(xi0 + z) - f(xi0) = sum_k c_k z^k about the odd-order saddle xi0
+            xi0 = (max(-x, 0.0) / p) ** (1.0 / (p - 1))
+            c = [max(x, 0.0)] + [a * math.comb(p, k) * xi0 ** (p - k) for k in range(2, p + 1)]
+            for j in range(rho.size):
+                w = half[i, 0] + A[i, j] * np.cos(tau) + 1j * B[i, j] * np.sin(tau)
+                z = np.exp(1j * psi) * w
+                with np.errstate(over="ignore", invalid="ignore"):
+                    f = sum(ck * z ** (k + 1) for k, ck in enumerate(c))
+                    peak = np.max(-f.imag)
+                assert peak <= bound[i, j] + 1e-12 * abs(bound[i, j]), (x, rho[j])
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_far_shells_take_the_near_shell_rule(self, p, monkeypatch):
+        # the linear term is charged by the ellipse's depth, not by
+        # |X| B / sin psi: every shell of a default-tol call at theta = 1,
+        # t = 1 takes the ray rule of X = 0 (96 nodes at p = 4, 128 at
+        # p = 6), and at p = 6 so does X = 60
+        M = circlaw.line._shell_count(p, 1.0, DEFAULT_TOL)
+        shells = np.abs(1.0 + 2.0 * math.pi * np.arange(-M, M + 1))
+        _, _, sizes = _ray_rule(monkeypatch, p, np.append(shells, [0.0, 60.0]), _SHELL_TARGET)
+        assert np.all(sizes[:-1] == sizes[-2])
+        if p == 6:
+            assert sizes[-1] == sizes[-2]
+
+
 class TestGaussLegendre:
     """The contour kernel's rules, built without scipy's roots_legendre."""
 
@@ -609,3 +677,24 @@ def test_image_sum_values_do_not_depend_on_blocks(route, monkeypatch):
     monkeypatch.setattr(circlaw.line, "_WORK", 64)
     assert route(th).tolist() == grid
     assert [route(float(x)) for x in th] == grid
+
+
+@pytest.mark.parametrize("theta", [1e12, 1e300, -1e300])
+def test_wrapped_routes_reduce_large_angles_exactly(theta):
+    # the double TWO_PI is 2.4e-16 short of 2 pi, so reducing by it would be
+    # off by 3.9e-5 at theta = 1e12 and by every digit at 1e300: each route
+    # meets its series (both within tol) there
+    pairs = [
+        (even_circle_density_wrapped(2, theta, 1.0), even_circle_law(2, 1.0).density(theta)),
+        (bm_density_wrapped(theta, 1.0), bm_law(1.0).density(theta)),
+        (odd_kernel_density(1, theta, 1.0), odd_kernel_law(1, 1.0).density(theta)),
+        (wrapped_skew_cauchy_density(1, theta, 1.0), odd_kernel_law(1, 1.0).density(theta)),
+    ]
+    for route, series in pairs:
+        assert route == pytest.approx(series, abs=2.0 * DEFAULT_TOL.abs_tol)
+    # the odd window has no series to meet: it sums about the exact residue
+    with mp.workdps(400):
+        residue = float(mp.mpf(theta) - 2 * mp.pi * mp.nint(mp.mpf(theta) / (2 * mp.pi)))
+    assert odd_circle_density_wrapped(2, theta, 1.0) == pytest.approx(
+        odd_circle_density_wrapped(2, residue, 1.0), abs=1e-12
+    )
