@@ -85,7 +85,9 @@ def bm_density_wrapped(theta, t, tol=DEFAULT_TOL):
     _check_t(t)
     _check_finite(theta, "theta")
     M = _shell_count(2, t / 2.0, tol)
-    total = _image_sum(lambda x: np.exp(-x * x / (2.0 * t)), _centred(theta), M)
+    # below t ~ 2.7e-308 the exponent overflows to -inf, whose exp is the exact 0
+    with np.errstate(over="ignore"):
+        total = _image_sum(lambda x: np.exp(-x * x / (2.0 * t)), _centred(theta), M)
     return total / math.sqrt(TWO_PI * t)
 
 

@@ -1,7 +1,9 @@
 """Command line surface.
 
 ``circlaw density``/``cdf`` evaluate any of the circular laws onto a
-uniform grid and emit CSV (17 significant digits, locale independent);
+uniform grid of 8..2^20 nodes and emit CSV (17 significant digits,
+locale independent); a process builds each grid size's CSV text, theta
+column included, once and fills in only the values on later calls;
 ``circlaw positivity`` locates the nonnegativity onset of an even-order
 law; ``circlaw validate`` runs the numbered self-check suite and emits
 JSON. Identical configurations (including the seed) produce
@@ -40,6 +42,9 @@ from .special import Tolerance
 from .validation import DEFAULT_SEED, GROUPS, report_json, run_suite
 
 __all__ = ["RunConfig", "main"]
+
+# most rows a density/cdf grid takes: ~27 MB of CSV text and an 8 MB theta array
+_MAX_GRID = 2**20
 
 
 class _Curves(NamedTuple):
@@ -111,6 +116,8 @@ class RunConfig:
                 raise DomainError("t must be positive and finite")
             if self.grid_points < 8:
                 raise DomainError("grid_points must be >= 8")
+            if self.grid_points > _MAX_GRID:
+                raise DomainError(f"grid_points must be <= {_MAX_GRID} (2^20)")
             for flag in LAWS[self.law][0]:
                 if getattr(self, flag) is None:
                     raise DomainError(f"law {self.law!r} needs --{flag}")
@@ -126,13 +133,24 @@ def _emit(text, out, summary):
         sys.stdout.write(text)
 
 
+# a handful of sizes: the benchmark and the tests cycle through three to
+# five grids per process, while at the 2^20 ceiling one entry holds ~35 MB
+@lru_cache(maxsize=4)
+def _csv_grid(n):
+    """The read-only uniform grid of n nodes on [0, 2 pi] and its CSV text:
+    the header and one row per node, theta's 17 digits filled in and a
+    %.17g left for the value (the digits of format(v, ".17g"), nan and inf
+    included)."""
+    th = np.linspace(0.0, TWO_PI, n)
+    th.setflags(write=False)
+    return th, "theta,value\n" + "".join(f"{x:.17g},%.17g\n" for x in th.tolist())
+
+
 def cmd_curve(cfg):
     law = LAWS[cfg.law][1](cfg, Tolerance(abs_tol=cfg.tol))
-    th = np.linspace(0.0, TWO_PI, cfg.grid_points)
+    th, template = _csv_grid(cfg.grid_points)
     vals = law.cdf(th) if cfg.command == "cdf" else law.density(th)
-    lines = ["theta,value"]
-    lines.extend(f"{x:.17g},{v:.17g}" for x, v in zip(th.tolist(), np.asarray(vals).tolist()))
-    _emit("\n".join(lines) + "\n", cfg.out, f"wrote {th.size} rows to {{path}}")
+    _emit(template % tuple(np.asarray(vals).tolist()), cfg.out, f"wrote {th.size} rows to {{path}}")
     return 0
 
 

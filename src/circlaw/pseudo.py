@@ -32,6 +32,7 @@ from .brownian import bm_density_wrapped
 from .harmonic import TWO_PI, HarmonicLaw, cosine_law, exp_power_tail, scaled_power, scaled_powers
 from .line import (
     _CANCEL_BUDGET,
+    _T_FLOOR,
     _bisect,
     _centred,
     _image_sum,
@@ -63,15 +64,21 @@ _ODD_SHELLS = 6144
 def even_circle_law(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> HarmonicLaw:
     """Series law with a0 = 1/(2 pi), a_k = e^{-k^{2n} t}/pi, b_k = 0.
 
-    Truncation: the smallest K with exp_power_tail(t, 2n, K) <= tol.
+    Truncation: the smallest K with exp_power_tail(t, 2n, K) <= tol. Where
+    none is certified, the refusal names the wrapped route only where that
+    route serves t (every t at n = 1, t >= line._T_FLOOR from n = 2).
     """
     _check_n(n)
     _check_t(t)
+    if n == 1 or t >= _T_FLOOR:
+        advice = f"use the wrapped route (even_circle_density_wrapped) at t = {t:g}"
+    else:
+        advice = f"no route serves t = {t:g} at n = {n}: the wrapped route needs t >= {_T_FLOOR:g}"
     return cosine_law(
         lambda k: np.exp(-scaled_powers(t, 2 * n, k)) / math.pi,
         lambda K: exp_power_tail(t, 2 * n, K),
         tol,
-        f"use the wrapped route (even_circle_density_wrapped) at t = {t:g}",
+        advice,
         f"even-order circular law, n={n}, t={t:g}",
     )
 

@@ -10,7 +10,7 @@ import pytest
 
 from circlaw import Tolerance
 from circlaw.brownian import bm_law
-from circlaw.cli import _build_parser, main
+from circlaw.cli import LAWS, RunConfig, _build_parser, _csv_grid, main
 from circlaw.fractional import (
     space_fractional_law,
     space_time_fractional_cdf,
@@ -218,11 +218,17 @@ class TestCurveCommands:
             ("density", "--law", "kernel-odd", "--t", "nan"),
             ("cdf", "--law", "even", "--t", "1", "--tol", "inf"),
             ("validate", "--only", "special", "--tol", "inf"),
+            # one row past the 2^20 ceiling, refused before any array is made
+            ("density", "--law", "bm", "--t", "1", "--grid", str(2**20 + 1)),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("invalid-parameters:")
+
+    def test_grid_ceiling_is_inclusive(self):
+        # checked on the config alone: a 2^20-row run would build ~35 MB
+        RunConfig("density", law="bm", t=1.0, grid_points=2**20).check()
 
     def test_unknown_law_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -263,6 +269,8 @@ _SELECTOR_FLAGS = {
         ("density", "--law", "timefrac", "--n", "1", "--nu", "1e-9", "--t", "1",
          "--grid", "8", "--tol", "1e-2"),
         ("density", "--law", "odd", "--n", "2", "--t", "1", "--grid", "64"),
+        ("density", "--law", "bm", "--t", "1", "--grid", str(2**20 + 1)),
+        ("density", "--law", "bm", "--t", "1", "--grid", "1000000000000"),
     ],
     ids=" ".join,
 )
@@ -284,6 +292,51 @@ def test_no_traceback(capsys, argv):
         else:
             assert line.startswith(("invalid-parameters: ", "non-convergence: ")), line
     assert len(categories) == len(set(categories))
+
+
+# every selector with the flags it needs; spacetimefrac's density series
+# diverges at beta = 1/2, and the odd law has no CDF
+_CURVES = [
+    *(("density", law) for law in LAWS if law != "spacetimefrac"),
+    *(("cdf", law) for law in LAWS if law != "odd"),
+]
+
+
+@pytest.mark.parametrize("command,law", _CURVES, ids=[f"{c}-{law}" for c, law in _CURVES])
+def test_csv_bytes_pinned_to_the_library(capsys, tmp_path, command, law):
+    # grids interleave, and 8 returns after others, so a reused template
+    # must give the bytes a fresh f-string would
+    extra = ("--tol", "1e-6", *_SELECTOR_FLAGS.get(law, ()))
+    opts = dict(zip(extra[::2], extra[1::2]))
+    for grid in (8, 64, 512, 8):
+        th = np.linspace(0.0, TWO_PI, grid)
+        vals = np.asarray(library_curve(command, law, opts, th))
+        expect = "theta,value\n" + "".join(
+            f"{x:.17g},{v:.17g}\n" for x, v in zip(th.tolist(), vals.tolist())
+        )
+        argv = (command, "--law", law, "--t", "1", "--grid", str(grid), *extra)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.encode() == expect.encode()
+        path = tmp_path / f"{grid}.csv"
+        assert run(capsys, *argv, "--out", str(path))[:2] == (0, f"wrote {grid} rows to {path}\n")
+        assert path.read_bytes() == out.encode()
+
+
+def test_csv_template_formats_like_an_f_string():
+    th, template = _csv_grid(8)
+    vals = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0)
+    assert template % vals == "theta,value\n" + "".join(
+        f"{x:.17g},{v:.17g}\n" for x, v in zip(th.tolist(), vals)
+    )
+
+
+def test_cached_grid_is_shared_and_read_only():
+    th, template = _csv_grid(16)
+    assert _csv_grid(16)[0] is th and _csv_grid(16)[1] is template
+    assert np.array_equal(th, np.linspace(0.0, TWO_PI, 16))
+    assert not th.flags.writeable
+    with pytest.raises(ValueError):
+        th[0] = 1.0
 
 
 class TestPositivity:

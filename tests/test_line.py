@@ -463,6 +463,11 @@ class TestGaussLegendre:
         v, w = _gauss_legendre(m)
         assert abs(np.sum(w * np.cos(40.0 * v)) - math.sin(40.0) / 40.0) <= 3e-16
 
+    def test_cached_rules_are_read_only(self):
+        # every call shares one rule per size, so no caller may write into it
+        for a in _gauss_legendre(_GL_SIZES[0]):
+            assert not a.flags.writeable
+
     @pytest.mark.parametrize("m", _GL_SIZES)
     def test_nodes_match_scipy(self, m):
         # (x + 1)/2 of scipy's nodes is itself rounded on the scale of 1, so

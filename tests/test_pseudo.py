@@ -110,6 +110,28 @@ class TestEvenCircleLaw:
         with pytest.raises(ConvergenceError, match="wrapped"):
             even_circle_law(1, 1e-12)
 
+    def test_refusal_advice_names_only_a_route_that_serves(self):
+        # the wrapped route serves every t at n = 1 and none below
+        # line._T_FLOOR = 1e-6 from n = 2, where the series refuses below ~1e-23
+        th = np.linspace(-math.pi, math.pi, 9)
+        named = []
+        for n in (1, 2, 3):
+            for t in (1e-7, 1e-12, 1e-23, 1e-30, 1e-300, 5e-324):
+                try:
+                    even_circle_law(n, t)
+                except ConvergenceError as exc:
+                    advice = str(exc)
+                else:
+                    continue
+                named.append("even_circle_density_wrapped" in advice)
+                if named[-1]:
+                    assert np.all(np.isfinite(even_circle_density_wrapped(n, th, t)))
+                else:
+                    assert "no route serves" in advice
+                    with pytest.raises(ConvergenceError, match="floor"):
+                        even_circle_density_wrapped(n, th, t)
+        assert set(named) == {True, False}
+
     def test_validation(self):
         with pytest.raises(DomainError):
             even_circle_law(0, 1.0)
