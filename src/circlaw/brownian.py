@@ -18,9 +18,9 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_t
-from .harmonic import TWO_PI, HarmonicLaw, cosine_law, exp_power_tail
+from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff, cosine_law, exp_power_tail
 from .line import _bisect, _centred, _image_sum, _shell_count
-from .special import DEFAULT_TOL, MAX_TERMS
+from .special import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "BmLaw",
@@ -166,71 +166,72 @@ def von_mises_matched_kappa(t):
 _QUAD_BOUND_T0 = 0.209  # threshold quoted for the e^{-t/2} envelope
 
 
+def _quadrant_term(t, k):
+    return math.exp(-((2 * k + 1) ** 2) * t / 2.0) / (2 * k + 1)
+
+
 def bm_quadrant_prob(t):
-    """P(-pi/2 < B(t) < pi/2) by its alternating odd-harmonic series."""
+    """P(-pi/2 < B(t) < pi/2) = 1/2 + (2/pi) sum_{k>=0} (-1)^k e^{-(2k+1)^2 t/2}/(2k+1).
+
+    The terms fall, so adding k = 0..K up to the first K >= 1 whose term is
+    at most 1e-17 (harmonic.certified_cutoff) leaves a tail below 1e-17.
+    """
     _check_t(t)
-    acc, k = 0.0, 0
-    while True:
-        term = math.exp(-((2 * k + 1) ** 2) * t / 2.0) / (2 * k + 1)
-        acc += term if k % 2 == 0 else -term
-        if term < 1e-17:
-            break
-        k += 1
-        if k > MAX_TERMS:
-            raise ConvergenceError("quadrant series did not converge")
-    val = 0.5 + (2.0 / math.pi) * acc
+    K = certified_cutoff(lambda k: _quadrant_term(t, k), Tolerance(1e-17), "use a larger t")
+    acc = np.cumsum([(-1) ** k * _quadrant_term(t, k) for k in range(K + 1)])[-1]
+    val = float(0.5 + (2.0 / math.pi) * acc)
     # alternating decreasing terms, so the one-term envelope holds
     if t > _QUAD_BOUND_T0 and val > 0.5 + (2.0 / math.pi) * math.exp(-t / 2.0) + 1e-12:
         raise ConvergenceError(f"quadrant series broke its e^(-t/2) envelope at t={t}")
     return val
 
 
-def bm_maxdist_cdf(theta, t):
-    """P(max angular distance from the start up to t stays below theta),
-    by the double-barrier reflection series for line Brownian motion."""
+def _reflection_images(theta, t, bound):
+    """u = theta/sqrt(t), the signs (-1)^r and the image ends lo, hi = (2r -+ 1) u,
+    r = 1..R, of the double-barrier reflection series; None where u < 0.14,
+    which puts every Gaussian factor below 1e-23. R is the first r whose
+    bound(u, lo, hi) on the term is at most 1e-12 (harmonic.certified_cutoff:
+    each bound is log-concave in r, so it stays there)."""
     if not (0.0 < theta <= math.pi):
         raise DomainError("theta must lie in (0, pi]")
     _check_t(t)
     u = theta / math.sqrt(t)
     if u < 0.14:
-        # the survival probability is below (4/pi) e^{-pi^2/(8 u^2)} < 1e-23,
-        # under the cancellation floor of the alternating sum
-        return 0.0
-    total = sp.ndtr(u) - sp.ndtr(-u)
-    r, sign = 1, -1.0
-    while True:
-        lo, hi = (2 * r - 1) * u, (2 * r + 1) * u
-        term = sp.ndtr(hi) - sp.ndtr(lo)
-        total += 2.0 * sign * term  # +-r images are equal by symmetry
-        if 2.0 * u * _phi(lo) < 1e-12 or term == 0.0:
-            break
-        r += 1
-        sign = -sign
-    return min(max(total, 0.0), 1.0)
+        return None
+    R = certified_cutoff(
+        lambda r: bound(u, (2 * r - 1) * u, (2 * r + 1) * u), Tolerance(1e-12), "u >= 0.14 bounds R"
+    )
+    r = np.arange(1, R + 1)
+    return u, (-1.0) ** r, (2 * r - 1) * u, (2 * r + 1) * u
+
+
+def bm_maxdist_cdf(theta, t):
+    """P(max angular distance from the start up to t stays below theta),
+    by the double-barrier reflection series for line Brownian motion, cut
+    at the first image whose term, at most 2 u phi(lo), is certified below 1e-12."""
+    images = _reflection_images(theta, t, lambda u, lo, hi: 2.0 * u * _phi(lo))
+    if images is None:
+        return 0.0  # the survival probability is below (4/pi) e^{-pi^2/(8 u^2)} < 1e-23
+    u, sign, lo, hi = images
+    terms = 2.0 * sign * (sp.ndtr(hi) - sp.ndtr(lo))  # +-r images are equal by symmetry
+    total = np.cumsum([sp.ndtr(u) - sp.ndtr(-u), *terms])[-1]
+    return float(min(max(total, 0.0), 1.0))
 
 
 def bm_first_passage_density(theta, t):
     """Density in t of the first time the angular distance reaches theta.
 
-    Termwise -d/dt of the reflection series; the r=0 term is the line
+    Termwise -d/dt of the reflection series, cut at the first image whose
+    term, at most hi phi(lo)/t, is certified below 1e-12; the r=0 term is the line
     first-passage density theta e^{-theta^2/(2t)}/sqrt(2 pi t^3).
     """
-    if not (0.0 < theta <= math.pi):
-        raise DomainError("theta must lie in (0, pi]")
-    _check_t(t)
-    u = theta / math.sqrt(t)
-    if u < 0.14:
+    images = _reflection_images(theta, t, lambda u, lo, hi: hi * _phi(lo) / t)
+    if images is None:
         return 0.0  # every Gaussian factor is below 1e-23 here
-    total = u * _phi(u) / t
-    r, sign = 1, -1.0
-    while True:
-        lo, hi = (2 * r - 1) * u, (2 * r + 1) * u
-        term = (hi * _phi(hi) - lo * _phi(lo)) / (2.0 * t)
-        total += 2.0 * sign * term
-        if hi * _phi(lo) / t < 1e-12 or term == 0.0:
-            break
-        r += 1
-        sign = -sign
+    u, sign, lo, hi = images
+    # scalar math.exp on Python floats: the ends pass 1e154 at subnormal t
+    term = [(h * _phi(h) - l * _phi(l)) / (2.0 * t) for l, h in zip(lo.tolist(), hi.tolist())]
+    total = float(np.cumsum([u * _phi(u) / t, *(2.0 * sign * term)])[-1])
     if total < 0.0 and total > -1e-15:
         return 0.0  # cancellation floor of the alternating tail
     return total

@@ -1,6 +1,6 @@
 """Exception and warning types shared across the package, and the
 argument checks behind DomainError: one per parameter kind (finite
-value, positive count, order n, time t)."""
+value, positive count, order n, time t, unit exponent)."""
 
 import math
 
@@ -45,6 +45,12 @@ def _check_t(t) -> None:
     """A scalar time 0 < t < inf; NaN fails the comparison and is refused too."""
     if not 0.0 < t < math.inf:
         raise DomainError("t must be positive and finite")
+
+
+def _check_unit(v, name: str) -> None:
+    """An exponent in (0, 1], such as nu or beta; NaN is refused too."""
+    if not 0.0 < v <= 1.0:
+        raise DomainError(f"{name} must lie in (0, 1]")
 
 
 class ConvergenceError(CirclawError, ArithmeticError):

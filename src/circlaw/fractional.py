@@ -16,15 +16,9 @@ import warnings
 import numpy as np
 from scipy import special as sp
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    SlowDecayWarning,
-    _check_finite,
-    _check_n,
-    _check_t,
-)
-from .harmonic import TWO_PI, cosine_law, scaled_powers
+from .errors import ConvergenceError, SlowDecayWarning, _check_n, _check_t, _check_unit
+from .harmonic import cosine_law, scaled_powers
+from .kernels import _poisson_kernel
 from .pseudo import even_circle_law
 from .special import DEFAULT_TOL, mittag_leffler_many
 
@@ -42,11 +36,6 @@ __all__ = [
 _SLOW_DECAY_K = 100_000
 
 
-def _check_unit(name, x):
-    if not (0.0 < x <= 1.0):
-        raise DomainError(f"{name} must lie in (0, 1]")
-
-
 def time_fractional_law(n, nu, t, tol=DEFAULT_TOL):
     """Harmonic carrier with coefficients E_nu(-k^{2n} t^nu)/pi.
 
@@ -55,7 +44,7 @@ def time_fractional_law(n, nu, t, tol=DEFAULT_TOL):
     as tol^{-1/(2n-1)}; an unaffordable cutoff raises with advice.
     """
     _check_n(n)
-    _check_unit("nu", nu)
+    _check_unit(nu, "nu")
     _check_t(t)
     if nu == 1.0:
         return even_circle_law(n, t, tol)
@@ -101,7 +90,7 @@ def _stretched_law(c, p, coeffs, tol, what, meta):
 
 def space_fractional_law(beta, t, tol=DEFAULT_TOL):
     """Harmonic carrier with coefficients e^{-(k^2/2)^beta t}/pi."""
-    _check_unit("beta", beta)
+    _check_unit(beta, "beta")
     _check_t(t)
     return _stretched_law(
         t / 2.0**beta,  # exponent is c k^{2 beta}
@@ -119,23 +108,20 @@ def space_fractional_density(beta, theta, t, tol=DEFAULT_TOL):
 
 
 def space_fractional_half_closed(theta, t):
-    """Closed form at beta = 1/2: a geometric (Poisson-type) kernel.
+    """Closed form at beta = 1/2: the Poisson kernel of radius e^{-t/sqrt(2)}
+    (kernels._poisson_kernel), as the coefficients e^{-k t/sqrt(2)}/pi say.
 
     Cross-check oracle only; the series is the production path.
     """
     _check_t(t)
-    th = np.asarray(theta, dtype=float)
-    _check_finite(th, "theta")
-    q = math.exp(-t * math.sqrt(2.0))  # = r^2 with r = e^{-t/sqrt(2)}
-    r = math.exp(-t / math.sqrt(2.0))
-    val = (1.0 - q) / (TWO_PI * (1.0 + q - 2.0 * r * np.cos(th)))
-    return float(val) if th.ndim == 0 else val
+    val = _poisson_kernel(t / math.sqrt(2.0), theta)
+    return float(val) if np.ndim(theta) == 0 else val
 
 
 def wrapped_stable_law(beta, t, tol=DEFAULT_TOL):
     """Harmonic carrier with coefficients e^{-k^{2 beta} t}/pi: the
     wrapped symmetric stable law of index 2 beta."""
-    _check_unit("beta", beta)
+    _check_unit(beta, "beta")
     _check_t(t)
     return _stretched_law(
         t,
@@ -168,8 +154,8 @@ def space_time_fractional_density(nu, beta, theta, t, tol=DEFAULT_TOL):
     Below that, evaluate distributions through
     space_time_fractional_cdf, whose extra 1/k always converges.
     """
-    _check_unit("nu", nu)
-    _check_unit("beta", beta)
+    _check_unit(nu, "nu")
+    _check_unit(beta, "beta")
     _check_t(t)
     if nu == 1.0:
         return space_fractional_density(beta, theta, t, tol)
@@ -194,8 +180,8 @@ def space_time_fractional_cdf(nu, beta, theta, t, tol=DEFAULT_TOL):
     The extra 1/k makes the tail ~ K^{-2 beta}, certifiable for every
     beta in (0, 1], which is what distribution-level comparisons need.
     """
-    _check_unit("nu", nu)
-    _check_unit("beta", beta)
+    _check_unit(nu, "nu")
+    _check_unit(beta, "beta")
     _check_t(t)
     if nu == 1.0:
         return space_fractional_law(beta, t, tol).cdf(theta)

@@ -73,13 +73,19 @@ def _poisson_kernel(rate: float, phi):
     1 - q = -expm1(-rate), so it keeps full relative accuracy as
     rate -> 0, where 1 + q^2 - 2 q cos phi cancels to 0 at phi = 0.
     Dividing through by 1 - q keeps the peak (1 + q)/(2 pi (1 - q)) and
-    every other value finite down to rate ~ 1e-307.
+    every other value finite down to rate ~ 1e-307. Below that a value past
+    the largest double (the peak, at subnormal rate) raises DomainError; a
+    denominator that overflows gives 0, where the kernel is below 1.2e-308.
     """
     _check_finite(phi, "theta")
     q = math.exp(-rate)
     one_minus_q = -math.expm1(-rate)
     s = np.sin(np.asarray(phi, dtype=float) / 2.0)
-    return (1.0 + q) / (TWO_PI * (one_minus_q + 4.0 * q * s * s / one_minus_q))
+    with np.errstate(over="ignore"):
+        out = (1.0 + q) / (TWO_PI * (one_minus_q + 4.0 * q * s * s / one_minus_q))
+    if np.any(out == math.inf):
+        raise DomainError(f"the Poisson kernel passes the largest double at rate {rate!r}")
+    return out
 
 
 def even_kernel_density(theta, t: float):

@@ -194,7 +194,8 @@ def _airy_oscillating(z: np.ndarray) -> np.ndarray:
     about 4 eps zeta of the envelope), as scipy's Airy does.
     """
     zeta = 2.0 * z * np.sqrt(z) / 3.0
-    r = 1.0 / (zeta * zeta)
+    # zeta^2 passes the largest double from zeta = 1.3e154, where r adds nothing
+    r = 1.0 / np.square(np.minimum(zeta, 1e154))
     big_p = np.full(z.shape, _AIRY_P[-1])
     big_q = np.full(z.shape, _AIRY_Q[-1])
     for cp, cq in zip(_AIRY_P[-2::-1], _AIRY_Q[-2::-1]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _check_count, _check_finite
+from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _check_unit
 from .harmonic import TWO_PI
 
 __all__ = [
@@ -84,8 +84,7 @@ def sample_stable_subordinator(nu: float, t: float, rng, size: int | None = None
     inf, without a numpy warning; sample_wrapped_bm refuses such a time
     with DomainError.
     """
-    if not 0.0 < nu <= 1.0:
-        raise DomainError("nu must lie in (0, 1]")
+    _check_unit(nu, "nu")
     _check_time(t)
     n = _check_size(size)
     try:

@@ -29,7 +29,9 @@ from .errors import (
     _check_t,
 )
 from .brownian import bm_density_wrapped
-from .harmonic import TWO_PI, HarmonicLaw, cosine_law, exp_power_tail, scaled_power, scaled_powers
+from .harmonic import (
+    TWO_PI, HarmonicLaw, certified_cutoff, cosine_law, exp_power_tail, scaled_power, scaled_powers
+)
 from .line import (
     _CANCEL_BUDGET,
     _T_FLOOR,
@@ -42,7 +44,7 @@ from .line import (
     line_density_even,
     line_density_odd,
 )
-from .special import DEFAULT_TOL, MAX_TERMS, Tolerance
+from .special import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "even_circle_law",
@@ -54,8 +56,6 @@ __all__ = [
     "positivity_time",
 ]
 
-# e^{-x} is 0 in float64 for every x past this (the least subnormal is e^-744.4)
-_EXP_ZERO = 746.0
 # shells for the n=1 odd wrapped sum; the tapered-window residual decays
 # roughly like M^{-3/2}, and 6144 puts projections below ~1e-5
 _ODD_SHELLS = 6144
@@ -209,26 +209,22 @@ def odd_circle_atoms(n: int, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 def min_value(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """v_{2n}(pi, t) = 1/(2 pi) + (1/pi) sum_k (-1)^k e^{-k^{2n} t}.
 
-    The sum stops once a term is below tol.abs_tol/8 (from k = 2), or at
-    the first k with k^{2n} t past _EXP_ZERO, where that term and every
-    later one are 0 in float64; k^{2n} t is formed in logs where k^{2n}
-    passes the largest double (harmonic.scaled_power).
+    The terms fall in k, and the sum adds k = 1..K for the least K >= 2
+    whose term is at most tol.abs_tol/8 (harmonic.certified_cutoff, refused
+    past special.MAX_TERMS), so the dropped alternating tail is below
+    tol.abs_tol/8. k^{2n} t is formed in logs where k^{2n} passes the
+    largest double (harmonic.scaled_power); past ~745 its term is the exact 0.
     """
     _check_n(n)
     _check_t(t)
-    p = 2 * n
-    total = 1.0 / TWO_PI
-    sign = -1.0
-    for k in range(1, MAX_TERMS + 1):
-        xt = scaled_power(t, p, k)
-        if xt > _EXP_ZERO:
-            return total
-        term = math.exp(-xt) / math.pi
-        total += sign * term
-        if term < tol.abs_tol / 8.0 and k >= 2:
-            return total
-        sign = -sign
-    raise ConvergenceError("alternating series did not reach tolerance")
+
+    def term(k):
+        return math.exp(-scaled_power(t, 2 * n, k)) / math.pi
+
+    # tol/8 underflows to 0 from abs_tol = 2e-323 down
+    last = Tolerance(max(tol.abs_tol / 8.0, math.ulp(0.0)))
+    K = max(2, certified_cutoff(term, last, f"the alternating series needs a larger t than {t:g}"))
+    return float(np.cumsum([1.0 / TWO_PI, *((-1) ** k * term(k) for k in range(1, K + 1))])[-1])
 
 
 def positivity_time(n: int, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -18,10 +18,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import rgamma
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_unit
 
 # the one term budget: the largest count harmonic.certified_cutoff returns,
-# and the most terms an alternating-series evaluation adds
+# to series laws, image sums and alternating sums alike
 MAX_TERMS = 10**6
 
 __all__ = [
@@ -196,8 +196,7 @@ def mittag_leffler(nu: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
     Entry 0 of mittag_leffler_many(nu, [x], tol), bit for bit, except
     at nu = 1, where it is math.exp(x).
     """
-    if not 0.0 < nu <= 1.0:
-        raise DomainError("nu must lie in (0, 1]")
+    _check_unit(nu, "nu")
     if math.isnan(x):
         raise DomainError("x must not be NaN")
     if x > 0.0:
@@ -217,8 +216,7 @@ def mittag_leffler_many(nu: float, xs, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     (_ml_contour), which forms no y^(1/nu) and so cannot overflow.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not 0.0 < nu <= 1.0:
-        raise DomainError("nu must lie in (0, 1]")
+    _check_unit(nu, "nu")
     if np.any(np.isnan(xs)):
         raise DomainError("x must not be NaN")
     if np.any(xs > 0.0):

@@ -47,7 +47,7 @@ MEASURED = {
     "4b": 0.0,
     "5a": 0.0,
     "5b": 1.1102230246251565e-16,
-    "5c": 7.929212841872868e-13,
+    "5c": 7.922551503725117e-13,
     "6": 1.1102230246251565e-16,
     "7a": 0.004242751677601575,
     "7b": 0.0022061008364030466,

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 from scipy.special import ive
 
-from circlaw import ConvergenceError, DomainError, Tolerance
+from circlaw import ConvergenceError, DomainError, Tolerance, brownian
 from circlaw.brownian import (
     BmLaw,
     bm_density_wrapped,
@@ -323,6 +323,45 @@ class TestQuadrantProb:
     def test_validation(self):
         with pytest.raises(DomainError):
             bm_quadrant_prob(-1.0)
+
+    def test_past_the_term_budget_is_refused_at_once(self, monkeypatch):
+        # at t = 1e-12 the terms stay near 1/(2k + 1) > 1e-17 for every
+        # k <= MAX_TERMS; the cutoff refuses after a few dozen probes, not
+        # after a million terms
+        probes = []
+        term = brownian._quadrant_term
+        monkeypatch.setattr(brownian, "_quadrant_term", lambda t, k: probes.append(k) or term(t, k))
+        with pytest.raises(ConvergenceError, match="use a larger t"):
+            bm_quadrant_prob(1e-12)
+        assert 0 < len(probes) < 64
+
+
+# the alternating sums' doubles: a change to where they stop, to the order
+# of their additions or to how a term is formed moves them
+PINNED = {
+    (bm_quadrant_prob, (1e-6,)): 0.9999999999999999,
+    (bm_quadrant_prob, (0.01,)): 1.0,
+    (bm_quadrant_prob, (1.0,)): 0.8837724827278828,
+    (bm_quadrant_prob, (50.0,)): 0.5000000000088414,
+    (bm_quadrant_prob, (200.0,)): 0.5,
+    (bm_maxdist_cdf, (1.0, 1.0)): 0.3707774297995239,
+    (bm_maxdist_cdf, (2.0, 0.5)): 0.9906445300379056,
+    (bm_maxdist_cdf, (math.pi, 0.01)): 1.0,
+    (bm_maxdist_cdf, (0.5, 3.0)): 4.736287131379413e-07,
+    (bm_maxdist_cdf, (0.3, 0.01)): 0.9946004078734796,
+    (bm_first_passage_density, (1.0, 1.0)): 0.45736522563392,
+    (bm_first_passage_density, (0.5, 0.2)): 2.3391765372658018,
+    (bm_first_passage_density, (math.pi, 5.0)): 0.083467625441493,
+    (bm_first_passage_density, (2.0, 0.05)): 6.063673024660734e-16,
+}
+
+
+@pytest.mark.parametrize(
+    "call, want", PINNED.items(), ids=[f"{f.__name__}{args}" for f, args in PINNED]
+)
+def test_series_values_pinned(call, want):
+    f, args = call
+    assert f(*args) == want
 
 
 class TestMaxdistCdf:

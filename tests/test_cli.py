@@ -294,6 +294,27 @@ def test_no_traceback(capsys, argv):
     assert len(categories) == len(set(categories))
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("density", "--law", "kernel-even", "--t", "5e-324", "--grid", "8"), 2),
+        (("density", "--law", "kernel-odd", "--n", "1", "--t", "5e-324", "--grid", "8"), 2),
+        (("density", "--law", "odd", "--n", "1", "--t", "5e-324", "--grid", "8"), 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_subnormal_time_prints_no_raw_warning(capsys, argv, code):
+    # the kernels' peak passes the largest double and is refused; the odd
+    # law's rows are finite; neither prints a numpy warning line
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 2:
+        assert err.startswith("invalid-parameters: the Poisson kernel passes the largest double")
+        assert len(err.splitlines()) == 1
+    else:
+        assert err == "" and np.all(np.isfinite(parse_csv(out)))
+
+
 # every selector with the flags it needs; spacetimefrac's density series
 # diverges at beta = 1/2, and the odd law has no CDF
 _CURVES = [

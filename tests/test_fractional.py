@@ -3,6 +3,7 @@ series, wrapped stable laws, equality in law, the space-fractional
 evolution equation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from circlaw.fractional import (
     wrapped_stable_law,
 )
 from circlaw.harmonic import TWO_PI
+from circlaw.kernels import even_kernel_density
 from circlaw.pseudo import even_circle_law
 
 TOL6 = Tolerance(abs_tol=1e-6)
@@ -115,6 +117,17 @@ class TestSpaceFractional:
                 np.abs(space_fractional_density(0.5, th, t) - space_fractional_half_closed(th, t))
             )
             assert gap < 1e-10
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-20])
+    def test_half_closed_form_is_the_poisson_kernel_at_small_t(self, t):
+        # the cancelling denominator 1 + q - 2 r cos theta divided by 0 at
+        # t = 1e-9 and made 0/0 at t = 1e-20
+        th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = space_fractional_half_closed(th, t)
+        assert np.array_equal(vals, even_kernel_density(th, t / math.sqrt(2.0)))
+        assert space_fractional_half_closed(1.0, t) == even_kernel_density(1.0, t / math.sqrt(2.0))
 
     def test_center_value(self):
         assert space_fractional_density(0.5, 0.0, 1.0) == pytest.approx(0.46876, abs=1e-5)

@@ -251,6 +251,19 @@ class TestSmallTime:
         assert np.all(np.isfinite(vals))
         assert np.allclose(vals, np.array(oracle, dtype=float), rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("t", [1e-310, 5e-324])
+    def test_value_past_the_largest_double_refused(self, t):
+        # at subnormal t the peak (1 + q)/(2 pi (1 - q)) passes the largest
+        # double; away from it each value is returned, finite and unwarned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="passes the largest double"):
+                even_kernel_density(GRID64, t)
+            with pytest.raises(DomainError, match="passes the largest double"):
+                odd_kernel_density(1, 0.0, t)
+            off = [even_kernel_density(GRID64[1:], t), odd_kernel_density(2, GRID64[1:], t)]
+        assert all(np.all(np.isfinite(v)) and np.all(v >= 0.0) for v in off)
+
 
 class TestOddKernelCdf:
     @pytest.mark.parametrize("n,t", [(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0)])

@@ -1,6 +1,7 @@
 """Line-solution tests: closed forms, cross-route equivalence, quadrature oracles."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -198,6 +199,16 @@ class TestLineDensityThird:
             scale = (3.0 * t) ** (-1.0 / 3.0)
             target = scale * float(mp.airyai(x * scale))
             assert line_density_third(x, t) == pytest.approx(target, abs=1e-11)
+
+    def test_subnormal_time_keeps_its_values_unwarned(self):
+        # (3t)^(-1/3) = 6.9e107 at t = 5e-324 puts zeta past 1e161, where
+        # zeta^2 would overflow; the expansion's 1/zeta^2 is below 1e-308 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = line_density_third(np.array([-1.0, -3.0, 0.5]), 5e-324)
+            one = line_density_third(-1.0, 5e-324)
+        assert vals.tolist() == [-2.019493733316055e80, 1.3886724250691248e80, 0.0]
+        assert one == vals[0]
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_mass_window_regression(self):

@@ -564,6 +564,23 @@ class TestMinValueAndPositivity:
         assert min_value(3, 0.6931166485360705) == -4.85939670552547e-06
         assert min_value(2, 0.5083333333333333) == -0.03221412273326094
 
+    @pytest.mark.parametrize(
+        "n, t, tol, want",
+        [
+            (1, 1e-6, 1e-10, -6.216419560699953e-12),
+            (2, 1e-6, 1e-10, 2.3728179987193245e-12),
+            (5, 1e-6, 1e-10, -0.02969959485314003),
+            (2, 50.0, 1e-10, 0.15915494309189535),
+            (3, 0.5, 1e-13, -0.03390976216820845),
+            (2, 0.7, 1e-6, 0.00109128419330198),
+            # tol/8 underflows to 0 here; the sum runs to the terms that are 0
+            (2, 0.01, 5e-324, -0.002351505422754356),
+        ],
+    )
+    def test_min_value_pinned(self, n, t, tol, want):
+        # doubles that move with the stop index, the order of the additions or the form of a term
+        assert min_value(n, t, Tolerance(tol)) == want
+
 
 class TestSamplingOfEvenLaws:
     def test_symmetric_counts(self):

@@ -18,11 +18,14 @@ from scipy.special import erfcx
 from circlaw import (
     ConvergenceError,
     DomainError,
+    RngStream,
     Tolerance,
     line_density_gamma,
     line_density_third,
     mittag_leffler,
     mittag_leffler_many,
+    sample_stable_subordinator,
+    time_fractional_law,
 )
 
 
@@ -205,6 +208,22 @@ class TestMittagLeffler:
         oracle = float(erfcx(y)) if nu == 0.5 else ml_reference_spectral(nu, y)
         assert abs(value - oracle) <= tol.abs_tol
         assert mittag_leffler_many(nu, [-2.0 * y, -y, -y - 60.0], tol)[1] == value
+
+    @pytest.mark.parametrize("nu", [0.0, -0.5, 1.2, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda nu: mittag_leffler(nu, -1.0),
+            lambda nu: mittag_leffler_many(nu, [-1.0]),
+            lambda nu: sample_stable_subordinator(nu, 1.0, RngStream(0)),
+            lambda nu: time_fractional_law(2, nu, 1.0),
+        ],
+        ids=["ml", "ml_many", "stable_subordinator", "time_fractional_law"],
+    )
+    def test_one_unit_exponent_check(self, call, nu):
+        # errors._check_unit: the same refusal wherever an exponent nu is taken
+        with pytest.raises(DomainError, match=r"^nu must lie in \(0, 1\]$"):
+            call(nu)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

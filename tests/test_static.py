@@ -149,3 +149,23 @@ def test_imports_are_declared(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert sorted(imported - allowed) == [], path.name
+
+
+# the modules that own the term budget: special defines it and
+# harmonic.certified_cutoff spends it; every other count goes through that
+BUDGET_OWNERS = {"special", "harmonic"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem not in BUDGET_OWNERS], ids=lambda p: p.stem
+)
+def test_term_budget_is_spent_only_by_the_cutoff(path):
+    # a loop capped by MAX_TERMS is a truncation search of its own
+    lines = [
+        node.lineno
+        for node in ast.walk(parse(path))
+        if (isinstance(node, ast.Name) and node.id == "MAX_TERMS")
+        or (isinstance(node, ast.alias) and "MAX_TERMS" in (node.name, node.asname))
+        or (isinstance(node, ast.Attribute) and node.attr == "MAX_TERMS")
+    ]
+    assert lines == [], f"{path.name}: MAX_TERMS at lines {lines}; use harmonic.certified_cutoff"
