@@ -175,6 +175,7 @@ def bm_quadrant_prob(t):
 
     The terms fall, so adding k = 0..K up to the first K >= 1 whose term is
     at most 1e-17 (harmonic.certified_cutoff) leaves a tail below 1e-17.
+    The sum is clamped to [0, 1], where its rounding at small t can leave it.
     """
     _check_t(t)
     K = certified_cutoff(lambda k: _quadrant_term(t, k), Tolerance(1e-17), "use a larger t")
@@ -183,7 +184,7 @@ def bm_quadrant_prob(t):
     # alternating decreasing terms, so the one-term envelope holds
     if t > _QUAD_BOUND_T0 and val > 0.5 + (2.0 / math.pi) * math.exp(-t / 2.0) + 1e-12:
         raise ConvergenceError(f"quadrant series broke its e^(-t/2) envelope at t={t}")
-    return val
+    return min(max(val, 0.0), 1.0)
 
 
 def _reflection_images(theta, t, bound):

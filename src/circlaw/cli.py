@@ -19,7 +19,6 @@ import math
 import sys
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -38,10 +37,10 @@ from .fractional import (
 from .harmonic import TWO_PI
 from .kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
 from .pseudo import even_circle_law, odd_circle_density_wrapped, positivity_time
-from .special import Tolerance
+from .special import DEFAULT_TOL, Tolerance
 from .validation import DEFAULT_SEED, GROUPS, report_json, run_suite
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 # most rows a density/cdf grid takes: ~27 MB of CSV text and an 8 MB theta array
 _MAX_GRID = 2**20
@@ -61,8 +60,8 @@ def _odd_cdf(thetas):
     )
 
 
-# --law selector -> (flags it needs, builder(cfg, tol) of an object with
-# density and cdf); argparse choices, RunConfig.check and cmd_curve read it
+# --law selector -> (flags it needs, builder(args, tol) of an object with
+# density and cdf); argparse choices, _check and cmd_curve read it
 LAWS = {
     "even": ((), lambda c, tol: even_circle_law(c.n, c.t, tol)),
     "odd": ((), lambda c, tol: _Curves(lambda th: odd_circle_density_wrapped(c.n, th, c.t, tol), _odd_cdf)),
@@ -92,37 +91,22 @@ LAWS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    law: str | None = None
-    n: int = 1
-    nu: float | None = None
-    beta: float | None = None
-    t: float | None = None
-    grid_points: int = 512
-    tol: float = 1e-10
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    only: str | None = None
-
-    def check(self):
-        if not 0.0 < self.tol < math.inf:
-            raise DomainError("tol must be positive and finite")
-        if self.command in ("density", "cdf"):
-            if self.law not in LAWS:
-                raise DomainError(f"unknown law {self.law!r}")
-            if self.t is None or not 0.0 < self.t < math.inf:
-                raise DomainError("t must be positive and finite")
-            if self.grid_points < 8:
-                raise DomainError("grid_points must be >= 8")
-            if self.grid_points > _MAX_GRID:
-                raise DomainError(f"grid_points must be <= {_MAX_GRID} (2^20)")
-            for flag in LAWS[self.law][0]:
-                if getattr(self, flag) is None:
-                    raise DomainError(f"law {self.law!r} needs --{flag}")
-        if self.command == "positivity" and self.n < 1:
-            raise DomainError("n must be an integer >= 1")
+def _check(args):
+    """Refuse parsed arguments that argparse lets through, with DomainError."""
+    if not 0.0 < args.tol < math.inf:
+        raise DomainError("tol must be positive and finite")
+    if args.command in ("density", "cdf"):
+        if not 0.0 < args.t < math.inf:
+            raise DomainError("t must be positive and finite")
+        if args.grid_points < 8:
+            raise DomainError("grid_points must be >= 8")
+        if args.grid_points > _MAX_GRID:
+            raise DomainError(f"grid_points must be <= {_MAX_GRID} (2^20)")
+        for flag in LAWS[args.law][0]:
+            if getattr(args, flag) is None:
+                raise DomainError(f"law {args.law!r} needs --{flag}")
+    if args.command == "positivity" and args.n < 1:
+        raise DomainError("n must be an integer >= 1")
 
 
 def _emit(text, out, summary):
@@ -146,27 +130,27 @@ def _csv_grid(n):
     return th, "theta,value\n" + "".join(f"{x:.17g},%.17g\n" for x in th.tolist())
 
 
-def cmd_curve(cfg):
-    law = LAWS[cfg.law][1](cfg, Tolerance(abs_tol=cfg.tol))
-    th, template = _csv_grid(cfg.grid_points)
-    vals = law.cdf(th) if cfg.command == "cdf" else law.density(th)
-    _emit(template % tuple(np.asarray(vals).tolist()), cfg.out, f"wrote {th.size} rows to {{path}}")
+def cmd_curve(args):
+    law = LAWS[args.law][1](args, Tolerance(abs_tol=args.tol))
+    th, template = _csv_grid(args.grid_points)
+    vals = law.cdf(th) if args.command == "cdf" else law.density(th)
+    _emit(template % tuple(np.asarray(vals).tolist()), args.out, f"wrote {th.size} rows to {{path}}")
     return 0
 
 
-def cmd_positivity(cfg):
-    t_bar = positivity_time(cfg.n, Tolerance(abs_tol=cfg.tol))
+def cmd_positivity(args):
+    t_bar = positivity_time(args.n, Tolerance(abs_tol=args.tol))
     # positivity_time proves the minimum sits at pi from t_bar on
     text = json.dumps({"t_bar": t_bar, "min_theta_at_t_bar": math.pi}, indent=2) + "\n"
-    _emit(text, cfg.out, "wrote positivity report to {path}")
+    _emit(text, args.out, "wrote positivity report to {path}")
     return 0
 
 
-def cmd_validate(cfg):
-    results = run_suite(seed=cfg.seed, tol=cfg.tol, only=cfg.only)
-    text = report_json(results, cfg.seed, cfg.tol)
+def cmd_validate(args):
+    results = run_suite(seed=args.seed, tol=args.tol, only=args.only)
+    text = report_json(results, args.seed, args.tol)
     n_pass = sum(r.passed for r in results)
-    _emit(text, cfg.out, f"validate: {n_pass}/{len(results)} passed -> {{path}}")
+    _emit(text, args.out, f"validate: {n_pass}/{len(results)} passed -> {{path}}")
     failing = [r.id for r in results if not r.passed]
     if failing:
         print("failing criteria: " + ", ".join(failing), file=sys.stderr)
@@ -195,15 +179,17 @@ def _build_parser():
         q.add_argument("--beta", type=float, help="space-fractional exponent in (0, 1]")
         q.add_argument("--t", type=float, required=True)
         q.add_argument("--grid", type=int, default=512, dest="grid_points")
-        q.add_argument("--tol", type=float, default=1e-10)
+        q.add_argument("--tol", type=float, default=DEFAULT_TOL.abs_tol)
         q.add_argument("--out", help="CSV path (default: stdout)")
     q = sub.add_parser("positivity", help="nonnegativity onset of an even-order law (JSON)")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--tol", type=float, default=1e-10)
+    q.add_argument("--tol", type=float, default=DEFAULT_TOL.abs_tol)
     q.add_argument("--out", help="JSON path (default: stdout)")
     q = sub.add_parser("validate", help="run the self-check suite (JSON report)")
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    q.add_argument("--tol", type=float, default=1e-10, help="KS thresholds loosen to max(pinned, tol)")
+    q.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL.abs_tol, help="KS thresholds loosen to max(pinned, tol)"
+    )
     q.add_argument("--only", choices=GROUPS, help="run a single criterion group")
     q.add_argument("--out", help="JSON path (default: stdout)")
     return p
@@ -220,16 +206,16 @@ def _summarize(caught):
 
 
 def main(argv=None):
-    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
+    args = _build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            cfg.check()
-            if cfg.command in ("density", "cdf"):
-                return cmd_curve(cfg)
-            if cfg.command == "positivity":
-                return cmd_positivity(cfg)
-            return cmd_validate(cfg)
+            _check(args)
+            if args.command in ("density", "cdf"):
+                return cmd_curve(args)
+            if args.command == "positivity":
+                return cmd_positivity(args)
+            return cmd_validate(args)
         except (DomainError, ValueError) as exc:
             print(f"invalid-parameters: {exc}", file=sys.stderr)
             return 2

@@ -25,10 +25,8 @@ from .special import DEFAULT_TOL, mittag_leffler_many
 __all__ = [
     "time_fractional_law",
     "space_fractional_law",
-    "space_fractional_density",
     "space_fractional_half_closed",
     "wrapped_stable_law",
-    "wrapped_stable_density",
     "space_time_fractional_density",
     "space_time_fractional_cdf",
 ]
@@ -102,11 +100,6 @@ def space_fractional_law(beta, t, tol=DEFAULT_TOL):
     )
 
 
-def space_fractional_density(beta, theta, t, tol=DEFAULT_TOL):
-    """Density of the space-fractional circular law (series route)."""
-    return space_fractional_law(beta, t, tol).density(theta)
-
-
 def space_fractional_half_closed(theta, t):
     """Closed form at beta = 1/2: the Poisson kernel of radius e^{-t/sqrt(2)}
     (kernels._poisson_kernel), as the coefficients e^{-k t/sqrt(2)}/pi say.
@@ -120,7 +113,8 @@ def space_fractional_half_closed(theta, t):
 
 def wrapped_stable_law(beta, t, tol=DEFAULT_TOL):
     """Harmonic carrier with coefficients e^{-k^{2 beta} t}/pi: the
-    wrapped symmetric stable law of index 2 beta."""
+    wrapped symmetric stable law of index 2 beta, equal in law to the
+    space-fractional law at time 2^beta t."""
     _check_unit(beta, "beta")
     _check_t(t)
     return _stretched_law(
@@ -131,14 +125,6 @@ def wrapped_stable_law(beta, t, tol=DEFAULT_TOL):
         "wrapped stable law",
         f"wrapped symmetric stable law, beta={beta!r}, t={t!r}",
     )
-
-
-def wrapped_stable_density(beta, theta, t, tol=DEFAULT_TOL):
-    """Density of the wrapped symmetric stable law.
-
-    Equal in law to the space-fractional density at time 2^beta t.
-    """
-    return wrapped_stable_law(beta, t, tol).density(theta)
 
 
 def _space_time_coeffs(nu, beta, t, k, tol):
@@ -158,7 +144,7 @@ def space_time_fractional_density(nu, beta, theta, t, tol=DEFAULT_TOL):
     _check_unit(beta, "beta")
     _check_t(t)
     if nu == 1.0:
-        return space_fractional_density(beta, theta, t, tol)
+        return space_fractional_law(beta, t, tol).density(theta)
     if beta <= 0.5:
         raise ConvergenceError(
             "pointwise space-time series diverges for beta <= 1/2 when "

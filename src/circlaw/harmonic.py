@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SignedLawError, _check_count, _check_finite
-from .special import MAX_TERMS, Tolerance
+from .special import _EPS, MAX_TERMS, Tolerance
+
+__all__ = ["HarmonicLaw", "fourier_coeffs", "sample"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,7 +30,16 @@ _POWER_TABLE = 1 << 15
 # at 10^3 and 10^5 points but only from K ~ 48-64 at 10^4 points, and the
 # sampling benchmark's jobs ran fastest with K0 between 32 and 96.
 _BABY_STEP_TERMS = 32
-_EPS = float(np.finfo(float).eps)
+
+
+def _cdf_angles(theta) -> np.ndarray:
+    """theta as a float array in [0, 2 pi], the domain of every CDF: finite,
+    within 1e-9 of the interval and clipped onto it, or DomainError."""
+    _check_finite(theta, "theta")
+    th = np.asarray(theta, dtype=float)
+    if np.any(th < -1e-9) or np.any(th > TWO_PI + 1e-9):
+        raise DomainError("theta must lie in [0, 2 pi]")
+    return np.clip(th, 0.0, TWO_PI)
 
 
 def _grid_period(th) -> int:
@@ -159,11 +170,7 @@ class HarmonicLaw:
 
     def cdf(self, theta):
         """Termwise antiderivative on [0, 2 pi]: a0 th + sum [a_k sin k th + b_k (1-cos k th)]/k."""
-        _check_finite(theta, "theta")
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if np.any(th < -1e-9) or np.any(th > TWO_PI + 1e-9):
-            raise DomainError("cdf argument must lie in [0, 2 pi]")
-        th = np.clip(th, 0.0, TWO_PI)
+        th = np.atleast_1d(_cdf_angles(theta))
         k = np.arange(1.0, self.n_terms + 1.0)
         a, b = self.cos_coeffs / k, self.sin_coeffs / k
         out = self.a0 * th + _trig_sum(b.sum(), -b, a, th)
@@ -271,7 +278,10 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
     """Rejection-sample a nonnegative harmonic law.
 
     The law is screened for negativity on a 4096-point grid (finer when
-    the law carries more harmonics); a signed law is refused. The
+    the law carries more harmonics): a law whose grid minimum lies below
+    -(tail_bound + the grid's rounding certificate) is certainly signed
+    and refused. A shallower dip is within the certificate of a
+    nonnegative law, and there the sampled density is max(f, 0). The
     envelope is the grid maximum plus the certified tail bound plus a
     between-nodes oscillation margin.
 
@@ -291,9 +301,15 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
     grid_n = max(4096, 4 * law.n_terms)
     grid = np.arange(grid_n) * (TWO_PI / grid_n)
     vals = law.density(grid)
-    if np.any(vals < 0.0):
+    coeff_sum = abs(law.a0) + float(np.abs(law.cos_coeffs).sum() + np.abs(law.sin_coeffs).sum())
+
+    def rounding(n):
+        return 4.0 * (law.n_terms + math.ceil(math.log2(n))) * _EPS * coeff_sum
+
+    if float(vals.min()) < -(law.tail_bound + rounding(grid_n)):
         raise SignedLawError(
-            "density is negative on the screening grid; sampling a signed law is refused"
+            "density is negative on the screening grid beyond its tail and rounding "
+            "certificates; sampling a signed law is refused"
         )
     k = np.arange(1, law.n_terms + 1)
     overshoot = (math.pi / grid_n) * float(
@@ -303,11 +319,6 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
     # squeeze: on the cell between two grid nodes the computed density lies
     # within overshoot, the grid's and the batch's rounding certificates and
     # 4 eps coeff_sum (the rounding of the bounds) of the nodes' values
-    coeff_sum = abs(law.a0) + float(np.abs(law.cos_coeffs).sum() + np.abs(law.sin_coeffs).sum())
-
-    def rounding(n):
-        return 4.0 * (law.n_terms + math.ceil(math.log2(n))) * _EPS * coeff_sum
-
     nxt = np.roll(vals, -1)
     cell_lo, cell_hi = np.minimum(vals, nxt), np.maximum(vals, nxt)
     want = 1 if size is None else _check_count(size, "size")

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, _check_finite, _check_n, _check_t
-from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff, exp_power_tail
+from .harmonic import TWO_PI, HarmonicLaw, _cdf_angles, certified_cutoff, exp_power_tail
 from .line import _image_sum, _reduced, _rotation, skew_cauchy_density
 from .special import DEFAULT_TOL, Tolerance
 
@@ -39,14 +39,6 @@ __all__ = [
 def _ab(n) -> tuple[float, float]:
     _check_n(n)
     return _rotation(2 * n + 1)
-
-
-def _as_angles(theta):
-    _check_finite(theta, "theta")
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < -1e-9) or np.any(th > TWO_PI + 1e-9):
-        raise DomainError("theta must lie in [0, 2 pi]")
-    return np.clip(th, 0.0, TWO_PI)
 
 
 def _poisson_series_law(damp_rate: float, rotation: float, tol: Tolerance, meta: str) -> HarmonicLaw:
@@ -109,7 +101,7 @@ def even_kernel_cdf(theta, t: float):
     tangent pole, giving exactly 1/2 at theta = pi.
     """
     _check_t(t)
-    th = _as_angles(theta)
+    th = _cdf_angles(theta)
     q = math.exp(-t)
     one_minus_q = -math.expm1(-t)
     val = np.arctan2((1.0 + q) * np.sin(th / 2.0), one_minus_q * np.cos(th / 2.0)) / math.pi
@@ -157,7 +149,7 @@ def odd_kernel_cdf(n: int, theta, t: float):
     """
     a, b = _ab(n)
     _check_t(t)
-    th = _as_angles(theta)
+    th = _cdf_angles(theta)
     q = math.exp(-a * t)
     one_minus_q = -math.expm1(-a * t)
     num = -math.expm1(-2.0 * a * t) * np.sin(th / 2.0)

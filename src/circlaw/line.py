@@ -36,7 +36,7 @@ from scipy import special as sps
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_n, _check_t
 from .harmonic import TWO_PI, certified_cutoff
-from .special import DEFAULT_TOL, Tolerance
+from .special import _EPS, DEFAULT_TOL, Tolerance
 
 __all__ = [
     "line_density_even",
@@ -241,7 +241,6 @@ _RHO = 1.0 + np.geomspace(1e-3, 30.0, 40)
 # largest work array of the kernel (points x nodes, or points x ellipses)
 # and of _image_sum (angles x shells)
 _WORK = 2**14
-_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # factor on the contour kernel's rounding term eps (1 + 2/(e sin psi)) J:
 # the worst measured rounding was 0.68 of the unit term (p = 5, X = -60),

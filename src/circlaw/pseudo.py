@@ -153,10 +153,10 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
     the window boundary to second order; projections of the tapered sum
     converge, pointwise values remain scheme-dependent. The window has
     M = 6144 shells at n = 1 and _budget_shells(n, t) at n >= 2, about
-    theta as given, or about its residue in [-pi, pi] where |theta| > 2 pi
-    (line._reduced); line._image_sum adds them. Every shell value comes from
-    line_density_odd within tol / sum_m w_m, so the quadrature error of
-    the sum is at most tol.
+    the residue of theta in [0, 2 pi) (line._reduced, then mod 2 pi), so
+    theta and theta + 2 pi k give one value; line._image_sum adds them.
+    Every shell value comes from line_density_odd within tol / sum_m w_m,
+    so the quadrature error of the sum is at most tol.
 
     For n = 1 the mode-1 projection comes from the stationary point
     x = -3t of the Airy tail, so t must keep 3t inside the taper's flat
@@ -183,7 +183,8 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
         )
     w = _taper_weights(M)
     shell_tol = Tolerance(tol.abs_tol / float(w.sum()))
-    return _image_sum(lambda x: line_density_odd(n, x, t, shell_tol), _reduced(theta), M, w)
+    centre = np.mod(_reduced(theta), TWO_PI)
+    return _image_sum(lambda x: line_density_odd(n, x, t, shell_tol), centre, M, w)
 
 
 def odd_circle_atoms(n: int, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,9 @@ from .errors import ConvergenceError, DomainError, _check_unit
 # the one term budget: the largest count harmonic.certified_cutoff returns,
 # to series laws, image sums and alternating sums alike
 MAX_TERMS = 10**6
+# the double machine epsilon of every rounding certificate, here and in
+# harmonic and line
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "Tolerance",
@@ -56,7 +59,6 @@ _ML_ASYMP_MIN_Y = 50.0
 # Measured (not proven) accuracy floor of the asymptotic sum over a
 # (nu, y >= 50) grid.
 _ML_ASYMP_FLOOR = 2.5e-12
-_EPS = float(np.finfo(float).eps)
 # fixed cap on the contour's nodes; a tol whose discretization and
 # truncation bounds need more is refused
 _ML_MAX_NODES = 256

@@ -24,12 +24,11 @@ from .brownian import (
     bm_quadrant_prob,
 )
 from .fractional import (
-    space_fractional_density,
     space_fractional_half_closed,
     space_fractional_law,
     space_time_fractional_cdf,
     time_fractional_law,
-    wrapped_stable_density,
+    wrapped_stable_law,
 )
 from .errors import ConvergenceError
 from .harmonic import TWO_PI, fourier_coeffs
@@ -63,7 +62,7 @@ from .pseudo import (
     odd_circle_density_wrapped,
     positivity_time,
 )
-from .special import Tolerance, mittag_leffler
+from .special import DEFAULT_TOL, Tolerance, mittag_leffler
 
 __all__ = ["CriterionResult", "run_suite", "report_json", "DEFAULT_SEED", "GROUPS"]
 
@@ -165,9 +164,8 @@ def _c5c(run):
     tol = Tolerance(abs_tol=1e-12)
     worst = 0.0
     for t in (0.5, 1.0):
-        diff = space_fractional_density(0.5, GRID64, t, tol) - space_fractional_half_closed(
-            GRID64, t
-        )
+        series = space_fractional_law(0.5, t, tol).density(GRID64)
+        diff = series - space_fractional_half_closed(GRID64, t)
         worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 
@@ -176,9 +174,8 @@ def _c6(run):
     tol = Tolerance(abs_tol=1e-12)
     worst = 0.0
     for beta in (0.3, 0.5, 0.9):
-        diff = wrapped_stable_density(beta, GRID64, 1.0, tol) - space_fractional_density(
-            beta, GRID64, 2.0**beta * 1.0, tol
-        )
+        wrapped = wrapped_stable_law(beta, 1.0, tol).density(GRID64)
+        diff = wrapped - space_fractional_law(beta, 2.0**beta * 1.0, tol).density(GRID64)
         worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 
@@ -453,7 +450,7 @@ _CRITERIA = (
 GROUPS = tuple(dict.fromkeys(group for _, group, *_ in _CRITERIA))
 
 
-def run_suite(seed=DEFAULT_SEED, tol=1e-10, only=None):
+def run_suite(seed=DEFAULT_SEED, tol=DEFAULT_TOL.abs_tol, only=None):
     """Run the criteria (optionally one group) and return CriterionResult
     rows in table order. KS thresholds can only be loosened:
     threshold = max(pinned, tol)."""

@@ -10,7 +10,7 @@ import pytest
 
 from circlaw import Tolerance
 from circlaw.brownian import bm_law
-from circlaw.cli import LAWS, RunConfig, _build_parser, _csv_grid, main
+from circlaw.cli import LAWS, _build_parser, _check, _csv_grid, main
 from circlaw.fractional import (
     space_fractional_law,
     space_time_fractional_cdf,
@@ -182,6 +182,13 @@ class TestCurveCommands:
         rows = parse_csv(out)
         assert np.array_equal(rows[:, 1], odd_circle_density_wrapped(1, rows[:, 0], 1.0))
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_odd_density_ends_agree(self, capsys, n):
+        # theta = 2 pi is theta = 0 on the circle: the rows must be equal
+        code, out, _ = run(capsys, "density", "--law", "odd", "--n", n, "--t", "1", "--grid", "8")
+        rows = parse_csv(out)
+        assert code == 0 and rows[-1, 1] == rows[0, 1]
+
     def test_higher_odd_order_rows_are_certified(self, capsys):
         # every shell value comes from the certified contour kernel: no
         # quadrature warning, and the rows are the wrapped route's values
@@ -227,8 +234,8 @@ class TestCurveCommands:
         assert code == 2 and err.startswith("invalid-parameters:")
 
     def test_grid_ceiling_is_inclusive(self):
-        # checked on the config alone: a 2^20-row run would build ~35 MB
-        RunConfig("density", law="bm", t=1.0, grid_points=2**20).check()
+        # checked on the parsed arguments alone: a 2^20-row run would build ~35 MB
+        _check(_build_parser().parse_args(["density", "--law", "bm", "--t", "1", "--grid", str(2**20)]))
 
     def test_unknown_law_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

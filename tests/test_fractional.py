@@ -12,13 +12,11 @@ from scipy import special as sp
 from circlaw import ConvergenceError, DomainError, SlowDecayWarning, Tolerance
 from circlaw.brownian import bm_law
 from circlaw.fractional import (
-    space_fractional_density,
     space_fractional_half_closed,
     space_fractional_law,
     space_time_fractional_cdf,
     space_time_fractional_density,
     time_fractional_law,
-    wrapped_stable_density,
     wrapped_stable_law,
 )
 from circlaw.harmonic import TWO_PI
@@ -104,7 +102,7 @@ class TestSpaceFractional:
         th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         gap = np.max(
             np.abs(
-                space_fractional_density(1.0, th, 1.0, tight)
+                space_fractional_law(1.0, 1.0, tight).density(th)
                 - bm_law(1.0, tight).density(th)
             )
         )
@@ -114,7 +112,7 @@ class TestSpaceFractional:
         th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         for t in (0.3, 1.0, 3.0):
             gap = np.max(
-                np.abs(space_fractional_density(0.5, th, t) - space_fractional_half_closed(th, t))
+                np.abs(space_fractional_law(0.5, t).density(th) - space_fractional_half_closed(th, t))
             )
             assert gap < 1e-10
 
@@ -130,14 +128,14 @@ class TestSpaceFractional:
         assert space_fractional_half_closed(1.0, t) == even_kernel_density(1.0, t / math.sqrt(2.0))
 
     def test_center_value(self):
-        assert space_fractional_density(0.5, 0.0, 1.0) == pytest.approx(0.46876, abs=1e-5)
+        assert space_fractional_law(0.5, 1.0).density(0.0) == pytest.approx(0.46876, abs=1e-5)
         assert space_fractional_half_closed(0.0, 1.0) == pytest.approx(
             0.4687602808, abs=1e-9
         )
 
     def test_mean_is_uniform_level(self):
         th = np.arange(512) * (TWO_PI / 512)
-        mean = float(np.mean(space_fractional_density(0.7, th, 1.0)))
+        mean = float(np.mean(space_fractional_law(0.7, 1.0).density(th)))
         assert mean == pytest.approx(1.0 / TWO_PI, abs=1e-13)
 
     def test_unit_mass(self):
@@ -153,9 +151,9 @@ class TestSpaceFractional:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            space_fractional_density(1.2, 0.0, 1.0)
+            space_fractional_law(1.2, 1.0)
         with pytest.raises(DomainError):
-            space_fractional_density(0.5, 0.0, -1.0)
+            space_fractional_law(0.5, -1.0)
 
 
 class TestFracLaplacian:
@@ -177,15 +175,15 @@ class TestWrappedStable:
     def test_geometric_value(self):
         # beta=1/2, t=1, theta=0: plain geometric series
         want = (1.0 + math.exp(-1.0)) / (TWO_PI * (1.0 - math.exp(-1.0)))
-        assert wrapped_stable_density(0.5, 0.0, 1.0) == pytest.approx(want, abs=1e-10)
-        assert wrapped_stable_density(0.5, 0.0, 1.0) == pytest.approx(
+        assert wrapped_stable_law(0.5, 1.0).density(0.0) == pytest.approx(want, abs=1e-10)
+        assert wrapped_stable_law(0.5, 1.0).density(0.0) == pytest.approx(
             0.3444038824, abs=1e-9
         )
 
     def test_beta_one_matches_even_order_series(self):
         th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         gap = np.max(
-            np.abs(wrapped_stable_density(1.0, th, 0.8) - even_circle_law(1, 0.8).density(th))
+            np.abs(wrapped_stable_law(1.0, 0.8).density(th) - even_circle_law(1, 0.8).density(th))
         )
         assert gap < 1e-12
 
@@ -195,8 +193,8 @@ class TestWrappedStable:
         t = 1.3
         gap = np.max(
             np.abs(
-                wrapped_stable_density(beta, th, t)
-                - space_fractional_density(beta, th, (2.0**beta) * t)
+                wrapped_stable_law(beta, t).density(th)
+                - space_fractional_law(beta, (2.0**beta) * t).density(th)
             )
         )
         assert gap < 1e-10
@@ -223,7 +221,7 @@ class TestSpaceTimeFractional:
 
     def test_nu_one_delegates(self):
         a = space_time_fractional_density(1.0, 0.7, 1.1, 0.9, TOL6)
-        b = space_fractional_density(0.7, 1.1, 0.9, TOL6)
+        b = space_fractional_law(0.7, 0.9, TOL6).density(1.1)
         assert a == b
 
     def test_beta_one_delegates_to_half_diffusivity(self):

@@ -611,7 +611,8 @@ def test_series_laws_keep_the_uniform_limit():
     assert min_value(2, 1e300) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
 
 
-# every public function of a time t, as a function of t alone
+# every public function of a time t, as a function of t alone; the
+# space_fractional_density and wrapped_stable_density keys are their law's density
 _TIME_BUILDERS = {
     "bm_law": lambda t: circlaw.bm_law(t),
     "bm_density_wrapped": lambda t: circlaw.bm_density_wrapped(1.0, t),
@@ -621,10 +622,10 @@ _TIME_BUILDERS = {
     "von_mises_matched_kappa": lambda t: circlaw.von_mises_matched_kappa(t),
     "time_fractional_law": lambda t: circlaw.time_fractional_law(2, 0.5, t),
     "space_fractional_law": lambda t: circlaw.space_fractional_law(0.5, t),
-    "space_fractional_density": lambda t: circlaw.space_fractional_density(0.5, 1.0, t),
+    "space_fractional_density": lambda t: circlaw.space_fractional_law(0.5, t).density(1.0),
     "space_fractional_half_closed": lambda t: circlaw.space_fractional_half_closed(1.0, t),
     "wrapped_stable_law": lambda t: circlaw.wrapped_stable_law(0.5, t),
-    "wrapped_stable_density": lambda t: circlaw.wrapped_stable_density(0.5, 1.0, t),
+    "wrapped_stable_density": lambda t: circlaw.wrapped_stable_law(0.5, t).density(1.0),
     "space_time_fractional_density":
         lambda t: circlaw.space_time_fractional_density(0.5, 0.7, 1.0, t),
     "space_time_fractional_cdf": lambda t: circlaw.space_time_fractional_cdf(0.5, 0.5, 1.0, t),

@@ -63,7 +63,21 @@ UNUSED_EXPORTS_KEPT = {
     "von_mises_density": "the abstract's Von Mises comparison, until its validate row lands",
     "von_mises_density_series": "the Von Mises comparison's second route, until its row lands",
     "von_mises_matched_kappa": "the Von Mises comparison's moment match, until its row lands",
+    "sample": "the rejection sampler the benchmark's sampling workload draws from (ROADMAP item 6)",
 }
+
+
+def test_package_surface_is_the_module_exports():
+    # __init__ only star-imports each module's __all__: a name bound there
+    # would be a second declaration of the surface
+    others = []
+    for node in parse(Path(circlaw.__file__)).body:
+        docstring = isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        star = isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+        version = isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__version__"]
+        if not (docstring or star or version):
+            others.append(node.lineno)
+    assert others == [], f"__init__ binds names at lines {others}"
 
 
 def _uses(path):
@@ -79,7 +93,7 @@ def _uses(path):
     return used
 
 
-# cli's exports are the console entry point (circlaw.cli:main) and its config
+# cli's export is the console entry point (circlaw.cli:main)
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.stem not in ("__init__", "cli")], ids=lambda p: p.stem
 )
