@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_t
 from .harmonic import TWO_PI, HarmonicLaw, certified_cutoff, cosine_law, exp_power_tail
@@ -101,8 +100,11 @@ def von_mises_density(theta, kappa):
     """Exponential form e^{kappa cos theta}/(2 pi I_0(kappa)).
 
     Evaluated as e^{kappa(cos theta - 1)}/(2 pi i0e(kappa)) so large
-    kappa never overflows.
+    kappa never overflows. The Von Mises functions have no CLI or validate
+    surface, so each loads scipy.special inside the call.
     """
+    from scipy import special as sp
+
     _check_kappa(kappa)
     th = np.asarray(theta, dtype=float)
     _check_finite(th, "theta")
@@ -117,6 +119,8 @@ def von_mises_density_series(theta, kappa, tol=DEFAULT_TOL):
     and falls in k (Amos, Math. Comp. 28 (1974)), so the dropped tail
     sum_{j>K} r_j/pi is at most r_K rho_K / (pi (1 - rho_K)).
     """
+    from scipy import special as sp
+
     _check_kappa(kappa)
     i0 = sp.ive(0, kappa)
 
@@ -148,6 +152,8 @@ def von_mises_matched_kappa(t):
     about 0.32 t^3 against 50-digit roots, is below 2.1e-14 of kappa there.
     A t whose kappa would pass the largest double is refused.
     """
+    from scipy import special as sp
+
     _check_t(t)
     if t < _KAPPA_SMALL_T:
         kappa = 1.0 / t + 0.5 + t * (5.0 / 24.0 + 3.0 * t / 16.0)
@@ -214,8 +220,14 @@ def bm_maxdist_cdf(theta, t):
     if images is None:
         return 0.0  # the survival probability is below (4/pi) e^{-pi^2/(8 u^2)} < 1e-23
     u, sign, lo, hi = images
-    terms = 2.0 * sign * (sp.ndtr(hi) - sp.ndtr(lo))  # +-r images are equal by symmetry
-    total = np.cumsum([sp.ndtr(u) - sp.ndtr(-u), *terms])[-1]
+    # Phi(b) - Phi(a) = (erfc(a/sqrt 2) - erfc(b/sqrt 2))/2 for 0 < a < b, with
+    # no cancellation near 1; the +-r images are equal by symmetry
+    r2 = math.sqrt(2.0)
+    terms = [
+        s * (math.erfc(a / r2) - math.erfc(b / r2))
+        for s, a, b in zip(sign.tolist(), lo.tolist(), hi.tolist())
+    ]
+    total = np.cumsum([math.erf(u / r2), *terms])[-1]
     return float(min(max(total, 0.0), 1.0))
 
 

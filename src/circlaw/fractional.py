@@ -14,13 +14,12 @@ import math
 import warnings
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ConvergenceError, SlowDecayWarning, _check_n, _check_t, _check_unit
 from .harmonic import cosine_law, scaled_powers
 from .kernels import _poisson_kernel
 from .pseudo import even_circle_law
-from .special import DEFAULT_TOL, mittag_leffler_many
+from .special import DEFAULT_TOL, _upper_gamma, mittag_leffler_many
 
 __all__ = [
     "time_fractional_law",
@@ -63,8 +62,8 @@ def _stretched_tail(c, p, K):
     # sum_{k>K} e^{-c k^p} <= int_K^inf e^{-c x^p} dx, integrand decreasing
     s = 1.0 / p
     try:
-        return s * c ** (-s) * sp.gamma(s) * sp.gammaincc(s, c * K**p)
-    except OverflowError:  # c^{-s} > 1e308: at every K, c (K+1)^p < 1 and nothing certifies
+        return s * c ** (-s) * _upper_gamma(s, c * K**p)
+    except OverflowError:  # c^{-s} or Gamma(s) (beta < 0.003) past the largest double: refused
         return math.inf
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy loads it lazily; here it loads at import, not in a job)
 
 from .errors import ConvergenceError, DomainError, SignedLawError, _check_count, _check_finite
 from .special import _EPS, MAX_TERMS, Tolerance

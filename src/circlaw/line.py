@@ -7,14 +7,14 @@ d/dt u = c (d/dx)^p u with p = 2n (c = (-1)^{n+1}) or p = 2n+1
 
 G generalized gamma with shape p and rate t, and the rotation pair
 (a, b) = (cos phi_p, sin phi_p), phi_p = pi/(2p) at odd p and 0 at
-even p. line_density_gamma evaluates it for every order, but at odd p
-and x < 0 the factor e^{b|x|G} grows against the tail and the
-quadrature cancels, so it serves as a paper formula and test oracle
-where it is well conditioned. The routes the circular laws use are
-line_density_even, the cosine transform of exp(-xi^{2n} t), and
-line_density_odd: the Airy closed form (with its far-field expansion)
-at p = 3. Every other order, even p >= 2 and odd p >= 5, goes through
-one vectorized, cancellation-free contour quadrature with a certified
+even p. At odd p and x < 0 the factor e^{b|x|G} grows against the tail
+and a quadrature of it cancels, so the tests keep it as a paper formula
+and an oracle where it is well conditioned. The routes the circular laws
+use are line_density_even, the cosine transform of exp(-xi^{2n} t), and
+line_density_odd: the Airy closed form at p = 3 (Maclaurin series,
+Gauss-Laguerre quadrature and the far-field expansion). Every other
+order, even p >= 2 and odd p >= 5, goes through one vectorized,
+cancellation-free contour quadrature with a certified
 error (_contour_density). _line_bound bounds |u_p| at even p in closed
 form, and _shell_count proves from it the shell count of both wrapped
 sums (the wrapped Gaussian and the even wrapped route). _image_sum is
@@ -28,19 +28,16 @@ for bit.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sps
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_n, _check_t
 from .harmonic import TWO_PI, certified_cutoff
-from .special import _EPS, DEFAULT_TOL, Tolerance
+from .special import _EPS, _TINY, DEFAULT_TOL, Tolerance
 
 __all__ = [
     "line_density_even",
-    "line_density_gamma",
     "line_density_odd",
     "line_density_third",
     "skew_cauchy_density",
@@ -50,11 +47,15 @@ __all__ = [
 # (~2.5e-14 at n = 1), so a near-delta value could miss the default tolerance
 _T_FLOOR = 1e-6
 # largest exponent budget before float64 loses the damped-oscillation
-# cancellation of the gamma route; it also sets the odd wrapped window at n >= 2
+# cancellation of the generalized-gamma form at odd p and x < 0; it sets the
+# odd wrapped window at n >= 2
 _CANCEL_BUDGET = 35.0
 # a in (0, 1) of the even-order bound _line_bound: about 0.95 of the
 # saddle-point decay rate at p = 4, 6, 8
 _BOUND_A = 0.1
+# largest work array of the contour kernel (points x nodes, or points x
+# ellipses), of the Airy core (points x nodes) and of _image_sum (angles x shells)
+_WORK = 2**14
 
 
 def _rotation(p: int) -> tuple[float, float]:
@@ -63,67 +64,6 @@ def _rotation(p: int) -> tuple[float, float]:
         return 1.0, 0.0
     half_angle = math.pi / (2.0 * p)
     return math.cos(half_angle), math.sin(half_angle)
-
-
-def line_density_gamma(p: int, x: float, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """u_p(x, t) = E[e^{-b x G} sin(a x G)] / (pi x) for any order p >= 2.
-
-    G is generalized gamma with shape p and rate t (density
-    p g^{p-1} t e^{-g^p t}); deterministic quadrature, not Monte Carlo.
-    x = 0 is a removable singularity and returns the limit a E[G] / pi.
-    For odd p and x < 0 the integrand carries the growing factor
-    e^{b|x|g} against the stretched-exponential tail; beyond a
-    peak-exponent budget of _CANCEL_BUDGET the cancellation is
-    unrepresentable in float64 and the call refuses. A quadrature error
-    estimate above the requested epsabs raises ConvergenceError.
-    """
-    if not (p >= 2 and float(p).is_integer()):
-        raise DomainError("p must be an integer >= 2")
-    _check_finite(x)
-    _check_t(t)
-    a, b = _rotation(p)
-    eps = tol.abs_tol * math.pi * abs(x) / 4.0
-    # x = 0, or |x| so small (~1e-313) that eps underflows: u(x) - u(0) = O(x)
-    if eps == 0.0:
-        return a * (math.gamma(1.0 + 1.0 / p) * t ** (-1.0 / p)) / math.pi
-    L = math.log(1.0 / min(eps, 0.5)) + 3.0
-    pts = None
-    # at even p (b = 0) nothing grows, and the integrand is odd in x
-    if x < 0.0 and b > 0.0:
-        y_star = (b * abs(x) / (p * t)) ** (1.0 / (p - 1))
-        peak_exponent = b * abs(x) * y_star * (1.0 - 1.0 / p)
-        if peak_exponent > _CANCEL_BUDGET:
-            raise ConvergenceError(
-                "cancellation budget exceeded at strongly negative x "
-                f"(peak exponent {peak_exponent:.1f} > {_CANCEL_BUDGET:g})"
-            )
-        g_max = max(2.0 * y_star, (4.0 * L / t) ** (1.0 / p))
-        if y_star > 0.0:
-            pts = [y_star]
-    else:
-        g_max = (L / t) ** (1.0 / p) + 1.0
-
-    def f(u):
-        return (
-            math.exp(-b * x * u - (u**p) * t)
-            * math.sin(a * x * u)
-            * p
-            * u ** (p - 1)
-            * t
-        )
-
-    # loaded here, not at import: no other route needs scipy.integrate
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        # the error estimate is enforced below, so quad's warning adds nothing
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, 0.0, g_max, points=pts, epsabs=eps, epsrel=1e-12, limit=400)
-    if err > eps:
-        raise ConvergenceError(
-            f"u_{p}({x:g}, {t:g}): quadrature error {err:.2e} exceeds {eps:.2e}"
-        )
-    return val / (math.pi * x)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +118,7 @@ _AIRY_SWITCH = _bisect(lambda z: _airy_remainder(z) <= 2.0**-53, 1.0, 100.0)
 # double for y >= _AIRY_ZERO (~103.9), so the value there is 0
 _AIRY_ZERO = _bisect(
     lambda y: -2.0 * y**1.5 / 3.0 - math.log(2.0 * math.sqrt(math.pi) * y**0.25)
-    < math.log(np.finfo(float).tiny),
+    < math.log(_TINY),
     1.0,
     200.0,
 )
@@ -193,40 +133,132 @@ def _airy_oscillating(z: np.ndarray) -> np.ndarray:
     in float64, which carries the argument's own conditioning (at most
     about 4 eps zeta of the envelope), as scipy's Airy does.
     """
-    zeta = 2.0 * z * np.sqrt(z) / 3.0
+    # every step but the first of each line works in place: the same
+    # roundings as fresh arrays, without an allocation per step
+    zeta = 2.0 * z
+    zeta *= np.sqrt(z)
+    zeta /= 3.0
     # zeta^2 passes the largest double from zeta = 1.3e154, where r adds nothing
-    r = 1.0 / np.square(np.minimum(zeta, 1e154))
-    big_p = np.full(z.shape, _AIRY_P[-1])
-    big_q = np.full(z.shape, _AIRY_Q[-1])
-    for cp, cq in zip(_AIRY_P[-2::-1], _AIRY_Q[-2::-1]):
-        big_p = big_p * r + cp
-        big_q = big_q * r + cq
+    r = np.minimum(zeta, 1e154)
+    np.divide(1.0, np.square(r, out=r), out=r)
+    big_p, big_q = r * _AIRY_P[-1], r * _AIRY_Q[-1]
+    for cp, cq in zip(_AIRY_P[-2:0:-1], _AIRY_Q[-2:0:-1]):
+        big_p += cp
+        big_p *= r
+        big_q += cq
+        big_q *= r
+    big_p += _AIRY_P[0]
+    big_q += _AIRY_Q[0]
     big_q /= zeta
     c, s = np.cos(zeta), np.sin(zeta)
     # cos(zeta - pi/4) = (c + s)/sqrt(2), sin(zeta - pi/4) = (s - c)/sqrt(2)
-    return ((c + s) * big_p + (s - c) * big_q) / (math.sqrt(2.0 * math.pi) * np.sqrt(np.sqrt(z)))
+    big_p *= c + s
+    s -= c
+    big_q *= s
+    big_p += big_q
+    root = np.sqrt(np.sqrt(z))
+    root *= math.sqrt(2.0 * math.pi)
+    big_p /= root
+    return big_p
+
+
+# Ai(0) and -Ai'(0) (DLMF 9.2.3-4)
+_AI0, _AI1 = 0.35502805388781723926, 0.25881940379280679840
+# |y| <= _AIRY_NEAR takes the Maclaurin series, whose first term left out
+# (k = _AIRY_MACLAURIN in either of its two sums) is below 1e-18 there
+_AIRY_NEAR, _AIRY_MACLAURIN = 3.0, 16
+# nodes of the Gauss-Laguerre rule beyond it
+_AIRY_NODES = 20
+
+
+def _airy_maclaurin():
+    """Exponents j and coefficients d_j of Ai(y) = sum_j d_j y^j, DLMF 9.4.1
+    cut at k < _AIRY_MACLAURIN: d_{3k} = Ai(0) 3^k (1/3)_k / (3k)! and
+    d_{3k+1} = Ai'(0) 3^k (2/3)_k / (3k+1)!, each from the one before."""
+    d = [_AI0, -_AI1]
+    for k in range(1, _AIRY_MACLAURIN):
+        d += [d[-2] / ((3 * k - 1) * 3 * k), d[-1] / (3 * k * (3 * k + 1))]
+    j = np.arange(3.0 * _AIRY_MACLAURIN)
+    return j[j % 3 < 2], np.array(d)
+
+
+def _airy_rule():
+    """Nodes tau = 3T/4 and weights of the Ai quadrature beyond the Maclaurin disc.
+
+    With v = x^{3/2} and zeta = 2v/3, Ai(x) = (1/pi) sqrt(x/3) K_{1/3}(zeta)
+    (DLMF 9.6.1) and DLMF 10.32.8 with t = 1 + s/zeta give
+    Ai(x) = e^{-zeta} / (2 sqrt(pi)) E[(v + 3T/4)^{-1/6}], T with density
+    s^{-1/6} e^{-s} / Gamma(5/6) (Gil, Segura & Temme, Numer. Algorithms 30
+    (2002)). E is the _AIRY_NODES-point generalized Gauss-Laguerre rule
+    (alpha = -1/6) by Golub-Welsch: the nodes are the eigenvalues of the
+    Jacobi matrix (diagonal 2k + alpha + 1, off-diagonal sqrt(k (k + alpha)))
+    and the weights the squared first components of its eigenvectors,
+    which sum to 1. The weights carry the factor 1/sqrt(pi).
+    """
+    alpha = -1.0 / 6.0
+    k = np.arange(1.0, _AIRY_NODES)
+    diagonal = 2.0 * np.arange(_AIRY_NODES) + alpha + 1.0
+    jacobi = np.diag(diagonal) + np.diag(np.sqrt(k * (k + alpha)), 1)
+    nodes, vectors = np.linalg.eigh(jacobi, UPLO="U")
+    return 0.75 * nodes, vectors[0] ** 2 / math.sqrt(math.pi)
+
+
+_AIRY_POWERS, _AIRY_COEFFS = _airy_maclaurin()
+_AIRY_TAU, _AIRY_WEIGHTS = _airy_rule()
+_AIRY_TAU2, _AIRY_HALF_WEIGHTS = _AIRY_TAU**2, _AIRY_WEIGHTS / 2.0
+
+
+def _airy_core(y: np.ndarray) -> np.ndarray:
+    """Ai(y) for -_AIRY_SWITCH < y < _AIRY_ZERO, a flat array.
+
+    |y| <= 3 takes the Maclaurin series (_airy_maclaurin), y > 3 the
+    quadrature of _airy_rule, and y = -x < -3 the same quadrature through
+    Ai(-x) = 2 Re[e^{i pi/3} Ai(x e^{i pi/3})] (DLMF 9.2.11), where
+    zeta = 2iv/3: Ai(-x) = E[|tau + iv|^{-1/6} cos(pi/3 - 2v/3 - arg(tau + iv)/6)]
+    / sqrt(pi). Every value is a row reduction of its own, so it does not
+    depend on the other entries. Against 30-digit values the largest
+    absolute error over the core is 1.4e-15 (scipy's Airy: 7.1e-15).
+    """
+    out = np.empty(y.size)
+    near = np.abs(y) <= _AIRY_NEAR
+    out[near] = (y[near][:, None] ** _AIRY_POWERS * _AIRY_COEFFS).sum(axis=1)
+    up = y > _AIRY_NEAR
+    v = y[up] ** 1.5
+    quad = ((v[:, None] + _AIRY_TAU) ** (-1.0 / 6.0) * _AIRY_HALF_WEIGHTS).sum(axis=1)
+    out[up] = np.exp(v * (-2.0 / 3.0)) * quad
+    down = y < -_AIRY_NEAR
+    v = (-y[down]) ** 1.5
+    phase = (math.pi / 3.0 - v * (2.0 / 3.0))[:, None]
+    phase = np.arctan2(v[:, None], _AIRY_TAU) * (-1.0 / 6.0) + phase
+    terms = (v[:, None] ** 2 + _AIRY_TAU2) ** (-1.0 / 12.0) * np.cos(phase)
+    out[down] = (terms * _AIRY_WEIGHTS).sum(axis=1)
+    return out
 
 
 def line_density_third(x, t: float):
     """Third-order solution (3t)^(-1/3) Ai(x (3t)^(-1/3)); scalar or array x.
 
-    scipy's Airy serves the core -_AIRY_SWITCH < y < _AIRY_ZERO of the
-    scaled argument y; the oscillating side y <= -_AIRY_SWITCH takes the
-    expansion of _airy_oscillating, and y >= _AIRY_ZERO, where Ai is
-    below the smallest normal double, returns 0.
+    The core -_AIRY_SWITCH < y < _AIRY_ZERO of the scaled argument y takes
+    _airy_core, in blocks of at most _WORK entries (points x nodes); the
+    oscillating side y <= -_AIRY_SWITCH takes the expansion of
+    _airy_oscillating, and y >= _AIRY_ZERO, where Ai is below the smallest
+    normal double, returns 0.
     """
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_finite(x)
     _check_t(t)
     scale = (3.0 * t) ** (-1.0 / 3.0)
-    y = x * scale
-    out = np.zeros(y.shape)
+    y = x.ravel() * scale
+    out = np.zeros(y.size)
     far = y <= -_AIRY_SWITCH
-    core = ~far & (y < _AIRY_ZERO)
     out[far] = _airy_oscillating(-y[far])
-    out[core] = sps.airy(y[core])[0]
-    out *= scale
+    core = np.flatnonzero(~far & (y < _AIRY_ZERO))
+    step = _WORK // _AIRY_NODES
+    for i in range(0, core.size, step):
+        part = core[i : i + step]
+        out[part] = _airy_core(y[part])
+    out = out.reshape(x.shape) * scale
     return float(out[0]) if scalar else out
 
 
@@ -238,10 +270,6 @@ def line_density_third(x, t: float):
 _GL_SIZES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
 # Bernstein-ellipse parameters over which each bound is minimized
 _RHO = 1.0 + np.geomspace(1e-3, 30.0, 40)
-# largest work array of the kernel (points x nodes, or points x ellipses)
-# and of _image_sum (angles x shells)
-_WORK = 2**14
-_TINY = float(np.finfo(float).tiny)
 # factor on the contour kernel's rounding term eps (1 + 2/(e sin psi)) J:
 # the worst measured rounding was 0.68 of the unit term (p = 5, X = -60),
 # at most 0.09 of it at p = 4, 6 (0 <= X <= 400; 30-digit references)
@@ -284,6 +312,15 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     v.setflags(write=False)
     w.setflags(write=False)
     return v, w
+
+
+@lru_cache(maxsize=None)
+def _gamma_column(p: int) -> np.ndarray:
+    """Gamma(1 + 1/k) for k = 1..p as a read-only column, for the contour
+    kernel's rounding charge."""
+    col = np.array([[math.gamma(1.0 + 1.0 / k)] for k in range(1, p + 1)])
+    col.setflags(write=False)
+    return col
 
 
 def _rule_sizes(length, log_m, log_target) -> np.ndarray:
@@ -378,7 +415,7 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
         # and g e^{-g} <= (2/e) e^{-g/2}, so the ray's phase range weighted by
         # the modulus, int e^{-g} (1 + |f|) ds, is at most (1 + 2/(e sin psi)) J
         # with J = min_k int e^{-slope_k s^k / 2} ds; e^{i f0} adds eps |f0| J
-        J = np.min(sps.gamma(1.0 + 1.0 / ks) * (2.0 / slope) ** (1.0 / ks), axis=0)
+        J = np.min(_gamma_column(p) * (2.0 / slope) ** (1.0 / ks), axis=0)
         f0 = X * xi0 + a * xi0**p
         weight = _ROUNDING * (1.0 + 2.0 / (math.e * math.sin(psi))) + np.abs(f0)
         rounding = _EPS * weight * J

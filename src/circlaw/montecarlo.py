@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; here it loads at import, not in a job)
 
 from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _check_unit
 from .harmonic import TWO_PI

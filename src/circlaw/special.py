@@ -4,9 +4,13 @@ Tolerance, the accuracy request every law takes, and the Mittag-Leffler
 function E_nu on its completely monotone branch behind the
 time-fractional laws, for whole coefficient arrays: a vectorized
 asymptotic sum deep in the tail and one certified trapezoid sum on a
-Bromwich parabola everywhere else. The line solutions take Ai from
-scipy.special and inline the generalized gamma density they integrate
-against.
+Bromwich parabola everywhere else. Two scalar gamma functions serve the
+laws: _rgamma (1/Gamma, the asymptotic sum's coefficients) and
+_upper_gamma (Gamma(s, x), the stretched-exponential tail of the
+space-fractional and wrapped stable laws). Both are built on math.gamma;
+line evaluates Ai itself (Maclaurin series, Gauss-Laguerre quadrature
+and the oscillating expansion). No module imports scipy at import time:
+only the Von Mises functions load scipy.special, inside the call.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import ConvergenceError, DomainError, _check_unit
 
@@ -26,6 +29,8 @@ MAX_TERMS = 10**6
 # the double machine epsilon of every rounding certificate, here and in
 # harmonic and line
 _EPS = float(np.finfo(float).eps)
+# the smallest normal double, here and in line
+_TINY = float(np.finfo(float).tiny)
 
 __all__ = [
     "Tolerance",
@@ -47,6 +52,71 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+# ---------------------------------------------------------------------------
+# gamma functions of one float
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x) by scipy.special.rgamma's conventions: 0 at the poles
+    x = 0, -1, -2, ... and past x ~ 171.6, where Gamma overflows, and
+    +-inf where 1/Gamma passes the largest double (Gamma(-180.3) is -0.0 in
+    float64, and a plain 1/math.gamma would divide by zero there)."""
+    try:
+        g = math.gamma(x)
+    except (ValueError, OverflowError):  # a pole, or Gamma past the largest double
+        return 0.0
+    return 1.0 / g if g else math.copysign(math.inf, g)
+
+
+def _power_exp(s: float, x: float) -> float:
+    """x^s e^{-x}, in logs only where x^s alone passes the largest double."""
+    try:
+        return x**s * math.exp(-x)
+    except OverflowError:
+        return math.exp(s * math.log(x) - x)
+
+
+def _upper_gamma(s: float, x: float) -> float:
+    """Gamma(s, x) = int_x^inf u^{s-1} e^{-u} du for s > 0 and x >= 0.
+
+    Below x = s + 1 it is Gamma(s) - gamma(s, x) with the series
+    gamma(s, x) = x^s e^{-x} sum_n x^n / (s (s+1) ... (s+n)), whose terms
+    fall from the first; for s >= 1/2 (every s = 1/(2 beta) of the laws)
+    Gamma(s, x) >= 0.08 Gamma(s) there, so the difference loses at most a
+    factor 12. From s + 1 on it is
+    x^s e^{-x} / (x + 1 - s - 1 (1 - s)/(x + 3 - s - 2 (2 - s)/(x + 5 - s - ...))),
+    Legendre's continued fraction, by the modified Lentz method (Numerical
+    Recipes, 3rd ed., 6.2). Within 5e-15 relative of 40-digit values over
+    s in [0.5, 10], x in [1e-3, 500]. A Gamma(s) past the largest double
+    raises OverflowError.
+    """
+    if x == math.inf:
+        return 0.0
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        a = s
+        while term > total * _EPS:
+            a += 1.0
+            term *= x / a
+            total += term
+        return math.gamma(s) - _power_exp(s, x) * total
+    b = x + 1.0 - s
+    c, d = 1.0 / _TINY, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        c = b + an / c
+        d = 1.0 / (d if d else _TINY)
+        c = c if c else _TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return _power_exp(s, x) * h
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +147,7 @@ def _ml_asymptotic_many(nu: float, y: np.ndarray, tol_abs: float):
     """Asymptotic sum_{j>=1} (-1)^{j+1} y^{-j} / Gamma(1 - nu j), vectorized.
 
     Terms whose Gamma sits at a pole are exactly zero and must be skipped,
-    not treated as convergence (rgamma returns 0 there). Each entry stops
+    not treated as convergence (_rgamma returns 0 there). Each entry stops
     at its smallest term; the estimate below that is unreliable closer in
     than y ~ 50, which callers must enforce. Blocks of _ML_BLOCK entries
     take the first term together, and later rounds run only over the
@@ -88,7 +158,7 @@ def _ml_asymptotic_many(nu: float, y: np.ndarray, tol_abs: float):
     for lo in range(0, y.size, _ML_BLOCK):
         inv = 1.0 / y[lo : lo + _ML_BLOCK]
         val, bound = out[lo : lo + inv.size], err[lo : lo + inv.size]
-        np.multiply(inv, rgamma(1.0 - nu), out=val)  # Gamma(1 - nu) > 0: never -0.0
+        np.multiply(inv, _rgamma(1.0 - nu), out=val)  # Gamma(1 - nu) > 0: never -0.0
         np.abs(val, out=bound)
         nonzero = bound > 0.0
         live = np.flatnonzero(~(nonzero & (bound < tol_abs * 1e-2)))
@@ -99,7 +169,7 @@ def _ml_asymptotic_many(nu: float, y: np.ndarray, tol_abs: float):
         for j in range(2, 201):
             if not live.size:
                 break
-            term = powj * rgamma(1.0 - nu * j) * (1.0 if j % 2 else -1.0)
+            term = powj * _rgamma(1.0 - nu * j) * (1.0 if j % 2 else -1.0)
             mag = np.abs(term)
             nonzero = mag > 0.0
             # freeze an entry BEFORE adding the first growing term

@@ -57,7 +57,7 @@ MEASURED = {
     "8b": 5.551115123125783e-17,
     "8c": 3.469446951953614e-15,
     "9a": 2.156630724279105,
-    "9b": 1.1441636527109722e-09,
+    "9b": 1.1461065430040662e-09,
     "9c": 0.0,
     "10a": 2.220446049250313e-16,
     "10b": 0.0,

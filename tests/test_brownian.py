@@ -349,10 +349,10 @@ PINNED = {
     (bm_quadrant_prob, (1.0,)): 0.8837724827278828,
     (bm_quadrant_prob, (50.0,)): 0.5000000000088414,
     (bm_quadrant_prob, (200.0,)): 0.5,
-    (bm_maxdist_cdf, (1.0, 1.0)): 0.3707774297995239,
-    (bm_maxdist_cdf, (2.0, 0.5)): 0.9906445300379056,
+    (bm_maxdist_cdf, (1.0, 1.0)): 0.3707774297995238,
+    (bm_maxdist_cdf, (2.0, 0.5)): 0.9906445300379054,
     (bm_maxdist_cdf, (math.pi, 0.01)): 1.0,
-    (bm_maxdist_cdf, (0.5, 3.0)): 4.736287131379413e-07,
+    (bm_maxdist_cdf, (0.5, 3.0)): 4.73628713863406e-07,
     (bm_maxdist_cdf, (0.3, 0.01)): 0.9946004078734796,
     (bm_first_passage_density, (1.0, 1.0)): 0.45736522563392,
     (bm_first_passage_density, (0.5, 0.2)): 2.3391765372658018,

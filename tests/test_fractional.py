@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from circlaw import ConvergenceError, DomainError, SlowDecayWarning, Tolerance
+from circlaw import ConvergenceError, DomainError, SlowDecayWarning, Tolerance, fractional
 from circlaw.brownian import bm_law
 from circlaw.fractional import (
     space_fractional_half_closed,
@@ -210,6 +210,33 @@ class TestWrappedStable:
 
     def test_unit_mass(self):
         assert wrapped_stable_law(0.6, 1.0).cdf(TWO_PI) == pytest.approx(1.0, abs=1e-12)
+
+
+def _scipy_stretched_tail(c, p, K):
+    # the stretched tail as scipy gives it: s c^{-s} Gamma(s) Q(s, c K^p)
+    s = 1.0 / p
+    try:
+        return s * c ** (-s) * sp.gamma(s) * sp.gammaincc(s, c * K**p)
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("build", [space_fractional_law, wrapped_stable_law])
+def test_stretched_tail_cutoffs_match_scipy(build, monkeypatch):
+    # beta and t over the benchmark's ranges, three tolerances: the same K,
+    # and tail bounds within 1e-12 relative of scipy's Gamma(s) Q(s, x)
+    grid = [
+        (beta, t, Tolerance(abs_tol=tol))
+        for beta in (0.22, 0.25, 0.35, 0.5, 0.6, 0.75, 0.9, 1.0)
+        for t in (0.3, 0.5, 1.0, 2.0)
+        for tol in (1e-6, 1e-10, 1e-12)
+    ]
+    ours = [build(*args) for args in grid]
+    monkeypatch.setattr(fractional, "_stretched_tail", _scipy_stretched_tail)
+    for args, law in zip(grid, ours):
+        scipy_law = build(*args)
+        assert law.n_terms == scipy_law.n_terms, args
+        assert law.tail_bound == pytest.approx(scipy_law.tail_bound, rel=1e-12, abs=0.0), args
 
 
 class TestSpaceTimeFractional:

@@ -31,13 +31,13 @@ from circlaw.line import (
     _bisect,
     _rotation,
     line_density_even,
-    line_density_gamma,
     line_density_odd,
     line_density_third,
     skew_cauchy_density,
 )
 from circlaw.pseudo import _budget_shells
 from circlaw.special import DEFAULT_TOL, Tolerance
+from oracles import line_density_gamma
 
 
 def gaussian_kernel(x, t):
@@ -277,10 +277,38 @@ class TestLineDensityThird:
         for x in (x0 * (1.0 + 1e-9), np.nextafter(x0, -20.0), x0, np.nextafter(x0, 0.0), x0 * (1.0 - 1e-9)):
             target = s * float(mp.airyai(mp.mpf(x * s)))
             assert line_density_third(x, 1.0) == pytest.approx(target, abs=1e-15)
-        # past the underflow point the value is 0, as scipy's is below tiny
-        y0 = circlaw.line._AIRY_ZERO
-        assert line_density_third(y0 / s, 1.0) == 0.0
-        assert 0.0 < sps.airy(0.99 * y0)[0] and sps.airy(y0)[0] < np.finfo(float).tiny
+        # from the underflow point on the value is 0; the core meets it with
+        # values below tiny, as scipy's Airy does
+        y0, tiny = circlaw.line._AIRY_ZERO, np.finfo(float).tiny
+        x0 = y0 / s if (y0 / s) * s >= y0 else np.nextafter(y0 / s, math.inf)
+        assert line_density_third(x0, 1.0) == 0.0
+        assert 0.0 < circlaw.line._airy_core(np.array([np.nextafter(y0, 0.0)]))[0] < tiny
+        assert 0.0 < sps.airy(0.99 * y0)[0] and sps.airy(y0)[0] < tiny
+
+    def test_core_against_mpmath(self):
+        # the Maclaurin series (|y| <= 3) and the Gauss-Laguerre quadrature
+        # beyond it, over the whole core, against 30-digit values
+        lo, hi = -circlaw.line._AIRY_SWITCH, circlaw.line._AIRY_ZERO
+        y = np.concatenate([np.linspace(lo, hi, 2401)[1:-1], np.linspace(-3.5, 3.5, 701)])
+        with mp.workdps(30):
+            target = np.array([float(mp.airyai(v)) for v in y.tolist()])
+        assert np.max(np.abs(circlaw.line._airy_core(y) - target)) <= 5e-15
+
+    @pytest.mark.parametrize("edge", [-3.0, 3.0])
+    def test_core_is_continuous_across_the_series_switch(self, edge):
+        # the last series point and the first quadrature point each meet the
+        # 30-digit value, so the switch leaves no step above 5e-15
+        y = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0 * edge)])
+        vals = circlaw.line._airy_core(y)
+        with mp.workdps(30):
+            target = [float(mp.airyai(v)) for v in y.tolist()]
+        assert np.max(np.abs(vals - target)) <= 5e-15
+        assert abs(vals[2] - vals[1]) <= 5e-15
+
+    def test_core_values_do_not_depend_on_the_batch(self):
+        # each value is a row reduction of its own: a grid equals its scalar calls
+        x = np.linspace(-20.0, 80.0, 257)
+        assert line_density_third(x, 0.7).tolist() == [line_density_third(float(v), 0.7) for v in x]
 
     def test_signs(self):
         assert line_density_third(5.0, 1.0) > 0.0
@@ -611,8 +639,7 @@ def test_series_laws_keep_the_uniform_limit():
     assert min_value(2, 1e300) == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-15)
 
 
-# every public function of a time t, as a function of t alone; the
-# space_fractional_density and wrapped_stable_density keys are their law's density
+# every public function of a time t, as a function of t alone
 _TIME_BUILDERS = {
     "bm_law": lambda t: circlaw.bm_law(t),
     "bm_density_wrapped": lambda t: circlaw.bm_density_wrapped(1.0, t),
@@ -622,10 +649,8 @@ _TIME_BUILDERS = {
     "von_mises_matched_kappa": lambda t: circlaw.von_mises_matched_kappa(t),
     "time_fractional_law": lambda t: circlaw.time_fractional_law(2, 0.5, t),
     "space_fractional_law": lambda t: circlaw.space_fractional_law(0.5, t),
-    "space_fractional_density": lambda t: circlaw.space_fractional_law(0.5, t).density(1.0),
     "space_fractional_half_closed": lambda t: circlaw.space_fractional_half_closed(1.0, t),
     "wrapped_stable_law": lambda t: circlaw.wrapped_stable_law(0.5, t),
-    "wrapped_stable_density": lambda t: circlaw.wrapped_stable_law(0.5, t).density(1.0),
     "space_time_fractional_density":
         lambda t: circlaw.space_time_fractional_density(0.5, 0.7, 1.0, t),
     "space_time_fractional_cdf": lambda t: circlaw.space_time_fractional_cdf(0.5, 0.5, 1.0, t),

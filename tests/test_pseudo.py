@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 
 import circlaw
 from circlaw import ConvergenceError, DomainError, SignedLawError
+from circlaw.cli import LAWS
 from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
 from circlaw.line import _centred, _line_bound, _shell_count, line_density_even
 from circlaw.pseudo import (
@@ -673,3 +674,36 @@ class TestImportSideEffects:
             f"print(codes, [m for m in {HEAVY_SCIPY!r} if m in sys.modules])"
         )
         assert fresh_import(code) == "[0, 0, 0] []"
+
+    def test_import_loads_no_scipy(self):
+        # scipy.special alone used to be ~0.3 s of every fresh process
+        code = "import sys, circlaw; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        assert fresh_import(code) == "[]"
+
+    def test_commands_load_no_scipy(self):
+        # density and cdf of every law (the odd one at n = 1 and 2), positivity
+        # and the full validate; a command may refuse, but loads no scipy either way
+        extra = {"timefrac": " --n 2 --nu 0.7", "spacefrac": " --beta 0.6", "wrappedstable": " --beta 0.6",
+                 "spacetimefrac": " --nu 0.7 --beta 0.95 --tol 1e-3"}
+        calls = [f"{cmd} --law {law} --t 1 --grid 8{extra.get(law, '')}"
+                 for law in LAWS for cmd in ("density", "cdf")]
+        calls += ["density --law odd --n 2 --t 1 --grid 8", "positivity --n 2", "validate"]
+        code = (
+            "import contextlib, io, sys\n"
+            "from circlaw.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    codes = [main(a.split()) for a in {calls!r}]\n"
+            f"print([(a, c) for a, c in zip({calls!r}, codes) if c],\n"
+            "      [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        # every call answers but cdf --law odd, which is refused (exit code 3)
+        assert fresh_import(code) == "[('cdf --law odd --t 1 --grid 8', 3)] []"
+
+    def test_von_mises_is_what_loads_scipy_special(self):
+        code = (
+            "import sys, circlaw\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "circlaw.von_mises_density(1.0, 2.0)\n"
+            "print(before, 'scipy.special' in sys.modules)"
+        )
+        assert fresh_import(code) == "False True"

@@ -13,20 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import erfcx
+from scipy.special import erfcx, rgamma
 
 from circlaw import (
     ConvergenceError,
     DomainError,
     RngStream,
     Tolerance,
-    line_density_gamma,
     line_density_third,
     mittag_leffler,
     mittag_leffler_many,
     sample_stable_subordinator,
     time_fractional_law,
 )
+from circlaw.special import _rgamma, _upper_gamma
+from oracles import line_density_gamma
 
 
 def airy_ai(x):
@@ -303,6 +304,47 @@ class TestGenGamma:
             line_density_gamma(0, 1.0, 1.0)
         with pytest.raises(DomainError):
             line_density_gamma(3, 1.0, -2.0)
+
+
+class TestGammaHelpers:
+    """special._rgamma and special._upper_gamma against 40-digit values."""
+
+    def test_rgamma_conventions(self):
+        # scipy's rgamma: 0 at the poles and where Gamma overflows, +-inf
+        # where 1/Gamma passes the largest double (Gamma(-180.3) is -0.0)
+        for x in (0.0, -1.0, -7.0, -180.0, -1e300, 172.0, 1e300):
+            assert _rgamma(x) == rgamma(x) == 0.0
+        for x in (-180.3, -181.3, -177.5):
+            assert _rgamma(x) == rgamma(x) and math.isinf(_rgamma(x))
+
+    def test_rgamma_against_mpmath(self):
+        # the arguments 1 - nu j of the Mittag-Leffler asymptotic sum; scipy's
+        # own rgamma is up to ~8 ulp off there too, so the two differ by up
+        # to ~10 ulp and neither is held to the other
+        xs = {float(x) for x in (1.0 - np.outer(np.linspace(0.05, 0.95, 19), np.arange(1, 201))).ravel()}
+        with mp.workdps(40):
+            for x in sorted(xs - {float(round(x)) for x in xs}):
+                exact = 1 / mp.gamma(x)
+                if abs(exact) < 1e300:
+                    assert abs(_rgamma(x) - exact) <= 8 * math.ulp(float(exact)), x
+
+    def test_upper_gamma_against_mpmath(self):
+        # the series below x = s + 1 and the continued fraction above, with
+        # both sides of the switch
+        worst = 0.0
+        with mp.workdps(40):
+            for s in np.linspace(0.5, 10.0, 20).tolist():
+                xs = np.geomspace(1e-3, 500.0, 30).tolist() + [math.nextafter(s + 1.0, 0.0), s + 1.0]
+                for x in xs:
+                    exact = mp.gammainc(s, x)
+                    worst = max(worst, float(abs(_upper_gamma(s, x) - exact) / exact))
+        assert worst <= 1e-13
+
+    def test_upper_gamma_edges(self):
+        assert _upper_gamma(0.7, 0.0) == math.gamma(0.7)
+        assert _upper_gamma(2.0, math.inf) == 0.0
+        # x^s alone passes the largest double; the value underflows to 0
+        assert _upper_gamma(10.0, 1e40) == 0.0
 
 
 class TestTolerance:

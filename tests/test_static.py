@@ -2,8 +2,9 @@
 for runtime checks, no quadrature error estimate is thrown away, no user
 count is truncated by a bare int(), every export list names only what
 its module defines and the package re-exports, every export is used by
-the package beyond its re-export, and every import is the standard
-library, the package itself or a declared dependency."""
+the package beyond its re-export, every import is the standard
+library, the package itself or a declared dependency, and scipy is
+imported only inside function bodies."""
 
 import ast
 import importlib
@@ -59,7 +60,6 @@ def test_exports_are_package_attributes(path):
 
 # exports that no other code of the package uses, each with the reason it stays
 UNUSED_EXPORTS_KEPT = {
-    "line_density_gamma": "the paper's generalized-gamma formula, a test oracle for every order",
     "von_mises_density": "the abstract's Von Mises comparison, until its validate row lands",
     "von_mises_density_series": "the Von Mises comparison's second route, until its row lands",
     "von_mises_matched_kappa": "the Von Mises comparison's moment match, until its row lands",
@@ -183,3 +183,24 @@ def test_term_budget_is_spent_only_by_the_cutoff(path):
         or (isinstance(node, ast.Attribute) and node.attr == "MAX_TERMS")
     ]
     assert lines == [], f"{path.name}: MAX_TERMS at lines {lines}; use harmonic.certified_cutoff"
+
+
+def _module_level_imports(node, in_function=False):
+    """(lineno, top-level package) of every import not inside a function body."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inside = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if not inside and isinstance(child, ast.Import):
+            found += [(child.lineno, alias.name.split(".")[0]) for alias in child.names]
+        elif not inside and isinstance(child, ast.ImportFrom) and child.level == 0:
+            found.append((child.lineno, child.module.split(".")[0]))
+        found += _module_level_imports(child, inside)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_scipy_is_imported_only_inside_functions(path):
+    # importing the package loads no scipy: the few routes that need it
+    # (the Von Mises functions) load it when called
+    lines = [line for line, package in _module_level_imports(parse(path)) if package == "scipy"]
+    assert lines == [], f"{path.name}: scipy imported at module level at lines {lines}"
