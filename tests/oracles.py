@@ -3,12 +3,14 @@
 line_density_gamma is the paper's generalized-gamma representation of
 every line solution, evaluated by scipy.integrate.quad; the package's
 routes (Airy at p = 3, the contour quadrature elsewhere) are checked
-against it where it is well conditioned.
+against it where it is well conditioned. mp_even_line is the even-order
+line solution to 30 digits by mpmath.
 """
 
 import math
 import warnings
 
+import mpmath as mp
 from scipy import integrate
 
 from circlaw import ConvergenceError, DomainError
@@ -73,3 +75,19 @@ def line_density_gamma(p: int, x: float, t: float, tol: Tolerance = DEFAULT_TOL)
             f"u_{p}({x:g}, {t:g}): quadrature error {err:.2e} exceeds {eps:.2e}"
         )
     return val / (math.pi * x)
+
+
+def mp_even_line(p, X):
+    """u_p(X, 1) = (1/2pi) int e^{i X xi - xi^p} dxi by mpmath (30 digits), on the
+    line Im xi = Im xi* through the saddle points xi* = (X/p)^{1/(p-1)} e^{i pi/(2(p-1))}."""
+    with mp.workdps(30):
+        X = mp.mpf(X)
+        if X == 0:
+            return mp.gamma(1 + mp.mpf(1) / p) / mp.pi
+        r = (X / p) ** (mp.mpf(1) / (p - 1))
+        h, s0 = r * mp.sin(mp.pi / (2 * (p - 1))), r * mp.cos(mp.pi / (2 * (p - 1)))
+        # conjugate-symmetric in s, so the real part doubles the half line
+        edge = 2 * s0 + 2
+        pts = [edge * k / 40 for k in range(41)] + [mp.inf]
+        v = mp.quad(lambda s: mp.exp(1j * X * (s + 1j * h) - (s + 1j * h) ** p), pts)
+        return (v / mp.pi).real

@@ -37,7 +37,7 @@ from circlaw.line import (
 )
 from circlaw.pseudo import _budget_shells
 from circlaw.special import DEFAULT_TOL, Tolerance
-from oracles import line_density_gamma
+from oracles import line_density_gamma, mp_even_line
 
 
 def gaussian_kernel(x, t):
@@ -316,6 +316,24 @@ class TestLineDensityThird:
         # oscillation on the negative side: sign changes between Airy zeros
         assert line_density_third(-5.0, 1.0) < 0.0 < line_density_third(-6.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1.0, 1e-10])
+    def test_far_oscillating_side_is_zero_within_the_envelope(self, t):
+        # from z = _AIRY_PHASE on the phase zeta = 2 z^{3/2}/3 passes the
+        # largest double: the value is 0, within the envelope
+        # (|P| + |Q|)/(sqrt(pi) z^{1/4}) with |P| + |Q| < 2 there; just
+        # short of it the expansion answers within the same envelope
+        scale = (3.0 * t) ** (-1.0 / 3.0)
+        edge = circlaw.line._AIRY_PHASE
+        x = np.array([-1e206, -1e300, -1.7e308, -np.nextafter(edge, 0.0) / scale])
+        vals = line_density_third(x, t)
+        assert np.all(vals[:3] == 0.0) and vals[3] != 0.0
+        with np.errstate(over="ignore"):
+            z = -x * scale
+        assert np.all(np.abs(vals) <= scale * 2.0 / (math.sqrt(math.pi) * z**0.25))
+        assert np.all(np.abs(vals) < scale * 1e-51)
+        assert vals.tolist() == [line_density_third(float(v), t) for v in x]
+
 
 class TestLineDensityOddGamma:
     @pytest.mark.parametrize("x", [-3.0, -1.0, 0.5, 1.0, 2.0])
@@ -416,27 +434,68 @@ class TestLineDensityOdd:
         for x, v in zip(xs, vals):
             assert line_density_odd(3, float(x), 0.8) == v
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mixed_batch_at_the_contour_switch_equals_its_scalar_calls(self, n):
+        # x < 0 takes the saddle ray, x >= 0 (-0.0 included) the two-term
+        # ray; at -5e-324 the saddle xi0 underflows to 0, so both contours
+        # give u(0) there to within tol
+        x = np.array([-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0])
+        vals = line_density_odd(n, x, 0.7)
+        assert vals.tolist() == [line_density_odd(n, float(v), 0.7) for v in x]
+        assert abs(vals[1] - vals[3]) <= DEFAULT_TOL.abs_tol
+
     def test_refuses_what_no_rule_certifies(self):
         # the real-axis leg to the saddle carries ~|x|^{5/4} radians of phase
         with pytest.raises(ConvergenceError, match="no Gauss rule"):
             line_density_odd(2, -1e5, 1.0)
 
 
-def _ray_rule(monkeypatch, p, X, target):
-    """(S, log_m, sizes) of the ray leg of one _contour_density call at the
-    scaled points X: its length, its Bernstein-ellipse bound and its rule sizes."""
+_SCALED_X = [0.0, 1e-3, 1.0, 10.0, 60.0, 400.0]
+
+
+class TestTwoTermRay:
+    """The ray from xi0 = 0 at a tolerance of 1e-13 against 30-digit values:
+    every point at even p, x >= 0 at odd p, over scaled x = x t^{-1/p}."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_even_orders_against_mpmath(self, n, t):
+        p, tol = 2 * n, Tolerance(1e-13)
+        root = t ** (1.0 / p)
+        for X in _SCALED_X:
+            x = X * root
+            with mp.workdps(30):
+                scale = mp.mpf(t) ** (mp.mpf(1) / p)
+                want = float(mp_even_line(p, mp.mpf(x) / scale) / scale)
+            assert abs(line_density_even(n, x, t, tol) - want) <= tol.abs_tol, X
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_odd_orders_against_mpmath(self, n, t):
+        p, tol = 2 * n + 1, Tolerance(1e-13)
+        for X in _SCALED_X:
+            x = X * t ** (1.0 / p)
+            assert abs(line_density_odd(n, x, t, tol) - mp_odd_line(p, x, t)) <= tol.abs_tol, X
+
+
+def _ray_rules(monkeypatch, p, X, target):
+    """(S, log_m, sizes) of every ray sizing call of one _contour_density call
+    at the scaled points X: each ray's length, Bernstein-ellipse bound and
+    rule sizes. The two-term ray (X >= 0, every X at even p) is sized
+    before the saddle ray (X < 0 at odd p), each over its points in batch
+    order; the saddle's real leg is left out."""
     seen = []
     rule_sizes = circlaw.line._rule_sizes
 
     def spy(length, log_m, log_target):
         sizes = rule_sizes(length, log_m, log_target)
-        seen.append((length, log_m, sizes))
+        if log_m.__name__ != "log_m_real":
+            seen.append((length, log_m, sizes))
         return sizes
 
     monkeypatch.setattr(circlaw.line, "_rule_sizes", spy)
     circlaw.line._contour_density(p, np.asarray(X, dtype=float), target)
-    # the real leg is sized first, where it exists; the ray last
-    return seen[-1]
+    return seen
 
 
 # the per-shell target of even_circle_density_wrapped at t = 1, default tol
@@ -451,27 +510,32 @@ class TestContourRayBound:
     def test_bound_holds_on_every_ellipse(self, p, monkeypatch):
         far = [1.0, 10.0, 60.0, 400.0]
         X = np.array([0.0] + far + ([-x for x in far] if p % 2 else []))
-        S, log_m, _ = _ray_rule(monkeypatch, p, X, _SHELL_TARGET)
+        rules = _ray_rules(monkeypatch, p, X, _SHELL_TARGET)
+        # one ray at even p, the two-term and the saddle ray at odd p
+        assert len(rules) == 1 + p % 2
+        xs = iter(X)
         rho = circlaw.line._RHO
-        half = S[:, None] / 2.0
-        A = half * (rho + 1.0 / rho) / 2.0
-        B = half * (rho - 1.0 / rho) / 2.0
-        D = half * np.hypot((rho + 1.0 / rho) / 2.0 - 1.0, (rho - 1.0 / rho) / 2.0)
-        bound = log_m(A, B, D)
         psi = math.pi / (2 * p) if p % 2 else math.pi / (4 * p)
         a = 1 if p % 2 else 1j
         tau = np.linspace(0.0, 2.0 * math.pi, 4097)
-        for i, x in enumerate(X):
-            # f(xi0 + z) - f(xi0) = sum_k c_k z^k about the odd-order saddle xi0
-            xi0 = (max(-x, 0.0) / p) ** (1.0 / (p - 1))
-            c = [max(x, 0.0)] + [a * math.comb(p, k) * xi0 ** (p - k) for k in range(2, p + 1)]
-            for j in range(rho.size):
-                w = half[i, 0] + A[i, j] * np.cos(tau) + 1j * B[i, j] * np.sin(tau)
-                z = np.exp(1j * psi) * w
-                with np.errstate(over="ignore", invalid="ignore"):
-                    f = sum(ck * z ** (k + 1) for k, ck in enumerate(c))
-                    peak = np.max(-f.imag)
-                assert peak <= bound[i, j] + 1e-12 * abs(bound[i, j]), (x, rho[j])
+        for S, log_m, _ in rules:
+            half = S[:, None] / 2.0
+            A = half * (rho + 1.0 / rho) / 2.0
+            B = half * (rho - 1.0 / rho) / 2.0
+            D = half * np.hypot((rho + 1.0 / rho) / 2.0 - 1.0, (rho - 1.0 / rho) / 2.0)
+            bound = log_m(A, B, D)
+            for i, x in zip(range(S.size), xs):
+                # f(xi0 + z) - f(xi0) = sum_k c_k z^k about the odd-order saddle xi0
+                xi0 = (max(-x, 0.0) / p) ** (1.0 / (p - 1))
+                c = [max(x, 0.0)] + [a * math.comb(p, k) * xi0 ** (p - k) for k in range(2, p + 1)]
+                for j in range(rho.size):
+                    w = half[i, 0] + A[i, j] * np.cos(tau) + 1j * B[i, j] * np.sin(tau)
+                    z = np.exp(1j * psi) * w
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        f = sum(ck * z ** (k + 1) for k, ck in enumerate(c))
+                        peak = np.max(-f.imag)
+                    assert peak <= bound[i, j] + 1e-12 * abs(bound[i, j]), (x, rho[j])
+        assert next(xs, None) is None
 
     @pytest.mark.parametrize("p", [4, 6])
     def test_far_shells_take_the_near_shell_rule(self, p, monkeypatch):
@@ -481,8 +545,10 @@ class TestContourRayBound:
         # p = 6), and at p = 6 so does X = 60
         M = circlaw.line._shell_count(p, 1.0, DEFAULT_TOL)
         shells = np.abs(1.0 + 2.0 * math.pi * np.arange(-M, M + 1))
-        _, _, sizes = _ray_rule(monkeypatch, p, np.append(shells, [0.0, 60.0]), _SHELL_TARGET)
+        rules = _ray_rules(monkeypatch, p, np.append(shells, [0.0, 60.0]), _SHELL_TARGET)
+        sizes = np.concatenate([s for _, _, s in rules])
         assert np.all(sizes[:-1] == sizes[-2])
+        assert sizes[-2] == {4: 96, 6: 128}[p]
         if p == 6:
             assert sizes[-1] == sizes[-2]
 
