@@ -12,11 +12,12 @@ and a quadrature of it cancels, so the tests keep it as a paper formula
 and an oracle where it is well conditioned. The routes the circular laws
 use are line_density_even, the cosine transform of exp(-xi^{2n} t), and
 line_density_odd: the Airy closed form at p = 3 (Maclaurin series,
-Gauss-Laguerre quadrature and the far-field expansion). Every other
-order, even p >= 2 and odd p >= 5, goes through one vectorized,
-cancellation-free contour quadrature with a certified error
-(_contour_density) on two contours: a two-term ray from 0 in real
-arithmetic, and at odd p and x < 0 a saddle ray after a real leg.
+Gauss-Laguerre quadrature and the far-field expansion, with as few
+terms per point as its remainder bound allows). Every other order, even
+p >= 2 and odd p >= 5, goes through one vectorized, cancellation-free
+contour quadrature with a certified error (_contour_density) on two
+contours, both summed in real arithmetic: a two-term ray from 0, and at
+odd p and x < 0 a saddle ray after a real leg.
 _line_bound bounds |u_p| at even p in closed form, and _shell_count
 proves from it the shell count of both wrapped sums (the wrapped
 Gaussian and the even wrapped route). _image_sum is the one image sum
@@ -78,20 +79,22 @@ def _airy_u(k: int) -> float:
     )
 
 
-# terms kept in each of the P and Q sums of DLMF 9.7.9
+# most terms kept in each of the P and Q sums of DLMF 9.7.9
 _AIRY_TERMS = 8
 _AIRY_P = tuple((-1) ** k * _airy_u(2 * k) for k in range(_AIRY_TERMS))
 _AIRY_Q = tuple((-1) ** k * _airy_u(2 * k + 1) for k in range(_AIRY_TERMS))
 
 
-def _airy_remainder(z: float) -> float:
-    """Bound on |Ai(-z) - expansion| in units of the envelope 1/(sqrt(pi) z^{1/4}).
+def _airy_remainder(z: float, terms: int) -> float:
+    """Bound on |Ai(-z) - expansion| in units of the envelope 1/(sqrt(pi) z^{1/4})
+    with `terms` terms in each of P and Q.
 
     DLMF 9.7(iv): for real zeta = (2/3) z^{3/2} the remainders of the P and
-    Q sums are bounded in magnitude by their first neglected terms.
+    Q sums are bounded in magnitude by their first neglected terms,
+    u_{2J} / zeta^{2J} and u_{2J+1} / zeta^{2J+1} at J = terms.
     """
     zeta = 2.0 * z**1.5 / 3.0
-    k = 2 * _AIRY_TERMS
+    k = 2 * terms
     return _airy_u(k) / zeta**k + _airy_u(k + 1) / zeta ** (k + 1)
 
 
@@ -112,9 +115,14 @@ def _bisect(ok, lo: float, hi: float) -> float:
         lo, hi = (lo, mid) if ok(mid) else (mid, hi)
 
 
-# Ai(-z) for z >= _AIRY_SWITCH comes from the expansion, whose remainder
-# there is at most 2^-53 of the envelope (z ~ 11.42 with 8 + 8 terms)
-_AIRY_SWITCH = _bisect(lambda z: _airy_remainder(z) <= 2.0**-53, 1.0, 100.0)
+# (J, z_J), fewest terms first: from z_J on, J terms of each of P and Q
+# leave a remainder of at most 2^-53 of the envelope (z_2 ~ 371.5, z_8 ~ 11.42)
+_AIRY_TIERS = tuple(
+    (J, _bisect(lambda z, J=J: _airy_remainder(z, J) <= 2.0**-53, 1.0, 1e3))
+    for J in (2, _AIRY_TERMS)
+)
+# Ai(-z) for z >= _AIRY_SWITCH comes from the expansion
+_AIRY_SWITCH = _AIRY_TIERS[-1][1]
 # Ai(y) <= e^{-zeta} / (2 sqrt(pi) y^{1/4}) is below the smallest normal
 # double for y >= _AIRY_ZERO (~103.9), so the value there is 0
 _AIRY_ZERO = _bisect(
@@ -128,31 +136,43 @@ _AIRY_ZERO = _bisect(
 _AIRY_PHASE = _bisect(lambda z: math.isinf(2.0 * z * math.sqrt(z)), 1e205, 1e206)
 
 
-def _airy_oscillating(z: np.ndarray) -> np.ndarray:
-    """Ai(-z) for z >= _AIRY_SWITCH by DLMF 9.7.9.
-
-    Ai(-z) = [cos(zeta - pi/4) P + sin(zeta - pi/4) Q] / (sqrt(pi) z^{1/4}),
-    P = sum (-1)^k u_{2k} zeta^{-2k}, Q = sum (-1)^k u_{2k+1} zeta^{-2k-1}.
-    The truncation is certified by _airy_remainder; zeta itself is formed
-    in float64, which carries the argument's own conditioning (at most
-    about 4 eps zeta of the envelope), as scipy's Airy does.
-    """
+def _airy_sums(r: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """P and zeta Q of DLMF 9.7.9 with `terms` terms each, by Horner in r = zeta^-2."""
     # every step but the first of each line works in place: the same
     # roundings as fresh arrays, without an allocation per step
-    zeta = 2.0 * z
-    zeta *= np.sqrt(z)
-    zeta /= 3.0
-    # zeta^2 passes the largest double from zeta = 1.3e154, where r adds nothing
-    r = np.minimum(zeta, 1e154)
-    np.divide(1.0, np.square(r, out=r), out=r)
-    big_p, big_q = r * _AIRY_P[-1], r * _AIRY_Q[-1]
-    for cp, cq in zip(_AIRY_P[-2:0:-1], _AIRY_Q[-2:0:-1]):
+    big_p, big_q = r * _AIRY_P[terms - 1], r * _AIRY_Q[terms - 1]
+    for cp, cq in zip(_AIRY_P[terms - 2 : 0 : -1], _AIRY_Q[terms - 2 : 0 : -1]):
         big_p += cp
         big_p *= r
         big_q += cq
         big_q *= r
     big_p += _AIRY_P[0]
     big_q += _AIRY_Q[0]
+    return big_p, big_q
+
+
+def _airy_oscillating(z: np.ndarray) -> np.ndarray:
+    """Ai(-z) for z >= _AIRY_SWITCH by DLMF 9.7.9.
+
+    Ai(-z) = [cos(zeta - pi/4) P + sin(zeta - pi/4) Q] / (sqrt(pi) z^{1/4}),
+    P = sum (-1)^k u_{2k} zeta^{-2k}, Q = sum (-1)^k u_{2k+1} zeta^{-2k-1}.
+    Each point takes the fewest terms of _AIRY_TIERS that its z allows (2
+    from z_2 ~ 371.5 on, else 8), so each truncation is certified by
+    _airy_remainder; zeta itself is formed in float64, which carries the
+    argument's own conditioning (at most about 4 eps zeta of the
+    envelope), as scipy's Airy does.
+    """
+    zeta = 2.0 * z
+    zeta *= np.sqrt(z)
+    zeta /= 3.0
+    # zeta^2 passes the largest double from zeta = 1.3e154, where r adds nothing
+    r = np.minimum(zeta, 1e154)
+    np.divide(1.0, np.square(r, out=r), out=r)
+    big_p, big_q = _airy_sums(r, _AIRY_TIERS[0][0])
+    # the points short of a tier's start take the next tier's terms
+    for (_, start), (terms, _) in zip(_AIRY_TIERS, _AIRY_TIERS[1:]):
+        near = np.flatnonzero(z < start)
+        big_p[near], big_q[near] = _airy_sums(r[near], terms)
     big_q /= zeta
     c, s = np.cos(zeta), np.sin(zeta)
     # cos(zeta - pi/4) = (c + s)/sqrt(2), sin(zeta - pi/4) = (s - c)/sqrt(2)
@@ -289,6 +309,14 @@ _LOG_64_15 = math.log(64.0 / 15.0)
 # the worst measured rounding was 0.68 of the unit term (p = 5, X = -60),
 # at most 0.09 of it at p = 4, 6 (0 <= X <= 400; 30-digit references)
 _ROUNDING = 4.0
+# the real leg's rounding charge is eps _ROUNDING int_0^xi0 (1 + (|X| eta +
+# eta^p) / _LEG_SPREAD), measured as _ROUNDING is: a node's phase error, up
+# to ~eps (|X| eta + eta^p), takes its own sign at each node and mostly
+# cancels over the leg's turns of phase. Against each rule summed to 30
+# digits (p = 5..101, 0.01 <= -X <= 3000, every size from the kernel's least
+# on) the worst was 1.15 of the unit term. The first-order worst case,
+# (eps/2) int (3 |X| eta + (p + 1) eta^p), is 10 to 100 times the measured
+_LEG_SPREAD = 16.0
 # largest orders the contour kernel (its binomials C(p, k) pass the largest
 # double from p = 1030) and _line_bound (its polynomial overflows from p = 154) take
 _MAX_ORDER, _MAX_BOUND_ORDER = 1029, 128
@@ -379,10 +407,10 @@ def _rule_sizes(length, log_m, log_target) -> np.ndarray:
     return sizes[np.searchsorted(sizes[:-1], need)]
 
 
-def _gauss_sums(sizes: np.ndarray, integrand, dtype=complex) -> np.ndarray:
+def _gauss_sums(sizes: np.ndarray, integrand) -> np.ndarray:
     """sum_j w_j integrand(i, v_j) on [0, 1] for each point i, with its own
     rule size (points of size <= 0 give 0)."""
-    out = np.zeros(sizes.size, dtype=dtype)
+    out = np.zeros(sizes.size)
     for m in set(sizes[sizes > 0].tolist()):
         v, w = _gauss_legendre(int(m))
         idx = np.flatnonzero(sizes == m)
@@ -413,10 +441,13 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
     g e^{-g} <= (2/e) e^{-g/2}, int e^{-g} (1 + |f|) ds is at most
     (1 + 2/(e sin psi)) J, J = min_k int e^{-g_k s^k / 2} ds, and the
     charge is eps (_ROUNDING (1 + 2/(e sin psi)) + |f(xi0)|) J, the last
-    term for e^{i f(xi0)}. Where it exceeds target/2 the call refuses,
-    else each of the three quadrature errors gets a third of what it
-    leaves. Every point is certified before any is evaluated, and a
-    refusal reads the whole batch.
+    term for the phase f(xi0); _saddle_ray adds the real leg's charge.
+    Where a ray's charge exceeds target/2 the call refuses, then where a
+    tail or a rule cannot be certified, then where the real leg's charge
+    takes the sum past target/2 (a leg too long for any rule is refused
+    as such); else each of the three quadrature errors gets a third of
+    what the charge leaves. Every point is certified before any is
+    evaluated, and a refusal reads the whole batch.
     """
     # ray cutoff: any single term of g(S) >= log(3/target) + 1 makes g(S)
     # at least that; each contour takes the smallest such S
@@ -424,15 +455,19 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
     left = X < 0.0 if p % 2 else np.zeros(X.size, dtype=bool)
     rays = ((~left, _two_term_ray), (left, _saddle_ray))
     plans = [(part, ray(p, X[part], target, log_tail)) for part, ray in rays if part.any()]
-    rounding, out = np.empty(X.size), np.empty(X.size)
+    ray_charge, rounding, out = np.empty(X.size), np.empty(X.size), np.empty(X.size)
     certified, no_rule = np.empty(X.size, dtype=bool), np.empty(X.size, dtype=bool)
     for part, plan in plans:
-        rounding[part], certified[part], no_rule[part] = plan[:3]
-    if np.any(rounding > target / 2.0):
-        raise ConvergenceError(
-            f"u_{p}: target {target:.1e} is below twice the rounding floor "
-            f"(eps x weighted phase range {float(np.max(rounding)):.1e})"
-        )
+        ray_charge[part], rounding[part], certified[part], no_rule[part] = plan[:4]
+
+    def refuse_past_the_floor(charge):
+        if np.any(charge > target / 2.0):
+            raise ConvergenceError(
+                f"u_{p}: target {target:.1e} is below twice the rounding floor "
+                f"(eps x weighted phase range {float(np.max(charge)):.1e})"
+            )
+
+    refuse_past_the_floor(ray_charge)
     if not np.all(certified):
         raise ConvergenceError(f"u_{p}: ray tail could not be certified")
     if np.any(no_rule):
@@ -440,8 +475,9 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
             f"u_{p}: no Gauss rule up to {_GL_SIZES[-1]} nodes certifies {target:.1e} "
             f"at scaled x = {float(X[no_rule][0]):g}"
         )
+    refuse_past_the_floor(rounding)
     for part, plan in plans:
-        out[part] = plan[3]()
+        out[part] = plan[4]()
     return out
 
 
@@ -456,8 +492,8 @@ def _two_term_ray(p: int, X: np.ndarray, target: float, log_tail: float):
     -X Im z is at most X times the ellipse's depth below the real axis,
     hypot(A sin psi, B cos psi) - (S/2) sin psi, quadratic in rho - 1 near
     rho = 1, so a far shell takes the rule of a near one; a z^p takes the
-    sector bound (B / sin psi)^p. Returns (rounding charge, tail
-    certified, no rule, value thunk).
+    sector bound (B / sin psi)^p. Returns (ray charge, rounding charge
+    (the same), tail certified, no rule, value thunk).
     """
     psi, sin_1, cos_1, sigma_p, tau_p, j_p, weight = _two_term(p)
     x = np.abs(X)
@@ -493,17 +529,25 @@ def _two_term_ray(p: int, X: np.ndarray, target: float, log_tail: float):
         out *= np.cos(turn, out=turn)
         return out
 
-    return rounding, certified, m_ray == 0, lambda: S * _gauss_sums(m_ray, on_ray, float) / math.pi
+    def value():
+        return S * _gauss_sums(m_ray, on_ray) / math.pi
+
+    return rounding, rounding, certified, m_ray == 0, value
 
 
 def _saddle_ray(p: int, X: np.ndarray, target: float, log_tail: float):
     """The real leg to the saddle xi0 = (-X/p)^{1/(p-1)}, modulus 1, and the ray
     from it, at points X < 0, odd p, of _contour_density.
 
-    On the ray c_1 = 0 and c_k = C(p, k) xi0^{p-k} (k >= 2), each with the
-    sector bound c_k (B / sin psi)^k on the ray's ellipse, and the phase is
-    summed by complex Horner steps. Returns (rounding charge, tail
-    certified, no rule, value thunk).
+    The real leg sums cos(eta (X + eta^{p-1})), eta = xi0 v, one real cos
+    per node; its rounding is charged eps _ROUNDING int_0^xi0 (1 + (|X| eta
+    + eta^p) / _LEG_SPREAD) d eta on top of the ray's. On the ray c_1 = 0
+    and c_k = C(p, k) xi0^{p-k} (k >= 2), each with the sector bound
+    c_k (B / sin psi)^k on the ray's ellipse; at s = S v the modulus is
+    e^{-sum_k g_k S^k v^k} and the phase psi + f(xi0) + sum_k c_k cos(k psi)
+    S^k v^k, two real polynomials in v by Horner, so a node costs one real
+    exp and one real cos. Returns (ray charge, rounding charge with the
+    leg's, tail certified, no rule, value thunk).
     """
     psi = math.pi / (2 * p)
     xi0 = (-X / p) ** (1.0 / (p - 1))
@@ -512,14 +556,24 @@ def _saddle_ray(p: int, X: np.ndarray, target: float, log_tail: float):
     slope = c * np.sin(ks * psi)
     with np.errstate(all="ignore"):
         S = np.min((log_tail / slope) ** (1.0 / ks), axis=0)
-        g = np.sum(slope * S**ks, axis=0)
+        S_k = S**ks
+        g = np.sum(slope * S_k, axis=0)
         dg = np.sum(ks * slope * S ** (ks - 1), axis=0)
         J = np.min(_gamma_column(p) * (2.0 / slope) ** (1.0 / ks), axis=0)
         f0 = X * xi0 + xi0**p
         weight = _ROUNDING * (1.0 + 2.0 / (math.e * math.sin(psi))) + np.abs(f0)
-        rounding = _EPS * weight * J
-        log_target = np.log((target - rounding) / 3.0)
+        # the real leg's charge, _ROUNDING int_0^xi0 (1 + (|X| eta + eta^p) / _LEG_SPREAD)
+        leg = _ROUNDING * (xi0 + (-X * xi0**2 / 2.0 + xi0 ** (p + 1) / (p + 1)) / _LEG_SPREAD)
+        ray_charge = _EPS * weight * J
+        rounding = ray_charge + _EPS * leg
+        # a point that the leg's charge puts past the floor is refused for it
+        # after the tail and the rules, so those are sized without it
+        budget = np.where(rounding > target / 2.0, ray_charge, rounding)
+        log_target = np.log((target - budget) / 3.0)
         certified = -g - np.log(dg) <= log_target
+        # -g_k S^k and c_k cos(k psi) S^k, the Horner coefficients of the log-modulus and the phase
+        decay, turn = -(slope * S_k), c * np.cos(ks * psi) * S_k
+        phase = psi + f0
 
     def log_m_real(semi_major, semi_minor, reach):
         # Im f = 0 on [0, xi0], and |f'| <= |X| + p((xi0 + D)^{p-1} - xi0^{p-1})
@@ -536,21 +590,30 @@ def _saddle_ray(p: int, X: np.ndarray, target: float, log_tail: float):
 
     def on_real(i, v):
         eta = xi0[i, None] * v
-        return np.exp(1j * eta * (X[i, None] + eta ** (p - 1)))
+        arg = eta ** (p - 1)
+        arg += X[i, None]
+        arg *= eta
+        return np.cos(arg, out=arg)
 
     def on_ray(i, v):
-        w = (S[i, None] * v) * complex(math.cos(psi), math.sin(psi))
-        poly = c[-1][i, None] * w
+        # sum_{k=2}^p a_k v^k = v (... (a_p v + a_{p-1}) v ... + a_2) v
+        log_mod, arg = decay[-1][i, None] * v, turn[-1][i, None] * v
         for k in range(p - 3, -1, -1):
-            poly = (poly + c[k][i, None]) * w
-        return np.exp(1j * (poly * w))
+            log_mod += decay[k][i, None]
+            log_mod *= v
+            arg += turn[k][i, None]
+            arg *= v
+        log_mod *= v
+        arg *= v
+        arg += phase[i, None]
+        out = np.exp(log_mod, out=log_mod)
+        out *= np.cos(arg, out=arg)
+        return out
 
     def value():
-        real_part = xi0 * _gauss_sums(m_real, on_real)
-        ray_part = S * _gauss_sums(m_ray, on_ray)
-        return (real_part + np.exp(1j * (psi + f0)) * ray_part).real / math.pi
+        return (xi0 * _gauss_sums(m_real, on_real) + S * _gauss_sums(m_ray, on_ray)) / math.pi
 
-    return rounding, certified, (m_real == 0) | (m_ray == 0), value
+    return ray_charge, rounding, certified, (m_real == 0) | (m_ray == 0), value
 
 
 @lru_cache(maxsize=None)
@@ -685,7 +748,7 @@ def line_density_odd(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
     """u_{2n+1}(x, t) for scalar or array x, each value within tol.abs_tol.
 
     n = 1 is line_density_third. At n >= 2 _contour_density certifies
-    each value, with the ray's rounding charged (the real leg's is not);
+    each value, the rounding of the ray and of the real leg charged;
     where it cannot, ConvergenceError is raised.
     """
     _check_n(n)

@@ -3,8 +3,9 @@
 line_density_gamma is the paper's generalized-gamma representation of
 every line solution, evaluated by scipy.integrate.quad; the package's
 routes (Airy at p = 3, the contour quadrature elsewhere) are checked
-against it where it is well conditioned. mp_even_line is the even-order
-line solution to 30 digits by mpmath.
+against it where it is well conditioned. mp_even_line and mp_odd_saddle
+are the even-order line solution and the odd-order one at x < 0 to 30
+digits by mpmath.
 """
 
 import math
@@ -91,3 +92,20 @@ def mp_even_line(p, X):
         pts = [edge * k / 40 for k in range(41)] + [mp.inf]
         v = mp.quad(lambda s: mp.exp(1j * X * (s + 1j * h) - (s + 1j * h) ** p), pts)
         return (v / mp.pi).real
+
+
+def mp_odd_saddle(p, X):
+    """u_p(X, 1) = (1/pi) Re int_0^inf e^{i (X xi + xi^p)} dxi at odd p and X < 0
+    by mpmath (30 digits): along the real axis to the saddle xi0 = (-X/p)^{1/(p-1)},
+    then on the ray xi0 + s e^{3 i pi/(4p)}, where every term of f(xi0 + w) - f(xi0)
+    decays (k 3pi/(4p) < pi for k <= p), and off the kernel's own ray pi/(2p)."""
+    with mp.workdps(30):
+        X = mp.mpf(X)
+        xi0 = (-X / p) ** (mp.mpf(1) / (p - 1))
+        f = lambda xi: X * xi + xi**p
+        # about three radians of phase per piece of the real leg
+        pieces = int(-X * xi0 / 3) + 4
+        leg = mp.quad(lambda eta: mp.cos(f(eta)), mp.linspace(0, xi0, pieces + 1))
+        turn = mp.expj(3 * mp.pi / (4 * p))
+        ray = mp.quad(lambda s: mp.expj(f(xi0 + s * turn)) * turn, [0, 1, 2, 4, mp.inf])
+        return (leg + ray.real) / mp.pi

@@ -1,6 +1,7 @@
 """Line-solution tests: closed forms, cross-route equivalence, quadrature oracles."""
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -37,7 +38,7 @@ from circlaw.line import (
 )
 from circlaw.pseudo import _budget_shells
 from circlaw.special import DEFAULT_TOL, Tolerance
-from oracles import line_density_gamma, mp_even_line
+from oracles import line_density_gamma, mp_even_line, mp_odd_saddle
 
 
 def gaussian_kernel(x, t):
@@ -248,24 +249,36 @@ class TestLineDensityThird:
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_far_field_against_mpmath(self, t):
-        # past the switch point the expansion of Ai(-z) is exact to 2^-53 of
-        # the envelope s/(sqrt(pi) z^{1/4}); the float phase zeta adds at
-        # most 4 eps zeta of it. The oracle takes the same float argument.
+        # past the switch point the expansion of Ai(-z), with the terms of
+        # each point's tier, is exact to 2^-53 of the envelope
+        # s/(sqrt(pi) z^{1/4}); the float phase zeta adds at most 4 eps zeta
+        # of it. Up to z = 1e6, and on both sides of every term-count switch.
+        # The oracle takes the same float argument.
         s = (3.0 * t) ** (-1.0 / 3.0)
         eps = np.finfo(float).eps
-        mp.mp.dps = 40
-        for x in -np.geomspace(1.0001 * circlaw.line._AIRY_SWITCH / s, 4e4, 17):
-            z = -(x * s)
-            zeta = 2.0 * z**1.5 / 3.0
-            envelope = s / (math.sqrt(math.pi) * z**0.25)
-            target = s * float(mp.airyai(-mp.mpf(z)))
-            err = abs(line_density_third(x, t) - target)
-            assert err <= envelope * (2.0**-53 + 4.0 * eps * (zeta + 1.0))
+        starts = [z for _, z in circlaw.line._AIRY_TIERS]
+        zs = list(np.geomspace(1.0001 * starts[-1], 1e6, 25))
+        for z0 in starts[:-1]:
+            zs += [z0 * (1.0 - 1e-9), np.nextafter(z0, 0.0), z0, z0 * (1.0 + 1e-9)]
+        with mp.workdps(40):
+            for x in -np.array(zs) / s:
+                z = -(x * s)
+                zeta = 2.0 * z**1.5 / 3.0
+                envelope = s / (math.sqrt(math.pi) * z**0.25)
+                target = s * float(mp.airyai(-mp.mpf(z)))
+                err = abs(line_density_third(x, t) - target)
+                assert err <= envelope * (2.0**-53 + 4.0 * eps * (zeta + 1.0)), z
 
     def test_switch_points_from_their_bounds(self):
+        # each tier's J terms meet the bound from its start z_J on, and not
+        # short of it; the last start is the switch from the core
+        remainder = circlaw.line._airy_remainder
+        assert [J for J, _ in circlaw.line._AIRY_TIERS] == [2, circlaw.line._AIRY_TERMS]
+        for J, zJ in circlaw.line._AIRY_TIERS:
+            assert remainder(zJ, J) <= 2.0**-53
+            assert remainder(0.999 * zJ, J) > 2.0**-53
         z0 = circlaw.line._AIRY_SWITCH
-        assert circlaw.line._airy_remainder(z0) <= 2.0**-53
-        assert circlaw.line._airy_remainder(0.999 * z0) > 2.0**-53
+        assert z0 == circlaw.line._AIRY_TIERS[-1][1]
         # continuous across the switch: expansion and scipy's Airy meet there
         for z in (np.nextafter(z0, 0.0), z0, np.nextafter(z0, 20.0)):
             expansion = circlaw.line._airy_oscillating(np.array([z]))[0]
@@ -476,6 +489,58 @@ class TestTwoTermRay:
         for X in _SCALED_X:
             x = X * t ** (1.0 / p)
             assert abs(line_density_odd(n, x, t, tol) - mp_odd_line(p, x, t)) <= tol.abs_tol, X
+
+
+class TestSaddleRay:
+    """The real leg and the saddle ray (x < 0 at odd p) at a tolerance of
+    1e-13 against 30-digit values, over scaled x = x t^{-1/p}. The real
+    leg's rounding charge grows like |X| xi0^2: at X = -400 it puts the
+    floor above half the target, the call refuses, and the value is
+    checked at 1e-11 instead."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_against_mpmath(self, n, t):
+        p, refused = 2 * n + 1, []
+        root = t ** (1.0 / p)
+        for X in (-1e-3, -1.0, -10.0, -60.0, -400.0):
+            x = X * root
+            with mp.workdps(30):
+                scale = mp.mpf(t) ** (mp.mpf(1) / p)
+                want = float(mp_odd_saddle(p, mp.mpf(x) / scale) / scale)
+            try:
+                tol = Tolerance(1e-13)
+                got = line_density_odd(n, x, t, tol)
+            except ConvergenceError as exc:
+                assert "rounding floor" in str(exc), X
+                refused.append(X)
+                tol = Tolerance(1e-11)
+                got = line_density_odd(n, x, t, tol)
+            assert abs(got - want) <= tol.abs_tol, X
+        assert refused == [-400.0]
+
+    def test_oracle_meets_the_gamma_route(self):
+        # the contour oracle against the generalized-gamma one, both 30 digits
+        for p, X in ((5, -10.0), (7, -60.0)):
+            assert float(mp_odd_saddle(p, X)) == pytest.approx(mp_odd_line(p, X, 1.0), abs=1e-16)
+
+    def test_the_real_leg_charge_alone_trips_the_rounding_floor(self):
+        # at scaled x = -400, p = 5: the ray's charge eps (_ROUNDING (1 +
+        # 2/(e sin psi)) + |f(xi0)|) J is below half of a 1e-13 target, and
+        # with the real leg's eps _ROUNDING (xi0 + (|X| xi0^2/2 + xi0^6/6) /
+        # _LEG_SPREAD) the call refuses and names the sum
+        p, X, eps, k = 5, -400.0, np.finfo(float).eps, circlaw.line._ROUNDING
+        psi, xi0 = math.pi / (2 * p), (-X / p) ** (1.0 / (p - 1))
+        slopes = [math.comb(p, j) * xi0 ** (p - j) * math.sin(j * psi) for j in range(2, p + 1)]
+        J = min(math.gamma(1 + 1 / j) * (2 / g) ** (1 / j) for j, g in zip(range(2, p + 1), slopes))
+        ray = eps * (k * (1 + 2 / (math.e * math.sin(psi))) + abs(X * xi0 + xi0**p)) * J
+        phase = (-X * xi0**2 / 2 + xi0 ** (p + 1) / (p + 1)) / circlaw.line._LEG_SPREAD
+        leg = eps * k * (xi0 + phase)
+        assert ray < 1e-13 / 2 < ray + leg
+        with pytest.raises(ConvergenceError, match="rounding floor") as exc:
+            line_density_odd(2, X, 1.0, Tolerance(1e-13))
+        named = float(re.search(r"range ([0-9.e+-]+)\)", str(exc.value))[1])
+        assert named == pytest.approx(ray + leg, rel=0.05)
 
 
 def _ray_rules(monkeypatch, p, X, target):

@@ -4,7 +4,8 @@ count is truncated by a bare int(), every export list names only what
 its module defines and the package re-exports, every export is used by
 the package beyond its re-export, every import is the standard
 library, the package itself or a declared dependency, and scipy is
-imported only inside function bodies."""
+imported only inside function bodies, and the line kernels' node sums
+run in real arithmetic."""
 
 import ast
 import importlib
@@ -204,3 +205,25 @@ def test_scipy_is_imported_only_inside_functions(path):
     # (the Von Mises functions) load it when called
     lines = [line for line, package in _module_level_imports(parse(path)) if package == "scipy"]
     assert lines == [], f"{path.name}: scipy imported at module level at lines {lines}"
+
+
+# the line kernels whose node sums run in real arithmetic
+REAL_KERNELS = {"_two_term_ray", "_saddle_ray", "_gauss_sums", "_airy_oscillating"}
+
+
+def test_line_kernels_are_real():
+    # a complex constant (1j), complex(...) or a complex dtype in these
+    # bodies would bring back a complex exp or complex Horner steps per node
+    path = Path(circlaw.__file__).parent / "line.py"
+    nodes = parse(path).body
+    bodies = [n for n in nodes if isinstance(n, ast.FunctionDef) and n.name in REAL_KERNELS]
+    assert {n.name for n in bodies} == REAL_KERNELS
+    found = [
+        (body.name, node.lineno)
+        for body in bodies
+        for node in ast.walk(body)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, complex))
+        or (isinstance(node, ast.Name) and node.id == "complex")
+        or (isinstance(node, ast.Attribute) and node.attr.startswith("complex"))
+    ]
+    assert found == [], f"line.py: complex arithmetic at {found}"
