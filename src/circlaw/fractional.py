@@ -4,10 +4,11 @@ wrapped symmetric stable laws, and their equalities in law.
 Coefficient decay drives everything here. Space-fractional and wrapped
 stable coefficients decay like stretched exponentials and their tails
 are certified by an integral bound; time-fractional and space-time
-coefficients decay only algebraically, through the complete-monotone
-bound E_nu(-y) <= 1/(1 + y/Gamma(1+nu)). A tolerance the algebraic
-tail cannot certify within the term budget raises instead of silently
-truncating.
+coefficients decay only algebraically, and one tail builder certifies
+both families through the complete-monotone bound
+E_nu(-y) <= Gamma(1+nu)/y. A tolerance the algebraic tail cannot
+certify within the term budget raises instead of silently truncating.
+The beta = 1/2 closed form is the even Poisson kernel at time t/sqrt(2).
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, SlowDecayWarning, _check_n, _check_t, _check_unit
 from .harmonic import cosine_law, scaled_powers
-from .kernels import _poisson_kernel
+from .kernels import even_kernel_density
 from .pseudo import even_circle_law
 from .special import DEFAULT_TOL, _upper_gamma, mittag_leffler_many
 
@@ -33,6 +34,18 @@ __all__ = [
 _SLOW_DECAY_K = 100_000
 
 
+def _algebraic_law(coeffs, nu, t, scale, s, tol, advice, meta):
+    """Cosine carrier whose series terms are at most c k^{-(s+1)}, cut by the
+    tail c K^{-s}/s >= c sum_{k>K} k^{-(s+1)}, c = Gamma(1+nu) t^-nu scale/pi.
+
+    Each coefficient is E_nu(-y)/pi with y = k^{s+1} t^nu/scale, or, in the
+    space-time CDF series, whose terms carry an extra 1/k, y = k^s t^nu/scale;
+    the complete-monotone bound E_nu(-y) <= Gamma(1+nu)/y gives c.
+    """
+    c = math.gamma(1.0 + nu) * t ** (-nu) * scale / math.pi
+    return cosine_law(coeffs, lambda K: c * K ** (-s) / s, tol, advice, meta)
+
+
 def time_fractional_law(n, nu, t, tol=DEFAULT_TOL):
     """Harmonic carrier with coefficients E_nu(-k^{2n} t^nu)/pi.
 
@@ -45,14 +58,10 @@ def time_fractional_law(n, nu, t, tol=DEFAULT_TOL):
     _check_t(t)
     if nu == 1.0:
         return even_circle_law(n, t, tol)
-    # sum_{k>K} E_nu(-k^{2n} t^nu) <= Gamma(1+nu) t^-nu sum k^{-2n}
-    #                              <= c K^{1-2n}/(2n-1), c = Gamma(1+nu) t^-nu
-    c = math.gamma(1.0 + nu) * t ** (-nu) / math.pi
-    return cosine_law(
+    return _algebraic_law(
         # k^{2n} t^nu past the largest double is inf, and E_nu(-inf) = 0
         lambda k: mittag_leffler_many(nu, -scaled_powers(t**nu, 2 * n, k), tol) / math.pi,
-        lambda K: c * K ** (1 - 2 * n) / (2 * n - 1),
-        tol,
+        nu, t, 1.0, 2 * n - 1, tol,
         "time-fractional law: loosen the tolerance or work at the CDF level",
         f"time-fractional circular law, n={n}, nu={nu!r}, t={t!r}",
     )
@@ -100,14 +109,12 @@ def space_fractional_law(beta, t, tol=DEFAULT_TOL):
 
 
 def space_fractional_half_closed(theta, t):
-    """Closed form at beta = 1/2: the Poisson kernel of radius e^{-t/sqrt(2)}
-    (kernels._poisson_kernel), as the coefficients e^{-k t/sqrt(2)}/pi say.
+    """Closed form at beta = 1/2: the even Poisson kernel at time t/sqrt(2)
+    (kernels.even_kernel_density), as the coefficients e^{-k t/sqrt(2)}/pi say.
 
     Cross-check oracle only; the series is the production path.
     """
-    _check_t(t)
-    val = _poisson_kernel(t / math.sqrt(2.0), theta)
-    return float(val) if np.ndim(theta) == 0 else val
+    return even_kernel_density(theta, t / math.sqrt(2.0))
 
 
 def wrapped_stable_law(beta, t, tol=DEFAULT_TOL):
@@ -130,6 +137,29 @@ def _space_time_coeffs(nu, beta, t, k, tol):
     return mittag_leffler_many(nu, -((k * k / 2.0) ** beta) * t**nu, tol) / math.pi
 
 
+def _space_time_law(nu, beta, t, tol, cdf):
+    """Carrier of the coefficients E_nu(-(k^2/2)^beta t^nu)/pi (the
+    space-fractional law at nu = 1), cut by the density's tail or, with
+    cdf, by the CDF series' tail, whose terms carry an extra 1/k."""
+    _check_unit(nu, "nu")
+    _check_unit(beta, "beta")
+    _check_t(t)
+    if nu == 1.0:
+        return space_fractional_law(beta, t, tol)
+    if not cdf and beta <= 0.5:
+        raise ConvergenceError(
+            "pointwise space-time series diverges for beta <= 1/2 when "
+            "nu < 1; use space_time_fractional_cdf"
+        )
+    return _algebraic_law(
+        lambda k: _space_time_coeffs(nu, beta, t, k, tol),
+        nu, t, 2.0**beta, 2 * beta if cdf else 2 * beta - 1, tol,
+        "space-time CDF: loosen the tolerance" if cdf
+        else "space-time density: loosen the tolerance or use space_time_fractional_cdf",
+        f"space-time fractional {'CDF series' if cdf else 'law'}, nu={nu!r}, beta={beta!r}, t={t!r}",
+    )
+
+
 def space_time_fractional_density(nu, beta, theta, t, tol=DEFAULT_TOL):
     """Density with coefficients E_nu(-(k^2/2)^beta t^nu)/pi.
 
@@ -139,24 +169,7 @@ def space_time_fractional_density(nu, beta, theta, t, tol=DEFAULT_TOL):
     Below that, evaluate distributions through
     space_time_fractional_cdf, whose extra 1/k always converges.
     """
-    _check_unit(nu, "nu")
-    _check_unit(beta, "beta")
-    _check_t(t)
-    if nu == 1.0:
-        return space_fractional_law(beta, t, tol).density(theta)
-    if beta <= 0.5:
-        raise ConvergenceError(
-            "pointwise space-time series diverges for beta <= 1/2 when "
-            "nu < 1; use space_time_fractional_cdf"
-        )
-    c = math.gamma(1.0 + nu) * t ** (-nu) * 2.0**beta / math.pi
-    return cosine_law(
-        lambda k: _space_time_coeffs(nu, beta, t, k, tol),
-        lambda K: c * K ** (1 - 2 * beta) / (2 * beta - 1),
-        tol,
-        "space-time density: loosen the tolerance or use space_time_fractional_cdf",
-        f"space-time fractional law, nu={nu!r}, beta={beta!r}, t={t!r}",
-    ).density(theta)
+    return _space_time_law(nu, beta, t, tol, cdf=False).density(theta)
 
 
 def space_time_fractional_cdf(nu, beta, theta, t, tol=DEFAULT_TOL):
@@ -165,17 +178,4 @@ def space_time_fractional_cdf(nu, beta, theta, t, tol=DEFAULT_TOL):
     The extra 1/k makes the tail ~ K^{-2 beta}, certifiable for every
     beta in (0, 1], which is what distribution-level comparisons need.
     """
-    _check_unit(nu, "nu")
-    _check_unit(beta, "beta")
-    _check_t(t)
-    if nu == 1.0:
-        return space_fractional_law(beta, t, tol).cdf(theta)
-    # the carrier's tail_bound is c K^{-2 beta}/(2 beta), in CDF units
-    c = math.gamma(1.0 + nu) * t ** (-nu) * 2.0**beta / math.pi
-    return cosine_law(
-        lambda k: _space_time_coeffs(nu, beta, t, k, tol),
-        lambda K: c * K ** (-2 * beta) / (2 * beta),
-        tol,
-        "space-time CDF: loosen the tolerance",
-        f"space-time fractional CDF series, nu={nu!r}, beta={beta!r}, t={t!r}",
-    ).cdf(theta)
+    return _space_time_law(nu, beta, t, tol, cdf=True).cdf(theta)

@@ -5,10 +5,11 @@ all onto a single Poisson kernel with radius e^{-t}, independent of the
 order. The odd-order analogue keeps an order imprint through the
 damping/rotation pair (a, b) of the line solution of order 2n+1: it
 is the even kernel evaluated at radius e^{-a t} and angle theta + b t,
-and collapses onto the even kernel as n grows. This module carries the
-closed forms, certified series laws, exact branch-free CDFs, interval
-probabilities, the wrapped skewed-Cauchy route to the odd kernel and
-the odd-to-even limit gap.
+and collapses onto the even kernel as n grows; the even kernel is the
+odd family at (a, b) = (1, 0), so both CDFs are one body. This module
+carries the closed forms, certified series laws, exact branch-free
+CDFs, interval probabilities, the wrapped skewed-Cauchy route to the
+odd kernel and the odd-to-even limit gap.
 """
 
 from __future__ import annotations
@@ -93,19 +94,36 @@ def even_kernel_law(t: float, tol: Tolerance = DEFAULT_TOL) -> HarmonicLaw:
     return _poisson_series_law(t, 0.0, tol, meta=f"even kernel, t={t:g}")
 
 
-def even_kernel_cdf(theta, t: float):
-    """CDF on [0, 2 pi]: (1/pi) atan2((1 + q) sin(theta/2), (1 - q) cos(theta/2)).
+def _kernel_cdf(a: float, b: float, theta, t: float):
+    """Branch-free CDF on [0, 2 pi] of the Poisson kernel of radius e^{-a t}
+    and angle theta + b t, exact antiderivative of the closed form:
 
-    Equals (1/pi) arctan(coth(t/2) tan(theta/2)) on [0, pi) and
-    1 + the same on (pi, 2 pi); atan2 carries the value through the
-    tangent pole, giving exactly 1/2 at theta = pi.
+        (1/pi) atan2((1-q^2) sin(th/2), (1+q^2) cos(th/2) - 2 q cos(th/2 + b t)),
+
+    q = e^{-a t}. The numerator is nonnegative on the circle, so atan2
+    stays in [0, pi] and the value is a CDF with no branch seams; agrees
+    with adaptive quadrature of the density at machine accuracy. The
+    denominator is taken as (1-q)^2 cos(th/2) + 4 q sin(th/2 + b t/2) sin(b t/2)
+    with 1 - q = -expm1(-a t): its two terms in the form above cancel as
+    t -> 0.
     """
     _check_t(t)
     th = _cdf_angles(theta)
-    q = math.exp(-t)
-    one_minus_q = -math.expm1(-t)
-    val = np.arctan2((1.0 + q) * np.sin(th / 2.0), one_minus_q * np.cos(th / 2.0)) / math.pi
+    q = math.exp(-a * t)
+    one_minus_q = -math.expm1(-a * t)
+    num = -math.expm1(-2.0 * a * t) * np.sin(th / 2.0)
+    turn = math.sin(b * t / 2.0)
+    den = one_minus_q**2 * np.cos(th / 2.0) + 4.0 * q * turn * np.sin(th / 2.0 + b * t / 2.0)
+    val = np.arctan2(num, den) / math.pi
     return float(val) if np.ndim(theta) == 0 else val
+
+
+def even_kernel_cdf(theta, t: float):
+    """CDF on [0, 2 pi]: _kernel_cdf at (a, b) = (1, 0), which is
+    (1/pi) arctan(coth(t/2) tan(theta/2)) on [0, pi) and 1 + the same on
+    (pi, 2 pi); atan2 carries the value through the tangent pole, giving
+    exactly 1/2 at theta = pi."""
+    return _kernel_cdf(1.0, 0.0, theta, t)
 
 
 def even_quadrant_prob(t: float) -> float:
@@ -136,27 +154,8 @@ def odd_kernel_law(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> HarmonicLa
 
 
 def odd_kernel_cdf(n: int, theta, t: float):
-    """Branch-free CDF on [0, 2 pi], exact antiderivative of the closed form:
-
-        (1/pi) atan2((1-q^2) sin(th/2), (1+q^2) cos(th/2) - 2 q cos(th/2 + b t)),
-
-    q = e^{-a t}. The numerator is nonnegative on the circle, so atan2
-    stays in [0, pi] and the value is a CDF with no branch seams; agrees
-    with adaptive quadrature of the density at machine accuracy. The
-    denominator is taken as (1-q)^2 cos(th/2) + 4 q sin(th/2 + b t/2) sin(b t/2)
-    with 1 - q = -expm1(-a t): its two terms in the form above cancel as
-    t -> 0.
-    """
-    a, b = _ab(n)
-    _check_t(t)
-    th = _cdf_angles(theta)
-    q = math.exp(-a * t)
-    one_minus_q = -math.expm1(-a * t)
-    num = -math.expm1(-2.0 * a * t) * np.sin(th / 2.0)
-    turn = math.sin(b * t / 2.0)
-    den = one_minus_q**2 * np.cos(th / 2.0) + 4.0 * q * turn * np.sin(th / 2.0 + b * t / 2.0)
-    val = np.arctan2(num, den) / math.pi
-    return float(val) if np.ndim(theta) == 0 else val
+    """Branch-free CDF on [0, 2 pi]: _kernel_cdf at the pair (a, b) of order 2n+1."""
+    return _kernel_cdf(*_ab(n), theta, t)
 
 
 def odd_half_circle_prob(n: int, t: float) -> float:

@@ -48,10 +48,6 @@ __all__ = [
 # below this the kernel's target tol t^{1/(2n)} nears its rounding floor
 # (~2.5e-14 at n = 1), so a near-delta value could miss the default tolerance
 _T_FLOOR = 1e-6
-# largest exponent budget before float64 loses the damped-oscillation
-# cancellation of the generalized-gamma form at odd p and x < 0; it sets the
-# odd wrapped window at n >= 2
-_CANCEL_BUDGET = 35.0
 # a in (0, 1) of the even-order bound _line_bound: about 0.95 of the
 # saddle-point decay rate at p = 4, 6, 8
 _BOUND_A = 0.1

@@ -33,7 +33,6 @@ from .harmonic import (
     TWO_PI, HarmonicLaw, certified_cutoff, cosine_law, exp_power_tail, scaled_power, scaled_powers
 )
 from .line import (
-    _CANCEL_BUDGET,
     _T_FLOOR,
     _bisect,
     _centred,
@@ -59,6 +58,11 @@ __all__ = [
 # shells for the n=1 odd wrapped sum; the tapered-window residual decays
 # roughly like M^{-3/2}, and 6144 puts projections below ~1e-5
 _ODD_SHELLS = 6144
+# the peak exponent past which float64 loses the damped-oscillation
+# cancellation of the generalized-gamma route at odd p and x < 0; the contour
+# kernel does not need it, but it fixes the n >= 2 odd window
+# (_budget_shells), and the window is the scheme
+_CANCEL_BUDGET = 35.0
 
 
 def even_circle_law(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> HarmonicLaw:

@@ -4,10 +4,11 @@ Tolerance, the accuracy request every law takes, and the Mittag-Leffler
 function E_nu on its completely monotone branch behind the
 time-fractional laws, for whole coefficient arrays: a vectorized
 asymptotic sum deep in the tail and one certified trapezoid sum on a
-Bromwich parabola everywhere else. Two scalar gamma functions serve the
-laws: _rgamma (1/Gamma, the asymptotic sum's coefficients) and
-_upper_gamma (Gamma(s, x), the stretched-exponential tail of the
-space-fractional and wrapped stable laws). Both are built on math.gamma;
+Bromwich parabola everywhere else; the scalar mittag_leffler is entry 0
+of the array call. Two scalar gamma functions serve the laws: _rgamma
+(1/Gamma, the asymptotic sum's coefficients) and _upper_gamma
+(Gamma(s, x), the stretched-exponential tail of the space-fractional
+and wrapped stable laws). Both are built on math.gamma;
 line evaluates Ai itself (Maclaurin series, Gauss-Laguerre quadrature
 and the oscillating expansion). No module imports scipy at import time:
 only the Von Mises functions load scipy.special, inside the call.
@@ -263,18 +264,8 @@ def _ml_contour(nu: float, y: np.ndarray, tol_abs: float) -> np.ndarray:
 
 
 def mittag_leffler(nu: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """E_{nu,1}(x) for 0 < nu <= 1 and x <= 0, absolute error <= tol.abs_tol.
-
-    Entry 0 of mittag_leffler_many(nu, [x], tol), bit for bit, except
-    at nu = 1, where it is math.exp(x).
-    """
-    _check_unit(nu, "nu")
-    if math.isnan(x):
-        raise DomainError("x must not be NaN")
-    if x > 0.0:
-        raise DomainError("only the x <= 0 branch is supported")
-    if nu == 1.0:
-        return math.exp(x)
+    """E_{nu,1}(x) for 0 < nu <= 1 and x <= 0, absolute error <= tol.abs_tol:
+    entry 0 of mittag_leffler_many(nu, [x], tol)."""
     return float(mittag_leffler_many(nu, [x], tol)[0])
 
 

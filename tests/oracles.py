@@ -12,11 +12,13 @@ import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 from scipy import integrate
 
 from circlaw import ConvergenceError, DomainError
 from circlaw.errors import _check_finite, _check_t
-from circlaw.line import _CANCEL_BUDGET, _rotation
+from circlaw.line import _rotation
+from circlaw.pseudo import _CANCEL_BUDGET
 from circlaw.special import DEFAULT_TOL, Tolerance
 
 
@@ -109,3 +111,11 @@ def mp_odd_saddle(p, X):
         turn = mp.expj(3 * mp.pi / (4 * p))
         ray = mp.quad(lambda s: mp.expj(f(xi0 + s * turn)) * turn, [0, 1, 2, 4, mp.inf])
         return (leg + ray.real) / mp.pi
+
+
+def even_kernel_cdf_atan2(theta, t):
+    """The even Poisson kernel's CDF (1/pi) atan2((1 + q) sin(th/2), (1 - q) cos(th/2)),
+    q = e^{-t}: the odd kernels' atan2 form at (a, b) = (1, 0) with 1 - q
+    cancelled from both arguments."""
+    q = math.exp(-t)
+    return np.arctan2((1.0 + q) * np.sin(theta / 2.0), -math.expm1(-t) * np.cos(theta / 2.0)) / math.pi

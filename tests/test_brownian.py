@@ -22,6 +22,7 @@ from circlaw.brownian import (
     von_mises_matched_kappa,
 )
 from circlaw.harmonic import TWO_PI, HarmonicLaw
+from circlaw.pseudo import even_circle_law
 
 
 def theta_series(theta, t, terms=8):
@@ -54,6 +55,14 @@ class TestBmLaw:
 
     def test_mass(self):
         assert bm_law(0.7).cdf(TWO_PI) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("t", [1.5e-4, 0.05, 1.0, 20.0])
+    def test_is_the_order_two_law_at_half_time(self, t):
+        # e^{-k^2 t/2}/pi are the n = 1 coefficients at time t/2, cut by one tail
+        rep, law = bm_law(t).representation, even_circle_law(1, t / 2.0)
+        assert (rep.n_terms, rep.tail_bound) == (law.n_terms, law.tail_bound)
+        assert np.array_equal(rep.cos_coeffs, law.cos_coeffs)
+        assert np.array_equal(rep.sin_coeffs, law.sin_coeffs)
 
     def test_invariant_enforced(self):
         rep = HarmonicLaw(

@@ -19,7 +19,7 @@ from circlaw.fractional import (
     time_fractional_law,
     wrapped_stable_law,
 )
-from circlaw.harmonic import TWO_PI
+from circlaw.harmonic import TWO_PI, cosine_law
 from circlaw.kernels import even_kernel_density
 from circlaw.pseudo import even_circle_law
 
@@ -273,6 +273,23 @@ class TestSpaceTimeFractional:
         got = space_time_fractional_cdf(0.5, 1.0, th, 1.0, Tolerance(abs_tol=1e-8))
         ref = time_fractional_law(1, 0.5, 0.25, TOL6).cdf(th)
         assert np.max(np.abs(got - ref)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "nu, beta, t, tol, density, cdf",
+        [
+            (0.5, 1.0, 2.0, 1e-2, (40, 0.009973557010035819), (5, 0.007978845608028654)),
+            (0.9, 0.9, 1.0, 1e-2, (208, 0.009984028510747348), (7, 0.00955867048238589)),
+            (0.3, 1.0, 5.0, 1e-3, (353, 0.0009986991803216491), (14, 0.0008993388026876073)),
+        ],
+    )
+    def test_carrier_cutoffs_and_tails(self, monkeypatch, nu, beta, t, tol, density, cdf):
+        # (K, tail_bound) of the density carrier, c K^{1 - 2 beta}/(2 beta - 1),
+        # and of the CDF carrier, c K^{-2 beta}/(2 beta); c = Gamma(1+nu) t^-nu 2^beta/pi
+        built = []
+        monkeypatch.setattr(fractional, "cosine_law", lambda *a: built.append(cosine_law(*a)) or built[-1])
+        space_time_fractional_density(nu, beta, 1.0, t, Tolerance(tol))
+        space_time_fractional_cdf(nu, beta, 1.0, t, Tolerance(tol))
+        assert [(law.n_terms, law.tail_bound) for law in built] == [density, cdf]
 
     def test_low_beta_pointwise_refused(self):
         with pytest.raises(ConvergenceError, match="space_time_fractional_cdf"):

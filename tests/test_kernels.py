@@ -25,6 +25,7 @@ from circlaw.kernels import (
     odd_kernel_law,
     wrapped_skew_cauchy_density,
 )
+from oracles import even_kernel_cdf_atan2
 
 TOL13 = Tolerance(abs_tol=1e-13)
 GRID64 = np.arange(64) * TWO_PI / 64
@@ -103,9 +104,16 @@ class TestEvenKernelDensity:
 
 
 class TestEvenKernelCdf:
-    @pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("t", [1e-300, 1e-9, 0.3, 1.0, 4.0, 800.0])
     def test_half_at_pi(self, t):
-        assert even_kernel_cdf(math.pi, t) == pytest.approx(0.5, abs=1e-15)
+        assert even_kernel_cdf(math.pi, t) == 0.5
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-9, 1e-3, 0.1, 1.0, 3.0, 30.0, 800.0])
+    def test_is_its_own_atan2_form(self, t):
+        # the odd kernels' form at (a, b) = (1, 0) rounds (1 - q) in both
+        # atan2 arguments where the even form cancels it: a few ulps apart
+        th = np.random.default_rng(30).uniform(0.0, TWO_PI, 2000)
+        assert np.max(np.abs(even_kernel_cdf(th, t) - even_kernel_cdf_atan2(th, t))) <= 2.3e-16
 
     @pytest.mark.parametrize("t", [0.5, 1.5])
     def test_matches_quadrature_32(self, t):

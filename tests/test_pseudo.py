@@ -641,6 +641,11 @@ class TestImportSideEffects:
         code = "import sys, circlaw; print('mpmath' in sys.modules)"
         assert fresh_import(code) == "False"
 
+    def test_import_leaves_the_self_check_suite_unloaded(self):
+        # only `circlaw validate` runs circlaw.validation; cli imports it
+        code = "import sys, circlaw; print('circlaw.validation' in sys.modules)"
+        assert fresh_import(code) == "False"
+
     def test_import_loads_no_heavy_scipy(self):
         # the package needs numpy and scipy.special only; each of these costs
         # tens of milliseconds to load

@@ -87,6 +87,11 @@ class TestMittagLeffler:
     def test_at_zero(self):
         assert mittag_leffler(0.7, 0.0) == 1.0
 
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("x", [0.0, -1e-300, -50.0, -1e6])
+    def test_scalar_is_entry_zero_of_the_array_call(self, nu, x):
+        assert mittag_leffler(nu, x) == mittag_leffler_many(nu, [x])[0]
+
     def test_half_order_erfc_identity_value(self):
         # E_{1/2}(-1) = e * erfc(1); frozen from the quadrature oracle below
         assert mittag_leffler(0.5, -1.0) == pytest.approx(0.4275835761558070, abs=1e-10)
