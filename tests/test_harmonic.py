@@ -506,6 +506,8 @@ NAN = math.nan
         lambda: circlaw.even_kernel_density(np.array([0.5, NAN]), 1.0),
         lambda: circlaw.odd_kernel_density(1, NAN, 1.0),
         lambda: circlaw.even_circle_density(2, NAN, 1.0),
+        lambda: circlaw.space_fractional_law(0.5, 1.0).density(NAN),
+        lambda: circlaw.wrapped_stable_law(0.5, 1.0).density(NAN),
         lambda: even_circle_law(1, 1.0).cdf(NAN),
         lambda: circlaw.even_kernel_cdf(NAN, 1.0),
         lambda: circlaw.mittag_leffler(0.5, NAN),
@@ -514,9 +516,9 @@ NAN = math.nan
         lambda: circlaw.von_mises_density(NAN, 2.0),
     ],
     ids=[
-        "kernel-even", "kernel-even-array", "kernel-odd", "even-circle", "series-cdf",
-        "kernel-even-cdf", "mittag-leffler", "mittag-leffler-many", "space-fractional-half-closed",
-        "von-mises",
+        "kernel-even", "kernel-even-array", "kernel-odd", "even-circle", "space-fractional",
+        "wrapped-stable", "series-cdf", "kernel-even-cdf", "mittag-leffler",
+        "mittag-leffler-many", "space-fractional-half-closed", "von-mises",
     ],
 )
 def test_refuses_nan_arguments(call):
