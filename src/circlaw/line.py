@@ -17,14 +17,17 @@ terms per point as its remainder bound allows). Every other order, even
 p >= 2 and odd p >= 5, goes through one vectorized, cancellation-free
 contour quadrature with a certified error (_contour_density) on two
 contours, both summed in real arithmetic: a two-term ray from 0, and at
-odd p and x < 0 a saddle ray after a real leg.
+odd p and x < 0 a saddle ray after a real leg. Each piece's Gauss rule
+is sized per point from per-order tables of its bound's rho factors
+(_ray_table, _saddle_table, _leg_table), built on first use.
 _line_bound bounds |u_p| at even p in closed form, and _shell_count
 proves from it the shell count of both wrapped sums (the wrapped
 Gaussian and the even wrapped route). _image_sum is the one image sum
 sum_{|m| <= M} w_m u(x + 2 pi m) of every wrapped route (the wrapped
 Gaussian, the even and odd wrapped routes and the wrapped skewed Cauchy
-law): it lays out the shells, blocks the work and sums each row on its
-own, so a grid value equals the scalar call bit for bit.
+law): it sums each distinct centre once, lays out the shells, blocks
+the work and sums each row on its own, so a grid value equals the
+scalar call bit for bit.
 """
 
 from __future__ import annotations
@@ -384,20 +387,74 @@ def _two_term(p: int) -> tuple:
     return psi, float(s[0]), float(c[0]), float(sigma_p), float(tau_p), j_p, weight
 
 
-def _rule_sizes(length, log_m, log_target) -> np.ndarray:
+# The rays' Bernstein-ellipse bounds as sums over k of a per-point
+# coefficient times a per-rho factor: on the ellipse of [0, L] (half-length
+# h = L/2) the semi-axes and the reach are h _MAJOR, h _MINOR and h _REACH,
+# so every power of them splits into h^k times a power of the unit one.
+# Each table is built on first use at its order (none at import) and read by
+# _rule_sizes, whose coefficients are then the only per-call work.
+
+
+@lru_cache(maxsize=None)
+def _ray_table(p: int) -> np.ndarray:
+    """Per-rho factors of the two-term ray's bound at order p: the unit
+    ellipse's depth below the real axis, hypot(_MAJOR sin psi, _MINOR cos
+    psi) - sin psi (coefficient x h), and the sector factor (_MINOR / sin
+    psi)^p (coefficient h^p)."""
+    psi = _two_term(p)[0]
+    depth = np.hypot(_MAJOR * math.sin(psi), _MINOR * math.cos(psi)) - math.sin(psi)
+    with np.errstate(over="ignore"):
+        table = np.array([depth, (_MINOR / math.sin(psi)) ** p])
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _saddle_table(p: int) -> np.ndarray:
+    """Per-rho factors (_MINOR / sin psi)^k, k = 2..p, of the saddle ray's
+    sector bound sum_k c_k (h _MINOR / sin psi)^k at odd order p
+    (coefficients c_k h^k)."""
+    ks = np.arange(2, p + 1)[:, None]
+    with np.errstate(over="ignore"):
+        table = (_MINOR / math.sin(math.pi / (2 * p))) ** ks
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _leg_table(p: int) -> np.ndarray:
+    """Per-rho factors _REACH^k, k = 1..p, of the real leg's bound at odd
+    order p. With D = h _REACH, D (|X| + p ((xi0 + D)^{p-1} - xi0^{p-1}))
+    expands by the binomial theorem into |X| h _REACH + sum_{k=2}^p k C(p, k)
+    xi0^{p-k} h^k _REACH^k (p C(p-1, k-1) = k C(p, k))."""
+    ks = np.arange(1, p + 1)[:, None]
+    with np.errstate(over="ignore"):
+        table = _REACH**ks
+    table.setflags(write=False)
+    return table
+
+
+def _rule_sizes(length, log_target, terms, table) -> np.ndarray:
     """Smallest size in _GL_SIZES whose Gauss error bound meets the target.
 
     ATAP Thm 19.3: on [0, L], |I - I_m| <= (L/2)(64/15) M rho^{-2m}/(rho^2 - 1)
     for an integrand bounded by M on the Bernstein ellipse E_rho of the
-    interval. log_m(A, B, D) bounds log M from the ellipse's semi-major
-    axis A, its semi-minor axis B and its largest distance D from the
-    interval. Returns 0 where no size qualifies.
+    interval. log M = sum_k terms[k] table[k], the per-point coefficients
+    times the per-rho factors of _ray_table, _saddle_table or _leg_table,
+    so the least m over the _RHO grid is one multiply-add per term over
+    (points x rho), each row on its own, and a minimum. Returns 0 where no
+    size qualifies.
     """
-    half = length[:, None] / 2.0
-    # an overflowing bound (inf or nan) qualifies no size, so it refuses
-    with np.errstate(all="ignore"):
-        head = np.log(half) + _LOG_64_15 + log_m(half * _MAJOR, half * _MINOR, half * _REACH)
-        need = np.min((head - _LOG_RHO_SQ_1 - log_target) / _TWO_LOG_RHO, axis=1)
+    # callers hold np.errstate(all="ignore"). An overflowing bound (inf or
+    # nan) qualifies no size, so it refuses; a 0 coefficient against a
+    # factor that overflows (only from p ~ 95 on) leaves its rho out rather
+    # than the whole point
+    head = np.log(length / 2.0) + (_LOG_64_15 - log_target)
+    need = head[:, None] - _LOG_RHO_SQ_1
+    for term, row in zip(terms, table):
+        need += term[:, None] * row
+    need /= _TWO_LOG_RHO
+    need = np.fmin.reduce(need, axis=1)
     # a need past the largest size (or nan) picks the 0 after it
     sizes = np.array(_GL_SIZES + (0,))
     return sizes[np.searchsorted(sizes[:-1], need)]
@@ -405,14 +462,18 @@ def _rule_sizes(length, log_m, log_target) -> np.ndarray:
 
 def _gauss_sums(sizes: np.ndarray, integrand) -> np.ndarray:
     """sum_j w_j integrand(i, v_j) on [0, 1] for each point i, with its own
-    rule size (points of size <= 0 give 0)."""
+    rule size (points of size <= 0 give 0); i is a slice where every point
+    takes one size, else an index array."""
     out = np.zeros(sizes.size)
-    for m in set(sizes[sizes > 0].tolist()):
-        v, w = _gauss_legendre(int(m))
-        idx = np.flatnonzero(sizes == m)
-        step = max(1, _WORK // int(m))
-        for i in range(0, idx.size, step):
-            part = idx[i : i + step]
+    kept = set(sizes.tolist())
+    for m in kept:
+        if m <= 0:
+            continue
+        v, w = _gauss_legendre(m)
+        idx = None if len(kept) == 1 else np.flatnonzero(sizes == m)
+        step = max(1, _WORK // m)
+        for i in range(0, sizes.size if idx is None else idx.size, step):
+            part = slice(i, i + step) if idx is None else idx[i : i + step]
             # a row reduction per point, so a value never depends on its batch
             out[part] = (integrand(part, v) * w).sum(axis=1)
     return out
@@ -430,10 +491,13 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
     exceeds 1 on the sector of half-width psi about the ray and nothing
     cancels. _two_term_ray (xi0 = 0) takes every point at even p and
     X >= 0 at odd p; _saddle_ray (a real leg to xi0 > 0) takes X < 0 at
-    odd p. Each piece is one Gauss-Legendre rule sized by _rule_sizes
-    from its Bernstein-ellipse bound; the ray stops at S with the tail
-    e^{-g(S)}/g'(S) (g convex). Rounding: a node's phase i f carries
-    ~eps |f| and counts with the modulus; as |c_k| <= g_k / sin psi and
+    odd p; a batch that one ray serves whole (every batch at even p) goes
+    to it as it is. Each piece is one Gauss-Legendre rule sized per point
+    by _rule_sizes from its Bernstein-ellipse bound, whose rho factors
+    come from the order's table (one multiply-add per term over points x
+    rho); the ray stops at S with the tail e^{-g(S)}/g'(S) (g convex).
+    Rounding: a node's phase i f carries ~eps |f| and counts with the
+    modulus; as |c_k| <= g_k / sin psi and
     g e^{-g} <= (2/e) e^{-g/2}, int e^{-g} (1 + |f|) ds is at most
     (1 + 2/(e sin psi)) J, J = min_k int e^{-g_k s^k / 2} ds, and the
     charge is eps (_ROUNDING (1 + 2/(e sin psi)) + |f(xi0)|) J, the last
@@ -448,33 +512,42 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
     # ray cutoff: any single term of g(S) >= log(3/target) + 1 makes g(S)
     # at least that; each contour takes the smallest such S
     log_tail = max(-math.log(target / 3.0), 0.0) + 1.0
-    left = X < 0.0 if p % 2 else np.zeros(X.size, dtype=bool)
-    rays = ((~left, _two_term_ray), (left, _saddle_ray))
-    plans = [(part, ray(p, X[part], target, log_tail)) for part, ray in rays if part.any()]
-    ray_charge, rounding, out = np.empty(X.size), np.empty(X.size), np.empty(X.size)
-    certified, no_rule = np.empty(X.size, dtype=bool), np.empty(X.size, dtype=bool)
-    for part, plan in plans:
-        ray_charge[part], rounding[part], certified[part], no_rule[part] = plan[:4]
+    left = X < 0.0 if p % 2 else None
+    if left is None or not left.any():
+        ray_charge, rounding, certified, no_rule, value = _two_term_ray(p, X, target, log_tail)
+    elif left.all():
+        ray_charge, rounding, certified, no_rule, value = _saddle_ray(p, X, target, log_tail)
+    else:
+        rays = ((~left, _two_term_ray), (left, _saddle_ray))
+        plans = [(part, ray(p, X[part], target, log_tail)) for part, ray in rays]
+        ray_charge, rounding = np.empty(X.size), np.empty(X.size)
+        certified, no_rule = np.empty(X.size, dtype=bool), np.empty(X.size, dtype=bool)
+        for part, plan in plans:
+            ray_charge[part], rounding[part], certified[part], no_rule[part] = plan[:4]
+
+        def value():
+            out = np.empty(X.size)
+            for part, plan in plans:
+                out[part] = plan[4]()
+            return out
 
     def refuse_past_the_floor(charge):
-        if np.any(charge > target / 2.0):
+        if (charge > target / 2.0).any():
             raise ConvergenceError(
                 f"u_{p}: target {target:.1e} is below twice the rounding floor "
                 f"(eps x weighted phase range {float(np.max(charge)):.1e})"
             )
 
     refuse_past_the_floor(ray_charge)
-    if not np.all(certified):
+    if not certified.all():
         raise ConvergenceError(f"u_{p}: ray tail could not be certified")
-    if np.any(no_rule):
+    if no_rule.any():
         raise ConvergenceError(
             f"u_{p}: no Gauss rule up to {_GL_SIZES[-1]} nodes certifies {target:.1e} "
             f"at scaled x = {float(X[no_rule][0]):g}"
         )
     refuse_past_the_floor(rounding)
-    for part, plan in plans:
-        out[part] = plan[4]()
-    return out
+    return value()
 
 
 def _two_term_ray(p: int, X: np.ndarray, target: float, log_tail: float):
@@ -505,14 +578,8 @@ def _two_term_ray(p: int, X: np.ndarray, target: float, log_tail: float):
         log_target = np.log((target - rounding) / 3.0)
         certified = -(damp_1 + damp_p) - np.log(dg) <= log_target
         turn_1, turn_p = x * cos_1 * S, tau_p * S_p
-
-    def log_m_ray(semi_major, semi_minor, reach):
-        sin_psi = math.sin(psi)
-        depth = np.hypot(semi_major * sin_psi, semi_minor * math.cos(psi))
-        depth -= S[:, None] / 2.0 * sin_psi
-        return x[:, None] * np.maximum(depth, 0.0) + (semi_minor / sin_psi) ** p
-
-    m_ray = _rule_sizes(S, log_m_ray, log_target[:, None])
+        half = S / 2.0
+        m_ray = _rule_sizes(S, log_target, (x * half, half**p), _ray_table(p))
 
     def on_ray(i, v):
         vp = _node_powers(v.size, p)
@@ -570,19 +637,13 @@ def _saddle_ray(p: int, X: np.ndarray, target: float, log_tail: float):
         # -g_k S^k and c_k cos(k psi) S^k, the Horner coefficients of the log-modulus and the phase
         decay, turn = -(slope * S_k), c * np.cos(ks * psi) * S_k
         phase = psi + f0
-
-    def log_m_real(semi_major, semi_minor, reach):
-        # Im f = 0 on [0, xi0], and |f'| <= |X| + p((xi0 + D)^{p-1} - xi0^{p-1})
-        # within D of it
-        z0 = xi0[:, None]
-        return reach * (-X[:, None] + p * ((z0 + reach) ** (p - 1) - z0 ** (p - 1)))
-
-    def log_m_ray(semi_major, semi_minor, reach):
-        r = semi_minor / math.sin(psi)
-        return sum(c[k - 2][:, None] * r**k for k in range(2, p + 1) if c[k - 2].any())
-
-    m_real = np.where(xi0 > 0.0, _rule_sizes(xi0, log_m_real, log_target[:, None]), -1)
-    m_ray = _rule_sizes(S, log_m_ray, log_target[:, None])
+        # the real leg: Im f = 0 on [0, xi0], and |f'| <= |X| + p((xi0 +
+        # D)^{p-1} - xi0^{p-1}) within D of it (_leg_table)
+        half = xi0 / 2.0
+        leg_terms = (-X * half, *(ks * c * half**ks))
+        m_real = np.where(xi0 > 0.0, _rule_sizes(xi0, log_target, leg_terms, _leg_table(p)), -1)
+        half = S / 2.0
+        m_ray = _rule_sizes(S, log_target, c * half**ks, _saddle_table(p))
 
     def on_real(i, v):
         eta = xi0[i, None] * v
@@ -665,18 +726,24 @@ def _image_sum(u, x, M: int, weights=None):
     """sum_{|m| <= M} w_m u(x + 2 pi m) (w_m = 1 without weights, else the
     2M + 1 weights in shell order); a float for scalar x, else an array of x's shape.
 
-    The rows x_i + 2 pi (-M..M) go to u in blocks of at most _WORK entries
-    (at least one row each), and each row is reduced on its own by numpy's
-    pairwise sum, so a value never depends on its block: a grid value
-    equals the scalar call bit for bit.
+    Each distinct x is summed once and its value copied to its repeats (a
+    grid linspace(0, 2 pi, N) reduces its ends to one centre). The rows
+    x_i + 2 pi (-M..M) go to u in blocks of at most _WORK entries (at least
+    one row each), and each row is reduced on its own by numpy's pairwise
+    sum, so a value never depends on its block: a grid value equals the
+    scalar call bit for bit.
     """
     flat = np.asarray(x, dtype=float).ravel()
+    # -0.0 and 0.0 meet as one centre: both rows are 0.0 + shells
+    centres, repeat = np.unique(flat, return_inverse=True) if flat.size > 1 else (flat, None)
     shells = TWO_PI * np.arange(-M, M + 1)
-    out = np.empty(flat.size)
+    out = np.empty(centres.size)
     step = max(1, _WORK // shells.size)
-    for i in range(0, flat.size, step):
-        rows = u(flat[i : i + step, None] + shells)
+    for i in range(0, centres.size, step):
+        rows = u(centres[i : i + step, None] + shells)
         out[i : i + step] = (rows if weights is None else rows * weights).sum(axis=1)
+    if repeat is not None:
+        out = out[repeat]
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
@@ -706,14 +773,13 @@ def _shell_count(p: int, t: float, tol: Tolerance) -> int:
     return certified_cutoff(twice_tail, tol, f"these are image shells; evaluate the series ({law})")
 
 
-def _line_solution(p: int, x, t: float, tol: Tolerance):
-    """u_p(x, t) = t^{-1/p} u_p(x t^{-1/p}, 1) for scalar or array x, by _contour_density."""
-    if p > _MAX_ORDER:
-        raise ConvergenceError(f"u_{p}: the contour kernel takes orders up to p = {_MAX_ORDER}")
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_finite(x)
-    _check_t(t)
+def _line_values(p: int, x: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
+    """u_p(x, t) = t^{-1/p} u_p(x t^{-1/p}, 1) by _contour_density, for a float
+    array x of any shape with finite entries, at a checked t and p <= _MAX_ORDER.
+
+    The points go to the kernel in blocks of _WORK // _RHO.size, the rows of
+    its sizing arrays (points x ellipses).
+    """
     scale = t ** (-1.0 / p)
     with np.errstate(over="ignore"):
         flat = x.ravel() * scale
@@ -721,8 +787,25 @@ def _line_solution(p: int, x, t: float, tol: Tolerance):
     step = _WORK // _RHO.size
     for i in range(0, flat.size, step):
         out[i : i + step] = _contour_density(p, flat[i : i + step], tol.abs_tol / scale)
-    out = out.reshape(x.shape) * scale
+    out *= scale
+    return out.reshape(x.shape)
+
+
+def _line_solution(p: int, x, t: float, tol: Tolerance):
+    """_line_values for scalar or array x, its order and finiteness checked (t by the caller)."""
+    if p > _MAX_ORDER:
+        raise ConvergenceError(f"u_{p}: the contour kernel takes orders up to p = {_MAX_ORDER}")
+    scalar = np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_finite(x)
+    out = _line_values(p, x, t, tol)
     return float(out[0]) if scalar else out
+
+
+def _check_floor(t: float) -> None:
+    """Refuse t below _T_FLOOR, where the even kernel's target nears its rounding floor."""
+    if t < _T_FLOOR:
+        raise ConvergenceError(f"t below the documented floor {_T_FLOOR:g}")
 
 
 def line_density_even(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
@@ -735,8 +818,7 @@ def line_density_even(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
     """
     _check_n(n)
     _check_t(t)
-    if t < _T_FLOOR:
-        raise ConvergenceError(f"t below the documented floor {_T_FLOOR:g}")
+    _check_floor(t)
     return _line_solution(2 * n, np.abs(x), t, tol)
 
 
@@ -750,6 +832,7 @@ def line_density_odd(n: int, x, t: float, tol: Tolerance = DEFAULT_TOL):
     _check_n(n)
     if n == 1:
         return line_density_third(x, t)
+    _check_t(t)
     return _line_solution(2 * n + 1, x, t, tol)
 
 

@@ -36,11 +36,12 @@ from .line import (
     _T_FLOOR,
     _bisect,
     _centred,
+    _check_floor,
     _image_sum,
+    _line_values,
     _reduced,
     _rotation,
     _shell_count,
-    line_density_even,
     line_density_odd,
 )
 from .special import DEFAULT_TOL, Tolerance
@@ -102,8 +103,10 @@ def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAUL
     n = 1 is the wrapped Gaussian of variance 2t (bm_density_wrapped). At
     n >= 2 the angles, reduced to [-pi, pi], keep the shells |m| <= M =
     line._shell_count(2n, t, tol) (tail below tol/2), refused past M = 64,
-    where the series serves. line._image_sum adds the shells, each value
-    from line_density_even within tol/258.
+    where the series serves, and refused below line._T_FLOOR as
+    line_density_even refuses. line._image_sum adds the shells, each value
+    from the contour kernel (line._line_values, the arguments checked here
+    once) within tol/258.
     """
     _check_finite(theta, "theta")
     _check_n(n)
@@ -116,8 +119,9 @@ def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAUL
             f"the wrapped tail needs {M} shells at t = {t:g}, past m = 64; "
             "evaluate the series (even_circle_law)"
         )
+    _check_floor(t)
     each = Tolerance(tol.abs_tol / 258.0)
-    return _image_sum(lambda x: line_density_even(n, x, t, each), _centred(theta), M)
+    return _image_sum(lambda x: _line_values(2 * n, np.abs(x), t, each), _centred(theta), M)
 
 
 # ---------------------------------------------------------------------------

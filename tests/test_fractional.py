@@ -5,6 +5,7 @@ evolution equation."""
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -20,7 +21,6 @@ from circlaw.fractional import (
     wrapped_stable_law,
 )
 from circlaw.harmonic import TWO_PI, cosine_law
-from circlaw.kernels import even_kernel_density
 from circlaw.pseudo import even_circle_law
 
 TOL6 = Tolerance(abs_tol=1e-6)
@@ -119,13 +119,22 @@ class TestSpaceFractional:
     @pytest.mark.parametrize("t", [1e-9, 1e-20])
     def test_half_closed_form_is_the_poisson_kernel_at_small_t(self, t):
         # the cancelling denominator 1 + q - 2 r cos theta divided by 0 at
-        # t = 1e-9 and made 0/0 at t = 1e-20
+        # t = 1e-9 and made 0/0 at t = 1e-20; the reference is the Poisson
+        # kernel (1/2pi)(1 - r^2)/(1 - 2r cos theta + r^2), r = e^{-t/sqrt 2},
+        # in 80 digits, which the denominator's cancellation (40 digits at
+        # theta = 0, t = 1e-20) leaves far above double precision
+        def poisson(theta):
+            with mp.workdps(80):
+                r = mp.exp(-mp.mpf(t) / mp.sqrt(2))
+                return float((1 - r**2) / (1 - 2 * r * mp.cos(mp.mpf(theta)) + r**2) / (2 * mp.pi))
+
         th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals = space_fractional_half_closed(th, t)
-        assert np.array_equal(vals, even_kernel_density(th, t / math.sqrt(2.0)))
-        assert space_fractional_half_closed(1.0, t) == even_kernel_density(1.0, t / math.sqrt(2.0))
+        # measured: at most 4.7e-16 relative
+        assert vals == pytest.approx([poisson(x) for x in th], rel=1e-14)
+        assert space_fractional_half_closed(1.0, t) == pytest.approx(poisson(1.0), rel=1e-14)
 
     def test_center_value(self):
         assert space_fractional_law(0.5, 1.0).density(0.0) == pytest.approx(0.46876, abs=1e-5)

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -466,6 +467,20 @@ class TestLineDensityOdd:
 _SCALED_X = [0.0, 1e-3, 1.0, 10.0, 60.0, 400.0]
 
 
+@lru_cache(maxsize=None)
+def _unit_time_oracle(oracle, p, X):
+    """oracle's 30-digit u_p(X, 1) at the scaled point X, cached for the whole test run.
+
+    u_p(x, t) = t^{-1/p} u_p(x t^{-1/p}, 1), so the t = 0.5 and t = 2 cases
+    of a scaled point share one value. The point x = X t^{1/p} they are
+    checked at scales back to X within a few ulps, which moves the
+    reference by at most 5.4e-16 where the tolerance is 1e-13 (3.4e-15 at
+    the saddle ray's X = -400, checked at 1e-11).
+    """
+    with mp.workdps(30):
+        return mp.mpf(oracle(p, X, 1.0)) if oracle is mp_odd_line else oracle(p, X)
+
+
 class TestTwoTermRay:
     """The ray from xi0 = 0 at a tolerance of 1e-13 against 30-digit values:
     every point at even p, x >= 0 at odd p, over scaled x = x t^{-1/p}."""
@@ -479,16 +494,20 @@ class TestTwoTermRay:
             x = X * root
             with mp.workdps(30):
                 scale = mp.mpf(t) ** (mp.mpf(1) / p)
-                want = float(mp_even_line(p, mp.mpf(x) / scale) / scale)
+                want = float(_unit_time_oracle(mp_even_line, p, X) / scale)
             assert abs(line_density_even(n, x, t, tol) - want) <= tol.abs_tol, X
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("t", [0.5, 2.0])
     def test_odd_orders_against_mpmath(self, n, t):
         p, tol = 2 * n + 1, Tolerance(1e-13)
+        root = t ** (1.0 / p)
         for X in _SCALED_X:
-            x = X * t ** (1.0 / p)
-            assert abs(line_density_odd(n, x, t, tol) - mp_odd_line(p, x, t)) <= tol.abs_tol, X
+            x = X * root
+            with mp.workdps(30):
+                scale = mp.mpf(t) ** (mp.mpf(1) / p)
+                want = float(_unit_time_oracle(mp_odd_line, p, X) / scale)
+            assert abs(line_density_odd(n, x, t, tol) - want) <= tol.abs_tol, X
 
 
 class TestSaddleRay:
@@ -507,7 +526,7 @@ class TestSaddleRay:
             x = X * root
             with mp.workdps(30):
                 scale = mp.mpf(t) ** (mp.mpf(1) / p)
-                want = float(mp_odd_saddle(p, mp.mpf(x) / scale) / scale)
+                want = float(_unit_time_oracle(mp_odd_saddle, p, X) / scale)
             try:
                 tol = Tolerance(1e-13)
                 got = line_density_odd(n, x, t, tol)
@@ -522,7 +541,8 @@ class TestSaddleRay:
     def test_oracle_meets_the_gamma_route(self):
         # the contour oracle against the generalized-gamma one, both 30 digits
         for p, X in ((5, -10.0), (7, -60.0)):
-            assert float(mp_odd_saddle(p, X)) == pytest.approx(mp_odd_line(p, X, 1.0), abs=1e-16)
+            saddle = float(_unit_time_oracle(mp_odd_saddle, p, X))
+            assert saddle == pytest.approx(mp_odd_line(p, X, 1.0), abs=1e-16)
 
     def test_the_real_leg_charge_alone_trips_the_rounding_floor(self):
         # at scaled x = -400, p = 5: the ray's charge eps (_ROUNDING (1 +
@@ -543,24 +563,38 @@ class TestSaddleRay:
         assert named == pytest.approx(ray + leg, rel=0.05)
 
 
-def _ray_rules(monkeypatch, p, X, target):
-    """(S, log_m, sizes) of every ray sizing call of one _contour_density call
-    at the scaled points X: each ray's length, Bernstein-ellipse bound and
-    rule sizes. The two-term ray (X >= 0, every X at even p) is sized
-    before the saddle ray (X < 0 at odd p), each over its points in batch
-    order; the saddle's real leg is left out."""
+def _sizing_calls(monkeypatch, p, X, target):
+    """(length, log_target, terms, table, sizes) of every _rule_sizes call of
+    one _contour_density call at the scaled points X, in call order: the
+    two-term ray (X >= 0, every X at even p), then at odd p and X < 0 the
+    real leg and the saddle ray, each over its points in batch order. A
+    refusal after the sizing is let pass."""
     seen = []
     rule_sizes = circlaw.line._rule_sizes
 
-    def spy(length, log_m, log_target):
-        sizes = rule_sizes(length, log_m, log_target)
-        if log_m.__name__ != "log_m_real":
-            seen.append((length, log_m, sizes))
+    def spy(length, log_target, terms, table):
+        sizes = rule_sizes(length, log_target, terms, table)
+        seen.append((length, log_target, terms, table, sizes))
         return sizes
 
-    monkeypatch.setattr(circlaw.line, "_rule_sizes", spy)
-    circlaw.line._contour_density(p, np.asarray(X, dtype=float), target)
+    with monkeypatch.context() as patch:
+        patch.setattr(circlaw.line, "_rule_sizes", spy)
+        try:
+            circlaw.line._contour_density(p, np.asarray(X, dtype=float), target)
+        except ConvergenceError:
+            pass
     return seen
+
+
+def _ray_rules(monkeypatch, p, X, target):
+    """(S, log M, sizes) of every ray sizing call of one _contour_density
+    call: each ray's length, its Bernstein-ellipse bound read from the
+    order's table (points x rho) and its rule sizes; the real leg is left out."""
+    return [
+        (length, sum(np.outer(term, row) for term, row in zip(terms, table)), sizes)
+        for length, _, terms, table, sizes in _sizing_calls(monkeypatch, p, X, target)
+        if table is not circlaw.line._leg_table(p)
+    ]
 
 
 # the per-shell target of even_circle_density_wrapped at t = 1, default tol
@@ -583,12 +617,10 @@ class TestContourRayBound:
         psi = math.pi / (2 * p) if p % 2 else math.pi / (4 * p)
         a = 1 if p % 2 else 1j
         tau = np.linspace(0.0, 2.0 * math.pi, 4097)
-        for S, log_m, _ in rules:
+        for S, bound, _ in rules:
             half = S[:, None] / 2.0
             A = half * (rho + 1.0 / rho) / 2.0
             B = half * (rho - 1.0 / rho) / 2.0
-            D = half * np.hypot((rho + 1.0 / rho) / 2.0 - 1.0, (rho - 1.0 / rho) / 2.0)
-            bound = log_m(A, B, D)
             for i, x in zip(range(S.size), xs):
                 # f(xi0 + z) - f(xi0) = sum_k c_k z^k about the odd-order saddle xi0
                 xi0 = (max(-x, 0.0) / p) ** (1.0 / (p - 1))
@@ -616,6 +648,60 @@ class TestContourRayBound:
         assert sizes[-2] == {4: 96, 6: 128}[p]
         if p == 6:
             assert sizes[-1] == sizes[-2]
+
+
+def _closure_rule_sizes(length, log_m, log_target):
+    """The contour kernel's rule sizing before its per-order tables, kept as
+    the reference: log_m(A, B, D) bounds log M on each Bernstein ellipse of
+    [0, length] from its semi-axes A, B and its reach D, minimized over rho."""
+    line = circlaw.line
+    half = length[:, None] / 2.0
+    with np.errstate(all="ignore"):
+        semi_axes = (half * line._MAJOR, half * line._MINOR, half * line._REACH)
+        head = np.log(half) + line._LOG_64_15 + log_m(*semi_axes)
+        need = np.min((head - line._LOG_RHO_SQ_1 - log_target) / line._TWO_LOG_RHO, axis=1)
+    sizes = np.array(_GL_SIZES + (0,))
+    return sizes[np.searchsorted(sizes[:-1], need)]
+
+
+@pytest.mark.parametrize("p", [4, 5, 6, 7, 8])
+def test_tables_size_every_rule_as_the_closures_did(p, monkeypatch):
+    # each sizing call of the kernel (two-term ray; at odd p and X < 0 the
+    # real leg and the saddle ray) against _closure_rule_sizes with the
+    # bounds as closures over the points: the same size at every point
+    X = np.concatenate([np.linspace(-400.0, 400.0, 801), [-1e-3, 1e-3, -0.0, 5e-324]])
+    X = X if p % 2 else X[X >= 0.0]
+    psi = math.pi / (2 * p) if p % 2 else math.pi / (4 * p)
+    x, left = np.abs(X[X >= 0.0]), X[X < 0.0]
+    xi0 = (-left / p) ** (1.0 / (p - 1))
+    c = np.array([math.comb(p, k) * xi0 ** (p - k) for k in range(2, p + 1)])
+
+    def two_term(S):
+        def log_m(semi_major, semi_minor, reach):
+            depth = np.hypot(semi_major * math.sin(psi), semi_minor * math.cos(psi))
+            depth -= S[:, None] / 2.0 * math.sin(psi)
+            return x[:, None] * np.maximum(depth, 0.0) + (semi_minor / math.sin(psi)) ** p
+
+        return log_m
+
+    def leg(semi_major, semi_minor, reach):
+        z0 = xi0[:, None]
+        return reach * (-left[:, None] + p * ((z0 + reach) ** (p - 1) - z0 ** (p - 1)))
+
+    def saddle(semi_major, semi_minor, reach):
+        r = semi_minor / math.sin(psi)
+        return sum(c[k - 2][:, None] * r**k for k in range(2, p + 1) if c[k - 2].any())
+
+    line = circlaw.line
+    for target in (1e-6, 1e-8, 1e-10, _SHELL_TARGET, 1e-12, 1e-13):
+        calls = _sizing_calls(monkeypatch, p, X, target)
+        tables = [line._ray_table(p)] + ([line._leg_table(p), line._saddle_table(p)] if p % 2 else [])
+        assert len(calls) == len(tables)
+        assert all(call[3] is table for call, table in zip(calls, tables))
+        for (length, log_target, _, _, sizes), log_m in zip(calls, (two_term, leg, saddle)):
+            log_m = log_m(length) if log_m is two_term else log_m
+            want = _closure_rule_sizes(length, log_m, log_target[:, None])
+            assert sizes.tolist() == want.tolist(), target
 
 
 class TestGaussLegendre:

@@ -436,6 +436,30 @@ def test_wrapped_routes_are_periodic(route):
         assert np.max(np.abs(route(th + shift) - at)) <= 2.0 * DEFAULT_TOL.abs_tol
 
 
+@pytest.mark.parametrize("route", WRAPPED_ROUTES.values(), ids=WRAPPED_ROUTES.keys())
+def test_each_distinct_centre_is_summed_once(route, monkeypatch):
+    # a CLI grid linspace(0, 2 pi, N) ends at 2 pi, which every route reduces
+    # to the centre of theta = 0: line._image_sum sums that row once and
+    # copies it, and each value is still its scalar call's
+    rows = []
+    image_sum = circlaw.line._image_sum
+
+    def spy(u, x, M, weights=None):
+        def counted(shells):
+            rows.append(shells.shape[0])
+            return u(shells)
+
+        return image_sum(counted, x, M, weights)
+
+    for module in (circlaw.pseudo, circlaw.brownian, circlaw.kernels):
+        monkeypatch.setattr(module, "_image_sum", spy)
+    th = np.linspace(0.0, TWO_PI, 8)
+    grid = route(th)
+    assert sum(rows) == 7
+    assert grid[-1] == grid[0]
+    assert grid.tolist() == [route(float(x)) for x in th]
+
+
 def atom_projections(n, a, q, modes):
     """Mass and modes 1..modes of the atoms as (a_k, b_k), k = 0..modes."""
     angles, weights = odd_circle_atoms(n, a, q)
@@ -645,6 +669,17 @@ class TestImportSideEffects:
         # only `circlaw validate` runs circlaw.validation; cli imports it
         code = "import sys, circlaw; print('circlaw.validation' in sys.modules)"
         assert fresh_import(code) == "False"
+
+    def test_import_builds_no_rho_table(self):
+        # the contour kernel's per-order rho tables are built on first use,
+        # so an import (or a series law) pays for none of them
+        code = (
+            "import circlaw, circlaw.line as line\n"
+            "circlaw.even_circle_law(2, 1.0).density(1.0)\n"
+            "print([f.cache_info().currsize for f in "
+            "(line._ray_table, line._saddle_table, line._leg_table)])"
+        )
+        assert fresh_import(code) == "[0, 0, 0]"
 
     def test_import_loads_no_heavy_scipy(self):
         # the package needs numpy and scipy.special only; each of these costs

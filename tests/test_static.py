@@ -66,6 +66,8 @@ UNUSED_EXPORTS_KEPT = {
     "von_mises_density_series": "the Von Mises comparison's second route, until its row lands",
     "von_mises_matched_kappa": "the Von Mises comparison's moment match, until its row lands",
     "sample": "the rejection sampler the benchmark's sampling workload draws from (ROADMAP item 6)",
+    "line_density_even": "the paper's even-order solution on the line; even_circle_density_wrapped"
+    " sums its kernel (line._line_values) with the arguments checked once",
 }
 
 
@@ -208,8 +210,12 @@ def test_scipy_is_imported_only_inside_functions(path):
     assert lines == [], f"{path.name}: scipy imported at module level at lines {lines}"
 
 
-# the line kernels whose node sums run in real arithmetic
-REAL_KERNELS = {"_two_term_ray", "_saddle_ray", "_gauss_sums", "_airy_oscillating"}
+# the line functions that must run in real arithmetic
+REAL_KERNELS = {
+    "_two_term_ray", "_saddle_ray", "_gauss_sums", "_airy_oscillating",
+    # the rule sizing of every call and the per-order tables it reads
+    "_rule_sizes", "_ray_table", "_saddle_table", "_leg_table",
+}
 
 
 def test_line_kernels_are_real():
