@@ -17,7 +17,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; here it loads at import, not in a job)
 
 from .errors import ConvergenceError, DomainError, SignedLawError, _check_count, _check_finite
-from .special import _EPS, MAX_TERMS, Tolerance
+from .special import _EPS, _WORK, MAX_TERMS, Tolerance
 
 __all__ = ["HarmonicLaw", "fourier_coeffs", "sample"]
 
@@ -59,28 +59,81 @@ def _grid_period(th) -> int:
     return 0
 
 
-def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas):
-    """a0 + sum_k (a_k cos k th + b_k sin k th) at the angles thetas.
+def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas, integrated=False):
+    """a0 + sum_k (a_k cos k th + b_k sin k th) at the angles thetas, or with
+    integrated a0 + sum_k (a_k sin k th - b_k cos k th)/k, the series of
+    HarmonicLaw.cdf.
 
-    The sum is Re sum_k c_k z^k with c_0 = a0, c_k = a_k - i b_k and
-    z = e^{i th}. On a uniform grid of M nodes the modes are folded by
-    k mod M (exact aliasing for a trigonometric polynomial) and summed
-    by one length-M FFT; anywhere else by complex Horner in z. Neither
-    path evaluates a transcendental per term. Returns an array of th's
-    shape, at least 1-d.
+    The sum is Re sum_k c_k z^k with c_0 = a0, c_k = a_k - i b_k (with
+    integrated -b_k/k - i a_k/k) and z = e^{i th}. On a uniform grid of M
+    nodes the modes are folded by k mod M (exact aliasing for a
+    trigonometric polynomial, see _fold) and summed by one length-M FFT;
+    anywhere else by complex Horner in z, over c built by blocks. Neither
+    path evaluates a transcendental per term. The grid fold forms no
+    K-length array; the scattered path forms c, K + 1 complex entries.
+    Returns an array of th's shape, at least 1-d.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    c = np.empty(cos_coeffs.size + 1, dtype=complex)
-    c[0] = a0
-    c[1:].real = cos_coeffs
-    c[1:].imag = -sin_coeffs
+    modes = _modes(cos_coeffs, sin_coeffs, integrated)
+    K = cos_coeffs.size
     M = _grid_period(th)
-    if M:
-        folded = np.zeros(-(-c.size // M) * M, dtype=complex)
-        folded[: c.size] = c
-        vals = np.fft.ifft(folded.reshape(-1, M).sum(axis=0), norm="forward").real
-        return np.concatenate([vals, vals[: th.size - M]])
-    return _horner(c, np.exp(1j * th.ravel())).real.reshape(th.shape)
+    if M > 1:
+        folded = _fold(a0, modes, K, M)
+    else:
+        c = np.empty(K + 1, dtype=complex)
+        c[0] = a0
+        for lo in range(1, K + 1, _WORK):
+            hi = min(K + 1, lo + _WORK)
+            c.real[lo:hi], c.imag[lo:hi] = modes(lo, hi)
+        if not M:
+            return _horner(c, np.exp(1j * th.ravel())).real.reshape(th.shape)
+        # the one node 0 (and 2 pi): numpy sums a fold of one column
+        # pairwise, as it sums c
+        folded = c.sum(keepdims=True)
+    vals = np.fft.ifft(folded, norm="forward").real
+    return np.concatenate([vals, vals[: th.size - M]])
+
+
+def _modes(cos_coeffs, sin_coeffs, integrated):
+    """(lo, hi) -> (Re c_k, Im c_k) for the modes k = lo..hi-1 (lo >= 1) of
+    the series _trig_sum adds: a_k and -b_k, or with integrated -b_k/k and
+    -a_k/k, the values of the whole arrays' -b/k and -a/k."""
+
+    def block(lo, hi):
+        if not integrated:
+            return cos_coeffs[lo - 1 : hi - 1], -sin_coeffs[lo - 1 : hi - 1]
+        k = np.arange(float(lo), float(hi))
+        return -(sin_coeffs[lo - 1 : hi - 1] / k), -(cos_coeffs[lo - 1 : hi - 1] / k)
+
+    return block
+
+
+def _fold(a0, modes, K, M):
+    """sum_r c_{rM + j}, j = 0..M-1, of c_0 = a0 and c_k = modes (M >= 2).
+
+    These are the columns of c zero-padded to whole rows of M and summed
+    over the rows, as numpy's reshape(-1, M).sum(axis=0) sums them: from
+    0.0, one row after the other. The rows come by blocks of about _WORK
+    entries into one buffer, each behind the running sums where there is
+    more than one block, so one sum per block continues that order and the
+    work holds one block, not the K + 1 entries of c.
+    """
+    rows, step = -(-(K + 1) // M), max(1, _WORK // M)  # rows of c, rows per block
+    lead = M if rows > step else 0  # the running sums' row
+    buf = np.zeros(lead + min(rows, step) * M, dtype=complex)
+    folded = np.empty(M, dtype=complex)
+    for lo in range(0, K + 1, step * M):
+        hi = min(K + 1, lo + step * M)
+        first = max(lo, 1)
+        span = slice(lead + first - lo, lead + hi - lo)
+        buf.real[span], buf.imag[span] = modes(first, hi)
+        if lo == 0:
+            buf[lead] = a0
+        end = lead + M * -(-(hi - lo) // M)
+        if lo:  # a later last block pads over the rows before it
+            buf[lead + hi - lo : end] = 0.0
+        np.add.reduce(buf[:end].reshape(-1, M), axis=0, out=folded if hi > K else buf[:M])
+    return folded
 
 
 def _horner(c, z):
@@ -170,14 +223,34 @@ class HarmonicLaw:
         return float(out[0]) if np.ndim(theta) == 0 else out
 
     def cdf(self, theta):
-        """Termwise antiderivative on [0, 2 pi]: a0 th + sum [a_k sin k th + b_k (1-cos k th)]/k."""
+        """Termwise antiderivative on [0, 2 pi]: a0 th + sum [a_k sin k th + b_k (1-cos k th)]/k.
+
+        a_k/k and b_k/k are divided out by blocks of modes (_sum_over_k
+        and _trig_sum's integrated series), never as K-length arrays; each
+        value, and the order of every sum, is the one of a/k and b/k formed
+        whole.
+        """
         th = np.atleast_1d(_cdf_angles(theta))
-        k = np.arange(1.0, self.n_terms + 1.0)
-        a, b = self.cos_coeffs / k, self.sin_coeffs / k
-        out = self.a0 * th + _trig_sum(b.sum(), -b, a, th)
+        const = _sum_over_k(self.sin_coeffs)
+        out = self.a0 * th + _trig_sum(const, self.cos_coeffs, self.sin_coeffs, th, integrated=True)
         # the constant sum b_k/k cancels at th = 0 only up to roundoff
         out[th == 0.0] = 0.0
         return float(out[0]) if np.ndim(theta) == 0 else out
+
+
+def _sum_over_k(b) -> float:
+    """sum_k b_k/k, k = 1..K, in numpy's order for the sum of the array b/k:
+    from 0.0, pairwise (halves cut to a multiple of 8), with b/k divided
+    out by blocks of at most _WORK entries."""
+
+    def pairwise(lo, hi):
+        if hi - lo <= _WORK:
+            return float(np.add.reduce(b[lo:hi] / np.arange(lo + 1.0, hi + 1.0), initial=-0.0))
+        half = (hi - lo) // 2
+        half -= half % 8
+        return pairwise(lo, lo + half) + pairwise(lo + half, hi)
+
+    return 0.0 + pairwise(0, b.size)
 
 
 def certified_cutoff(tail, tol: Tolerance, advice: str) -> int:
@@ -207,13 +280,19 @@ def certified_cutoff(tail, tol: Tolerance, advice: str) -> int:
 def cosine_law(coeffs, tail, tol: Tolerance, advice: str, meta: str) -> HarmonicLaw:
     """Mass-1 cosine carrier a0 = 1/(2 pi), a_k = coeffs(k), b_k = 0.
 
-    K = certified_cutoff(tail, tol, advice); coeffs maps the mode array
-    k = 1.0..K to the cosine coefficients, and tail_bound = tail(K).
+    K = certified_cutoff(tail, tol, advice), and tail_bound = tail(K).
+    coeffs maps an elementwise mode array to the cosine coefficients; it
+    is called on k = 1.0..K by blocks of at most _WORK modes, which fill
+    one preallocated array, so its own work arrays stay one block long.
     """
     K = certified_cutoff(tail, tol, advice)
+    cos_coeffs = np.empty(K)
+    for lo in range(0, K, _WORK):
+        hi = min(K, lo + _WORK)
+        cos_coeffs[lo:hi] = coeffs(np.arange(lo + 1.0, hi + 1.0))
     return HarmonicLaw(
         a0=1.0 / TWO_PI,
-        cos_coeffs=coeffs(np.arange(1.0, K + 1.0)),
+        cos_coeffs=cos_coeffs,
         sin_coeffs=np.zeros(K),
         tail_bound=tail(K),
         meta=meta,

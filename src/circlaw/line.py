@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_n, _check_t
 from .harmonic import TWO_PI, certified_cutoff
-from .special import _EPS, _TINY, DEFAULT_TOL, Tolerance
+from .special import _EPS, _TINY, _WORK, DEFAULT_TOL, Tolerance
 
 __all__ = [
     "line_density_even",
@@ -54,9 +54,6 @@ _T_FLOOR = 1e-6
 # a in (0, 1) of the even-order bound _line_bound: about 0.95 of the
 # saddle-point decay rate at p = 4, 6, 8
 _BOUND_A = 0.1
-# largest work array of the contour kernel (points x nodes, or points x
-# ellipses), of the Airy core (points x nodes) and of _image_sum (angles x shells)
-_WORK = 2**14
 
 
 def _rotation(p: int) -> tuple[float, float]:

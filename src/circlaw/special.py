@@ -32,6 +32,11 @@ MAX_TERMS = 10**6
 _EPS = float(np.finfo(float).eps)
 # the smallest normal double, here and in line
 _TINY = float(np.finfo(float).tiny)
+# largest work array of a blocked loop, in entries: the Mittag-Leffler
+# asymptotic sweep and contour sum (nodes x entries), harmonic's coefficient
+# build and grid fold, and line's contour kernel (points x nodes, or points x
+# ellipses), Airy core (points x nodes) and image sums (angles x shells)
+_WORK = 1 << 14
 
 __all__ = [
     "Tolerance",
@@ -136,9 +141,6 @@ _ML_MAX_NODES = 256
 # the contour is sized for at least this accuracy: at a looser tol its few
 # entries cost about the same, and their values do not move with tol
 _ML_CONTOUR_TOL = 1e-12
-# largest work block: entries of the asymptotic sweep, nodes x entries of
-# the contour sum
-_ML_BLOCK = 1 << 16
 # parabola scales mu (rows) and strip half-widths a (columns) searched
 _ML_MU = np.arange(0.5, 8.01, 0.25)[:, None]
 _ML_STRIP = np.arange(0.05, 0.991, 0.01)[None, :]
@@ -150,14 +152,15 @@ def _ml_asymptotic_many(nu: float, y: np.ndarray, tol_abs: float):
     Terms whose Gamma sits at a pole are exactly zero and must be skipped,
     not treated as convergence (_rgamma returns 0 there). Each entry stops
     at its smallest term; the estimate below that is unreliable closer in
-    than y ~ 50, which callers must enforce. Blocks of _ML_BLOCK entries
+    than y ~ 50, which callers must enforce. Blocks of _WORK entries
     take the first term together, and later rounds run only over the
-    entries still going.
+    entries still going, so beyond out and err the work arrays hold at
+    most one block. An entry's value does not depend on its block.
     """
     out = np.empty_like(y)
     err = np.empty_like(y)
-    for lo in range(0, y.size, _ML_BLOCK):
-        inv = 1.0 / y[lo : lo + _ML_BLOCK]
+    for lo in range(0, y.size, _WORK):
+        inv = 1.0 / y[lo : lo + _WORK]
         val, bound = out[lo : lo + inv.size], err[lo : lo + inv.size]
         np.multiply(inv, _rgamma(1.0 - nu), out=val)  # Gamma(1 - nu) > 0: never -0.0
         np.abs(val, out=bound)
@@ -244,12 +247,16 @@ def _ml_contour(nu: float, y: np.ndarray, tol_abs: float) -> np.ndarray:
     Blocks of entries take one (nodes x entries) array each, so an entry's
     value does not depend on the others. Each entry's rounding charge is
     sum_k (P_k + Q_k/|d_k|)/|d_k|, d_k = B_k + y; an entry whose charge
-    passes tol/3 raises ConvergenceError naming the rounding floor.
+    passes tol/3 raises ConvergenceError naming the rounding floor, the
+    largest charge. The charge does not rise with y (checked over
+    nu in [0.02, 0.99], tol in [1e-15, 1e-12], y in [0, 1e6]), so a caller
+    that passes a y increasing in k by blocks of k meets the refusal, with
+    the same floor, at the block that holds the smallest y of the contour.
     """
     A, B, P, Q = _ml_nodes(nu, min(tol_abs, _ML_CONTOUR_TOL))
     out = np.empty_like(y)
     charge = np.empty_like(y)
-    cols = max(1, _ML_BLOCK // A.shape[0])
+    cols = max(1, _WORK // A.shape[0])
     for i in range(0, y.size, cols):
         d = B + y[i : i + cols]
         out[i : i + cols] = np.cumsum((A / d).real, axis=0)[-1]

@@ -5,7 +5,9 @@ every line solution, evaluated by scipy.integrate.quad; the package's
 routes (Airy at p = 3, the contour quadrature elsewhere) are checked
 against it where it is well conditioned. mp_even_line and mp_odd_saddle
 are the even-order line solution and the odd-order one at x < 0 to 30
-digits by mpmath.
+digits by mpmath. complex_fold is the uniform-grid evaluation of a
+HarmonicLaw from the whole complex coefficient array, the order the
+blocked grid fold keeps.
 """
 
 import math
@@ -17,6 +19,7 @@ from scipy import integrate
 
 from circlaw import ConvergenceError, DomainError
 from circlaw.errors import _check_finite, _check_t
+from circlaw.harmonic import _grid_period
 from circlaw.line import _rotation
 from circlaw.pseudo import _CANCEL_BUDGET
 from circlaw.special import DEFAULT_TOL, Tolerance
@@ -119,3 +122,30 @@ def even_kernel_cdf_atan2(theta, t):
     cancelled from both arguments."""
     q = math.exp(-t)
     return np.arctan2((1.0 + q) * np.sin(theta / 2.0), -math.expm1(-t) * np.cos(theta / 2.0)) / math.pi
+
+
+def complex_fold(law, grid, cdf=False):
+    """law.density(grid) (law.cdf(grid) with cdf) on a uniform grid of M
+    nodes from whole arrays: c_0 = a0, c_k = a_k - i b_k (for the CDF
+    series sum_k b_k/k, -b_k/k and -a_k/k from a/k and b/k formed whole),
+    zero-padded to whole rows of M, reshape(-1, M).sum(axis=0), one
+    length-M inverse FFT."""
+    th = np.asarray(grid, dtype=float)
+    M = _grid_period(th)
+    a0, a, b = law.a0, law.cos_coeffs, law.sin_coeffs
+    if cdf:
+        k = np.arange(1.0, law.n_terms + 1.0)
+        a, b = a / k, b / k
+        a0, a, b = b.sum(), -b, a
+    c = np.empty(a.size + 1, dtype=complex)
+    c[0] = a0
+    c[1:].real = a
+    c[1:].imag = -b
+    folded = np.zeros(-(-c.size // M) * M, dtype=complex)
+    folded[: c.size] = c
+    vals = np.fft.ifft(folded.reshape(-1, M).sum(axis=0), norm="forward").real
+    out = np.concatenate([vals, vals[: th.size - M]])
+    if cdf:
+        out = law.a0 * th + out
+        out[th == 0.0] = 0.0
+    return out

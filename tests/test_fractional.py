@@ -3,6 +3,7 @@ series, wrapped stable laws, equality in law, the space-fractional
 evolution equation."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+import circlaw.harmonic
+import circlaw.special
 from circlaw import ConvergenceError, DomainError, SlowDecayWarning, Tolerance, fractional
 from circlaw.brownian import bm_law
 from circlaw.fractional import (
@@ -22,6 +25,7 @@ from circlaw.fractional import (
 )
 from circlaw.harmonic import TWO_PI, cosine_law
 from circlaw.pseudo import even_circle_law
+from circlaw.special import mittag_leffler_many
 
 TOL6 = Tolerance(abs_tol=1e-6)
 TOL3 = Tolerance(abs_tol=1e-3)
@@ -328,3 +332,52 @@ class TestSpaceTimeFractional:
             space_time_fractional_cdf(0.5, 0.5, -0.5, 1.0, TOL3)
         with pytest.raises(DomainError):
             space_time_fractional_cdf(0.5, 0.5, TWO_PI + 0.5, 1.0, TOL3)
+
+
+class TestWorkBlocks:
+    # the long carriers are built, and their Mittag-Leffler coefficients
+    # evaluated, by blocks of special._WORK (harmonic imports it); values and
+    # refusals are those of any other block size
+    def _long_series(self):
+        grid = np.linspace(0.0, TWO_PI, 64)
+        xs = -np.geomspace(1e-3, 1e4, 3 * 2**10 + 5)  # contour and asymptotic entries
+        law = time_fractional_law(1, 0.5, 1.0, Tolerance(1e-5))  # K = 28 210
+        return [
+            mittag_leffler_many(0.6, xs),
+            mittag_leffler_many(0.6, xs, Tolerance(1e-13)),  # every entry on the contour
+            law.cos_coeffs,
+            law.density(grid),
+            law.cdf(np.r_[grid, 0.3, 2.0]),
+            space_time_fractional_cdf(0.6, 0.7, grid, 0.5, Tolerance(3e-7)),  # K = 27 818
+        ]
+
+    def test_values_do_not_depend_on_the_block(self, monkeypatch):
+        default = self._long_series()
+        monkeypatch.setattr(circlaw.special, "_WORK", 2**10)
+        monkeypatch.setattr(circlaw.harmonic, "_WORK", 2**10)
+        for got, want in zip(self._long_series(), default):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [2**10, 2**14])
+    def test_refusal_names_the_same_floor(self, monkeypatch, block):
+        # every coefficient is certified before the carrier returns
+        monkeypatch.setattr(circlaw.special, "_WORK", block)
+        monkeypatch.setattr(circlaw.harmonic, "_WORK", block)
+        with pytest.raises(ConvergenceError) as refused:
+            time_fractional_law(3, 0.9, 0.01, Tolerance(1e-14))
+        assert str(refused.value) == "Mittag-Leffler contour rounding floor 2.1e-14 exceeds tol=1e-14"
+
+
+def test_long_carrier_memory_stays_within_four_arrays():
+    # K = 235 854 coefficients: the carrier's own two arrays and one block of
+    # work, where whole-array temporaries peaked at ten K-length arrays
+    nu, beta, t, tol = 0.348729, 0.48068, 0.855397, Tolerance(2.97365e-06)
+    K = fractional._space_time_law(nu, beta, t, tol, cdf=True).n_terms
+    assert K == 235_854
+    tracemalloc.start()
+    try:
+        space_time_fractional_cdf(nu, beta, np.linspace(0.0, TWO_PI, 64), t, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * K

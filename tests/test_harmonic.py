@@ -40,7 +40,8 @@ from circlaw.harmonic import (
     fourier_coeffs,
     sample,
 )
-from circlaw.special import MAX_TERMS
+from circlaw.special import _WORK, MAX_TERMS
+from oracles import complex_fold
 
 EPS = np.finfo(float).eps
 
@@ -205,6 +206,37 @@ class TestTrigSum:
         empty = np.zeros(0)
         for th in (np.linspace(0.0, TWO_PI, 9), np.array([0.5, 7.0]), 2.0):
             assert np.all(_trig_sum(0.25, empty, empty, th) == 0.25)
+
+
+class TestBlockedFold:
+    # the grid fold reads the coefficients by blocks of whole rows and the
+    # CDF divides by k inside them: the values, signs of zero included, are
+    # those of the complex fold of the whole arrays
+    LAWS = {
+        "cosine": lambda: time_fractional_law(1, 0.5, 1.0, Tolerance(5e-6)),  # K = 56 419
+        "odd": lambda: odd_kernel_law(1, 3e-4),  # K = 115 996
+    }
+
+    @pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
+    @pytest.mark.parametrize(
+        "grid",
+        [np.linspace(0.0, TWO_PI, n) for n in (8, 65, 513, 4096)]
+        + [np.arange(n) * (TWO_PI / n) for n in (8, 65, 513, 4096)],
+        ids=[f"linspace-{n}" for n in (8, 65, 513, 4096)] + [f"arange-{n}" for n in (8, 65, 513, 4096)],
+    )
+    def test_is_the_complex_fold(self, law, grid):
+        full = law()
+        M = _grid_period(grid)
+        B = _WORK
+        terms = sorted({1, M - 1, M, M + 1, B - 1, B, B + 1, 3 * B + 5})
+        for K in terms:
+            part = make_law(full.cos_coeffs[:K], full.sin_coeffs[:K], full.a0)
+            for got, want in [
+                (part.density(grid), complex_fold(part, grid)),
+                (part.cdf(grid), complex_fold(part, grid, cdf=True)),
+            ]:
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestCdfCertificate:
