@@ -47,16 +47,47 @@ def _grid_period(th) -> int:
     """Number M of periodic nodes when th is a uniform grid, else 0.
 
     The grids are arange(M) * (2 pi / M) and linspace(0, 2 pi, M + 1)
-    (M nodes plus the 2 pi endpoint), matched bit for bit.
+    (M nodes plus the 2 pi endpoint), matched bit for bit. The last node
+    tells the two forms apart (linspace ends on 2 pi, arange short of
+    it), th[1] must be the form's step, and one exact comparison with the
+    form decides. The linspace form is built as numpy's linspace builds
+    it: arange(M + 1) * (2 pi / M), its last entry set to 2 pi.
     """
     N = th.size
     if th.ndim != 1 or N == 0 or th[0] != 0.0:
         return 0
-    if np.array_equal(th, np.arange(N) * (TWO_PI / N)):
-        return N
-    if N > 1 and np.array_equal(th, np.linspace(0.0, TWO_PI, N)):
-        return N - 1
-    return 0
+    if N == 1:
+        return 1
+    M = N - 1 if th[-1] == TWO_PI else N
+    step = TWO_PI / M
+    if th[1] != step:
+        return 0
+    grid = np.arange(N) * step
+    if M < N:
+        grid[-1] = TWO_PI
+    return M if np.array_equal(th, grid) else 0
+
+
+def _unit(th) -> np.ndarray:
+    """e^{i th} as cos th + i sin th: the doubles of np.exp(1j * th).
+
+    One complex array takes cos and sin in place. The imaginary part of
+    1j * -0.0 is +0.0, so adding 0.0 turns sin(-0.0) = -0.0 into +0.0.
+    """
+    z = np.empty(np.shape(th), dtype=complex)
+    np.cos(th, out=z.real)
+    np.sin(th, out=z.imag)
+    z.imag += 0.0
+    return z
+
+
+def _wrap(x):
+    """np.mod(x, TWO_PI), the residue in [0, 2 pi), by fmod and numpy's own
+    fix-up: add TWO_PI where the remainder is negative, and -0.0 becomes
+    +0.0. Writes only into the remainder it allocates, never into x."""
+    r = np.fmod(x, TWO_PI)
+    r += (r < 0.0) * TWO_PI
+    return r
 
 
 def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas, integrated=False):
@@ -65,7 +96,8 @@ def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas, integrated=False):
     HarmonicLaw.cdf.
 
     The sum is Re sum_k c_k z^k with c_0 = a0, c_k = a_k - i b_k (with
-    integrated -b_k/k - i a_k/k) and z = e^{i th}. On a uniform grid of M
+    integrated -b_k/k - i a_k/k) and z = cos th + i sin th (_unit), the
+    doubles of e^{i th}. On a uniform grid of M
     nodes the modes are folded by k mod M (exact aliasing for a
     trigonometric polynomial, see _fold) and summed by one length-M FFT;
     anywhere else by complex Horner in z, over c built by blocks. Neither
@@ -86,7 +118,7 @@ def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas, integrated=False):
             hi = min(K + 1, lo + _WORK)
             c.real[lo:hi], c.imag[lo:hi] = modes(lo, hi)
         if not M:
-            return _horner(c, np.exp(1j * th.ravel())).real.reshape(th.shape)
+            return _horner(c, _unit(th.ravel())).real.reshape(th.shape)
         # the one node 0 (and 2 pi): numpy sums a fold of one column
         # pairwise, as it sums c
         folded = c.sum(keepdims=True)
@@ -183,10 +215,10 @@ class HarmonicLaw:
     describes the generating formula. Mass-1 laws have a0 = 1/(2 pi).
 
     Evaluation at N points (fold-and-FFT on uniform grids, see _trig_sum;
-    elsewhere Horner in e^{i theta}, plain below _BABY_STEP_TERMS terms
-    and by baby steps over chunks of points from there, as K alone
-    decides, see _horner) adds roundoff that is certified apart from the
-    tail:
+    elsewhere Horner in z = cos theta + i sin theta, the doubles of
+    e^{i theta}, plain below _BABY_STEP_TERMS terms and by baby steps
+    over chunks of points from there, as K alone decides, see _horner)
+    adds roundoff that is certified apart from the tail:
 
         |computed - exact| <= 4 (K + ceil(log2 N)) eps sum_{k=0..K} (|a_k| + |b_k|),
 
@@ -194,6 +226,13 @@ class HarmonicLaw:
     runs over the series it evaluates, whose constant term is
     sum_k b_k/k and whose coefficients are -b_k/k and a_k/k, and the
     added a0 theta rounds by at most eps |a0 theta|.
+
+    On the scattered path a value at one angle can differ by an ulp
+    between a scalar call and an array call: numpy's complex products
+    round differently in its vector and its scalar loops, so a value
+    depends on the point's position in the array (bm_law(1) at 1001
+    angles: 221 differ, by at most 5.6e-17). Both lie within the
+    certificate.
     """
 
     a0: float
@@ -411,8 +450,9 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
         height = gen.uniform(0.0, envelope, batch)
         margin = overshoot + rounding(grid_n) + rounding(batch) + 4.0 * _EPS * coeff_sum
         cell = np.minimum((theta * (grid_n / TWO_PI)).astype(np.intp), grid_n - 1)
-        keep = height <= cell_lo[cell] - margin
-        unsure = np.flatnonzero(~keep & (height <= cell_hi[cell] + margin))
+        # widened on the grid_n-entry tables, not on batch-long gathers: the same doubles
+        keep = height <= (cell_lo - margin)[cell]
+        unsure = np.flatnonzero(~keep & (height <= (cell_hi + margin)[cell]))
         if unsure.size:
             dens = law.density(theta[unsure])
             if np.any(np.abs(height[unsure] - dens) <= 2.0 * rounding(batch)):

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; here it loads at import, not in a job)
 
 from .errors import ConvergenceError, DomainError, _check_count, _check_finite, _check_unit
-from .harmonic import TWO_PI
+from .harmonic import TWO_PI, _wrap
 
 __all__ = [
     "RngStream",
@@ -133,11 +133,11 @@ def sample_wrapped_bm(t, rng, size: int | None = None):
     gen = _generator(rng)
     if tv.ndim == 0:
         n = _check_size(size)
-        out = np.mod(math.sqrt(float(tv)) * gen.standard_normal(n), TWO_PI)
+        out = _wrap(math.sqrt(float(tv)) * gen.standard_normal(n))
         return float(out[0]) if size is None else out
     if size is not None and _check_size(size) != tv.size:
         raise DomainError("size must match the length of the time array")
-    return np.mod(np.sqrt(tv) * gen.standard_normal(tv.size), TWO_PI)
+    return _wrap(np.sqrt(tv) * gen.standard_normal(tv.size))
 
 
 def simulate_planar_hit(
@@ -177,7 +177,7 @@ def simulate_planar_hit(
     for _ in range(cap + 1):
         rho = 1.0 - np.abs(p)
         stop = rho <= step
-        out[live[stop]] = np.mod(np.angle(p[stop]), TWO_PI)
+        out[live[stop]] = _wrap(np.angle(p[stop]))
         live, p, rho = live[~stop], p[~stop], rho[~stop]
         if not live.size:
             return float(out[0]) if size is None else out

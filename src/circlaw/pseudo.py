@@ -30,7 +30,14 @@ from .errors import (
 )
 from .brownian import bm_density_wrapped
 from .harmonic import (
-    TWO_PI, HarmonicLaw, certified_cutoff, cosine_law, exp_power_tail, scaled_power, scaled_powers
+    TWO_PI,
+    HarmonicLaw,
+    _wrap,
+    certified_cutoff,
+    cosine_law,
+    exp_power_tail,
+    scaled_power,
+    scaled_powers,
 )
 from .line import (
     _T_FLOOR,
@@ -191,7 +198,7 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
         )
     w = _taper_weights(M)
     shell_tol = Tolerance(tol.abs_tol / float(w.sum()))
-    centre = np.mod(_reduced(theta), TWO_PI)
+    centre = _wrap(_reduced(theta))
     return _image_sum(lambda x: line_density_odd(n, x, t, shell_tol), centre, M, w)
 
 

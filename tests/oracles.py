@@ -7,7 +7,9 @@ against it where it is well conditioned. mp_even_line and mp_odd_saddle
 are the even-order line solution and the odd-order one at x < 0 to 30
 digits by mpmath. complex_fold is the uniform-grid evaluation of a
 HarmonicLaw from the whole complex coefficient array, the order the
-blocked grid fold keeps.
+blocked grid fold keeps. grid_period and wrapped_bm_mod are the grid
+test and the wrapped-BM sampler built on whole reference arrays and
+np.mod, whose decisions and doubles the package's cheaper forms keep.
 """
 
 import math
@@ -19,7 +21,7 @@ from scipy import integrate
 
 from circlaw import ConvergenceError, DomainError
 from circlaw.errors import _check_finite, _check_t
-from circlaw.harmonic import _grid_period
+from circlaw.harmonic import TWO_PI, _grid_period
 from circlaw.line import _rotation
 from circlaw.pseudo import _CANCEL_BUDGET
 from circlaw.special import DEFAULT_TOL, Tolerance
@@ -149,3 +151,26 @@ def complex_fold(law, grid, cdf=False):
         out = law.a0 * th + out
         out[th == 0.0] = 0.0
     return out
+
+
+def grid_period(th) -> int:
+    """harmonic._grid_period by comparing th with both whole grid forms,
+    arange(N) * (2 pi / N) and np.linspace(0, 2 pi, N)."""
+    N = th.size
+    if th.ndim != 1 or N == 0 or th[0] != 0.0:
+        return 0
+    if np.array_equal(th, np.arange(N) * (TWO_PI / N)):
+        return N
+    if N > 1 and np.array_equal(th, np.linspace(0.0, TWO_PI, N)):
+        return N - 1
+    return 0
+
+
+def wrapped_bm_mod(t, rng, size=None):
+    """montecarlo.sample_wrapped_bm's draws reduced by np.mod(x, TWO_PI)."""
+    tv = np.asarray(t, dtype=float)
+    gen = rng.generator
+    if tv.ndim == 0:
+        out = np.mod(math.sqrt(float(tv)) * gen.standard_normal(1 if size is None else size), TWO_PI)
+        return float(out[0]) if size is None else out
+    return np.mod(np.sqrt(tv) * gen.standard_normal(tv.size), TWO_PI)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 import circlaw
@@ -35,13 +36,15 @@ from circlaw.harmonic import (
     _POWER_TABLE,
     _grid_period,
     _trig_sum,
+    _unit,
+    _wrap,
     certified_cutoff,
     cosine_law,
     fourier_coeffs,
     sample,
 )
 from circlaw.special import _WORK, MAX_TERMS
-from oracles import complex_fold
+from oracles import complex_fold, grid_period
 
 EPS = np.finfo(float).eps
 
@@ -237,6 +240,91 @@ class TestBlockedFold:
             ]:
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def bits(x):
+    """The int64 words of x's doubles (a complex entry is two), any shape."""
+    return np.atleast_1d(np.asarray(x)).view(np.int64)
+
+
+def edge_angles():
+    """Signed zeros, whole turns up to 10^6, the least subnormal, 1e300 and
+    the doubles either side of 2 pi, with their negatives."""
+    turns = np.array([1.0, 2.0, 3.0, 7.0, 1e3, 123_457.0, 1e6]) * TWO_PI
+    near = np.nextafter(TWO_PI, [0.0, np.inf])
+    pos = np.concatenate([[0.0, 5e-324, 1e300, TWO_PI], turns, near])
+    return np.concatenate([pos, -pos])
+
+
+class TestElementwiseKernels:
+    # _unit and _wrap are cheaper forms of np.exp(1j * th) and
+    # np.mod(x, TWO_PI): every double, the signs of zero included, is theirs
+    def check(self, x):
+        x = np.asarray(x, dtype=float)
+        before = x.copy()
+        assert np.array_equal(bits(_unit(x)), bits(np.exp(1j * x)))
+        assert np.array_equal(bits(_wrap(x)), bits(np.mod(x, TWO_PI)))
+        assert np.array_equal(bits(x), bits(before))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_finite_doubles(self, x):
+        self.check(x)
+
+    def test_edge_table(self):
+        x = edge_angles()
+        self.check(x)
+        self.check(x.reshape(2, -1))
+        for v in x:
+            self.check(np.array(v))
+
+    def test_wide_range(self):
+        self.check(np.random.default_rng(33).uniform(-1e6, 1e6, 200_000))
+        self.check(np.arange(-10**6, 10**6 + 1, 997) * TWO_PI)
+
+
+class TestGridPeriod:
+    # th[1] and th[-1] pick the form and one comparison decides; every
+    # decision is the one of comparing th with both whole grid forms
+    SIZES = (1, 2, 8, 4096)
+
+    @staticmethod
+    def variants(g):
+        yield g
+        yield g[::-1].copy()
+        yield np.nextafter(g, np.inf)
+        yield np.nextafter(g, -np.inf)
+        for step in (np.inf, -np.inf):
+            last = g.copy()
+            last[-1] = np.nextafter(last[-1], step)
+            yield last
+            mid = g.copy()
+            mid[g.size // 2] = np.nextafter(mid[g.size // 2], step)
+            yield mid
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_exact_grids(self, N):
+        assert _grid_period(np.arange(N) * (TWO_PI / N)) == N
+        assert _grid_period(np.linspace(0.0, TWO_PI, N)) == max(N - 1, 1)
+
+    @pytest.mark.parametrize("N", SIZES)
+    @pytest.mark.parametrize("form", ["arange", "linspace"])
+    def test_perturbed_grids(self, N, form):
+        g = np.arange(N) * (TWO_PI / N) if form == "arange" else np.linspace(0.0, TWO_PI, N)
+        for th in self.variants(g):
+            assert _grid_period(th) == grid_period(th)
+
+    def test_every_size_to_2049(self):
+        for N in range(1, 2050):
+            for g in (np.arange(N) * (TWO_PI / N), np.linspace(0.0, TWO_PI, N)):
+                assert _grid_period(g) == grid_period(g) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(th=hnp.arrays(np.float64, st.integers(1, 9), elements=st.floats(0.0, 7.0)))
+    def test_other_arrays(self, th):
+        th[0] = 0.0
+        assert _grid_period(th) == grid_period(th)
 
 
 class TestCdfCertificate:

@@ -25,6 +25,7 @@ from circlaw.montecarlo import (
     simulate_planar_hit,
 )
 from circlaw.special import mittag_leffler
+from oracles import wrapped_bm_mod
 
 SEED = 314159
 
@@ -202,6 +203,17 @@ class TestWrappedBm:
     def test_scalar_mode(self):
         val = sample_wrapped_bm(0.7, RngStream(SEED, 15))
         assert isinstance(val, float) and 0.0 <= val < TWO_PI
+
+    @pytest.mark.parametrize(
+        "t, size",
+        [(0.7, None), (1.0, 10_000), (1e6, 1000), (np.array([1e-9, 0.5, 2.0, 1e12] * 50), None)],
+        ids=["scalar", "scalar-size", "long-time", "time-array"],
+    )
+    def test_draws_are_np_mod_residues(self, t, size):
+        # the residue by fmod and the sign fix-up is np.mod's, bit for bit
+        got = sample_wrapped_bm(t, RngStream(SEED, 16), size=size)
+        want = wrapped_bm_mod(t, RngStream(SEED, 16), size=size)
+        assert np.array_equal(np.atleast_1d(got).view(np.int64), np.atleast_1d(want).view(np.int64))
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -654,21 +654,26 @@ def fresh_import(code):
     return run.stdout.strip()
 
 
+@pytest.fixture(scope="module")
+def imported_modules():
+    """sys.modules of one fresh interpreter right after `import circlaw`,
+    which the checks that only read it share."""
+    return set(fresh_import("import sys, circlaw; print(*sys.modules)").split())
+
+
 class TestImportSideEffects:
     def test_import_keeps_mpmath_precision(self):
         # a fresh interpreter shows whether import touched the caller's precision
         code = "import mpmath; mpmath.mp.dps = 30; import circlaw; print(mpmath.mp.dps)"
         assert fresh_import(code) == "30"
 
-    def test_import_leaves_mpmath_unloaded(self):
+    def test_import_leaves_mpmath_unloaded(self, imported_modules):
         # mpmath is a test dependency only; no module of the package loads it
-        code = "import sys, circlaw; print('mpmath' in sys.modules)"
-        assert fresh_import(code) == "False"
+        assert ("mpmath" in imported_modules) is False
 
-    def test_import_leaves_the_self_check_suite_unloaded(self):
+    def test_import_leaves_the_self_check_suite_unloaded(self, imported_modules):
         # only `circlaw validate` runs circlaw.validation; cli imports it
-        code = "import sys, circlaw; print('circlaw.validation' in sys.modules)"
-        assert fresh_import(code) == "False"
+        assert ("circlaw.validation" in imported_modules) is False
 
     def test_import_builds_no_rho_table(self):
         # the contour kernel's per-order rho tables are built on first use,
@@ -681,11 +686,10 @@ class TestImportSideEffects:
         )
         assert fresh_import(code) == "[0, 0, 0]"
 
-    def test_import_loads_no_heavy_scipy(self):
+    def test_import_loads_no_heavy_scipy(self, imported_modules):
         # the package needs numpy and scipy.special only; each of these costs
         # tens of milliseconds to load
-        code = f"import sys, circlaw; print([m for m in {HEAVY_SCIPY!r} if m in sys.modules])"
-        assert fresh_import(code) == "[]"
+        assert [m for m in HEAVY_SCIPY if m in imported_modules] == []
 
     def test_commands_load_no_heavy_scipy(self):
         # a root, a Gauss-Legendre build and 8b's reference quadrature each
@@ -700,10 +704,9 @@ class TestImportSideEffects:
         )
         assert fresh_import(code) == "[0, 0, 0] []"
 
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, imported_modules):
         # scipy.special alone used to be ~0.3 s of every fresh process
-        code = "import sys, circlaw; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-        assert fresh_import(code) == "[]"
+        assert [m for m in imported_modules if m.split(".")[0] == "scipy"] == []
 
     def test_commands_load_no_scipy(self):
         # density and cdf of every law (the odd one at n = 1 and 2), positivity
