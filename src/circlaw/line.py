@@ -19,7 +19,8 @@ contour quadrature with a certified error (_contour_density) on two
 contours, both summed in real arithmetic: a two-term ray from 0, and at
 odd p and x < 0 a saddle ray after a real leg. Each piece's Gauss rule
 is sized per point from per-order tables of its bound's rho factors
-(_ray_table, _saddle_table, _leg_table), built on first use.
+(_ray_table, _saddle_table, _leg_table), built on first use, and the
+rules a sum lacks are built together (_gauss_rules).
 _line_bound bounds |u_p| at even p in closed form, and _shell_count
 proves from it the shell count of both wrapped sums (the wrapped
 Gaussian and the even wrapped route). _image_sum is the one image sum
@@ -270,6 +271,13 @@ def line_density_third(x, t: float):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_finite(x)
     _check_t(t)
+    out = _third_values(x, t)
+    return float(out[0]) if scalar else out
+
+
+def _third_values(x: np.ndarray, t: float) -> np.ndarray:
+    """line_density_third for a float array x of any shape with finite
+    entries, at a checked t; it checks nothing again."""
     scale = (3.0 * t) ** (-1.0 / 3.0)
     # an overflowing y is infinite, and its value 0
     with np.errstate(over="ignore"):
@@ -283,8 +291,7 @@ def line_density_third(x, t: float):
     for i in range(0, core.size, step):
         part = core[i : i + step]
         out[part] = _airy_core(y[part])
-    out = out.reshape(x.shape) * scale
-    return float(out[0]) if scalar else out
+    return out.reshape(x.shape) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +325,9 @@ _LEG_SPREAD = 16.0
 _MAX_ORDER, _MAX_BOUND_ORDER = 1029, 128
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre nodes and weights on [0, 1], each within about eps.
+def _gauss_legendre(sizes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Gauss-Legendre nodes and weights on [0, 1] of each size in `sizes`
+    (distinct, ascending), each within about eps, by size, read-only.
 
     The nodes start from Tricomi's approximation
     x_k = -(1 - (m-1)/(8m^3) - (39 - 28/sin^2 th_k)/(384m^4)) cos th_k,
@@ -330,27 +337,71 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     recurrence. The last gives w = 2 (1 - x^2) / (m P_{m-1}(x))^2 (P_{m-1}
     moved with the step to first order); scipy's weights carry a relative
     error near 1e-14 from m ~ 100 on, once the contour kernel's floor. The
-    rule is symmetric, so half of it is computed.
+    rule is symmetric, so half of it is computed. The sizes share one
+    recurrence to the largest (_legendre_steps): the nodes lie by size,
+    ascending, and each step works on the suffix still stepping, so a node
+    takes its own size's arithmetic, its bits do not depend on the other
+    sizes, and a lone size costs what it costs alone.
     """
-    half = (m + 1) // 2
-    th = (4 * np.arange(1, half + 1) - 1) * math.pi / (4 * m + 2)
-    x = -(1 - (m - 1) / (8 * m**3) - (39 - 28 / np.sin(th) ** 2) / (384 * m**4)) * np.cos(th)
+    halves = [(m + 1) // 2 for m in sizes]
+    x = np.concatenate([_tricomi_nodes(m) for m in sizes])
+    orders = np.repeat(np.array(sizes, dtype=float), halves)
     for dtype in (float, float, np.longdouble):
-        x = x.astype(dtype)
-        p2, p1, p0 = np.zeros_like(x), np.ones_like(x), x.copy()
-        for k in range(2, m + 1):
-            p2, p1, p0 = p1, p0, ((2 * k - 1) * x * p0 - (k - 1) * p1) / k
+        x, m = x.astype(dtype), orders.astype(dtype)
+        p2, p1, p0 = _legendre_steps(x, sizes, halves)
         one = 1 - x * x
         step = -p0 * one / (m * (p1 - x * p0))
         p1 = p1 + (m - 1) * (p2 - x * p1) / one * step
         x = x + step
     w = (2 * (1 - x * x) / (m * p1) ** 2).astype(float)
     x = x.astype(float)
-    v = (np.concatenate([x, -x[: m // 2][::-1]]) + 1.0) / 2.0
-    w = np.concatenate([w, w[: m // 2][::-1]]) / 2.0
-    v.setflags(write=False)
-    w.setflags(write=False)
-    return v, w
+    rules = {}
+    for size, lo, half in zip(sizes, np.cumsum([0] + halves).tolist(), halves):
+        xm, wm = x[lo : lo + half], w[lo : lo + half]
+        v = (np.concatenate([xm, -xm[: size // 2][::-1]]) + 1.0) / 2.0
+        wm = np.concatenate([wm, wm[: size // 2][::-1]]) / 2.0
+        v.setflags(write=False)
+        wm.setflags(write=False)
+        rules[size] = v, wm
+    return rules
+
+
+def _tricomi_nodes(m: int) -> np.ndarray:
+    """Tricomi's approximation to the first (m + 1) // 2 nodes of the m-point rule on [-1, 1]."""
+    th = (4 * np.arange(1, (m + 1) // 2 + 1) - 1) * math.pi / (4 * m + 2)
+    return -(1 - (m - 1) / (8 * m**3) - (39 - 28 / np.sin(th) ** 2) / (384 * m**4)) * np.cos(th)
+
+
+def _legendre_steps(x: np.ndarray, sizes, halves) -> list[np.ndarray]:
+    """[P_{m-2}, P_{m-1}, P_m] at nodes x laid out by size (sizes ascending,
+    halves[i] nodes of size sizes[i]), each node to its own size m, by
+    P_k = ((2k - 1) x P_{k-1} - (k - 1) P_{k-2}) / k.
+
+    Each step works on the live suffix, the nodes whose size is at least
+    k; once a size's last step is taken its nodes leave the front of it.
+    """
+    p2, p1, p0 = np.zeros_like(x), np.ones_like(x), x.copy()
+    parts, k = [], 1
+    for m, h in zip(sizes, halves):
+        for k in range(k + 1, m + 1):
+            p2, p1, p0 = p1, p0, ((2 * k - 1) * x * p0 - (k - 1) * p1) / k
+        k = m
+        parts.append((p2[:h], p1[:h], p0[:h]))
+        x, p2, p1, p0 = x[h:], p2[h:], p1[h:], p0[h:]
+    return list(parts[0]) if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
+
+
+# every Gauss-Legendre rule built so far, by size
+_GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gauss_rules(sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The read-only rules (nodes, weights) of `sizes` in their order; the
+    sizes not yet in _GL_RULES are built together by _gauss_legendre."""
+    missing = sorted({m for m in sizes if m not in _GL_RULES})
+    if missing:
+        _GL_RULES.update(_gauss_legendre(missing))
+    return [_GL_RULES[m] for m in sizes]
 
 
 @lru_cache(maxsize=None)
@@ -364,8 +415,8 @@ def _gamma_column(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _node_powers(m: int, p: int) -> np.ndarray:
-    """v_j^p of the m-point rule of _gauss_legendre, read-only, for the two-term ray."""
-    vp = _gauss_legendre(m)[0] ** p
+    """v_j^p of the m-point rule of _gauss_rules, read-only, for the two-term ray."""
+    vp = _gauss_rules((m,))[0][0] ** p
     vp.setflags(write=False)
     return vp
 
@@ -439,34 +490,50 @@ def _rule_sizes(length, log_target, terms, table) -> np.ndarray:
     interval. log M = sum_k terms[k] table[k], the per-point coefficients
     times the per-rho factors of _ray_table, _saddle_table or _leg_table,
     so the least m over the _RHO grid is one multiply-add per term over
-    (points x rho), each row on its own, and a minimum. Returns 0 where no
-    size qualifies.
+    (points x rho), each row on its own, and a minimum; the rows go in
+    chunks of _WORK // _RHO.size. Returns 0 where no size qualifies.
     """
     # callers hold np.errstate(all="ignore"). An overflowing bound (inf or
     # nan) qualifies no size, so it refuses; a 0 coefficient against a
     # factor that overflows (only from p ~ 95 on) leaves its rho out rather
     # than the whole point
     head = np.log(length / 2.0) + (_LOG_64_15 - log_target)
+    step = _WORK // _RHO.size
+    if head.size <= step:
+        least = _least_need(head, terms, table)
+    else:
+        least = np.concatenate([
+            _least_need(head[i : i + step], [term[i : i + step] for term in terms], table)
+            for i in range(0, head.size, step)
+        ])
+    # a need past the largest size (or nan) picks the 0 after it
+    sizes = np.array(_GL_SIZES + (0,))
+    return sizes[np.searchsorted(sizes[:-1], least)]
+
+
+def _least_need(head, terms, table) -> np.ndarray:
+    """The least rule size over _RHO that _rule_sizes needs at each point, as a float."""
     need = head[:, None] - _LOG_RHO_SQ_1
     for term, row in zip(terms, table):
         need += term[:, None] * row
     need /= _TWO_LOG_RHO
-    need = np.fmin.reduce(need, axis=1)
-    # a need past the largest size (or nan) picks the 0 after it
-    sizes = np.array(_GL_SIZES + (0,))
-    return sizes[np.searchsorted(sizes[:-1], need)]
+    return np.fmin.reduce(need, axis=1)
 
 
 def _gauss_sums(sizes: np.ndarray, integrand) -> np.ndarray:
     """sum_j w_j integrand(i, v_j) on [0, 1] for each point i, with its own
     rule size (points of size <= 0 give 0); i is a slice where every point
-    takes one size, else an index array."""
+    takes one size, else an index array. The rules not built yet are built
+    together (_gauss_rules)."""
     out = np.zeros(sizes.size)
     kept = set(sizes.tolist())
+    missing = [m for m in kept if m > 0 and m not in _GL_RULES]
+    if missing:
+        _gauss_rules(missing)
     for m in kept:
         if m <= 0:
             continue
-        v, w = _gauss_legendre(m)
+        v, w = _GL_RULES[m]
         idx = None if len(kept) == 1 else np.flatnonzero(sizes == m)
         step = max(1, _WORK // m)
         for i in range(0, sizes.size if idx is None else idx.size, step):
@@ -774,24 +841,33 @@ def _line_values(p: int, x: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
     """u_p(x, t) = t^{-1/p} u_p(x t^{-1/p}, 1) by _contour_density, for a float
     array x of any shape with finite entries, at a checked t and p <= _MAX_ORDER.
 
-    The points go to the kernel in blocks of _WORK // _RHO.size, the rows of
-    its sizing arrays (points x ellipses).
+    The points go to the kernel in batches as large as its work arrays
+    allow within _WORK entries: _WORK points at even p, whose arrays are
+    per point (the sizing's points x rho grid goes in chunks), and
+    _WORK // (p - 1) at odd p, where the saddle ray's (p - 1) x points
+    arrays bound it. A value does not depend on its batch.
     """
     scale = t ** (-1.0 / p)
     with np.errstate(over="ignore"):
         flat = x.ravel() * scale
+    target = tol.abs_tol / scale
     out = np.empty(flat.size)
-    step = _WORK // _RHO.size
+    step = _WORK // (p - 1) if p % 2 else _WORK
     for i in range(0, flat.size, step):
-        out[i : i + step] = _contour_density(p, flat[i : i + step], tol.abs_tol / scale)
+        out[i : i + step] = _contour_density(p, flat[i : i + step], target)
     out *= scale
     return out.reshape(x.shape)
 
 
-def _line_solution(p: int, x, t: float, tol: Tolerance):
-    """_line_values for scalar or array x, its order and finiteness checked (t by the caller)."""
+def _check_order(p: int) -> None:
+    """Refuse an order past _MAX_ORDER, the contour kernel's largest."""
     if p > _MAX_ORDER:
         raise ConvergenceError(f"u_{p}: the contour kernel takes orders up to p = {_MAX_ORDER}")
+
+
+def _line_solution(p: int, x, t: float, tol: Tolerance):
+    """_line_values for scalar or array x, its order and finiteness checked (t by the caller)."""
+    _check_order(p)
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_finite(x)

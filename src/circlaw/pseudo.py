@@ -18,6 +18,7 @@ against them).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,14 +45,15 @@ from .line import (
     _bisect,
     _centred,
     _check_floor,
+    _check_order,
     _image_sum,
     _line_values,
     _reduced,
     _rotation,
     _shell_count,
-    line_density_odd,
+    _third_values,
 )
-from .special import DEFAULT_TOL, Tolerance
+from .special import _EPS, DEFAULT_TOL, Tolerance
 
 __all__ = [
     "even_circle_law",
@@ -64,8 +66,13 @@ __all__ = [
 ]
 
 # shells for the n=1 odd wrapped sum; the tapered-window residual decays
-# roughly like M^{-3/2}, and 6144 puts projections below ~1e-5
+# roughly like M^{-3/2}, and 6144 puts projections below ~1e-5. It also caps
+# the n >= 2 window, so a row of 2M + 1 shells stays within special._WORK
 _ODD_SHELLS = 6144
+# largest phase rounding, in radians, of the n = 1 window: 4 eps zeta at its
+# farthest shell (8.2e-8 at t = 1e-3); past it (t < 6.7e-6) the far shells'
+# phases, so their signs, are set by rounding
+_PHASE_ROUNDING = 1e-6
 # the peak exponent past which float64 loses the damped-oscillation
 # cancellation of the generalized-gamma route at odd p and x < 0; the contour
 # kernel does not need it, but it fixes the n >= 2 odd window
@@ -135,27 +142,38 @@ def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAUL
 # odd-order circular law
 
 
+@lru_cache(maxsize=32)
 def _taper_weights(M: int) -> np.ndarray:
-    """The 2M + 1 shell weights of the odd window in shell order m = -M..M:
-    Hann rolloff after a flat core, w = 1 on |m| <= M/2, cos^2 beyond."""
+    """The 2M + 1 shell weights of the odd window in shell order m = -M..M,
+    read-only: Hann rolloff after a flat core, w = 1 on |m| <= M/2, cos^2 beyond."""
     m = np.arange(M + 1)
     mf = M // 2
     w = np.ones(M + 1)
     roll = m > mf
     u = (m[roll] - mf) / max(M - mf, 1)
     w[roll] = np.cos(0.5 * math.pi * u) ** 2
-    return np.concatenate([w[:0:-1], w])
+    w = np.concatenate([w[:0:-1], w])
+    w.setflags(write=False)
+    return w
 
 
 def _budget_shells(n: int, t: float) -> int:
     """Shell count of the n >= 2 window: where the gamma route's peak exponent
     reaches _CANCEL_BUDGET. The contour kernel is not bound by it; the
-    window is kept so that the law's values stay those of this scheme."""
+    window is kept so that the law's values stay those of this scheme.
+    A count past _ODD_SHELLS raises ConvergenceError."""
     g = 2 * n + 1
     _, b = _rotation(g)
     bx = (_CANCEL_BUDGET * g / (g - 1)) ** ((g - 1) / g) * (g * t) ** (1.0 / g)
     x_max = bx / b - 0.5
-    return max(2, int((x_max - math.pi) / TWO_PI))
+    reach = (x_max - math.pi) / TWO_PI
+    # an infinite reach (g t past the largest double) is refused here too
+    if not reach < _ODD_SHELLS + 1:
+        raise ConvergenceError(
+            f"the odd window needs {reach:.3g} shells at n = {n}, t = {t:g}, "
+            f"past its cap of {_ODD_SHELLS}"
+        )
+    return max(2, int(reach))
 
 
 def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT_TOL):
@@ -167,17 +185,24 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
     raw shell sum random-walks. A smooth (flat + Hann) taper suppresses
     the window boundary to second order; projections of the tapered sum
     converge, pointwise values remain scheme-dependent. The window has
-    M = 6144 shells at n = 1 and _budget_shells(n, t) at n >= 2, about
-    the residue of theta in [0, 2 pi) (line._reduced, then mod 2 pi), so
-    theta and theta + 2 pi k give one value; line._image_sum adds them.
-    Every shell value comes from line_density_odd within tol / sum_m w_m,
-    so the quadrature error of the sum is at most tol.
+    M = 6144 shells at n = 1 and _budget_shells(n, t) at n >= 2 (refused
+    past 6144), about the residue of theta in [0, 2 pi) (line._reduced,
+    then mod 2 pi), so theta and theta + 2 pi k give one value;
+    line._image_sum adds them. The arguments are checked here once. At
+    n = 1 every shell value is the Airy closed form of line_density_third
+    (line._third_values), which takes no tol. At n >= 2 each comes from
+    the contour kernel (line._line_values) within tol / sum_m w_m, so the
+    quadrature error of the sum is at most tol.
 
     For n = 1 the mode-1 projection comes from the stationary point
     x = -3t of the Airy tail, so t must keep 3t inside the taper's flat
     core |x| <= pi M with a 10% margin (t <= 0.3 pi M); past that bound
     ConvergenceError is raised. At M = 6144 the 128-node projection error
     is ~4e-8 at the bound, 4e-5 at the core edge and 0.18 at t = 1e4.
+    At small t the far shells' phase zeta = (2/3) z^{3/2}, z = 2 pi M
+    (3t)^{-1/3} at the window's end, carries a rounding of about 4 eps
+    zeta; past _PHASE_ROUNDING (t below about 6.7e-6) ConvergenceError is
+    raised, rather than a sum of shells whose signs rounding sets.
 
     At n >= 2 the window resolves only mode 1. Mode k's stationary point
     x ~ -p k^{p-1} t (p = 2n + 1) lies past the flat core of the
@@ -190,16 +215,36 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
     _check_n(n)
     _check_finite(theta, "theta")
     _check_t(t)
-    M = _ODD_SHELLS if n == 1 else _budget_shells(n, t)
-    if n == 1 and t > 0.3 * math.pi * M:
-        raise ConvergenceError(
-            f"t = {t:g} moves the mode-1 stationary point 3t out of the flat core "
-            f"of the {M}-shell window, which serves t <= 0.3 pi M = {0.3 * math.pi * M:g}"
-        )
-    w = _taper_weights(M)
-    shell_tol = Tolerance(tol.abs_tol / float(w.sum()))
-    centre = _wrap(_reduced(theta))
-    return _image_sum(lambda x: line_density_odd(n, x, t, shell_tol), centre, M, w)
+    if n == 1:
+        M = _ODD_SHELLS
+        if t > 0.3 * math.pi * M:
+            raise ConvergenceError(
+                f"t = {t:g} moves the mode-1 stationary point 3t out of the flat core "
+                f"of the {M}-shell window, which serves t <= 0.3 pi M = {0.3 * math.pi * M:g}"
+            )
+        z = TWO_PI * M * (3.0 * t) ** (-1.0 / 3.0)
+        rounding = 4.0 * _EPS * (2.0 * z * math.sqrt(z) / 3.0)
+        if rounding > _PHASE_ROUNDING:
+            raise ConvergenceError(
+                f"at t = {t:g} the far shells' Airy phase carries {rounding:.1e} rad of "
+                f"rounding, past {_PHASE_ROUNDING:g}"
+            )
+        w = _taper_weights(M)
+
+        def u(x):
+            return _third_values(x, t)
+
+    else:
+        p = 2 * n + 1
+        _check_order(p)
+        M = _budget_shells(n, t)
+        w = _taper_weights(M)
+        shell_tol = Tolerance(tol.abs_tol / float(w.sum()))
+
+        def u(x):
+            return _line_values(p, x, t, shell_tol)
+
+    return _image_sum(u, _wrap(_reduced(theta)), M, w)
 
 
 def odd_circle_atoms(n: int, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:

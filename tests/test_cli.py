@@ -197,6 +197,12 @@ class TestCurveCommands:
         rows = parse_csv(out)
         assert np.array_equal(rows[:, 1], odd_circle_density_wrapped(2, rows[:, 0], 1.0))
 
+    @pytest.mark.parametrize("t", ["1e30", "1e300"])
+    def test_odd_window_past_its_shell_cap_refused(self, capsys, t):
+        code, out, err = run(capsys, "density", "--law", "odd", "--n", "2", "--t", t, "--grid", "8")
+        assert code == 3 and out == ""
+        assert err.startswith("non-convergence: the odd window needs") and err.endswith("cap of 6144\n")
+
     def test_odd_cdf_refused(self, capsys):
         code, _, err = run(capsys, "cdf", "--law", "odd", "--t", "1")
         assert code == 3 and "CDF" in err
@@ -306,20 +312,20 @@ def test_no_traceback(capsys, argv):
     [
         (("density", "--law", "kernel-even", "--t", "5e-324", "--grid", "8"), 2),
         (("density", "--law", "kernel-odd", "--n", "1", "--t", "5e-324", "--grid", "8"), 2),
-        (("density", "--law", "odd", "--n", "1", "--t", "5e-324", "--grid", "8"), 0),
+        (("density", "--law", "odd", "--n", "1", "--t", "5e-324", "--grid", "8"), 3),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
 )
 def test_subnormal_time_prints_no_raw_warning(capsys, argv, code):
     # the kernels' peak passes the largest double and is refused; the odd
-    # law's rows are finite; neither prints a numpy warning line
+    # law's far shells carry more phase rounding than its bound and are
+    # refused; neither prints a numpy warning line
     got, out, err = run(capsys, *argv)
-    assert got == code
+    assert got == code and out == "" and len(err.splitlines()) == 1
     if code == 2:
         assert err.startswith("invalid-parameters: the Poisson kernel passes the largest double")
-        assert len(err.splitlines()) == 1
     else:
-        assert err == "" and np.all(np.isfinite(parse_csv(out)))
+        assert err.startswith("non-convergence: at t = 4.94066e-324 the far shells' Airy phase")
 
 
 # every selector with the flags it needs; spacetimefrac's density series

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
 from circlaw.line import _centred, _line_bound, _shell_count, line_density_even
 from circlaw.pseudo import (
     _ODD_SHELLS,
+    _budget_shells,
     _taper_weights,
     even_circle_density,
     even_circle_density_wrapped,
@@ -331,6 +333,8 @@ class TestOddCircleDensity:
     def test_taper_weights_shape(self):
         # shell order m = -100..100: flat on |m| <= 50, Hann rolloff to 0 at |m| = 100
         w = _taper_weights(100)
+        # cached, so shared by every call: read-only
+        assert not w.flags.writeable and _taper_weights(100) is w
         assert w.size == 201 and np.array_equal(w, w[::-1])
         assert w[100] == 1.0 and w[150] == 1.0
         assert w[200] == pytest.approx(0.0, abs=1e-15)
@@ -407,6 +411,34 @@ class TestOddCircleDensity:
             odd_circle_density_wrapped(1, 0.5, np.nextafter(t_max, math.inf))
         with pytest.raises(ConvergenceError):
             odd_circle_density_wrapped(1, 0.5, 1e4)
+
+    def test_window_past_its_shell_cap_is_refused_at_once(self):
+        # the n >= 2 window grows like t^(1/5) at n = 2: t = 1e30 asked for
+        # 14.6 million shells a side (a 234 MB row per angle), and t >= 1e200
+        # for more than numpy can allocate. Past M = _ODD_SHELLS the call is
+        # refused before any row is built
+        assert _budget_shells(2, 1e13) == 5812 <= _ODD_SHELLS
+        assert math.isfinite(odd_circle_density_wrapped(2, 1.0, 1e13))
+        th = np.linspace(0.0, TWO_PI, 512)
+        for t in (1.6e13, 1e30, 1e200, 1e300, 1.7e308):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConvergenceError, match="past its cap of 6144$"):
+                    odd_circle_density_wrapped(2, th, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16, t
+
+    def test_phase_rounding_at_small_t_is_refused(self):
+        # at n = 1 the far shells' Airy phase zeta ~ (2/3) (2 pi M)^{3/2}
+        # (3t)^{-1/2} carries about 4 eps zeta of rounding: at t = 1e-300
+        # every far shell's sign was rounding's (the sum read -1.06e75).
+        # Refused past 1e-6 rad (t below ~6.7e-6); 8.2e-8 rad at t = 1e-3
+        for t in (6e-6, 1e-300, 5e-324):
+            with pytest.raises(ConvergenceError, match="rad of rounding, past 1e-06$"):
+                odd_circle_density_wrapped(1, 1.0, t)
+        assert math.isfinite(odd_circle_density_wrapped(1, 1.0, 1e-5))
 
     def test_validation(self):
         with pytest.raises(DomainError):

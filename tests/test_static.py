@@ -68,6 +68,8 @@ UNUSED_EXPORTS_KEPT = {
     "sample": "the rejection sampler the benchmark's sampling workload draws from (ROADMAP item 6)",
     "line_density_even": "the paper's even-order solution on the line; even_circle_density_wrapped"
     " sums its kernel (line._line_values) with the arguments checked once",
+    "line_density_odd": "the paper's odd-order solution on the line; odd_circle_density_wrapped"
+    " sums its bodies (line._third_values, line._line_values) with the arguments checked once",
 }
 
 
