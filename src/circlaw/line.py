@@ -19,8 +19,7 @@ contour quadrature with a certified error (_contour_density) on two
 contours, both summed in real arithmetic: a two-term ray from 0, and at
 odd p and x < 0 a saddle ray after a real leg. Each piece's Gauss rule
 is sized per point from per-order tables of its bound's rho factors
-(_ray_table, _saddle_table, _leg_table), built on first use, and the
-rules a sum lacks are built together (_gauss_rules).
+(_ray_table, _saddle_table, _leg_table), built on first use.
 _line_bound bounds |u_p| at even p in closed form, and _shell_count
 proves from it the shell count of both wrapped sums (the wrapped
 Gaussian and the even wrapped route). _image_sum is the one image sum
@@ -325,9 +324,9 @@ _LEG_SPREAD = 16.0
 _MAX_ORDER, _MAX_BOUND_ORDER = 1029, 128
 
 
-def _gauss_legendre(sizes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Gauss-Legendre nodes and weights on [0, 1] of each size in `sizes`
-    (distinct, ascending), each within about eps, by size, read-only.
+@lru_cache(maxsize=None)
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss-Legendre nodes and weights on [0, 1], each within about eps.
 
     The nodes start from Tricomi's approximation
     x_k = -(1 - (m-1)/(8m^3) - (39 - 28/sin^2 th_k)/(384m^4)) cos th_k,
@@ -337,71 +336,27 @@ def _gauss_legendre(sizes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     recurrence. The last gives w = 2 (1 - x^2) / (m P_{m-1}(x))^2 (P_{m-1}
     moved with the step to first order); scipy's weights carry a relative
     error near 1e-14 from m ~ 100 on, once the contour kernel's floor. The
-    rule is symmetric, so half of it is computed. The sizes share one
-    recurrence to the largest (_legendre_steps): the nodes lie by size,
-    ascending, and each step works on the suffix still stepping, so a node
-    takes its own size's arithmetic, its bits do not depend on the other
-    sizes, and a lone size costs what it costs alone.
+    rule is symmetric, so half of it is computed.
     """
-    halves = [(m + 1) // 2 for m in sizes]
-    x = np.concatenate([_tricomi_nodes(m) for m in sizes])
-    orders = np.repeat(np.array(sizes, dtype=float), halves)
+    half = (m + 1) // 2
+    th = (4 * np.arange(1, half + 1) - 1) * math.pi / (4 * m + 2)
+    x = -(1 - (m - 1) / (8 * m**3) - (39 - 28 / np.sin(th) ** 2) / (384 * m**4)) * np.cos(th)
     for dtype in (float, float, np.longdouble):
-        x, m = x.astype(dtype), orders.astype(dtype)
-        p2, p1, p0 = _legendre_steps(x, sizes, halves)
+        x = x.astype(dtype)
+        p2, p1, p0 = np.zeros_like(x), np.ones_like(x), x.copy()
+        for k in range(2, m + 1):
+            p2, p1, p0 = p1, p0, ((2 * k - 1) * x * p0 - (k - 1) * p1) / k
         one = 1 - x * x
         step = -p0 * one / (m * (p1 - x * p0))
         p1 = p1 + (m - 1) * (p2 - x * p1) / one * step
         x = x + step
     w = (2 * (1 - x * x) / (m * p1) ** 2).astype(float)
     x = x.astype(float)
-    rules = {}
-    for size, lo, half in zip(sizes, np.cumsum([0] + halves).tolist(), halves):
-        xm, wm = x[lo : lo + half], w[lo : lo + half]
-        v = (np.concatenate([xm, -xm[: size // 2][::-1]]) + 1.0) / 2.0
-        wm = np.concatenate([wm, wm[: size // 2][::-1]]) / 2.0
-        v.setflags(write=False)
-        wm.setflags(write=False)
-        rules[size] = v, wm
-    return rules
-
-
-def _tricomi_nodes(m: int) -> np.ndarray:
-    """Tricomi's approximation to the first (m + 1) // 2 nodes of the m-point rule on [-1, 1]."""
-    th = (4 * np.arange(1, (m + 1) // 2 + 1) - 1) * math.pi / (4 * m + 2)
-    return -(1 - (m - 1) / (8 * m**3) - (39 - 28 / np.sin(th) ** 2) / (384 * m**4)) * np.cos(th)
-
-
-def _legendre_steps(x: np.ndarray, sizes, halves) -> list[np.ndarray]:
-    """[P_{m-2}, P_{m-1}, P_m] at nodes x laid out by size (sizes ascending,
-    halves[i] nodes of size sizes[i]), each node to its own size m, by
-    P_k = ((2k - 1) x P_{k-1} - (k - 1) P_{k-2}) / k.
-
-    Each step works on the live suffix, the nodes whose size is at least
-    k; once a size's last step is taken its nodes leave the front of it.
-    """
-    p2, p1, p0 = np.zeros_like(x), np.ones_like(x), x.copy()
-    parts, k = [], 1
-    for m, h in zip(sizes, halves):
-        for k in range(k + 1, m + 1):
-            p2, p1, p0 = p1, p0, ((2 * k - 1) * x * p0 - (k - 1) * p1) / k
-        k = m
-        parts.append((p2[:h], p1[:h], p0[:h]))
-        x, p2, p1, p0 = x[h:], p2[h:], p1[h:], p0[h:]
-    return list(parts[0]) if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
-
-
-# every Gauss-Legendre rule built so far, by size
-_GL_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_rules(sizes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The read-only rules (nodes, weights) of `sizes` in their order; the
-    sizes not yet in _GL_RULES are built together by _gauss_legendre."""
-    missing = sorted({m for m in sizes if m not in _GL_RULES})
-    if missing:
-        _GL_RULES.update(_gauss_legendre(missing))
-    return [_GL_RULES[m] for m in sizes]
+    v = (np.concatenate([x, -x[: m // 2][::-1]]) + 1.0) / 2.0
+    w = np.concatenate([w, w[: m // 2][::-1]]) / 2.0
+    v.setflags(write=False)
+    w.setflags(write=False)
+    return v, w
 
 
 @lru_cache(maxsize=None)
@@ -415,8 +370,8 @@ def _gamma_column(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _node_powers(m: int, p: int) -> np.ndarray:
-    """v_j^p of the m-point rule of _gauss_rules, read-only, for the two-term ray."""
-    vp = _gauss_rules((m,))[0][0] ** p
+    """v_j^p of the m-point rule of _gauss_legendre, read-only, for the two-term ray."""
+    vp = _gauss_legendre(m)[0] ** p
     vp.setflags(write=False)
     return vp
 
@@ -498,14 +453,11 @@ def _rule_sizes(length, log_target, terms, table) -> np.ndarray:
     # factor that overflows (only from p ~ 95 on) leaves its rho out rather
     # than the whole point
     head = np.log(length / 2.0) + (_LOG_64_15 - log_target)
+    least = np.empty(head.size)
     step = _WORK // _RHO.size
-    if head.size <= step:
-        least = _least_need(head, terms, table)
-    else:
-        least = np.concatenate([
-            _least_need(head[i : i + step], [term[i : i + step] for term in terms], table)
-            for i in range(0, head.size, step)
-        ])
+    for i in range(0, head.size, step):
+        rows = slice(i, i + step)
+        least[rows] = _least_need(head[rows], [term[rows] for term in terms], table)
     # a need past the largest size (or nan) picks the 0 after it
     sizes = np.array(_GL_SIZES + (0,))
     return sizes[np.searchsorted(sizes[:-1], least)]
@@ -523,17 +475,13 @@ def _least_need(head, terms, table) -> np.ndarray:
 def _gauss_sums(sizes: np.ndarray, integrand) -> np.ndarray:
     """sum_j w_j integrand(i, v_j) on [0, 1] for each point i, with its own
     rule size (points of size <= 0 give 0); i is a slice where every point
-    takes one size, else an index array. The rules not built yet are built
-    together (_gauss_rules)."""
+    takes one size, else an index array."""
     out = np.zeros(sizes.size)
     kept = set(sizes.tolist())
-    missing = [m for m in kept if m > 0 and m not in _GL_RULES]
-    if missing:
-        _gauss_rules(missing)
     for m in kept:
         if m <= 0:
             continue
-        v, w = _GL_RULES[m]
+        v, w = _gauss_legendre(m)
         idx = None if len(kept) == 1 else np.flatnonzero(sizes == m)
         step = max(1, _WORK // m)
         for i in range(0, sizes.size if idx is None else idx.size, step):
@@ -845,14 +793,19 @@ def _line_values(p: int, x: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
     allow within _WORK entries: _WORK points at even p, whose arrays are
     per point (the sizing's points x rho grid goes in chunks), and
     _WORK // (p - 1) at odd p, where the saddle ray's (p - 1) x points
-    arrays bound it. A value does not depend on its batch.
+    arrays bound it. From p = 43 on that would be fewer than the
+    _WORK // _RHO.size points of a sizing chunk, and a batch's O(p)
+    Python-level work would show (p = 257 ran 5-12% slower in 64-point
+    batches on a 2-core Xeon VM), so high odd orders keep batches of
+    _WORK // _RHO.size points.
+    A value does not depend on its batch.
     """
     scale = t ** (-1.0 / p)
     with np.errstate(over="ignore"):
         flat = x.ravel() * scale
     target = tol.abs_tol / scale
     out = np.empty(flat.size)
-    step = _WORK // (p - 1) if p % 2 else _WORK
+    step = _WORK // min(p - 1, _RHO.size) if p % 2 else _WORK
     for i in range(0, flat.size, step):
         out[i : i + step] = _contour_density(p, flat[i : i + step], target)
     out *= scale

@@ -66,9 +66,15 @@ __all__ = [
 ]
 
 # shells for the n=1 odd wrapped sum; the tapered-window residual decays
-# roughly like M^{-3/2}, and 6144 puts projections below ~1e-5. It also caps
-# the n >= 2 window, so a row of 2M + 1 shells stays within special._WORK
+# roughly like M^{-3/2}, and 6144 puts projections below ~1e-5
 _ODD_SHELLS = 6144
+# most shells of the n >= 2 window (t ~ 1.9e21 at n = 2). Each angle's row
+# of 2M + 1 shell values goes to the kernel whole, and with the arrays
+# built beside it peaks near 84 bytes a shell: 22 MB here, where an angle
+# takes ~5 s (10 us a shell on a 2-core Xeon VM). t = 1e30 asked for 14.6
+# million shells (a 234 MB row, ~1.2 GB with its arrays), t >= 1e200 for
+# more than numpy can allocate
+_MAX_WINDOW_SHELLS = 2**18
 # largest phase rounding, in radians, of the n = 1 window: 4 eps zeta at its
 # farthest shell (8.2e-8 at t = 1e-3); past it (t < 6.7e-6) the far shells'
 # phases, so their signs, are set by rounding
@@ -142,7 +148,7 @@ def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAUL
 # odd-order circular law
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)
 def _taper_weights(M: int) -> np.ndarray:
     """The 2M + 1 shell weights of the odd window in shell order m = -M..M,
     read-only: Hann rolloff after a flat core, w = 1 on |m| <= M/2, cos^2 beyond."""
@@ -161,17 +167,17 @@ def _budget_shells(n: int, t: float) -> int:
     """Shell count of the n >= 2 window: where the gamma route's peak exponent
     reaches _CANCEL_BUDGET. The contour kernel is not bound by it; the
     window is kept so that the law's values stay those of this scheme.
-    A count past _ODD_SHELLS raises ConvergenceError."""
+    A count past _MAX_WINDOW_SHELLS raises ConvergenceError."""
     g = 2 * n + 1
     _, b = _rotation(g)
     bx = (_CANCEL_BUDGET * g / (g - 1)) ** ((g - 1) / g) * (g * t) ** (1.0 / g)
     x_max = bx / b - 0.5
     reach = (x_max - math.pi) / TWO_PI
     # an infinite reach (g t past the largest double) is refused here too
-    if not reach < _ODD_SHELLS + 1:
+    if not reach < _MAX_WINDOW_SHELLS + 1:
         raise ConvergenceError(
             f"the odd window needs {reach:.3g} shells at n = {n}, t = {t:g}, "
-            f"past its cap of {_ODD_SHELLS}"
+            f"past its cap of {_MAX_WINDOW_SHELLS}"
         )
     return max(2, int(reach))
 
@@ -186,13 +192,14 @@ def odd_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAULT
     the window boundary to second order; projections of the tapered sum
     converge, pointwise values remain scheme-dependent. The window has
     M = 6144 shells at n = 1 and _budget_shells(n, t) at n >= 2 (refused
-    past 6144), about the residue of theta in [0, 2 pi) (line._reduced,
-    then mod 2 pi), so theta and theta + 2 pi k give one value;
-    line._image_sum adds them. The arguments are checked here once. At
-    n = 1 every shell value is the Airy closed form of line_density_third
-    (line._third_values), which takes no tol. At n >= 2 each comes from
-    the contour kernel (line._line_values) within tol / sum_m w_m, so the
-    quadrature error of the sum is at most tol.
+    past _MAX_WINDOW_SHELLS = 2^18, t ~ 1.9e21 at n = 2), about the
+    residue of theta in [0, 2 pi) (line._reduced, then mod 2 pi), so theta
+    and theta + 2 pi k give one value; line._image_sum adds them. The
+    arguments are checked here once. At n = 1 every shell value is the
+    Airy closed form of line_density_third (line._third_values), which
+    takes no tol. At n >= 2 each comes from the contour kernel
+    (line._line_values) within tol / sum_m w_m, so the quadrature error of
+    the sum is at most tol.
 
     For n = 1 the mode-1 projection comes from the stationary point
     x = -3t of the Airy tail, so t must keep 3t inside the taper's flat

@@ -10,8 +10,6 @@ HarmonicLaw from the whole complex coefficient array, the order the
 blocked grid fold keeps. grid_period and wrapped_bm_mod are the grid
 test and the wrapped-BM sampler built on whole reference arrays and
 np.mod, whose decisions and doubles the package's cheaper forms keep.
-gauss_legendre_one is one Gauss-Legendre rule by its own recurrence,
-whose bits the package's rules, built several sizes at once, keep.
 """
 
 import math
@@ -176,26 +174,3 @@ def wrapped_bm_mod(t, rng, size=None):
         out = np.mod(math.sqrt(float(tv)) * gen.standard_normal(1 if size is None else size), TWO_PI)
         return float(out[0]) if size is None else out
     return np.mod(np.sqrt(tv) * gen.standard_normal(tv.size), TWO_PI)
-
-
-def gauss_legendre_one(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-point Gauss-Legendre rule on [0, 1] as line._gauss_legendre
-    builds it, but for one size alone: Tricomi's nodes, two Newton steps in
-    float64 and one in extended precision, each after its own three-term
-    recurrence to P_m."""
-    half = (m + 1) // 2
-    th = (4 * np.arange(1, half + 1) - 1) * math.pi / (4 * m + 2)
-    x = -(1 - (m - 1) / (8 * m**3) - (39 - 28 / np.sin(th) ** 2) / (384 * m**4)) * np.cos(th)
-    for dtype in (float, float, np.longdouble):
-        x = x.astype(dtype)
-        p2, p1, p0 = np.zeros_like(x), np.ones_like(x), x.copy()
-        for k in range(2, m + 1):
-            p2, p1, p0 = p1, p0, ((2 * k - 1) * x * p0 - (k - 1) * p1) / k
-        one = 1 - x * x
-        step = -p0 * one / (m * (p1 - x * p0))
-        p1 = p1 + (m - 1) * (p2 - x * p1) / one * step
-        x = x + step
-    w = (2 * (1 - x * x) / (m * p1) ** 2).astype(float)
-    x = x.astype(float)
-    v = (np.concatenate([x, -x[: m // 2][::-1]]) + 1.0) / 2.0
-    return v, np.concatenate([w, w[: m // 2][::-1]]) / 2.0

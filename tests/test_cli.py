@@ -201,7 +201,7 @@ class TestCurveCommands:
     def test_odd_window_past_its_shell_cap_refused(self, capsys, t):
         code, out, err = run(capsys, "density", "--law", "odd", "--n", "2", "--t", t, "--grid", "8")
         assert code == 3 and out == ""
-        assert err.startswith("non-convergence: the odd window needs") and err.endswith("cap of 6144\n")
+        assert err.startswith("non-convergence: the odd window needs") and err.endswith("cap of 262144\n")
 
     def test_odd_cdf_refused(self, capsys):
         code, _, err = run(capsys, "cdf", "--law", "odd", "--t", "1")

@@ -31,7 +31,7 @@ from circlaw import (
 )
 from circlaw.line import (
     _GL_SIZES,
-    _gauss_rules,
+    _gauss_legendre,
     _bisect,
     _rotation,
     line_density_even,
@@ -41,7 +41,7 @@ from circlaw.line import (
 )
 from circlaw.pseudo import _budget_shells
 from circlaw.special import DEFAULT_TOL, Tolerance
-from oracles import gauss_legendre_one, line_density_gamma, mp_even_line, mp_odd_saddle
+from oracles import line_density_gamma, mp_even_line, mp_odd_saddle
 
 
 def gaussian_kernel(x, t):
@@ -716,50 +716,26 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("m", _GL_SIZES)
     def test_integrates_exp_to_rounding(self, m):
-        v, w = _gauss_rules([m])[0]
+        v, w = _gauss_legendre(m)
         assert abs(np.sum(w * np.exp(v)) - math.expm1(1.0)) <= 3e-16
 
     # cos 40x swings through ~13 periods on [0, 1]: a 32-node rule still
     # misses it by 3.6e-16, so the smaller sizes cannot resolve it
     @pytest.mark.parametrize("m", [m for m in _GL_SIZES if m >= 48])
     def test_integrates_fast_oscillation_to_rounding(self, m):
-        v, w = _gauss_rules([m])[0]
+        v, w = _gauss_legendre(m)
         assert abs(np.sum(w * np.cos(40.0 * v)) - math.sin(40.0) / 40.0) <= 3e-16
 
-    def test_cached_rules_are_read_only(self, monkeypatch):
-        # every call shares one rule per size, so no caller may write into
-        # it: a lone size and sizes built together alike
-        monkeypatch.setattr(circlaw.line, "_GL_RULES", {})
-        rules = _gauss_rules([_GL_SIZES[0]]) + _gauss_rules(_GL_SIZES[1:5])
-        for rule in rules:
-            for a in rule:
-                assert not a.flags.writeable
-
-    @pytest.mark.parametrize(
-        "groups",
-        [
-            [(2048,), (8, 12, 16, 24, 32, 48, 64, 96, 128)],
-            [_GL_SIZES],
-            [(m,) for m in _GL_SIZES[::-1]],
-            [(96, 8, 1536), (12, 2048, 16), (64, 128, 192, 256, 24, 32, 48, 384, 512, 768, 1024)],
-        ],
-        ids=["2048-then-small", "all-at-once", "one-at-a-time", "shuffled-subsets"],
-    )
-    def test_rules_built_together_equal_one_size_recurrences(self, groups, monkeypatch):
-        # sizes built together share one recurrence to the largest, each
-        # node on the suffix still stepping: its bits are those of its own
-        # size's recurrence, whatever the order and the company
-        monkeypatch.setattr(circlaw.line, "_GL_RULES", {})
-        for group in groups:
-            for m, (v, w) in zip(group, _gauss_rules(group)):
-                ref_v, ref_w = gauss_legendre_one(m)
-                assert _words(v) == _words(ref_v) and _words(w) == _words(ref_w), m
+    def test_cached_rules_are_read_only(self):
+        # every call shares one rule per size, so no caller may write into it
+        for a in _gauss_legendre(_GL_SIZES[0]):
+            assert not a.flags.writeable
 
     @pytest.mark.parametrize("m", _GL_SIZES)
     def test_nodes_match_scipy(self, m):
         # (x + 1)/2 of scipy's nodes is itself rounded on the scale of 1, so
         # the comparison is in ulps of 1/2
-        v, w = _gauss_rules([m])[0]
+        v, w = _gauss_legendre(m)
         ref = (sps.roots_legendre(m)[0] + 1.0) / 2.0
         assert np.max(np.abs(v - ref)) <= np.spacing(0.5)
         assert np.all(np.diff(v) > 0.0) and math.fsum(w) == pytest.approx(1.0, abs=1e-15)
@@ -995,23 +971,6 @@ def test_odd_grid_takes_one_kernel_call_per_batch(N, calls, monkeypatch):
     assert seen == calls
 
 
-def test_cold_odd_call_builds_each_sums_rules_together(monkeypatch):
-    # work guard: with no rule built yet, a first odd n = 2 call runs one
-    # three-term recurrence per Gauss sum that lacks rules, for all of that
-    # sum's sizes at once (five recurrences one size at a time)
-    monkeypatch.setattr(circlaw.line, "_GL_RULES", {})
-    built = []
-    build = circlaw.line._gauss_legendre
-
-    def counted(sizes):
-        built.append(list(sizes))
-        return build(sizes)
-
-    monkeypatch.setattr(circlaw.line, "_gauss_legendre", counted)
-    odd_circle_density_wrapped(2, 1.0, 1.2)
-    assert built == [[48, 64], [24, 96, 128]]
-
-
 @pytest.mark.parametrize("N", [16, 512])
 @pytest.mark.parametrize("n", [2, 3])
 def test_odd_grid_values_do_not_depend_on_batches(n, N, monkeypatch):
@@ -1027,9 +986,10 @@ def test_odd_grid_values_do_not_depend_on_batches(n, N, monkeypatch):
 
 
 def test_high_order_odd_batch_memory_is_bounded():
-    # p = 129: the saddle ray's (p - 1) x points arrays bound a batch to
-    # _WORK // 128 points, so a 2001-point call peaks at 1.2 MB of numpy
-    # arrays, a few work arrays (3.4 MB in 409-point blocks)
+    # p = 129: batches keep _WORK // _RHO.size = 409 points, so the saddle
+    # ray's (p - 1) x points arrays hold 128 x 409 entries and a 2001-point
+    # call peaks at 3.5 MB of numpy arrays, about eight such arrays, as a
+    # 409-point call does (one 2001-point batch would hold five times more)
     X = np.linspace(-40.0, 40.0, 2001)
     want = line_density_odd(64, X, 1.0)
     tracemalloc.start()
@@ -1039,7 +999,7 @@ def test_high_order_odd_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert _words(got) == _words(want)
-    assert peak <= 16 * circlaw.line._WORK * 8
+    assert peak <= 10 * 128 * (circlaw.line._WORK // circlaw.line._RHO.size) * 8
 
 
 @pytest.mark.parametrize("theta", [1e12, 1e300, -1e300])

@@ -22,6 +22,7 @@ from circlaw.cli import LAWS
 from circlaw.harmonic import TWO_PI, fourier_coeffs, sample
 from circlaw.line import _centred, _line_bound, _shell_count, line_density_even
 from circlaw.pseudo import (
+    _MAX_WINDOW_SHELLS,
     _ODD_SHELLS,
     _budget_shells,
     _taper_weights,
@@ -415,15 +416,17 @@ class TestOddCircleDensity:
     def test_window_past_its_shell_cap_is_refused_at_once(self):
         # the n >= 2 window grows like t^(1/5) at n = 2: t = 1e30 asked for
         # 14.6 million shells a side (a 234 MB row per angle), and t >= 1e200
-        # for more than numpy can allocate. Past M = _ODD_SHELLS the call is
-        # refused before any row is built
-        assert _budget_shells(2, 1e13) == 5812 <= _ODD_SHELLS
-        assert math.isfinite(odd_circle_density_wrapped(2, 1.0, 1e13))
+        # for more than numpy can allocate. Past M = _MAX_WINDOW_SHELLS
+        # (t ~ 1.9e21) the call is refused before any row is built; below
+        # it the window is summed, at 23 142 shells for t = 1e16
+        assert _budget_shells(2, 1.8e21) <= _MAX_WINDOW_SHELLS == 2**18
+        assert _budget_shells(2, 1e16) == 23142
+        assert math.isfinite(odd_circle_density_wrapped(2, 1.0, 1e16))
         th = np.linspace(0.0, TWO_PI, 512)
-        for t in (1.6e13, 1e30, 1e200, 1e300, 1.7e308):
+        for t in (1.9e21, 1e30, 1e200, 1e300, 1.7e308):
             tracemalloc.start()
             try:
-                with pytest.raises(ConvergenceError, match="past its cap of 6144$"):
+                with pytest.raises(ConvergenceError, match="past its cap of 262144$"):
                     odd_circle_density_wrapped(2, th, t)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
