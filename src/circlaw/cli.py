@@ -37,7 +37,7 @@ from .fractional import (
 from .harmonic import TWO_PI
 from .kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
 from .pseudo import even_circle_law, odd_circle_density_wrapped, positivity_time
-from .special import DEFAULT_TOL, Tolerance
+from .special import DEFAULT_TOL, Tolerance, _frozen
 from .validation import DEFAULT_SEED, GROUPS, report_json, run_suite
 
 __all__ = ["main"]
@@ -125,8 +125,7 @@ def _csv_grid(n):
     the header and one row per node, theta's 17 digits filled in and a
     %.17g left for the value (the digits of format(v, ".17g"), nan and inf
     included)."""
-    th = np.linspace(0.0, TWO_PI, n)
-    th.setflags(write=False)
+    th = _frozen(np.linspace(0.0, TWO_PI, n))
     return th, "theta,value\n" + "".join(f"{x:.17g},%.17g\n" for x in th.tolist())
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, _check_finite, _check_n, _check_t
 from .harmonic import TWO_PI, certified_cutoff
-from .special import _EPS, _TINY, _WORK, DEFAULT_TOL, Tolerance
+from .special import _EPS, _TINY, _WORK, DEFAULT_TOL, Tolerance, _frozen
 
 __all__ = [
     "line_density_even",
@@ -199,7 +199,7 @@ def _airy_maclaurin():
     for k in range(1, _AIRY_MACLAURIN):
         d += [d[-2] / ((3 * k - 1) * 3 * k), d[-1] / (3 * k * (3 * k + 1))]
     j = np.arange(3.0 * _AIRY_MACLAURIN)
-    return j[j % 3 < 2], np.array(d)
+    return _frozen(j[j % 3 < 2]), _frozen(np.array(d))
 
 
 def _airy_rule():
@@ -220,12 +220,12 @@ def _airy_rule():
     diagonal = 2.0 * np.arange(_AIRY_NODES) + alpha + 1.0
     jacobi = np.diag(diagonal) + np.diag(np.sqrt(k * (k + alpha)), 1)
     nodes, vectors = np.linalg.eigh(jacobi, UPLO="U")
-    return 0.75 * nodes, vectors[0] ** 2 / math.sqrt(math.pi)
+    return _frozen(0.75 * nodes), _frozen(vectors[0] ** 2 / math.sqrt(math.pi))
 
 
 _AIRY_POWERS, _AIRY_COEFFS = _airy_maclaurin()
 _AIRY_TAU, _AIRY_WEIGHTS = _airy_rule()
-_AIRY_TAU2, _AIRY_HALF_WEIGHTS = _AIRY_TAU**2, _AIRY_WEIGHTS / 2.0
+_AIRY_TAU2, _AIRY_HALF_WEIGHTS = _frozen(_AIRY_TAU**2), _frozen(_AIRY_WEIGHTS / 2.0)
 
 
 def _airy_core(y: np.ndarray) -> np.ndarray:
@@ -265,6 +265,15 @@ def line_density_third(x, t: float):
     below the smallest normal double, and y <= -_AIRY_PHASE, where the
     phase zeta passes the largest double and
     |Ai(y)| <= (|P| + |Q|) / (sqrt(pi) |y|^{1/4}) < 1e-51.
+
+    On the oscillating side the phase zeta = 2 z^{3/2} / 3, z = -y, is
+    formed in float64 and carries up to about 4 eps zeta rad of rounding,
+    the argument's own conditioning (as in scipy's Airy): a value is within
+    (2^-53 + 4 eps (zeta + 1)) of the envelope (3t)^{-1/3} / (sqrt(pi)
+    z^{1/4}) from the exact one at its double x (tested to z = 1e6). From
+    zeta ~ 1/(4 eps) ~ 1e15 on, rounding sets even the sign:
+    line_density_third([-1.0, nextafter(-1.0, 0)], 1e-300), zeta ~ 1e150,
+    gives 2.47e74 and 2.08e74.
     """
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -299,13 +308,16 @@ def _third_values(x: np.ndarray, t: float) -> np.ndarray:
 
 # Gauss-Legendre sizes of the contour kernel; each rule is built once
 _GL_SIZES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048)
+# the sizes and the 0 of "no size qualifies", as _rule_sizes picks from them
+# (and the refusal names the largest)
+_SIZE_TABLE = _frozen(np.array(_GL_SIZES + (0,)))
 # Bernstein-ellipse parameters over which each bound is minimized, and the
 # factors of _rule_sizes that depend on them alone: the semi-axes and the
 # reach per unit half-length, log(rho^2 - 1), 2 log rho and log(64/15)
-_RHO = 1.0 + np.geomspace(1e-3, 30.0, 40)
-_MAJOR, _MINOR = (_RHO + 1.0 / _RHO) / 2.0, (_RHO - 1.0 / _RHO) / 2.0
-_REACH = np.hypot(_MAJOR - 1.0, _MINOR)
-_LOG_RHO_SQ_1, _TWO_LOG_RHO = np.log(_RHO * _RHO - 1.0), 2.0 * np.log(_RHO)
+_RHO = _frozen(1.0 + np.geomspace(1e-3, 30.0, 40))
+_MAJOR, _MINOR = _frozen((_RHO + 1.0 / _RHO) / 2.0), _frozen((_RHO - 1.0 / _RHO) / 2.0)
+_REACH = _frozen(np.hypot(_MAJOR - 1.0, _MINOR))
+_LOG_RHO_SQ_1, _TWO_LOG_RHO = _frozen(np.log(_RHO * _RHO - 1.0)), _frozen(2.0 * np.log(_RHO))
 _LOG_64_15 = math.log(64.0 / 15.0)
 # factor on the contour kernel's rounding term eps (1 + 2/(e sin psi)) J:
 # the worst measured rounding was 0.68 of the unit term (p = 5, X = -60),
@@ -354,26 +366,20 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     x = x.astype(float)
     v = (np.concatenate([x, -x[: m // 2][::-1]]) + 1.0) / 2.0
     w = np.concatenate([w, w[: m // 2][::-1]]) / 2.0
-    v.setflags(write=False)
-    w.setflags(write=False)
-    return v, w
+    return _frozen(v), _frozen(w)
 
 
 @lru_cache(maxsize=None)
 def _gamma_column(p: int) -> np.ndarray:
     """Gamma(1 + 1/k) for k = 2..p as a read-only column, for the saddle
     ray's rounding charge."""
-    col = np.array([[math.gamma(1.0 + 1.0 / k)] for k in range(2, p + 1)])
-    col.setflags(write=False)
-    return col
+    return _frozen(np.array([[math.gamma(1.0 + 1.0 / k)] for k in range(2, p + 1)]))
 
 
 @lru_cache(maxsize=None)
 def _node_powers(m: int, p: int) -> np.ndarray:
     """v_j^p of the m-point rule of _gauss_legendre, read-only, for the two-term ray."""
-    vp = _gauss_legendre(m)[0] ** p
-    vp.setflags(write=False)
-    return vp
+    return _frozen(_gauss_legendre(m)[0] ** p)
 
 
 @lru_cache(maxsize=None)
@@ -388,6 +394,13 @@ def _two_term(p: int) -> tuple:
     j_p = math.gamma(1.0 + 1.0 / p) * (2.0 / np.array([sigma_p])) ** (1.0 / p)
     weight = _EPS * (_ROUNDING * (1.0 + 2.0 / (math.e * math.sin(psi))))
     return psi, float(s[0]), float(c[0]), float(sigma_p), float(tau_p), j_p, weight
+
+
+@lru_cache(maxsize=256)
+def _ray_cutoff(p: int, log_tail: float) -> float:
+    """The two-term ray's k = p cutoff (log_tail / sigma_p)^{1/p}, by numpy's
+    power as j_p is, once per order and target rather than once per batch."""
+    return float(((log_tail / np.array([_two_term(p)[3]])) ** (1.0 / p))[0])
 
 
 # The rays' Bernstein-ellipse bounds as sums over k of a per-point
@@ -407,9 +420,7 @@ def _ray_table(p: int) -> np.ndarray:
     psi = _two_term(p)[0]
     depth = np.hypot(_MAJOR * math.sin(psi), _MINOR * math.cos(psi)) - math.sin(psi)
     with np.errstate(over="ignore"):
-        table = np.array([depth, (_MINOR / math.sin(psi)) ** p])
-    table.setflags(write=False)
-    return table
+        return _frozen(np.array([depth, (_MINOR / math.sin(psi)) ** p]))
 
 
 @lru_cache(maxsize=None)
@@ -419,9 +430,7 @@ def _saddle_table(p: int) -> np.ndarray:
     (coefficients c_k h^k)."""
     ks = np.arange(2, p + 1)[:, None]
     with np.errstate(over="ignore"):
-        table = (_MINOR / math.sin(math.pi / (2 * p))) ** ks
-    table.setflags(write=False)
-    return table
+        return _frozen((_MINOR / math.sin(math.pi / (2 * p))) ** ks)
 
 
 @lru_cache(maxsize=None)
@@ -432,9 +441,7 @@ def _leg_table(p: int) -> np.ndarray:
     xi0^{p-k} h^k _REACH^k (p C(p-1, k-1) = k C(p, k))."""
     ks = np.arange(1, p + 1)[:, None]
     with np.errstate(over="ignore"):
-        table = _REACH**ks
-    table.setflags(write=False)
-    return table
+        return _frozen(_REACH**ks)
 
 
 def _rule_sizes(length, log_target, terms, table) -> np.ndarray:
@@ -459,8 +466,7 @@ def _rule_sizes(length, log_target, terms, table) -> np.ndarray:
         rows = slice(i, i + step)
         least[rows] = _least_need(head[rows], [term[rows] for term in terms], table)
     # a need past the largest size (or nan) picks the 0 after it
-    sizes = np.array(_GL_SIZES + (0,))
-    return sizes[np.searchsorted(sizes[:-1], least)]
+    return _SIZE_TABLE[_SIZE_TABLE[:-1].searchsorted(least)]
 
 
 def _least_need(head, terms, table) -> np.ndarray:
@@ -475,9 +481,16 @@ def _least_need(head, terms, table) -> np.ndarray:
 def _gauss_sums(sizes: np.ndarray, integrand) -> np.ndarray:
     """sum_j w_j integrand(i, v_j) on [0, 1] for each point i, with its own
     rule size (points of size <= 0 give 0); i is a slice where every point
-    takes one size, else an index array."""
-    out = np.zeros(sizes.size)
+    takes one size, else an index array. Points of one size whose rows fit
+    one work block (every even-p sweep batch) are one slice, and its sums
+    are the output as they are."""
     kept = set(sizes.tolist())
+    if len(kept) == 1:
+        (m,) = kept
+        if 0 < m * sizes.size <= _WORK:
+            v, w = _gauss_legendre(m)
+            return (integrand(slice(None), v) * w).sum(axis=1)
+    out = np.zeros(sizes.size)
     for m in kept:
         if m <= 0:
             continue
@@ -555,10 +568,12 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
         raise ConvergenceError(f"u_{p}: ray tail could not be certified")
     if no_rule.any():
         raise ConvergenceError(
-            f"u_{p}: no Gauss rule up to {_GL_SIZES[-1]} nodes certifies {target:.1e} "
+            f"u_{p}: no Gauss rule up to {_SIZE_TABLE[-2]} nodes certifies {target:.1e} "
             f"at scaled x = {float(X[no_rule][0]):g}"
         )
-    refuse_past_the_floor(rounding)
+    # the two-term ray's two charges are one array, already checked
+    if rounding is not ray_charge:
+        refuse_past_the_floor(rounding)
     return value()
 
 
@@ -579,10 +594,9 @@ def _two_term_ray(p: int, X: np.ndarray, target: float, log_tail: float):
     psi, sin_1, cos_1, sigma_p, tau_p, j_p, weight = _two_term(p)
     x = np.abs(X)
     sigma_1 = x * sin_1
-    # an overflowing X gives a nan bound, which certifies nothing and refuses;
-    # the k = p cutoff takes numpy's power, as j_p does
+    # an overflowing X gives a nan bound, which certifies nothing and refuses
     with np.errstate(all="ignore"):
-        S = np.minimum(log_tail / sigma_1, (log_tail / np.array([sigma_p])) ** (1.0 / p))
+        S = np.minimum(log_tail / sigma_1, _ray_cutoff(p, log_tail))
         S_p = np.power(S, p)
         damp_1, damp_p = sigma_1 * S, sigma_p * S_p
         dg = sigma_1 + (p * sigma_p) * np.power(S, p - 1)
@@ -726,9 +740,18 @@ def _reduced(theta) -> np.ndarray:
     return np.where(far, np.angle(np.exp(1j * th)), th) if far.any() else th
 
 
-def _centred(theta) -> np.ndarray:
+def _centred(theta):
     """theta reduced to [-pi, pi]: |theta| <= 2 pi exactly, by fmod and at
-    most one 2 pi shift (Sterbenz); past that by _reduced."""
+    most one 2 pi shift (Sterbenz); past that by _reduced. A float within
+    2 pi (every scalar angle of a sweep) takes math.fmod and the same shifts
+    in floats and returns a float: each step is exact, so it gives the array
+    path's double, the sign of a zero included, without the fixed cost of
+    numpy's abs, fmod and where on a 0-d array."""
+    if isinstance(theta, float) and abs(theta) <= TWO_PI:
+        th = math.fmod(theta, TWO_PI)
+        if th > math.pi:
+            return th - TWO_PI
+        return th + TWO_PI if th < -math.pi else th
     th = np.fmod(_reduced(theta), TWO_PI)
     th = np.where(th > math.pi, th - TWO_PI, th)
     return np.where(th < -math.pi, th + TWO_PI, th)
@@ -745,7 +768,8 @@ def _image_sum(u, x, M: int, weights=None):
     sum, so a value never depends on its block: a grid value equals the
     scalar call bit for bit.
     """
-    flat = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
     # -0.0 and 0.0 meet as one centre: both rows are 0.0 + shells
     centres, repeat = np.unique(flat, return_inverse=True) if flat.size > 1 else (flat, None)
     shells = TWO_PI * np.arange(-M, M + 1)
@@ -756,7 +780,7 @@ def _image_sum(u, x, M: int, weights=None):
         out[i : i + step] = (rows if weights is None else rows * weights).sum(axis=1)
     if repeat is not None:
         out = out[repeat]
-    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 @lru_cache(maxsize=256)

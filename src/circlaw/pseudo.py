@@ -53,7 +53,7 @@ from .line import (
     _shell_count,
     _third_values,
 )
-from .special import _EPS, DEFAULT_TOL, Tolerance
+from .special import _EPS, DEFAULT_TOL, Tolerance, _frozen
 
 __all__ = [
     "even_circle_law",
@@ -158,9 +158,7 @@ def _taper_weights(M: int) -> np.ndarray:
     roll = m > mf
     u = (m[roll] - mf) / max(M - mf, 1)
     w[roll] = np.cos(0.5 * math.pi * u) ** 2
-    w = np.concatenate([w[:0:-1], w])
-    w.setflags(write=False)
-    return w
+    return _frozen(np.concatenate([w[:0:-1], w]))
 
 
 def _budget_shells(n: int, t: float) -> int:

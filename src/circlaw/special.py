@@ -46,6 +46,13 @@ __all__ = [
 ]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only and returned: a module constant or a cached array is
+    shared by every caller, so none may write into it."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Accuracy request: a positive, finite absolute target."""
@@ -142,8 +149,8 @@ _ML_MAX_NODES = 256
 # entries cost about the same, and their values do not move with tol
 _ML_CONTOUR_TOL = 1e-12
 # parabola scales mu (rows) and strip half-widths a (columns) searched
-_ML_MU = np.arange(0.5, 8.01, 0.25)[:, None]
-_ML_STRIP = np.arange(0.05, 0.991, 0.01)[None, :]
+_ML_MU = _frozen(np.arange(0.5, 8.01, 0.25)[:, None])
+_ML_STRIP = _frozen(np.arange(0.05, 0.991, 0.01)[None, :])
 
 
 def _ml_asymptotic_many(nu: float, y: np.ndarray, tol_abs: float):

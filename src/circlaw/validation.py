@@ -62,7 +62,7 @@ from .pseudo import (
     odd_circle_density_wrapped,
     positivity_time,
 )
-from .special import DEFAULT_TOL, Tolerance, mittag_leffler
+from .special import DEFAULT_TOL, Tolerance, _frozen, mittag_leffler
 
 __all__ = ["CriterionResult", "run_suite", "report_json", "DEFAULT_SEED", "GROUPS"]
 
@@ -72,7 +72,7 @@ DEFAULT_SEED = 314159
 # the correctly rounded root 0.6931166485360705 that positivity_time returns
 T_BAR_ORDER4 = 0.6931166485360707
 
-GRID64 = np.arange(64) * (TWO_PI / 64.0)
+GRID64 = _frozen(np.arange(64) * (TWO_PI / 64.0))
 
 
 @dataclass(frozen=True)

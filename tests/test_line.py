@@ -29,10 +29,12 @@ from circlaw import (
     odd_kernel_law,
     wrapped_skew_cauchy_density,
 )
+from circlaw.harmonic import TWO_PI
 from circlaw.line import (
     _GL_SIZES,
     _gauss_legendre,
     _bisect,
+    _centred,
     _rotation,
     line_density_even,
     line_density_odd,
@@ -142,7 +144,7 @@ class TestLineDensityEven:
         with pytest.raises(ConvergenceError, match="ray tail"):
             line_density_even(1, 1e308, 1e-6)
         # and where no Gauss rule up to the largest size meets the target
-        monkeypatch.setattr(circlaw.line, "_GL_SIZES", (8, 12))
+        monkeypatch.setattr(circlaw.line, "_SIZE_TABLE", np.array([8, 12, 0]))
         for x in (0.0, 1.0):
             with pytest.raises(ConvergenceError, match="no Gauss rule up to 12 nodes"):
                 line_density_even(2, x, 1.0)
@@ -249,6 +251,24 @@ class TestLineDensityThird:
         far = max(deficit(c) for c in np.linspace(-64.0, -60.0, 9))
         assert far < near
         assert far < 0.04
+
+    @pytest.mark.parametrize("t", [1.0, 1e-3])
+    def test_adjacent_doubles_agree_within_the_phase_bound(self, t):
+        # at zeta ~ 1e6 each value is within (2^-53 + 4 eps (zeta + 1)) of
+        # the envelope s/(sqrt(pi) z^{1/4}) from Ai at its own double, and
+        # Ai moves by at most ~1.5 eps zeta of it over one ulp of x, so
+        # adjacent doubles agree to 10 eps zeta of it. A phase that rounding
+        # set (from zeta ~ 1/(4 eps) on) would break this at any zeta
+        s = (3.0 * t) ** (-1.0 / 3.0)
+        eps = np.finfo(float).eps
+        x = [-(1.5e6 ** (2.0 / 3.0)) / s]
+        for _ in range(8):
+            x.append(np.nextafter(x[-1], 0.0))
+        vals = line_density_third(np.array(x), t)
+        z = -np.array(x) * s
+        zeta = 2.0 * z**1.5 / 3.0
+        envelope = s / (math.sqrt(math.pi) * z**0.25)
+        assert np.all(np.abs(np.diff(vals)) <= envelope[1:] * (2.0**-52 + 10.0 * eps * (zeta[1:] + 1.0)))
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_far_field_against_mpmath(self, t):
@@ -1021,3 +1041,21 @@ def test_wrapped_routes_reduce_large_angles_exactly(theta):
     assert odd_circle_density_wrapped(2, theta, 1.0) == pytest.approx(
         odd_circle_density_wrapped(2, residue, 1.0), abs=1e-12
     )
+
+
+def _centred_edges():
+    """+-0.0, +-pi and +-TWO_PI with both neighbours of each, and +-5e-324."""
+    edges = [5e-324, -5e-324]
+    for v in (0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI):
+        edges += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+    return edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(theta=st.floats(-4.0 * math.pi, 4.0 * math.pi) | st.sampled_from(_centred_edges()))
+def test_centred_float_path_is_the_array_path(theta):
+    # a float within 2 pi takes math.fmod and float shifts, the rest numpy's
+    # fmod and where: both give one double, the sign of a zero included
+    got = _centred(theta)
+    assert isinstance(got, float) == (abs(theta) <= TWO_PI)
+    assert _words([got]) == _words(_centred(np.array([theta]))) == _words([_centred(np.float64(theta))])

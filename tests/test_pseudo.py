@@ -394,12 +394,13 @@ class TestOddCircleDensity:
         ids=["1", "2", "even-1", "even-2", "even-3"],
     )
     def test_grid_rows_equal_scalar_calls(self, route, n):
-        # each angle is reduced on its own, so a grid row is the scalar call
+        # each angle is reduced on its own, so a grid row is the scalar call;
+        # compared as int64 words, so a flipped zero sign or last bit fails
         th = np.arange(16) * (TWO_PI / 16)
         for t in (0.5, 1.7):
             grid = route(n, th, t)
-            for theta, value in zip(th, grid):
-                assert route(n, float(theta), t) == value
+            scalar = np.array([route(n, float(theta), t) for theta in th])
+            assert scalar.view(np.int64).tolist() == grid.view(np.int64).tolist()
 
     def test_large_t_guard(self):
         # the mode-1 stationary point 3t must stay inside the flat core of

@@ -4,8 +4,8 @@ count is truncated by a bare int(), every export list names only what
 its module defines and the package re-exports, every export is used by
 the package beyond its re-export, every import is the standard
 library, the package itself or a declared dependency, and scipy is
-imported only inside function bodies, and the line kernels' node sums
-run in real arithmetic."""
+imported only inside function bodies, the line kernels' node sums
+run in real arithmetic, and no module-level array is writable."""
 
 import ast
 import importlib
@@ -13,6 +13,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import circlaw
@@ -236,3 +237,12 @@ def test_line_kernels_are_real():
         or (isinstance(node, ast.Attribute) and node.attr.startswith("complex"))
     ]
     assert found == [], f"line.py: complex arithmetic at {found}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"], ids=lambda p: p.stem)
+def test_module_arrays_are_read_only(path):
+    # a module-level array is shared by every caller in the process, as a
+    # cached one is: a caller that wrote into it would move every later value
+    module = importlib.import_module(f"circlaw.{path.stem}")
+    writable = [k for k, v in vars(module).items() if isinstance(v, np.ndarray) and v.flags.writeable]
+    assert writable == [], path.name
