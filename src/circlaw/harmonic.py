@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; here it loads at import, not in a job)
 
 from .errors import ConvergenceError, DomainError, SignedLawError, _check_count, _check_finite
 from .special import _EPS, _WORK, MAX_TERMS, Tolerance
+
+if TYPE_CHECKING:
+    from .lattice import LatticeTail
 
 __all__ = ["HarmonicLaw", "fourier_coeffs", "sample"]
 
@@ -233,6 +237,12 @@ class HarmonicLaw:
     depends on the point's position in the array (bm_law(1) at 1001
     angles: 221 differ, by at most 5.6e-17). Both lie within the
     certificate.
+
+    A law may carry its tail past the K coefficients in closed form
+    (lattice, a lattice.LatticeTail, on cosine laws only): it is added in at
+    every evaluation, its rounding is part of tail_bound, and the CDF is
+    then evaluated on [0, pi] and reflected, F(th) = 1 - F(2 pi - th), so
+    its ends are exactly 0 and 1.
     """
 
     a0: float
@@ -240,6 +250,7 @@ class HarmonicLaw:
     sin_coeffs: np.ndarray
     tail_bound: float
     meta: str = ""
+    lattice: LatticeTail | None = None
 
     def __post_init__(self):
         a = np.asarray(self.cos_coeffs, dtype=float)
@@ -248,6 +259,8 @@ class HarmonicLaw:
             raise DomainError("coefficient arrays must be 1-d and equal length")
         if not self.tail_bound >= 0.0:
             raise DomainError("tail_bound must be nonnegative")
+        if self.lattice is not None and np.any(b):
+            raise DomainError("a lattice tail needs a cosine law")
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)
 
@@ -258,7 +271,11 @@ class HarmonicLaw:
     def density(self, theta):
         """Evaluate the truncated series at theta (scalar or array), 2pi-periodic."""
         _check_finite(theta, "theta")
-        out = _trig_sum(self.a0, self.cos_coeffs, self.sin_coeffs, theta)
+        if self.lattice is None:
+            out = _trig_sum(self.a0, self.cos_coeffs, self.sin_coeffs, theta)
+        else:  # the head less the model's own head, then the model's whole sum
+            out = _trig_sum(self.a0, self.cos_coeffs - self.lattice.head, self.sin_coeffs, theta)
+            out += self.lattice.density(np.reshape(theta, out.shape))
         return float(out[0]) if np.ndim(theta) == 0 else out
 
     def cdf(self, theta):
@@ -270,6 +287,15 @@ class HarmonicLaw:
         whole.
         """
         th = np.atleast_1d(_cdf_angles(theta))
+        if self.lattice is not None:
+            r = np.minimum(th, TWO_PI - th)  # exact from th = pi on (Sterbenz)
+            half = self.a0 * r + _trig_sum(
+                0.0, self.cos_coeffs - self.lattice.head, self.sin_coeffs, r, integrated=True
+            )
+            half += self.lattice.cdf_form(r)
+            out = np.where(th > math.pi, 1.0 - half, half)
+            out[th == 0.0] = 0.0
+            return float(out[0]) if np.ndim(theta) == 0 else out
         const = _sum_over_k(self.sin_coeffs)
         out = self.a0 * th + _trig_sum(const, self.cos_coeffs, self.sin_coeffs, th, integrated=True)
         # the constant sum b_k/k cancels at th = 0 only up to roundoff
@@ -316,15 +342,17 @@ def certified_cutoff(tail, tol: Tolerance, advice: str) -> int:
     return hi
 
 
-def cosine_law(coeffs, tail, tol: Tolerance, advice: str, meta: str) -> HarmonicLaw:
+def cosine_law(coeffs, tail, tol: Tolerance, advice: str, meta: str, K: int | None = None) -> HarmonicLaw:
     """Mass-1 cosine carrier a0 = 1/(2 pi), a_k = coeffs(k), b_k = 0.
 
-    K = certified_cutoff(tail, tol, advice), and tail_bound = tail(K).
+    K = certified_cutoff(tail, tol, advice) unless the caller has it, and
+    tail_bound = tail(K).
     coeffs maps an elementwise mode array to the cosine coefficients; it
     is called on k = 1.0..K by blocks of at most _WORK modes, which fill
     one preallocated array, so its own work arrays stay one block long.
     """
-    K = certified_cutoff(tail, tol, advice)
+    if K is None:
+        K = certified_cutoff(tail, tol, advice)
     cos_coeffs = np.empty(K)
     for lo in range(0, K, _WORK):
         hi = min(K, lo + _WORK)
@@ -410,6 +438,11 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
     proposals between those bounds evaluate the series. Every decision,
     and so every draw, is the one a full evaluation of the batch makes.
 
+    A law with a closed-form tail (lattice) adds the tail's Lipschitz bound
+    to the between-nodes margin and its rounding, twice, to the squeeze and
+    to the test that hands a close call to the whole batch; a tail with no
+    slope bound (a CDF-level carrier's) is refused with DomainError.
+
     rng is an RngStream (or any object with a .generator Generator, or a
     numpy Generator itself). With size=None a single angle is returned.
     A law that wraps its carrier (a .representation HarmonicLaw, as
@@ -417,6 +450,11 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
     """
     law = getattr(law, "representation", law)
     gen = getattr(rng, "generator", rng)
+    slope = tail_rounding = 0.0
+    if getattr(law, "lattice", None) is not None:
+        slope, tail_rounding = law.lattice.slope, law.lattice.rounding
+        if not slope < math.inf:
+            raise DomainError("the law's closed-form tail has no slope bound; sampling it is refused")
     grid_n = max(4096, 4 * law.n_terms)
     grid = np.arange(grid_n) * (TWO_PI / grid_n)
     vals = law.density(grid)
@@ -431,8 +469,8 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
             "certificates; sampling a signed law is refused"
         )
     k = np.arange(1, law.n_terms + 1)
-    overshoot = (math.pi / grid_n) * float(
-        (k * (np.abs(law.cos_coeffs) + np.abs(law.sin_coeffs))).sum()
+    overshoot = (math.pi / grid_n) * (
+        float((k * (np.abs(law.cos_coeffs) + np.abs(law.sin_coeffs))).sum()) + slope
     )
     envelope = float(vals.max()) + overshoot + law.tail_bound + 1e-12
     # squeeze: on the cell between two grid nodes the computed density lies
@@ -448,14 +486,14 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
         batch = max(4096, int(1.3 * (want - got) * TWO_PI * envelope) + 64)
         theta = gen.uniform(0.0, TWO_PI, batch)
         height = gen.uniform(0.0, envelope, batch)
-        margin = overshoot + rounding(grid_n) + rounding(batch) + 4.0 * _EPS * coeff_sum
+        margin = overshoot + rounding(grid_n) + rounding(batch) + 4.0 * _EPS * coeff_sum + 2.0 * tail_rounding
         cell = np.minimum((theta * (grid_n / TWO_PI)).astype(np.intp), grid_n - 1)
         # widened on the grid_n-entry tables, not on batch-long gathers: the same doubles
         keep = height <= (cell_lo - margin)[cell]
         unsure = np.flatnonzero(~keep & (height <= (cell_hi + margin)[cell]))
         if unsure.size:
             dens = law.density(theta[unsure])
-            if np.any(np.abs(height[unsure] - dens) <= 2.0 * rounding(batch)):
+            if np.any(np.abs(height[unsure] - dens) <= 2.0 * rounding(batch) + 2.0 * tail_rounding):
                 # the subset's and the batch's roundings could call this
                 # draw differently: decide the batch as evaluated whole
                 keep = height <= law.density(theta)

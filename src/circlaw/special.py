@@ -247,9 +247,9 @@ def _ml_nodes(nu: float, tol_abs: float):
     return A[:, None], B[:, None], P[:, None], Q[:, None]
 
 
-def _ml_contour(nu: float, y: np.ndarray, tol_abs: float) -> np.ndarray:
-    """E_nu(-y) for 0 < nu < 1 and y > 0 within tol_abs, by the contour sum
-    sized for min(tol_abs, _ML_CONTOUR_TOL).
+def _ml_contour(nu: float, y: np.ndarray, tol_abs: float):
+    """(E_nu(-y), its rounding charge) for 0 < nu < 1 and y > 0 within tol_abs,
+    by the contour sum sized for min(tol_abs, _ML_CONTOUR_TOL).
 
     Blocks of entries take one (nodes x entries) array each, so an entry's
     value does not depend on the others. Each entry's rounding charge is
@@ -274,7 +274,7 @@ def _ml_contour(nu: float, y: np.ndarray, tol_abs: float) -> np.ndarray:
         raise ConvergenceError(
             f"Mittag-Leffler contour rounding floor {floor:.1e} exceeds tol={tol_abs}"
         )
-    return out
+    return out, charge
 
 
 def mittag_leffler(nu: float, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -292,6 +292,19 @@ def mittag_leffler_many(nu: float, xs, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     tol, and every other entry through one certified contour sum
     (_ml_contour), which forms no y^(1/nu) and so cannot overflow.
     """
+    return _ml_many(nu, xs, tol)[0]
+
+
+def _ml_many(nu: float, xs, tol: Tolerance, deep: bool = True):
+    """(mittag_leffler_many(nu, xs, tol), a bound on each entry's error);
+    without deep every entry with x < 0 takes the contour, the cheaper path
+    for a few entries at a tight tol.
+
+    The bound is 0 at x = 0, eps exp(x) at nu = 1, the asymptotic sweep's
+    own estimate where it is kept, and on the contour its two sized pieces,
+    2/3 of min(tol, _ML_CONTOUR_TOL), plus the entry's rounding charge.
+    Every bound is at most tol.abs_tol.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     _check_unit(nu, "nu")
     if np.any(np.isnan(xs)):
@@ -299,15 +312,19 @@ def mittag_leffler_many(nu: float, xs, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     if np.any(xs > 0.0):
         raise DomainError("only the x <= 0 branch is supported")
     if nu == 1.0:
-        return np.exp(xs)
+        out = np.exp(xs)
+        return out, _EPS * out
     y = -xs.ravel()
     out = np.ones_like(y)
+    err = np.zeros_like(y)
     rest = y > 0.0
-    deep = y >= _ML_ASYMP_MIN_Y
+    deep = y >= (_ML_ASYMP_MIN_Y if deep else math.inf)
     if deep.any():
         vals, errs = _ml_asymptotic_many(nu, y[deep], tol.abs_tol)
         out[deep] = vals  # entries it cannot certify are overwritten below
+        err[deep] = errs
         rest[deep] = errs > tol.abs_tol
     if rest.any():
-        out[rest] = _ml_contour(nu, y[rest], tol.abs_tol)
-    return out.reshape(xs.shape)
+        out[rest], charge = _ml_contour(nu, y[rest], tol.abs_tol)
+        err[rest] = 2.0 / 3.0 * min(tol.abs_tol, _ML_CONTOUR_TOL) + charge
+    return out.reshape(xs.shape), err.reshape(xs.shape)

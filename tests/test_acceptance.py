@@ -51,7 +51,7 @@ MEASURED = {
     "6": 1.1102230246251565e-16,
     "7a": 0.004242751677601575,
     "7b": 0.0022061008364030466,
-    "7c": 0.003511237568240455,
+    "7c": 0.0035112481546241137,
     "7d": 0.004109487644278542,
     "8a": 1.1102230246251565e-16,
     "8b": 5.551115123125783e-17,

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from circlaw import Tolerance
+from circlaw import Tolerance, fractional
 from circlaw.brownian import bm_law
 from circlaw.cli import LAWS, _build_parser, _check, _csv_grid, main
 from circlaw.fractional import (
@@ -21,6 +21,9 @@ from circlaw.fractional import (
 from circlaw.harmonic import TWO_PI
 from circlaw.kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
 from circlaw.pseudo import even_circle_density_wrapped, even_circle_law, odd_circle_density_wrapped
+
+
+TOL6 = Tolerance(abs_tol=1e-6)
 
 
 def run(capsys, *argv):
@@ -159,22 +162,34 @@ class TestCurveCommands:
         assert np.array_equal(rows[:, 0], np.linspace(0.0, TWO_PI, 16))
         assert np.array_equal(rows[:, 1], expect)
 
-    def test_spacetimefrac_density_tight_tol_refused(self, capsys):
-        code, _, err = run(
-            capsys, "density", "--law", "spacetimefrac", "--nu", "0.5", "--beta", "0.7",
-            "--t", "1", "--grid", "16",
-        )
-        assert code == 3 and err.startswith("non-convergence:")
-
-    def test_timefrac_needs_loose_tol(self, capsys):
-        code, _, err = run(capsys, "density", "--law", "timefrac", "--nu", "0.5", "--t", "1", "--grid", "16")
-        assert code == 3 and err.startswith("non-convergence:")
-        code, out, _ = run(
-            capsys, "density", "--law", "timefrac", "--nu", "0.5", "--t", "1",
-            "--grid", "16", "--tol", "1e-6",
-        )
+    @pytest.mark.parametrize(
+        "command,law,extra,cdf,loose",
+        [
+            # the plain density series at beta = 0.7 affords only tol 1e-2
+            ("density", "spacetimefrac", ("--nu", "0.5", "--beta", "0.7"), False, Tolerance(abs_tol=1e-2)),
+            ("cdf", "spacetimefrac", ("--nu", "0.5", "--beta", "0.5"), True, TOL6),
+            ("density", "timefrac", ("--n", "1", "--nu", "0.5"), False, TOL6),
+            ("cdf", "timefrac", ("--n", "1", "--nu", "0.5"), True, TOL6),
+        ],
+        ids=["spacetimefrac-density", "spacetimefrac-cdf", "timefrac-density", "timefrac-cdf"],
+    )
+    def test_slow_decay_laws_answer_at_the_default_tol(self, capsys, command, law, extra, cdf, loose):
+        # the plain series would refuse here (~1e9 terms or more); the lattice
+        # form answers, and every row lies within both routes' certificates
+        # of the plain series (the second route) at a loose tol
+        code, out, _ = run(capsys, command, "--law", law, "--t", "1", "--grid", "16", *extra)
         assert code == 0
-        assert parse_csv(out).shape == (16, 2)
+        rows = parse_csv(out)
+        opts = dict(zip(extra[::2], extra[1::2]))
+        nu, tol = float(opts["--nu"]), Tolerance()
+        if law == "timefrac":
+            laws = [fractional._time_fractional_law(1, nu, 1.0, t, p) for t, p in ((tol, 0), (loose, math.inf))]
+        else:
+            beta = float(opts["--beta"])
+            laws = [fractional._space_time_law(nu, beta, 1.0, t, cdf, p) for t, p in ((tol, 16), (loose, math.inf))]
+        assert laws[0].lattice is not None and laws[0].tail_bound <= 1e-10
+        plain = laws[1].cdf(rows[:, 0]) if cdf else laws[1].density(rows[:, 0])
+        assert np.all(np.abs(rows[:, 1] - plain) <= laws[0].tail_bound + laws[1].tail_bound)
 
     def test_odd_density_rows_are_wrapped_route(self, capsys):
         code, out, err = run(capsys, "density", "--law", "odd", "--n", "1", "--t", "1", "--grid", "8")

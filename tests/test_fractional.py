@@ -25,7 +25,7 @@ from circlaw.fractional import (
 )
 from circlaw.harmonic import TWO_PI, cosine_law
 from circlaw.pseudo import even_circle_law
-from circlaw.special import mittag_leffler_many
+from circlaw.special import DEFAULT_TOL, mittag_leffler_many
 
 TOL6 = Tolerance(abs_tol=1e-6)
 TOL3 = Tolerance(abs_tol=1e-3)
@@ -38,23 +38,28 @@ class TestTimeFractionalLaw:
         assert a.shape == b.shape and np.all(a == b)
 
     def test_against_high_precision_sum(self):
-        # frozen from a 30-digit evaluation of the full coefficient sum
-        # (series head + algebraic asymptotic tail to k = 3e5)
+        # frozen from a 30-digit evaluation of the full sum: E_0.6(-k^2) by
+        # mpmath quadrature of its spectral integral for k <= 40, and past
+        # 40 eight asymptotic terms summed by mpmath's polylog (remainder
+        # below 1e-27). An earlier oracle stopped the sum at k = 3e5 and
+        # so read 4.8e-7 low at theta = 0.
         oracle = {
-            0.0: 0.38641224587085277,
-            1.0: 0.19767953406317434,
-            math.pi: 0.054798439186577175,
+            0.0: 0.38641272421098179782,
+            1.0: 0.19767953406222544863,
+            math.pi: 0.054798439187374408443,
         }
         law = time_fractional_law(1, 0.6, 1.0, TOL6)
         for th, want in oracle.items():
             assert law.density(th) == pytest.approx(want, abs=1e-6)
-        # the theta=0 point is the slow one; observed error ~3e-8
-        assert law.density(0.0) == pytest.approx(oracle[0.0], abs=1e-7)
+        # the theta=0 point is the slow one
+        assert time_fractional_law(1, 0.6, 1.0).density(0.0) == pytest.approx(oracle[0.0], abs=1e-7)
 
     def test_certified_tail(self):
         law = time_fractional_law(1, 0.6, 1.0, TOL6)
         assert 0.0 < law.tail_bound <= 1e-6
-        assert law.n_terms > 100_000  # algebraic decay is genuinely slow
+        assert law.n_terms < 100  # the lattice form's exact head
+        # algebraic decay is genuinely slow: the plain series, the second route
+        assert fractional._time_fractional_law(1, 0.6, 1.0, TOL6, math.inf).n_terms > 100_000
 
     def test_coefficients_decreasing(self):
         law = time_fractional_law(1, 0.6, 1.0, TOL6)
@@ -78,9 +83,18 @@ class TestTimeFractionalLaw:
         K = law.n_terms
         assert np.max(np.abs(law.cos_coeffs - sp.erfcx(k[:K] ** 4) / math.pi)) <= tol.abs_tol
 
-    def test_tight_tolerance_is_refused(self):
+    def test_tight_tolerance_answers_within_both_certificates(self):
+        # the plain series would need ~3e9 terms at 1e-10; the lattice form
+        # answers, within both routes' bounds of the plain series at 1e-6
+        law = time_fractional_law(1, 0.6, 1.0)
+        plain = fractional._time_fractional_law(1, 0.6, 1.0, TOL6, math.inf)
+        th = np.linspace(0.0, TWO_PI, 33)
+        assert law.tail_bound <= 1e-10
+        bound = law.tail_bound + plain.tail_bound
+        assert np.max(np.abs(law.density(th) - plain.density(th))) <= bound
+        assert np.max(np.abs(law.cdf(th) - plain.cdf(th))) <= bound
         with pytest.raises(ConvergenceError, match="loosen"):
-            time_fractional_law(1, 0.6, 1.0)  # 1e-10 needs ~3e9 terms
+            fractional._time_fractional_law(1, 0.6, 1.0, DEFAULT_TOL, math.inf)
 
     def test_integral_float_order_accepted(self):
         # one order check across the package: n = 2.0 is the order n = 2
@@ -254,10 +268,13 @@ def test_stretched_tail_cutoffs_match_scipy(build, monkeypatch):
 
 class TestSpaceTimeFractional:
     def test_pointwise_against_high_precision_sum(self):
-        # frozen 30-digit evaluation (series head + asymptotic tail, k to 3e5)
-        got = space_time_fractional_density(0.5, 0.75, 1.0, 1.0, TOL3)
-        assert got == pytest.approx(0.16586331821299108, abs=1e-3)
-        assert got == pytest.approx(0.16586331821299108, abs=1e-6)  # observed ~5e-8
+        # frozen 30-digit evaluation: erfcx for k <= 400, and past 400 the
+        # asymptotic terms summed by mpmath's polylog (an earlier oracle,
+        # 0.16586331821299108, stopped at k = 3e5 and read 1.1e-9 high)
+        want = 0.16586331711910785968
+        assert space_time_fractional_density(0.5, 0.75, 1.0, 1.0, TOL3) == pytest.approx(want, abs=1e-3)
+        got = space_time_fractional_density(0.5, 0.75, 1.0, 1.0)
+        assert got == pytest.approx(want, abs=1e-6)
 
     def test_nu_one_delegates(self):
         a = space_time_fractional_density(1.0, 0.7, 1.1, 0.9, TOL6)
@@ -298,10 +315,11 @@ class TestSpaceTimeFractional:
     def test_carrier_cutoffs_and_tails(self, monkeypatch, nu, beta, t, tol, density, cdf):
         # (K, tail_bound) of the density carrier, c K^{1 - 2 beta}/(2 beta - 1),
         # and of the CDF carrier, c K^{-2 beta}/(2 beta); c = Gamma(1+nu) t^-nu 2^beta/pi
+        # of the plain series, the second route (math.inf points forces it)
         built = []
         monkeypatch.setattr(fractional, "cosine_law", lambda *a: built.append(cosine_law(*a)) or built[-1])
-        space_time_fractional_density(nu, beta, 1.0, t, Tolerance(tol))
-        space_time_fractional_cdf(nu, beta, 1.0, t, Tolerance(tol))
+        fractional._space_time_law(nu, beta, t, Tolerance(tol), False, math.inf).density(1.0)
+        fractional._space_time_law(nu, beta, t, Tolerance(tol), True, math.inf).cdf(1.0)
         assert [(law.n_terms, law.tail_bound) for law in built] == [density, cdf]
 
     def test_low_beta_pointwise_refused(self):
@@ -341,14 +359,15 @@ class TestWorkBlocks:
     def _long_series(self):
         grid = np.linspace(0.0, TWO_PI, 64)
         xs = -np.geomspace(1e-3, 1e4, 3 * 2**10 + 5)  # contour and asymptotic entries
-        law = time_fractional_law(1, 0.5, 1.0, Tolerance(1e-5))  # K = 28 210
+        # the plain series, the second route
+        law = fractional._time_fractional_law(1, 0.5, 1.0, Tolerance(1e-5), math.inf)  # K = 28 210
         return [
             mittag_leffler_many(0.6, xs),
             mittag_leffler_many(0.6, xs, Tolerance(1e-13)),  # every entry on the contour
             law.cos_coeffs,
             law.density(grid),
             law.cdf(np.r_[grid, 0.3, 2.0]),
-            space_time_fractional_cdf(0.6, 0.7, grid, 0.5, Tolerance(3e-7)),  # K = 27 818
+            fractional._space_time_law(0.6, 0.7, 0.5, Tolerance(3e-7), True, math.inf).cdf(grid),  # K = 27 818
         ]
 
     def test_values_do_not_depend_on_the_block(self, monkeypatch):
@@ -372,11 +391,12 @@ def test_long_carrier_memory_stays_within_four_arrays():
     # K = 235 854 coefficients: the carrier's own two arrays and one block of
     # work, where whole-array temporaries peaked at ten K-length arrays
     nu, beta, t, tol = 0.348729, 0.48068, 0.855397, Tolerance(2.97365e-06)
-    K = fractional._space_time_law(nu, beta, t, tol, cdf=True).n_terms
+    # the plain series, the second route
+    K = fractional._space_time_law(nu, beta, t, tol, True, math.inf).n_terms
     assert K == 235_854
     tracemalloc.start()
     try:
-        space_time_fractional_cdf(nu, beta, np.linspace(0.0, TWO_PI, 64), t, tol)
+        fractional._space_time_law(nu, beta, t, tol, True, math.inf).cdf(np.linspace(0.0, TWO_PI, 64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -24,7 +24,6 @@ from circlaw import (
     even_kernel_law,
     odd_kernel_law,
     space_fractional_law,
-    space_time_fractional_cdf,
     time_fractional_law,
     wrapped_stable_law,
 )
@@ -216,7 +215,8 @@ class TestBlockedFold:
     # CDF divides by k inside them: the values, signs of zero included, are
     # those of the complex fold of the whole arrays
     LAWS = {
-        "cosine": lambda: time_fractional_law(1, 0.5, 1.0, Tolerance(5e-6)),  # K = 56 419
+        # the time-fractional plain series, the second route
+        "cosine": lambda: fractional._time_fractional_law(1, 0.5, 1.0, Tolerance(5e-6), math.inf),  # K = 56 419
         "odd": lambda: odd_kernel_law(1, 3e-4),  # K = 115 996
     }
 
@@ -586,8 +586,11 @@ class TestTruncationPins:
             (lambda: bm_law(1.5e-4).representation, 570, 9.305787761604352e-11),
             (lambda: bm_law(1.0).representation, 6, 7.295104655457098e-12),
             (lambda: bm_law(7.0, Tolerance(abs_tol=1e-4)).representation, 1, 2.6468403202878406e-07),
-            (lambda: time_fractional_law(1, 0.6, 1.0, Tolerance(abs_tol=1e-6)), 284415, 9.999991882820338e-07),
-            (lambda: time_fractional_law(2, 0.5, 0.5, Tolerance(abs_tol=1e-8)), 237, 9.989500502575442e-09),
+            # the time-fractional plain series, the second route
+            (lambda: fractional._time_fractional_law(1, 0.6, 1.0, Tolerance(abs_tol=1e-6), math.inf),
+             284415, 9.999991882820338e-07),
+            (lambda: fractional._time_fractional_law(2, 0.5, 0.5, Tolerance(abs_tol=1e-8), math.inf),
+             237, 9.989500502575442e-09),
             (lambda: space_fractional_law(0.5, 1.0), 32, 6.705061771182674e-11),
             (lambda: space_fractional_law(0.25, 1.0), 973, 9.951362987166112e-11),
             (lambda: wrapped_stable_law(0.6, 1.0), 13, 5.855955076314312e-11),
@@ -605,6 +608,9 @@ class TestTruncationPins:
         assert law.n_terms == 1 and law.tail_bound == 6.560855763180183e-10
 
     def test_space_time_cdf_cutoff_of_criterion_7c(self, monkeypatch):
+        # 7c's CDF at the default tol and its 100 000 draws: the plain series
+        # would need ~4e9 terms; the lattice form keeps an exact head, and the
+        # plain series at 7c's former tol 1e-4 still takes 3990
         built = []
 
         def spy(*args):
@@ -612,7 +618,10 @@ class TestTruncationPins:
             return built[-1]
 
         monkeypatch.setattr(fractional, "cosine_law", spy)
-        space_time_fractional_cdf(0.5, 0.5, 1.0, 1.0, Tolerance(abs_tol=1e-4))
+        law = fractional._space_time_law(0.5, 0.5, 1.0, Tolerance(), True, 100_000)
+        assert built == [] and law.lattice is not None
+        assert law.n_terms == 1192 and law.tail_bound <= 1e-10
+        fractional._space_time_law(0.5, 0.5, 1.0, Tolerance(abs_tol=1e-4), True, math.inf)
         assert built[0].n_terms == 3990
 
 

@@ -722,6 +722,20 @@ class TestImportSideEffects:
         )
         assert fresh_import(code) == "[0, 0, 0]"
 
+    def test_import_builds_no_lattice_or_zeta_table(self, imported_modules):
+        # the lattice form's module loads, and its zeta values, factorials and
+        # unit closed forms are built, on first use; a series law that keeps
+        # the plain route builds none of them
+        assert ("circlaw.lattice" in imported_modules) is False
+        code = (
+            "import circlaw, circlaw.lattice as lattice\n"
+            "circlaw.even_circle_law(2, 1.0).density(1.0)\n"
+            "circlaw.space_time_fractional_cdf(0.7, 0.9, 1.0, 1.0, circlaw.Tolerance(1e-3))\n"
+            "print(len(lattice._UNIT_FORMS), [f.cache_info().currsize for f in "
+            "(lattice._factorials, lattice._bernoulli_ratios)])"
+        )
+        assert fresh_import(code) == "0 [0, 0]"
+
     def test_import_loads_no_heavy_scipy(self, imported_modules):
         # the package needs numpy and scipy.special only; each of these costs
         # tens of milliseconds to load

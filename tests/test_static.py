@@ -66,7 +66,7 @@ UNUSED_EXPORTS_KEPT = {
     "von_mises_density": "the abstract's Von Mises comparison, until its validate row lands",
     "von_mises_density_series": "the Von Mises comparison's second route, until its row lands",
     "von_mises_matched_kappa": "the Von Mises comparison's moment match, until its row lands",
-    "sample": "the rejection sampler the benchmark's sampling workload draws from (ROADMAP item 6)",
+    "sample": "the rejection sampler the benchmark's sampling workload draws from (ROADMAP item 11)",
     "line_density_even": "the paper's even-order solution on the line; even_circle_density_wrapped"
     " sums its kernel (line._line_values) with the arguments checked once",
     "line_density_odd": "the paper's odd-order solution on the line; odd_circle_density_wrapped"
@@ -246,3 +246,27 @@ def test_module_arrays_are_read_only(path):
     module = importlib.import_module(f"circlaw.{path.stem}")
     writable = [k for k, v in vars(module).items() if isinstance(v, np.ndarray) and v.flags.writeable]
     assert writable == [], path.name
+
+
+# perfbench/tracing.py wraps these private names by name and skips a missing
+# one without a word; pseudo._grid_min moved to validation (CHANGES.md FOUND
+# on the tracer's EXTRA), the one known miss
+EXTRA_KNOWN_MISSES = {("pseudo", "_grid_min")}
+
+
+def test_tracer_extra_names_resolve():
+    # fractional._space_time_coeffs, for one, must stay the space-time
+    # coefficient builder for the fractional.terms_built counter to count
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    extra = next(
+        ast.literal_eval(node.value)
+        for node in parse(tracing).body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["EXTRA"]
+    )
+    missing = {
+        (module, name)
+        for module, names in extra.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"circlaw.{module}"), name)
+    }
+    assert missing == EXTRA_KNOWN_MISSES
