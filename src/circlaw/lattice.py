@@ -215,6 +215,7 @@ def _unit_forms(orders, sine: bool):
     if todo:
         if len(_UNIT_FORMS) + len(todo) > _UNIT_CAP:
             _UNIT_FORMS.clear()
+            todo = list(dict.fromkeys(orders))
         ns = []
         for o in todo:
             n = np.arange(1 if sine else 0, series_length(o, sine) + 1, 2, dtype=float)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from circlaw import DomainError, RngStream, Tolerance, fractional, ks_statistic, sample
 from circlaw.fractional import space_time_fractional_cdf, time_fractional_law
 from circlaw.harmonic import TWO_PI
+from circlaw import lattice
 from circlaw.lattice import _closed_form, _zeta_right, lattice_tail
 from circlaw.special import _ml_many
 
@@ -102,6 +103,19 @@ def test_lattice_sums_against_polylog(s, sine):
     near = min(abs(s - round(s)), 1.0)
     if near == 0.0 or near > 1e-2:
         assert charge <= 1e-12
+
+
+def test_unit_form_cache_refills_when_full(monkeypatch):
+    # a call that finds the cache full empties it and builds every order it
+    # needs, those it had found there included
+    r = np.array([0.0, 0.7, math.pi])
+    monkeypatch.setattr(lattice, "_UNIT_FORMS", {})
+    want = _closed_form([1.0, 0.5, 0.25], [2.3, 3.7, 5.1], False)[0](r)
+    monkeypatch.setattr(lattice, "_UNIT_FORMS", {})
+    monkeypatch.setattr(lattice, "_UNIT_CAP", 2)
+    _closed_form([1.0, 0.5], [2.3, 3.7], False)
+    got = _closed_form([1.0, 0.5, 0.25], [2.3, 3.7, 5.1], False)[0](r)
+    assert np.array_equal(got, want)
 
 
 def test_lattice_tail_is_the_sum_past_the_head():
