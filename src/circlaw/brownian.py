@@ -176,19 +176,37 @@ def _quadrant_term(t, k):
     return math.exp(-((2 * k + 1) ** 2) * t / 2.0) / (2 * k + 1)
 
 
+def _quadrant_images(t):
+    """Quadrant images sum_m [Phi((pi/2 + 2 pi m)/sqrt t) - Phi((-pi/2 + 2 pi m)/sqrt t)] = 1 - erfc(c) +
+    sum_{m=1..M} [erfc((4m-1)c) - erfc((4m+1)c)], c = pi/(2 sqrt(2t)); as erfcx falls, the rest
+    sums below erfc((4M+3)c)/(1 - e^{-8(4M+3)c^2}) <= 1e-17."""
+    c = math.pi / (2.0 * math.sqrt(2.0 * t))
+    M = certified_cutoff(
+        lambda m: math.erfc((4 * m + 3) * c) / -math.expm1(-8.0 * (4 * m + 3) * c * c),
+        Tolerance(1e-17),
+        "use a smaller t",
+    )
+    far = sum(math.erfc((4 * m - 1) * c) - math.erfc((4 * m + 1) * c) for m in range(M, 0, -1))
+    return 1.0 - math.erfc(c) + far
+
+
 def bm_quadrant_prob(t):
     """P(-pi/2 < B(t) < pi/2) = 1/2 + (2/pi) sum_{k>=0} (-1)^k e^{-(2k+1)^2 t/2}/(2k+1).
 
     The terms fall, so adding k = 0..K up to the first K >= 1 whose term is
-    at most 1e-17 (harmonic.certified_cutoff) leaves a tail below 1e-17.
-    The sum is clamped to [0, 1], where its rounding at small t can leave it.
+    at most 1e-17 (harmonic.certified_cutoff) leaves a tail below 1e-17. K
+    grows like 1/sqrt t, the images' count M (_quadrant_images) like sqrt t:
+    they answer at t <= _QUAD_BOUND_T0 (M = 1, K >= 9); above it the series
+    keeps its e^{-t/2} envelope (row 9c). Rounding can leave [0, 1]: clamped.
     """
     _check_t(t)
+    if t <= _QUAD_BOUND_T0:
+        return min(_quadrant_images(t), 1.0)
     K = certified_cutoff(lambda k: _quadrant_term(t, k), Tolerance(1e-17), "use a larger t")
     acc = np.cumsum([(-1) ** k * _quadrant_term(t, k) for k in range(K + 1)])[-1]
     val = float(0.5 + (2.0 / math.pi) * acc)
     # alternating decreasing terms, so the one-term envelope holds
-    if t > _QUAD_BOUND_T0 and val > 0.5 + (2.0 / math.pi) * math.exp(-t / 2.0) + 1e-12:
+    if val > 0.5 + (2.0 / math.pi) * math.exp(-t / 2.0) + 1e-12:
         raise ConvergenceError(f"quadrant series broke its e^(-t/2) envelope at t={t}")
     return min(max(val, 0.0), 1.0)
 

@@ -108,7 +108,7 @@ def _kernel_cdf(a: float, b: float, theta, t: float):
     t -> 0.
     """
     _check_t(t)
-    th = _cdf_angles(theta)
+    th, _ = _cdf_angles(theta)
     q = math.exp(-a * t)
     one_minus_q = -math.expm1(-a * t)
     num = -math.expm1(-2.0 * a * t) * np.sin(th / 2.0)

@@ -193,15 +193,20 @@ def ks_statistic(samples, cdf) -> float:
 
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted
     sample; cdf must be callable on arrays and monotone on [0, 2 pi).
+    (i-1)/n is i/n read one place back (0 first): the same divisions, so the same D.
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
     if n < 100:
         raise DomainError("need at least 100 samples")
-    _check_finite(x, "samples")
+    _check_finite((x[0], x[-1]), "samples")  # NaN sorts last
     F = np.asarray(cdf(x), dtype=float)
-    _check_finite(F, "cdf values")
-    if np.any(np.diff(F) < -1e-12):
+    _check_finite((F.min(), F.max()), "cdf values")
+    gap = np.subtract(F[1:], F[:-1])
+    if gap.min() < -1e-12:
         raise DomainError("cdf is not monotone on the sample range")
-    i = np.arange(1, n + 1, dtype=float)
-    return float(max(np.max(i / n - F), np.max(F - (i - 1.0) / n)))
+    upper = np.arange(1.0, n + 1.0)
+    upper /= n
+    lower = max(float(F[0]), float(np.subtract(F[1:], upper[:-1], out=gap).max()))  # F - (i-1)/n
+    upper -= F
+    return float(max(upper.max(), lower))

@@ -7,9 +7,11 @@ against it where it is well conditioned. mp_even_line and mp_odd_saddle
 are the even-order line solution and the odd-order one at x < 0 to 30
 digits by mpmath. complex_fold is the uniform-grid evaluation of a
 HarmonicLaw from the whole complex coefficient array, the order the
-blocked grid fold keeps. grid_period and wrapped_bm_mod are the grid
-test and the wrapped-BM sampler built on whole reference arrays and
-np.mod, whose decisions and doubles the package's cheaper forms keep.
+blocked grid fold keeps; whole_array_sum is the scattered evaluation over
+every point at once, whose doubles the blocks of points keep. grid_period,
+wrapped_bm_mod and ks_two_arrays are the grid test, the wrapped-BM sampler
+and the KS statistic built on whole reference arrays and np.mod, whose
+decisions and doubles the package's cheaper forms keep.
 """
 
 import math
@@ -21,7 +23,7 @@ from scipy import integrate
 
 from circlaw import ConvergenceError, DomainError
 from circlaw.errors import _check_finite, _check_t
-from circlaw.harmonic import TWO_PI, _grid_period
+from circlaw.harmonic import TWO_PI, _grid_period, _horner, _unit
 from circlaw.line import _rotation
 from circlaw.pseudo import _CANCEL_BUDGET
 from circlaw.special import DEFAULT_TOL, Tolerance
@@ -126,14 +128,9 @@ def even_kernel_cdf_atan2(theta, t):
     return np.arctan2((1.0 + q) * np.sin(theta / 2.0), -math.expm1(-t) * np.cos(theta / 2.0)) / math.pi
 
 
-def complex_fold(law, grid, cdf=False):
-    """law.density(grid) (law.cdf(grid) with cdf) on a uniform grid of M
-    nodes from whole arrays: c_0 = a0, c_k = a_k - i b_k (for the CDF
-    series sum_k b_k/k, -b_k/k and -a_k/k from a/k and b/k formed whole),
-    zero-padded to whole rows of M, reshape(-1, M).sum(axis=0), one
-    length-M inverse FFT."""
-    th = np.asarray(grid, dtype=float)
-    M = _grid_period(th)
+def _whole_coeffs(law, cdf):
+    """c_0 = a0, c_k = a_k - i b_k from the whole coefficient arrays, or for
+    the CDF series sum_k b_k/k, -b_k/k and -a_k/k from a/k and b/k formed whole."""
     a0, a, b = law.a0, law.cos_coeffs, law.sin_coeffs
     if cdf:
         k = np.arange(1.0, law.n_terms + 1.0)
@@ -143,14 +140,45 @@ def complex_fold(law, grid, cdf=False):
     c[0] = a0
     c[1:].real = a
     c[1:].imag = -b
+    return c
+
+
+def _cdf_from_series(law, th, out):
+    out = law.a0 * th + out
+    out[th == 0.0] = 0.0
+    return out
+
+
+def complex_fold(law, grid, cdf=False):
+    """law.density(grid) (law.cdf(grid) with cdf) on a uniform grid of M
+    nodes from whole arrays: c of _whole_coeffs zero-padded to whole rows
+    of M, reshape(-1, M).sum(axis=0), one length-M inverse FFT."""
+    th = np.asarray(grid, dtype=float)
+    M = _grid_period(th)
+    c = _whole_coeffs(law, cdf)
     folded = np.zeros(-(-c.size // M) * M, dtype=complex)
     folded[: c.size] = c
     vals = np.fft.ifft(folded.reshape(-1, M).sum(axis=0), norm="forward").real
     out = np.concatenate([vals, vals[: th.size - M]])
-    if cdf:
-        out = law.a0 * th + out
-        out[th == 0.0] = 0.0
-    return out
+    return _cdf_from_series(law, th, out) if cdf else out
+
+
+def whole_array_sum(law, theta, cdf=False):
+    """law.density(theta) (law.cdf(theta) with cdf) at scattered angles from
+    whole arrays: c of _whole_coeffs, one z = e^{i theta} (harmonic._unit) and
+    one Horner sum (harmonic._horner) over every point at once."""
+    th = np.asarray(theta, dtype=float)
+    out = _horner(_whole_coeffs(law, cdf), _unit(th)).real
+    return _cdf_from_series(law, th, out) if cdf else out
+
+
+def ks_two_arrays(samples, cdf):
+    """montecarlo.ks_statistic as the max of the two whole arrays
+    i/n - F and F - (i-1)/n over the sorted sample."""
+    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    F = np.asarray(cdf(x), dtype=float)
+    i = np.arange(1, x.size + 1, dtype=float)
+    return float(max(np.max(i / x.size - F), np.max(F - (i - 1.0) / x.size)))
 
 
 def grid_period(th) -> int:

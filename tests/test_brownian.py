@@ -338,22 +338,31 @@ class TestQuadrantProb:
         with pytest.raises(DomainError):
             bm_quadrant_prob(-1.0)
 
-    def test_past_the_term_budget_is_refused_at_once(self, monkeypatch):
-        # at t = 1e-12 the terms stay near 1/(2k + 1) > 1e-17 for every
-        # k <= MAX_TERMS; the cutoff refuses after a few dozen probes, not
-        # after a million terms
+    def test_small_t_takes_the_images_at_once(self, monkeypatch):
+        # at t = 1e-12 the series would need more than MAX_TERMS terms; the
+        # images answer with two, and no series term is formed
         probes = []
         term = brownian._quadrant_term
         monkeypatch.setattr(brownian, "_quadrant_term", lambda t, k: probes.append(k) or term(t, k))
-        with pytest.raises(ConvergenceError, match="use a larger t"):
-            bm_quadrant_prob(1e-12)
-        assert 0 < len(probes) < 64
+        for t in (1e-12, 1e-10, 1e-300):
+            assert bm_quadrant_prob(t) == 1.0
+        assert probes == []
+
+    def test_routes_agree(self):
+        for t in np.linspace(0.5, 10.0, 200):
+            assert brownian._quadrant_images(float(t)) == pytest.approx(bm_quadrant_prob(float(t)), abs=1e-15)
+
+    def test_routes_meet_at_the_switch(self):
+        t0 = brownian._QUAD_BOUND_T0
+        # one ulp of t moves P by ~1e-19: the two routes' values there agree
+        assert bm_quadrant_prob(t0) == pytest.approx(bm_quadrant_prob(math.nextafter(t0, 1.0)), abs=2.3e-16)
 
 
 # the alternating sums' doubles: a change to where they stop, to the order
-# of their additions or to how a term is formed moves them
+# of their additions or to how a term is formed moves them; the quadrant
+# probability at t = 1e-6 and 0.01 is the image sum's
 PINNED = {
-    (bm_quadrant_prob, (1e-6,)): 0.9999999999999999,
+    (bm_quadrant_prob, (1e-6,)): 1.0,
     (bm_quadrant_prob, (0.01,)): 1.0,
     (bm_quadrant_prob, (1.0,)): 0.8837724827278828,
     (bm_quadrant_prob, (50.0,)): 0.5000000000088414,

@@ -21,6 +21,7 @@ from circlaw import (
     Tolerance,
     bm_law,
     even_circle_law,
+    even_kernel_cdf,
     even_kernel_law,
     odd_kernel_law,
     space_fractional_law,
@@ -43,7 +44,7 @@ from circlaw.harmonic import (
     sample,
 )
 from circlaw.special import _WORK, MAX_TERMS
-from oracles import complex_fold, grid_period
+from oracles import complex_fold, grid_period, whole_array_sum
 
 EPS = np.finfo(float).eps
 
@@ -240,6 +241,84 @@ class TestBlockedFold:
             ]:
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestScatteredBlocks:
+    # the scattered path goes by blocks of _WORK points (of whole baby-step
+    # chunks from _BABY_STEP_TERMS terms on), a last one-point block joined
+    # to the one before: every value, sign of zero included, is the one of
+    # the whole array evaluated at once
+    @staticmethod
+    def sizes(K):
+        chunk = _POWER_TABLE // (math.isqrt(K) + 1)
+        step = _WORK if K < _BABY_STEP_TERMS else _WORK - _WORK % chunk
+        return sorted({2, 3, _WORK - 1, _WORK, _WORK + 1, 2 * _WORK + 1, 3 * _WORK + 2, step + 1, 2 * step + 1})
+
+    @pytest.mark.parametrize("K", [1, 6, _BABY_STEP_TERMS - 1, _BABY_STEP_TERMS, 35, 200])
+    def test_is_the_whole_array(self, K):
+        law = make_law(*random_coeffs(K, K, -1.0))
+        rng = np.random.default_rng(K)
+        for n in self.sizes(K):
+            th = np.r_[0.0, -0.0, TWO_PI, rng.uniform(0.0, TWO_PI, n - 3)] if n > 3 else rng.uniform(0.0, TWO_PI, n)
+            assert np.array_equal(bits(law.density(th)), bits(whole_array_sum(law, th)))
+            assert np.array_equal(bits(law.cdf(np.abs(th))), bits(whole_array_sum(law, np.abs(th), cdf=True)))
+
+    @pytest.mark.parametrize("n", [2, _WORK + 1, 2 * _WORK + 1, 3 * _WORK + 2])
+    def test_carriers(self, n):
+        th = np.random.default_rng(n).uniform(0.0, TWO_PI, n)
+        for law in (bm_law(0.5).representation, space_fractional_law(0.35, 2.0)):  # K = 8 and 47
+            assert np.array_equal(bits(law.density(th)), bits(whole_array_sum(law, th)))
+            assert np.array_equal(bits(law.cdf(th)), bits(whole_array_sum(law, th, cdf=True)))
+        law = time_fractional_law(1, 0.5, 1.0)  # a lattice carrier
+        head = make_law(law.cos_coeffs - law.lattice.head, law.sin_coeffs, law.a0)
+        assert np.array_equal(law.density(th), whole_array_sum(head, th) + law.lattice.density(th))
+        r = np.minimum(th, TWO_PI - th)
+        half = whole_array_sum(head, r, cdf=True) + law.lattice.cdf_form(r)
+        assert np.array_equal(law.cdf(th), np.where(th > math.pi, 1.0 - half, half))
+
+    def test_scalar_and_one_point_calls(self):
+        # a lone point is its own block, as it was its own array
+        law = make_law(*random_coeffs(3, 6, 0.0))
+        for x in np.random.default_rng(3).uniform(0.0, TWO_PI, 50):
+            assert bits(law.density(float(x))) == bits(whole_array_sum(law, np.array([x])))
+            assert bits(law.cdf(np.array([x]))) == bits(whole_array_sum(law, np.array([x]), cdf=True))
+
+
+class TestCdfAngles:
+    LAW = make_law([0.1, 0.02], [0.03, 0.01])
+
+    @pytest.mark.parametrize("cdf", [LAW.cdf, lambda th: even_kernel_cdf(th, 1.0)], ids=["harmonic", "kernel"])
+    def test_never_writes_the_callers_angles(self, cdf):
+        for th in (np.array([0.0, 1.0, TWO_PI]), np.array([-1e-10, 3.0, TWO_PI + 1e-10]), np.linspace(0.0, TWO_PI, 9)):
+            kept = th.copy()
+            th.setflags(write=False)
+            cdf(th)
+            assert np.array_equal(bits(th), bits(kept))
+
+    @pytest.mark.parametrize(
+        "theta, message",
+        [
+            (math.nan, "finite"),
+            (np.array([1.0, math.inf]), "finite"),
+            (np.array([-math.inf, 1.0]), "finite"),
+            (np.array([math.nan, -5.0]), "finite"),
+            (np.array([math.inf, -5.0]), "finite"),
+            (-1e-8, "lie in"),
+            (np.array([1.0, TWO_PI + 1e-8]), "lie in"),
+            (np.array([-1e300, 1e300]), "lie in"),
+        ],
+    )
+    def test_refusals(self, theta, message):
+        for cdf in (self.LAW.cdf, lambda th: even_kernel_cdf(th, 1.0)):
+            with pytest.raises(DomainError, match=message):
+                cdf(theta)
+
+    def test_clipped_ends(self):
+        for cdf in (self.LAW.cdf, lambda th: even_kernel_cdf(th, 1.0)):
+            out = cdf(np.array([-1e-10, -0.0, 0.0, TWO_PI, TWO_PI + 1e-10]))
+            assert np.all(out[:3] == 0.0)
+            assert out[3] == out[4]
+        assert self.LAW.cdf(np.zeros(0)).shape == (0,)
 
 
 def bits(x):

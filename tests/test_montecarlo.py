@@ -25,7 +25,7 @@ from circlaw.montecarlo import (
     simulate_planar_hit,
 )
 from circlaw.special import mittag_leffler
-from oracles import wrapped_bm_mod
+from oracles import ks_two_arrays, wrapped_bm_mod
 
 SEED = 314159
 
@@ -361,6 +361,30 @@ class TestKsStatistic:
         u = RngStream(1).generator.uniform(0.0, TWO_PI, 500)
         with pytest.raises(DomainError, match="monotone"):
             ks_statistic(u, np.sin)
+
+    @pytest.mark.parametrize("n", [100, 101, 1000, 50_000])
+    def test_is_the_two_array_formula(self, n):
+        # i/n formed once, (i-1)/n read one place back: the same doubles
+        gen = RngStream(SEED, n).generator
+        cdfs = [uniform_cdf, bm_law(0.7).cdf, lambda th: np.minimum(np.round(th, 1) / 6.0, 1.0)]
+        for x in (gen.uniform(0.0, TWO_PI, n), np.sort(gen.vonmises(0.0, 2.0, n) + math.pi)):
+            for cdf in cdfs:
+                assert ks_statistic(x, cdf) == ks_two_arrays(x, cdf)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refusals(self, bad):
+        x = RngStream(2).generator.uniform(0.0, TWO_PI, 200)
+        for pos in (0, 100, 199):
+            y = x.copy()
+            y[pos] = bad
+            with pytest.raises(DomainError, match="samples must be finite"):
+                ks_statistic(y, uniform_cdf)
+            with pytest.raises(DomainError, match="cdf values must be finite"):
+                ks_statistic(x, lambda th, pos=pos: np.where(np.arange(th.size) == pos, bad, th / TWO_PI))
+        with pytest.raises(DomainError, match="monotone"):
+            ks_statistic(x, lambda th: -th)
+        with pytest.raises(DomainError, match="at least 100"):
+            ks_statistic(x[:99], uniform_cdf)
 
 
 class TestSubordinationComposition:
