@@ -105,7 +105,7 @@ def _kernel_cdf(a: float, b: float, theta, t: float):
     with adaptive quadrature of the density at machine accuracy. The
     denominator is taken as (1-q)^2 cos(th/2) + 4 q sin(th/2 + b t/2) sin(b t/2)
     with 1 - q = -expm1(-a t): its two terms in the form above cancel as
-    t -> 0.
+    t -> 0. theta = -0.0 gives +0.0, as HarmonicLaw.cdf does.
     """
     _check_t(t)
     th, _ = _cdf_angles(theta)
@@ -114,7 +114,8 @@ def _kernel_cdf(a: float, b: float, theta, t: float):
     num = -math.expm1(-2.0 * a * t) * np.sin(th / 2.0)
     turn = math.sin(b * t / 2.0)
     den = one_minus_q**2 * np.cos(th / 2.0) + 4.0 * q * turn * np.sin(th / 2.0 + b * t / 2.0)
-    val = np.arctan2(num, den) / math.pi
+    # adding +0.0 turns the -0.0 of theta = -0.0 into +0.0 and keeps every other value
+    val = np.arctan2(num, den) / math.pi + 0.0
     return float(val) if np.ndim(theta) == 0 else val
 
 

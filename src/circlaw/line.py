@@ -318,7 +318,7 @@ _RHO = _frozen(1.0 + np.geomspace(1e-3, 30.0, 40))
 _MAJOR, _MINOR = _frozen((_RHO + 1.0 / _RHO) / 2.0), _frozen((_RHO - 1.0 / _RHO) / 2.0)
 _REACH = _frozen(np.hypot(_MAJOR - 1.0, _MINOR))
 _LOG_RHO_SQ_1, _TWO_LOG_RHO = _frozen(np.log(_RHO * _RHO - 1.0)), _frozen(2.0 * np.log(_RHO))
-_LOG_64_15 = math.log(64.0 / 15.0)
+_LOG_64_15 = _frozen(np.array(math.log(64.0 / 15.0)))
 # factor on the contour kernel's rounding term eps (1 + 2/(e sin psi)) J:
 # the worst measured rounding was 0.68 of the unit term (p = 5, X = -60),
 # at most 0.09 of it at p = 4, 6 (0 <= X <= 400; 30-digit references)
@@ -384,23 +384,18 @@ def _node_powers(m: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _two_term(p: int) -> tuple:
-    """The two-term ray's psi, sin psi and cos psi (sigma_1 and tau_1 per unit
-    X), sigma_p and tau_p, the J term Gamma(1 + 1/p) (2/sigma_p)^{1/p} of
-    k = p (by numpy's power, as the per-point terms) and eps _ROUNDING
-    (1 + 2/(e sin psi)), at order p."""
+    """The two-term ray's psi, -sin psi and cos psi (-sigma_1 and tau_1 per
+    unit X), -sigma_p and tau_p, the J term Gamma(1 + 1/p) (2/sigma_p)^{1/p} of
+    k = p (by numpy's power, as the per-point terms), eps _ROUNDING (1 + 2/(e
+    sin psi)), p sigma_p and the exponents p and p - 1, at order p, as read-only
+    0-d arrays (numpy's fixed cost is lower for them than for Python floats)."""
     psi = math.pi / (2 * p) if p % 2 else math.pi / (4 * p)
     s, c = (f(np.array([1, p]) * psi) for f in (np.sin, np.cos))
     sigma_p, tau_p = (s[1], c[1]) if p % 2 else (c[1], -s[1])
     j_p = math.gamma(1.0 + 1.0 / p) * (2.0 / np.array([sigma_p])) ** (1.0 / p)
     weight = _EPS * (_ROUNDING * (1.0 + 2.0 / (math.e * math.sin(psi))))
-    return psi, float(s[0]), float(c[0]), float(sigma_p), float(tau_p), j_p, weight
-
-
-@lru_cache(maxsize=256)
-def _ray_cutoff(p: int, log_tail: float) -> float:
-    """The two-term ray's k = p cutoff (log_tail / sigma_p)^{1/p}, by numpy's
-    power as j_p is, once per order and target rather than once per batch."""
-    return float(((log_tail / np.array([_two_term(p)[3]])) ** (1.0 / p))[0])
+    terms = (psi, -s[0], c[0], -sigma_p, tau_p, j_p[0], weight, p * sigma_p, p, p - 1)
+    return tuple(_frozen(np.array(v, dtype=float)) for v in terms)
 
 
 # The rays' Bernstein-ellipse bounds as sums over k of a per-point
@@ -460,11 +455,14 @@ def _rule_sizes(length, log_target, terms, table) -> np.ndarray:
     # factor that overflows (only from p ~ 95 on) leaves its rho out rather
     # than the whole point
     head = np.log(length / 2.0) + (_LOG_64_15 - log_target)
-    least = np.empty(head.size)
     step = _WORK // _RHO.size
-    for i in range(0, head.size, step):
-        rows = slice(i, i + step)
-        least[rows] = _least_need(head[rows], [term[rows] for term in terms], table)
+    if head.size <= step:
+        least = _least_need(head, terms, table)
+    else:
+        least = np.empty(head.size)
+        for i in range(0, head.size, step):
+            rows = slice(i, i + step)
+            least[rows] = _least_need(head[rows], [term[rows] for term in terms], table)
     # a need past the largest size (or nan) picks the 0 after it
     return _SIZE_TABLE[_SIZE_TABLE[:-1].searchsorted(least)]
 
@@ -556,24 +554,23 @@ def _contour_density(p: int, X: np.ndarray, target: float) -> np.ndarray:
                 out[part] = plan[4]()
             return out
 
+    # np.count_nonzero reads a bool array at a lower fixed cost than .any() and .all()
     def refuse_past_the_floor(charge):
-        if (charge > target / 2.0).any():
+        if np.count_nonzero(charge > target / 2.0):
             raise ConvergenceError(
                 f"u_{p}: target {target:.1e} is below twice the rounding floor "
                 f"(eps x weighted phase range {float(np.max(charge)):.1e})"
             )
 
     refuse_past_the_floor(ray_charge)
-    if not certified.all():
+    if np.count_nonzero(certified) < X.size:
         raise ConvergenceError(f"u_{p}: ray tail could not be certified")
-    if no_rule.any():
+    if np.count_nonzero(no_rule):
         raise ConvergenceError(
             f"u_{p}: no Gauss rule up to {_SIZE_TABLE[-2]} nodes certifies {target:.1e} "
             f"at scaled x = {float(X[no_rule][0]):g}"
         )
-    # the two-term ray's two charges are one array, already checked
-    if rounding is not ray_charge:
-        refuse_past_the_floor(rounding)
+    refuse_past_the_floor(rounding)
     return value()
 
 
@@ -591,30 +588,35 @@ def _two_term_ray(p: int, X: np.ndarray, target: float, log_tail: float):
     sector bound (B / sin psi)^p. Returns (ray charge, rounding charge
     (the same), tail certified, no rule, value thunk).
     """
-    psi, sin_1, cos_1, sigma_p, tau_p, j_p, weight = _two_term(p)
+    psi, minus_sin_1, cos_1, minus_sigma_p, tau_p, j_p, weight = _two_term(p)[:7]
+    p_sigma_p, power_p, power_p_1 = _two_term(p)[7:]
     x = np.abs(X)
-    sigma_1 = x * sin_1
+    # -sigma_1 = -X sin psi, so that the nodes' log-moduli are formed negated;
+    # negation is exact, so every double is the one of the positive forms
+    minus_sigma_1 = x * minus_sin_1
     # an overflowing X gives a nan bound, which certifies nothing and refuses
     with np.errstate(all="ignore"):
-        S = np.minimum(log_tail / sigma_1, _ray_cutoff(p, log_tail))
-        S_p = np.power(S, p)
-        damp_1, damp_p = sigma_1 * S, sigma_p * S_p
-        dg = sigma_1 + (p * sigma_p) * np.power(S, p - 1)
-        rounding = weight * np.minimum(2.0 / sigma_1, j_p)
+        # the k = p cutoff takes numpy's power on a 1-element array, as j_p is formed
+        cutoff = (-log_tail / minus_sigma_p[None]) ** (1.0 / p)
+        S = np.minimum(-log_tail / minus_sigma_1, cutoff)
+        S_p = np.power(S, power_p)
+        decay_1, decay_p = minus_sigma_1 * S, minus_sigma_p * S_p
+        dg = p_sigma_p * np.power(S, power_p_1) - minus_sigma_1
+        rounding = weight * np.minimum(-2.0 / minus_sigma_1, j_p)
         log_target = np.log((target - rounding) / 3.0)
-        certified = -(damp_1 + damp_p) - np.log(dg) <= log_target
+        certified = (decay_1 + decay_p) - np.log(dg) <= log_target
         turn_1, turn_p = x * cos_1 * S, tau_p * S_p
         half = S / 2.0
-        m_ray = _rule_sizes(S, log_target, (x * half, half**p), _ray_table(p))
+        m_ray = _rule_sizes(S, log_target, (x * half, np.power(half, power_p)), _ray_table(p))
 
     def on_ray(i, v):
         vp = _node_powers(v.size, p)
-        damp = damp_1[i, None] * v
-        damp += damp_p[i, None] * vp
+        log_mod = decay_1[i, None] * v
+        log_mod += decay_p[i, None] * vp
         turn = turn_1[i, None] * v
         turn += turn_p[i, None] * vp
         turn += psi
-        out = np.exp(np.negative(damp, out=damp), out=damp)
+        out = np.exp(log_mod, out=log_mod)
         out *= np.cos(turn, out=turn)
         return out
 
@@ -757,6 +759,13 @@ def _centred(theta):
     return np.where(th < -math.pi, th + TWO_PI, th)
 
 
+@lru_cache(maxsize=4)
+def _shell_row(M: int) -> np.ndarray:
+    """The shell offsets 2 pi m, m = -M..M, as one read-only row (kept for
+    four M, as the odd window's weights are)."""
+    return _frozen(TWO_PI * np.arange(-M, M + 1)[None, :])
+
+
 def _image_sum(u, x, M: int, weights=None):
     """sum_{|m| <= M} w_m u(x + 2 pi m) (w_m = 1 without weights, else the
     2M + 1 weights in shell order); a float for scalar x, else an array of x's shape.
@@ -769,18 +778,19 @@ def _image_sum(u, x, M: int, weights=None):
     scalar call bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    flat = x.ravel()
+    shells = _shell_row(M)
+    if x.size == 1:
+        rows = u(x.reshape(1, 1) + shells)
+        total = (rows if weights is None else rows * weights).sum(axis=1)
+        return float(total[0]) if x.ndim == 0 else total.reshape(x.shape)
     # -0.0 and 0.0 meet as one centre: both rows are 0.0 + shells
-    centres, repeat = np.unique(flat, return_inverse=True) if flat.size > 1 else (flat, None)
-    shells = TWO_PI * np.arange(-M, M + 1)
+    centres, repeat = np.unique(x.ravel(), return_inverse=True)
     out = np.empty(centres.size)
     step = max(1, _WORK // shells.size)
     for i in range(0, centres.size, step):
         rows = u(centres[i : i + step, None] + shells)
         out[i : i + step] = (rows if weights is None else rows * weights).sum(axis=1)
-    if repeat is not None:
-        out = out[repeat]
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    return out[repeat].reshape(x.shape)
 
 
 @lru_cache(maxsize=256)
@@ -828,10 +838,13 @@ def _line_values(p: int, x: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
     with np.errstate(over="ignore"):
         flat = x.ravel() * scale
     target = tol.abs_tol / scale
-    out = np.empty(flat.size)
     step = _WORK // min(p - 1, _RHO.size) if p % 2 else _WORK
-    for i in range(0, flat.size, step):
-        out[i : i + step] = _contour_density(p, flat[i : i + step], target)
+    if flat.size <= step:
+        out = _contour_density(p, flat, target)
+    else:
+        out = np.empty(flat.size)
+        for i in range(0, flat.size, step):
+            out[i : i + step] = _contour_density(p, flat[i : i + step], target)
     out *= scale
     return out.reshape(x.shape)
 

@@ -12,8 +12,12 @@ every point at once, whose doubles the blocks of points keep. grid_period,
 wrapped_bm_mod and ks_two_arrays are the grid test, the wrapped-BM sampler
 and the KS statistic built on whole reference arrays and np.mod, whose
 decisions and doubles the package's cheaper forms keep.
+wrapped_route_digest hashes a seeded matrix of wrapped-route calls, values
+and refusals alike, so that a change to their fixed cost is seen to keep
+every double and every message.
 """
 
+import hashlib
 import math
 import warnings
 
@@ -21,9 +25,10 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 
-from circlaw import ConvergenceError, DomainError
+from circlaw import ConvergenceError, DomainError, bm_density_wrapped, even_circle_density_wrapped
 from circlaw.errors import _check_finite, _check_t
 from circlaw.harmonic import TWO_PI, _grid_period, _horner, _unit
+from circlaw.kernels import wrapped_skew_cauchy_density
 from circlaw.line import _rotation
 from circlaw.pseudo import _CANCEL_BUDGET
 from circlaw.special import DEFAULT_TOL, Tolerance
@@ -202,3 +207,59 @@ def wrapped_bm_mod(t, rng, size=None):
         out = np.mod(math.sqrt(float(tv)) * gen.standard_normal(1 if size is None else size), TWO_PI)
         return float(out[0]) if size is None else out
     return np.mod(np.sqrt(tv) * gen.standard_normal(tv.size), TWO_PI)
+
+
+# the angles the wrapped routes treat apart: signed zeros, +-pi, the double
+# TWO_PI and its neighbours (the last past the float path of line._centred)
+_EDGES = [0.0, math.pi, TWO_PI, math.nextafter(TWO_PI, 0.0), math.nextafter(TWO_PI, 7.0)]
+WRAPPED_EDGES = _EDGES + [-x for x in _EDGES]
+
+
+def _wrapped_calls(count: int, seed: int):
+    """count seeded calls of the wrapped routes as (route, args) pairs:
+    even_circle_density_wrapped at n = 2..4, bm_density_wrapped and
+    wrapped_skew_cauchy_density (n = 1..3); t = 10^U(-5, log10 30) (one call
+    in ten 10^U(-8, 7), where the even route refuses below its floor and
+    past 64 shells), tol = 10^U(-13, -3) and theta a Python float, an
+    np.float64, a 0-d array or an array of 1-9 angles (a few 2 x 2), each
+    angle an edge of WRAPPED_EDGES or U(-20, 20)."""
+    rng = np.random.default_rng(seed)
+    routes = [even_circle_density_wrapped] * 3 + [bm_density_wrapped, wrapped_skew_cauchy_density]
+
+    def angle():
+        return float(rng.choice(WRAPPED_EDGES)) if rng.random() < 0.3 else float(rng.uniform(-20.0, 20.0))
+
+    for _ in range(count):
+        route = routes[rng.integers(len(routes))]
+        wide = rng.random() >= 0.9
+        t = float(10.0 ** (rng.uniform(-8.0, 7.0) if wide else rng.uniform(-5.0, math.log10(30.0))))
+        tol = Tolerance(float(10.0 ** rng.uniform(-13.0, -3.0)))
+        kind = rng.integers(6)
+        if kind < 3:
+            theta = (float, np.float64, np.array)[kind](angle())
+        else:
+            theta = np.array([angle() for _ in range(4 if kind == 5 else rng.integers(1, 10))])
+            theta = theta.reshape(2, 2) if kind == 5 else theta
+        if route is even_circle_density_wrapped:
+            yield route, (int(rng.integers(2, 5)), theta, t, tol)
+        elif route is bm_density_wrapped:
+            yield route, (theta, t, tol)
+        else:
+            yield route, (int(rng.integers(1, 4)), theta, t)
+
+
+def wrapped_route_digest(count: int, seed: int) -> tuple[str, int]:
+    """(sha256, refusals) over _wrapped_calls(count, seed): each answer's
+    int64 words with its shape, or each refusal's type and message."""
+    digest, refusals = hashlib.sha256(), 0
+    for route, args in _wrapped_calls(count, seed):
+        try:
+            out = route(*args)
+        except (ConvergenceError, DomainError) as exc:
+            refusals += 1
+            digest.update(f"{route.__name__} {type(exc).__name__}: {exc}".encode())
+            continue
+        words = np.asarray(out, dtype=float).view(np.int64)
+        digest.update(f"{route.__name__} {type(out).__name__} {words.shape}".encode())
+        digest.update(words.tobytes())
+    return digest.hexdigest(), refusals

@@ -316,9 +316,43 @@ class TestCdfAngles:
     def test_clipped_ends(self):
         for cdf in (self.LAW.cdf, lambda th: even_kernel_cdf(th, 1.0)):
             out = cdf(np.array([-1e-10, -0.0, 0.0, TWO_PI, TWO_PI + 1e-10]))
-            assert np.all(out[:3] == 0.0)
-            assert out[3] == out[4]
+            # +0.0 at both signed zeros and below them: the int64 words are 0
+            assert bits(out[:3]).tolist() == [0, 0, 0]
+            assert bits(out[3]) == bits(out[4])
         assert self.LAW.cdf(np.zeros(0)).shape == (0,)
+
+
+# every exported CDF on [0, 2 pi] at unit time, and HarmonicLaw.cdf of every
+# exported law at parameters where its series is built (the time-fractional
+# law at nu = 1/2 carries the lattice form); bm_maxdist_cdf is the law of a
+# distance on (0, pi], so it refuses theta = 0
+EXPORTED_CDFS = {
+    "even_kernel_cdf": lambda th: circlaw.even_kernel_cdf(th, 1.0),
+    "odd_kernel_cdf": lambda th: circlaw.odd_kernel_cdf(2, th, 1.0),
+    "space_time_fractional_cdf": lambda th: circlaw.space_time_fractional_cdf(0.5, 0.7, th, 1.0),
+}
+EXPORTED_LAWS = {
+    "bm_law": lambda: circlaw.bm_law(1.0),
+    "even_circle_law": lambda: circlaw.even_circle_law(2, 1.0),
+    "even_kernel_law": lambda: circlaw.even_kernel_law(1.0),
+    "odd_kernel_law": lambda: circlaw.odd_kernel_law(1, 1.0),
+    "space_fractional_law": lambda: circlaw.space_fractional_law(0.7, 1.0),
+    "time_fractional_law": lambda: circlaw.time_fractional_law(1, 0.5, 1.0),
+    "wrapped_stable_law": lambda: circlaw.wrapped_stable_law(0.7, 1.0),
+}
+
+
+def test_every_exported_cdf_is_plus_zero_at_both_signed_zeros():
+    exported = {name for name in dir(circlaw) if name.endswith("_cdf")}
+    assert exported == set(EXPORTED_CDFS) | {"bm_maxdist_cdf"}
+    assert {name for name in dir(circlaw) if name.endswith("_law")} == set(EXPORTED_LAWS)
+    cdfs = list(EXPORTED_CDFS.values()) + [law().cdf for law in EXPORTED_LAWS.values()]
+    for cdf in cdfs:
+        assert bits(cdf(np.array([-0.0, 0.0]))).tolist() == [0, 0]
+        assert bits(cdf(-0.0)).tolist() == [0]
+    for theta in (-0.0, 0.0):
+        with pytest.raises(DomainError, match="lie in"):
+            circlaw.bm_maxdist_cdf(theta, 1.0)
 
 
 def bits(x):

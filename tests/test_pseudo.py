@@ -35,7 +35,7 @@ from circlaw.pseudo import (
     positivity_time,
 )
 from circlaw.special import DEFAULT_TOL, Tolerance
-from oracles import mp_even_line
+from oracles import mp_even_line, wrapped_route_digest
 
 
 def by_shell(n, theta, t, tol=DEFAULT_TOL):
@@ -494,6 +494,18 @@ def test_each_distinct_centre_is_summed_once(route, monkeypatch):
     assert sum(rows) == 7
     assert grid[-1] == grid[0]
     assert grid.tolist() == [route(float(x)) for x in th]
+
+
+def test_wrapped_routes_keep_their_pinned_bits():
+    # 1000 seeded calls of the even wrapped route (n = 2..4), the wrapped
+    # Gaussian and the wrapped skewed Cauchy law, scalar and array angles
+    # from -20 to 20 with the signed zeros, +-pi and +-2 pi: a change to the
+    # routes' fixed cost keeps every double and every refusal message (126
+    # of the calls are refusals)
+    assert wrapped_route_digest(1000, 38) == (
+        "6f3b6b889ecc028257ad1860abc309f14b5baabc56adaaf91b5504b8a998cbce",
+        126,
+    )
 
 
 def atom_projections(n, a, q, modes):

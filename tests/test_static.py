@@ -239,6 +239,25 @@ def test_line_kernels_are_real():
     assert found == [], f"line.py: complex arithmetic at {found}"
 
 
+# one representative argument tuple for every lru_cache'd helper of these
+# modules; a cache added without an entry here fails the test below
+CACHED_CALLS = {
+    "line": {
+        "_gauss_legendre": (96,),
+        "_gamma_column": (5,),
+        "_node_powers": (96, 4),
+        "_two_term": (4,),
+        "_ray_table": (4,),
+        "_saddle_table": (5,),
+        "_leg_table": (5,),
+        "_line_bound": (4,),
+        "_shell_count": (4, 1.0, circlaw.special.DEFAULT_TOL),
+        "_shell_row": (6,),
+    },
+    "pseudo": {"_taper_weights": (16,)},
+}
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"], ids=lambda p: p.stem)
 def test_module_arrays_are_read_only(path):
     # a module-level array is shared by every caller in the process, as a
@@ -246,6 +265,14 @@ def test_module_arrays_are_read_only(path):
     module = importlib.import_module(f"circlaw.{path.stem}")
     writable = [k for k, v in vars(module).items() if isinstance(v, np.ndarray) and v.flags.writeable]
     assert writable == [], path.name
+    if path.stem not in CACHED_CALLS:
+        return
+    cached = {k for k, v in vars(module).items() if hasattr(v, "cache_info") and v.__module__ == module.__name__}
+    assert cached == set(CACHED_CALLS[path.stem])
+    for name, args in CACHED_CALLS[path.stem].items():
+        out = getattr(module, name)(*args)
+        arrays = [a for a in (out if isinstance(out, tuple) else (out,)) if isinstance(a, np.ndarray)]
+        assert [a.flags.writeable for a in arrays] == [False] * len(arrays), name
 
 
 # perfbench/tracing.py wraps these private names by name and skips a missing
