@@ -64,11 +64,11 @@ def _remainder_bound(nu, a, sigma, J, K, cdf):
 
 
 def _lattice_plans(nu, a, sigma, cdf, tol, points, k_plain):
-    """(cost, floor, J) for J = 1, 2, ..., in order: cost = K0 + max(points, 1) L
-    ranks J, with K0 solved from the remainder bound in logs and L = J plus
-    the closed form's Horner steps per point; floor = 1 + max(points, 1) L
-    bounds the cost of this J and of every later one from below. A J is left
-    out where k_plain <= K0 + points L, the plain series being cheaper."""
+    """(cost, J) for J = 1, 2, ...: cost = K0 + max(points, 1) L ranks J, with
+    K0 solved from the remainder bound in logs and L = J plus the closed
+    form's Horner steps per point. A J is left out where
+    k_plain <= K0 + points L, the plain series being cheaper, and the plans
+    end where 1 + points L reaches k_plain (L only grows with J, and K0 >= 1)."""
     # lattice loads on first use: `import circlaw` compiles none of it
     from .lattice import series_length
 
@@ -77,16 +77,16 @@ def _lattice_plans(nu, a, sigma, cdf, tol, points, k_plain):
         if sigma * J > _MAX_ORDER or -J * math.log(a) > 700.0:
             return
         length = max(length, series_length(sigma * J + (1.0 if cdf else 0.0), cdf) // 2 + 1)
-        if 1 + points * (J + length) >= k_plain:  # L only grows with J, and K0 >= 1
+        if 1 + points * (J + length) >= k_plain:
             return
         log_b, e = _remainder_terms(nu, a, sigma, J, cdf)
         K0 = math.exp(min((log_b - math.log(0.5 * tol.abs_tol)) / e, 700.0))
         if K0 + points * (J + length) < k_plain:
-            yield K0 + weight * (J + length), 1 + weight * (J + length), J
+            yield K0 + weight * (J + length), J
 
 
 def _lattice_law(coeffs, nu, a, sigma, cdf, tol, points, k_plain, meta):
-    """The lattice form of a carrier, or None where the plain series is cheaper.
+    """The lattice form of a carrier, or None where no J certifies.
 
     The model of every coefficient past K0 is sum_{j<=J} c_j k^{-sigma j},
     c_j = (-1)^{j+1} a^{-j}/(pi Gamma(1 - nu j)); its tail is summed in closed
@@ -94,34 +94,32 @@ def _lattice_law(coeffs, nu, a, sigma, cdf, tol, points, k_plain, meta):
     past K0 at most tol/2 (which sets K0 for each J, by the shared cutoff
     rule), the head's Mittag-Leffler error at most tol/4 (every coefficient
     is asked within pi tol/(4 K0)), and the closed forms' rounding at most
-    tol/4. The J (_lattice_plans) are tried from the cheapest to the first
-    that fits, and later J only once every cheaper one has failed. points
-    is the number of angles of the call, 0 for a carrier built before its
-    angles are known (time-fractional laws take the lattice form whenever
-    K0 < k_plain).
+    tol/4. The J (_lattice_plans) are tried in one pass from the cheapest.
+    Where none fits and the plain series refuses too (k_plain infinite),
+    those refused for their rounding r alone get a second pass, K0
+    re-solved for the 3 tol/4 - r that the head and r leave, and the first
+    whose whole bound is within tol is taken. points is the number of
+    angles of the call, 0 for a carrier built before its angles are known
+    (time-fractional laws take the lattice form whenever K0 < k_plain).
     """
-    if 1 + 2 * points >= k_plain:  # K0 >= 1 and L >= 2: the plain series is cheaper
-        return None
-    batch = []
-    for cost, floor, J in _lattice_plans(nu, a, sigma, cdf, tol, points, k_plain):
-        if batch and floor >= min(batch)[0]:
-            law = _first_fit(sorted(batch), coeffs, nu, a, sigma, cdf, tol, meta)
-            if law is not None:
-                return law
-            batch = []
-        batch.append((cost, J))
-    return _first_fit(sorted(batch), coeffs, nu, a, sigma, cdf, tol, meta)
+    plans, over = sorted(_lattice_plans(nu, a, sigma, cdf, tol, points, k_plain)), []
+    law = _first_fit([(J, 0.5 * tol.abs_tol) for _, J in plans], coeffs, nu, a, sigma, cdf, tol, meta, over)
+    if law is None and k_plain == math.inf:
+        plans = [(J, 0.75 * tol.abs_tol - r) for J, r in over if r < 0.75 * tol.abs_tol]
+        law = _first_fit(plans, coeffs, nu, a, sigma, cdf, tol, meta)
+    return law
 
 
-def _first_fit(plans, coeffs, nu, a, sigma, cdf, tol, meta):
-    """The carrier of the first (cost, J) of plans whose parts fit tol, or None."""
+def _first_fit(plans, coeffs, nu, a, sigma, cdf, tol, meta, over=None):
+    """The carrier of the first (J, share) of plans that fits, or None: K0 is
+    the least K whose remainder is within share, and the whole bound must be
+    within tol. With the list over, a J whose closed forms' rounding passes
+    tol/4 is refused and appended to over as (J, rounding)."""
     from .lattice import lattice_tail
 
-    for _, J in plans:
+    for J, share in plans:
         try:
-            K0 = certified_cutoff(
-                lambda K: _remainder_bound(nu, a, sigma, J, K, cdf), Tolerance(0.5 * tol.abs_tol), ""
-            )
+            K0 = certified_cutoff(lambda K: _remainder_bound(nu, a, sigma, J, K, cdf), Tolerance(share), "")
         except ConvergenceError:  # past the term budget
             continue
         # c_j = 0 where Gamma(1 - nu j) has a pole; c_1 > 0 always
@@ -129,7 +127,8 @@ def _first_fit(plans, coeffs, nu, a, sigma, cdf, tol, meta):
         used = [(cj, sigma * j) for j, cj in enumerate(c, 1) if cj]
         # a density carrier's CDF is certified too: its tail terms only gain a 1/k
         tail = lattice_tail([cj for cj, _ in used], [sj for _, sj in used], K0, density=not cdf)
-        if tail.rounding > 0.25 * tol.abs_tol:
+        if over is not None and tail.rounding > 0.25 * tol.abs_tol:
+            over.append((J, tail.rounding))
             continue
         errs = []
         try:
@@ -137,6 +136,8 @@ def _first_fit(plans, coeffs, nu, a, sigma, cdf, tol, meta):
         except ConvergenceError:  # the head's contour cannot reach its share
             continue
         bound = _remainder_bound(nu, a, sigma, J, K0, cdf) + math.fsum(errs) / math.pi + tail.rounding
+        if bound > tol.abs_tol:
+            continue
         return HarmonicLaw(
             a0=1.0 / TWO_PI,
             cos_coeffs=head,
@@ -179,7 +180,7 @@ def _algebraic_law(coeffs, nu, t, scale, sigma, cdf, tol, points, advice, meta):
         if points == math.inf:
             raise
         k_plain = math.inf
-    if points < math.inf:
+    if points < math.inf and 1 + 2 * points < k_plain:  # else K0 >= 1, L >= 2: the plain series is cheaper
         law = _lattice_law(coeffs, nu, t**nu / scale, sigma, cdf, tol, points, k_plain, meta)
         if law is not None:
             return law

@@ -103,8 +103,9 @@ def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas, integrated=False):
     The sum is Re sum_k c_k z^k with c_0 = a0, c_k = a_k - i b_k (with
     integrated -b_k/k - i a_k/k) and z = cos th + i sin th (_unit), the
     doubles of e^{i th}. On a uniform grid of M
-    nodes the modes are folded by k mod M (exact aliasing for a
-    trigonometric polynomial, see _fold) and summed by one length-M FFT;
+    nodes (M = 1 for the node 0 alone, or 0 and 2 pi) the modes are folded
+    by k mod M (exact aliasing for a trigonometric polynomial, see _fold)
+    and summed by one length-M FFT;
     anywhere else by complex Horner in z by blocks of points (_scattered).
     Neither path evaluates a transcendental per term. The grid fold forms
     no K-length array; the scattered path forms c, K + 1 complex entries.
@@ -114,20 +115,14 @@ def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas, integrated=False):
     modes = _modes(cos_coeffs, sin_coeffs, integrated)
     K = cos_coeffs.size
     M = _grid_period(th)
-    if M > 1:
-        folded = _fold(a0, modes, K, M)
-    else:
+    if not M:
         c = np.empty(K + 1, dtype=complex)
         c[0] = a0
         for lo in range(1, K + 1, _WORK):
             hi = min(K + 1, lo + _WORK)
             c.real[lo:hi], c.imag[lo:hi] = modes(lo, hi)
-        if not M:
-            return _scattered(c, th.ravel()).reshape(th.shape)
-        # the one node 0 (and 2 pi): numpy sums a fold of one column
-        # pairwise, as it sums c
-        folded = c.sum(keepdims=True)
-    vals = np.fft.ifft(folded, norm="forward").real
+        return _scattered(c, th.ravel()).reshape(th.shape)
+    vals = np.fft.ifft(_fold(a0, modes, K, M), norm="forward").real
     return np.concatenate([vals, vals[: th.size - M]])
 
 
@@ -146,14 +141,16 @@ def _modes(cos_coeffs, sin_coeffs, integrated):
 
 
 def _fold(a0, modes, K, M):
-    """sum_r c_{rM + j}, j = 0..M-1, of c_0 = a0 and c_k = modes (M >= 2).
+    """sum_r c_{rM + j}, j = 0..M-1, of c_0 = a0 and c_k = modes (M >= 1).
 
     These are the columns of c zero-padded to whole rows of M and summed
     over the rows, as numpy's reshape(-1, M).sum(axis=0) sums them: from
     0.0, one row after the other. The rows come by blocks of about _WORK
     entries into one buffer, each behind the running sums where there is
     more than one block, so one sum per block continues that order and the
-    work holds one block, not the K + 1 entries of c.
+    work holds one block, not the K + 1 entries of c. At M = 1 numpy adds
+    a block's one column pairwise, so up to _WORK - 1 terms the sum is
+    c.sum()'s; past that, the blocks' running sum rounds otherwise.
     """
     rows, step = -(-(K + 1) // M), max(1, _WORK // M)  # rows of c, rows per block
     lead = M if rows > step else 0  # the running sums' row

@@ -762,7 +762,7 @@ def _centred(theta):
 @lru_cache(maxsize=4)
 def _shell_row(M: int) -> np.ndarray:
     """The shell offsets 2 pi m, m = -M..M, as one read-only row (kept for
-    four M, as the odd window's weights are)."""
+    four M)."""
     return _frozen(TWO_PI * np.arange(-M, M + 1)[None, :])
 
 
@@ -826,19 +826,15 @@ def _line_values(p: int, x: np.ndarray, t: float, tol: Tolerance) -> np.ndarray:
     The points go to the kernel in batches as large as its work arrays
     allow within _WORK entries: _WORK points at even p, whose arrays are
     per point (the sizing's points x rho grid goes in chunks), and
-    _WORK // (p - 1) at odd p, where the saddle ray's (p - 1) x points
-    arrays bound it. From p = 43 on that would be fewer than the
-    _WORK // _RHO.size points of a sizing chunk, and a batch's O(p)
-    Python-level work would show (p = 257 ran 5-12% slower in 64-point
-    batches on a 2-core Xeon VM), so high odd orders keep batches of
-    _WORK // _RHO.size points.
+    _WORK // (p - 1) at every odd p, where the saddle ray's (p - 1) x points
+    arrays bound it (4096 points at p = 5, 15 at p = _MAX_ORDER).
     A value does not depend on its batch.
     """
     scale = t ** (-1.0 / p)
     with np.errstate(over="ignore"):
         flat = x.ravel() * scale
     target = tol.abs_tol / scale
-    step = _WORK // min(p - 1, _RHO.size) if p % 2 else _WORK
+    step = _WORK // (p - 1) if p % 2 else _WORK
     if flat.size <= step:
         out = _contour_density(p, flat, target)
     else:

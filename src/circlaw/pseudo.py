@@ -18,7 +18,6 @@ against them).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .line import (
     _shell_count,
     _third_values,
 )
-from .special import _EPS, DEFAULT_TOL, Tolerance, _frozen
+from .special import _EPS, DEFAULT_TOL, Tolerance
 
 __all__ = [
     "even_circle_law",
@@ -148,17 +147,16 @@ def even_circle_density_wrapped(n: int, theta, t: float, tol: Tolerance = DEFAUL
 # odd-order circular law
 
 
-@lru_cache(maxsize=4)
 def _taper_weights(M: int) -> np.ndarray:
-    """The 2M + 1 shell weights of the odd window in shell order m = -M..M,
-    read-only: Hann rolloff after a flat core, w = 1 on |m| <= M/2, cos^2 beyond."""
+    """The 2M + 1 shell weights of the odd window in shell order m = -M..M:
+    Hann rolloff after a flat core, w = 1 on |m| <= M/2, cos^2 beyond."""
     m = np.arange(M + 1)
     mf = M // 2
     w = np.ones(M + 1)
     roll = m > mf
     u = (m[roll] - mf) / max(M - mf, 1)
     w[roll] = np.cos(0.5 * math.pi * u) ** 2
-    return _frozen(np.concatenate([w[:0:-1], w]))
+    return np.concatenate([w[:0:-1], w])
 
 
 def _budget_shells(n: int, t: float) -> int:

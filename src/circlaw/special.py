@@ -34,8 +34,10 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # largest work array of a blocked loop, in entries: the Mittag-Leffler
 # asymptotic sweep and contour sum (nodes x entries), harmonic's coefficient
-# build and grid fold, and line's contour kernel (points x nodes, or points x
-# ellipses), Airy core (points x nodes) and image sums (angles x shells)
+# build, grid fold (the node 0 alone too) and scattered blocks of points, and
+# line's contour kernel (points x nodes, points x ellipses, or at odd p the
+# saddle ray's (p - 1) x points), Airy core (points x nodes) and image sums
+# (angles x shells)
 _WORK = 1 << 14
 
 __all__ = [
@@ -244,7 +246,7 @@ def _ml_nodes(nu: float, tol_abs: float):
     # Q_k carries the error of B_k, amplified by |B_k|/|B_k + y|
     P = _EPS * np.abs(A) * (16.0 + k + 2.0 * np.abs(s) + 2.0 * np.abs(log_s))
     Q = _EPS * np.abs(A) * np.abs(B) * (4.0 + 2.0 * np.abs(log_s))
-    return A[:, None], B[:, None], P[:, None], Q[:, None]
+    return tuple(_frozen(v)[:, None] for v in (A, B, P, Q))
 
 
 def _ml_contour(nu: float, y: np.ndarray, tol_abs: float):

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlaw import Tolerance, fractional
 from circlaw.brownian import bm_law
@@ -18,7 +20,7 @@ from circlaw.fractional import (
     time_fractional_law,
     wrapped_stable_law,
 )
-from circlaw.harmonic import TWO_PI
+from circlaw.harmonic import TWO_PI, _grid_period
 from circlaw.kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
 from circlaw.pseudo import even_circle_density_wrapped, even_circle_law, odd_circle_density_wrapped
 
@@ -386,6 +388,22 @@ def test_cached_grid_is_shared_and_read_only():
     assert not th.flags.writeable
     with pytest.raises(ValueError):
         th[0] = 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 2**20))
+def test_every_cli_grid_takes_the_fft_path(n):
+    # harmonic._grid_period rebuilds np.linspace(0, 2 pi, n), the grid of
+    # cli._csv_grid, as numpy 2.4 builds it; a numpy whose linspace builds
+    # other doubles fails here rather than silently moving CLI grids to the
+    # Horner path
+    assert _grid_period(np.linspace(0.0, TWO_PI, n)) == n - 1
+
+
+@pytest.mark.parametrize("n", [8, 9, 511, 512, 513, 2048, 2**20])
+def test_cli_grids_have_their_period(n):
+    # __wrapped__: the 2^20 grid's CSV text (~35 MB) is not kept in the cache
+    assert _grid_period(_csv_grid.__wrapped__(n)[0]) == n - 1
 
 
 class TestPositivity:

@@ -4,6 +4,7 @@ series law."""
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -207,7 +208,7 @@ class TestTrigSum:
 
     def test_no_terms(self):
         empty = np.zeros(0)
-        for th in (np.linspace(0.0, TWO_PI, 9), np.array([0.5, 7.0]), 2.0):
+        for th in (np.linspace(0.0, TWO_PI, 9), np.array([0.5, 7.0]), 2.0, 0.0, np.array([0.0, TWO_PI])):
             assert np.all(_trig_sum(0.25, empty, empty, th) == 0.25)
 
 
@@ -241,6 +242,30 @@ class TestBlockedFold:
             ]:
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
+    def test_one_node_is_the_whole_sum_within_a_block(self, law):
+        # the node 0 (and 2 pi) folds onto M = 1: within one block of _WORK
+        # entries numpy sums the column pairwise, as it sums c whole
+        full = law()
+        for K in (1, 7, _WORK - 1):
+            part = make_law(full.cos_coeffs[:K], full.sin_coeffs[:K], full.a0)
+            for grid in (np.array([0.0]), np.array([0.0, TWO_PI])):
+                assert np.array_equal(part.density(grid), complex_fold(part, grid))
+                assert np.array_equal(part.cdf(grid), complex_fold(part, grid, cdf=True))
+
+    def test_one_node_memory_stays_within_a_few_blocks(self):
+        # a 300 000-term carrier at the one node folds by blocks too, where
+        # a whole coefficient array c would take 4.8 MB
+        law = make_law(*random_coeffs(3, 300_000, -2.0))
+        for evaluate, theta in ((law.density, 0.0), (law.cdf, np.array([0.0, TWO_PI]))):
+            tracemalloc.start()
+            try:
+                evaluate(theta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 16 * _WORK
 
 
 class TestScatteredBlocks:

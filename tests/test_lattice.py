@@ -8,7 +8,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlaw import DomainError, RngStream, Tolerance, fractional, ks_statistic, sample
@@ -177,6 +177,9 @@ def test_time_fractional_routes_agree(n, nu, t, tol):
     t=st.floats(0.3, 3.0),
     tol=st.sampled_from([1e-4, 1e-5, 1e-6]),
 )
+# every J's closed forms round past tol/4 at their first K0 (the least, 3.1e-11
+# at J = 4): the second pass answers with K0 re-solved for the share left
+@example(nu=0.875, beta=0.375, t=0.5, tol=1e-4)
 def test_space_time_cdf_routes_agree(nu, beta, t, tol):
     loose = Tolerance(abs_tol=tol)
     try:
@@ -188,6 +191,54 @@ def test_space_time_cdf_routes_agree(nu, beta, t, tol):
     coeffs = lambda k, tol, errs, deep: fractional._space_time_coeffs(nu, beta, t, k, tol, errs, deep)  # noqa: E731
     bound = law.tail_bound + plain_bound(plain, coeffs, loose)
     assert np.max(np.abs(law.cdf(th) - plain.cdf(th))) <= bound
+
+
+def _draws(seed, count):
+    """count seeded (coeffs, nu, a, sigma, cdf, tol, points) of the lattice
+    form, time-fractional densities and space-time densities and CDFs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        nu, t = rng.uniform(0.2, 0.95), 10.0 ** rng.uniform(-1.0, 0.5)
+        tol, points = Tolerance(10.0 ** rng.uniform(-11.0, -6.0)), int(rng.choice([0, 17, 64, 512]))
+        if i % 3 == 0:
+            n = int(rng.integers(1, 4))
+            out.append((fractional._time_fractional_coeffs(nu, t, n), nu, t**nu, 2 * n, False, tol, points))
+        else:
+            beta, cdf = rng.uniform(0.51, 0.95), i % 3 == 2
+            coeffs = lambda k, tol, errs, deep, nu=nu, beta=beta, t=t: fractional._space_time_coeffs(  # noqa: E731
+                nu, beta, t, k, tol, errs, deep
+            )
+            out.append((coeffs, nu, t**nu / 2.0**beta, 2 * beta, cdf, tol, points))
+    return out
+
+
+# a draw where the plans batched by their cost floor took J = 3 although the
+# cheaper J = 5 certifies (J = 4, cheaper still, rounds past tol/4)
+_BATCH_MISS = (0.6014939439360709, 0.44479336492323907, 0.1400353379166438, 1.9222560339678072e-10, 512)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_sorted_pass_takes_the_cheapest_j_that_certifies(seed):
+    draws = _draws(seed, 8)
+    if seed == 1:
+        nu, beta, t, tol, points = _BATCH_MISS
+        coeffs = lambda k, tol, errs, deep: fractional._space_time_coeffs(nu, beta, t, k, tol, errs, deep)  # noqa: E731
+        draws.append((coeffs, nu, t**nu / 2.0**beta, 2 * beta, True, Tolerance(tol), points))
+    for coeffs, nu, a, sigma, cdf, tol, points in draws:
+        got = fractional._lattice_law(coeffs, nu, a, sigma, cdf, tol, points, math.inf, "")
+        # every J on its own, by cost, until one certifies at the first
+        # pass's shares: the cheapest that certifies
+        want = None
+        for cost, J in sorted(fractional._lattice_plans(nu, a, sigma, cdf, tol, points, math.inf)):
+            want = fractional._first_fit([(J, 0.5 * tol.abs_tol)], coeffs, nu, a, sigma, cdf, tol, "", [])
+            if want is not None:
+                break
+        if want is not None:
+            assert got.meta == want.meta and got.tail_bound == want.tail_bound
+            assert np.array_equal(got.cos_coeffs, want.cos_coeffs)
+        elif got is not None:  # the second pass answered, within tol
+            assert got.tail_bound <= tol.abs_tol
 
 
 def test_sampling_sized_space_time_cdf_keeps_the_plain_route():

@@ -1006,10 +1006,10 @@ def test_odd_grid_values_do_not_depend_on_batches(n, N, monkeypatch):
 
 
 def test_high_order_odd_batch_memory_is_bounded():
-    # p = 129: batches keep _WORK // _RHO.size = 409 points, so the saddle
-    # ray's (p - 1) x points arrays hold 128 x 409 entries and a 2001-point
-    # call peaks at 3.5 MB of numpy arrays, about eight such arrays, as a
-    # 409-point call does (one 2001-point batch would hold five times more)
+    # p = 129: batches hold _WORK // (p - 1) = 128 points, so the saddle
+    # ray's (p - 1) x points arrays hold _WORK entries and a 2001-point call
+    # peaks at 1.2 MB of numpy arrays, about nine such arrays, as a 128-point
+    # call does (one 2001-point batch would hold sixteen times more)
     X = np.linspace(-40.0, 40.0, 2001)
     want = line_density_odd(64, X, 1.0)
     tracemalloc.start()
@@ -1019,7 +1019,7 @@ def test_high_order_odd_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert _words(got) == _words(want)
-    assert peak <= 10 * 128 * (circlaw.line._WORK // circlaw.line._RHO.size) * 8
+    assert peak <= 10 * circlaw.line._WORK * 8
 
 
 @pytest.mark.parametrize("theta", [1e12, 1e300, -1e300])

@@ -334,8 +334,6 @@ class TestOddCircleDensity:
     def test_taper_weights_shape(self):
         # shell order m = -100..100: flat on |m| <= 50, Hann rolloff to 0 at |m| = 100
         w = _taper_weights(100)
-        # cached, so shared by every call: read-only
-        assert not w.flags.writeable and _taper_weights(100) is w
         assert w.size == 201 and np.array_equal(w, w[::-1])
         assert w[100] == 1.0 and w[150] == 1.0
         assert w[200] == pytest.approx(0.0, abs=1e-15)

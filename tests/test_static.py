@@ -239,9 +239,11 @@ def test_line_kernels_are_real():
     assert found == [], f"line.py: complex arithmetic at {found}"
 
 
-# one representative argument tuple for every lru_cache'd helper of these
-# modules; a cache added without an entry here fails the test below
+# one representative argument tuple for every lru_cache'd helper of the
+# package; a cache added without an entry here fails the test below
 CACHED_CALLS = {
+    "cli": {"_csv_grid": (9,), "_build_parser": ()},
+    "lattice": {"_bernoulli_ratios": (), "_factorials": (), "series_length": (2.5, False)},
     "line": {
         "_gauss_legendre": (96,),
         "_gamma_column": (5,),
@@ -254,7 +256,7 @@ CACHED_CALLS = {
         "_shell_count": (4, 1.0, circlaw.special.DEFAULT_TOL),
         "_shell_row": (6,),
     },
-    "pseudo": {"_taper_weights": (16,)},
+    "special": {"_ml_nodes": (0.5, 1e-10)},
 }
 
 
@@ -265,11 +267,10 @@ def test_module_arrays_are_read_only(path):
     module = importlib.import_module(f"circlaw.{path.stem}")
     writable = [k for k, v in vars(module).items() if isinstance(v, np.ndarray) and v.flags.writeable]
     assert writable == [], path.name
-    if path.stem not in CACHED_CALLS:
-        return
+    calls = CACHED_CALLS.get(path.stem, {})
     cached = {k for k, v in vars(module).items() if hasattr(v, "cache_info") and v.__module__ == module.__name__}
-    assert cached == set(CACHED_CALLS[path.stem])
-    for name, args in CACHED_CALLS[path.stem].items():
+    assert cached == set(calls)
+    for name, args in calls.items():
         out = getattr(module, name)(*args)
         arrays = [a for a in (out if isinstance(out, tuple) else (out,)) if isinstance(a, np.ndarray)]
         assert [a.flags.writeable for a in arrays] == [False] * len(arrays), name
