@@ -1,18 +1,36 @@
 """CLI surface tests: CSV/JSON shape, library-oracle agreement, exit
 codes, and byte determinism."""
 
+import io
 import json
 import math
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circlaw
 from circlaw import Tolerance, fractional
 from circlaw.brownian import bm_law
-from circlaw.cli import LAWS, _build_parser, _check, _csv_grid, main
+from circlaw.cli import (
+    _HIGH,
+    _LOW,
+    _VECTOR_GRID,
+    LAWS,
+    _build_parser,
+    _check,
+    _csv_grid,
+    _csv_text,
+    _digits,
+    _format17,
+    main,
+)
 from circlaw.fractional import (
     space_fractional_law,
     space_time_fractional_cdf,
@@ -23,6 +41,7 @@ from circlaw.fractional import (
 from circlaw.harmonic import TWO_PI, _grid_period
 from circlaw.kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
 from circlaw.pseudo import even_circle_density_wrapped, even_circle_law, odd_circle_density_wrapped
+from circlaw.special import _WORK
 
 
 TOL6 = Tolerance(abs_tol=1e-6)
@@ -353,13 +372,22 @@ _CURVES = [
 ]
 
 
+# grids that cover both CSV paths: the template's largest, the formatter's
+# smallest, its 2048-row jobs and a block of _WORK rows and one more; 8
+# comes back after the others. The odd law spends ~1 s per 2048 points on
+# its shells, so it stops at the cut-over: the formatting does not depend
+# on the law
+_PINNED_GRIDS = (8, 64, _VECTOR_GRID - 1, _VECTOR_GRID, 512, 2048, _WORK + 1, 8)
+
+
 @pytest.mark.parametrize("command,law", _CURVES, ids=[f"{c}-{law}" for c, law in _CURVES])
 def test_csv_bytes_pinned_to_the_library(capsys, tmp_path, command, law):
     # grids interleave, and 8 returns after others, so a reused template
     # must give the bytes a fresh f-string would
     extra = ("--tol", "1e-6", *_SELECTOR_FLAGS.get(law, ()))
     opts = dict(zip(extra[::2], extra[1::2]))
-    for grid in (8, 64, 512, 8):
+    grids = _PINNED_GRIDS if law != "odd" else (8, 64, _VECTOR_GRID - 1, _VECTOR_GRID, 8)
+    for grid in grids:
         th = np.linspace(0.0, TWO_PI, grid)
         vals = np.asarray(library_curve(command, law, opts, th))
         expect = "theta,value\n" + "".join(
@@ -373,12 +401,108 @@ def test_csv_bytes_pinned_to_the_library(capsys, tmp_path, command, law):
         assert path.read_bytes() == out.encode()
 
 
+def _format_blocks(v):
+    """_format17 over any number of doubles, by blocks of _WORK."""
+    v = np.asarray(v, dtype=np.float64)
+    return [text for lo in range(0, v.size, _WORK) for text in _format17(v[lo : lo + _WORK]).tolist()]
+
+
+def _mismatches(v):
+    return [(x, got) for x, got in zip(v.tolist(), _format_blocks(v)) if got != f"{x:.17g}".encode()]
+
+
+_RANDOM_BITS = np.random.default_rng(40).integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+
+
 def test_csv_template_formats_like_an_f_string():
     th, template = _csv_grid(8)
     vals = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0)
     assert template % vals == "theta,value\n" + "".join(
         f"{x:.17g},{v:.17g}\n" for x, v in zip(th.tolist(), vals)
     )
+    # the vectorized formatter writes the same bytes: 10^6 random bit
+    # patterns (nan, inf and ~500 subnormals among them), with subnormal
+    # patterns, +-0, every power of ten and the window edges 1e+-280, each
+    # with both neighbours
+    subnormal = np.random.default_rng(41).integers(1, 2**52, 10**4, dtype=np.uint64).view(np.float64)
+    edges = np.array([float(f"1e{k}") for k in range(-323, 309)] + [_LOW, _HIGH, 5e-324])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    corpus = np.concatenate([_RANDOM_BITS, subnormal, -subnormal, [0.0, -0.0], edges, -edges])
+    assert _mismatches(corpus) == []
+
+
+def test_exact_ties_round_to_even_in_the_product():
+    # m/4 and m/8 near 2^53 have 18 or 19 significant digits; .25 and .75
+    # are exact halves at 17 digits. 10^1 is a double, so the product is
+    # exact and rounds them to the even D itself, as Python does
+    m = np.arange(2**53 - 4096, 2**53, dtype=np.float64)
+    ties = np.concatenate([m / 4, m / 8, [2251799813685247.75]])
+    assert not _digits(ties)[2].any()
+    assert _mismatches(np.concatenate([ties, -ties])) == []
+
+
+def test_near_halves_go_to_python():
+    # y = v / 10^13 for v = t 2^44 in [1e29, 1.6e29): frac(y) = (t 2^31 mod
+    # 5^13) / 5^13, so t can put it 4.1e-10 above or below 1/2; 10^-13 is
+    # no double, and the product leaves these values to Python
+    values = []
+    for c in ((5**13 + 1) // 2, (5**13 - 1) // 2):
+        t = c * pow(2**31, -1, 5**13) % 5**13
+        t += -(-(10**29 // 2**44 + 1 - t) // 5**13) * 5**13  # the first such t with t 2^44 >= 1e29
+        assert t < 2**53 and abs((t * 2**31 % 5**13) / 5**13 - 0.5) < 1e-9
+        values.append(float(t * 2**44))
+    assert _digits(np.array(values))[2].all()
+    assert _mismatches(np.array(values)) == []
+
+
+def test_python_takes_few_values_inside_the_window():
+    a = np.abs(_RANDOM_BITS)
+    a = a[(a >= _LOW) & (a <= _HIGH)]
+    undecided = sum(int(_digits(a[lo : lo + _WORK])[2].sum()) for lo in range(0, a.size, _WORK))
+    assert a.size > 9 * 10**5 and undecided <= 1e-6 * a.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_format17_is_python_format(values):
+    assert _format17(np.array(values, dtype=np.float64)).tolist() == [f"{x:.17g}".encode() for x in values]
+
+
+# tracemalloc's peak over the fill of the 2^20-row template before the
+# vectorized formatter, template % tuple(vals.tolist()) for these vals:
+# 71.2 MB, the text alone being 39 MB
+_TEMPLATE_FILL_PEAK = 71.2 * 2**20
+
+
+def test_a_full_grid_is_written_in_bounded_memory():
+    # the text goes out by blocks of _WORK rows: writing all of it into a
+    # StringIO, which then holds the whole text, peaks below the old fill
+    th, template = _csv_grid.__wrapped__(2**20)
+    vals = np.random.default_rng(0).random(2**20)
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        out.writelines(_csv_text(template, vals))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _TEMPLATE_FILL_PEAK
+    text = out.getvalue()
+    assert text.count("\n") == 2**20 + 1
+    for i in (0, _WORK - 1, _WORK, 2**20 - 1):
+        row = f"\n{th[i]:.17g},{vals[i]:.17g}\n"
+        assert row in text
+
+
+def test_import_builds_no_table():
+    # the formatter's tables are built on a grid's first use, not at import
+    src = str(Path(circlaw.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import circlaw.cli as c; "
+        "print(c._ten_powers.cache_info().currsize, c._digit_tables.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "0"]
 
 
 def test_cached_grid_is_shared_and_read_only():

@@ -242,7 +242,7 @@ def test_line_kernels_are_real():
 # one representative argument tuple for every lru_cache'd helper of the
 # package; a cache added without an entry here fails the test below
 CACHED_CALLS = {
-    "cli": {"_csv_grid": (9,), "_build_parser": ()},
+    "cli": {"_csv_grid": (9,), "_build_parser": (), "_ten_powers": (1,), "_digit_tables": ()},
     "lattice": {"_bernoulli_ratios": (), "_factorials": (), "series_length": (2.5, False)},
     "line": {
         "_gauss_legendre": (96,),
