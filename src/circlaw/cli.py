@@ -201,7 +201,8 @@ def _digits(a):
     within 1e-9 of 1/2. Where 10^(16 - X) is a double, y is exact and an
     exact half goes to the even D, as Python's formatter does. X starts
     from log10 and is fixed from the unrounded y; y within 0.25 below
-    10^16 is left undecided."""
+    10^16 is left undecided, and a D that rounds up to 10^17 becomes
+    10^16 with X one higher."""
     k = np.floor(np.log10(a)).astype(np.intp)
     kmin, kmax = int(k.min()) - 1, int(k.max()) + 1
     b0 = (16 - kmax) // 16
@@ -231,6 +232,12 @@ def _digits(a):
         Di = p[i].astype(np.int64) + f.astype(np.int64)
         D[i] = Di + ((frac > 0.5) | ((frac == 0.5) & (Di % 2 == 1)))
         undecided[i] |= (lo[s[i]] != 0.0) & (np.abs(frac - 0.5) < 1e-9)
+    # y in [10^17 - 1/2, 10^17) rounds up to 10^17: the digits are 1 and 0s,
+    # one place up (log10 puts a within 5e-18 below 10^(X + 1) at either X)
+    carry = D == 10**17
+    if carry.any():
+        D[carry] = 10**16
+        k[carry] += 1
     return D, k, undecided
 
 

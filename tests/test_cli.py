@@ -375,9 +375,10 @@ _CURVES = [
 # grids that cover both CSV paths: the template's largest, the formatter's
 # smallest, its 2048-row jobs and a block of _WORK rows and one more; 8
 # comes back after the others. The odd law spends ~1 s per 2048 points on
-# its shells, so it stops at the cut-over: the formatting does not depend
-# on the law
+# its shells, so it leaves out 2048 and _WORK + 1: the formatting does not
+# depend on the law
 _PINNED_GRIDS = (8, 64, _VECTOR_GRID - 1, _VECTOR_GRID, 512, 2048, _WORK + 1, 8)
+_PINNED_ODD_GRIDS = (8, 64, _VECTOR_GRID - 1, _VECTOR_GRID, 512, 8)
 
 
 @pytest.mark.parametrize("command,law", _CURVES, ids=[f"{c}-{law}" for c, law in _CURVES])
@@ -386,7 +387,7 @@ def test_csv_bytes_pinned_to_the_library(capsys, tmp_path, command, law):
     # must give the bytes a fresh f-string would
     extra = ("--tol", "1e-6", *_SELECTOR_FLAGS.get(law, ()))
     opts = dict(zip(extra[::2], extra[1::2]))
-    grids = _PINNED_GRIDS if law != "odd" else (8, 64, _VECTOR_GRID - 1, _VECTOR_GRID, 8)
+    grids = _PINNED_GRIDS if law != "odd" else _PINNED_ODD_GRIDS
     for grid in grids:
         th = np.linspace(0.0, TWO_PI, grid)
         vals = np.asarray(library_curve(command, law, opts, th))
@@ -439,6 +440,20 @@ def test_exact_ties_round_to_even_in_the_product():
     ties = np.concatenate([m / 4, m / 8, [2251799813685247.75]])
     assert not _digits(ties)[2].any()
     assert _mismatches(np.concatenate([ties, -ties])) == []
+
+
+@pytest.mark.parametrize("toward", [-math.inf, math.inf], ids=["below", "above"])
+def test_digits_survive_a_log10_one_ulp_off(monkeypatch, toward):
+    # the first exponent comes from np.log10, which need not be correctly
+    # rounded: with every log10 one ulp off, the powers of ten of the window
+    # and their neighbours still read as Python writes them. Below, the
+    # doubles within 5e-18 under 10^k (1e-14, 1e+98, ..) get exponent k - 1
+    # and y in [10^17 - 1/2, 10^17), which rounds up to 1 and 0s at k
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+    powers = np.array([float(f"1e{k}") for k in range(-280, 281)])
+    corpus = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    assert _mismatches(np.concatenate([corpus, -corpus])) == []
 
 
 def test_near_halves_go_to_python():
