@@ -51,7 +51,7 @@ from .validation import DEFAULT_SEED, GROUPS, report_json, run_suite
 
 __all__ = ["main"]
 
-# most rows a density/cdf grid takes: ~27 MB of CSV text and an 8 MB theta array
+# most rows a density/cdf grid takes: ~39 MB of CSV text and an 8 MB theta array
 _MAX_GRID = 2**20
 
 

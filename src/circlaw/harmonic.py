@@ -270,6 +270,9 @@ class HarmonicLaw:
         b = np.asarray(self.sin_coeffs, dtype=float)
         if a.ndim != 1 or a.shape != b.shape:
             raise DomainError("coefficient arrays must be 1-d and equal length")
+        _check_finite(self.a0, "a0")
+        _check_finite(a, "cos_coeffs")
+        _check_finite(b, "sin_coeffs")
         if not self.tail_bound >= 0.0:
             raise DomainError("tail_bound must be nonnegative")
         if self.lattice is not None and np.any(b):
@@ -428,6 +431,7 @@ def fourier_coeffs(density, K: int, n_nodes: int | None = None):
             raise TypeError
     except TypeError:
         vals = np.array([float(density(t)) for t in th])
+    _check_finite(vals, "density values")
     spec = np.fft.rfft(vals)
     a = 2.0 * spec[1 : K + 1].real / M
     b = -2.0 * spec[1 : K + 1].imag / M

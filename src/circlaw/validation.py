@@ -3,10 +3,13 @@
 Fourteen numbered criteria (letters split a criterion whose parts carry
 different thresholds), each reduced to one measured number against one
 pinned threshold. ``_CRITERIA`` is the one table of them, in report
-order. Monte Carlo criteria draw from dedicated, fixed streams so a
-report is a pure function of (seed, tol); the determinism criterion
-re-runs every seeded criterion on fresh identically-seeded streams and
-byte-compares the serialized values.
+order. A route-pair row measures the largest |A - B| over its cases
+(``_gap``), a signed row its largest margin (``_top``); a NaN on any
+route makes the row NaN, which fails its rule and is written as null.
+Monte Carlo criteria draw from dedicated, fixed streams so a report is a
+pure function of (seed, tol); the determinism criterion re-runs every
+seeded criterion on fresh identically-seeded streams and byte-compares
+the serialized values.
 """
 
 import json
@@ -100,46 +103,48 @@ class _Run:
         return self._kept[measure]
 
 
+def _top(values):
+    """The largest entry over values (numbers or arrays); NaN if any is NaN."""
+    return float(np.max([np.max(v) for v in values]))
+
+
+def _gap(pairs):
+    """The largest |a - b| over (a, b) pairs of numbers or arrays; NaN if
+    either route gives a NaN anywhere."""
+    return _top(np.abs(np.subtract(a, b)) for a, b in pairs)
+
+
 def _c1(run):
     tol = Tolerance(abs_tol=1e-13)
-    worst = 0.0
+    pairs = []
     for t in (0.25, 1.0, 4.0):
-        diff = even_kernel_law(t, tol).density(GRID64) - even_kernel_density(GRID64, t)
-        worst = max(worst, float(np.max(np.abs(diff))))
+        pairs.append((even_kernel_law(t, tol).density(GRID64), even_kernel_density(GRID64, t)))
         for n in (1, 2, 5):
-            diff = odd_kernel_law(n, t, tol).density(GRID64) - odd_kernel_density(n, GRID64, t)
-            worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+            pairs.append((odd_kernel_law(n, t, tol).density(GRID64), odd_kernel_density(n, GRID64, t)))
+    return _gap(pairs)
 
 
 def _c2(run):
-    worst = 0.0
-    for n in (1, 2, 3):
-        for t in (0.3, 1.0, 3.0):
-            spectral = even_circle_law(n, t).density(GRID64)
-            wrapped = even_circle_density_wrapped(n, GRID64, t)
-            worst = max(worst, float(np.max(np.abs(spectral - wrapped))))
-    return worst
-
-
-def _c3(run):
-    law = even_circle_law(2, 1.0, Tolerance(abs_tol=1e-13))
-    a, b = fourier_coeffs(law.density, 5, 512)
-    k = np.arange(1.0, 6.0)
-    want = np.exp(-(k**4)) / math.pi
-    return float(max(np.max(np.abs(a - want)), np.max(np.abs(b))))
-
-
-def _c4a(run):
-    xs = (0.1, 0.5, 1.0, 2.0, 5.0)
-    return max(
-        abs(mittag_leffler(0.5, -x) - math.exp(x * x) * math.erfc(x)) for x in xs
+    return _gap(
+        (even_circle_law(n, t).density(GRID64), even_circle_density_wrapped(n, GRID64, t))
+        for n in (1, 2, 3) for t in (0.3, 1.0, 3.0)
     )
 
 
+def _c3(run):
+    a, b = fourier_coeffs(even_circle_law(2, 1.0, Tolerance(abs_tol=1e-13)).density, 5, 512)
+    return _gap([(a, np.exp(-(np.arange(1.0, 6.0) ** 4)) / math.pi), (b, 0.0)])
+
+
+_ML_XS = (0.1, 0.5, 1.0, 2.0, 5.0)
+
+
+def _c4a(run):
+    return _gap((mittag_leffler(0.5, -x), math.exp(x * x) * math.erfc(x)) for x in _ML_XS)
+
+
 def _c4b(run):
-    xs = (0.1, 0.5, 1.0, 2.0, 5.0)
-    return max(abs(mittag_leffler(1.0, -x) - math.exp(-x)) for x in xs)
+    return _gap((mittag_leffler(1.0, -x), math.exp(-x)) for x in _ML_XS)
 
 
 def _c5a(run):
@@ -156,28 +161,25 @@ def _c5a(run):
 def _c5b(run):
     tol = Tolerance(abs_tol=1e-13)
     series = space_fractional_law(1.0, 1.0, tol).density(GRID64)
-    diff = series - bm_density_wrapped(GRID64, 1.0, tol)
-    return float(np.max(np.abs(diff)))
+    return _gap([(series, bm_density_wrapped(GRID64, 1.0, tol))])
 
 
 def _c5c(run):
     tol = Tolerance(abs_tol=1e-12)
-    worst = 0.0
-    for t in (0.5, 1.0):
-        series = space_fractional_law(0.5, t, tol).density(GRID64)
-        diff = series - space_fractional_half_closed(GRID64, t)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    return _gap(
+        (space_fractional_law(0.5, t, tol).density(GRID64), space_fractional_half_closed(GRID64, t))
+        for t in (0.5, 1.0)
+    )
 
 
 def _c6(run):
     tol = Tolerance(abs_tol=1e-12)
-    worst = 0.0
-    for beta in (0.3, 0.5, 0.9):
+
+    def routes(beta):
         wrapped = wrapped_stable_law(beta, 1.0, tol).density(GRID64)
-        diff = wrapped - space_fractional_law(beta, 2.0**beta * 1.0, tol).density(GRID64)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+        return wrapped, space_fractional_law(beta, 2.0**beta * 1.0, tol).density(GRID64)
+
+    return _gap(map(routes, (0.3, 0.5, 0.9)))
 
 
 # seeded criteria: fixed stream ids keep them independent of each other
@@ -212,11 +214,10 @@ def _c7d(run):
 
 
 def _c8a(run):
-    worst = 0.0
-    for t in (0.2, 1.0, 5.0):
-        via_cdf = even_kernel_cdf(math.pi / 2.0, t) + 1.0 - even_kernel_cdf(3.0 * math.pi / 2.0, t)
-        worst = max(worst, abs(even_quadrant_prob(t) - float(via_cdf)))
-    return worst
+    def via_cdf(t):
+        return float(even_kernel_cdf(math.pi / 2.0, t) + 1.0 - even_kernel_cdf(3.0 * math.pi / 2.0, t))
+
+    return _gap((even_quadrant_prob(t), via_cdf(t)) for t in (0.2, 1.0, 5.0))
 
 
 # 8b's threshold; its reference quadrature must stay clear of it
@@ -227,30 +228,32 @@ _C8B_THRESHOLD = 1e-8
 _C8B_RULES = (64, 128)
 
 
+def _half_circle_reference(n, t):
+    """8b's reference: the larger rule, refused if the smaller one's gap reaches the threshold."""
+    coarse, ref = (
+        math.pi * float(np.sum(w * odd_kernel_density(n, math.pi * v, t)))
+        for v, w in map(_gauss_legendre, _C8B_RULES)
+    )
+    if abs(ref - coarse) >= _C8B_THRESHOLD:
+        raise ConvergenceError(
+            f"8b reference quadrature gap {abs(ref - coarse):.1e} reaches the threshold"
+        )
+    return ref
+
+
 def _c8b(run):
-    worst = 0.0
-    for n in (1, 3):
-        for t in (0.5, 1.0):
-            coarse, ref = (
-                math.pi * float(np.sum(w * odd_kernel_density(n, math.pi * v, t)))
-                for v, w in map(_gauss_legendre, _C8B_RULES)
-            )
-            if abs(ref - coarse) >= _C8B_THRESHOLD:
-                raise ConvergenceError(
-                    f"8b reference quadrature gap {abs(ref - coarse):.1e} reaches the threshold"
-                )
-            worst = max(worst, abs(odd_half_circle_prob(n, t) - ref))
-    return worst
+    return _gap(
+        (odd_half_circle_prob(n, t), _half_circle_reference(n, t)) for n in (1, 3) for t in (0.5, 1.0)
+    )
 
 
 def _c8c(run):
     # P(0 < Theta < pi/2): the exact CDF against the termwise series CDF
     tol = Tolerance(abs_tol=1e-13)
-    worst = 0.0
-    for n, t in ((1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0)):
-        series = odd_kernel_law(n, t, tol).cdf(math.pi / 2.0)
-        worst = max(worst, abs(odd_kernel_cdf(n, math.pi / 2.0, t) - series))
-    return worst
+    return _gap(
+        (odd_kernel_cdf(n, math.pi / 2.0, t), odd_kernel_law(n, t, tol).cdf(math.pi / 2.0))
+        for n, t in ((1, 0.5), (1, 1.0), (2, 0.5), (2, 1.0))
+    )
 
 
 # Gaussian steps per 9a path; each step's weight is exact, so no step
@@ -291,11 +294,11 @@ def _double_barrier_survival(theta, t, n_paths, rng):
 
 
 def _c9a(run):
-    worst = 0.0
-    for (theta, t), sid in (((1.0, 1.0), 54), ((2.0, 0.5), 55)):
+    def z(theta, t, sid):
         est, se = _double_barrier_survival(theta, t, 100_000, RngStream(run.seed, sid))
-        worst = max(worst, abs(bm_maxdist_cdf(theta, t) - est) / se)
-    return worst
+        return abs(bm_maxdist_cdf(theta, t) - est) / se
+
+    return _top([z(1.0, 1.0, 54), z(2.0, 0.5, 55)])
 
 
 def _c9b(run):
@@ -305,11 +308,10 @@ def _c9b(run):
 
 
 def _c9c(run):
-    worst = -math.inf
-    for t in np.linspace(0.21, 10.0, 196):
-        bound = 0.5 + (2.0 / math.pi) * math.exp(-float(t) / 2.0)
-        worst = max(worst, bm_quadrant_prob(float(t)) - bound)
-    return worst
+    return _top(
+        bm_quadrant_prob(t) - (0.5 + (2.0 / math.pi) * math.exp(-t / 2.0))
+        for t in np.linspace(0.21, 10.0, 196).tolist()
+    )
 
 
 def _onset_times(run):
@@ -318,7 +320,7 @@ def _onset_times(run):
 
 def _c10a(run):
     t1, t2 = run.once(_onset_times)
-    return max(abs(t1), abs(t2 - T_BAR_ORDER4))
+    return _gap([(t1, 0.0), (t2, T_BAR_ORDER4)])
 
 
 def _grid_min(n, t, tol):
@@ -328,30 +330,24 @@ def _grid_min(n, t, tol):
 
 
 def _c10b(run):
-    arg = _grid_min(2, run.once(_onset_times)[1], Tolerance())
-    return min(abs(arg - math.pi), TWO_PI - abs(arg - math.pi))
+    # a node in [0, 2 pi) lies within pi of pi, so this is the circular distance
+    return abs(_grid_min(2, run.once(_onset_times)[1], Tolerance()) - math.pi)
 
 
 def _c10c(run):
     t2 = run.once(_onset_times)[1]
     # both margins negative exactly when the sign flips across t2
-    return max(min_value(2, t2 - 0.01), -min_value(2, t2 + 0.01))
+    return _top([min_value(2, t2 - 0.01), -min_value(2, t2 + 0.01)])
 
 
 def _c11(run):
-    worst = -math.inf
-    for t in (0.5, 1.0, 2.0):
-        gaps = [kernel_limit_gap(n, t) for n in (1, 2, 5, 10, 50)]
-        worst = max(worst, float(np.max(np.diff(gaps))))
-    return worst
+    return _top(np.diff([kernel_limit_gap(n, t) for n in (1, 2, 5, 10, 50)]) for t in (0.5, 1.0, 2.0))
 
 
 def _c12(run):
-    worst = 0.0
-    for t in (0.5, 1.0):
-        diff = wrapped_skew_cauchy_density(1, GRID64, t) - odd_kernel_density(1, GRID64, t)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    return _gap(
+        (wrapped_skew_cauchy_density(1, GRID64, t), odd_kernel_density(1, GRID64, t)) for t in (0.5, 1.0)
+    )
 
 
 _SEEDED = (_c7a, _c7b, _c7c, _c7d, _c9a)
@@ -367,14 +363,14 @@ def _c14(run):
     # wrapped route on 128 nodes against the atoms' exact projections
     k = np.arange(7)
     grid = np.arange(128) * (TWO_PI / 128)
-    worst = 0.0
-    for a, q in ((1, 3), (1, 5), (2, 7)):
+
+    def routes(a, q):
         values = odd_circle_density_wrapped(1, grid, TWO_PI * a / q)
         projected = np.fft.rfft(values)[:7] * (TWO_PI / 128)
         angles, weights = odd_circle_atoms(1, a, q)
-        exact = np.exp(-1j * np.outer(k, angles)) @ weights
-        worst = max(worst, float(np.max(np.abs(projected - exact))))
-    return worst
+        return projected, np.exp(-1j * np.outer(k, angles)) @ weights
+
+    return _gap(routes(a, q) for a, q in ((1, 3), (1, 5), (2, 7)))
 
 
 def _ks(m, thr):
@@ -468,11 +464,10 @@ def run_suite(seed=DEFAULT_SEED, tol=DEFAULT_TOL.abs_tol, only=None):
 
 
 def report_json(results, seed, tol):
-    """Serialize a run deterministically (fixed key order, no timing)."""
-    obj = {
-        "seed": int(seed),
-        "tol": float(tol),
-        "all_passed": all(r.passed for r in results),
-        "criteria": [asdict(r) for r in results],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """Serialize a run deterministically (fixed key order, no timing) as
+    strict JSON (RFC 8259: no NaN or Infinity)."""
+    # a non-finite measurement, which fails every rule, is written as null
+    rows = [asdict(r) | {"measured": r.measured if math.isfinite(r.measured) else None} for r in results]
+    passed = all(r.passed for r in results)
+    obj = {"seed": int(seed), "tol": float(tol), "all_passed": passed, "criteria": rows}
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

@@ -5,6 +5,7 @@ rows of that report and checks that they passed at the thresholds pinned
 here and measured the values pinned here. Monte Carlo criteria run on
 validate's fixed streams."""
 
+import hashlib
 import json
 import time
 
@@ -67,6 +68,11 @@ MEASURED = {
     "13": 0.0,
     "14": 3.347169191397127e-06,
 }
+
+# sha256 of the `validate --seed SEED` report: the bits behind MEASURED. A
+# change that moves a last bit re-pins it, with the old and new digest in
+# CHANGES.md
+REPORT_SHA256 = "67bb6507b1535ec630bb50a44e82b0b3bc8060d849613f9a1c6364dfa71bcf2a"
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +212,10 @@ def test_criterion_13_validate_determinism(reports, rows):
     report = json.loads(reports[0])
     assert report["all_passed"] is True
     assert len(report["criteria"]) == 26
+
+
+def test_report_bytes_are_pinned(reports):
+    assert hashlib.sha256(reports[0]).hexdigest() == REPORT_SHA256
 
 
 def test_criterion_14_odd_law_atoms(rows):

@@ -276,7 +276,7 @@ class TestCurveCommands:
         assert code == 2 and err.startswith("invalid-parameters:")
 
     def test_grid_ceiling_is_inclusive(self):
-        # checked on the parsed arguments alone: a 2^20-row run would build ~35 MB
+        # checked on the parsed arguments alone: a 2^20-row run would build ~39 MB
         _check(_build_parser().parse_args(["density", "--law", "bm", "--t", "1", "--grid", str(2**20)]))
 
     def test_unknown_law_exits_2(self, capsys):
@@ -541,7 +541,7 @@ def test_every_cli_grid_takes_the_fft_path(n):
 
 @pytest.mark.parametrize("n", [8, 9, 511, 512, 513, 2048, 2**20])
 def test_cli_grids_have_their_period(n):
-    # __wrapped__: the 2^20 grid's CSV text (~35 MB) is not kept in the cache
+    # __wrapped__: the 2^20 grid's CSV text (~39 MB) is not kept in the cache
     assert _grid_period(_csv_grid.__wrapped__(n)[0]) == n - 1
 
 

@@ -115,6 +115,16 @@ class TestHarmonicLaw:
         with pytest.raises(DomainError):
             make_law([0.1], [0.0], tail=-1e-3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["a0", "cos_coeffs", "sin_coeffs"])
+    def test_refuses_non_finite_coefficients(self, where, bad):
+        # a non-finite coefficient would give a NaN or inf density and a raw
+        # ValueError from sample
+        parts = {"a0": 1.0 / TWO_PI, "cos_coeffs": np.array([0.1, 0.0]), "sin_coeffs": np.zeros(2)}
+        parts[where] = bad if where == "a0" else np.array([0.1, bad])
+        with pytest.raises(DomainError, match=f"{where} must be finite"):
+            HarmonicLaw(tail_bound=0.0, **parts)
+
 
 class TestCdf:
     def test_endpoints(self):
@@ -520,6 +530,19 @@ class TestFourierCoeffs:
         for K, n_nodes in ((2.5, None), (2, 300.5)):
             with pytest.raises(DomainError, match="positive integer"):
                 fourier_coeffs(lambda th: th, K, n_nodes=n_nodes)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_non_finite_density_values(self, bad):
+        # one bad node, through the array call and through the scalar fallback
+        def array_density(th):
+            return np.where(th == 0.0, bad, 1.0 / TWO_PI)
+
+        def scalar_density(th):  # float() of an array raises TypeError
+            return bad if float(th) == 0.0 else 1.0 / TWO_PI
+
+        for density in (array_density, scalar_density):
+            with pytest.raises(DomainError, match="density values must be finite"):
+                fourier_coeffs(density, 3)
 
 
 def unsqueezed_sample(law, gen, size):
