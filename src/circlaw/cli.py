@@ -16,10 +16,23 @@ process builds each grid size's theta column once and fills in only
 the values on later calls. ``circlaw positivity`` locates the
 nonnegativity onset of an even-order law; ``circlaw validate`` runs
 the numbered self-check suite and emits JSON. Identical configurations
-(including the seed) produce byte-identical output. Exit codes: 0
-success, 1 failed validation criteria, 2 invalid parameters, 3
-numerical non-convergence. Warnings raised while a command runs are
-summarized on stderr afterwards, one line per category:
+(including the seed) produce byte-identical output.
+
+Every flag is declared once, as a row of ``_COMMANDS``; argparse is
+built from that table. An argv of the exact shape ``command (--flag
+value)*`` is read from the table without building argparse: each flag
+one of the command's, given once, each value not starting with '-' and
+converted by the same int/float/str argparse would call, its choices
+met, every required flag given. The Namespace is then the one argparse
+returns. argparse reads every other argv as it always has: ``-h`` and
+``--help``, abbreviated flags, ``--flag=value``, values that start with
+'-' (negative numbers), repeated flags, and every malformed argv, which
+it refuses with its usage message and exit code 2.
+
+Exit codes: 0 success, 1 failed validation criteria, 2 invalid
+parameters (an ``--out`` path that cannot be opened for writing among
+them), 3 numerical non-convergence. Warnings raised while a command
+runs are summarized on stderr afterwards, one line per category:
 ``warning: <Category> x<count>: <first message>``.
 """
 
@@ -30,6 +43,7 @@ import sys
 import warnings
 from collections import Counter
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,7 +135,11 @@ def _check(args):
 def _emit(parts, out, summary):
     """Write the str parts, in order, to the --out path or to stdout."""
     if out:
-        with open(out, "w") as f:
+        try:
+            f = open(out, "w")
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+        with f:
             f.writelines(parts)
         print(summary.format(path=out))
     else:
@@ -371,8 +389,58 @@ def cmd_validate(args):
     return 0
 
 
-# built once per process: parse_args leaves the parser as it was, while a
-# rebuild costs ~1 ms per call and leaves reference cycles for the collector
+class _Flag(NamedTuple):
+    """One option of a subcommand, as add_argument takes it. type is the
+    int, float or str that converts the flag's text; no default is a str,
+    which argparse would pass through type."""
+
+    flag: str
+    dest: str
+    type: Callable = str
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    help: str | None = None
+
+
+_CURVE_FLAGS = (
+    _Flag("--law", "law", required=True, choices=tuple(LAWS)),
+    _Flag("--n", "n", int, 1, help="order index (order 2n even, 2n+1 odd)"),
+    _Flag("--nu", "nu", float, help="time-fractional exponent in (0, 1]"),
+    _Flag("--beta", "beta", float, help="space-fractional exponent in (0, 1]"),
+    _Flag("--t", "t", float, required=True),
+    _Flag("--grid", "grid_points", int, 512),
+    _Flag("--tol", "tol", float, DEFAULT_TOL.abs_tol),
+    _Flag("--out", "out", help="CSV path (default: stdout)"),
+)
+
+# subcommand -> (its --help line, its flags in --help order): the one
+# declaration of the command line, read by _build_parser and _parse_table
+_COMMANDS = MappingProxyType({
+    "density": ("evaluate a law's density on a uniform grid (CSV)", _CURVE_FLAGS),
+    "cdf": ("evaluate a law's CDF on a uniform grid (CSV)", _CURVE_FLAGS),
+    "positivity": (
+        "nonnegativity onset of an even-order law (JSON)",
+        (
+            _Flag("--n", "n", int, required=True),
+            _Flag("--tol", "tol", float, DEFAULT_TOL.abs_tol),
+            _Flag("--out", "out", help="JSON path (default: stdout)"),
+        ),
+    ),
+    "validate": (
+        "run the self-check suite (JSON report)",
+        (
+            _Flag("--seed", "seed", int, DEFAULT_SEED),
+            _Flag("--tol", "tol", float, DEFAULT_TOL.abs_tol, help="KS thresholds loosen to max(pinned, tol)"),
+            _Flag("--only", "only", choices=GROUPS, help="run a single criterion group"),
+            _Flag("--out", "out", help="JSON path (default: stdout)"),
+        ),
+    ),
+})
+
+
+# built once per process, and only for argv that _parse_table leaves:
+# parse_args leaves the parser as it was, while a build costs ~2 ms
 @lru_cache(maxsize=None)
 def _build_parser():
     p = argparse.ArgumentParser(
@@ -381,31 +449,47 @@ def _build_parser():
         "locate positivity onsets, run the self-check suite.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("density", "evaluate a law's density on a uniform grid (CSV)"),
-        ("cdf", "evaluate a law's CDF on a uniform grid (CSV)"),
-    ):
+    for name, (blurb, flags) in _COMMANDS.items():
         q = sub.add_parser(name, help=blurb)
-        q.add_argument("--law", required=True, choices=tuple(LAWS))
-        q.add_argument("--n", type=int, default=1, help="order index (order 2n even, 2n+1 odd)")
-        q.add_argument("--nu", type=float, help="time-fractional exponent in (0, 1]")
-        q.add_argument("--beta", type=float, help="space-fractional exponent in (0, 1]")
-        q.add_argument("--t", type=float, required=True)
-        q.add_argument("--grid", type=int, default=512, dest="grid_points")
-        q.add_argument("--tol", type=float, default=DEFAULT_TOL.abs_tol)
-        q.add_argument("--out", help="CSV path (default: stdout)")
-    q = sub.add_parser("positivity", help="nonnegativity onset of an even-order law (JSON)")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--tol", type=float, default=DEFAULT_TOL.abs_tol)
-    q.add_argument("--out", help="JSON path (default: stdout)")
-    q = sub.add_parser("validate", help="run the self-check suite (JSON report)")
-    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    q.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL.abs_tol, help="KS thresholds loosen to max(pinned, tol)"
-    )
-    q.add_argument("--only", choices=GROUPS, help="run a single criterion group")
-    q.add_argument("--out", help="JSON path (default: stdout)")
+        for f in flags:
+            q.add_argument(
+                f.flag, dest=f.dest, type=f.type, default=f.default,
+                required=f.required, choices=f.choices, help=f.help,
+            )
     return p
+
+
+def _parse_table(argv):
+    """The Namespace argparse makes of argv when argv is exactly
+    ``command (--flag value)*``: each flag one of the command's in
+    _COMMANDS, given once, with a str value that does not start with '-'
+    and that the flag's type converts and its choices hold, and every
+    required flag given. None for any other argv, which argparse then
+    reads (and refuses, or answers with --help)."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None or len(argv) % 2 == 0:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2:  # a flag given twice
+        return None
+    values = {"command": argv[0]}
+    for f in entry[1]:
+        if f.flag not in given:
+            if f.required:
+                return None
+            values[f.dest] = f.default
+            continue
+        text = given.pop(f.flag)
+        if not isinstance(text, str) or text.startswith("-"):
+            return None
+        try:
+            value = f.type(text)
+        except (TypeError, ValueError):
+            return None
+        if f.choices is not None and value not in f.choices:
+            return None
+        values[f.dest] = value
+    return None if given else argparse.Namespace(**values)
 
 
 def _summarize(caught):
@@ -419,7 +503,10 @@ def _summarize(caught):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_table(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -33,7 +33,7 @@ from .fractional import (
     time_fractional_law,
     wrapped_stable_law,
 )
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .harmonic import TWO_PI, fourier_coeffs
 from .line import _gauss_legendre
 from .kernels import (
@@ -447,9 +447,12 @@ GROUPS = tuple(dict.fromkeys(group for _, group, *_ in _CRITERIA))
 def run_suite(seed=DEFAULT_SEED, tol=DEFAULT_TOL.abs_tol, only=None):
     """Run the criteria (optionally one group) and return CriterionResult
     rows in table order. KS thresholds can only be loosened:
-    threshold = max(pinned, tol)."""
+    threshold = max(pinned, tol). A tol that is not positive and finite,
+    or an unknown group, raises DomainError before any row runs."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
     if only is not None and only not in GROUPS:
-        raise ValueError(f"unknown group {only!r}; choose from {', '.join(GROUPS)}")
+        raise DomainError(f"unknown group {only!r}; choose from {', '.join(GROUPS)}")
     run = _Run(seed)
     results = []
     for cid, group, description, pinned, rule, measure in _CRITERIA:

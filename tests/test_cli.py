@@ -1,10 +1,13 @@
 """CLI surface tests: CSV/JSON shape, library-oracle agreement, exit
-codes, and byte determinism."""
+codes, byte determinism, and argv read from the option table as
+argparse reads it."""
 
+import contextlib
 import io
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -12,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import circlaw
 from circlaw import Tolerance, fractional
 from circlaw.brownian import bm_law
 from circlaw.cli import (
+    _COMMANDS,
     _HIGH,
     _LOW,
     _VECTOR_GRID,
@@ -29,6 +33,7 @@ from circlaw.cli import (
     _csv_text,
     _digits,
     _format17,
+    _parse_table,
     main,
 )
 from circlaw.fractional import (
@@ -42,6 +47,7 @@ from circlaw.harmonic import TWO_PI, _grid_period
 from circlaw.kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
 from circlaw.pseudo import even_circle_density_wrapped, even_circle_law, odd_circle_density_wrapped
 from circlaw.special import _WORK
+from circlaw.validation import GROUPS
 
 
 TOL6 = Tolerance(abs_tol=1e-6)
@@ -243,6 +249,13 @@ class TestCurveCommands:
         code, _, err = run(capsys, "cdf", "--law", "odd", "--t", "1")
         assert code == 3 and "CDF" in err
 
+    @pytest.mark.parametrize("where", ["missing-dir/curve.csv", "."], ids=["missing directory", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        path = tmp_path / where
+        code, out, err = run(capsys, "density", "--law", "bm", "--t", "1", "--grid", "8", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("invalid-parameters: cannot write --out") and err.count("\n") == 1
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
         code, out, _ = run(capsys, "density", "--law", "bm", "--t", "1", "--grid", "32", "--out", str(path))
@@ -296,6 +309,106 @@ class TestCurveCommands:
         assert default == run(capsys, "cdf", "--law", "kernel-odd", "--n", "1", "--t", "0.7", "--grid", "8")
         assert run(capsys, *argv) == first
         assert _build_parser() is _build_parser()
+
+
+def argparse_reading(argv):
+    """What the parser makes of argv: its Namespace, or None where it exits
+    (an error, or --help)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def same_namespace(a, b):
+    # by repr: a nan equals a nan, while -0.0 and 0.0, or 1 and 1.0, differ
+    return repr(sorted(vars(a).items())) == repr(sorted(vars(b).items()))
+
+
+_FLAGS = sorted({f.flag for _, flags in _COMMANDS.values() for f in flags})
+_WORDS = sorted(
+    {*LAWS, *GROUPS, "1", "+2", "8", "512", "0.5", "1e-10", "7_0", " 3", "1.", "0x10",
+     "", "nan", "inf", "-1", "-0.5", "-inf", "junk", "x.csv", "-", "--", "-h", "--help"}
+)
+_TOKEN = st.one_of(
+    st.sampled_from(_FLAGS),  # another command's flag, or a repeated one
+    st.sampled_from(_WORDS),  # an extra positional
+    st.builds("{}={}".format, st.sampled_from(_FLAGS), st.sampled_from(_WORDS)),
+    st.sampled_from(_FLAGS).map(lambda f: f[:-1]),  # an abbreviation, or "-", "--"
+    st.sampled_from(["-h", "--help", "-n", "--bogus"]),
+)
+
+
+def flag_text(f):
+    """Text for flag f: mostly a value it takes, sometimes a word of _WORDS
+    (negative and non-finite numbers among them)."""
+    if f.choices is not None:
+        takes = st.sampled_from(f.choices)
+    elif f.type is int:
+        takes = st.integers(0, 2**21).map(str)
+    elif f.type is float:
+        takes = st.floats(min_value=0.0).map(repr)
+    else:
+        takes = st.text(max_size=6)
+    return st.integers(0, 9).flatmap(lambda k: takes if k else st.sampled_from(_WORDS))
+
+
+@st.composite
+def command_lines(draw):
+    """A command (or a near miss), mostly each of its required flags and
+    some of the others in any order with their text, then up to two stray
+    tokens, or flag and word pairs put between two flags (a flag given
+    twice, or another command's flag)."""
+    near_miss = st.sampled_from(["dens", "", "-h", "--help"])
+    command = draw(st.integers(0, 4).flatmap(lambda k: st.sampled_from(list(_COMMANDS)) if k else near_miss))
+    flags = _COMMANDS.get(command, _COMMANDS["density"])[1]
+    keep = st.integers(0, 9).map(bool)  # a required flag left out one time in ten
+    chosen = draw(st.permutations([f for f in flags if draw(keep if f.required else st.booleans())]))
+    argv = [command, *(word for f in chosen for word in (f.flag, draw(flag_text(f))))]
+    pair = st.tuples(st.sampled_from([f.flag for f in flags]) | st.sampled_from(_FLAGS), st.sampled_from(_WORDS))
+    stray = st.lists(st.tuples(st.integers(0, 2 * len(flags)), _TOKEN.map(lambda t: (t,)) | pair), max_size=2)
+    for at, tokens in draw(st.just(()) | stray):
+        at = min(at if len(tokens) == 1 else at | 1, len(argv))
+        argv[at:at] = tokens
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+@example(["density", "--law", "bm", "--t", "nan"])
+@example(["density", "--law", "bm", "--grid", "64"])
+@example(["validate", "--only", "special", "--tol", "-1"])
+@example(["cdf", "--law", "even", "--t", "junk", "--t", "2"])
+@example(["positivity", "--help", "--n", "2"])
+@example(["density", "--law", "bm", "--t", "1", "--out", ""])
+def test_table_reads_argv_as_argparse_does(argv):
+    # where the table answers, argparse answers the same; where argparse
+    # exits, the table answers nothing
+    fast, reference = _parse_table(argv), argparse_reading(argv)
+    if fast is not None:
+        assert reference is not None and same_namespace(fast, reference), argv
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_take_the_table(argv):
+    fast = _parse_table(argv)
+    assert fast is not None and same_namespace(fast, argparse_reading(argv))
+
+
+def test_table_argv_builds_no_parser(capsys):
+    _build_parser.cache_clear()
+    try:
+        assert run(capsys, "density", "--law", "kernel-odd", "--n", "2", "--t", "0.7", "--grid", "8")[0] == 0
+        assert _build_parser.cache_info().currsize == 0
+    finally:
+        _build_parser.cache_clear()
 
 
 _SELECTOR_FLAGS = {
@@ -606,6 +719,13 @@ class TestValidate:
         _, out1, _ = run(capsys, "validate", "--only", "special")
         _, out2, _ = run(capsys, "validate", "--only", "special")
         assert out1.encode() == out2.encode()
+
+    @pytest.mark.parametrize("where", ["missing-dir/report.json", "."], ids=["missing directory", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
+        path = tmp_path / where
+        code, out, err = run(capsys, "validate", "--only", "special", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("invalid-parameters: cannot write --out") and err.count("\n") == 1
 
     def test_out_file_and_summary(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -311,3 +311,23 @@ def test_validation_rows_reduce_with_numpy():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("max", "min")
     ]
     assert calls == ["max(pinned, tol)"]
+
+
+def test_cli_flags_are_declared_once():
+    # every option of the command line is a row of cli._COMMANDS: the one
+    # add_argument call sits in the loop over that table, so argparse and
+    # cli._parse_table cannot read different flags
+    path = Path(circlaw.__file__).parent / "cli.py"
+    tree = parse(path)
+    loops = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and "_COMMANDS" in {n.id for n in ast.walk(node.iter) if isinstance(n, ast.Name)}
+    ]
+    inside = {id(n) for loop in loops for n in ast.walk(loop)}
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"
+    ]
+    assert calls and all(id(c) in inside for c in calls)

@@ -1,7 +1,8 @@
 """The suite behind `circlaw validate` on a broken route: with one route
 of a row patched to put a NaN in its output, the row measures NaN and
 fails, the JSON report stays strict (the NaN is written as null), and
-the command exits 1 naming the row."""
+the command exits 1 naming the row; and the suite refuses a tol or group
+it cannot run before any row runs."""
 
 import json
 from functools import partial
@@ -12,6 +13,7 @@ import pytest
 
 from circlaw import validation
 from circlaw.cli import main
+from circlaw.errors import DomainError
 
 
 def nan_at_one_entry(values):
@@ -93,3 +95,14 @@ def test_a_nan_row_is_written_as_null_and_fails_the_command(monkeypatch, capsys)
     assert report["all_passed"] is False
     assert all(isinstance(c["measured"], float) for cid, c in rows.items() if cid != "12")
 
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": np.nan}, {"tol": np.inf}, {"tol": -np.inf}, {"tol": -1.0}, {"tol": 0.0}, {"only": "nope"}],
+    ids=["tol=nan", "tol=inf", "tol=-inf", "tol=-1", "tol=0", "only=nope"],
+)
+def test_run_suite_refuses_what_it_cannot_run(monkeypatch, kwargs):
+    # a NaN tol would keep the pinned KS thresholds, an infinite one pass every KS row
+    monkeypatch.setattr(validation, "_Run", None)  # refused before any row runs
+    with pytest.raises(DomainError):
+        validation.run_suite(**kwargs)
