@@ -31,7 +31,9 @@ it refuses with its usage message and exit code 2.
 
 Exit codes: 0 success, 1 failed validation criteria, 2 invalid
 parameters (an ``--out`` path that cannot be opened for writing among
-them), 3 numerical non-convergence. Warnings raised while a command
+them, found before any work), 3 numerical non-convergence, 141
+(128 + SIGPIPE) when the reader of stdout closed it before the text was
+written. Warnings raised while a command
 runs are summarized on stderr afterwards, one line per category:
 ``warning: <Category> x<count>: <first message>``.
 """
@@ -39,9 +41,12 @@ runs are summarized on stderr afterwards, one line per category:
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, NamedTuple
@@ -67,6 +72,9 @@ __all__ = ["main"]
 
 # most rows a density/cdf grid takes: ~39 MB of CSV text and an 8 MB theta array
 _MAX_GRID = 2**20
+# the exit code of a command whose stdout reader closed the pipe: 128 + SIGPIPE,
+# as a shell reports a process that SIGPIPE ended
+_EXIT_BROKEN_PIPE = 141
 
 
 class _Curves(NamedTuple):
@@ -132,18 +140,42 @@ def _check(args):
         raise DomainError("n must be an integer >= 1")
 
 
-def _emit(parts, out, summary):
-    """Write the str parts, in order, to the --out path or to stdout."""
-    if out:
-        try:
-            f = open(out, "w")
-        except OSError as exc:
-            raise DomainError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+@contextmanager
+def _out_file(path):
+    """The --out file, or None (stdout) without one, opened before the
+    command's work: a path that cannot be opened for writing is a
+    DomainError before anything is computed. It is opened for appending,
+    so an existing file keeps its bytes until _emit writes, and a file
+    opened here anew is removed again when the command fails."""
+    if not path:
+        yield None
+        return
+    created = not os.path.lexists(path)
+    try:
+        f = open(path, "a")
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+    try:
         with f:
-            f.writelines(parts)
-        print(summary.format(path=out))
-    else:
+            yield f
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
+def _emit(parts, out, summary):
+    """Write the str parts, in order, to the --out file of _out_file (a
+    regular file emptied first) or to stdout, flushed here so that a
+    reader that closed the pipe is met inside main."""
+    if out is None:
         sys.stdout.writelines(parts)
+        sys.stdout.flush()
+        return
+    if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+        out.truncate(0)
+    out.writelines(parts)
+    print(summary.format(path=out.name))
 
 
 # 2^27 + 1: Veltkamp's constant, which splits a double into two halves
@@ -361,27 +393,27 @@ def _csv_text(template, vals):
         yield (block % tuple(_format17(vals[j * _WORK : (j + 1) * _WORK]).tolist())).decode("ascii")
 
 
-def cmd_curve(args):
+def cmd_curve(args, out):
     law = LAWS[args.law][1](args, Tolerance(abs_tol=args.tol))
     th, template = _csv_grid(args.grid_points)
     vals = law.cdf(th) if args.command == "cdf" else law.density(th)
-    _emit(_csv_text(template, vals), args.out, f"wrote {th.size} rows to {{path}}")
+    _emit(_csv_text(template, vals), out, f"wrote {th.size} rows to {{path}}")
     return 0
 
 
-def cmd_positivity(args):
+def cmd_positivity(args, out):
     t_bar = positivity_time(args.n, Tolerance(abs_tol=args.tol))
     # positivity_time proves the minimum sits at pi from t_bar on
     text = json.dumps({"t_bar": t_bar, "min_theta_at_t_bar": math.pi}, indent=2) + "\n"
-    _emit((text,), args.out, "wrote positivity report to {path}")
+    _emit((text,), out, "wrote positivity report to {path}")
     return 0
 
 
-def cmd_validate(args):
+def cmd_validate(args, out):
     results = run_suite(seed=args.seed, tol=args.tol, only=args.only)
     text = report_json(results, args.seed, args.tol)
     n_pass = sum(r.passed for r in results)
-    _emit((text,), args.out, f"validate: {n_pass}/{len(results)} passed -> {{path}}")
+    _emit((text,), out, f"validate: {n_pass}/{len(results)} passed -> {{path}}")
     failing = [r.id for r in results if not r.passed]
     if failing:
         print("failing criteria: " + ", ".join(failing), file=sys.stderr)
@@ -511,17 +543,25 @@ def main(argv=None):
         warnings.simplefilter("always")
         try:
             _check(args)
-            if args.command in ("density", "cdf"):
-                return cmd_curve(args)
-            if args.command == "positivity":
-                return cmd_positivity(args)
-            return cmd_validate(args)
+            with _out_file(args.out) as out:
+                if args.command in ("density", "cdf"):
+                    return cmd_curve(args, out)
+                if args.command == "positivity":
+                    return cmd_positivity(args, out)
+                return cmd_validate(args, out)
         except (DomainError, ValueError) as exc:
             print(f"invalid-parameters: {exc}", file=sys.stderr)
             return 2
         except ConvergenceError as exc:
             print(f"non-convergence: {exc}", file=sys.stderr)
             return 3
+        except BrokenPipeError:
+            # the reader of stdout is gone: the rest of the text has nowhere
+            # to go, and the flush at interpreter exit would raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return _EXIT_BROKEN_PIPE
         finally:
             _summarize(caught)
 

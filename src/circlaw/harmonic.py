@@ -36,6 +36,23 @@ _POWER_TABLE = 1 << 15
 # sampling benchmark's jobs ran fastest with K0 between 32 and 96.
 _BABY_STEP_TERMS = 32
 
+# The table path of _scattered (_table_plan, _tabled). 2 pi in three parts
+# of at most 26 significant bits (Cody & Waite 1980), so that m * part / M is
+# exact for a power of two M and |m| <= _TABLE_CELLS; the parts add up to
+# 2 pi within 2^-78 (2.55e-24, mpmath).
+_TWO_PI_PARTS = tuple(map(float.fromhex, ("0x1.921fb58p+2", "-0x1.dde974p-25", "0x1.1a6263p-52")))
+_TABLE_CELLS = 1 << 26
+# the fewest points and terms that take the table path, and the octaves of
+# M tried from the least power of two above 2K
+_TABLE_POINTS = 2048
+_TABLE_TERMS = 12
+_TABLE_OCTAVES = 6
+# the fixed cost model (ns) that picks M and weighs the table path against
+# Horner (_table_plan), fitted once to 574 timings at K = 12..16384 and
+# N = 2048..50000 on a 2-core Xeon VM, one BLAS thread
+_TABLE_COST = (10_000.0, 0.6, 2.0)  # per call, per FFT node-octave-row, per point-row
+_HORNER_COST = (50.0, 0.23)  # per point, per point-term
+
 
 def _cdf_angles(theta) -> tuple[np.ndarray, float]:
     """(theta as a float array in [0, 2 pi], the domain of every CDF, its least value):
@@ -106,9 +123,11 @@ def _trig_sum(a0, cos_coeffs, sin_coeffs, thetas, integrated=False):
     nodes (M = 1 for the node 0 alone, or 0 and 2 pi) the modes are folded
     by k mod M (exact aliasing for a trigonometric polynomial, see _fold)
     and summed by one length-M FFT;
-    anywhere else by complex Horner in z by blocks of points (_scattered).
-    Neither path evaluates a transcendental per term. The grid fold forms
-    no K-length array; the scattered path forms c, K + 1 complex entries.
+    anywhere else by blocks of points (_scattered), by complex Horner in z
+    or, for enough points and terms, from Taylor tables (_tabled).
+    No path evaluates a transcendental per term. The grid fold forms
+    no K-length array; the scattered path forms c, K + 1 complex entries,
+    and its tables (J + 1) M doubles.
     Returns an array of th's shape, at least 1-d.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -174,13 +193,145 @@ def _scattered(c, th) -> np.ndarray:
     """Re sum_k c_k z^k, z = _unit(th), at the 1-d angles th by blocks of _WORK
     points (from _BABY_STEP_TERMS terms on, of whole chunks of _horner), each
     block's z, sum and real part into one output. A last one-point block joins
-    the one before: numpy rounds a one-point complex product in its scalar loop."""
+    the one before: numpy rounds a one-point complex product in its scalar loop.
+
+    Where _table_plan finds it cheaper and certified, Taylor tables take
+    the place of z and Horner (_tabled): their values lie within the
+    certificate of HarmonicLaw, not on Horner's doubles."""
+    plan = _table_plan(c.size - 1, th)
+    if plan is not None:
+        return _tabled(c, th, *plan)
     chunk = _POWER_TABLE // (math.isqrt(c.size - 1) + 1)  # of _horner's baby steps
     step = _WORK if c.size - 1 < _BABY_STEP_TERMS else _WORK - _WORK % chunk
     stops = [*range(step, th.size - 1, step), th.size]
     out = np.empty(th.size)
     for lo, hi in zip([0, *stops], stops):
         out[lo:hi] = _horner(c, _unit(th[lo:hi])).real
+    return out
+
+
+def _table_budget(K: int, M: int) -> tuple[int, float]:
+    """(J, budget) of the table path at K terms and M nodes: J the
+    fewest Taylor terms past T_0 whose dropped remainder is at most eps S,
+    and the error budget in units of eps S, S = sum_k |c_k|.
+
+    With x = (pi K / M)(1 + 2^-20), which bounds K |delta| (the cell index
+    m = rint(theta M / 2 pi) misses the nearest by at most 2^-24 of a cell
+    while |theta M / 2 pi| <= 2^26), and E = sum_{j<=J} x^j / j!:
+    - truncation: |sum_{j>J} delta^j T_j| <= S x^{J+1} / ((J+1)! (1 - x/(J+2)));
+    - the coefficients c_k (ik)^j / (2 j!): 2j + 1 roundings each, gamma_{2J+1} S E;
+    - the inverse FFT of length M: 4 log2(M) eps S E, the grid fold's accounting;
+    - delta, three roundings and the split's 2^-78 at most 2 eps pi / M off,
+      moves the polynomial by at most its slope S K E times that, 2 eps x S E;
+    - Horner in delta over T_J..T_0, two roundings a step: gamma_{2J} S E.
+    The sum, widened by 1%, is the budget; with S <= sum_k (|a_k| + |b_k|)
+    it certifies the path at N points wherever it is at most 4 (K + ceil(log2 N)).
+    """
+    x = math.pi * K / M * (1.0 + 2.0**-20)
+    J, term, E = 0, 1.0, 1.0  # term = x^J / J!
+    while True:
+        rest = term * x / (J + 1) / (1.0 - x / (J + 2))
+        if rest <= _EPS:
+            break
+        J += 1
+        term *= x / J
+        E += term
+    p = M.bit_length() - 1
+    return J, 1.01 * (rest / _EPS + E * (2 * J + 4 * p + 2 * x + 1))
+
+
+def _table_plan(K: int, th) -> tuple[int, int] | None:
+    """(M, J) of the table path for K terms at the 1-d angles th, or None.
+
+    The path is taken from _TABLE_POINTS points and _TABLE_TERMS terms on,
+    where its budget (_table_budget) fits the certificate, every
+    |theta M / 2 pi| is below 2^26 and the fixed cost model rates it below
+    Horner. M runs over _TABLE_OCTAVES powers of two from the least above
+    2K; of those that fit, the one the model rates cheapest is taken. The
+    model (_TABLE_COST, _HORNER_COST) prices the tables as a call cost,
+    FFT work (J + 1) M log2 M and (J + 1) N gathers and Horner steps, and
+    Horner as N points (a cosine and a sine each) and N K multiply-adds.
+    """
+    N = th.size
+    if N < _TABLE_POINTS or K < _TABLE_TERMS:
+        return None
+    reach = max(-float(th.min()), float(th.max())) / TWO_PI  # max |theta| / 2 pi
+    call, fft, row = _TABLE_COST
+    point, term = _HORNER_COST
+    best, plan = (point + term * K) * N, None
+    cert = 4.0 * (K + math.ceil(math.log2(N)))
+    p0 = (2 * K).bit_length()  # the least power of two above 2K
+    for p in range(p0, p0 + _TABLE_OCTAVES):
+        M = 1 << p
+        if not reach * M < _TABLE_CELLS:
+            break
+        J, budget = _table_budget(K, M)
+        cost = call + (J + 1) * (fft * M * p + row * N)
+        if plan is not None and cost >= best:
+            break  # past the cheapest fit, the FFT work only grows
+        if budget <= cert and cost < best:
+            best, plan = cost, (M, J)
+    return plan
+
+
+def _taylor_tables(c, M: int, J: int) -> np.ndarray:
+    """T[j, m] = Re sum_k c_k (ik)^j / j! e^{2 pi i k m / M}, j = 0..J, m = 0..M-1
+    (2K < M), by inverse real FFTs (norm="forward") of the spectra
+    c_k (ik)^j / (2 j!), c_0 alone in row 0: k^j / (2 j!) as running
+    products of k / j from 1/2, i^j exact. The rows go by groups whose
+    spectra hold at most 8 _WORK complex entries, all in one FFT call up
+    to M = 2^13, so that past the tables the work holds (J + 1) K doubles
+    and one group."""
+    K = c.size - 1
+    half = M // 2 + 1
+    group = max(1, 8 * _WORK // half)
+    powers = np.empty((J + 1, K))
+    powers[0] = 0.5
+    np.divide(np.arange(1.0, K + 1.0), np.arange(1.0, J + 1.0)[:, None], out=powers[1:])
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    turns = np.array([1.0, 1j, -1.0, -1j])
+    tables = np.empty((J + 1, M))
+    spectra = np.zeros((min(group, J + 1), half), dtype=complex)
+    for lo in range(0, J + 1, group):
+        hi = min(J + 1, lo + group)
+        np.multiply(c[1:] * turns[np.arange(lo, hi) % 4, None], powers[lo:hi], out=spectra[: hi - lo, 1 : K + 1])
+        spectra[0, 0] = c[0] if lo == 0 else 0.0
+        np.fft.irfft(spectra[: hi - lo], n=M, axis=1, norm="forward", out=tables[lo:hi])
+    return tables
+
+
+def _tabled(c, th, M: int, J: int) -> np.ndarray:
+    """Re sum_k c_k e^{ik th} at the 1-d angles th by Taylor tables
+    (Anderson & Dahleh, SIAM J. Sci. Comput. 17 (1996)): th = 2 pi m / M +
+    delta with m = rint(th M / 2 pi) and delta formed with the split of
+    _TWO_PI_PARTS, then sum_j T_j[m mod M] delta^j by Horner. No cosine or
+    sine is taken; _table_budget bounds the error. The points go by blocks
+    whose gathered table columns hold 2 _POWER_TABLE doubles, the bytes of
+    one power table of _horner."""
+    tables = _taylor_tables(c, M, J)
+    scale = M / TWO_PI
+    hi_part, mid_part, lo_part = (part / M for part in _TWO_PI_PARTS)
+    out = np.empty(th.size)
+    block = 2 * _POWER_TABLE // (J + 1)
+    for lo in range(0, th.size, block):
+        t = th[lo : lo + block]
+        m = t * scale
+        np.rint(m, out=m)
+        delta = m * hi_part
+        np.subtract(t, delta, out=delta)
+        work = m * mid_part
+        delta -= work
+        np.multiply(m, lo_part, out=work)
+        delta -= work
+        cells = m.astype(np.intp)
+        cells &= M - 1
+        rows = tables.take(cells, axis=1)
+        s = rows[J]
+        for j in range(J - 1, 0, -1):
+            s *= delta
+            s += rows[j]
+        s *= delta
+        np.add(s, rows[0], out=out[lo : lo + block])
     return out
 
 
@@ -235,21 +386,32 @@ class HarmonicLaw:
     elsewhere Horner in z = cos theta + i sin theta, the doubles of
     e^{i theta}, plain below _BABY_STEP_TERMS terms and by baby steps
     over chunks of points from there, as K alone decides, see _horner;
-    by blocks of points, see _scattered) adds roundoff certified apart from the tail:
+    or, from _TABLE_POINTS points and _TABLE_TERMS terms on where it is
+    cheaper, Taylor tables read at each point's cell, see _table_plan and
+    _tabled; by blocks of points, see _scattered) adds roundoff certified
+    apart from the tail:
 
         |computed - exact| <= 4 (K + ceil(log2 N)) eps sum_{k=0..K} (|a_k| + |b_k|),
 
     with eps the double machine epsilon and b_0 = 0. For cdf the sum
     runs over the series it evaluates, whose constant term is
     sum_k b_k/k and whose coefficients are -b_k/k and a_k/k, and the
-    added a0 theta rounds by at most eps |a0 theta|.
+    added a0 theta rounds by at most eps |a0 theta|. The table path is
+    taken only where its own error budget (_table_budget: truncation,
+    the coefficients' and the FFT's rounding, delta and Horner in delta)
+    fits inside this bound.
 
-    On the scattered path a value can differ by an ulp between a scalar and an
-    array call (numpy rounds a one-point complex product in its scalar loop)
-    and, from _BABY_STEP_TERMS terms on, with the points sharing its BLAS chunk.
-    On numpy 2.4.6 and OpenBLAS 0.3.31, bm_law(0.5) differed from its 40 000-point
-    array in 284 of 1000 scalar calls and at 0 of 170 582 points of 2-12 000-point
-    subsets; a K = 47 law with sines, at 42 of 129 709. The blocks move no value.
+    On the scattered path a value can differ between a scalar call and an
+    array call, and between arrays of other sizes. On Horner's path it
+    differs by an ulp (numpy rounds a one-point complex product in its
+    scalar loop, and from _BABY_STEP_TERMS terms on a value moves with the
+    points sharing its BLAS chunk): on numpy 2.4.6 and OpenBLAS 0.3.31,
+    bm_law(0.5) differed from its 40 000-point array in 284 of 1000 scalar
+    calls and at 0 of 170 582 points of 2-12 000-point subsets, a K = 47 law
+    with sines at 42 of 129 709 (both measured on Horner's path alone).
+    Where one call takes the table path and the other Horner's, the two
+    differ by up to the certificate above (a scalar always takes Horner's).
+    The blocks move no value.
 
     A law may carry its tail past the K coefficients in closed form
     (lattice, a lattice.LatticeTail, on cosine laws only): it is added in at

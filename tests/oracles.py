@@ -8,13 +8,17 @@ are the even-order line solution and the odd-order one at x < 0 to 30
 digits by mpmath. complex_fold is the uniform-grid evaluation of a
 HarmonicLaw from the whole complex coefficient array, the order the
 blocked grid fold keeps; whole_array_sum is the scattered evaluation over
-every point at once, whose doubles the blocks of points keep. grid_period,
+every point at once, on the path harmonic._scattered takes (Horner in z or
+the Taylor tables), whose doubles the blocks of points keep. grid_period,
 wrapped_bm_mod and ks_two_arrays are the grid test, the wrapped-BM sampler
 and the KS statistic built on whole reference arrays and np.mod, whose
 decisions and doubles the package's cheaper forms keep.
 wrapped_route_digest hashes a seeded matrix of wrapped-route calls, values
 and refusals alike, so that a change to their fixed cost is seen to keep
-every double and every message.
+every double and every message. sampler_draws_digest hashes the draws of a
+seeded sampler matrix and returns each KS distance with the evaluation
+certificate of its CDF, so that a change to the series evaluation is seen
+to keep every draw and to move each KS value within that certificate only.
 """
 
 import hashlib
@@ -25,9 +29,35 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 
-from circlaw import ConvergenceError, DomainError, bm_density_wrapped, even_circle_density_wrapped
+from circlaw import (
+    ConvergenceError,
+    DomainError,
+    RngStream,
+    bm_density_wrapped,
+    bm_law,
+    even_circle_density_wrapped,
+    even_kernel_cdf,
+    even_kernel_law,
+    fractional,
+    ks_statistic,
+    sample,
+    sample_inverse_subordinator,
+    sample_stable_subordinator,
+    sample_wrapped_bm,
+    simulate_planar_hit,
+    space_fractional_law,
+    wrapped_stable_law,
+)
 from circlaw.errors import _check_finite, _check_t
-from circlaw.harmonic import TWO_PI, _grid_period, _horner, _unit
+from circlaw.harmonic import (
+    _TWO_PI_PARTS,
+    TWO_PI,
+    _grid_period,
+    _horner,
+    _table_plan,
+    _taylor_tables,
+    _unit,
+)
 from circlaw.kernels import wrapped_skew_cauchy_density
 from circlaw.line import _rotation
 from circlaw.pseudo import _CANCEL_BUDGET
@@ -169,11 +199,28 @@ def complex_fold(law, grid, cdf=False):
 
 
 def whole_array_sum(law, theta, cdf=False):
-    """law.density(theta) (law.cdf(theta) with cdf) at scattered angles from
-    whole arrays: c of _whole_coeffs, one z = e^{i theta} (harmonic._unit) and
-    one Horner sum (harmonic._horner) over every point at once."""
+    """law.density(theta) (law.cdf(theta) with cdf) at scattered 1-d angles
+    from whole arrays, over every point at once: c of _whole_coeffs, then
+    where harmonic._table_plan gives (M, J) the tables of
+    harmonic._taylor_tables at m = rint(theta M / 2 pi), summed by Horner in
+    delta = theta - m (2 pi / M), the three parts of 2 pi taken in turn;
+    elsewhere one z = e^{i theta} (harmonic._unit) and one Horner sum
+    (harmonic._horner)."""
     th = np.asarray(theta, dtype=float)
-    out = _horner(_whole_coeffs(law, cdf), _unit(th)).real
+    c = _whole_coeffs(law, cdf)
+    plan = _table_plan(c.size - 1, th)
+    if plan is None:
+        out = _horner(c, _unit(th)).real
+    else:
+        M, J = plan
+        m = np.rint(th * (M / TWO_PI))
+        delta = th
+        for part in _TWO_PI_PARTS:
+            delta = delta - m * (part / M)
+        rows = _taylor_tables(c, M, J)[:, np.mod(m, M).astype(int)]
+        out = rows[J]
+        for j in range(J - 1, -1, -1):
+            out = out * delta + rows[j]
     return _cdf_from_series(law, th, out) if cdf else out
 
 
@@ -263,3 +310,62 @@ def wrapped_route_digest(count: int, seed: int) -> tuple[str, int]:
         digest.update(f"{route.__name__} {type(out).__name__} {words.shape}".encode())
         digest.update(words.tobytes())
     return digest.hexdigest(), refusals
+
+
+def cdf_certificate(law, n_points: int) -> float:
+    """The evaluation certificate of law.cdf at n_points angles (HarmonicLaw
+    docstring): 4 (K + ceil(log2 N)) eps over the 1/k-scaled series, whose
+    constant term is sum_k b_k/k, plus the rounding of a0 theta on [0, 2 pi]."""
+    eps = float(np.finfo(float).eps)
+    k = np.arange(1.0, law.n_terms + 1.0)
+    a, b = law.cos_coeffs / k, law.sin_coeffs / k
+    log_n = math.ceil(math.log2(n_points)) if n_points > 1 else 0
+    series = abs(float(b.sum())) + float(np.abs(a).sum() + np.abs(b).sum())
+    return 4 * (law.n_terms + log_n) * eps * series + eps * abs(law.a0) * TWO_PI
+
+
+def _sampler_matrix(seed: int):
+    """(name, draws, law, cdf) of each seeded sampler: harmonic.sample of the
+    bm, spacefrac (beta = 0.35 and 0.7), wrappedstable and kernel-even
+    carriers; sample_wrapped_bm at a scalar t; Brownian motion at stable and
+    inverse-stable subordinator times (sample_wrapped_bm at an array t, the
+    subordinator draws first); simulate_planar_hit. law is the HarmonicLaw
+    whose CDF the KS distance reads, None for the closed-form planar CDF."""
+    carriers = {
+        "bm": bm_law(0.7).representation,
+        "spacefrac-0.35": space_fractional_law(0.35, 2.0),
+        "spacefrac-0.7": space_fractional_law(0.7, 1.0),
+        "wrappedstable": wrapped_stable_law(0.6, 1.0),
+        "kernel-even": even_kernel_law(1.0),
+    }
+    for i, (name, law) in enumerate(carriers.items()):
+        n = 4000 if name == "spacefrac-0.35" else 10_000
+        yield name, sample(law, RngStream(seed, i), n), law, law.cdf
+    law = bm_law(1.3).representation
+    yield "wrapped_bm", sample_wrapped_bm(1.3, RngStream(seed, 10), 20_000), law, law.cdf
+    rng = RngStream(seed, 11)
+    H = sample_stable_subordinator(0.6, 1.0, rng, 20_000)
+    law = space_fractional_law(0.6, 1.0)
+    yield "stable-times", H, None, None
+    yield "stable", sample_wrapped_bm(H, rng), law, law.cdf
+    rng = RngStream(seed, 12)
+    L = sample_inverse_subordinator(0.7, 1.0, rng, 5000)
+    law = fractional._space_time_law(0.7, 1.0, 1.0, Tolerance(abs_tol=1e-3), True, L.size)
+    yield "inverse-times", L, None, None
+    yield "inverse", sample_wrapped_bm(L, rng), law, law.cdf
+    draws = simulate_planar_hit(math.exp(-1.0), RngStream(seed, 13), step=1e-3, size=1000)
+    yield "planar", draws, None, lambda th: even_kernel_cdf(th, 1.0)
+
+
+def sampler_draws_digest(seed: int) -> tuple[str, dict[str, tuple[float, float]]]:
+    """(sha256, {name: (ks, certificate)}) over _sampler_matrix(seed): the hash
+    takes each name and the int64 words of its draws (subordinator times
+    included); each sampler of angles gives its KS distance to its CDF and
+    that CDF's evaluation certificate at the draws (0 for a closed form)."""
+    digest, ks = hashlib.sha256(), {}
+    for name, draws, law, cdf in _sampler_matrix(seed):
+        digest.update(name.encode())
+        digest.update(np.asarray(draws, dtype=float).view(np.int64).tobytes())
+        if cdf is not None:
+            ks[name] = (ks_statistic(draws, cdf), cdf_certificate(law, draws.size) if law else 0.0)
+    return digest.hexdigest(), ks

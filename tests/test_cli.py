@@ -256,6 +256,30 @@ class TestCurveCommands:
         assert code == 2 and out == ""
         assert err.startswith("invalid-parameters: cannot write --out") and err.count("\n") == 1
 
+    def test_unwritable_out_is_refused_before_the_law_is_built(self, capsys, tmp_path, monkeypatch):
+        def built(*args):
+            raise AssertionError("the law was built before --out was checked")
+
+        monkeypatch.setitem(circlaw.cli.LAWS, "bm", (circlaw.cli.LAWS["bm"][0], built))
+        code, out, err = run(capsys, "density", "--law", "bm", "--t", "1", "--out", str(tmp_path / "missing" / "c.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("invalid-parameters: cannot write --out") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing file", "new path"])
+    def test_failed_command_leaves_the_out_path_as_it_was(self, capsys, tmp_path, existing):
+        path = tmp_path / "curve.csv"
+        if existing:
+            path.write_text("kept\n")
+        code, out, err = run(capsys, "cdf", "--law", "odd", "--t", "1", "--out", str(path))
+        assert code == 3 and out == "" and err.startswith("non-convergence:")
+        assert (path.read_text() == "kept\n") if existing else not path.exists()
+
+    def test_out_file_replaces_a_longer_file(self, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("x" * 100_000)
+        assert run(capsys, "density", "--law", "bm", "--t", "1", "--grid", "8", "--out", str(path))[0] == 0
+        assert parse_csv(path.read_text()).shape == (8, 2)
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
         code, out, _ = run(capsys, "density", "--law", "bm", "--t", "1", "--grid", "32", "--out", str(path))
@@ -622,6 +646,21 @@ def test_a_full_grid_is_written_in_bounded_memory():
         assert row in text
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader takes one line and closes the pipe while the 65536-row CSV
+    # (~2.5 MB, past any pipe buffer) is still being written
+    src = str(Path(circlaw.__file__).parents[1])
+    argv = [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); import circlaw.cli as c; sys.exit(c.main())"]
+    proc = subprocess.Popen(
+        argv + ["cdf", "--law", "bm", "--t", "1", "--grid", "65536"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"theta,value\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_import_builds_no_table():
     # the formatter's tables are built on a grid's first use, not at import
     src = str(Path(circlaw.__file__).parents[1])
@@ -724,6 +763,15 @@ class TestValidate:
     def test_unwritable_out_exits_2(self, capsys, tmp_path, where):
         path = tmp_path / where
         code, out, err = run(capsys, "validate", "--only", "special", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("invalid-parameters: cannot write --out") and err.count("\n") == 1
+
+    def test_unwritable_out_is_refused_before_the_suite_runs(self, capsys, tmp_path, monkeypatch):
+        def suite(**kwargs):
+            raise AssertionError("run_suite was reached before --out was checked")
+
+        monkeypatch.setattr(circlaw.cli, "run_suite", suite)
+        code, out, err = run(capsys, "validate", "--only", "montecarlo", "--out", str(tmp_path / "missing" / "r.json"))
         assert code == 2 and out == ""
         assert err.startswith("invalid-parameters: cannot write --out") and err.count("\n") == 1
 

@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,12 @@ from circlaw.harmonic import (
     HarmonicLaw,
     _BABY_STEP_TERMS,
     _POWER_TABLE,
+    _TABLE_POINTS,
+    _TABLE_TERMS,
+    _TWO_PI_PARTS,
     _grid_period,
+    _table_plan,
+    _taylor_tables,
     _trig_sum,
     _unit,
     _wrap,
@@ -45,7 +51,7 @@ from circlaw.harmonic import (
     sample,
 )
 from circlaw.special import _WORK, MAX_TERMS
-from oracles import complex_fold, grid_period, whole_array_sum
+from oracles import cdf_certificate, complex_fold, grid_period, whole_array_sum
 
 EPS = np.finfo(float).eps
 
@@ -279,15 +285,29 @@ class TestBlockedFold:
 
 
 class TestScatteredBlocks:
-    # the scattered path goes by blocks of _WORK points (of whole baby-step
-    # chunks from _BABY_STEP_TERMS terms on), a last one-point block joined
-    # to the one before: every value, sign of zero included, is the one of
-    # the whole array evaluated at once
+    # the scattered path goes by blocks of points (on Horner's path of _WORK
+    # points, of whole baby-step chunks from _BABY_STEP_TERMS terms on, a last
+    # one-point block joined to the one before; on the table path of the
+    # gathered columns' size): every value, sign of zero included, is the one
+    # of the whole array evaluated at once on the path _scattered takes
+    # (whole_array_sum), and lies within the certificate of the exact sum
     @staticmethod
     def sizes(K):
         chunk = _POWER_TABLE // (math.isqrt(K) + 1)
         step = _WORK if K < _BABY_STEP_TERMS else _WORK - _WORK % chunk
         return sorted({2, 3, _WORK - 1, _WORK, _WORK + 1, 2 * _WORK + 1, 3 * _WORK + 2, step + 1, 2 * step + 1})
+
+    @staticmethod
+    def assert_within_certificate(law, th, got, cdf=False):
+        # at 40 of the points, against the long-double sum of the series evaluated
+        at = np.unique(np.r_[0 : min(th.size, 8), np.linspace(0, th.size - 1, 32).astype(int)])
+        a, b, a0 = law.cos_coeffs, law.sin_coeffs, law.a0
+        if cdf:
+            k = np.arange(1.0, law.n_terms + 1.0)
+            a, b, a0 = -b / k, a / k, float(np.sum(b / k))
+        want = direct_sum(a0, a, b, th[at]) + (law.a0 * th[at].astype(np.longdouble) if cdf else 0.0)
+        cert = cdf_certificate(law, th.size) if cdf else certificate(a0, a, b, th.size)
+        assert np.max(np.abs(got[at] - want)) <= cert
 
     @pytest.mark.parametrize("K", [1, 6, _BABY_STEP_TERMS - 1, _BABY_STEP_TERMS, 35, 200])
     def test_is_the_whole_array(self, K):
@@ -295,15 +315,23 @@ class TestScatteredBlocks:
         rng = np.random.default_rng(K)
         for n in self.sizes(K):
             th = np.r_[0.0, -0.0, TWO_PI, rng.uniform(0.0, TWO_PI, n - 3)] if n > 3 else rng.uniform(0.0, TWO_PI, n)
-            assert np.array_equal(bits(law.density(th)), bits(whole_array_sum(law, th)))
-            assert np.array_equal(bits(law.cdf(np.abs(th))), bits(whole_array_sum(law, np.abs(th), cdf=True)))
+            got = law.density(th)
+            assert np.array_equal(bits(got), bits(whole_array_sum(law, th)))
+            self.assert_within_certificate(law, th, got)
+            got = law.cdf(np.abs(th))
+            assert np.array_equal(bits(got), bits(whole_array_sum(law, np.abs(th), cdf=True)))
+            self.assert_within_certificate(law, np.abs(th), got, cdf=True)
 
     @pytest.mark.parametrize("n", [2, _WORK + 1, 2 * _WORK + 1, 3 * _WORK + 2])
     def test_carriers(self, n):
         th = np.random.default_rng(n).uniform(0.0, TWO_PI, n)
         for law in (bm_law(0.5).representation, space_fractional_law(0.35, 2.0)):  # K = 8 and 47
-            assert np.array_equal(bits(law.density(th)), bits(whole_array_sum(law, th)))
-            assert np.array_equal(bits(law.cdf(th)), bits(whole_array_sum(law, th, cdf=True)))
+            got = law.density(th)
+            assert np.array_equal(bits(got), bits(whole_array_sum(law, th)))
+            self.assert_within_certificate(law, th, got)
+            got = law.cdf(th)
+            assert np.array_equal(bits(got), bits(whole_array_sum(law, th, cdf=True)))
+            self.assert_within_certificate(law, th, got, cdf=True)
         law = time_fractional_law(1, 0.5, 1.0)  # a lattice carrier
         head = make_law(law.cos_coeffs - law.lattice.head, law.sin_coeffs, law.a0)
         assert np.array_equal(law.density(th), whole_array_sum(head, th) + law.lattice.density(th))
@@ -317,6 +345,88 @@ class TestScatteredBlocks:
         for x in np.random.default_rng(3).uniform(0.0, TWO_PI, 50):
             assert bits(law.density(float(x))) == bits(whole_array_sum(law, np.array([x])))
             assert bits(law.cdf(np.array([x]))) == bits(whole_array_sum(law, np.array([x]), cdf=True))
+
+
+class TestTablePath:
+    # from _TABLE_POINTS points and _TABLE_TERMS terms on, where the cost
+    # model takes it, _scattered reads Taylor tables instead of summing by
+    # Horner: its values lie within the certificate of the exact sum
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(_TABLE_TERMS, 3000),
+        N=st.integers(_TABLE_POINTS, 3 * 2**14 + 2),
+        power=st.floats(-2.0, 1.0),
+        sines=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_long_double_sum_within_certificate(self, K, N, power, sines, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_coeffs(seed, K, power)
+        if not sines:
+            b = np.zeros(K)
+        edges = [0.0, -0.0, TWO_PI, 2 * TWO_PI, -2 * TWO_PI]
+        th = np.r_[edges, rng.uniform(-2 * TWO_PI, 2 * TWO_PI, N - len(edges))]
+        plan = _table_plan(K, th)
+        # cell midpoints (m + 1/2) 2 pi / M and their neighbours, where the
+        # cell index rounds either way; the plan does not move with them
+        M = plan[0] if plan else 1 << (2 * K).bit_length()
+        mids = (rng.integers(-M, 2 * M, 8) + 0.5) * (TWO_PI / M)
+        th[5:29] = np.r_[mids, np.nextafter(mids, -math.inf), np.nextafter(mids, math.inf)]
+        assert _table_plan(K, th) == plan
+        got = _trig_sum(0.3, a, b, th)
+        at = np.r_[0:45, rng.integers(0, N, 16)]
+        err = np.max(np.abs(got[at] - direct_sum(0.3, a, b, th[at])))
+        assert err <= certificate(0.3, a, b, N)
+
+    @pytest.mark.parametrize("K", [_TABLE_TERMS - 1, _TABLE_TERMS, 200])
+    @pytest.mark.parametrize("N", [_TABLE_POINTS - 1, _TABLE_POINTS, 10_000])
+    def test_where_it_is_taken(self, K, N):
+        th = np.random.default_rng(N).uniform(0.0, TWO_PI, N)
+        plan = _table_plan(K, th)
+        assert (plan is not None) == (K >= _TABLE_TERMS and N >= _TABLE_POINTS)
+        if plan:  # M a power of two above 2K, with less than 2^26 cells out to |theta|
+            M, J = plan
+            assert M & (M - 1) == 0 and M > 2 * K and J >= 1
+            th[0] = -(2.0**26) * TWO_PI / M
+            assert (_table_plan(K, th) or (0,))[0] < M
+            th[0] = 2.0**26 * TWO_PI / (1 << (2 * K).bit_length())
+            assert _table_plan(K, th) is None
+
+    @pytest.mark.parametrize("K, M, J", [(20, 512, 9), (5000, 2**14, 17), (40_000, 2**17, 15)])
+    def test_tables_by_groups_are_one_transform(self, K, M, J):
+        # past M = 2^13 the rows go to the FFT by groups; each row is still
+        # the whole transform of its spectrum c_k (ik)^j / (2 j!)
+        a, b = random_coeffs(K, K, -1.0)
+        c = np.r_[0.3, a - 1j * b]
+        k = np.arange(1.0, K + 1.0)
+        powers = np.cumprod(np.r_[np.full((1, K), 0.5), k / np.arange(1.0, J + 1.0)[:, None]], axis=0)
+        spectra = np.zeros((J + 1, M // 2 + 1), dtype=complex)
+        spectra[:, 1 : K + 1] = c[1:] * np.array([1.0, 1j, -1.0, -1j])[np.arange(J + 1) % 4, None] * powers
+        spectra[0, 0] = c[0]
+        want = np.fft.irfft(spectra, n=M, axis=1, norm="forward")
+        assert np.array_equal(_taylor_tables(c, M, J), want)
+
+    def test_the_parts_of_two_pi(self):
+        # each part has at most 26 significant bits, so m * part / M is exact
+        # for |m| <= 2^26, and the three add up to 2 pi within 2^-70
+        for part in _TWO_PI_PARTS:
+            mantissa, _ = math.frexp(part)
+            assert (mantissa * 2**26).is_integer()
+        with mp.workdps(40):
+            assert abs(sum(mp.mpf(p) for p in _TWO_PI_PARTS) - 2 * mp.pi) <= mp.mpf(2) ** -70
+
+    def test_heavy_carrier_cdf(self):
+        # K = 140 494: its CDF at 5 10^4 sorted draws from tables, against
+        # Horner (64 points, under the table path's floor) at 64 of them
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", circlaw.SlowDecayWarning)
+            law = space_fractional_law(0.15, 1.0)
+        draws = np.sort(sample(law, circlaw.RngStream(43), 50_000))
+        assert law.n_terms == 140_494 and _table_plan(law.n_terms, draws) is not None
+        got = law.cdf(draws)
+        at = np.random.default_rng(43).choice(draws.size, 64, replace=False)
+        assert _table_plan(law.n_terms, draws[at]) is None
+        assert np.max(np.abs(got[at] - law.cdf(draws[at]))) <= cdf_certificate(law, draws.size)
 
 
 class TestCdfAngles:

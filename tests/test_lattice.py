@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from circlaw import DomainError, RngStream, Tolerance, fractional, ks_statistic, sample
 from circlaw.fractional import space_time_fractional_cdf, time_fractional_law
 from circlaw.harmonic import TWO_PI
-from circlaw import lattice
+from circlaw import harmonic, lattice
 from circlaw.lattice import _closed_form, _zeta_right, lattice_tail
 from circlaw.special import _ml_many
+from oracles import cdf_certificate
 
 mp.mp.dps = 30
 TOL6 = Tolerance(abs_tol=1e-6)
@@ -241,15 +242,24 @@ def test_one_sorted_pass_takes_the_cheapest_j_that_certifies(seed):
             assert got.tail_bound <= tol.abs_tol
 
 
-def test_sampling_sized_space_time_cdf_keeps_the_plain_route():
-    # N = 5000 angles at tol 1e-3: the plain series (K = 29) is cheaper than
-    # the lattice form, and gives the doubles it gave before the lattice form
+def test_sampling_sized_space_time_cdf_keeps_the_plain_route(monkeypatch):
+    # N = 5000 angles at tol 1e-3: the plain series (K = 37) is cheaper than
+    # the lattice form. Its CDF is read from the Taylor tables of
+    # harmonic._scattered, within the evaluation certificate of the Horner
+    # doubles the route gave before them
     th = np.sort(np.random.default_rng(7).uniform(0.0, TWO_PI, 5000))
-    assert fractional._space_time_law(0.7, 0.8, 1.0, Tolerance(1e-3), True, th.size).lattice is None
+    law = fractional._space_time_law(0.7, 0.8, 1.0, Tolerance(1e-3), True, th.size)
+    assert law.lattice is None
     F = space_time_fractional_cdf(0.7, 0.8, th, 1.0, Tolerance(1e-3))
     assert hashlib.sha256(F.tobytes()).hexdigest() == (
+        "700503d1102b0842b6965c6fb117de6753330fa42f5db5a6dfd8985b16dbc5b7"
+    )
+    monkeypatch.setattr(harmonic, "_table_plan", lambda K, th: None)
+    horner = space_time_fractional_cdf(0.7, 0.8, th, 1.0, Tolerance(1e-3))
+    assert hashlib.sha256(horner.tobytes()).hexdigest() == (
         "65bd0339750815d66797c639ba98c7a7797835877dc7af057bf43084e776884c"
     )
+    assert np.max(np.abs(F - horner)) <= cdf_certificate(law, th.size)
 
 
 @pytest.mark.parametrize(

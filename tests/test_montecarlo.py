@@ -25,7 +25,7 @@ from circlaw.montecarlo import (
     simulate_planar_hit,
 )
 from circlaw.special import mittag_leffler
-from oracles import ks_two_arrays, wrapped_bm_mod
+from oracles import ks_two_arrays, sampler_draws_digest, wrapped_bm_mod
 
 SEED = 314159
 
@@ -406,3 +406,30 @@ class TestSubordinationComposition:
         tol = Tolerance(abs_tol=1e-4)
         ks = ks_statistic(ang, lambda th: space_time_fractional_cdf(0.5, 0.5, th, 1.0, tol))
         assert ks < 0.02
+
+
+# the draws of _sampler_matrix(2026) and their KS distances as computed
+# before the table path of harmonic._scattered (KS values as Horner gave them)
+SAMPLER_DIGEST = "a2e6f281e9352006a58000fa44f1ea9cfd465197b8d3b1b2e5345f3a0f2f0475"
+SAMPLER_KS = {
+    "bm": 0.010551221501304747,
+    "spacefrac-0.35": 0.012136747427538563,
+    "spacefrac-0.7": 0.008276798291638743,
+    "wrappedstable": 0.006328621407267532,
+    "kernel-even": 0.007746349758864679,
+    "wrapped_bm": 0.007837794080865212,
+    "stable": 0.006233012154159112,
+    "inverse": 0.00996033215509351,
+    "planar": 0.029555185136675655,
+}
+
+
+def test_sampler_draws_and_ks_values_are_kept():
+    # every draw, bit for bit; each KS distance within twice its CDF's
+    # evaluation certificate (the old and the new value each within one of
+    # the exact CDF), exactly where the CDF is in closed form
+    digest, ks = sampler_draws_digest(2026)
+    assert digest == SAMPLER_DIGEST
+    assert ks.keys() == SAMPLER_KS.keys()
+    for name, (value, cert) in ks.items():
+        assert abs(value - SAMPLER_KS[name]) <= 2.0 * cert, name
