@@ -62,7 +62,7 @@ from .fractional import (
     time_fractional_law,
     wrapped_stable_law,
 )
-from .harmonic import TWO_PI
+from .harmonic import _uniform_grid
 from .kernels import even_kernel_cdf, even_kernel_density, odd_kernel_cdf, odd_kernel_density
 from .pseudo import even_circle_law, odd_circle_density_wrapped, positivity_time
 from .special import _WORK, DEFAULT_TOL, Tolerance, _frozen
@@ -367,13 +367,13 @@ def _format17(v):
 # (a 22 MB template and the 8 MB grid)
 @lru_cache(maxsize=4)
 def _csv_grid(n):
-    """The read-only uniform grid of n nodes on [0, 2 pi] and its CSV
-    template: the header and one row per node, theta's text filled in and
-    the value's left open. Below _VECTOR_GRID nodes the template is one
-    str with a %.17g per row; from there on it is a tuple of bytes blocks
-    of _WORK rows with a %s per row, theta's text written by _format17.
-    Either way a row's fields are the text of format(x, ".17g")."""
-    th = _frozen(np.linspace(0.0, TWO_PI, n))
+    """The read-only uniform grid of n nodes on [0, 2 pi] (_uniform_grid(n - 1)
+    and its 2 pi endpoint, not numpy's linspace) and its CSV template: the header
+    and one row per node, theta's text filled in and the value's left open.
+    Below _VECTOR_GRID nodes the template is one str with a %.17g per row; from
+    there on it is a tuple of bytes blocks of _WORK rows with a %s per row, theta's
+    text written by _format17. Either way a row's fields are the text of format(x, ".17g")."""
+    th = _frozen(_uniform_grid(n - 1, endpoint=True))
     if n < _VECTOR_GRID:
         return th, "theta,value\n" + "".join(f"{x:.17g},%.17g\n" for x in th.tolist())
     blocks = [b",%s\n".join(_format17(th[lo : lo + _WORK]).tolist()) + b",%s\n" for lo in range(0, n, _WORK)]

@@ -191,15 +191,18 @@ def _algebraic_law(coeffs, nu, t, scale, sigma, cdf, tol, points, advice, meta):
     return cosine_law(lambda k: coeffs(k, tol, None, True), plain_tail, tol, advice, meta, k_plain)
 
 
-def _time_fractional_coeffs(nu, t, n):
-    def coeffs(k, tol, errs, deep):
-        # k^{2n} t^nu past the largest double is inf, and E_nu(-inf) = 0
-        vals, err = _ml_many(nu, -scaled_powers(t**nu, 2 * n, k), tol, deep)
-        if errs is not None:
-            errs.append(math.fsum(err))
-        return vals / math.pi
+def _ml_coeffs(nu, y, tol, errs, deep):
+    """E_nu(-y)/pi at the arguments y within tol, the coefficient body of both
+    algebraic families (see _algebraic_law for errs and deep)."""
+    vals, err = _ml_many(nu, -y, tol, deep)
+    if errs is not None:
+        errs.append(math.fsum(err))
+    return vals / math.pi
 
-    return coeffs
+
+def _time_fractional_coeffs(nu, t, n):
+    # k^{2n} t^nu past the largest double is inf, and E_nu(-inf) = 0
+    return lambda k, tol, errs, deep: _ml_coeffs(nu, scaled_powers(t**nu, 2 * n, k), tol, errs, deep)
 
 
 def _time_fractional_law(n, nu, t, tol, points):
@@ -295,12 +298,8 @@ def wrapped_stable_law(beta, t, tol=DEFAULT_TOL):
 
 
 def _space_time_coeffs(nu, beta, t, k, tol, errs, deep):
-    """E_nu(-(k^2/2)^beta t^nu)/pi at the modes k within tol (see
-    _algebraic_law for errs and deep)."""
-    vals, err = _ml_many(nu, -((k * k / 2.0) ** beta) * t**nu, tol, deep)
-    if errs is not None:
-        errs.append(math.fsum(err))
-    return vals / math.pi
+    """E_nu(-(k^2/2)^beta t^nu)/pi at the modes k within tol (_ml_coeffs)."""
+    return _ml_coeffs(nu, (k * k / 2.0) ** beta * t**nu, tol, errs, deep)
 
 
 def _space_time_law(nu, beta, t, tol, cdf, points):

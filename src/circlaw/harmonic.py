@@ -65,15 +65,22 @@ def _cdf_angles(theta) -> tuple[np.ndarray, float]:
     return (np.clip(th, 0.0, TWO_PI) if lo < 0.0 or hi > TWO_PI else th), max(lo, 0.0)
 
 
+def _uniform_grid(M: int, endpoint: bool = False) -> np.ndarray:
+    """The M nodes arange(M) * (2 pi / M) of the circle; with endpoint one
+    node more, arange(M + 1) * (2 pi / M) with its last entry set to 2 pi,
+    which are the doubles numpy 2.4 gives for linspace(0, 2 pi, M + 1)."""
+    th = np.arange(M + endpoint) * (TWO_PI / M)
+    if endpoint:
+        th[-1] = TWO_PI
+    return th
+
+
 def _grid_period(th) -> int:
     """Number M of periodic nodes when th is a uniform grid, else 0.
 
-    The grids are arange(M) * (2 pi / M) and linspace(0, 2 pi, M + 1)
-    (M nodes plus the 2 pi endpoint), matched bit for bit. The last node
-    tells the two forms apart (linspace ends on 2 pi, arange short of
-    it), th[1] must be the form's step, and one exact comparison with the
-    form decides. The linspace form is built as numpy's linspace builds
-    it: arange(M + 1) * (2 pi / M), its last entry set to 2 pi.
+    The grids are _uniform_grid(M), with or without its 2 pi endpoint, matched
+    bit for bit: the last node tells the two forms apart, th[1] must be the
+    form's step, and one exact comparison with the form decides.
     """
     N = th.size
     if th.ndim != 1 or N == 0 or th[0] != 0.0:
@@ -81,13 +88,7 @@ def _grid_period(th) -> int:
     if N == 1:
         return 1
     M = N - 1 if th[-1] == TWO_PI else N
-    step = TWO_PI / M
-    if th[1] != step:
-        return 0
-    grid = np.arange(N) * step
-    if M < N:
-        grid[-1] = TWO_PI
-    return M if np.array_equal(th, grid) else 0
+    return M if th[1] == TWO_PI / M and np.array_equal(th, _uniform_grid(M, M < N)) else 0
 
 
 def _unit(th) -> np.ndarray:
@@ -520,25 +521,29 @@ def certified_cutoff(tail, tol: Tolerance, advice: str) -> int:
     return hi
 
 
-def cosine_law(coeffs, tail, tol: Tolerance, advice: str, meta: str, K: int | None = None) -> HarmonicLaw:
-    """Mass-1 cosine carrier a0 = 1/(2 pi), a_k = coeffs(k), b_k = 0.
+def cosine_law(coeffs, tail, tol: Tolerance, advice: str, meta: str, K: int | None = None, sines=None) -> HarmonicLaw:
+    """Mass-1 carrier a0 = 1/(2 pi), a_k = coeffs(k), b_k = sines(k) (0 without sines).
 
     K = certified_cutoff(tail, tol, advice) unless the caller has it, and
     tail_bound = tail(K).
-    coeffs maps an elementwise mode array to the cosine coefficients; it
-    is called on k = 1.0..K by blocks of at most _WORK modes, which fill
-    one preallocated array, so its own work arrays stay one block long.
+    coeffs (and sines) map an elementwise mode array to the coefficients;
+    they are called on k = 1.0..K by blocks of at most _WORK modes, which
+    fill preallocated arrays, so their own work arrays stay one block long.
     """
     if K is None:
         K = certified_cutoff(tail, tol, advice)
     cos_coeffs = np.empty(K)
+    sin_coeffs = np.zeros(K) if sines is None else np.empty(K)
     for lo in range(0, K, _WORK):
         hi = min(K, lo + _WORK)
-        cos_coeffs[lo:hi] = coeffs(np.arange(lo + 1.0, hi + 1.0))
+        k = np.arange(lo + 1.0, hi + 1.0)
+        cos_coeffs[lo:hi] = coeffs(k)
+        if sines is not None:
+            sin_coeffs[lo:hi] = sines(k)
     return HarmonicLaw(
         a0=1.0 / TWO_PI,
         cos_coeffs=cos_coeffs,
-        sin_coeffs=np.zeros(K),
+        sin_coeffs=sin_coeffs,
         tail_bound=tail(K),
         meta=meta,
     )
@@ -586,7 +591,7 @@ def fourier_coeffs(density, K: int, n_nodes: int | None = None):
     M = _check_count(n_nodes, "n_nodes") if n_nodes is not None else max(256, 64 * K)
     if M < 2 * K + 2:
         raise DomainError("need more than 2K nodes to resolve mode K")
-    th = np.arange(M) * (TWO_PI / M)
+    th = _uniform_grid(M)
     try:
         vals = np.asarray(density(th), dtype=float)
         if vals.shape != th.shape:
@@ -635,7 +640,7 @@ def sample(law: HarmonicLaw, rng, size: int | None = None):
         if not slope < math.inf:
             raise DomainError("the law's closed-form tail has no slope bound; sampling it is refused")
     grid_n = max(4096, 4 * law.n_terms)
-    grid = np.arange(grid_n) * (TWO_PI / grid_n)
+    grid = _uniform_grid(grid_n)
     vals = law.density(grid)
     coeff_sum = abs(law.a0) + float(np.abs(law.cos_coeffs).sum() + np.abs(law.sin_coeffs).sum())
 

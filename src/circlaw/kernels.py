@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, _check_finite, _check_n, _check_t
-from .harmonic import TWO_PI, HarmonicLaw, _cdf_angles, certified_cutoff, exp_power_tail
+from .harmonic import TWO_PI, HarmonicLaw, _cdf_angles, _uniform_grid, certified_cutoff, cosine_law, exp_power_tail
 from .line import _image_sum, _reduced, _rotation, skew_cauchy_density
 from .special import DEFAULT_TOL, Tolerance
 
@@ -44,18 +44,18 @@ def _ab(n) -> tuple[float, float]:
 
 def _poisson_series_law(damp_rate: float, rotation: float, tol: Tolerance, meta: str) -> HarmonicLaw:
     """Series law 1/(2 pi) + (1/pi) sum_k e^{-k damp_rate} cos(k(theta + rotation)),
-    cut by the geometric tail exp_power_tail(damp_rate, 1, K)."""
-    K = certified_cutoff(
-        lambda K: exp_power_tail(damp_rate, 1, K), tol, "the closed form has no such limit"
-    )
-    k = np.arange(1.0, K + 1)
-    damp = np.exp(-k * damp_rate) / math.pi
-    return HarmonicLaw(
-        a0=1.0 / TWO_PI,
-        cos_coeffs=damp * np.cos(k * rotation),
-        sin_coeffs=-damp * np.sin(k * rotation),
-        tail_bound=exp_power_tail(damp_rate, 1, K),
-        meta=f"{meta}, K={K}",
+    cut by the geometric tail exp_power_tail(damp_rate, 1, K), its a_k and b_k built
+    by harmonic.cosine_law's blocks (b_k = -(e^{-k damp_rate}/pi) sin(k rotation), -0.0 at rotation 0)."""
+
+    def tail(K):
+        return exp_power_tail(damp_rate, 1, K)
+
+    advice = "the closed form has no such limit"
+    K = certified_cutoff(tail, tol, advice)
+    return cosine_law(
+        lambda k: np.exp(-k * damp_rate) / math.pi * np.cos(k * rotation),
+        tail, tol, advice, f"{meta}, K={K}", K,
+        sines=lambda k: -(np.exp(-k * damp_rate) / math.pi) * np.sin(k * rotation),
     )
 
 
@@ -231,5 +231,5 @@ def kernel_limit_gap(n: int, t: float) -> float:
     Decreases to 0 as n grows (a -> 1, b -> 0 collapse the odd kernel
     onto the even one) and as t grows (both flatten to uniform).
     """
-    th = np.arange(_GAP_GRID) * (TWO_PI / _GAP_GRID)
+    th = _uniform_grid(_GAP_GRID)
     return float(np.max(np.abs(odd_kernel_density(n, th, t) - even_kernel_density(th, t))))

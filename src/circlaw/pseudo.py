@@ -32,6 +32,7 @@ from .brownian import bm_density_wrapped
 from .harmonic import (
     TWO_PI,
     HarmonicLaw,
+    _uniform_grid,
     _wrap,
     certified_cutoff,
     cosine_law,
@@ -263,7 +264,7 @@ def odd_circle_atoms(n: int, a: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     n, a, q = _check_count(n, "n"), _check_count(a, "a"), _check_count(q, "q")
     p = 2 * n + 1
     phase = np.array([a * pow(r, p, q) % q for r in range(q)], float) * (TWO_PI / q)
-    return np.arange(q) * (TWO_PI / q), np.fft.ifft(np.exp(1j * phase)).real
+    return _uniform_grid(q), np.fft.ifft(np.exp(1j * phase)).real
 
 
 # ---------------------------------------------------------------------------

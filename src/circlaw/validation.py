@@ -34,7 +34,7 @@ from .fractional import (
     wrapped_stable_law,
 )
 from .errors import ConvergenceError, DomainError
-from .harmonic import TWO_PI, fourier_coeffs
+from .harmonic import TWO_PI, _uniform_grid, fourier_coeffs
 from .line import _gauss_legendre
 from .kernels import (
     even_kernel_cdf,
@@ -75,7 +75,7 @@ DEFAULT_SEED = 314159
 # the correctly rounded root 0.6931166485360705 that positivity_time returns
 T_BAR_ORDER4 = 0.6931166485360707
 
-GRID64 = _frozen(np.arange(64) * (TWO_PI / 64.0))
+GRID64 = _frozen(_uniform_grid(64))
 
 
 @dataclass(frozen=True)
@@ -325,7 +325,7 @@ def _c10a(run):
 
 def _grid_min(n, t, tol):
     """Angle of the least value on 4096 nodes, apart from positivity_time's proof."""
-    thetas = np.arange(4096) * (TWO_PI / 4096)
+    thetas = _uniform_grid(4096)
     return float(thetas[np.argmin(even_circle_density(n, thetas, t, tol))])
 
 
@@ -362,7 +362,7 @@ def _c14(run):
     # mass and modes 1..6 of the odd law at t = 2 pi a/q: one rfft of the
     # wrapped route on 128 nodes against the atoms' exact projections
     k = np.arange(7)
-    grid = np.arange(128) * (TWO_PI / 128)
+    grid = _uniform_grid(128)
 
     def routes(a, q):
         values = odd_circle_density_wrapped(1, grid, TWO_PI * a / q)

@@ -697,6 +697,30 @@ def test_cli_grids_have_their_period(n):
     assert _grid_period(_csv_grid.__wrapped__(n)[0]) == n - 1
 
 
+def test_cli_grid_ignores_numpy_linspace(capsys, monkeypatch):
+    # cli._csv_grid and harmonic._grid_period build their grid with the one
+    # harmonic._uniform_grid: a linspace that moves every interior node by an
+    # ulp moves no CLI grid off the FFT path and no byte of its output
+    argv = ("density", "--law", "bm", "--t", "1", "--grid", "512")
+    _csv_grid.cache_clear()
+    want = run(capsys, *argv)
+    linspace = np.linspace
+
+    def shifted(*args, **kwargs):
+        out = linspace(*args, **kwargs)
+        out[1:-1] = np.nextafter(out[1:-1], np.inf)
+        return out
+
+    monkeypatch.setattr(np, "linspace", shifted)
+    _csv_grid.cache_clear()
+    try:
+        for n in (8, 9, 512, 2048):
+            assert _grid_period(_csv_grid(n)[0]) == n - 1
+        assert run(capsys, *argv) == want
+    finally:
+        _csv_grid.cache_clear()
+
+
 class TestPositivity:
     def test_order_two(self, capsys):
         code, out, _ = run(capsys, "positivity", "--n", "1")

@@ -3,6 +3,7 @@ interval probabilities, the wrapped skewed-Cauchy route, and the
 large-n collapse."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -25,6 +26,7 @@ from circlaw.kernels import (
     odd_kernel_law,
     wrapped_skew_cauchy_density,
 )
+from circlaw.special import _WORK
 from oracles import even_kernel_cdf_atan2
 
 TOL13 = Tolerance(abs_tol=1e-13)
@@ -395,3 +397,40 @@ class TestKernelLimitGap:
             kernel_limit_gap(0, 1.0)
         with pytest.raises(DomainError, match="positive integer"):
             kernel_limit_gap(1.5, 1.0)
+
+
+# the two kernel laws as t -> (law, (damping rate, rotation)); at t = 1e-4
+# each carries a few 10^5 terms
+SERIES_BUILDS = {
+    "even": (even_kernel_law, lambda t: (t, 0.0)),
+    "odd-1": (lambda t: odd_kernel_law(1, t), lambda t: (_ab(1)[0] * t, _ab(1)[1] * t)),
+}
+
+
+class TestSeriesLawBuild:
+    # the kernel laws fill their coefficients by harmonic.cosine_law's
+    # blocks of _WORK modes: the doubles and signs of zero of the whole-array
+    # expressions, with one block of work past the law's own two arrays
+
+    @pytest.mark.parametrize("name", SERIES_BUILDS)
+    def test_coefficients_are_the_whole_array_expressions(self, name):
+        build, rates = SERIES_BUILDS[name]
+        law = build(1e-4)
+        rate, rotation = rates(1e-4)
+        assert law.n_terms > _WORK
+        k = np.arange(1.0, law.n_terms + 1)
+        damp = np.exp(-k * rate) / math.pi
+        assert law.cos_coeffs.tobytes() == (damp * np.cos(k * rotation)).tobytes()
+        assert law.sin_coeffs.tobytes() == (-damp * np.sin(k * rotation)).tobytes()
+
+    @pytest.mark.parametrize("name", SERIES_BUILDS)
+    def test_build_holds_three_arrays(self, name):
+        build, _ = SERIES_BUILDS[name]
+        K = build(1e-4).n_terms
+        tracemalloc.start()
+        try:
+            build(1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * K

@@ -331,3 +331,50 @@ def test_cli_flags_are_declared_once():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"
     ]
     assert calls and all(id(c) in inside for c in calls)
+
+
+def _callers(path, callee):
+    """Names of the top-level definitions of a module that call callee by name."""
+    return {
+        top.name
+        for top in parse(path).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == callee
+    }
+
+
+def test_harmonic_laws_are_built_by_cosine_law():
+    # every series law fills its coefficients by cosine_law's blocks of modes;
+    # the lattice form alone, which carries a closed-form tail, builds its own
+    builders = {(p.stem, name) for p in MODULES for name in _callers(p, "HarmonicLaw")}
+    assert builders == {("harmonic", "cosine_law"), ("fractional", "_first_fit")}
+
+
+def _mentions_pi(node) -> bool:
+    return any(
+        (isinstance(n, ast.Name) and n.id == "TWO_PI") or (isinstance(n, ast.Attribute) and n.attr == "pi")
+        for n in ast.walk(node)
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "harmonic"], ids=lambda p: p.stem)
+def test_uniform_grids_come_from_harmonic(path):
+    # harmonic._uniform_grid is the one constructor of the 2 pi grids that
+    # harmonic._grid_period recognises: a grid built elsewhere could leave
+    # the FFT path on another numpy
+    lines = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linspace" and _mentions_pi(node):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and _mentions_pi(node):
+            sides = (node.left, node.right)
+            if any(isinstance(s, ast.Call) and ast.unparse(s.func) == "np.arange" for s in sides):
+                lines.append(node.lineno)
+    assert lines == [], f"{path.name}: a 2 pi grid built at lines {lines}; use harmonic._uniform_grid"
+
+
+def test_mittag_leffler_coefficients_have_one_body():
+    # both algebraic families take E_nu(-y)/pi and its error sum from _ml_coeffs
+    path = Path(circlaw.__file__).parent / "fractional.py"
+    assert _callers(path, "_ml_many") == {"_ml_coeffs"}
